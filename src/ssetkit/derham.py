@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import ParameterError, StructureError
 from .forms import Cochain, PolyForm, coface_matrix, collapse_matrix, compose_matrices
 from .homology import CochainSpaces
-from .linalg import Matrix, nullspace, quotient_reps, rank, rref, vstack
+from .linalg import Matrix, coordinates, nullspace, quotient_reps, rank
 
 
 def _local_basis(m, p, degree_cap):
@@ -48,7 +48,6 @@ class _Truncation:
         self._local = {}
         self._columns = {}
         self._kernel = {}
-        self._free = {}
         self._dmat = {}
 
     def local_basis(self, m, p):
@@ -88,10 +87,12 @@ class _Truncation:
             row_acc[r][col] = row_acc[r].get(col, Fraction(0)) + sign * c
 
     def kernel(self, p):
-        """Basis of face-compatible fields in degree p, as ambient coordinate vectors.
+        """Basis of face-compatible fields in degree p, as the rows of a Matrix
+        over the ambient coordinates, with the column at which each row is 1
+        and every other row is 0.
 
-        When no face imposes a constraint the basis is the identity and
-        callers may treat ambient coordinates as kernel coordinates.
+        The rows are the nullspace basis of the face constraints, one per
+        free column; with no constraint they are the unit vectors.
         """
         if p in self._kernel:
             return self._kernel[p]
@@ -124,32 +125,22 @@ class _Truncation:
                         acc.setdefault(k, {})
                         acc[k][c] = acc[k].get(c, Fraction(0)) - 1
                 for r in sorted(acc):
-                    row = [Fraction(0)] * len(cols)
-                    for c, v in acc[r].items():
-                        row[c] = v
-                    rows.append(row)
-        self._free[p] = not rows
-        if rows:
-            constraint = Matrix(rows, len(cols))
-            self._kernel[p] = [tuple(v) for v in nullspace(constraint)]
-        else:
-            eye = Matrix.identity(len(cols))
-            self._kernel[p] = [tuple(r) for r in eye.rows]
+                    rows.append({c: v for c, v in acc[r].items() if v})
+        basis = nullspace(Matrix.sparse(rows, len(cols)))
+        # Each nullspace vector's free column is its last entry.
+        self._kernel[p] = (basis, [max(row) for row in basis.rows])
         return self._kernel[p]
 
-    def is_free(self, p):
-        self.kernel(p)
-        return self._free[p]
-
     def dim(self, p):
-        return len(self.kernel(p))
+        return self.kernel(p)[0].nrows
 
     def forms_from_vector(self, p, vec):
+        """Per-simplex forms of an ambient vector (dict column -> value)."""
         cols, _ = self.columns(p)
         forms = {}
-        for value, (n, s, k) in zip(vec, cols):
-            if value == 0:
-                continue
+        for c in sorted(vec):
+            value = vec[c]
+            n, s, k = cols[c]
             basis, _ = self.local_basis(n, p)
             exps, idx = basis[k]
             term = PolyForm(n, p, [((exps, idx), value)])
@@ -157,100 +148,88 @@ class _Truncation:
         return forms
 
     def apply_d(self, p, vec):
-        """Exterior derivative of an ambient coordinate vector, ambient degree p+1."""
+        """Exterior derivative of an ambient vector (dict column -> value), ambient degree p+1."""
         cols, _ = self.columns(p)
         _, target_index = self.columns(p + 1)
-        res = [Fraction(0)] * len(target_index)
-        for value, (n, s, k) in zip(vec, cols):
-            if value == 0:
-                continue
+        res = {}
+        for c, value in vec.items():
+            n, s, k = cols[c]
             basis, _ = self.local_basis(n, p)
             exps, idx = basis[k]
             dform = PolyForm(n, p, [((exps, idx), Fraction(1))]).d()
             t_index = self.local_basis(n, p + 1)[1]
-            for key, c in dform.terms.items():
-                res[target_index[(n, s, t_index[key])]] += value * c
-        return tuple(res)
+            for key, coeff in dform.terms.items():
+                t = target_index[(n, s, t_index[key])]
+                res[t] = res.get(t, 0) + value * coeff
+        return {t: v for t, v in res.items() if v}
 
     def express_in_kernel(self, p, vectors):
-        """Coordinates of ambient vectors in the kernel basis, batch solved."""
-        kern = self.kernel(p)
-        if self.is_free(p):
-            return [tuple(v) for v in vectors]
-        ambient = len(self.columns(p)[0])
-        aug = Matrix.from_columns([list(v) for v in kern] + [list(v) for v in vectors], ambient)
-        red, pivots = rref(aug)
-        k = len(kern)
-        for pc in pivots:
-            if pc >= k:
-                raise StructureError("vector outside the compatible subspace")
+        """Coordinates of ambient vectors (dict rows) in the kernel basis."""
+        basis, pivots = self.kernel(p)
         out = []
-        for j in range(len(vectors)):
-            coords = [Fraction(0)] * k
-            for r, pc in enumerate(pivots):
-                coords[pc] = red.rows[r][k + j]
-            out.append(tuple(coords))
+        for vec in vectors:
+            coords, rest = coordinates(vec, basis, pivots)
+            if rest:
+                raise StructureError("vector outside the compatible subspace")
+            out.append(coords)
         return out
 
     def d_matrix(self, p):
         """Exterior derivative in kernel coordinates, degree p to p+1."""
         if p not in self._dmat:
-            src = self.kernel(p)
-            images = [self.apply_d(p, vec) for vec in src]
-            coords = self.express_in_kernel(p + 1, images) if src else []
-            self._dmat[p] = Matrix.from_columns(coords, len(self.kernel(p + 1)))
+            images = [self.apply_d(p, vec) for vec in self.kernel(p)[0].rows]
+            coords = self.express_in_kernel(p + 1, images)
+            self._dmat[p] = Matrix.from_columns(coords, self.dim(p + 1))
         return self._dmat[p]
 
     def cohomology_reps(self, p):
         """Truncated-cohomology class representatives in kernel coordinates."""
-        dmat = self.d_matrix(p)
-        z_rows = Matrix(list(nullspace(dmat)), self.dim(p))
+        z_rows = nullspace(self.d_matrix(p))
         if p == 0:
-            b_rows = Matrix([], self.dim(0))
+            b_rows = Matrix.zeros(0, self.dim(0))
         else:
             b_rows = self.d_matrix(p - 1).transpose()
         return quotient_reps(z_rows, b_rows)
 
     def rep_to_ambient(self, p, rep):
-        vec = [Fraction(0)] * len(self.columns(p)[0])
-        for coef, base in zip(rep, self.kernel(p)):
+        """Ambient vector (dict column -> value) of kernel coordinates."""
+        vec = {}
+        for coef, base in zip(rep, self.kernel(p)[0].rows):
             if coef:
-                vec = [a + coef * b for a, b in zip(vec, base)]
-        return tuple(vec)
+                for c, v in base.items():
+                    vec[c] = vec.get(c, 0) + coef * v
+        return {c: v for c, v in vec.items() if v}
 
     def embed_ambient(self, p, vec, finer):
         """Reindex an ambient vector into the columns of a finer truncation."""
         cols, _ = self.columns(p)
         _, fine_index = finer.columns(p)
-        out = [Fraction(0)] * len(fine_index)
-        for value, (n, s, k) in zip(vec, cols):
-            if value == 0:
-                continue
+        out = {}
+        for c, value in vec.items():
+            n, s, k = cols[c]
             exps, idx = self.local_basis(n, p)[0][k]
             fk = finer.local_basis(n, p)[1][(exps, idx)]
             out[fine_index[(n, s, fk)]] = value
-        return tuple(out)
+        return out
 
 
 def _survivor_rank(coarse, fine, p, reps):
     """How many classes of the coarse stage stay independent in the fine stage.
 
-    Works entirely in ambient coordinates: the rank of exact-plus-classes
-    minus the rank of the exact forms alone.
+    Works entirely in ambient coordinates: the dimension of the classes'
+    span modulo the exact forms of the fine stage.
     """
     if not reps:
         return 0
-    ambient = [list(coarse.embed_ambient(p, coarse.rep_to_ambient(p, r), fine)) for r in reps]
     width = len(fine.columns(p)[0])
+    ambient = Matrix.sparse(
+        [coarse.embed_ambient(p, coarse.rep_to_ambient(p, r), fine) for r in reps], width
+    )
     if p == 0:
-        exact_rows = Matrix([], width)
+        exact = Matrix.zeros(0, width)
     else:
-        exact_rows = Matrix(
-            [list(fine.apply_d(p - 1, k)) for k in fine.kernel(p - 1)], width
-        )
-    base_rank = rank(exact_rows)
-    total = vstack([exact_rows, Matrix(ambient, width)], width)
-    return rank(total) - base_rank
+        exact = Matrix.sparse([fine.apply_d(p - 1, k) for k in fine.kernel(p - 1)[0].rows], width)
+    return len(quotient_reps(ambient, exact))
 
 
 @dataclass

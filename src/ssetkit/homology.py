@@ -2,8 +2,9 @@
 and the Mayer-Vietoris long exact sequence with mechanical exactness checks.
 
 Normalized chains (degenerate simplices quotiented away) are the default;
-the unnormalized complex is available for cross-checking. Betti numbers come
-from exact rational ranks, torsion from integer Smith normal form.
+the unnormalized complex is available for cross-checking. One integer Smith
+normal form per boundary gives both its rank (over Z and over Q) and the
+torsion.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError, StructureError
-from .linalg import Matrix, invariant_factors, nullspace, quotient_reps, rank, row_space, solve
+from .linalg import Matrix, coordinates, invariant_factors, nullspace, quotient_reps, rank, rref
 from .simplicial import restrict, sub_intersection
 
 
 class ChainComplex:
-    """Graded free module with boundary matrices, over int or rat."""
+    """Graded free module with integer boundary matrices, over int or rat."""
 
     def __init__(self, ring, basis, boundary):
         if ring not in ("int", "rat"):
@@ -32,11 +33,11 @@ class ChainComplex:
             if m is None or (m.nrows, m.ncols) != expected:
                 raise StructureError("boundary matrix missing or misshaped in degree %d" % n)
         self._check_square_zero()
+        self._factors = {}
 
     def _check_square_zero(self):
         for n in range(2, self.top + 1):
-            prod = self.boundary[n - 1] @ self.boundary[n]
-            if not prod.is_zero():
+            if not (self.boundary[n - 1] @ self.boundary[n]).is_zero():
                 raise StructureError("boundary squared nonzero in degree %d" % n)
 
     def dim(self, n):
@@ -48,6 +49,13 @@ class ChainComplex:
         if n == self.top + 1:
             return Matrix.zeros(self.dim(self.top), 0)
         return Matrix.zeros(self.dim(n - 1) if n >= 1 else 0, self.dim(n))
+
+    def boundary_factors(self, n):
+        """Invariant factors of the degree-n boundary, computed once. Their
+        number is the boundary's rank, over Z and over Q alike."""
+        if n not in self._factors:
+            self._factors[n] = invariant_factors(self.boundary_or_zero(n))
+        return self._factors[n]
 
     def euler_characteristic(self):
         return sum((-1) ** n * self.dim(n) for n in range(self.top + 1))
@@ -69,14 +77,19 @@ def chain_complex(x, ring="int", normalized=True):
     index = {n: {s: i for i, s in enumerate(basis[n])} for n in x.dims()}
     boundary = {}
     for n in range(1, x.dim_cap + 1):
-        rows = [[0] * len(basis[n]) for _ in range(len(basis[n - 1]))]
+        rows = [{} for _ in basis[n - 1]]
         for j, s in enumerate(basis[n]):
             for i in range(n + 1):
                 f = x.d(n, i, s)
                 if normalized and x.is_degenerate(n - 1, f):
                     continue
-                rows[index[n - 1][f]][j] += (-1) ** i
-        boundary[n] = Matrix(rows, len(basis[n]))
+                row = rows[index[n - 1][f]]
+                v = row.get(j, 0) + (-1) ** i
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        boundary[n] = Matrix.sparse(rows, len(basis[n]))
     return ChainComplex(ring, basis, boundary)
 
 
@@ -94,28 +107,21 @@ class HomologySummary:
 
 
 def homology(complex_):
-    """Betti numbers via rational ranks, torsion via Smith normal form."""
+    """Betti numbers and torsion from the Smith normal form of each boundary."""
     betti = []
     torsion = {}
     for n in range(complex_.top + 1):
-        r_in = rank(complex_.boundary_or_zero(n + 1))
-        r_out = rank(complex_.boundary_or_zero(n))
-        betti.append(complex_.dim(n) - r_in - r_out)
+        incoming = complex_.boundary_factors(n + 1)
+        betti.append(complex_.dim(n) - len(incoming) - len(complex_.boundary_factors(n)))
         if complex_.ring == "int":
-            mat = complex_.boundary_or_zero(n + 1)
-            ints = [[int(v) for v in row] for row in mat.rows]
-            torsion[n] = tuple(d for d in invariant_factors(ints) if d > 1)
-    if complex_.ring == "rat":
-        torsion = {}
+            torsion[n] = tuple(d for d in incoming if d > 1)
     return HomologySummary(tuple(betti), torsion)
 
 
 def torsion_coefficients(complex_, n):
     if complex_.ring != "int":
         raise ParameterError("torsion requested over the rationals")
-    mat = complex_.boundary_or_zero(n + 1)
-    ints = [[int(v) for v in row] for row in mat.rows]
-    return tuple(d for d in invariant_factors(ints) if d > 1)
+    return tuple(d for d in complex_.boundary_factors(n + 1) if d > 1)
 
 
 # -- rational cohomology ------------------------------------------------
@@ -129,29 +135,41 @@ class CochainSpaces:
         self.complex = chain_complex(x, ring="rat")
         self.basis = self.complex.basis
         self.index = {n: {s: i for i, s in enumerate(self.basis[n])} for n in x.dims()}
-        self._reps = {}
+        self._delta = {}
+        self._classes = {}
 
     def delta(self, p):
         """Coboundary matrix C^p -> C^{p+1} (transpose of boundary)."""
-        return self.complex.boundary_or_zero(p + 1).transpose()
+        if p not in self._delta:
+            self._delta[p] = self.complex.boundary_or_zero(p + 1).transpose()
+        return self._delta[p]
 
     def cocycle_rows(self, p):
-        rows = nullspace(self.delta(p))
-        return Matrix(list(rows), self.complex.dim(p))
+        return nullspace(self.delta(p))
 
     def coboundary_rows(self, p):
-        if p == 0:
-            return Matrix([], self.complex.dim(0))
-        return self.delta(p - 1).transpose()
+        """Coboundaries of the basis (p-1)-cochains, one per row."""
+        return self.complex.boundary_or_zero(p)
+
+    def _class_bases(self, p):
+        """Degree-p class representatives, then the reduced bases express()
+        works with: representatives and their pivots, RREF coboundaries and
+        their pivots."""
+        if p not in self._classes:
+            dim = self.complex.dim(p)
+            if p > self.x.dim_cap or dim == 0:
+                self._classes[p] = ([], Matrix.zeros(0, dim), (), Matrix.zeros(0, dim), ())
+            else:
+                coboundaries, cob_pivots = rref(self.coboundary_rows(p))
+                reps = quotient_reps(self.cocycle_rows(p), coboundaries)
+                rep_basis = Matrix(reps, dim)
+                rep_pivots = [min(row) for row in rep_basis.rows]
+                self._classes[p] = (reps, rep_basis, rep_pivots, coboundaries, cob_pivots)
+        return self._classes[p]
 
     def reps(self, p):
         """Canonical cohomology class representatives (RREF, reduced mod coboundaries)."""
-        if p not in self._reps:
-            if p > self.x.dim_cap or self.complex.dim(p) == 0:
-                self._reps[p] = []
-            else:
-                self._reps[p] = quotient_reps(self.cocycle_rows(p), self.coboundary_rows(p))
-        return self._reps[p]
+        return self._class_bases(p)[0]
 
     def betti(self, p):
         return len(self.reps(p))
@@ -163,13 +181,16 @@ class CochainSpaces:
         """Coordinates of a cocycle's class in the canonical representative basis."""
         if not self.is_cocycle(p, vec):
             raise ParameterError("vector is not a cocycle in degree %d" % p)
-        reps = self.reps(p)
-        cols = [tuple(r) for r in reps] + [tuple(r) for r in row_space(self.coboundary_rows(p)).rows]
-        mat = Matrix.from_columns(cols, self.complex.dim(p))
-        sol = solve(mat, vec)
-        if sol is None:
+        _, rep_basis, rep_pivots, coboundaries, cob_pivots = self._class_bases(p)
+        # Representatives vanish at the coboundary pivots, so removing the
+        # coboundary part first leaves the class coordinates at the
+        # representatives' own pivots.
+        row = {j: v for j, v in enumerate(vec) if v}
+        _, rest = coordinates(row, coboundaries, cob_pivots)
+        coords, rest = coordinates(rest, rep_basis, rep_pivots)
+        if rest:
             raise StructureError("cocycle not in span of class representatives")
-        return tuple(sol[: len(reps)])
+        return coords
 
     def value_at(self, p, vec, simplex):
         """Value of a degree-p cochain vector on any simplex (0 on degenerates)."""

@@ -177,9 +177,8 @@ def parse_cover(text):
 def serialize_matrix(matrix):
     lines = ["matrix %d %d" % (matrix.nrows, matrix.ncols)]
     for i, row in enumerate(matrix.rows):
-        for j, v in enumerate(row):
-            if v != 0:
-                lines.append("%d %d %s" % (i, j, v))
+        for j in sorted(row):
+            lines.append("%d %d %s" % (i, j, row[j]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,62 +1,91 @@
-"""Exact dense linear algebra over the rationals, plus integer Smith normal form.
+"""Exact sparse linear algebra over the integers and the rationals.
 
-Everything is desk scale: matrices are tuples of tuples of Fraction, and the
-algorithms are textbook Gaussian / Euclidean elimination carried out exactly.
-Smith normal form uses Python's arbitrary-precision integers, so entry growth
-is harmless.
+A Matrix is an explicit shape plus one dict per row mapping column index to
+a nonzero int or Fraction. Boundary matrices are sparse with entries +-1, and
+the rational systems of the de Rham complex are sparse too, so work is
+proportional to the nonzeros touched rather than to the shape.
+
+There is one elimination engine for rational work: sparse Gauss-Jordan
+elimination that takes the columns left to right and, in each column, the
+shortest candidate row as pivot. The reduced row echelon form is unique, so
+the pivot choice changes the cost but not the result: rank, nullspace,
+solutions, canonical row spaces and quotient representatives are the same
+as textbook dense elimination gives. Integer entries stay Python ints until a
+non-unit pivot forces a Fraction.
+
+Integer Smith normal form first removes unit (+-1) pivots, cheapest fill-in
+first (the reduction-pair step of Kaczynski-Mrozek-Slusarek, 1998), then runs
+Euclidean elimination on the small dense remainder with arbitrary-precision
+integers (compare Dumas-Saunders-Villard, JSC 2001).
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries and an explicit shape.
+    """Immutable sparse matrix with an explicit shape.
 
-    The explicit shape matters because boundary matrices of empty degrees
-    are routinely 0 x k or k x 0.
+    rows holds one dict per row, column index -> nonzero int or Fraction. The
+    explicit shape matters because boundary matrices of empty degrees are
+    routinely 0 x k or k x 0.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
+        """A matrix from dense rows (sequences of numbers)."""
+        rows = [list(r) for r in rows]
+        if rows:
+            widths = {len(r) for r in rows}
             if len(widths) != 1:
                 raise ValueError("ragged rows")
             found = widths.pop()
             if ncols is not None and ncols != found:
                 raise ValueError("declared ncols=%d but rows have %d" % (ncols, found))
-            self.ncols = found
-        else:
-            if ncols is None:
-                raise ValueError("an empty matrix needs an explicit column count")
-            self.ncols = int(ncols)
+            ncols = found
+        elif ncols is None:
+            raise ValueError("an empty matrix needs an explicit column count")
+        self.rows = tuple({j: v for j, v in enumerate(r) if v} for r in rows)
+        self.nrows = len(self.rows)
+        self.ncols = int(ncols)
+
+    @classmethod
+    def sparse(cls, rows, ncols):
+        """A matrix from dict rows (column -> nonzero value), taken as given."""
+        m = cls.__new__(cls)
+        m.rows = tuple(rows)
+        m.nrows = len(m.rows)
+        m.ncols = ncols
+        return m
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls.sparse([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        columns = list(columns)
-        if not columns:
-            return cls.zeros(nrows, 0)
-        if nrows == 0:
-            return cls([], len(columns))
-        return cls([[col[i] for col in columns] for i in range(nrows)])
+        """A matrix from dense columns of length nrows."""
+        rows = [{} for _ in range(nrows)]
+        ncols = 0
+        for j, col in enumerate(columns):
+            if len(col) != nrows:
+                raise ValueError("column %d has length %d, expected %d" % (j, len(col), nrows))
+            for i, v in enumerate(col):
+                if v:
+                    rows[i][j] = v
+            ncols = j + 1
+        return cls.sparse(rows, ncols)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.rows[i].get(j, 0)
 
     def __eq__(self, other):
         return (
@@ -65,192 +94,293 @@ class Matrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.ncols))
-
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.rows)
 
     def transpose(self):
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Matrix([[c * x for x in row] for row in self.rows], self.ncols)
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return Matrix.sparse(cols, self.nrows)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        cols = other.ncols
-        return Matrix(
-            [
-                [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)), Fraction(0))
-                    for j in range(cols)
-                ]
-                for i in range(self.nrows)
-            ],
-            cols,
-        )
+        out = []
+        for row in self.rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return Matrix.sparse(out, other.ncols)
 
     def matvec(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((row[k] * vec[k] for k in range(self.ncols)), Fraction(0))
-            for row in self.rows
-        )
+        return tuple(sum(v * vec[j] for j, v in row.items()) for row in self.rows)
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        return tuple(row.get(j, 0) for row in self.rows)
 
 
-def vstack(matrices, ncols=None):
-    mats = [m for m in matrices]
-    if not mats:
-        raise ValueError("nothing to stack")
-    width = mats[0].ncols if ncols is None else ncols
-    rows = []
-    for m in mats:
-        if m.ncols != width:
-            raise ValueError("column mismatch in vstack")
-        rows.extend(m.rows)
-    return Matrix(rows, width)
+def _dense(row, n):
+    """A dict row as a dense tuple of Fractions."""
+    vec = [_ZERO] * n
+    for j, v in row.items():
+        vec[j] = Fraction(v)
+    return tuple(vec)
 
 
-def hstack(matrices):
-    mats = [m for m in matrices]
-    if not mats:
-        raise ValueError("nothing to stack")
-    height = mats[0].nrows
-    rows = []
-    for i in range(height):
-        row = []
-        for m in mats:
-            if m.nrows != height:
-                raise ValueError("row mismatch in hstack")
-            row.extend(m.rows[i])
-        rows.append(row)
-    return Matrix(rows, sum(m.ncols for m in mats))
+def _subtract(target, f, source):
+    """target -= f * source, in place, dropping entries that cancel."""
+    for j, x in source.items():
+        y = target.get(j, 0) - f * x
+        if y:
+            target[j] = y
+        else:
+            del target[j]
+
+
+def _echelon(rows):
+    """Sparse Gauss-Jordan elimination of dict rows.
+
+    Returns the reduced row echelon basis of the row space as (pivot column,
+    row) pairs in increasing pivot order; each row has 1 at its pivot and
+    0 at every other pivot column. The input rows are not modified.
+    """
+    active = {i: dict(r) for i, r in enumerate(rows) if r}
+    where = {}  # column -> ids of active rows with an entry there
+    for i, row in active.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    # Fill-in only lands in columns some pivot row already has, so the
+    # columns present now are every column elimination will visit.
+    basis = []
+    for c in sorted(where):
+        candidates = where[c]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(active[i]), i))
+        prow = active.pop(p)
+        for j in prow:
+            where[j].discard(p)
+        v = prow[c]
+        if v == -1:
+            prow = {j: -x for j, x in prow.items()}
+        elif v != 1:
+            inv = _ONE / v
+            prow = {j: x * inv for j, x in prow.items()}
+        for i in list(candidates):
+            row = active[i]
+            f = row[c]
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x
+                    where[j].add(i)
+                else:
+                    y -= f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+            if not row:
+                del active[i]
+        basis.append((c, prow))
+    # Back substitution, last pivot first: clear each pivot column above its
+    # row. Rows are in echelon form, so only earlier rows hold a later pivot
+    # column, and subtracting a finished row adds no pivot-column entries.
+    pivots = {c for c, _ in basis}
+    above = {}
+    for k, (c, row) in enumerate(basis):
+        for j in row:
+            if j != c and j in pivots:
+                above.setdefault(j, []).append(k)
+    for c, prow in reversed(basis):
+        for k in above.get(c, ()):
+            row = basis[k][1]
+            _subtract(row, row[c], prow)
+    return basis
+
+
+def _reduce(row, basis):
+    """Coefficients and remainder of a dict row modulo an echelon basis."""
+    rest = dict(row)
+    coeffs = []
+    for c, brow in basis:
+        f = rest.get(c, 0)
+        coeffs.append(f)
+        if f:
+            _subtract(rest, f, brow)
+    return coeffs, rest
 
 
 def rref(matrix):
     """Reduced row echelon form. Returns (Matrix, pivot column tuple)."""
-    rows = [list(r) for r in matrix.rows]
-    nrows, ncols = matrix.nrows, matrix.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(rows, ncols), tuple(pivots)
+    basis = _echelon(matrix.rows)
+    rows = [row for _, row in basis] + [{} for _ in range(matrix.nrows - len(basis))]
+    return Matrix.sparse(rows, matrix.ncols), tuple(c for c, _ in basis)
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return len(_echelon(matrix.rows))
 
 
 def nullspace(matrix):
-    """Basis of the right kernel, one vector per free column, deterministic order."""
-    red, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * matrix.ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red.rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    """Basis of the right kernel as the rows of a Matrix.
+
+    One vector per free column, in column order: 1 at its free column, 0 at
+    every other free column, and its other entries at pivot columns to the
+    left of its free column.
+    """
+    basis = _echelon(matrix.rows)
+    pivots = {c for c, _ in basis}
+    vectors = {fc: {fc: 1} for fc in range(matrix.ncols) if fc not in pivots}
+    for c, row in basis:
+        for j, v in row.items():
+            if j != c:
+                vectors[j][c] = -v
+    return Matrix.sparse(vectors.values(), matrix.ncols)
 
 
 def solve(matrix, rhs):
     """One exact solution of matrix @ x = rhs, or None when inconsistent."""
     if len(rhs) != matrix.nrows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix(
-        [list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)],
-        matrix.ncols + 1,
-    ) if matrix.nrows else Matrix([], matrix.ncols + 1)
-    red, pivots = rref(aug)
-    if matrix.ncols in pivots:
+    n = matrix.ncols
+    aug = []
+    for row, b in zip(matrix.rows, rhs):
+        if b:
+            row = dict(row)
+            row[n] = b
+        aug.append(row)
+    basis = _echelon(aug)
+    if basis and basis[-1][0] == n:
         return None
-    x = [Fraction(0)] * matrix.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][matrix.ncols]
+    x = [_ZERO] * n
+    for c, row in basis:
+        if n in row:
+            x[c] = Fraction(row[n])
     return tuple(x)
 
 
 def row_space(matrix):
     """Canonical (RREF) basis of the row space, as a Matrix with one row per basis vector."""
-    red, pivots = rref(matrix)
-    return Matrix([red.rows[i] for i in range(len(pivots))], matrix.ncols)
-
-
-def reduce_mod_rows(vec, basis):
-    """Reduce vec modulo the row space of an RREF basis matrix."""
-    v = list(Fraction(x) for x in vec)
-    _, pivots = rref(basis)
-    for r, pc in enumerate(pivots):
-        if v[pc] != 0:
-            f = v[pc]
-            v = [x - f * y for x, y in zip(v, basis.rows[r])]
-    return tuple(v)
+    return Matrix.sparse([row for _, row in _echelon(matrix.rows)], matrix.ncols)
 
 
 def quotient_reps(space_rows, sub_rows):
     """Canonical representatives of rowspace(space) / rowspace(sub).
 
-    Both arguments are matrices whose rows span the spaces; the subspace must
-    be contained in the ambient one (not checked here). Representatives are
-    the RREF rows of the reductions, so they are deterministic.
+    Both arguments are matrices whose rows span the spaces. Representatives
+    are the RREF rows of the reductions of the RREF rows of space modulo the
+    RREF basis of sub, as dense tuples of Fractions, so they are
+    deterministic. They span a complement of sub in space + sub, so their
+    number is dim(space + sub) - dim(sub) even when sub is not contained in
+    space.
     """
-    sub_basis = row_space(sub_rows)
+    sub = _echelon(sub_rows.rows)
     reduced = []
-    for row in row_space(space_rows).rows:
-        r = reduce_mod_rows(row, sub_basis)
-        if any(x != 0 for x in r):
-            reduced.append(r)
-    if not reduced:
-        return []
-    return list(row_space(Matrix(reduced, space_rows.ncols)).rows)
+    for _, row in _echelon(space_rows.rows):
+        _, rest = _reduce(row, sub)
+        if rest:
+            reduced.append(rest)
+    return [_dense(row, space_rows.ncols) for _, row in _echelon(reduced)]
+
+
+def coordinates(row, basis, pivots):
+    """Coefficients of a dict row in the rows of a reduced basis, and the remainder.
+
+    Row k of basis has 1 at column pivots[k] and 0 at every other pivot
+    column: the rows and pivots of an RREF, or a nullspace with its free
+    columns. Returns (tuple of Fraction coefficients, one per basis row;
+    remainder as a dict row). The remainder is empty exactly when the row
+    lies in the span of the basis.
+    """
+    coeffs, rest = _reduce(row, zip(pivots, basis.rows))
+    return tuple(Fraction(c) if c else _ZERO for c in coeffs), rest
+
+
+def _integer(v):
+    if type(v) is int:
+        return v
+    if v.denominator != 1:
+        raise ValueError("Smith normal form needs integer entries, got %s" % v)
+    return int(v)
+
+
+def invariant_factors(matrix):
+    """Nonzero diagonal of the Smith normal form of an integer Matrix.
+
+    Returned sorted so that each entry divides the next. The length of the
+    result is the rank (over Z and over Q); entries > 1 are the torsion
+    coefficients when the matrix presents a quotient of free abelian groups.
+
+    Unit pivots go first, each chosen by the smallest fill-in bound
+    (row nonzeros - 1) * (column nonzeros - 1); a unit pivot splits off an
+    invariant factor 1 and leaves its Schur complement. Whatever has no unit
+    entry left goes through Euclidean elimination.
+    """
+    rows = {}
+    where = {}  # column -> ids of live rows with an entry there
+    for i, row in enumerate(matrix.rows):
+        if row:
+            rows[i] = {j: _integer(v) for j, v in row.items()}
+            for j in row:
+                where.setdefault(j, set()).add(i)
+    heap = [
+        ((len(row) - 1) * (len(where[j]) - 1), i, j)
+        for i, row in rows.items()
+        for j, v in row.items()
+        if v == 1 or v == -1
+    ]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        prow = rows.get(i)
+        if prow is None or prow.get(j) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(where[j]) - 1)
+        if now != cost:
+            # Rows and columns changed since this entry was queued (new
+            # units are queued at cost 0): queue it again at its true cost.
+            heapq.heappush(heap, (now, i, j))
+            continue
+        del rows[i]
+        for k in prow:
+            where[k].discard(i)
+        u = prow[j]
+        for r in list(where[j]):
+            row = rows[r]
+            f = row[j] * u
+            for k, x in prow.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = y = -f * x
+                    where[k].add(r)
+                else:
+                    y -= f * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+                        where[k].discard(r)
+                        continue
+                if y == 1 or y == -1:
+                    heapq.heappush(heap, (0, r, k))
+            if not row:
+                del rows[r]
+        units += 1
+    columns = sorted({j for row in rows.values() for j in row})
+    rest = [[row.get(j, 0) for j in columns] for row in rows.values()]
+    return [1] * units + _euclid_diagonal(rest)
 
 
 def _first_nonzero(a, top, left):
@@ -263,14 +393,8 @@ def _first_nonzero(a, top, left):
     return best
 
 
-def invariant_factors(rows):
-    """Nonzero diagonal of the Smith normal form of an integer matrix.
-
-    Returned sorted so that each entry divides the next. The length of the
-    result is the rank; entries > 1 are the torsion coefficients when the
-    matrix presents a quotient of free abelian groups.
-    """
-    a = [[int(x) for x in row] for row in rows]
+def _euclid_diagonal(a):
+    """Nonzero Smith diagonal of a dense integer matrix (list of lists, modified)."""
     m = len(a)
     n = len(a[0]) if m else 0
     diag = []

@@ -3,6 +3,8 @@
 These deliberately avoid the package's own algorithms: Smith normal form
 and ranks come from sympy, integrals from scipy quadrature or sympy
 symbolic integration, and counting problems from direct dynamic programs.
+The dense_* functions are textbook dense Gaussian elimination over Fraction
+lists of lists, the reference for the sparse engine in ssetkit.linalg.
 """
 
 from __future__ import annotations
@@ -39,6 +41,84 @@ def betti_from_matrices(dims, boundaries):
         r_in = rational_rank(*boundaries[n + 1]) if n + 1 <= top else 0
         out.append(dims[n] - r_in - r_out)
     return tuple(out)
+
+
+def dense_rref(rows, ncols):
+    """Reduced row echelon form of dense rows: (rows, pivot column tuple)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, tuple(pivots)
+
+
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[1])
+
+
+def dense_nullspace(rows, ncols):
+    """Right kernel basis, one vector per free column, as tuples."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def dense_solve(rows, ncols, rhs):
+    """One solution of rows @ x = rhs (free variables 0), or None."""
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
+
+
+def dense_row_space(rows, ncols):
+    red, pivots = dense_rref(rows, ncols)
+    return red[: len(pivots)]
+
+
+def dense_quotient_reps(space_rows, sub_rows, ncols):
+    """RREF rows of the reductions of rowspace(space)'s RREF basis modulo
+    rowspace(sub)'s RREF basis."""
+    sub = dense_row_space(sub_rows, ncols)
+    _, sub_pivots = dense_rref(sub, ncols)
+    reduced = []
+    for row in dense_row_space(space_rows, ncols):
+        v = list(row)
+        for r, pc in enumerate(sub_pivots):
+            if v[pc] != 0:
+                f = v[pc]
+                v = [x - f * y for x, y in zip(v, sub[r])]
+        if any(x != 0 for x in v):
+            reduced.append(v)
+    return [tuple(r) for r in dense_row_space(reduced, ncols)]
 
 
 def simplex_monomial_integral_symbolic(exps):

@@ -1,0 +1,192 @@
+"""Differential tests of the sparse exact engine in ssetkit.linalg.
+
+Random sparse integer and rational matrices, including empty shapes, zero
+rows, non-unit pivots and torsion, go through the engine and through the
+dense textbook elimination in oracles.py (sympy for Smith normal form); the
+results must agree exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ssetkit.errors import StructureError
+from ssetkit.homology import ChainComplex
+from ssetkit.linalg import (
+    Matrix,
+    coordinates,
+    invariant_factors,
+    nullspace,
+    quotient_reps,
+    rank,
+    row_space,
+    rref,
+    solve,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+# Mostly zeros, so rows and columns are sparse and often entirely zero.
+INTEGERS = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6])
+RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def matrices(draw, entries=RATIONALS, max_rows=6, max_cols=7, nrows=None, ncols=None):
+    """(dense rows, ncols); nrows or ncols fixes that dimension."""
+    if ncols is None:
+        ncols = draw(st.integers(0, max_cols))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    if nrows is None:
+        return draw(st.lists(row, max_size=max_rows)), ncols
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+def dense(m):
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def combine(coeffs, rows, ncols):
+    return [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(ncols)]
+
+
+@SETTINGS
+@given(matrices())
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [2, 4, 6], [0, 0, 0]], 3))
+def test_rref_rank_row_space_match_dense(case):
+    rows, ncols = case
+    m = Matrix(rows, ncols)
+    ref_rows, ref_pivots = oracles.dense_rref(rows, ncols)
+    red, pivots = rref(m)
+    assert pivots == ref_pivots
+    assert (red.nrows, red.ncols) == (len(rows), ncols)
+    assert dense(red) == ref_rows
+    assert rank(m) == len(ref_pivots)
+    space = row_space(m)
+    assert (space.nrows, space.ncols) == (len(ref_pivots), ncols)
+    assert dense(space) == oracles.dense_row_space(rows, ncols)
+
+
+@SETTINGS
+@given(matrices())
+@example(([], 4))
+@example(([[0, 0], [0, 0]], 2))
+def test_nullspace_matches_dense(case):
+    rows, ncols = case
+    kernel = nullspace(Matrix(rows, ncols))
+    assert kernel.ncols == ncols
+    assert [tuple(r) for r in dense(kernel)] == oracles.dense_nullspace(rows, ncols)
+    # The free column of each kernel vector is its last entry, where it is 1.
+    for row in kernel.rows:
+        assert row[max(row)] == 1
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_solve_matches_dense(case, data):
+    rows, ncols = case
+    m = Matrix(rows, ncols)
+    x = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
+    consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+    arbitrary = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    for rhs in (consistent, arbitrary):
+        assert solve(m, rhs) == oracles.dense_solve(rows, ncols, rhs)
+    sol = solve(m, consistent)
+    assert sol is not None and list(m.matvec(sol)) == consistent
+
+
+def test_solve_inconsistent_and_shapes():
+    assert solve(Matrix([[1, 1], [2, 2]]), [1, 3]) is None
+    assert solve(Matrix([[0, 0]]), [5]) is None
+    assert solve(Matrix([], 2), []) == (0, 0)
+    with pytest.raises(ValueError):
+        solve(Matrix([[1]]), [1, 2])
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_quotient_reps_match_dense(case, data):
+    rows, ncols = case
+    k = data.draw(st.integers(0, 4))
+    contained = [combine(data.draw(st.lists(INTEGERS, min_size=len(rows), max_size=len(rows))), rows, ncols)
+                 for _ in range(k)]
+    arbitrary = data.draw(matrices(max_rows=3, ncols=ncols))[0]
+    space = Matrix(rows, ncols)
+    for sub in (contained, arbitrary):
+        reps = quotient_reps(space, Matrix(sub, ncols))
+        assert reps == oracles.dense_quotient_reps(rows, sub, ncols)
+        # dim(space + sub) - dim(sub), whether or not sub lies in space
+        assert len(reps) == oracles.dense_rank(rows + sub, ncols) - oracles.dense_rank(sub, ncols)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_coordinates_in_reduced_bases(case, data):
+    rows, ncols = case
+    m = Matrix(rows, ncols)
+    kernel = nullspace(m)
+    red, pivots = rref(m)
+    for basis, piv in ((red, pivots), (kernel, [max(r) for r in kernel.rows])):
+        coeffs = data.draw(st.lists(RATIONALS, min_size=len(piv), max_size=len(piv)))
+        vec = combine(coeffs, dense(basis), ncols)
+        got, rest = coordinates({j: v for j, v in enumerate(vec) if v}, basis, piv)
+        assert got == tuple(coeffs) and not rest
+    if len(pivots) < ncols:
+        free = next(c for c in range(ncols) if c not in pivots)
+        _, rest = coordinates({free: 1}, red, pivots)
+        assert rest
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_products_match_dense(case, data):
+    rows, ncols = case
+    m = Matrix(rows, ncols)
+    other_rows, width = data.draw(matrices(nrows=ncols, max_cols=5))
+    other = Matrix(other_rows, width)
+    product = [[sum((r[k] * other_rows[k][j] for k in range(ncols)), Fraction(0)) for j in range(width)]
+               for r in rows]
+    assert dense(m @ other) == product
+    assert (m @ other).is_zero() == all(v == 0 for r in product for v in r)
+    assert dense(m.transpose()) == [[r[j] for r in rows] for j in range(ncols)]
+    x = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
+    assert list(m.matvec(x)) == [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+
+
+def _triples(rows):
+    return {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v}
+
+
+@SETTINGS
+@given(matrices(entries=INTEGERS, max_rows=7, max_cols=7))
+@example(([[2, 0, 0], [0, 6, 0], [0, 0, 0]], 3))
+@example(([[1, 1], [1, -1]], 2))
+@example(([[2, 4], [6, 8], [4, 2]], 2))
+@example(([], 3))
+@example(([[], [], []], 0))
+def test_invariant_factors_match_sympy(case):
+    rows, ncols = case
+    got = invariant_factors(Matrix(rows, ncols))
+    assert got == oracles.snf_diagonal(_triples(rows), len(rows), ncols)
+    assert len(got) == oracles.dense_rank(rows, ncols)
+
+
+def test_invariant_factors_of_torsion_diagonal():
+    assert invariant_factors(Matrix([[2, 0, 0], [0, 6, 0], [0, 0, 0]])) == [2, 6]
+    assert invariant_factors(Matrix([[Fraction(4), 0], [0, Fraction(6)]])) == [2, 12]
+    with pytest.raises(ValueError):
+        invariant_factors(Matrix([[Fraction(1, 2)]]))
+
+
+def test_chain_complex_square_zero_check_is_sparse():
+    basis = {0: ("v",), 1: ("a", "b"), 2: ("t",)}
+    ChainComplex("int", basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [-1]])})
+    with pytest.raises(StructureError):
+        ChainComplex("int", basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [0]])})
