@@ -18,13 +18,15 @@ from .simplicial import restrict, sub_intersection
 
 
 class ChainComplex:
-    """Graded free module with integer boundary matrices, over int or rat."""
+    """Graded free module with integer boundary matrices, over int or rat;
+    index[n] maps each degree-n basis element to its position."""
 
     def __init__(self, ring, basis, boundary):
         if ring not in ("int", "rat"):
             raise ParameterError("ring must be 'int' or 'rat'")
         self.ring = ring
         self.basis = {n: tuple(b) for n, b in basis.items()}
+        self.index = {n: {s: i for i, s in enumerate(b)} for n, b in self.basis.items()}
         self.top = max(self.basis) if self.basis else 0
         self.boundary = dict(boundary)
         for n in range(1, self.top + 1):
@@ -74,22 +76,21 @@ def chain_complex(x, ring="int", normalized=True):
         basis = {n: x.nondegenerate(n) for n in x.dims()}
     else:
         basis = {n: x.simplices[n] for n in x.dims()}
-    index = {n: {s: i for i, s in enumerate(basis[n])} for n in x.dims()}
     boundary = {}
     for n in range(1, x.dim_cap + 1):
-        rows = [{} for _ in basis[n - 1]]
+        rows = {}  # face -> its row of the boundary matrix
         for j, s in enumerate(basis[n]):
             for i in range(n + 1):
                 f = x.d(n, i, s)
                 if normalized and x.is_degenerate(n - 1, f):
                     continue
-                row = rows[index[n - 1][f]]
+                row = rows.setdefault(f, {})
                 v = row.get(j, 0) + (-1) ** i
                 if v:
                     row[j] = v
                 else:
                     del row[j]
-        boundary[n] = Matrix.sparse(rows, len(basis[n]))
+        boundary[n] = Matrix.sparse([rows.get(f, {}) for f in basis[n - 1]], len(basis[n]))
     return ChainComplex(ring, basis, boundary)
 
 
@@ -134,7 +135,6 @@ class CochainSpaces:
         self.x = x
         self.complex = chain_complex(x, ring="rat")
         self.basis = self.complex.basis
-        self.index = {n: {s: i for i, s in enumerate(self.basis[n])} for n in x.dims()}
         self._delta = {}
         self._classes = {}
 
@@ -196,7 +196,7 @@ class CochainSpaces:
         """Value of a degree-p cochain vector on any simplex (0 on degenerates)."""
         if self.x.is_degenerate(p, simplex):
             return Fraction(0)
-        return vec[self.index[p][simplex]]
+        return vec[self.complex.index[p][simplex]]
 
     def cup(self, p, avec, q, bvec):
         """Alexander-Whitney cup product of cochain vectors, front face times back face."""
@@ -314,7 +314,7 @@ def mayer_vietoris(x, sub_a, sub_b):
 
     def restrict_vec(sp_from, sp_to, p, vec):
         return tuple(
-            sp_from.value_at(p, vec, s) if sp_from.x.has(p, s) and s in sp_from.index[p] else Fraction(0)
+            sp_from.value_at(p, vec, s) if s in sp_from.complex.index[p] else Fraction(0)
             for s in sp_to.basis[p]
         )
 
@@ -341,17 +341,17 @@ def mayer_vietoris(x, sub_a, sub_b):
         for rep in sp_ab.reps(p):
             # lift to A by zero-extension, take its coboundary, glue with 0 on B
             u = tuple(
-                sp_ab.value_at(p, rep, s) if xab.has(p, s) and s in sp_ab.index[p] else Fraction(0)
+                sp_ab.value_at(p, rep, s) if s in sp_ab.complex.index[p] else Fraction(0)
                 for s in sp_a.basis[p]
             )
             du = sp_a.delta(p).matvec(u)
             for s in sp_ab.basis[p + 1]:
-                if du[sp_a.index[p + 1][s]] != 0:
+                if du[sp_a.complex.index[p + 1][s]] != 0:
                     raise StructureError("connecting cochain fails to vanish on the intersection")
             z = []
             for s in sp_x.basis[p + 1]:
-                if s in sp_a.index[p + 1]:
-                    z.append(du[sp_a.index[p + 1][s]])
+                if s in sp_a.complex.index[p + 1]:
+                    z.append(du[sp_a.complex.index[p + 1][s]])
                 else:
                     z.append(Fraction(0))
             cols.append(sp_x.express(p + 1, tuple(z)))

@@ -100,9 +100,6 @@ class FiniteSite:
     def names(self):
         return sorted(self.objects, key=str)
 
-    def relations(self):
-        return [(a, b) for a in self.names() for b in self.names() if self.leq(b, a)]
-
     def saturated_covers(self):
         """Declared covers plus trivial covers plus restrictions to subobjects."""
         if self._saturated is not None:

@@ -31,6 +31,10 @@ class SimplicialSet:
     deg[(n, i)]    dict id -> id, for 0 <= n < dim_cap, 0 <= i <= n
     degenerate[n]  frozenset of degenerate identifiers
     witness[(n, x)] = (i, y) with x = s_i(y), for each degenerate x
+
+    The constructor copies every table and nothing changes them afterwards,
+    so derived structure (the index, the nondegenerate simplices, the
+    identity scan behind validate) is computed once and kept on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg, degenerate=None, witness=None):
@@ -51,6 +55,11 @@ class SimplicialSet:
         for n, idx in self._index.items():
             if len(idx) != len(self.simplices[n]):
                 raise StructureError("duplicate identifier in dimension %d" % n)
+        self._nondegenerate = {
+            n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
+            for n in range(dim_cap + 1)
+        }
+        self._violations = None
 
     def _infer_degeneracies(self):
         degenerate = {}
@@ -81,10 +90,10 @@ class SimplicialSet:
     def nondegenerate(self, n):
         if n > self.dim_cap:
             return ()
-        return tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
+        return self._nondegenerate[n]
 
     def counts(self):
-        return tuple(len(self.nondegenerate(n)) for n in self.dims())
+        return tuple(len(self._nondegenerate[n]) for n in self.dims())
 
     def vertices_of(self, n, x):
         """Images of the n+1 vertex inclusions, in order."""
@@ -107,7 +116,12 @@ class SimplicialSet:
         Structural problems (dangling identifiers, missing table entries)
         raise StructureError; identity violations are reported, not raised.
         """
-        self._check_tables()
+        if self._violations is None:
+            self._check_tables()
+            self._violations = self._scan_identities()
+        return list(self._violations)
+
+    def _scan_identities(self):
         bad = []
         for n in range(2, self.dim_cap + 1):
             for x in self.simplices[n]:
@@ -204,10 +218,6 @@ def _tuple_witness(t):
         if t[i] == t[i + 1]:
             return i, _delete(t, i + 1)
     return None
-
-
-def _weakly_increasing(values, length):
-    return itertools.combinations_with_replacement(values, length)
 
 
 def _tuple_sset(dim_cap, allowed):

@@ -24,7 +24,7 @@ class AffineSimplex:
     simplices need not be embeddings.
     """
 
-    __slots__ = ("points", "_hash")
+    __slots__ = ("points", "_hashes", "_hash")
 
     def __init__(self, points):
         pts = tuple(tuple(Fraction(c) for c in p) for p in points)
@@ -33,13 +33,17 @@ class AffineSimplex:
         if len({len(p) for p in pts}) != 1:
             raise ParameterError("vertices live in different ambient spaces")
         self.points = pts
-        self._hash = hash(pts)
+        self._hashes = tuple(map(hash, pts))
+        self._hash = hash(self._hashes)
 
     @classmethod
-    def _make(cls, pts):
+    def _make(cls, pts, hashes):
+        # Fraction hashing is costly, so a simplex keeps its per-point hashes
+        # and faces and cones reuse them instead of rehashing coordinates.
         obj = cls.__new__(cls)
         obj.points = pts
-        obj._hash = hash(pts)
+        obj._hashes = hashes
+        obj._hash = hash(hashes)
         return obj
 
     @property
@@ -51,7 +55,7 @@ class AffineSimplex:
         return tuple(sum(p[i] for p in self.points) / n for i in range(len(self.points[0])))
 
     def face(self, i):
-        return AffineSimplex._make(self.points[:i] + self.points[i + 1:])
+        return AffineSimplex._make(self.points[:i] + self.points[i + 1:], self._hashes[:i] + self._hashes[i + 1:])
 
     def diameter_squared(self):
         best = Fraction(0)
@@ -142,8 +146,9 @@ def boundary(chain):
 
 def cone(vertex, chain):
     """Prepend the cone vertex to each simplex, extended linearly."""
+    head = (hash(vertex),)
     return AffineChain(
-        [(AffineSimplex._make((vertex,) + s.points), c) for s, c in chain.terms.items()],
+        [(AffineSimplex._make((vertex,) + s.points, head + s._hashes), c) for s, c in chain.terms.items()],
         None if chain.dimension is None else chain.dimension + 1,
     )
 
@@ -162,14 +167,13 @@ def _subdivide_simplex(s, memo):
     if s.dimension == 0:
         got = AffineChain.of(s)
     else:
-        b = s.barycenter()
         parts = []
         for i in range(s.dimension + 1):
             sub = _subdivide_simplex(s.face(i), memo)
             sign = -1 if i % 2 else 1
             for t, c in sub.terms.items():
-                parts.append((AffineSimplex._make((b,) + t.points), sign * c))
-        got = AffineChain(parts, s.dimension)
+                parts.append((t, sign * c))
+        got = cone(s.barycenter(), AffineChain(parts, s.dimension - 1))
     memo[s] = got
     return got
 
@@ -191,18 +195,13 @@ def _homotopy_simplex(s, memo):
     if s.dimension == 0:
         got = AffineChain((), 1)
     else:
-        acc = [(s, Fraction(1))]
+        acc = [(s, Fraction(-1))]
         for i in range(s.dimension + 1):
             sub = _homotopy_simplex(s.face(i), memo)
-            sign = -1 if i % 2 else 1
+            sign = 1 if i % 2 else -1
             for t, c in sub.terms.items():
                 acc.append((t, sign * c))
-        inner = AffineChain(acc, s.dimension)
-        b = s.barycenter()
-        got = AffineChain(
-            [(AffineSimplex._make((b,) + t.points), -c) for t, c in inner.terms.items()],
-            s.dimension + 1,
-        )
+        got = cone(s.barycenter(), AffineChain(acc, s.dimension))
     memo[s] = got
     return got
 

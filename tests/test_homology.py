@@ -1,9 +1,13 @@
 """Chain complexes, homology with torsion, cup products, Mayer-Vietoris."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from ssetkit.cli import main
+from ssetkit.derham import derham_cohomology
 from ssetkit.errors import ParameterError, StructureError
 from ssetkit.homology import (
     CochainSpaces,
@@ -15,7 +19,7 @@ from ssetkit.homology import (
     torsion_coefficients,
     unit_class_coords,
 )
-from ssetkit.io_text import parse_matrix_triples, serialize_matrix
+from ssetkit.io_text import parse_matrix_triples, serialize_complex, serialize_matrix
 from ssetkit.linalg import rank
 from ssetkit.simplicial import (
     SimplicialMap,
@@ -122,14 +126,23 @@ def test_rational_homology_is_rank_part():
         assert homology(chain_complex(x, ring="rat")).betti == homology(chain_complex(x)).betti
 
 
-def test_invalid_input_rejected():
-    d1 = standard_delta(1)
-    evil = dict(d1.face[(1, 0)])
-    evil[(0, 1)] = (0,)  # wrong but existing target, breaks the identities once corrupted further
-    broken = type(d1)(d1.dim_cap, d1.simplices, {**d1.face, (1, 0): evil}, d1.deg)
-    if broken.validate():
-        with pytest.raises(StructureError):
-            chain_complex(broken)
+def test_invalid_input_rejected(tmp_path):
+    d2 = standard_delta(2)
+    # swapping d_0 and d_1 of the 2-simplex breaks d_i d_j = d_{j-1} d_i
+    f0 = dict(d2.face[(2, 0)])
+    f1 = dict(d2.face[(2, 1)])
+    f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
+    broken = type(d2)(
+        d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg, d2.degenerate, d2.witness
+    )
+    assert broken.validate()
+    for build in (chain_complex, CochainSpaces, lambda x: derham_cohomology(x, 1)):
+        with pytest.raises(StructureError, match="fails .* identities"):
+            build(broken)
+    path = tmp_path / "broken.sset"
+    path.write_text(serialize_complex(broken))
+    with redirect_stdout(io.StringIO()):
+        assert main(["derham", str(path)]) == 2
 
 
 # -- cohomology ring ---------------------------------------------------------

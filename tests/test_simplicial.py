@@ -1,10 +1,15 @@
 """Construction, validation, products and quotients of simplicial sets."""
 
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
+from ssetkit.cli import main
 from ssetkit.errors import CapExceededError, ParameterError, StructureError
 from ssetkit.simplicial import (
     SimplicialMap,
+    SimplicialSet,
     circle_two_edges,
     close_subcomplex,
     cyclic_table,
@@ -22,6 +27,7 @@ from ssetkit.simplicial import (
     truncate,
 )
 
+from conftest import fixture_path
 from oracles import strict_chain_count
 
 
@@ -63,6 +69,29 @@ def test_validate_reports_deliberate_corruption():
     )
     bad = broken.validate()
     assert any(name.startswith("d_i d_j") for name, *_ in bad)
+    again = broken.validate()
+    assert again == bad and again is not bad
+
+
+def test_identities_scanned_once_per_object(monkeypatch):
+    scanned = []
+    scan = SimplicialSet._scan_identities
+
+    def counting_scan(self):
+        scanned.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(SimplicialSet, "_scan_identities", counting_scan)
+    for argv, objects in (
+        (["derham", fixture_path("delta2.sset"), "--poly-degree", "2"], 1),
+        # X and its restrictions to A, B and their intersection
+        (["mv", fixture_path("circle2.sset"), fixture_path("circle2.cover")], 4),
+    ):
+        scanned.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(scanned) == objects
+        assert len({id(x) for x in scanned}) == objects
 
 
 def test_validate_catches_dangling_reference():
@@ -70,8 +99,9 @@ def test_validate_catches_dangling_reference():
     evil = dict(d1.face[(1, 0)])
     evil[(0, 1)] = (7, 7)
     broken = type(d1)(d1.dim_cap, d1.simplices, {**d1.face, (1, 0): evil}, d1.deg)
-    with pytest.raises(StructureError):
-        broken.validate()
+    for _ in range(2):  # raised on every call, not only the first
+        with pytest.raises(StructureError):
+            broken.validate()
 
 
 def test_nerve_is_valid_and_counts():
