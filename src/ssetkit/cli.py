@@ -91,15 +91,19 @@ def _read(report, path):
     return data.decode()
 
 
-def _load_sset(report, args):
-    x = io_text.parse_complex(_read(report, args.sset))
-    if getattr(args, "cap", None) is not None:
-        x = truncate(x, args.cap)
+def _check_identities(x):
     bad = x.validate()
     if bad:
         raise StructureError(
             "simplicial identities fail: %s" % "; ".join(str(b) for b in bad[:3])
         )
+
+
+def _load_sset(report, args):
+    x = io_text.parse_complex(_read(report, args.sset))
+    if getattr(args, "cap", None) is not None:
+        x = truncate(x, args.cap)
+    _check_identities(x)
     return x
 
 
@@ -229,6 +233,8 @@ def cmd_kan(report, args):
 
 def cmd_fibration(report, args):
     smap = io_text.parse_map(_read(report, args.smap))
+    _check_identities(smap.source)
+    _check_identities(smap.target)
     cert = is_fibration(smap)
     report.add("fibration_up_to_cap", cert.fibration)
     report.add("cap", cert.dim_cap)
@@ -289,11 +295,13 @@ COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     report = Report(command="%s %s" % (args.command, " ".join(a for a in argv if a != args.command)))

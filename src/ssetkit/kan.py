@@ -2,9 +2,16 @@
 and the extra-degeneracy contractibility check.
 
 Every verdict here is exhaustive over the stored tables and therefore only
-means "up to the dimension cap"; the certificates say so explicitly. Horn
-search uses backtracking over the face tuples but no heuristics: a positive
-certificate enumerates every horn, a negative one carries a witness.
+means "up to the dimension cap"; the certificates say so explicitly: a
+positive certificate enumerates every horn, a negative one carries a witness.
+
+Horn enumeration and filling draw candidates from the coface tables of the
+simplicial set (SimplicialSet.cofaces, the simplices with a given i-th face)
+rather than scanning a whole dimension: each horn face after the first
+placed one comes from the cofaces named by its identity with that first
+face, and a filler from the cofaces of one given face; every candidate is
+then checked against every face. Candidates keep stored order, so horns,
+fillers and certificates are those of an exhaustive scan.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ def _horn_compatible(x, n, k, faces, j, candidate):
 
 
 def enumerate_horns(x, n, k):
-    """All (n, k)-horns of x, by backtracking over face tuples.
+    """All (n, k)-horns of x, by backtracking over face positions.
 
     A horn is data in dimension n-1, so n may exceed the cap by one; only
     filling it would need dimension n."""
@@ -47,7 +54,7 @@ def enumerate_horns(x, n, k):
         raise ParameterError("horn dimension out of range")
     if not 0 <= k <= n:
         raise ParameterError("horn index out of range")
-    level = x.simplices[n - 1]
+    first = 1 if k == 0 else 0
     out = []
     faces = [None] * (n + 1)
 
@@ -58,11 +65,19 @@ def enumerate_horns(x, n, k):
         if j == k:
             place(j + 1)
             return
-        for cand in level:
-            if n == 1 or _horn_compatible(x, n, k, faces, j, cand):
-                faces[j] = cand
-                place(j + 1)
-                faces[j] = None
+        if j == first:
+            candidates = x.simplices[n - 1]
+        else:
+            # d_first x_j = d_{j-1} x_first narrows x_j to one coface list
+            candidates = [
+                c
+                for c in x.cofaces(n - 1, first, x.d(n - 1, j - 1, faces[first]))
+                if _horn_compatible(x, n, k, faces, j, c)
+            ]
+        for cand in candidates:
+            faces[j] = cand
+            place(j + 1)
+            faces[j] = None
 
     place(0)
     return out
@@ -71,27 +86,21 @@ def enumerate_horns(x, n, k):
 def fill_horn(x, horn):
     """Every n-simplex whose faces match the horn; emptiness certifies a failure.
 
-    Matches are re-verified against the face tables rather than trusted.
+    Candidates are the cofaces of one given face; each is checked against
+    every given face in the face tables.
     """
-    n, k = horn.n, horn.k
+    n = horn.n
+    if n < 1:
+        raise ParameterError("horn dimension out of range")
     if n > x.dim_cap:
         raise ParameterError(
             "filling a %d-horn needs simplices above the cap %d" % (n, x.dim_cap)
         )
-    found = []
-    for y in x.simplices[n]:
-        ok = True
-        for i, f in horn.given():
-            if x.d(n, i, y) != f:
-                ok = False
-                break
-        if ok:
-            found.append(y)
-    for y in found:
-        for i, f in horn.given():
-            if x.d(n, i, y) != f:
-                raise StructureError("filler verification failed")
-    return found
+    given = horn.given()
+    i0, f0 = given[0]
+    return [
+        y for y in x.cofaces(n, i0, f0) if all(x.d(n, i, y) == f for i, f in given)
+    ]
 
 
 @dataclass
@@ -154,19 +163,19 @@ def is_fibration(p):
     for n in range(1, cap + 1):
         for k in range(n + 1):
             for h in enumerate_horns(x, n, k):
+                image = [(i, p(n - 1, f)) for i, f in h.given()]
+                i0, f0 = image[0]
                 down = [
                     b
-                    for b in y.simplices[n]
-                    if all(y.d(n, i, b) == p(n - 1, f) for i, f in h.given())
+                    for b in y.cofaces(n, i0, f0)
+                    if all(y.d(n, i, b) == f for i, f in image)
                 ]
+                if not down:
+                    continue
+                fillers = fill_horn(x, h)
                 for b in down:
                     problems += 1
-                    lift = [
-                        z
-                        for z in fill_horn(x, h)
-                        if p(n, z) == b
-                    ]
-                    if not lift:
+                    if not any(p(n, z) == b for z in fillers):
                         return FibrationCertificate(cap, False, problems, witness=(h, b))
     return FibrationCertificate(cap, True, problems)
 

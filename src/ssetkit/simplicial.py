@@ -34,7 +34,8 @@ class SimplicialSet:
 
     The constructor copies every table and nothing changes them afterwards,
     so derived structure (the index, the nondegenerate simplices, the
-    identity scan behind validate) is computed once and kept on the object.
+    identity scan behind validate, the coface tables behind cofaces) is
+    computed once and kept on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg, degenerate=None, witness=None):
@@ -60,6 +61,7 @@ class SimplicialSet:
             for n in range(dim_cap + 1)
         }
         self._violations = None
+        self._cofaces = {}
 
     def _infer_degeneracies(self):
         degenerate = {}
@@ -91,6 +93,23 @@ class SimplicialSet:
         if n > self.dim_cap:
             return ()
         return self._nondegenerate[n]
+
+    def cofaces(self, n, i, f):
+        """The n-simplices y with d_i y = f, in stored order.
+
+        The table for (n, i) is built on its first call and kept.
+        """
+        table = self._cofaces.get((n, i))
+        if table is None:
+            if not (1 <= n <= self.dim_cap and 0 <= i <= n):
+                raise ParameterError("no face map d_%d in dimension %d" % (i, n))
+            face = self.face[(n, i)]
+            table = {}
+            for y in self.simplices[n]:
+                table.setdefault(face[y], []).append(y)
+            table = {g: tuple(ys) for g, ys in table.items()}
+            self._cofaces[(n, i)] = table
+        return table.get(f, ())
 
     def counts(self):
         return tuple(len(self._nondegenerate[n]) for n in self.dims())

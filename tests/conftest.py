@@ -3,6 +3,8 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from ssetkit.simplicial import SimplicialSet, standard_delta  # noqa: E402
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
@@ -13,3 +15,15 @@ def fixture_path(name):
 def fixture_text(name):
     with open(fixture_path(name)) as fh:
         return fh.read()
+
+
+def swapped_delta2(dim_cap=2):
+    """The standard 2-simplex with d_0 and d_1 of (0, 1, 2) swapped, which
+    breaks d_i d_j = d_{j-1} d_i."""
+    d2 = standard_delta(2, dim_cap)
+    f0 = dict(d2.face[(2, 0)])
+    f1 = dict(d2.face[(2, 1)])
+    f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
+    return SimplicialSet(
+        d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg, d2.degenerate, d2.witness
+    )

@@ -4,7 +4,10 @@ These deliberately avoid the package's own algorithms: Smith normal form
 and ranks come from sympy, integrals from scipy quadrature or sympy
 symbolic integration, and counting problems from direct dynamic programs.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
-lists of lists, the reference for the sparse engine in ssetkit.linalg.
+lists of lists, the reference for the sparse engine in ssetkit.linalg. The
+scan_* functions find horns, fillers and lifts by scanning a whole dimension
+of the face tables, the reference for the coface-indexed search in
+ssetkit.kan.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from fractions import Fraction
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
+
+from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
 
 
 def snf_diagonal(rows, nrows, ncols):
@@ -162,3 +167,79 @@ def strict_chain_count(p, q, length):
         if all(less(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)):
             count += 1
     return count
+
+
+def scan_enumerate_horns(x, n, k):
+    """All (n, k)-horns of x: every position but k tries every (n-1)-simplex
+    and keeps those satisfying d_i x_j = d_{j-1} x_i with every placed i < j."""
+    level = x.simplices[n - 1]
+    out = []
+    faces = [None] * (n + 1)
+
+    def compatible(j, cand):
+        return all(
+            x.d(n - 1, i, cand) == x.d(n - 1, j - 1, faces[i])
+            for i in range(j)
+            if i != k
+        )
+
+    def place(j):
+        if j == n + 1:
+            out.append(Horn(n, k, tuple(faces)))
+            return
+        if j == k:
+            place(j + 1)
+            return
+        for cand in level:
+            if n == 1 or compatible(j, cand):
+                faces[j] = cand
+                place(j + 1)
+                faces[j] = None
+
+    place(0)
+    return out
+
+
+def scan_fill_horn(x, horn):
+    """Every n-simplex whose given faces match the horn, in stored order."""
+    n = horn.n
+    return [
+        y
+        for y in x.simplices[n]
+        if all(x.d(n, i, y) == f for i, f in horn.given())
+    ]
+
+
+def scan_is_fibrant(x):
+    counts = {}
+    for n in range(1, x.dim_cap + 1):
+        for k in range(n + 1):
+            horns = scan_enumerate_horns(x, n, k)
+            unique = 0
+            for h in horns:
+                fillers = scan_fill_horn(x, h)
+                if not fillers:
+                    return KanCertificate(x.dim_cap, False, counts, witness=h)
+                if len(fillers) == 1:
+                    unique += 1
+            counts[(n, k)] = (len(horns), unique)
+    return KanCertificate(x.dim_cap, True, counts)
+
+
+def scan_is_fibration(p):
+    x, y = p.source, p.target
+    cap = p.dim_cap
+    problems = 0
+    for n in range(1, cap + 1):
+        for k in range(n + 1):
+            for h in scan_enumerate_horns(x, n, k):
+                down = [
+                    b
+                    for b in y.simplices[n]
+                    if all(y.d(n, i, b) == p(n - 1, f) for i, f in h.given())
+                ]
+                for b in down:
+                    problems += 1
+                    if not any(p(n, z) == b for z in scan_fill_horn(x, h)):
+                        return FibrationCertificate(cap, False, problems, witness=(h, b))
+    return FibrationCertificate(cap, True, problems)

@@ -33,6 +33,7 @@ from ssetkit.simplicial import (
     standard_delta,
 )
 
+from conftest import swapped_delta2
 from oracles import betti_from_matrices, snf_diagonal
 
 RP2_FACETS = [
@@ -127,14 +128,7 @@ def test_rational_homology_is_rank_part():
 
 
 def test_invalid_input_rejected(tmp_path):
-    d2 = standard_delta(2)
-    # swapping d_0 and d_1 of the 2-simplex breaks d_i d_j = d_{j-1} d_i
-    f0 = dict(d2.face[(2, 0)])
-    f1 = dict(d2.face[(2, 1)])
-    f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
-    broken = type(d2)(
-        d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg, d2.degenerate, d2.witness
-    )
+    broken = swapped_delta2()
     assert broken.validate()
     for build in (chain_complex, CochainSpaces, lambda x: derham_cohomology(x, 1)):
         with pytest.raises(StructureError, match="fails .* identities"):

@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from ssetkit import cli
 from ssetkit.cli import main
 from ssetkit.errors import StructureError
 from ssetkit.forms import PolyForm, QTau
@@ -25,7 +26,9 @@ from ssetkit.io_text import (
 )
 from ssetkit.linalg import Matrix
 
-from conftest import fixture_path, fixture_text
+from ssetkit.simplicial import SimplicialMap
+
+from conftest import fixture_path, fixture_text, swapped_delta2
 
 
 SSET_FIXTURES = [
@@ -173,6 +176,35 @@ def test_cli_fibration_witness():
     assert "record fibration_up_to_cap exact : False" in out
     code, out = run_cli("fibration", fixture_path("proj_d1_nz2.smap"))
     assert code == 0
+
+
+def test_cli_fibration_rejects_source_and_target_failing_identities(tmp_path):
+    path = tmp_path / "broken.smap"
+    path.write_text(serialize_map(SimplicialMap.identity(swapped_delta2())))
+    code, out = run_cli("fibration", str(path))
+    assert code == 2
+    assert "status error" in out
+    assert "simplicial identities fail" in out
+    assert "fibration_up_to_cap" not in out
+
+
+def test_cli_parser_reused_across_calls_gives_fresh_parser_results(monkeypatch):
+    runs = [
+        ("homology", fixture_path("rp2.sset")),
+        ("kan", fixture_path("delta1.sset")),
+        ("kan", "--cap"),
+    ]
+    reused = []
+    for argv in runs:
+        code, out = run_cli(*argv)
+        reused.append((code, strip_timing(out)))
+    fresh = []
+    for argv in runs:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        code, out = run_cli(*argv)
+        fresh.append((code, strip_timing(out)))
+    assert [code for code, _ in reused] == [0, 1, 2]
+    assert reused == fresh
 
 
 def test_cli_chern():

@@ -2,7 +2,10 @@
 extra-degeneracy contractibility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ssetkit.errors import ParameterError
 from ssetkit.homology import chain_complex, homology
 from ssetkit.kan import (
@@ -17,12 +20,18 @@ from ssetkit.kan import (
 )
 from ssetkit.simplicial import (
     SimplicialMap,
+    SimplicialSet,
     cyclic_table,
     nerve,
     product,
+    sphere_quotient,
     standard_boundary,
     standard_delta,
+    standard_horn,
+    truncate,
 )
+
+from conftest import swapped_delta2
 
 
 def test_horn_enumeration_on_delta1():
@@ -72,6 +81,8 @@ def test_fill_horn_above_cap_refused():
     b2 = standard_boundary(2)  # cap 1
     with pytest.raises(ParameterError):
         fill_horn(b2, Horn(2, 1, ((1, 2), None, (0, 1))))
+    with pytest.raises(ParameterError):
+        fill_horn(b2, Horn(0, 0, (None,)))
 
 
 def test_nerve_fillers_unique_via_division():
@@ -164,3 +175,131 @@ def test_extra_degeneracy_implies_trivial_reduced_homology():
         report = check_extra_degeneracy(x, cone_extra_degeneracy(x))
         assert report.valid
         assert report.reduced_homology_trivial
+
+
+# -- coface-indexed search against the scanning oracles ------------------------
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _delta_family(draw, cap):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["delta", "boundary", "horn"]))
+    if kind == "delta":
+        return standard_delta(n, cap)
+    if kind == "boundary":
+        return standard_boundary(n, cap)
+    return standard_horn(n, draw(st.integers(0, n)), cap)
+
+
+@st.composite
+def simplicial_sets(draw):
+    """Nerves, products, boundaries, horns, truncations, sphere quotients and
+    a set whose face tables break an identity, all small enough to scan."""
+    cap = draw(st.integers(1, 3))
+    kind = draw(
+        st.sampled_from(["nerve", "simplex", "product", "truncation", "sphere", "broken"])
+    )
+    if kind == "nerve":
+        return nerve(cyclic_table(draw(st.integers(1, 3))), cap)
+    if kind == "simplex":
+        return _delta_family(draw, cap)
+    if kind == "product":
+        cap = min(cap, 2)
+        left = nerve(cyclic_table(draw(st.integers(1, 2))), cap)
+        return product(draw(st.sampled_from([left, standard_delta(1, cap)])), _delta_family(draw, cap))
+    if kind == "truncation":
+        return truncate(nerve(cyclic_table(draw(st.integers(2, 3))), 3), cap)
+    if kind == "sphere":
+        return sphere_quotient(draw(st.integers(1, 3)), cap)
+    return swapped_delta2(max(cap, 2))
+
+
+def _projection(x, y):
+    xy = product(x, y)
+    return SimplicialMap(xy, x, {n: {s: s[0] for s in xy.simplices[n]} for n in xy.dims()})
+
+
+def _inclusion(sub, x):
+    return SimplicialMap(sub, x, {n: {s: s for s in sub.simplices[n]} for n in sub.dims()})
+
+
+def _homomorphism(m, q, image, cap):
+    """Nerve of Z/m -> Z/q, a -> a * image mod q (a homomorphism when q | m * image)."""
+    source = nerve(cyclic_table(m), cap)
+    level = {n: {g: tuple(a * image % q for a in g) for g in source.simplices[n]} for n in source.dims()}
+    return SimplicialMap(source, nerve(cyclic_table(q), cap), level)
+
+
+@st.composite
+def simplicial_maps(draw):
+    kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
+    if kind == "identity":
+        return SimplicialMap.identity(draw(simplicial_sets()))
+    cap = draw(st.integers(1, 2))
+    if kind == "projection":
+        return _projection(
+            draw(st.sampled_from([standard_delta(1, cap), standard_boundary(2, cap)])),
+            nerve(cyclic_table(draw(st.integers(1, 2))), cap),
+        )
+    if kind == "inclusion":
+        n = draw(st.integers(1, 3))
+        sub = draw(
+            st.sampled_from([standard_boundary(n, cap), standard_horn(n, draw(st.integers(0, n)), cap)])
+        )
+        return _inclusion(sub, standard_delta(n, cap))
+    m, q, image = draw(st.sampled_from([(4, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 0), (3, 1, 0)]))
+    return _homomorphism(m, q, image, cap)
+
+
+@SETTINGS
+@given(simplicial_sets(), st.data())
+def test_horns_and_fillers_match_scanning_oracle(x, data):
+    for n in range(1, x.dim_cap + 2):
+        for k in range(n + 1):
+            horns = enumerate_horns(x, n, k)
+            assert horns == oracles.scan_enumerate_horns(x, n, k)
+            if n > x.dim_cap:
+                continue
+            for h in horns:
+                assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
+            # face tuples that need not satisfy the horn identities
+            level = st.sampled_from(x.simplices[n - 1])
+            faces = data.draw(st.lists(level, min_size=n + 1, max_size=n + 1))
+            faces[k] = None
+            h = Horn(n, k, tuple(faces))
+            assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
+
+
+@SETTINGS
+@given(simplicial_sets())
+def test_fibrancy_certificate_matches_scanning_oracle(x):
+    assert is_fibrant(x) == oracles.scan_is_fibrant(x)
+
+
+@SETTINGS
+@given(simplicial_maps())
+def test_fibration_certificate_matches_scanning_oracle(p):
+    assert is_fibration(p) == oracles.scan_is_fibration(p)
+
+
+def test_cofaces_are_the_stored_simplices_with_that_face():
+    x = nerve(cyclic_table(3), 3)
+    for n in range(1, 4):
+        for i in range(n + 1):
+            for f in x.simplices[n - 1]:
+                assert x.cofaces(n, i, f) == tuple(y for y in x.simplices[n] if x.d(n, i, y) == f)
+    assert x.cofaces(2, 0, "not a simplex") == ()
+    for n, i in ((0, 0), (4, 0), (2, 3)):
+        with pytest.raises(ParameterError):
+            x.cofaces(n, i, (0,))
+
+
+def test_face_lookups_of_fibrancy_check_on_nerve_z4(monkeypatch):
+    """Exact work count: the scan over every n-simplex per horn made 764048."""
+    x = nerve(cyclic_table(4), 4)
+    calls = []
+    d = SimplicialSet.d
+    monkeypatch.setattr(SimplicialSet, "d", lambda self, n, i, y: calls.append(1) or d(self, n, i, y))
+    assert is_fibrant(x).fibrant
+    assert len(calls) == 69492
