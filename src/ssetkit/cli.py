@@ -18,6 +18,7 @@ from .derham import derham_cohomology
 from .errors import CompatibilityError, ParameterError, SsetError, StructureError
 from .homology import chain_complex, cohomology_ring, homology, mayer_vietoris, unit_class_coords
 from .kan import is_fibrant, is_fibration
+from .linalg import rank
 from .randomsuite import stokes_suite, subdivision_suite
 from .reporting import Report
 from .sheaves import check_status, sheafify
@@ -137,8 +138,6 @@ def cmd_mv(report, args):
     report.add("betti.A", mv.betti_a)
     report.add("betti.B", mv.betti_b)
     report.add("betti.AB", mv.betti_ab)
-    from .linalg import rank
-
     for p in sorted(mv.connecting):
         report.add("connecting.rank.deg%d" % p, rank(mv.connecting[p]))
     for label, p, zero, r_in, nullity, ok in mv.nodes:
@@ -313,11 +312,7 @@ def main(argv=None):
         report.add("error", str(exc))
         report.add("witness", str(exc.witness))
         code = 1
-    except (StructureError, ParameterError, OSError) as exc:
-        report.status = "error"
-        report.add("error", str(exc))
-        code = 2
-    except SsetError as exc:
+    except (SsetError, OSError) as exc:
         report.status = "error"
         report.add("error", str(exc))
         code = 2

@@ -369,12 +369,6 @@ def face_extend(n, data):
     return result
 
 
-def _pullback_any(form, matrix):
-    if _is_lie(form):
-        return form.pullback(matrix)
-    return form.pullback(matrix)
-
-
 def _transpose(matrix):
     rows = len(matrix)
     cols = len(matrix[0])
@@ -406,10 +400,10 @@ def horn_connection_fill(n, k, data):
             pm = compose_matrices(p_mat, coface_matrix(n, i))
             q_rows = tuple(row for r, row in enumerate(pm) if r != j)
             q_inv = _transpose(q_rows)
-            moved[j] = _pullback_any(data[i], q_inv)
-        filler = _pullback_any(face_extend(n, moved), p_mat)
+            moved[j] = data[i].pullback(q_inv)
+        filler = face_extend(n, moved).pullback(p_mat)
     for i in expected:
-        restricted = _pullback_any(filler, coface_matrix(n, i))
+        restricted = filler.pullback(coface_matrix(n, i))
         if restricted != data[i]:
             raise StructureError("filler fails to restrict to face %d" % i)
     return filler

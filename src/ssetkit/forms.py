@@ -579,16 +579,15 @@ class FormField:
         )
 
 
-def derham_map(field, check=True):
+def derham_map(field):
     """Integrate a degree-p field over the p-simplices: the comparison cochain.
 
     This is a cochain map: derham_map(d omega) equals the simplicial
     coboundary of derham_map(omega), which is the Stokes identity.
     """
-    if check:
-        bad = field.validate()
-        if bad:
-            raise CompatibilityError("field is not face-compatible", witness=bad[0])
+    bad = field.validate()
+    if bad:
+        raise CompatibilityError("field is not face-compatible", witness=bad[0])
     x = field.x
     if field.p > x.dim_cap:
         raise ParameterError("degree above the cap")

@@ -1,10 +1,9 @@
 """Chain complexes, integral and rational (co)homology, cup products,
 and the Mayer-Vietoris long exact sequence with mechanical exactness checks.
 
-Normalized chains (degenerate simplices quotiented away) are the default;
-the unnormalized complex is available for cross-checking. One integer Smith
-normal form per boundary gives both its rank (over Z and over Q) and the
-torsion.
+Chains are normalized: degenerate simplices are quotiented away. One
+integer Smith normal form per boundary gives both its rank (over Z and
+over Q) and the torsion.
 """
 
 from __future__ import annotations
@@ -63,26 +62,22 @@ class ChainComplex:
         return sum((-1) ** n * self.dim(n) for n in range(self.top + 1))
 
 
-def chain_complex(x, ring="int", normalized=True):
-    """Chain complex of a simplicial set; boundary is the alternating face sum.
-
-    With normalized=True the basis is the nondegenerate simplices and faces
-    landing on degenerate simplices are dropped.
+def chain_complex(x, ring="int"):
+    """Normalized chain complex of a simplicial set: the basis is the
+    nondegenerate simplices, the boundary is the alternating face sum, and
+    faces landing on degenerate simplices are dropped.
     """
     bad = x.validate()
     if bad:
         raise StructureError("simplicial set fails %d identities" % len(bad))
-    if normalized:
-        basis = {n: x.nondegenerate(n) for n in x.dims()}
-    else:
-        basis = {n: x.simplices[n] for n in x.dims()}
+    basis = {n: x.nondegenerate(n) for n in x.dims()}
     boundary = {}
     for n in range(1, x.dim_cap + 1):
         rows = {}  # face -> its row of the boundary matrix
         for j, s in enumerate(basis[n]):
             for i in range(n + 1):
                 f = x.d(n, i, s)
-                if normalized and x.is_degenerate(n - 1, f):
+                if x.is_degenerate(n - 1, f):
                     continue
                 row = rows.setdefault(f, {})
                 v = row.get(j, 0) + (-1) ** i
@@ -213,9 +208,7 @@ class CochainSpaces:
             for _ in range(p):
                 back = self.x.d(m, 0, back)
                 m -= 1
-            va = self.value_at(p, avec, front) if not self.x.is_degenerate(p, front) else Fraction(0)
-            vb = self.value_at(q, bvec, back) if not self.x.is_degenerate(q, back) else Fraction(0)
-            out.append(va * vb)
+            out.append(self.value_at(p, avec, front) * self.value_at(q, bvec, back))
         return tuple(out)
 
 

@@ -47,6 +47,14 @@ def serialize_complex(x):
     return "\n".join(lines) + "\n"
 
 
+def _int_token(words, k, ln):
+    """words[k] as an int, or StructureError naming the (1-based) line ln."""
+    try:
+        return int(words[k])
+    except (IndexError, ValueError):
+        raise StructureError("line %d: expected an integer in %r" % (ln, " ".join(words)))
+
+
 def parse_complex(text):
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     pos = 0
@@ -57,24 +65,26 @@ def parse_complex(text):
     if pos >= len(lines) or lines[pos].strip() != "sset 1":
         fail("expected header 'sset 1'", pos)
     pos += 1
-    if not lines[pos].startswith("cap "):
+    if pos >= len(lines) or not lines[pos].startswith("cap "):
         fail("expected 'cap N'", pos)
-    cap = int(lines[pos].split()[1])
+    cap = _int_token(lines[pos].split(), 1, pos + 1)
     pos += 1
     simplices = {n: [] for n in range(cap + 1)}
     faces = {}
     degs = {}
-    degenerate = {n: set() for n in range(cap + 1)}
-    witness = {}
+    rows = {}  # (dim, id) -> line index of its row
+    degen = {}  # (dim, id) -> words after 'degen'
     current = None
     for ln in range(pos, len(lines)):
         line = lines[ln].strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("dim "):
-            current = int(line.split()[1])
+            current = _int_token(line.split(), 1, ln + 1)
             if current > cap:
                 fail("dimension above the cap", ln)
+            if current < 0:
+                fail("negative dimension", ln)
             continue
         if current is None:
             fail("simplex row before any 'dim' header", ln)
@@ -83,6 +93,7 @@ def parse_complex(text):
         if not sid:
             fail("empty identifier", ln)
         simplices[current].append(sid)
+        rows[(current, sid)] = ln
         for field in fields[1:]:
             if not field:
                 continue
@@ -96,8 +107,7 @@ def parse_complex(text):
                     fail("need %d degeneracies" % (current + 1), ln)
                 degs[(current, sid)] = tuple(words[1:])
             elif words[0] == "degen":
-                degenerate[current].add(sid)
-                witness[(current, sid)] = (int(words[1]), words[2])
+                degen[(current, sid)] = words[1:]
             else:
                 fail("unknown field %r" % (words[0],), ln)
     face_tables = {}
@@ -129,7 +139,19 @@ def parse_complex(text):
                     )
                 table[s] = target
             deg_tables[(n, i)] = table
-    return SimplicialSet(cap, simplices, face_tables, deg_tables, degenerate, witness)
+    x = SimplicialSet(cap, simplices, face_tables, deg_tables)
+    # the degen fields must name the witnesses the deg tables give
+    for (n, sid), ln in rows.items():
+        given = degen.get((n, sid))
+        derived = x.witness.get((n, sid))
+        if derived is None:
+            if given is not None:
+                fail("%s is not degenerate but has a degen field" % sid, ln)
+        elif given is None:
+            fail("degenerate simplex %s has no degen field" % sid, ln)
+        elif given != [str(derived[0]), derived[1]]:
+            fail("degen of %s must be '%d %s', its least degeneracy" % (sid, derived[0], derived[1]), ln)
+    return x
 
 
 def relabel_as_strings(x):
@@ -426,24 +448,24 @@ def parse_map(text):
         raise StructureError("expected header 'smap 1'")
     sections = {"source": [], "target": [], "map": []}
     mode = None
-    for line in lines[1:]:
+    for ln, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if stripped in sections and not stripped.startswith("("):
             mode = stripped
             continue
         if mode is None:
-            raise StructureError("content before any section header")
-        sections[mode].append(line)
-    source = parse_complex("\n".join(sections["source"]))
-    target = parse_complex("\n".join(sections["target"]))
+            raise StructureError("line %d: content before any section header" % ln)
+        sections[mode].append((ln, line))
+    source = parse_complex("\n".join(line for _, line in sections["source"]))
+    target = parse_complex("\n".join(line for _, line in sections["target"]))
     level_map = {}
-    for line in sections["map"]:
+    for ln, line in sections["map"]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         dim_s, _, body = line.partition(":")
         src, _, dst = body.partition(">")
-        level_map.setdefault(int(dim_s), {})[src.strip()] = dst.strip()
+        level_map.setdefault(_int_token([dim_s], 0, ln), {})[src.strip()] = dst.strip()
     return SimplicialMap(source, target, level_map)
 
 

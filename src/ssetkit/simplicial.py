@@ -32,23 +32,34 @@ class SimplicialSet:
     degenerate[n]  frozenset of degenerate identifiers
     witness[(n, x)] = (i, y) with x = s_i(y), for each degenerate x
 
+    degenerate and witness are derived from the deg tables, reading only
+    the listed simplices: x is degenerate iff x = s_i(y) for some listed y,
+    and its witness is (i, y) for the least such i.
+
     The constructor copies every table and nothing changes them afterwards,
     so derived structure (the index, the nondegenerate simplices, the
     identity scan behind validate, the coface tables behind cofaces) is
     computed once and kept on the object.
     """
 
-    def __init__(self, dim_cap, simplices, face, deg, degenerate=None, witness=None):
+    def __init__(self, dim_cap, simplices, face, deg):
         if dim_cap < 0:
             raise ParameterError("dim_cap must be >= 0")
         self.dim_cap = int(dim_cap)
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(dim_cap + 1)}
         self.face = {k: dict(v) for k, v in face.items()}
         self.deg = {k: dict(v) for k, v in deg.items()}
-        if degenerate is None or witness is None:
-            degenerate, witness = self._infer_degeneracies()
-        self.degenerate = {n: frozenset(degenerate.get(n, ())) for n in range(dim_cap + 1)}
-        self.witness = dict(witness)
+        self.degenerate = {0: frozenset()}
+        self.witness = {}
+        for n in range(1, self.dim_cap + 1):
+            level = {}
+            for i in range(n):
+                table = self.deg.get((n - 1, i), {})
+                for y in self.simplices[n - 1]:
+                    if y in table:
+                        level.setdefault(table[y], (i, y))
+            self.degenerate[n] = frozenset(level)
+            self.witness.update(((n, x), w) for x, w in level.items())
         self._index = {
             n: {x: i for i, x in enumerate(self.simplices[n])}
             for n in range(dim_cap + 1)
@@ -62,15 +73,6 @@ class SimplicialSet:
         }
         self._violations = None
         self._cofaces = {}
-
-    def _infer_degeneracies(self):
-        degenerate = {}
-        witness = {}
-        for (n, i), table in sorted(self.deg.items(), key=lambda kv: kv[0]):
-            for y, x in table.items():
-                degenerate.setdefault(n + 1, set()).add(x)
-                witness.setdefault((n + 1, x), (i, y))
-        return degenerate, witness
 
     # -- basic access -------------------------------------------------
 
@@ -181,17 +183,6 @@ class SimplicialSet:
                         rhs = self.s(n + 1, j + 1, self.s(n, i, x))
                         if lhs != rhs:
                             bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, x, (i, j)))
-        # degenerate flags match the degeneracy images exactly
-        for n in range(1, self.dim_cap + 1):
-            image = set()
-            for i in range(n):
-                image.update(self.deg[(n - 1, i)].values())
-            if image != set(self.degenerate[n]):
-                for x in image ^ set(self.degenerate[n]):
-                    bad.append(("degenerate_flag mismatch", n, x, None))
-        for (n, x), (i, y) in self.witness.items():
-            if not self.has(n - 1, y) or self.s(n - 1, i, y) != x:
-                bad.append(("degeneracy witness mismatch", n, x, (i, y)))
         return bad
 
     def _check_tables(self):
@@ -232,13 +223,6 @@ def _duplicate(t, i):
     return t[: i + 1] + t[i:]
 
 
-def _tuple_witness(t):
-    for i in range(len(t) - 1):
-        if t[i] == t[i + 1]:
-            return i, _delete(t, i + 1)
-    return None
-
-
 def _tuple_sset(dim_cap, allowed):
     """Simplicial set whose n-simplices are the weakly increasing tuples
     accepted by the predicate `allowed`, with delete/duplicate structure maps."""
@@ -253,17 +237,7 @@ def _tuple_sset(dim_cap, allowed):
     for n in range(dim_cap):
         for i in range(n + 1):
             deg[(n, i)] = {t: _duplicate(t, i) for t in simplices[n]}
-    degenerate = {}
-    witness = {}
-    for n in range(1, dim_cap + 1):
-        dg = set()
-        for t in simplices[n]:
-            w = _tuple_witness(t)
-            if w is not None:
-                dg.add(t)
-                witness[(n, t)] = w
-        degenerate[n] = dg
-    return SimplicialSet(dim_cap, simplices, face, deg, degenerate, witness)
+    return SimplicialSet(dim_cap, simplices, face, deg)
 
 
 def _all_tuples(n, allowed):
@@ -371,18 +345,7 @@ def nerve(table, dim_cap):
     for n in range(dim_cap):
         for i in range(n + 1):
             deg[(n, i)] = {g: g[:i] + (identity,) + g[i:] for g in simplices[n]}
-    degenerate = {}
-    witness = {}
-    for n in range(1, dim_cap + 1):
-        dg = set()
-        for g in simplices[n]:
-            for i, gi in enumerate(g):
-                if gi == identity:
-                    dg.add(g)
-                    witness[(n, g)] = (i, _delete(g, i))
-                    break
-        degenerate[n] = dg
-    return SimplicialSet(dim_cap, simplices, face, deg, degenerate, witness)
+    return SimplicialSet(dim_cap, simplices, face, deg)
 
 
 def cyclic_table(m):
@@ -528,14 +491,7 @@ def restrict(x, sub):
         for n in range(x.dim_cap)
         for i in range(n + 1)
     }
-    degenerate = {n: frozenset(set(simplices[n]) & x.degenerate[n]) for n in x.dims()}
-    witness = {
-        (n, s): x.witness[(n, s)]
-        for n in x.dims()
-        for s in degenerate[n]
-        if (n, s) in x.witness
-    }
-    return SimplicialSet(x.dim_cap, simplices, face, deg, degenerate, witness)
+    return SimplicialSet(x.dim_cap, simplices, face, deg)
 
 
 def quotient(x, sub):
@@ -576,20 +532,7 @@ def quotient(x, sub):
                 t[s] = wrap(n + 1, x.s(n, i, s))
             t[base] = base
             deg[(n, i)] = t
-    degenerate = {0: frozenset(s for s in x.degenerate[0] if s not in sub.get(0, ()))}
-    witness = {}
-    for n in range(1, x.dim_cap + 1):
-        dg = {s for s in x.degenerate[n] if s not in sub.get(n, ())}
-        dg.add(base)
-        degenerate[n] = frozenset(dg)
-        witness[(n, base)] = (0, base)
-        for s in dg - {base}:
-            i, y = x.witness[(n, s)]
-            witness[(n, s)] = (i, wrap(n - 1, y))
-    for s in degenerate[0]:
-        if (0, s) in x.witness:
-            witness[(0, s)] = x.witness[(0, s)]
-    return SimplicialSet(x.dim_cap, simplices, face, deg, degenerate, witness)
+    return SimplicialSet(x.dim_cap, simplices, face, deg)
 
 
 def sphere_quotient(n, dim_cap=None):
@@ -612,9 +555,7 @@ def truncate(x, dim_cap):
     simplices = {n: x.simplices[n] for n in range(dim_cap + 1)}
     face = {(n, i): x.face[(n, i)] for n in range(1, dim_cap + 1) for i in range(n + 1)}
     deg = {(n, i): x.deg[(n, i)] for n in range(dim_cap) for i in range(n + 1)}
-    degenerate = {n: x.degenerate[n] for n in range(dim_cap + 1)}
-    witness = {(n, s): w for (n, s), w in x.witness.items() if n <= dim_cap}
-    return SimplicialSet(dim_cap, simplices, face, deg, degenerate, witness)
+    return SimplicialSet(dim_cap, simplices, face, deg)
 
 
 def standard(kind, dim_cap=None, **params):
@@ -729,19 +670,7 @@ def from_generators(dim_cap, generators):
             for eta, gid in pairs_by_dim[n]:
                 t[_pair_id(eta, gid, gen_dims[gid])] = _pair_id(_duplicate(eta, i), gid, gen_dims[gid])
             deg[(n, i)] = t
-    degenerate = {}
-    witness = {}
-    for n in range(1, dim_cap + 1):
-        dg = set()
-        for eta, gid in pairs_by_dim[n]:
-            w = _tuple_witness(eta)
-            if w is not None:
-                i, smaller = w
-                xid = _pair_id(eta, gid, gen_dims[gid])
-                dg.add(xid)
-                witness[(n, xid)] = (i, _pair_id(smaller, gid, gen_dims[gid]))
-        degenerate[n] = dg
-    return SimplicialSet(dim_cap, simplices, face, deg, degenerate, witness)
+    return SimplicialSet(dim_cap, simplices, face, deg)
 
 
 def circle_two_edges(dim_cap=2):

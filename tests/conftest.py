@@ -24,6 +24,4 @@ def swapped_delta2(dim_cap=2):
     f0 = dict(d2.face[(2, 0)])
     f1 = dict(d2.face[(2, 1)])
     f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
-    return SimplicialSet(
-        d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg, d2.degenerate, d2.witness
-    )
+    return SimplicialSet(d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg)

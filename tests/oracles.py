@@ -3,6 +3,8 @@
 These deliberately avoid the package's own algorithms: Smith normal form
 and ranks come from sympy, integrals from scipy quadrature or sympy
 symbolic integration, and counting problems from direct dynamic programs.
+unnormalized_betti is the unnormalized chain complex that the normalized
+one in ssetkit.homology must agree with below the cap.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg. The
 scan_* functions find horns, fillers and lifts by scanning a whole dimension
@@ -46,6 +48,24 @@ def betti_from_matrices(dims, boundaries):
         r_in = rational_rank(*boundaries[n + 1]) if n + 1 <= top else 0
         out.append(dims[n] - r_in - r_out)
     return tuple(out)
+
+
+def unnormalized_betti(x):
+    """Rational betti numbers of the unnormalized chain complex, whose basis
+    is every stored simplex, degenerate ones included. Above the cap the
+    complex is missing its incoming boundary, so only degrees below the cap
+    are meaningful."""
+    dims = [len(x.simplices[n]) for n in x.dims()]
+    boundaries = {}
+    for n in range(1, x.dim_cap + 1):
+        row = {s: r for r, s in enumerate(x.simplices[n - 1])}
+        entries = {}
+        for j, s in enumerate(x.simplices[n]):
+            for i in range(n + 1):
+                key = (row[x.d(n, i, s)], j)
+                entries[key] = entries.get(key, 0) + (-1) ** i
+        boundaries[n] = (entries, dims[n - 1], dims[n])
+    return betti_from_matrices(dims, boundaries)
 
 
 def dense_rref(rows, ncols):

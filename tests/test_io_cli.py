@@ -57,6 +57,69 @@ def test_dangling_reference_names_the_culprit():
     assert "v1" in str(err.value)
 
 
+# Edits of delta2.sset, each rejected at the line it names.
+DEGEN_EDITS = {
+    "degen on a nondegenerate simplex": (
+        "(0,1,2) | faces (1,2) (0,2) (0,1)\n",
+        "(0,1,2) | faces (1,2) (0,2) (0,1) | degen 0 (0,1)\n",
+        19,
+    ),
+    "degenerate row without degen": (
+        "(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)\n",
+        "(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0)\n",
+        8,
+    ),
+    "non-least index": (
+        "(0,0,0) | faces (0,0) (0,0) (0,0) | degen 0 (0,0)\n",
+        "(0,0,0) | faces (0,0) (0,0) (0,0) | degen 1 (0,0)\n",
+        15,
+    ),
+    "truncated degen": (
+        "(0,1,1) | faces (1,1) (0,1) (0,1) | degen 1 (0,1)\n",
+        "(0,1,1) | faces (1,1) (0,1) (0,1) | degen 1\n",
+        18,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGEN_EDITS))
+def test_degen_fields_must_match_the_deg_tables(case, tmp_path):
+    old, new, line = DEGEN_EDITS[case]
+    text = fixture_text("delta2.sset")
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse_complex(text)
+    path = tmp_path / "edited.sset"
+    path.write_text(text)
+    code, out = run_cli("homology", str(path))
+    assert code == 2
+    assert "status error" in out
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("sset 1\n", 2),
+        ("sset 1\ncap\n", 2),
+        ("sset 1\ncap x\n", 2),
+        ("sset 1\ncap 0\ndim |\n", 3),
+        ("sset 1\ncap 1\ndim\n(0) | deg (0,0)\n", 3),
+        ("sset 1\ncap 1\ndim -1\n", 3),
+    ],
+)
+def test_malformed_sset_header_names_its_line(text, line):
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse_complex(text)
+
+
+def test_malformed_smap_dimension_names_its_line():
+    text = serialize_map(SimplicialMap.identity(parse_complex(fixture_text("point.sset"))))
+    line = text.splitlines().index("0 : (0) > (0)") + 1
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse_map(text.replace("0 : (0) > (0)", "(0) : (0) > (0)"))
+
+
 def test_cover_round_trip():
     text = fixture_text("circle2.cover")
     sub_a, sub_b = parse_cover(text)

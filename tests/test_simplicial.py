@@ -13,11 +13,13 @@ from ssetkit.simplicial import (
     circle_two_edges,
     close_subcomplex,
     cyclic_table,
+    from_generators,
     full_subcomplex,
     is_subcomplex,
     nerve,
     product,
     quotient,
+    restrict,
     simplicial_complex,
     sphere_quotient,
     standard,
@@ -64,8 +66,6 @@ def test_validate_reports_deliberate_corruption():
         d2.simplices,
         {**d2.face, (2, 0): f0, (2, 1): f1},
         d2.deg,
-        d2.degenerate,
-        d2.witness,
     )
     bad = broken.validate()
     assert any(name.startswith("d_i d_j") for name, *_ in bad)
@@ -227,3 +227,98 @@ def test_every_generated_object_validates():
     ]
     for x in objects:
         assert x.validate() == []
+
+
+# -- derived degeneracies ------------------------------------------------------
+
+
+def derived(x):
+    """Each listed simplex of x mapped to its witness, or None when nondegenerate."""
+    out = {}
+    for n in x.dims():
+        for s in x.simplices[n]:
+            out[(n, s)] = x.witness.get((n, s))
+            assert (out[(n, s)] is not None) == x.is_degenerate(n, s)
+    return out
+
+
+def tuple_witness(t):
+    """Closed form for tuple simplices: degenerate iff two adjacent entries
+    are equal; the least such position i gives t = s_i(t without entry i+1)."""
+    for i in range(len(t) - 1):
+        if t[i] == t[i + 1]:
+            return i, t[: i + 1] + t[i + 2:]
+    return None
+
+
+def test_tuple_sets_degenerate_iff_adjacent_entries_repeat():
+    tuple_sets = (
+        standard_delta(3),
+        standard_boundary(3, 3),
+        standard_horn(3, 1),
+        simplicial_complex([[0, 1, 2], [2, 3]], 3),
+    )
+    for x in tuple_sets:
+        assert derived(x) == {(n, t): tuple_witness(t) for n in x.dims() for t in x.simplices[n]}
+
+
+def test_nerve_degenerate_iff_an_entry_is_the_identity():
+    x = nerve(cyclic_table(3), 3)
+    expected = {}
+    for n in x.dims():
+        for g in x.simplices[n]:
+            i = next((i for i, gi in enumerate(g) if gi == 0), None)
+            expected[(n, g)] = None if i is None else (i, g[:i] + g[i + 1:])
+    assert derived(x) == expected
+
+
+def test_from_generators_degenerate_iff_eta_not_injective():
+    sphere = from_generators(3, {0: [("v", ())], 2: [("S", [((0, 0), "v")] * 3)]})
+    for x in (circle_two_edges(3), sphere):
+        assert x.validate() == []
+        for (n, s), w in derived(x).items():
+            if not isinstance(s, tuple):  # a generator: eta is the identity
+                assert w is None
+                continue
+            _, eta, gid = s
+            i, smaller = tuple_witness(eta)
+            assert len(set(eta)) < len(eta)
+            assert w == (i, gid if smaller == tuple(range(len(smaller))) else ("s", smaller, gid))
+
+
+def test_quotient_base_point_witness():
+    q = sphere_quotient(2, 4)
+    for n in range(1, 5):
+        assert q.witness[(n, "*")] == (0, "*")
+    assert not q.is_degenerate(0, "*")
+
+
+def test_product_witness_uses_the_least_common_index():
+    a, b = standard_delta(1, 3), standard_delta(2, 3)
+    x = product(a, b)
+    for (n, (s, t)), w in derived(x).items():
+        common = [i for i in range(n) if s[i] == s[i + 1] and t[i] == t[i + 1]]
+        if not common:
+            assert w is None
+        else:
+            i = common[0]
+            assert w == (i, (s[: i + 1] + s[i + 2:], t[: i + 1] + t[i + 2:]))
+
+
+def test_restrict_and_truncate_agree_with_the_ambient_set():
+    b3 = standard_boundary(3, 3)
+    star = close_subcomplex(b3, {2: [(0, 1, 2)]})
+    sub = restrict(b3, star)
+    low = truncate(b3, 2)
+    ambient = derived(b3)
+    assert derived(sub) == {k: ambient[k] for k in derived(sub)}
+    assert derived(low) == {k: w for k, w in ambient.items() if k[0] <= 2}
+
+
+def test_stray_degeneracy_entry_marks_nothing():
+    d1 = standard_delta(1)
+    deg = {k: dict(v) for k, v in d1.deg.items()}
+    deg[(0, 0)][(9,)] = (0, 1)  # (9,) is not a listed vertex
+    x = SimplicialSet(d1.dim_cap, d1.simplices, d1.face, deg)
+    assert not x.is_degenerate(1, (0, 1))
+    assert x.witness == d1.witness
