@@ -342,11 +342,14 @@ def face_extend(n, data):
     """
     if not data:
         raise ParameterError("no face data")
+    degree = next(iter(data.values())).p
     for i in data:
         if not 1 <= i <= n:
             raise ParameterError("face index %r out of range" % (i,))
         if data[i].n != n - 1:
             raise ParameterError("datum on face %d has wrong arity" % i)
+        if data[i].p != degree:
+            raise ParameterError("datum on face %d has the wrong degree" % i)
     keys = sorted(data, reverse=True)
     for a_pos in range(len(keys)):
         for b_pos in range(a_pos + 1, len(keys)):

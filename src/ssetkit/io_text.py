@@ -9,6 +9,7 @@ identifiers throughout.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 from .connections import EdgeGluing, U1BundleData, LieValuedForm, abelian_line, gl, sl2
@@ -55,19 +56,32 @@ def _int_token(words, k, ln):
         raise StructureError("line %d: expected an integer in %r" % (ln, " ".join(words)))
 
 
-def parse_complex(text):
+@contextlib.contextmanager
+def _row(ln, line):
+    """Report a row whose tokens are missing or do not convert (a short row,
+    a non-integer where an integer belongs, a scalar like 1/0) as a
+    StructureError naming its (1-based) line ln."""
+    try:
+        yield
+    except (IndexError, ValueError, ZeroDivisionError):
+        raise StructureError("line %d: malformed row %r" % (ln, line)) from None
+
+
+def parse_complex(text, first_line=1):
+    """Parse an .sset text; error line numbers count from first_line, the
+    number of the text's first line in its file."""
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     pos = 0
 
     def fail(msg, ln):
-        raise StructureError("line %d: %s" % (ln + 1, msg))
+        raise StructureError("line %d: %s" % (ln + first_line, msg))
 
     if pos >= len(lines) or lines[pos].strip() != "sset 1":
         fail("expected header 'sset 1'", pos)
     pos += 1
     if pos >= len(lines) or not lines[pos].startswith("cap "):
         fail("expected 'cap N'", pos)
-    cap = _int_token(lines[pos].split(), 1, pos + 1)
+    cap = _int_token(lines[pos].split(), 1, pos + first_line)
     pos += 1
     simplices = {n: [] for n in range(cap + 1)}
     faces = {}
@@ -80,7 +94,7 @@ def parse_complex(text):
         if not line or line.startswith("#"):
             continue
         if line.startswith("dim "):
-            current = _int_token(line.split(), 1, ln + 1)
+            current = _int_token(line.split(), 1, ln + first_line)
             if current > cap:
                 fail("dimension above the cap", ln)
             if current < 0:
@@ -252,22 +266,24 @@ def render_form(form):
     return "form %d %d : %s" % (form.n, form.p, " ; ".join(chunks))
 
 
-def parse_form(text):
+def parse_form(text, ln=1):
+    """Parse 'form n p : ...'; errors name line ln of the enclosing file."""
     text = text.strip()
     if not text.startswith("form "):
-        raise StructureError("expected 'form n p : ...'")
+        raise StructureError("line %d: expected 'form n p : ...'" % ln)
     head, _, body = text.partition(":")
-    words = head.split()
-    n, p = int(words[1]), int(words[2])
-    terms = []
-    body = body.strip()
-    if body:
-        for chunk in body.split(";"):
-            coeff_s, exps_s, idx_s = [part.strip() for part in chunk.split("|")]
-            coeff = parse_scalar(coeff_s)
-            exps = tuple(int(w) for w in exps_s.split()) if exps_s else ()
-            idx = tuple(int(w) for w in idx_s.split()) if idx_s else ()
-            terms.append(((exps, idx), coeff))
+    with _row(ln, text):
+        _, n, p = head.split()
+        n, p = int(n), int(p)
+        terms = []
+        body = body.strip()
+        if body:
+            for chunk in body.split(";"):
+                coeff_s, exps_s, idx_s = [part.strip() for part in chunk.split("|")]
+                coeff = parse_scalar(coeff_s)
+                exps = tuple(int(w) for w in exps_s.split())
+                idx = tuple(int(w) for w in idx_s.split())
+                terms.append(((exps, idx), coeff))
     return PolyForm(n, p, terms)
 
 
@@ -339,7 +355,7 @@ def parse_field(text, x):
             raise StructureError("line %d: expected 'on dim id : form ...'" % ln)
         head, _, body = line.partition(":")
         words = head.split()
-        forms[(int(words[1]), words[2])] = parse_form(body)
+        forms[(int(words[1]), words[2])] = parse_form(body, ln)
     return FormField(x, degree, forms)
 
 
@@ -447,17 +463,28 @@ def parse_map(text):
     if not lines or lines[0].strip() != "smap 1":
         raise StructureError("expected header 'smap 1'")
     sections = {"source": [], "target": [], "map": []}
+    header = {}  # section -> line number of its header
     mode = None
     for ln, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
-        if stripped in sections and not stripped.startswith("("):
+        if stripped in sections:
+            if stripped in header:
+                raise StructureError("line %d: repeated section header %r" % (ln, stripped))
+            header[stripped] = ln
             mode = stripped
             continue
         if mode is None:
             raise StructureError("line %d: content before any section header" % ln)
         sections[mode].append((ln, line))
-    source = parse_complex("\n".join(line for _, line in sections["source"]))
-    target = parse_complex("\n".join(line for _, line in sections["target"]))
+
+    def complex_of(name):
+        # A section's rows are the lines after its one header, so the file
+        # line of the first is the header's plus one.
+        text = "\n".join(line for _, line in sections[name])
+        return parse_complex(text, header.get(name, len(lines)) + 1)
+
+    source = complex_of("source")
+    target = complex_of("target")
     level_map = {}
     for ln, line in sections["map"]:
         line = line.strip()
@@ -503,27 +530,26 @@ def parse_u1(text):
         if not line or line.startswith("#"):
             continue
         words = line.split()
-        if words[0] == "triangle":
-            triangles.append(words[1])
-            orientations[words[1]] = int(words[3])
-        elif words[0] == "A":
-            name = words[1]
-            _, _, body = line.partition(":")
-            forms[name] = parse_form(body)
-        elif words[0] == "glue":
-            head, _, body = line.partition(":")
-            w = head.split()
-            gluings.append(
-                EdgeGluing(
-                    (w[1], int(w[2])),
-                    (w[3], int(w[4])),
-                    bool(int(w[6])),
-                    parse_form(body),
-                    int(w[8]),
+        head, _, body = line.partition(":")
+        with _row(ln, line):
+            if words[0] == "triangle":
+                triangles.append(words[1])
+                orientations[words[1]] = int(words[3])
+            elif words[0] == "A":
+                forms[words[1]] = parse_form(body, ln)
+            elif words[0] == "glue":
+                w = head.split()
+                gluings.append(
+                    EdgeGluing(
+                        (w[1], int(w[2])),
+                        (w[3], int(w[4])),
+                        bool(int(w[6])),
+                        parse_form(body, ln),
+                        int(w[8]),
+                    )
                 )
-            )
-        else:
-            raise StructureError("line %d: unknown u1 row %r" % (ln, words[0]))
+            else:
+                raise StructureError("line %d: unknown u1 row %r" % (ln, words[0]))
     return U1BundleData(triangles, orientations, forms, gluings)
 
 
@@ -550,24 +576,28 @@ def parse_extend(text):
         if not line or line.startswith("#"):
             continue
         words = line.split()
-        if words[0] == "n":
-            n = int(words[1])
-        elif words[0] == "missing":
-            missing = int(words[1])
-        elif words[0] == "algebra":
-            if words[1] not in _ALGEBRAS:
-                raise StructureError("unknown algebra %r" % (words[1],))
-            algebra = _ALGEBRAS[words[1]]
-        elif words[0] == "face":
-            i = int(words[1])
-            r, c = int(words[3]), int(words[4])
-            _, _, body = line.partition(":")
-            raw.setdefault(i, {})[(r, c)] = parse_form(body)
-        else:
-            raise StructureError("line %d: unknown extend row %r" % (ln, words[0]))
+        with _row(ln, line):
+            if words[0] == "n":
+                n = int(words[1])
+            elif words[0] == "missing":
+                missing = int(words[1])
+            elif words[0] == "algebra":
+                if words[1] not in _ALGEBRAS:
+                    raise StructureError("line %d: unknown algebra %r" % (ln, words[1]))
+                algebra = _ALGEBRAS[words[1]]
+            elif words[0] == "face":
+                i = int(words[1])
+                r, c = int(words[3]), int(words[4])
+                _, _, body = line.partition(":")
+                raw.setdefault(i, {})[(r, c)] = parse_form(body, ln)
+            else:
+                raise StructureError("line %d: unknown extend row %r" % (ln, words[0]))
     if n is None:
         raise StructureError("missing 'n' row")
     if algebra is None:
+        for i, entries in raw.items():
+            if (0, 0) not in entries:
+                raise StructureError("face %d has no entry 0 0" % i)
         data = {i: entries[(0, 0)] for i, entries in raw.items()}
         return n, missing, None, data
     alg = algebra()

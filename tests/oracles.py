@@ -9,7 +9,10 @@ The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg. The
 scan_* functions find horns, fillers and lifts by scanning a whole dimension
 of the face tables, the reference for the coface-indexed search in
-ssetkit.kan.
+ssetkit.kan. derham_reference builds the three truncations of de Rham
+cohomology from scratch, pulling every monomial form back through
+PolyForm.pullback for every face of every simplex; it is the reference for
+the tabulated, degree-filtered single truncation in ssetkit.derham.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from ssetkit.derham import DeRhamReport
+from ssetkit.errors import ParameterError, StructureError
+from ssetkit.forms import PolyForm, coface_matrix, collapse_matrix, compose_matrices
+from ssetkit.homology import CochainSpaces
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
+from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
 
 
 def snf_diagonal(rows, nrows, ncols):
@@ -263,3 +271,208 @@ def scan_is_fibration(p):
                     if not any(p(n, z) == b for z in scan_fill_horn(x, h)):
                         return FibrationCertificate(cap, False, problems, witness=(h, b))
     return FibrationCertificate(cap, True, problems)
+
+
+# -- de Rham: three truncations built from scratch ------------------------------
+
+
+def _reference_local_basis(m, p, degree_cap):
+    exps = sorted(
+        e for e in itertools.product(range(degree_cap + 1), repeat=m) if sum(e) <= degree_cap
+    )
+    idxs = list(itertools.combinations(range(1, m + 1), p))
+    return [(e, i) for i in idxs for e in exps]
+
+
+class _ReferenceTruncation:
+    """Compatible-field spaces of one simplicial set at one degree cap, with
+    every face constraint pulled back form by form."""
+
+    def __init__(self, x, degree_cap):
+        self.x = x
+        self.cap = degree_cap
+        self.simplex_list = [(n, s) for n in x.dims() for s in x.nondegenerate(n)]
+        self._local = {}
+        self._columns = {}
+        self._kernel = {}
+        self._dmat = {}
+
+    def local_basis(self, m, p):
+        if (m, p) not in self._local:
+            basis = _reference_local_basis(m, p, self.cap)
+            self._local[(m, p)] = (basis, {k: i for i, k in enumerate(basis)})
+        return self._local[(m, p)]
+
+    def columns(self, p):
+        if p not in self._columns:
+            cols = [(n, s, k) for (n, s) in self.simplex_list
+                    for k in range(len(self.local_basis(n, p)[0]))]
+            self._columns[p] = (cols, {c: i for i, c in enumerate(cols)})
+        return self._columns[p]
+
+    def _collapse_chain(self, n, s):
+        """Nondegenerate base of a degenerate simplex and the composite collapse matrix."""
+        mat = None
+        dim, cur = n, s
+        while self.x.is_degenerate(dim, cur):
+            j, base = self.x.witness[(dim, cur)]
+            step = collapse_matrix(dim - 1, j)
+            mat = step if mat is None else compose_matrices(step, mat)
+            dim, cur = dim - 1, base
+        return dim, cur, mat
+
+    @staticmethod
+    def _form_coords(form, index, sign, row_acc, col):
+        for key, c in form.terms.items():
+            r = index.get(key)
+            if r is None:
+                raise StructureError("form leaves the truncated basis")
+            row_acc.setdefault(r, {})
+            row_acc[r][col] = row_acc[r].get(col, Fraction(0)) + sign * c
+
+    def kernel(self, p):
+        if p in self._kernel:
+            return self._kernel[p]
+        cols, col_index = self.columns(p)
+        rows = []
+        for (n, s) in self.simplex_list:
+            if n == 0:
+                continue
+            basis_here, _ = self.local_basis(n, p)
+            for i in range(n + 1):
+                face_basis, face_index = self.local_basis(n - 1, p)
+                if not face_basis:
+                    continue
+                acc = {}
+                for k, (exps, idx) in enumerate(basis_here):
+                    unit = PolyForm(n, p, [((exps, idx), Fraction(1))])
+                    restricted = unit.pullback(coface_matrix(n, i))
+                    self._form_coords(restricted, face_index, Fraction(1), acc, col_index[(n, s, k)])
+                f = self.x.d(n, i, s)
+                if self.x.is_degenerate(n - 1, f):
+                    bdim, base, mat = self._collapse_chain(n - 1, f)
+                    base_basis, _ = self.local_basis(bdim, p)
+                    for k, (exps, idx) in enumerate(base_basis):
+                        unit = PolyForm(bdim, p, [((exps, idx), Fraction(1))])
+                        pulled = unit.pullback(mat)
+                        self._form_coords(pulled, face_index, Fraction(-1), acc, col_index[(bdim, base, k)])
+                else:
+                    for k in range(len(face_basis)):
+                        c = col_index[(n - 1, f, k)]
+                        acc.setdefault(k, {})
+                        acc[k][c] = acc[k].get(c, Fraction(0)) - 1
+                for r in sorted(acc):
+                    rows.append({c: v for c, v in acc[r].items() if v})
+        basis = nullspace(Matrix.sparse(rows, len(cols)))
+        self._kernel[p] = (basis, [max(row) for row in basis.rows])
+        return self._kernel[p]
+
+    def dim(self, p):
+        return self.kernel(p)[0].nrows
+
+    def forms_from_vector(self, p, vec):
+        cols, _ = self.columns(p)
+        forms = {}
+        for c in sorted(vec):
+            n, s, k = cols[c]
+            term = PolyForm(n, p, [(self.local_basis(n, p)[0][k], vec[c])])
+            forms[(n, s)] = forms.get((n, s), PolyForm.zero(n, p)) + term
+        return forms
+
+    def apply_d(self, p, vec):
+        cols, _ = self.columns(p)
+        _, target_index = self.columns(p + 1)
+        res = {}
+        for c, value in vec.items():
+            n, s, k = cols[c]
+            dform = PolyForm(n, p, [(self.local_basis(n, p)[0][k], Fraction(1))]).d()
+            t_index = self.local_basis(n, p + 1)[1]
+            for key, coeff in dform.terms.items():
+                t = target_index[(n, s, t_index[key])]
+                res[t] = res.get(t, 0) + value * coeff
+        return {t: v for t, v in res.items() if v}
+
+    def d_matrix(self, p):
+        if p not in self._dmat:
+            basis, pivots = self.kernel(p + 1)
+            coords = []
+            for vec in self.kernel(p)[0].rows:
+                coeffs, rest = coordinates(self.apply_d(p, vec), basis, pivots)
+                if rest:
+                    raise StructureError("vector outside the compatible subspace")
+                coords.append(coeffs)
+            self._dmat[p] = Matrix.from_columns(coords, self.dim(p + 1))
+        return self._dmat[p]
+
+    def cohomology_reps(self, p):
+        z_rows = nullspace(self.d_matrix(p))
+        b_rows = Matrix.zeros(0, self.dim(0)) if p == 0 else self.d_matrix(p - 1).transpose()
+        return quotient_reps(z_rows, b_rows)
+
+    def rep_to_ambient(self, p, rep):
+        vec = {}
+        for coef, base in zip(rep, self.kernel(p)[0].rows):
+            if coef:
+                for c, v in base.items():
+                    vec[c] = vec.get(c, 0) + coef * v
+        return {c: v for c, v in vec.items() if v}
+
+    def embed_ambient(self, p, vec, finer):
+        cols, _ = self.columns(p)
+        _, fine_index = finer.columns(p)
+        out = {}
+        for c, value in vec.items():
+            n, s, k = cols[c]
+            fk = finer.local_basis(n, p)[1][self.local_basis(n, p)[0][k]]
+            out[fine_index[(n, s, fk)]] = value
+        return out
+
+
+def _reference_survivor_rank(coarse, fine, p, reps):
+    if not reps:
+        return 0
+    width = len(fine.columns(p)[0])
+    ambient = Matrix.sparse(
+        [coarse.embed_ambient(p, coarse.rep_to_ambient(p, r), fine) for r in reps], width
+    )
+    if p == 0:
+        exact = Matrix.zeros(0, width)
+    else:
+        exact = Matrix.sparse([fine.apply_d(p - 1, k) for k in fine.kernel(p - 1)[0].rows], width)
+    return len(quotient_reps(ambient, exact))
+
+
+def derham_reference(x, degree_cap):
+    """DeRhamReport from stages D, D+1 and D+2 built independently: raw
+    classes of stage D, their survivors in stage D+1 as ambient vectors
+    modulo the exact forms there, and the same one stage up."""
+    if degree_cap < 1:
+        raise ParameterError("degree cap must be >= 1")
+    spaces = CochainSpaces(x)
+    stage = {d: _ReferenceTruncation(x, d) for d in (degree_cap, degree_cap + 1, degree_cap + 2)}
+    coarse = stage[degree_cap]
+    dims, raw, betti, ranks, iso, stable = [], [], [], [], [], []
+    for p in x.dims():
+        dims.append(coarse.dim(p))
+        reps = coarse.cohomology_reps(p)
+        raw.append(len(reps))
+        surv = _reference_survivor_rank(coarse, stage[degree_cap + 1], p, reps)
+        betti.append(surv)
+        cols = []
+        for rep in reps:
+            forms = coarse.forms_from_vector(p, coarse.rep_to_ambient(p, rep))
+            values = tuple(
+                forms.get((p, s), PolyForm.zero(p, p)).integrate() for s in spaces.basis[p]
+            )
+            cols.append(spaces.express(p, values))
+        r = rank(Matrix.from_columns(cols, spaces.betti(p)))
+        ranks.append(r)
+        iso.append(r == surv == spaces.betti(p))
+        next_reps = stage[degree_cap + 1].cohomology_reps(p)
+        stable.append(
+            _reference_survivor_rank(stage[degree_cap + 1], stage[degree_cap + 2], p, next_reps) == surv
+        )
+    return DeRhamReport(
+        degree_cap, tuple(dims), tuple(raw), tuple(betti),
+        tuple(spaces.betti(p) for p in x.dims()), tuple(ranks), tuple(iso), tuple(stable),
+    )

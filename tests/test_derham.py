@@ -1,10 +1,25 @@
 """Truncated de Rham cohomology and the comparison isomorphism."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import fixture_text
+from oracles import derham_reference
+from ssetkit import derham
 from ssetkit.derham import derham_cohomology
 from ssetkit.errors import ParameterError
-from ssetkit.simplicial import sphere_quotient, standard_delta
+from ssetkit.forms import PolyForm, coface_matrix, collapse_matrix
+from ssetkit.io_text import parse_complex
+from ssetkit.simplicial import (
+    cyclic_table,
+    nerve,
+    simplicial_complex,
+    sphere_quotient,
+    standard_delta,
+)
 
 
 def test_point_any_degree():
@@ -36,3 +51,165 @@ def test_sphere_model():
 def test_degree_cap_validation():
     with pytest.raises(ParameterError):
         derham_cohomology(standard_delta(1), 0)
+
+
+def test_doubly_degenerate_faces():
+    # Every 2-face of the 3-simplex of S^3 = Delta^3 / bd is the doubly
+    # degenerate 2-simplex on the point, so the collapse runs through a
+    # two-letter degeneracy word.
+    r = derham_cohomology(sphere_quotient(3), 2)
+    assert r.betti == r.simplicial_betti == r.comparison_rank == (1, 0, 0, 1)
+    assert all(r.isomorphism) and all(r.stable)
+
+
+def test_nerve_of_z2_golden():
+    """de Rham's theorem for BG on the nerve model N(Z/2), cap 3."""
+    r = derham_cohomology(nerve(cyclic_table(2), 3), 2)
+    assert r.dims == (2, 6, 12, 10)
+    assert r.raw_betti == (1, 2, 6, 7)
+    assert r.betti == r.simplicial_betti == r.comparison_rank == (1, 0, 0, 1)
+    assert all(r.isomorphism) and all(r.stable)
+
+
+def test_second_call_reuses_the_tables(monkeypatch):
+    x = nerve(cyclic_table(2), 3)
+    first = derham_cohomology(x, 2)
+    calls = {"pullback": 0, "table": 0, "truncation": 0}
+    pullback, table, init = PolyForm.pullback, derham._pullback_rows, derham._Truncation.__init__
+
+    def counting_pullback(self, matrix):
+        calls["pullback"] += 1
+        return pullback(self, matrix)
+
+    def counting_table(*args):
+        calls["table"] += 1
+        return table(*args)
+
+    def counting_init(self, *args):
+        calls["truncation"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PolyForm, "pullback", counting_pullback)
+    monkeypatch.setattr(derham, "_pullback_rows", counting_table)
+    monkeypatch.setattr(derham._Truncation, "__init__", counting_init)
+    assert derham_cohomology(nerve(cyclic_table(2), 3), 2) == first
+    assert calls == {"pullback": 0, "table": 0, "truncation": 1}
+
+
+# -- differential tests against the three-stage reference -----------------------
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def small_complexes(draw):
+    """Random graphs and 2-complexes on at most five vertices, with a cap
+    above their dimension half the time."""
+    top = draw(st.integers(1, 2))
+    vertices = draw(st.integers(top + 1, 5))
+    candidates = list(itertools.combinations(range(vertices), top + 1))
+    facets = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+    facets += [(v,) for v in range(vertices)]
+    return simplicial_complex(facets, top + draw(st.integers(0, 1)))
+
+
+@SETTINGS
+@given(small_complexes(), st.integers(1, 3))
+def test_report_matches_three_stage_reference(x, degree_cap):
+    assert derham_cohomology(x, degree_cap) == derham_reference(x, degree_cap)
+
+
+@pytest.mark.parametrize("name", ["circle2", "sphere2", "torus", "nerve_z2", "rp2"])
+def test_fixture_reports_match_reference(name):
+    x = parse_complex(fixture_text(name + ".sset"))
+    assert derham_cohomology(x, 1) == derham_reference(x, 1)
+
+
+def _unit(n, p, key):
+    return PolyForm(n, p, [(key, 1)])
+
+
+def _table_entries(rows):
+    """{(row, column): coefficient} of int table rows."""
+    out = {}
+    for r, row in enumerate(rows):
+        for k, c in row.items():
+            assert type(c) is int and c
+            out[(r, k)] = c
+    return out
+
+
+def _pulled_entries(images, source_basis, target_index):
+    """{(target index, source index): coefficient} of the images of a basis."""
+    return {
+        (target_index[key], k): c
+        for k, b in enumerate(source_basis)
+        for key, c in images[b].terms.items()
+    }
+
+
+def _words(base_dim, length):
+    """Every degeneracy word of a given length down to base_dim: the t-th
+    letter is a witness index of a simplex of dimension base_dim + length - t + 1."""
+    if length == 0:
+        return [()]
+    return [(j,) + rest for j in range(base_dim + length) for rest in _words(base_dim, length - 1)]
+
+
+TABLE_CAPS = (1, 2, 3, 4)
+
+
+def test_face_tables_match_pullback():
+    for n in range(1, 5):
+        for p in range(n + 1):
+            for i in range(n + 1):
+                # A pullback does not depend on the cap: compute each once.
+                images = {b: _unit(n, p, b).pullback(coface_matrix(n, i))
+                          for b in derham._local_basis(n, p, max(TABLE_CAPS))[0]}
+                for cap in TABLE_CAPS:
+                    expected = _pulled_entries(images, derham._local_basis(n, p, cap)[0],
+                                               derham._local_basis(n - 1, p, cap)[1])
+                    assert _table_entries(derham._face_rows(n, p, i, cap)) == expected
+
+
+def test_collapse_tables_match_stepwise_pullback():
+    for base_dim in range(4):
+        for length in range(1, 5 - base_dim):
+            top = base_dim + length
+            for p in range(base_dim + 1):
+                for word in _words(base_dim, length):
+                    images = {}
+                    for b in derham._local_basis(base_dim, p, max(TABLE_CAPS))[0]:
+                        # Pull back one collapse at a time, from the base up.
+                        form = _unit(base_dim, p, b)
+                        for t in range(length - 1, -1, -1):
+                            form = form.pullback(collapse_matrix(top - t - 1, word[t]))
+                        images[b] = form
+                    for cap in TABLE_CAPS:
+                        expected = _pulled_entries(images, derham._local_basis(base_dim, p, cap)[0],
+                                                   derham._local_basis(top, p, cap)[1])
+                        rows = derham._collapse_rows(base_dim, p, word, cap)
+                        assert _table_entries(rows) == expected
+
+
+def test_d_tables_match_exterior_derivative():
+    for cap in TABLE_CAPS:
+        for n in range(5):
+            for p in range(n + 1):
+                basis, _ = derham._local_basis(n, p, cap)
+                _, target_index = derham._local_basis(n, p + 1, cap)
+                expected = {
+                    (k, target_index[key]): c
+                    for k, b in enumerate(basis)
+                    for key, c in _unit(n, p, b).d().terms.items()
+                }
+                assert _table_entries(derham._d_rows(n, p, cap)) == expected
+
+
+def test_lower_cap_bases_are_prefixes():
+    for n in range(4):
+        for p in range(n + 1):
+            top, _ = derham._local_basis(n, p, 4)
+            for cap in range(4):
+                low, _ = derham._local_basis(n, p, cap)
+                assert top[: len(low)] == low

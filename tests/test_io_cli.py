@@ -12,6 +12,7 @@ from ssetkit.forms import PolyForm, QTau
 from ssetkit.io_text import (
     parse_complex,
     parse_cover,
+    parse_extend,
     parse_form,
     parse_map,
     parse_matrix_triples,
@@ -118,6 +119,70 @@ def test_malformed_smap_dimension_names_its_line():
     line = text.splitlines().index("0 : (0) > (0)") + 1
     with pytest.raises(StructureError, match="^line %d: " % line):
         parse_map(text.replace("0 : (0) > (0)", "(0) : (0) > (0)"))
+
+
+@pytest.mark.parametrize("section", ["source", "target"])
+def test_smap_section_errors_count_file_lines(section):
+    lines = fixture_text("proj_d1_nz2.smap").splitlines()
+    line = lines.index("dim 0", lines.index(section)) + 1
+    lines[line - 1] = "dim faces"
+    with pytest.raises(StructureError, match="^line %d: expected an integer in 'dim faces'" % line):
+        parse_map("\n".join(lines) + "\n")
+
+
+def test_smap_repeated_section_header_names_its_line():
+    lines = fixture_text("incl_bd2.smap").splitlines()
+    line = lines.index("target") + 1
+    lines.insert(line, "target")
+    with pytest.raises(StructureError, match="^line %d: repeated section header" % (line + 1)):
+        parse_map("\n".join(lines) + "\n")
+
+
+# Short rows, non-integer tokens and bad scalars in the .u1 and .ext readers
+# and in the forms they carry: (command, text, line of the error).
+MALFORMED_ROWS = {
+    "u1 short triangle": ("chern", "u1 1\ntriangle 012\n", 2),
+    "u1 orientation": ("chern", "u1 1\ntriangle 012 or x\n", 2),
+    "u1 short glue": ("chern", "u1 1\ntriangle 012 or 1\nglue 012 0 123\n", 3),
+    "u1 glue flag": ("chern", "u1 1\nglue 012 0 123 2 flip no wind 0 : form 1 0 : \n", 2),
+    "u1 scalar": ("chern", "u1 1\nA 012 : form 2 1 : 1/0 | 0 0 | 1\n", 2),
+    "u1 form head": ("chern", "u1 1\n\nA 012 : form 2 : \n", 3),
+    "ext n": ("extend", "extend 1\nn x\n", 2),
+    "ext short face": ("extend", "extend 1\nn 2\nface 1 entry 0 : form 1 0 : \n", 3),
+    "ext term": ("extend", "extend 1\nn 2\nface 1 entry 0 0 : form 1 0 : 1 | 1\n", 3),
+    "ext exponent": ("extend", "extend 1\nn 2\nface 1 entry 0 0 : form 1 0 : 1 | a | \n", 3),
+    "ext tau": ("extend", "extend 1\nn 2\nface 1 entry 0 0 : form 1 0 : 1*tau | 0 | \n", 3),
+    "ext algebra": ("extend", "extend 1\nn 2\nalgebra so3\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_rows_name_their_line(case, tmp_path):
+    command, text, line = MALFORMED_ROWS[case]
+    parse = parse_u1 if command == "chern" else parse_extend
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse(text)
+    path = tmp_path / ("malformed." + ("u1" if command == "chern" else "ext"))
+    path.write_text(text)
+    code, out = run_cli(command, str(path))
+    assert code == 2
+    assert "status error" in out
+
+
+def test_form_errors_name_the_given_line():
+    with pytest.raises(StructureError, match="^line 1: "):
+        parse_form("form 1")
+    with pytest.raises(StructureError, match="^line 7: "):
+        parse_form("form 1 0 : 1/0 | 0 | ", 7)
+
+
+def test_extend_faces_of_different_degrees_are_rejected(tmp_path):
+    path = tmp_path / "degrees.ext"
+    path.write_text("extend 1\nn 2\nface 1 entry 0 0 : form 1 0 : 1 | 1 | \n"
+                    "face 2 entry 0 0 : form 1 1 : \n")
+    code, out = run_cli("extend", str(path))
+    assert code == 2
+    assert "wrong degree" in out
 
 
 def test_cover_round_trip():
