@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompatibilityError, DomainError, ParameterError, StructureError
-from .forms import (
-    PolyForm,
-    QTau,
-    TAU,
-    coface_matrix,
-    compose_matrices,
-    vertex_permutation_matrix,
-)
+from .forms import PolyForm, QTau, TAU
 from .linalg import Matrix, solve
 
 
@@ -210,9 +203,10 @@ class LieValuedForm:
             acc = acc + self.entries[i][i]
         return acc
 
-    def pullback(self, matrix):
-        m = len(matrix[0]) - 1
-        return self.entrywise(lambda f: f.pullback(matrix), n=m)
+    def pullback(self, phi):
+        """Entrywise PolyForm.pullback along the vertex map phi."""
+        phi = tuple(phi)
+        return self.entrywise(lambda f: f.pullback(phi), n=len(phi) - 1)
 
     def in_algebra(self):
         """Do all monomial coefficient matrices lie in the algebra's span?"""
@@ -372,12 +366,6 @@ def face_extend(n, data):
     return result
 
 
-def _transpose(matrix):
-    rows = len(matrix)
-    cols = len(matrix[0])
-    return tuple(tuple(matrix[i][j] for i in range(rows)) for j in range(cols))
-
-
 def horn_connection_fill(n, k, data):
     """Fill a horn of connection data: forms on the faces d_i, i != k, of the
     n-simplex, compatible on intersections, extended to the whole simplex.
@@ -396,26 +384,24 @@ def horn_connection_fill(n, k, data):
     else:
         perm = list(range(n + 1))
         perm[0], perm[k] = perm[k], perm[0]
-        p_mat = vertex_permutation_matrix(n, perm)
         moved = {}
         for i in expected:
+            # perm maps face i onto face j, vertex v to perm[v]. data[i]
+            # moves to face j by pulling back along the inverse bijection,
+            # which (perm being an involution) sends vertex v of face j to
+            # the position of perm[v] in face i.
             j = perm[i]
-            pm = compose_matrices(p_mat, coface_matrix(n, i))
-            q_rows = tuple(row for r, row in enumerate(pm) if r != j)
-            q_inv = _transpose(q_rows)
-            moved[j] = data[i].pullback(q_inv)
-        filler = face_extend(n, moved).pullback(p_mat)
+            face_i = [v for v in range(n + 1) if v != i]
+            moved[j] = data[i].pullback(face_i.index(perm[v]) for v in range(n + 1) if v != j)
+        filler = face_extend(n, moved).pullback(perm)
     for i in expected:
-        restricted = filler.pullback(coface_matrix(n, i))
+        restricted = filler.pullback(v for v in range(n + 1) if v != i)
         if restricted != data[i]:
             raise StructureError("filler fails to restrict to face %d" % i)
     return filler
 
 
 # -- abelian Chern numbers -----------------------------------------------------
-
-
-_REVERSAL = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
 
 
 @dataclass
@@ -494,10 +480,10 @@ def check_u1_invariants(bundle):
     Returns the witness edge on failure, None when all edges match."""
     for g in bundle.gluings:
         (tp, ip), (tm, im) = g.plus, g.minus
-        pb_plus = bundle.forms[tp].pullback(coface_matrix(2, ip))
-        pb_minus = bundle.forms[tm].pullback(coface_matrix(2, im))
+        pb_plus = bundle.forms[tp].pullback(v for v in range(3) if v != ip)
+        pb_minus = bundle.forms[tm].pullback(v for v in range(3) if v != im)
         if g.flip:
-            pb_minus = pb_minus.pullback(_REVERSAL)
+            pb_minus = pb_minus.pullback((1, 0))
         if pb_plus - pb_minus != _edge_jump_form(g):
             return g
     return None

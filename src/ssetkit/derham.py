@@ -30,12 +30,11 @@ column prefix is its width minus the free columns in it.
 The local operators are pure functions of their shape: restriction to face
 i of the monomial basis on Delta^n, pullback along the collapse map of a
 degeneracy word, and the exterior derivative. Face and collapse maps are
-simplicial, so each pulls the barycentric coordinate t_k back to the sum of
-the source coordinates over the vertices sent to k: the substitution of
-forms.PolyForm.pullback with 0/1 entries, carried out here on int
-coefficients. Each operator is tabulated once per process, as sparse rows
-of ints, and the face constraints and the derivative are assembled from the
-tables block by block.
+simplicial, so their tables come from the int substitution kernel of
+forms.PolyForm.pullback, called once per basis element on the vertex map.
+Each operator is tabulated once per process, as sparse rows of ints, and
+the face constraints and the derivative are assembled from the tables
+block by block.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ParameterError, StructureError
+from .forms import _pull_monomial
 from .homology import CochainSpaces
 from .linalg import Matrix, nullspace, rank
 
@@ -67,64 +67,19 @@ def _local_basis(m, p, degree_cap):
     return tuple(basis), {b: k for k, b in enumerate(basis)}
 
 
-def _times_affine(poly, const, lin):
-    """A polynomial (dict exponents -> int) times const + sum of c * s_j over (j, c) in lin."""
-    out = {}
-    for exps, c in poly.items():
-        if const:
-            out[exps] = out.get(exps, 0) + c * const
-        for j, l in lin:
-            e2 = exps[: j - 1] + (exps[j - 1] + 1,) + exps[j:]
-            out[e2] = out.get(e2, 0) + c * l
-    return {e: c for e, c in out.items() if c}
-
-
-def _wedge_after(wedge, lin):
-    """A wedge polynomial (dict sorted indices -> int) wedged on the right
-    with the 1-form sum of c * ds_j over (j, c) in lin."""
-    out = {}
-    for idx, c in wedge.items():
-        for j, l in lin:
-            if j in idx:
-                continue
-            sign = -1 if sum(1 for i in idx if i > j) % 2 else 1
-            key = tuple(sorted(idx + (j,)))
-            out[key] = out.get(key, 0) + c * l * sign
-    return {k: c for k, c in out.items() if c}
-
-
 def _pullback_rows(n, p, phi, degree_cap):
     """Pullback of the basis of degree-p forms on Delta^n along the simplicial
     map from Delta^m with vertex map phi (m = len(phi) - 1), as int rows: row
     r, a basis element on Delta^m, maps each basis index on Delta^n to its
-    coefficient.
-
-    t_k pulls back to the sum of s_j over phi(j) = k; with s_0 eliminated
-    that is const_k + sum of lin_k[j] s_j, const_k = [phi(0) = k] and
-    lin_k[j] = [phi(j) = k] - const_k, and dt_k to the sum of lin_k[j] ds_j.
-    """
-    m = len(phi) - 1
-    affine = []
-    for k in range(1, n + 1):
-        const = int(phi[0] == k)
-        lin = [(j, int(phi[j] == k) - const) for j in range(1, m + 1) if int(phi[j] == k) != const]
-        affine.append((const, lin))
-    _, index = _local_basis(m, p, degree_cap)
+    coefficient."""
+    _, index = _local_basis(len(phi) - 1, p, degree_cap)
     rows = [{} for _ in index]
     for col, (exps, idx) in enumerate(_local_basis(n, p, degree_cap)[0]):
-        poly = {(0,) * m: 1}
-        for (const, lin), a in zip(affine, exps):
-            for _ in range(a):
-                poly = _times_affine(poly, const, lin)
-        wedge = {(): 1}
-        for i in idx:
-            wedge = _wedge_after(wedge, affine[i - 1][1])
-        for pexps, pc in poly.items():
-            for widx, wc in wedge.items():
-                r = index.get((pexps, widx))
-                if r is None:
-                    raise StructureError("form leaves the truncated basis")
-                rows[r][col] = pc * wc
+        for key, c in _pull_monomial(exps, idx, phi).items():
+            r = index.get(key)
+            if r is None:
+                raise StructureError("form leaves the truncated basis")
+            rows[r][col] = c
     return tuple(rows)
 
 
@@ -132,7 +87,7 @@ def _pullback_rows(n, p, phi, degree_cap):
 def _face_rows(n, p, i, degree_cap):
     """Restriction to face i: row r (a basis element on Delta^{n-1}) maps each
     basis index on Delta^n to its coefficient."""
-    return _pullback_rows(n, p, [j if j < i else j + 1 for j in range(n)], degree_cap)
+    return _pullback_rows(n, p, tuple(v for v in range(n + 1) if v != i), degree_cap)
 
 
 @lru_cache(maxsize=None)

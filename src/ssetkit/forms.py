@@ -8,6 +8,14 @@ eliminates t_0 and dt_0 through
 leaving rational-coefficient polynomials in t_1..t_n against strictly
 increasing wedge monomials dt_{i_1} ^ ... ^ dt_{i_p}.
 
+Pullback goes along simplicial maps Delta^m -> Delta^n, the face and
+degeneracy maps and their composites, given by their vertex maps: a tuple
+phi of length m+1 with phi[j] in 0..n the image of vertex j. Such a map
+sends t_k to the sum of the source coordinates over the vertices sent to k,
+so each monomial form pulls back to int coefficients. One private kernel
+computes them, one monomial at a time; PolyForm.pullback scales them by its
+coefficients and ssetkit.derham tabulates them on its local bases.
+
 Integration over the simplex is exact through the monomial rule
 
     int_{Delta^n} t_1^{a_1} ... t_n^{a_n} dt_1 ... dt_n
@@ -307,59 +315,66 @@ class PolyForm:
             out[idx] = out.get(idx, 0) + v
         return out
 
-    def pullback(self, matrix):
-        """Pullback along an affine-barycentric map given as a column-stochastic
-        matrix with nonnegative rational entries: rows index target barycentric
-        coordinates, columns source ones."""
-        rows = [tuple(Fraction(v) for v in r) for r in matrix]
-        if len(rows) != self.n + 1:
-            raise ParameterError("matrix must have n+1 rows for the target coordinates")
-        width = {len(r) for r in rows}
-        if len(width) != 1:
-            raise ParameterError("ragged matrix")
-        m = width.pop() - 1
-        for j in range(m + 1):
-            col = [rows[i][j] for i in range(self.n + 1)]
-            if sum(col) != 1:
-                raise ParameterError("column %d of the substitution does not sum to 1" % j)
-            if any(v < 0 for v in col):
-                raise ParameterError("column %d has a negative entry" % j)
-        # canonical substitution data on the source: t_i = const_i + sum lin_i[j] s_j
-        const = [rows[i][0] for i in range(1, self.n + 1)]
-        lin = [
-            [rows[i][j] - rows[i][0] for j in range(1, m + 1)]
-            for i in range(1, self.n + 1)
-        ]
+    def pullback(self, phi):
+        """Pullback along the simplicial map Delta^m -> Delta^n with vertex map
+        phi: a tuple of length m+1 whose entry j, an int in 0..n, is the image
+        of vertex j. Pulling back along phi and then psi is pulling back along
+        their composite, tuple(phi[v] for v in psi)."""
+        phi = tuple(phi)
+        if not phi or any(type(v) is not int or not 0 <= v <= self.n for v in phi):
+            raise ParameterError("a vertex map needs at least one entry, each an int in 0..%d" % self.n)
         out = []
         for (exps, idx), coeff in self.terms.items():
-            poly = {(0,) * m: Fraction(1)}
-            for i in range(1, self.n + 1):
-                for _ in range(exps[i - 1]):
-                    poly = _poly_mul_affine(poly, const[i - 1], lin[i - 1], m)
-            wedge_terms = {(): Fraction(1)}
-            dead = False
-            for i in idx:
-                new = {}
-                for prev_idx, c in wedge_terms.items():
-                    for j in range(1, m + 1):
-                        lv = lin[i - 1][j - 1]
-                        if lv == 0 or j in prev_idx:
-                            continue
-                        norm = _sorted_with_sign(prev_idx + (j,))
-                        if norm is None:
-                            continue
-                        sign, srt = norm
-                        new[srt] = new.get(srt, _ZERO) + c * lv * sign
-                wedge_terms = {k: v for k, v in new.items() if v != 0}
-                if not wedge_terms:
-                    dead = True
-                    break
-            if dead:
-                continue
-            for pexps, pc in poly.items():
-                for widx, wc in wedge_terms.items():
-                    out.append(((pexps, widx), coeff * (pc * wc)))
-        return PolyForm(m, self.p, out)
+            for key, c in _pull_monomial(exps, idx, phi).items():
+                out.append((key, coeff * c))
+        return PolyForm(len(phi) - 1, self.p, out)
+
+
+def _pull_monomial(exps, idx, phi):
+    """Int coefficients, over the monomial forms of Delta^m (m = len(phi) - 1),
+    of the pullback of the monomial form t^exps dt_idx on Delta^n along the
+    simplicial map with vertex map phi (entries unchecked).
+
+    t_k pulls back to the sum of s_j over phi(j) = k; with s_0 eliminated
+    that is const_k + sum of lin_k[j] s_j, const_k = [phi(0) = k] and
+    lin_k[j] = [phi(j) = k] - const_k, and dt_k to the sum of lin_k[j] ds_j.
+    """
+    m = len(phi) - 1
+
+    def affine(k):
+        const = int(phi[0] == k)
+        return const, [(j, int(phi[j] == k) - const) for j in range(1, m + 1) if (phi[j] == k) != const]
+
+    wedge = {(): 1}
+    for k in idx:
+        _, lin = affine(k)
+        out = {}
+        for w, c in wedge.items():
+            for j, l in lin:
+                if j in w:
+                    continue
+                # ds_j joins on the right, past the indices above it.
+                sign = -1 if sum(1 for i in w if i > j) % 2 else 1
+                key = tuple(sorted(w + (j,)))
+                out[key] = out.get(key, 0) + c * l * sign
+        wedge = {w: c for w, c in out.items() if c}
+        if not wedge:
+            return {}
+    poly = {(0,) * m: 1}
+    for k, a in enumerate(exps, 1):
+        if not a:
+            continue
+        const, lin = affine(k)
+        for _ in range(a):
+            out = {}
+            for e, c in poly.items():
+                if const:
+                    out[e] = out.get(e, 0) + c * const
+                for j, l in lin:
+                    e2 = e[: j - 1] + (e[j - 1] + 1,) + e[j:]
+                    out[e2] = out.get(e2, 0) + c * l
+            poly = {e: c for e, c in out.items() if c}
+    return {(e, w): pc * wc for e, pc in poly.items() for w, wc in wedge.items()}
 
 
 def _expand_t0(exps, n):
@@ -384,72 +399,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _poly_mul_affine(poly, const, lin, m):
-    """Multiply a polynomial dict by (const + sum lin[j] s_j)."""
-    out = {}
-    for exps, c in poly.items():
-        if const != 0:
-            out[exps] = out.get(exps, _ZERO) + c * const
-        for j in range(m):
-            if lin[j] == 0:
-                continue
-            e2 = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-            out[e2] = out.get(e2, _ZERO) + c * lin[j]
-    return {k: v for k, v in out.items() if v != 0}
-
-
-# -- barycentric maps ----------------------------------------------------
-
-
-def coface_matrix(n, i):
-    """Matrix of the face embedding delta_i : Delta^{n-1} -> Delta^n."""
-    if not 0 <= i <= n or n < 1:
-        raise ParameterError("coface index out of range")
-    rows = [[Fraction(0)] * n for _ in range(n + 1)]
-    for j in range(n):
-        target = j if j < i else j + 1
-        rows[target][j] = Fraction(1)
-    return tuple(tuple(r) for r in rows)
-
-
-def collapse_matrix(n, j):
-    """Matrix of the collapse sigma_j : Delta^{n+1} -> Delta^n merging t_j, t_{j+1}."""
-    if not 0 <= j <= n:
-        raise ParameterError("collapse index out of range")
-    rows = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
-    for k in range(n + 2):
-        target = k if k <= j else k - 1
-        rows[target][k] = Fraction(1)
-    return tuple(tuple(r) for r in rows)
-
-
-def vertex_permutation_matrix(n, perm):
-    """Barycentric matrix of the affine map permuting the vertices of Delta^n."""
-    if sorted(perm) != list(range(n + 1)):
-        raise ParameterError("not a permutation of 0..n")
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for src, dst in enumerate(perm):
-        rows[dst][src] = Fraction(1)
-    return tuple(tuple(r) for r in rows)
-
-
-def compose_matrices(outer, inner):
-    """Matrix of outer composed after inner, both column-stochastic."""
-    rows_o = [list(r) for r in outer]
-    rows_i = [list(r) for r in inner]
-    cols_i = len(rows_i[0])
-    mid = len(rows_i)
-    if len(rows_o[0]) != mid:
-        raise ParameterError("shape mismatch in composition")
-    return tuple(
-        tuple(
-            sum((rows_o[t][k] * rows_i[k][s] for k in range(mid)), Fraction(0))
-            for s in range(cols_i)
-        )
-        for t in range(len(rows_o))
-    )
 
 
 # -- cochains --------------------------------------------------------------
@@ -534,7 +483,8 @@ class FormField:
         if not self.x.is_degenerate(n, s):
             return self.forms[(n, s)]
         j, base = self.x.witness[(n, s)]
-        return self.form_on(n - 1, base).pullback(collapse_matrix(n - 1, j))
+        # The collapse onto the base merges vertices j and j+1.
+        return self.form_on(n - 1, base).pullback(v - (v > j) for v in range(n + 1))
 
     def validate(self):
         """Face-compatibility witnesses: (n, simplex, face index) triples."""
@@ -543,7 +493,7 @@ class FormField:
             for s in self.x.nondegenerate(n):
                 here = self.forms[(n, s)]
                 for i in range(n + 1):
-                    restricted = here.pullback(coface_matrix(n, i))
+                    restricted = here.pullback(v for v in range(n + 1) if v != i)
                     expected = self.form_on(n - 1, self.x.d(n, i, s))
                     if restricted != expected:
                         bad.append((n, s, i))

@@ -81,9 +81,10 @@ def parse_complex(text, first_line=1):
     pos += 1
     if pos >= len(lines) or not lines[pos].startswith("cap "):
         fail("expected 'cap N'", pos)
+    cap_line = pos
     cap = _int_token(lines[pos].split(), 1, pos + first_line)
     pos += 1
-    simplices = {n: [] for n in range(cap + 1)}
+    simplices = {}
     faces = {}
     degs = {}
     rows = {}  # (dim, id) -> line index of its row
@@ -106,7 +107,7 @@ def parse_complex(text, first_line=1):
         sid = fields[0]
         if not sid:
             fail("empty identifier", ln)
-        simplices[current].append(sid)
+        simplices.setdefault(current, []).append(sid)
         rows[(current, sid)] = ln
         for field in fields[1:]:
             if not field:
@@ -124,6 +125,14 @@ def parse_complex(text, first_line=1):
                 degen[(current, sid)] = words[1:]
             else:
                 fail("unknown field %r" % (words[0],), ln)
+    # A simplicial set has a simplex in every dimension up to its cap (the
+    # degeneracies of a vertex), so a gap is refused here, in time linear in
+    # the rows: the tables below take work quadratic in the cap.
+    gap = 0
+    while gap in simplices:
+        gap += 1
+    if gap <= cap:
+        fail("cap %d but no simplex of dimension %d" % (cap, gap), cap_line)
     face_tables = {}
     deg_tables = {}
     known = {n: set(simplices[n]) for n in range(cap + 1)}
@@ -344,9 +353,9 @@ def parse_field(text, x):
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or lines[0] != "field 1":
         raise StructureError("expected header 'field 1'")
-    if not lines[1].startswith("degree "):
-        raise StructureError("expected 'degree p'")
-    degree = int(lines[1].split()[1])
+    if len(lines) < 2 or not lines[1].startswith("degree "):
+        raise StructureError("line 2: expected 'degree p'")
+    degree = _int_token(lines[1].split(), 1, 2)
     forms = {}
     for ln, line in enumerate(lines[2:], start=3):
         if not line or line.startswith("#"):
@@ -355,7 +364,9 @@ def parse_field(text, x):
             raise StructureError("line %d: expected 'on dim id : form ...'" % ln)
         head, _, body = line.partition(":")
         words = head.split()
-        forms[(int(words[1]), words[2])] = parse_form(body, ln)
+        with _row(ln, line):
+            key = (int(words[1]), words[2])
+        forms[key] = parse_form(body, ln)
     return FormField(x, degree, forms)
 
 
@@ -404,8 +415,8 @@ def parse_site_presheaf(text, base):
             mode = "presheaf"
             continue
         words = line.split()
-        if mode == "site":
-            if words[0] == "object":
+        with _row(ln, line):
+            if mode == "site" and words[0] == "object":
                 name = words[1]
                 _, _, body = line.partition("=")
                 sub = {}
@@ -416,14 +427,13 @@ def parse_site_presheaf(text, base):
                     dim_s, _, members = chunk.partition(":")
                     sub[int(dim_s)] = frozenset(members.split())
                 objects[name] = sub
-            elif words[0] == "cover":
+            elif mode == "site" and words[0] == "cover":
                 name = words[1]
                 _, _, body = line.partition("=")
                 covers.setdefault(name, []).append(tuple(body.split()))
-            else:
+            elif mode == "site":
                 raise StructureError("line %d: unknown site row %r" % (ln, words[0]))
-        else:
-            if words[0] == "sections":
+            elif words[0] == "sections":
                 name = words[1]
                 _, _, body = line.partition(":")
                 sections[name] = tuple(body.split())

@@ -138,7 +138,7 @@ class Presheaf:
 
     def __init__(self, site, sections, restrictions):
         self.site = site
-        self.sections = {name: tuple(sections[name]) for name in site.names()}
+        self.sections = {name: tuple(sections[name]) for name in site.names() if name in sections}
         self.res = {}
         for (u, v), table in restrictions.items():
             self.res[(u, v)] = dict(table)

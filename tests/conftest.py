@@ -25,3 +25,8 @@ def swapped_delta2(dim_cap=2):
     f1 = dict(d2.face[(2, 1)])
     f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
     return SimplicialSet(d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg)
+
+
+def face_map(n, i):
+    """Vertex map of the face embedding delta_i : Delta^{n-1} -> Delta^n."""
+    return tuple(v for v in range(n + 1) if v != i)

@@ -9,10 +9,14 @@ The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg. The
 scan_* functions find horns, fillers and lifts by scanning a whole dimension
 of the face tables, the reference for the coface-indexed search in
-ssetkit.kan. derham_reference builds the three truncations of de Rham
-cohomology from scratch, pulling every monomial form back through
-PolyForm.pullback for every face of every simplex; it is the reference for
-the tabulated, degree-filtered single truncation in ssetkit.derham.
+ssetkit.kan. matrix_pullback substitutes an affine-barycentric map given as
+a column-stochastic Fraction matrix into a PolyForm, the reference for the
+vertex-map pullback of ssetkit.forms; coface_matrix, collapse_matrix and
+vertex_map_matrix build the matrices of simplicial maps. derham_reference
+builds the three truncations of de Rham cohomology from scratch, pulling
+every monomial form back through matrix_pullback for every face of every
+simplex; it is the reference for the tabulated, degree-filtered single
+truncation in ssetkit.derham.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from ssetkit.derham import DeRhamReport
 from ssetkit.errors import ParameterError, StructureError
-from ssetkit.forms import PolyForm, coface_matrix, collapse_matrix, compose_matrices
+from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
@@ -273,6 +277,105 @@ def scan_is_fibration(p):
     return FibrationCertificate(cap, True, problems)
 
 
+# -- pullback along affine-barycentric matrices ----------------------------------
+
+
+def _poly_mul_affine(poly, const, lin, m):
+    """Multiply a polynomial dict by (const + sum lin[j] s_j)."""
+    out = {}
+    for exps, c in poly.items():
+        if const != 0:
+            out[exps] = out.get(exps, Fraction(0)) + c * const
+        for j in range(m):
+            if lin[j] == 0:
+                continue
+            e2 = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            out[e2] = out.get(e2, Fraction(0)) + c * lin[j]
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def matrix_pullback(form, matrix):
+    """Pullback of a PolyForm along an affine-barycentric map given as a
+    column-stochastic matrix with nonnegative rational entries: rows index
+    target barycentric coordinates, columns source ones."""
+    rows = [tuple(Fraction(v) for v in r) for r in matrix]
+    if len(rows) != form.n + 1:
+        raise ParameterError("matrix must have n+1 rows for the target coordinates")
+    width = {len(r) for r in rows}
+    if len(width) != 1:
+        raise ParameterError("ragged matrix")
+    m = width.pop() - 1
+    for j in range(m + 1):
+        col = [rows[i][j] for i in range(form.n + 1)]
+        if sum(col) != 1:
+            raise ParameterError("column %d of the substitution does not sum to 1" % j)
+        if any(v < 0 for v in col):
+            raise ParameterError("column %d has a negative entry" % j)
+    # canonical substitution data on the source: t_i = const_i + sum lin_i[j] s_j
+    const = [rows[i][0] for i in range(1, form.n + 1)]
+    lin = [[rows[i][j] - rows[i][0] for j in range(1, m + 1)] for i in range(1, form.n + 1)]
+    out = []
+    for (exps, idx), coeff in form.terms.items():
+        poly = {(0,) * m: Fraction(1)}
+        for i in range(1, form.n + 1):
+            for _ in range(exps[i - 1]):
+                poly = _poly_mul_affine(poly, const[i - 1], lin[i - 1], m)
+        wedge_terms = {(): Fraction(1)}
+        for i in idx:
+            new = {}
+            for prev_idx, c in wedge_terms.items():
+                for j in range(1, m + 1):
+                    lv = lin[i - 1][j - 1]
+                    if lv == 0 or j in prev_idx:
+                        continue
+                    # ds_j joins on the right: one sign flip per index above j
+                    sign = (-1) ** sum(1 for k in prev_idx if k > j)
+                    srt = tuple(sorted(prev_idx + (j,)))
+                    new[srt] = new.get(srt, Fraction(0)) + c * lv * sign
+            wedge_terms = {k: v for k, v in new.items() if v != 0}
+        for pexps, pc in poly.items():
+            for widx, wc in wedge_terms.items():
+                out.append(((pexps, widx), coeff * (pc * wc)))
+    return PolyForm(m, form.p, out)
+
+
+def coface_matrix(n, i):
+    """Matrix of the face embedding delta_i : Delta^{n-1} -> Delta^n."""
+    rows = [[Fraction(0)] * n for _ in range(n + 1)]
+    for j in range(n):
+        rows[j if j < i else j + 1][j] = Fraction(1)
+    return tuple(tuple(r) for r in rows)
+
+
+def collapse_matrix(n, j):
+    """Matrix of the collapse sigma_j : Delta^{n+1} -> Delta^n merging t_j, t_{j+1}."""
+    rows = [[Fraction(0)] * (n + 2) for _ in range(n + 1)]
+    for k in range(n + 2):
+        rows[k if k <= j else k - 1][k] = Fraction(1)
+    return tuple(tuple(r) for r in rows)
+
+
+def vertex_map_matrix(phi, n):
+    """Matrix of the simplicial map into Delta^n sending vertex j to phi[j]."""
+    rows = [[Fraction(0)] * len(phi) for _ in range(n + 1)]
+    for j, v in enumerate(phi):
+        rows[v][j] = Fraction(1)
+    return tuple(tuple(r) for r in rows)
+
+
+def compose_matrices(outer, inner):
+    """Matrix of outer composed after inner."""
+    if len(outer[0]) != len(inner):
+        raise ParameterError("shape mismatch in composition")
+    return tuple(
+        tuple(
+            sum((outer[t][k] * inner[k][s] for k in range(len(inner))), Fraction(0))
+            for s in range(len(inner[0]))
+        )
+        for t in range(len(outer))
+    )
+
+
 # -- de Rham: three truncations built from scratch ------------------------------
 
 
@@ -346,7 +449,7 @@ class _ReferenceTruncation:
                 acc = {}
                 for k, (exps, idx) in enumerate(basis_here):
                     unit = PolyForm(n, p, [((exps, idx), Fraction(1))])
-                    restricted = unit.pullback(coface_matrix(n, i))
+                    restricted = matrix_pullback(unit, coface_matrix(n, i))
                     self._form_coords(restricted, face_index, Fraction(1), acc, col_index[(n, s, k)])
                 f = self.x.d(n, i, s)
                 if self.x.is_degenerate(n - 1, f):
@@ -354,7 +457,7 @@ class _ReferenceTruncation:
                     base_basis, _ = self.local_basis(bdim, p)
                     for k, (exps, idx) in enumerate(base_basis):
                         unit = PolyForm(bdim, p, [((exps, idx), Fraction(1))])
-                        pulled = unit.pullback(mat)
+                        pulled = matrix_pullback(unit, mat)
                         self._form_coords(pulled, face_index, Fraction(-1), acc, col_index[(bdim, base, k)])
                 else:
                     for k in range(len(face_basis)):

@@ -29,7 +29,7 @@ from ssetkit.connections import (
 )
 from ssetkit.derham import derham_cohomology
 from ssetkit.errors import CompatibilityError
-from ssetkit.forms import Cochain, PolyForm, coface_matrix, derham_map, whitney
+from ssetkit.forms import Cochain, PolyForm, derham_map, whitney
 from ssetkit.homology import chain_complex, homology, mayer_vietoris
 from ssetkit.io_text import parse_matrix_triples, serialize_matrix
 from ssetkit.kan import is_fibrant, is_fibration
@@ -56,7 +56,7 @@ from ssetkit.simplicial import (
     standard_delta,
 )
 
-from conftest import fixture_path
+from conftest import face_map, fixture_path
 from oracles import betti_from_matrices, snf_diagonal
 from test_connections import rnd_connection, tetra_bundle
 from test_sheaves import path_site, small_corpus, two_point_site
@@ -197,10 +197,10 @@ def test_criterion_7_connection_extension():
         rng = random.Random(hash((alg_name, n, k)) % 99991)
         alg = abelian_line() if alg_name == "abelian" else sl2()
         base = rnd_connection(rng, alg, n)
-        data = {i: base.pullback(coface_matrix(n, i)) for i in range(n + 1) if i != k}
+        data = {i: base.pullback(face_map(n, i)) for i in range(n + 1) if i != k}
         filled = horn_connection_fill(n, k, data)
         for i in data:
-            assert filled.pullback(coface_matrix(n, i)) == data[i]
+            assert filled.pullback(face_map(n, i)) == data[i]
     with pytest.raises(CompatibilityError) as err:
         face_extend(2, {1: PolyForm.constant(1, 1), 2: PolyForm.constant(1, 0)})
     assert err.value.witness is not None
@@ -210,7 +210,7 @@ def test_criterion_7_connection_extension():
 def test_criterion_8_chern_weil():
     started = time.time()
     rng = random.Random(8)
-    mat = coface_matrix(3, 1)
+    mat = face_map(3, 1)
     for _ in range(20):
         a = rnd_connection(rng, sl2(), 3, poly_degree=1)
         f = curvature(a)

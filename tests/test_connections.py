@@ -14,6 +14,7 @@ from ssetkit.connections import (
     abelian_line,
     bianchi_defect,
     bump_factor,
+    check_u1_invariants,
     chern_weil_form,
     collapse_projection,
     curvature,
@@ -27,9 +28,11 @@ from ssetkit.connections import (
     sl2,
     u1_chern_number,
 )
-from ssetkit.errors import CompatibilityError, DomainError, StructureError
-from ssetkit.forms import PolyForm, TAU, QTau, coface_matrix, elementary_whitney
+from ssetkit.errors import CompatibilityError, DomainError, ParameterError, StructureError
+from ssetkit.forms import PolyForm, TAU, QTau, elementary_whitney
 from ssetkit.randomsuite import random_polyform
+
+from conftest import face_map
 
 
 def rnd_connection(rng, algebra, n, poly_degree=2):
@@ -123,10 +126,10 @@ def test_horn_fill_twelve_case_corpus(alg_name, n, k):
     rng = random.Random(hash((alg_name, n, k)) % 10000)
     alg = abelian_line() if alg_name == "abelian" else sl2()
     base = rnd_connection(rng, alg, n)
-    data = {i: base.pullback(coface_matrix(n, i)) for i in range(n + 1) if i != k}
+    data = {i: base.pullback(face_map(n, i)) for i in range(n + 1) if i != k}
     filled = horn_connection_fill(n, k, data)
     for i in data:
-        assert filled.pullback(coface_matrix(n, i)) == data[i]
+        assert filled.pullback(face_map(n, i)) == data[i]
 
 
 def test_horn_fill_rejects_incompatible():
@@ -136,13 +139,25 @@ def test_horn_fill_rejects_incompatible():
     bad = LieValuedForm(alg, 1, 1, [[PolyForm.from_raw(1, 1, [(7, (0, 3), (1,))])]])
     rng = random.Random(4)
     base = rnd_connection(rng, alg, 2)
-    data = {1: base.pullback(coface_matrix(2, 1)), 2: base.pullback(coface_matrix(2, 2))}
+    data = {1: base.pullback(face_map(2, 1)), 2: base.pullback(face_map(2, 2))}
     # re-fill of consistent data succeeds; corrupting one face may break the corner
     filled = horn_connection_fill(2, 0, data)
-    assert filled.pullback(coface_matrix(2, 1)) == data[1]
+    assert filled.pullback(face_map(2, 1)) == data[1]
     with pytest.raises(CompatibilityError):
         face_extend(2, {1: LieValuedForm(alg, 1, 0, [[PolyForm.constant(1, 1)]]),
                         2: LieValuedForm(alg, 1, 0, [[PolyForm.constant(1, 0)]])})
+
+
+def test_lie_pullback_is_entrywise():
+    a = rnd_connection(random.Random(9), sl2(), 2)
+    phi = (2, 0, 0, 1)
+    pulled = a.pullback(phi)
+    assert (pulled.n, pulled.p) == (3, 1)
+    for row, pulled_row in zip(a.entries, pulled.entries):
+        assert [f.pullback(phi) for f in row] == list(pulled_row)
+    for bad in ((), (0, 3)):
+        with pytest.raises(ParameterError):
+            a.pullback(bad)
 
 
 # -- curvature and Chern-Weil -----------------------------------------------------------
@@ -185,7 +200,7 @@ def test_bianchi_exact_random():
 
 def test_chern_weil_closed_and_natural():
     rng = random.Random(7)
-    mat = coface_matrix(3, 2)
+    mat = face_map(3, 2)
     for _ in range(20):
         a = rnd_connection(rng, sl2(), 3, poly_degree=1)
         f = curvature(a)
@@ -286,6 +301,31 @@ def test_transition_violation_witnessed():
     with pytest.raises(CompatibilityError) as err:
         u1_chern_number(U1BundleData(bundle.triangles, bundle.orientations, bundle.forms, broken))
     assert err.value.witness.plus[0] == "023"
+
+
+def test_flipped_edges_pull_back_reversed():
+    """Triangle 031 runs its edge 31 against the 13 of triangle 123. The
+    exact 1-form d(sum of c_v t_v) agrees across every edge only if the
+    flipped edge is pulled back reversed."""
+    weights = {"0": 1, "1": 3, "2": 7, "3": 15}
+    tris = ["012", "031", "023", "123"]
+    ors = {"012": 1, "031": 1, "023": 1, "123": -1}
+
+    def face_edge(t, i):
+        return "".join(v for j, v in enumerate(t) if j != i)
+
+    sides = {}
+    for t in tris:
+        for i in range(3):
+            sides.setdefault(frozenset(face_edge(t, i)), []).append((t, i))
+    gluings = [EdgeGluing(plus, minus, face_edge(*plus) != face_edge(*minus), PolyForm.zero(1, 0), 0)
+               for plus, minus in sides.values()]
+    forms = {t: sum((PolyForm.coordinate(2, j).scale(weights[v]) for j, v in enumerate(t)),
+                    PolyForm.zero(2, 0)).d() for t in tris}
+    bundle = U1BundleData(tris, ors, forms, gluings)
+    assert sum(g.flip for g in gluings) == 1
+    assert check_u1_invariants(bundle) is None
+    assert u1_chern_number(bundle).degree == 0
 
 
 def test_unglued_face_rejected():

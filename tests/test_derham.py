@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
-from oracles import derham_reference
+from oracles import coface_matrix, collapse_matrix, derham_reference, matrix_pullback
 from ssetkit import derham
 from ssetkit.derham import derham_cohomology
 from ssetkit.errors import ParameterError
-from ssetkit.forms import PolyForm, coface_matrix, collapse_matrix
+from ssetkit.forms import PolyForm
 from ssetkit.io_text import parse_complex
 from ssetkit.simplicial import (
     cyclic_table,
@@ -164,7 +164,7 @@ def test_face_tables_match_pullback():
         for p in range(n + 1):
             for i in range(n + 1):
                 # A pullback does not depend on the cap: compute each once.
-                images = {b: _unit(n, p, b).pullback(coface_matrix(n, i))
+                images = {b: matrix_pullback(_unit(n, p, b), coface_matrix(n, i))
                           for b in derham._local_basis(n, p, max(TABLE_CAPS))[0]}
                 for cap in TABLE_CAPS:
                     expected = _pulled_entries(images, derham._local_basis(n, p, cap)[0],
@@ -183,7 +183,7 @@ def test_collapse_tables_match_stepwise_pullback():
                         # Pull back one collapse at a time, from the base up.
                         form = _unit(base_dim, p, b)
                         for t in range(length - 1, -1, -1):
-                            form = form.pullback(collapse_matrix(top - t - 1, word[t]))
+                            form = matrix_pullback(form, collapse_matrix(top - t - 1, word[t]))
                         images[b] = form
                     for cap in TABLE_CAPS:
                         expected = _pulled_entries(images, derham._local_basis(base_dim, p, cap)[0],

@@ -1,28 +1,35 @@
 """Polynomial forms: canonicalization, calculus, integration, Whitney forms,
 and the integration comparison map."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssetkit.errors import CompatibilityError, ParameterError
 from ssetkit.forms import (
     Cochain,
     FormField,
     PolyForm,
-    coface_matrix,
-    compose_matrices,
+    QTau,
     derham_map,
     elementary_whitney,
-    vertex_permutation_matrix,
     whitney,
 )
 from ssetkit.homology import CochainSpaces, cohomology_ring
 from ssetkit.randomsuite import random_polyform, stokes_suite
 from ssetkit.simplicial import product, sphere_quotient, standard_boundary, standard_delta
 
-from oracles import simplex_monomial_integral_symbolic, triangle_quadrature
+from conftest import face_map
+from oracles import (
+    matrix_pullback,
+    simplex_monomial_integral_symbolic,
+    triangle_quadrature,
+    vertex_map_matrix,
+)
 
 
 def torus():
@@ -115,29 +122,89 @@ def test_leibniz_and_graded_commutativity():
 
 def test_pullback_examples_and_laws():
     # face d_0 of the 2-simplex: t_1 becomes 1 - s_1
-    pb = PolyForm.dcoordinate(2, 1).pullback(coface_matrix(2, 0))
+    pb = PolyForm.dcoordinate(2, 1).pullback(face_map(2, 0))
     assert pb.terms == {((0,), (1,)): Fraction(-1)}
-    ident = vertex_permutation_matrix(2, [0, 1, 2])
     w = random_polyform(random.Random(5), 2, 1)
-    assert w.pullback(ident) == w
+    assert w.pullback((0, 1, 2)) == w
     rng = random.Random(6)
     for _ in range(50):
         n = rng.randint(1, 3)
         p = rng.randint(0, n - 1)
         w = random_polyform(rng, n, p)
         i = rng.randint(0, n)
-        mat = coface_matrix(n, i)
-        assert w.pullback(mat).d() == w.d().pullback(mat)
+        assert w.pullback(face_map(n, i)).d() == w.d().pullback(face_map(n, i))
         if n >= 2:
             j = rng.randint(0, n - 1)
-            inner = coface_matrix(n - 1, j)
-            assert w.pullback(mat).pullback(inner) == w.pullback(compose_matrices(mat, inner))
+            both = tuple(face_map(n, i)[v] for v in face_map(n - 1, j))
+            assert w.pullback(face_map(n, i)).pullback(face_map(n - 1, j)) == w.pullback(both)
 
 
 def test_pullback_rejects_bad_substitution():
-    bad = ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(0)))  # column sums 2, 1
-    with pytest.raises(ParameterError):
-        PolyForm.dcoordinate(1, 1).pullback(bad)
+    form = PolyForm.dcoordinate(1, 1)
+    for bad in ((), (0, 2), (-1, 0), (Fraction(1), 0), (1.0, 0), (True, 0), ("0", 1), (None,)):
+        with pytest.raises(ParameterError):
+            form.pullback(bad)
+
+
+# -- the vertex-map pullback against the matrix oracle ------------------------------
+
+PULLBACK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def vertex_maps(draw, n, m=None):
+    """Vertex maps Delta^m -> Delta^n: arbitrary (repeats, any order),
+    constant, or a permutation when m = n."""
+    m = draw(st.integers(0, 3)) if m is None else m
+    kind = draw(st.sampled_from(("any", "constant", "permutation")))
+    if kind == "constant":
+        return (draw(st.integers(0, n)),) * (m + 1)
+    if kind == "permutation" and m == n:
+        return tuple(draw(st.permutations(range(n + 1))))
+    return tuple(draw(st.lists(st.integers(0, n), min_size=m + 1, max_size=m + 1)))
+
+
+@st.composite
+def forms(draw, n=None, p=None, tau=True):
+    """Forms on Delta^n with Fraction or, if tau, possibly QTau coefficients."""
+    n = draw(st.integers(0, 3)) if n is None else n
+    p = draw(st.integers(0, n)) if p is None else p
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    scalars = st.builds(QTau, fractions, fractions) if tau and draw(st.booleans()) else fractions
+    monomials = st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
+        st.sampled_from(list(itertools.combinations(range(1, n + 1), p))),
+    )
+    return PolyForm(n, p, draw(st.lists(st.tuples(monomials, scalars), max_size=4)))
+
+
+@PULLBACK_SETTINGS
+@given(st.data())
+def test_pullback_matches_matrix_oracle(data):
+    form = data.draw(forms())
+    phi = data.draw(vertex_maps(form.n))
+    assert form.pullback(phi) == matrix_pullback(form, vertex_map_matrix(phi, form.n))
+
+
+@PULLBACK_SETTINGS
+@given(st.data())
+def test_pullback_is_functorial(data):
+    form = data.draw(forms())
+    phi = data.draw(vertex_maps(form.n))
+    psi = data.draw(vertex_maps(len(phi) - 1))
+    composite = tuple(phi[v] for v in psi)
+    assert form.pullback(phi).pullback(psi) == form.pullback(composite)
+    assert form.pullback(phi).d() == form.d().pullback(phi)
+
+
+@PULLBACK_SETTINGS
+@given(st.data())
+def test_pullback_respects_wedge(data):
+    a = data.draw(forms())
+    # tau * tau is outside the scalar ring, so b stays rational.
+    b = data.draw(forms(a.n, data.draw(st.integers(0, a.n - a.p)), tau=False))
+    phi = data.draw(vertex_maps(a.n))
+    assert a.wedge(b).pullback(phi) == a.pullback(phi).wedge(b.pullback(phi))
 
 
 # -- integration --------------------------------------------------------------------
@@ -228,9 +295,9 @@ def test_whitney_examples():
     assert f.forms[(2, (0, 1, 2))] == PolyForm.coordinate(2, 1)
     # edge cochain on [01] inside the 2-simplex
     w = elementary_whitney(2, (0, 1))
-    on_edge = w.pullback(coface_matrix(2, 2))
+    on_edge = w.pullback(face_map(2, 2))
     assert on_edge.integrate() == 1
-    other_edge = w.pullback(coface_matrix(2, 0))
+    other_edge = w.pullback(face_map(2, 0))
     assert other_edge.integrate() == 0
 
 

@@ -12,14 +12,24 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_path, fixture_text
 from ssetkit.cli import main
 
 COMMANDS = {
-    ".sset": ("homology", "kan"),
-    ".smap": ("fibration",),
-    ".u1": ("chern",),
-    ".ext": ("extend",),
+    ".sset": (["homology"], ["kan"]),
+    ".smap": (["fibration"],),
+    ".u1": (["chern"],),
+    ".ext": (["extend"],),
+    ".site": (["sheaf"], ["sheaf", "--op", "sheafify"]),
+    ".cover": (["mv"],),
+}
+# A .site or .cover file is read against the simplicial set it was written
+# for, which stays intact.
+BASES = {
+    "site_path_representable.site": "path.sset",
+    "site_two_points_constant.site": "two_points.sset",
+    "bd_delta3_star.cover": "bd_delta3.sset",
+    "circle2.cover": "circle2.sset",
 }
 JUNK_TOKENS = ("x", "-1", "0", "1", "7", "(0,1)", "|", ":", "None", "1/0")
 MUTATIONS_PER_FIXTURE = 12
@@ -56,7 +66,9 @@ def test_mutated_fixture_keeps_the_exit_code_contract(name, tmp_path):
         mutated = mutate(text, rng, k % 4)
         path = tmp_path / ("mutated%d%s" % (k, ext))
         path.write_text(mutated)
+        base = [fixture_path(BASES[name])] if name in BASES else []
         for command in COMMANDS[ext]:
+            argv = command[:1] + base + [str(path)] + command[1:]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                code = main([command, str(path)])
-            assert code in (0, 1, 2), (command, mutated)
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, mutated)

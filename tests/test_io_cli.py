@@ -1,6 +1,7 @@
 """Text formats, the command line, exit codes, and report determinism."""
 
 import io
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -114,6 +115,32 @@ def test_malformed_sset_header_names_its_line(text, line):
         parse_complex(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sset 1\ncap 0\n",
+        "sset 1\ncap 3\n",
+        fixture_text("point.sset").replace("dim 1\n(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)\n", ""),
+    ],
+    ids=["no rows", "no rows below cap 3", "gap at dimension 1"],
+)
+def test_dimension_gap_below_the_cap_names_the_cap_line(text, tmp_path):
+    with pytest.raises(StructureError, match="^line 2: cap \\d+ but no simplex of dimension"):
+        parse_complex(text)
+    path = tmp_path / "gap.sset"
+    path.write_text(text)
+    code, out = run_cli("homology", str(path))
+    assert code == 2
+    assert "status error" in out
+
+
+def test_large_cap_without_rows_is_refused_at_once():
+    started = time.process_time()
+    with pytest.raises(StructureError, match="^line 2: cap 2000 but no simplex of dimension 0"):
+        parse_complex("sset 1\ncap 2000\n")
+    assert time.process_time() - started < 1.0
+
+
 def test_malformed_smap_dimension_names_its_line():
     text = serialize_map(SimplicialMap.identity(parse_complex(fixture_text("point.sset"))))
     line = text.splitlines().index("0 : (0) > (0)") + 1
@@ -167,6 +194,54 @@ def test_malformed_rows_name_their_line(case, tmp_path):
     code, out = run_cli(command, str(path))
     assert code == 2
     assert "status error" in out
+
+
+# Short rows and non-integer tokens in the .site reader: (text, line of the error).
+MALFORMED_SITE_ROWS = {
+    "non-integer dimension": ("site 1\nobject U = x : a\n", 2),
+    "bare object": ("site 1\nobject\n", 2),
+    "bare cover": ("site 1\ncover\n", 2),
+    "bare sections": ("site 1\npresheaf\nsections\n", 3),
+    "short restrict": ("site 1\npresheaf\nrestrict X\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SITE_ROWS))
+def test_malformed_site_rows_name_their_line(case, tmp_path):
+    text, line = MALFORMED_SITE_ROWS[case]
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse_site_presheaf(text, parse_complex(fixture_text("two_points.sset")))
+    path = tmp_path / "malformed.site"
+    path.write_text(text)
+    code, out = run_cli("sheaf", fixture_path("two_points.sset"), str(path))
+    assert code == 2
+    assert "status error" in out
+
+
+def test_site_object_without_sections_is_rejected(tmp_path):
+    text = fixture_text("site_two_points_constant.site").replace("sections X : a b\n", "")
+    with pytest.raises(StructureError, match="no section set for 'X'"):
+        parse_site_presheaf(text, parse_complex(fixture_text("two_points.sset")))
+    path = tmp_path / "sectionless.site"
+    path.write_text(text)
+    code, _ = run_cli("sheaf", fixture_path("two_points.sset"), str(path))
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("field 1\n", 2),
+        ("field 1\ndegree z\n", 2),
+        ("field 1\ndegree 1\non 1\n", 3),
+        ("field 1\ndegree 1\n\non x (0,1) : form 1 1 : \n", 4),
+    ],
+)
+def test_malformed_field_rows_name_their_line(text, line):
+    from ssetkit.io_text import parse_field
+
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse_field(text, parse_complex(fixture_text("delta1.sset")))
 
 
 def test_form_errors_name_the_given_line():
