@@ -462,7 +462,8 @@ class FormField:
 
     The form on a degenerate simplex is determined by pulling the form on
     its nondegenerate base back along the collapse map, so only forms on
-    nondegenerate simplices are stored.
+    nondegenerate simplices are stored; a form keyed by any other (n, id)
+    is refused.
     """
 
     def __init__(self, x, degree, forms):
@@ -477,6 +478,9 @@ class FormField:
                 if form.n != n or form.p != self.p:
                     raise ParameterError("form on %r has the wrong type" % (s,))
                 self.forms[(n, s)] = form
+        for key in forms:
+            if key not in self.forms:
+                raise ParameterError("form on unknown or degenerate simplex %r" % (key,))
 
     def form_on(self, n, s):
         """The form on an arbitrary simplex, degenerate ones via collapse pullback."""

@@ -125,44 +125,24 @@ def parse_complex(text, first_line=1):
                 degen[(current, sid)] = words[1:]
             else:
                 fail("unknown field %r" % (words[0],), ln)
+        if current >= 1 and (current, sid) not in faces:
+            fail("simplex %s of dimension %d has no faces field" % (sid, current), ln)
+        if current < cap and (current, sid) not in degs:
+            fail("simplex %s of dimension %d has no deg field" % (sid, current), ln)
     # A simplicial set has a simplex in every dimension up to its cap (the
     # degeneracies of a vertex), so a gap is refused here, in time linear in
-    # the rows: the tables below take work quadratic in the cap.
+    # the rows: the tables take work quadratic in the cap.
     gap = 0
     while gap in simplices:
         gap += 1
     if gap <= cap:
         fail("cap %d but no simplex of dimension %d" % (cap, gap), cap_line)
-    face_tables = {}
-    deg_tables = {}
-    known = {n: set(simplices[n]) for n in range(cap + 1)}
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            table = {}
-            for s in simplices[n]:
-                if (n, s) not in faces:
-                    raise StructureError("simplex %s of dimension %d has no faces field" % (s, n))
-                target = faces[(n, s)][i]
-                if target not in known[n - 1]:
-                    raise StructureError(
-                        "face %d of %s references unknown identifier %s" % (i, s, target)
-                    )
-                table[s] = target
-            face_tables[(n, i)] = table
-    for n in range(cap):
-        for i in range(n + 1):
-            table = {}
-            for s in simplices[n]:
-                if (n, s) not in degs:
-                    raise StructureError("simplex %s of dimension %d has no deg field" % (s, n))
-                target = degs[(n, s)][i]
-                if target not in known[n + 1]:
-                    raise StructureError(
-                        "degeneracy %d of %s references unknown identifier %s" % (i, s, target)
-                    )
-                table[s] = target
-            deg_tables[(n, i)] = table
-    x = SimplicialSet(cap, simplices, face_tables, deg_tables)
+    x = SimplicialSet(
+        cap,
+        simplices,
+        lambda n, i, sid: faces[(n, sid)][i],
+        lambda n, i, sid: degs[(n, sid)][i],
+    )
     # the degen fields must name the witnesses the deg tables give
     for (n, sid), ln in rows.items():
         given = degen.get((n, sid))
@@ -229,15 +209,27 @@ def serialize_matrix(matrix):
 
 def parse_matrix_triples(text):
     """Sparse triplet text as (nrows, ncols, {(i, j): Fraction})."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if head[0] != "matrix":
-        raise StructureError("expected 'matrix R C' header")
-    nrows, ncols = int(head[1]), int(head[2])
+    rows = [
+        (ln, line)
+        for ln, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.startswith("#")
+    ]
+    ln, head = rows[0] if rows else (1, "")
+    with _row(ln, head):
+        tag, nrows, ncols = head.split()
+        nrows, ncols = int(nrows), int(ncols)
+    if tag != "matrix":
+        raise StructureError("line %d: expected 'matrix R C' header" % ln)
     entries = {}
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        entries[(int(i), int(j))] = Fraction(v)
+    for ln, line in rows[1:]:
+        with _row(ln, line):
+            i, j, v = line.split()
+            i, j, v = int(i), int(j), Fraction(v)
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise StructureError(
+                "line %d: entry (%d, %d) outside a %d x %d matrix" % (ln, i, j, nrows, ncols)
+            )
+        entries[(i, j)] = v
     return nrows, ncols, entries
 
 
@@ -325,11 +317,13 @@ def parse_chain(text):
             continue
         coeff_s, _, body = line.partition(":")
         points = []
-        for chunk in body.split():
-            if not (chunk.startswith("(") and chunk.endswith(")")):
-                raise StructureError("line %d: malformed point %r" % (ln, chunk))
-            points.append(tuple(Fraction(v) for v in chunk[1:-1].split(",")))
-        terms.append((AffineSimplex(points), Fraction(coeff_s.strip())))
+        with _row(ln, line):
+            for chunk in body.split():
+                if not (chunk.startswith("(") and chunk.endswith(")")):
+                    raise StructureError("line %d: malformed point %r" % (ln, chunk))
+                points.append(tuple(Fraction(v) for v in chunk[1:-1].split(",")))
+            coeff = Fraction(coeff_s.strip())
+        terms.append((AffineSimplex(points), coeff))
     return AffineChain(terms)
 
 

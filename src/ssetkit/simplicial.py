@@ -26,20 +26,29 @@ from .errors import CapExceededError, ParameterError, StructureError
 class SimplicialSet:
     """Dimension-capped simplicial set with total face/degeneracy tables.
 
+    The constructor takes the structure maps as functions face(n, i, x) and
+    deg(n, i, x) and tabulates them, calling each once per listed simplex
+    and per (n, i):
+
     simplices[n]   ordered tuple of identifiers, 0 <= n <= dim_cap
     face[(n, i)]   dict id -> id, for 1 <= n <= dim_cap, 0 <= i <= n
     deg[(n, i)]    dict id -> id, for 0 <= n < dim_cap, 0 <= i <= n
     degenerate[n]  frozenset of degenerate identifiers
     witness[(n, x)] = (i, y) with x = s_i(y), for each degenerate x
 
-    degenerate and witness are derived from the deg tables, reading only
-    the listed simplices: x is degenerate iff x = s_i(y) for some listed y,
-    and its witness is (i, y) for the least such i.
+    This is the one place the tables are made and checked: a duplicate
+    identifier, a map value that is not a listed simplex of the adjacent
+    dimension, or a map that raises KeyError or IndexError on a listed
+    simplex (a partial table passed as a lookup) is a StructureError here.
 
-    The constructor copies every table and nothing changes them afterwards,
-    so derived structure (the index, the nondegenerate simplices, the
-    identity scan behind validate, the coface tables behind cofaces) is
-    computed once and kept on the object.
+    degenerate and witness are derived from the deg tables: x is degenerate
+    iff x = s_i(y) for some listed y, and its witness is (i, y) for the
+    least such i.
+
+    Nothing changes the tables after construction, so derived structure
+    (the index, the nondegenerate simplices, the identity scan behind
+    validate, the coface tables behind cofaces) is computed once and kept
+    on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg):
@@ -47,19 +56,6 @@ class SimplicialSet:
             raise ParameterError("dim_cap must be >= 0")
         self.dim_cap = int(dim_cap)
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(dim_cap + 1)}
-        self.face = {k: dict(v) for k, v in face.items()}
-        self.deg = {k: dict(v) for k, v in deg.items()}
-        self.degenerate = {0: frozenset()}
-        self.witness = {}
-        for n in range(1, self.dim_cap + 1):
-            level = {}
-            for i in range(n):
-                table = self.deg.get((n - 1, i), {})
-                for y in self.simplices[n - 1]:
-                    if y in table:
-                        level.setdefault(table[y], (i, y))
-            self.degenerate[n] = frozenset(level)
-            self.witness.update(((n, x), w) for x, w in level.items())
         self._index = {
             n: {x: i for i, x in enumerate(self.simplices[n])}
             for n in range(dim_cap + 1)
@@ -67,12 +63,44 @@ class SimplicialSet:
         for n, idx in self._index.items():
             if len(idx) != len(self.simplices[n]):
                 raise StructureError("duplicate identifier in dimension %d" % n)
+        self.face = self._tabulate(face, "face d", range(1, self.dim_cap + 1), -1)
+        self.deg = self._tabulate(deg, "degeneracy s", range(self.dim_cap), 1)
+        self.degenerate = {0: frozenset()}
+        self.witness = {}
+        for n in range(1, self.dim_cap + 1):
+            level = {}
+            for i in range(n):
+                for y, x in self.deg[(n - 1, i)].items():
+                    level.setdefault(x, (i, y))
+            self.degenerate[n] = frozenset(level)
+            self.witness.update(((n, x), w) for x, w in level.items())
         self._nondegenerate = {
             n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
             for n in range(dim_cap + 1)
         }
         self._violations = None
         self._cofaces = {}
+
+    def _tabulate(self, structure_map, name, dims, step):
+        """{(n, i): {x: structure_map(n, i, x)}} over the listed n-simplices
+        x, each value checked to be a listed simplex of dimension n + step."""
+        tables = {}
+        for n in dims:
+            known = self._index[n + step]
+            for i in range(n + 1):
+                table = {}
+                try:
+                    for x in self.simplices[n]:
+                        y = structure_map(n, i, x)
+                        if y not in known:
+                            raise StructureError(
+                                "%s_%d of %r hits unknown identifier %r" % (name, i, x, y)
+                            )
+                        table[x] = y
+                except (KeyError, IndexError):
+                    raise StructureError("%s_%d undefined on %r" % (name, i, x)) from None
+                tables[(n, i)] = table
+        return tables
 
     # -- basic access -------------------------------------------------
 
@@ -132,13 +160,13 @@ class SimplicialSet:
     # -- validation ---------------------------------------------------
 
     def validate(self):
-        """Check tables and simplicial identities; return list of violations.
+        """The violations of the simplicial identities, as a list.
 
-        Structural problems (dangling identifiers, missing table entries)
-        raise StructureError; identity violations are reported, not raised.
+        The tables were checked when the object was built, so this reports
+        identity violations only and raises nothing; the scan runs once and
+        is kept.
         """
         if self._violations is None:
-            self._check_tables()
             self._violations = self._scan_identities()
         return list(self._violations)
 
@@ -185,32 +213,6 @@ class SimplicialSet:
                             bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, x, (i, j)))
         return bad
 
-    def _check_tables(self):
-        for n in range(1, self.dim_cap + 1):
-            for i in range(n + 1):
-                table = self.face.get((n, i))
-                if table is None:
-                    raise StructureError("missing face table d_%d in dimension %d" % (i, n))
-                for x in self.simplices[n]:
-                    if x not in table:
-                        raise StructureError("face d_%d undefined on %r" % (i, x))
-                    if not self.has(n - 1, table[x]):
-                        raise StructureError(
-                            "face d_%d of %r hits unknown identifier %r" % (i, x, table[x])
-                        )
-        for n in range(self.dim_cap):
-            for i in range(n + 1):
-                table = self.deg.get((n, i))
-                if table is None:
-                    raise StructureError("missing degeneracy table s_%d in dimension %d" % (i, n))
-                for x in self.simplices[n]:
-                    if x not in table:
-                        raise StructureError("degeneracy s_%d undefined on %r" % (i, x))
-                    if not self.has(n + 1, table[x]):
-                        raise StructureError(
-                            "degeneracy s_%d of %r hits unknown identifier %r" % (i, x, table[x])
-                        )
-
 
 # -- canonical tuple machinery ----------------------------------------
 
@@ -229,15 +231,12 @@ def _tuple_sset(dim_cap, allowed):
     simplices = {}
     for n in range(dim_cap + 1):
         simplices[n] = tuple(sorted(t for t in _all_tuples(n, allowed)))
-    face = {}
-    deg = {}
-    for n in range(1, dim_cap + 1):
-        for i in range(n + 1):
-            face[(n, i)] = {t: _delete(t, i) for t in simplices[n]}
-    for n in range(dim_cap):
-        for i in range(n + 1):
-            deg[(n, i)] = {t: _duplicate(t, i) for t in simplices[n]}
-    return SimplicialSet(dim_cap, simplices, face, deg)
+    return SimplicialSet(
+        dim_cap,
+        simplices,
+        lambda n, i, t: _delete(t, i),
+        lambda n, i, t: _duplicate(t, i),
+    )
 
 
 def _all_tuples(n, allowed):
@@ -329,22 +328,17 @@ def nerve(table, dim_cap):
     """
     elements, identity = _check_group(table)
     simplices = {n: tuple(sorted(itertools.product(elements, repeat=n))) for n in range(dim_cap + 1)}
-    face = {}
-    deg = {}
-    for n in range(1, dim_cap + 1):
-        for i in range(n + 1):
-            t = {}
-            for g in simplices[n]:
-                if i == 0:
-                    t[g] = g[1:]
-                elif i == n:
-                    t[g] = g[:-1]
-                else:
-                    t[g] = g[: i - 1] + (table[(g[i - 1], g[i])],) + g[i + 1:]
-            face[(n, i)] = t
-    for n in range(dim_cap):
-        for i in range(n + 1):
-            deg[(n, i)] = {g: g[:i] + (identity,) + g[i:] for g in simplices[n]}
+
+    def face(n, i, g):
+        if i == 0:
+            return g[1:]
+        if i == n:
+            return g[:-1]
+        return g[: i - 1] + (table[(g[i - 1], g[i])],) + g[i + 1:]
+
+    def deg(n, i, g):
+        return g[:i] + (identity,) + g[i:]
+
     return SimplicialSet(dim_cap, simplices, face, deg)
 
 
@@ -397,19 +391,12 @@ def product(x, y, dim_cap=None):
         n: tuple(itertools.product(x.simplices[n], y.simplices[n]))
         for n in range(cap + 1)
     }
-    face = {}
-    deg = {}
-    for n in range(1, cap + 1):
-        for i in range(n + 1):
-            face[(n, i)] = {
-                (a, b): (x.d(n, i, a), y.d(n, i, b)) for (a, b) in simplices[n]
-            }
-    for n in range(cap):
-        for i in range(n + 1):
-            deg[(n, i)] = {
-                (a, b): (x.s(n, i, a), y.s(n, i, b)) for (a, b) in simplices[n]
-            }
-    return SimplicialSet(cap, simplices, face, deg)
+    return SimplicialSet(
+        cap,
+        simplices,
+        lambda n, i, ab: (x.d(n, i, ab[0]), y.d(n, i, ab[1])),
+        lambda n, i, ab: (x.s(n, i, ab[0]), y.s(n, i, ab[1])),
+    )
 
 
 # -- subcomplexes and quotients ----------------------------------------
@@ -481,17 +468,7 @@ def restrict(x, sub):
     if offending is not None:
         raise StructureError("not closed under structure maps: %r" % (offending,))
     simplices = {n: tuple(s for s in x.simplices[n] if s in sub.get(n, ())) for n in x.dims()}
-    face = {
-        (n, i): {s: x.d(n, i, s) for s in simplices[n]}
-        for n in range(1, x.dim_cap + 1)
-        for i in range(n + 1)
-    }
-    deg = {
-        (n, i): {s: x.s(n, i, s) for s in simplices[n]}
-        for n in range(x.dim_cap)
-        for i in range(n + 1)
-    }
-    return SimplicialSet(x.dim_cap, simplices, face, deg)
+    return SimplicialSet(x.dim_cap, simplices, x.d, x.s)
 
 
 def quotient(x, sub):
@@ -508,30 +485,16 @@ def quotient(x, sub):
     def wrap(n, s):
         return base if s in sub.get(n, ()) else s
 
+    def face(n, i, s):
+        return base if s == base else wrap(n - 1, x.d(n, i, s))
+
+    def deg(n, i, s):
+        return base if s == base else wrap(n + 1, x.s(n, i, s))
+
     simplices = {}
     for n in x.dims():
         kept = [s for s in x.simplices[n] if s not in sub.get(n, ())]
         simplices[n] = tuple(kept) + (base,)
-    face = {}
-    deg = {}
-    for n in range(1, x.dim_cap + 1):
-        for i in range(n + 1):
-            t = {}
-            for s in x.simplices[n]:
-                if s in sub.get(n, ()):
-                    continue
-                t[s] = wrap(n - 1, x.d(n, i, s))
-            t[base] = base
-            face[(n, i)] = t
-    for n in range(x.dim_cap):
-        for i in range(n + 1):
-            t = {}
-            for s in x.simplices[n]:
-                if s in sub.get(n, ()):
-                    continue
-                t[s] = wrap(n + 1, x.s(n, i, s))
-            t[base] = base
-            deg[(n, i)] = t
     return SimplicialSet(x.dim_cap, simplices, face, deg)
 
 
@@ -553,9 +516,7 @@ def truncate(x, dim_cap):
             "cannot raise the cap from %d to %d" % (x.dim_cap, dim_cap)
         )
     simplices = {n: x.simplices[n] for n in range(dim_cap + 1)}
-    face = {(n, i): x.face[(n, i)] for n in range(1, dim_cap + 1) for i in range(n + 1)}
-    deg = {(n, i): x.deg[(n, i)] for n in range(dim_cap) for i in range(n + 1)}
-    return SimplicialSet(dim_cap, simplices, face, deg)
+    return SimplicialSet(dim_cap, simplices, x.d, x.s)
 
 
 def standard(kind, dim_cap=None, **params):
@@ -598,8 +559,8 @@ def _surjections_onto(m, n):
         yield tuple(out)
 
 
-def _pair_id(eta, gid, gdim):
-    return gid if eta == _identity_surjection(gdim + len(eta) - gdim - 1) else ("s", eta, gid)
+def _pair_id(eta, gid):
+    return gid if eta == _identity_surjection(len(eta) - 1) else ("s", eta, gid)
 
 
 def from_generators(dim_cap, generators):
@@ -645,31 +606,25 @@ def from_generators(dim_cap, generators):
         return tuple(theta[x] for x in shifted), g2
 
     simplices = {}
-    pairs_by_dim = {}
+    pair_of = {}  # (n, id) -> (eta, generator)
     for n in range(dim_cap + 1):
-        pairs = []
+        ids = []
         for m in range(n + 1):
             for gid, _ in gens[m]:
                 for eta in _surjections_onto(m, n):
-                    pairs.append((eta, gid))
-        pairs_by_dim[n] = pairs
-        simplices[n] = tuple(_pair_id(eta, gid, gen_dims[gid]) for eta, gid in pairs)
+                    sid = _pair_id(eta, gid)
+                    pair_of[(n, sid)] = (eta, gid)
+                    ids.append(sid)
+        simplices[n] = tuple(ids)
 
-    face = {}
-    deg = {}
-    for n in range(1, dim_cap + 1):
-        for i in range(n + 1):
-            t = {}
-            for eta, gid in pairs_by_dim[n]:
-                feta, fgid = face_of_pair(eta, gid, i)
-                t[_pair_id(eta, gid, gen_dims[gid])] = _pair_id(feta, fgid, gen_dims[fgid])
-            face[(n, i)] = t
-    for n in range(dim_cap):
-        for i in range(n + 1):
-            t = {}
-            for eta, gid in pairs_by_dim[n]:
-                t[_pair_id(eta, gid, gen_dims[gid])] = _pair_id(_duplicate(eta, i), gid, gen_dims[gid])
-            deg[(n, i)] = t
+    def face(n, i, s):
+        eta, gid = pair_of[(n, s)]
+        return _pair_id(*face_of_pair(eta, gid, i))
+
+    def deg(n, i, s):
+        eta, gid = pair_of[(n, s)]
+        return _pair_id(_duplicate(eta, i), gid)
+
     return SimplicialSet(dim_cap, simplices, face, deg)
 
 

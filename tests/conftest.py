@@ -21,10 +21,13 @@ def swapped_delta2(dim_cap=2):
     """The standard 2-simplex with d_0 and d_1 of (0, 1, 2) swapped, which
     breaks d_i d_j = d_{j-1} d_i."""
     d2 = standard_delta(2, dim_cap)
-    f0 = dict(d2.face[(2, 0)])
-    f1 = dict(d2.face[(2, 1)])
-    f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
-    return SimplicialSet(d2.dim_cap, d2.simplices, {**d2.face, (2, 0): f0, (2, 1): f1}, d2.deg)
+
+    def face(n, i, t):
+        if t == (0, 1, 2) and i < 2:
+            i = 1 - i
+        return d2.d(n, i, t)
+
+    return SimplicialSet(d2.dim_cap, d2.simplices, face, d2.s)
 
 
 def face_map(n, i):

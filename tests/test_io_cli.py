@@ -8,7 +8,7 @@ import pytest
 
 from ssetkit import cli
 from ssetkit.cli import main
-from ssetkit.errors import StructureError
+from ssetkit.errors import ParameterError, StructureError
 from ssetkit.forms import PolyForm, QTau
 from ssetkit.io_text import (
     parse_complex,
@@ -97,6 +97,26 @@ def test_degen_fields_must_match_the_deg_tables(case, tmp_path):
     code, out = run_cli("homology", str(path))
     assert code == 2
     assert "status error" in out
+
+
+@pytest.mark.parametrize(
+    "field, row", [("faces", "(0,1) | deg (0,0,1) (0,1,1)\n"), ("deg", "(0,1) | faces (1) (0)\n")]
+)
+def test_missing_structure_field_names_its_line(field, row):
+    # line 9 of delta2.sset, a 1-simplex below the cap, with one field dropped
+    old = "(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)\n"
+    text = fixture_text("delta2.sset")
+    assert text.count(old) == 1
+    message = r"^line 9: simplex \(0,1\) of dimension 1 has no %s field$" % field
+    with pytest.raises(StructureError, match=message):
+        parse_complex(text.replace(old, row))
+
+
+def test_unknown_identifier_names_the_simplex():
+    text = fixture_text("delta2.sset").replace("(0,2) | faces (2) (0)", "(0,2) | faces (2) (9)")
+    with pytest.raises(StructureError) as err:
+        parse_complex(text)
+    assert str(err.value) == "face d_1 of '(0,2)' hits unknown identifier '(9)'"
 
 
 @pytest.mark.parametrize(
@@ -242,6 +262,39 @@ def test_malformed_field_rows_name_their_line(text, line):
 
     with pytest.raises(StructureError, match="^line %d: " % line):
         parse_field(text, parse_complex(fixture_text("delta1.sset")))
+
+
+def test_field_forms_off_the_nondegenerate_simplices_are_refused():
+    from ssetkit.io_text import parse_field
+
+    delta1 = parse_complex(fixture_text("delta1.sset"))
+    for sid in ("zz", "(0,0)"):  # unknown, degenerate
+        with pytest.raises(ParameterError) as err:
+            parse_field("field 1\ndegree 0\non 1 %s : form 1 0 : 1 | 0 | \n" % sid, delta1)
+        assert str(err.value) == "form on unknown or degenerate simplex %r" % ((1, sid),)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("matrix 2\n", 1),
+        ("matrix 1 1\n0 0\n", 2),
+        ("matrix 1 1\n# entries\n0 1 5\n", 3),
+    ],
+)
+def test_malformed_matrix_rows_name_their_line(text, line):
+    with pytest.raises(StructureError, match="^line %d: " % line):
+        parse_matrix_triples(text)
+
+
+def test_malformed_chain_rows_name_their_line():
+    from ssetkit.io_text import parse_chain
+
+    with pytest.raises(StructureError, match="^line 2: "):
+        parse_chain("chain 1\nx : (1,2)\n")
+    with pytest.raises(StructureError, match="^line 3: "):
+        parse_chain("chain 1\n\n1 : (1,a)\n")
 
 
 def test_form_errors_name_the_given_line():

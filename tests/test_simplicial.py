@@ -1,12 +1,15 @@
 """Construction, validation, products and quotients of simplicial sets."""
 
+import hashlib
 import io
+import itertools
 from contextlib import redirect_stdout
 
 import pytest
 
 from ssetkit.cli import main
 from ssetkit.errors import CapExceededError, ParameterError, StructureError
+from ssetkit.io_text import serialize_complex
 from ssetkit.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -29,7 +32,7 @@ from ssetkit.simplicial import (
     truncate,
 )
 
-from conftest import fixture_path
+from conftest import fixture_path, swapped_delta2
 from oracles import strict_chain_count
 
 
@@ -56,17 +59,7 @@ def test_sphere_quotient_counts():
 
 
 def test_validate_reports_deliberate_corruption():
-    d2 = standard_delta(2)
-    # swap d_0 and d_1 of the unique 2-simplex
-    f0 = dict(d2.face[(2, 0)])
-    f1 = dict(d2.face[(2, 1)])
-    f0[(0, 1, 2)], f1[(0, 1, 2)] = f1[(0, 1, 2)], f0[(0, 1, 2)]
-    broken = type(d2)(
-        d2.dim_cap,
-        d2.simplices,
-        {**d2.face, (2, 0): f0, (2, 1): f1},
-        d2.deg,
-    )
+    broken = swapped_delta2()
     bad = broken.validate()
     assert any(name.startswith("d_i d_j") for name, *_ in bad)
     again = broken.validate()
@@ -94,14 +87,29 @@ def test_identities_scanned_once_per_object(monkeypatch):
         assert len({id(x) for x in scanned}) == objects
 
 
-def test_validate_catches_dangling_reference():
+def test_constructor_refuses_dangling_references():
     d1 = standard_delta(1)
-    evil = dict(d1.face[(1, 0)])
-    evil[(0, 1)] = (7, 7)
-    broken = type(d1)(d1.dim_cap, d1.simplices, {**d1.face, (1, 0): evil}, d1.deg)
-    for _ in range(2):  # raised on every call, not only the first
-        with pytest.raises(StructureError):
-            broken.validate()
+
+    def dangling_face(n, i, t):
+        return (7,) if t == (0, 1) and i == 0 else d1.d(n, i, t)
+
+    def dangling_deg(n, i, t):
+        return (7, 7) if t == (0,) else d1.s(n, i, t)
+
+    partial = {t: d1.s(0, 0, t) for t in d1.simplices[0][1:]}
+
+    def partial_deg(n, i, t):
+        return partial[t]
+
+    cases = (
+        (dangling_face, d1.s, "face d_0 of (0, 1) hits unknown identifier (7,)"),
+        (d1.d, dangling_deg, "degeneracy s_0 of (0,) hits unknown identifier (7, 7)"),
+        (d1.d, partial_deg, "degeneracy s_0 undefined on (0,)"),
+    )
+    for face, deg, message in cases:
+        with pytest.raises(StructureError) as err:
+            SimplicialSet(d1.dim_cap, d1.simplices, face, deg)
+        assert str(err.value) == message
 
 
 def test_nerve_is_valid_and_counts():
@@ -319,6 +327,128 @@ def test_stray_degeneracy_entry_marks_nothing():
     d1 = standard_delta(1)
     deg = {k: dict(v) for k, v in d1.deg.items()}
     deg[(0, 0)][(9,)] = (0, 1)  # (9,) is not a listed vertex
-    x = SimplicialSet(d1.dim_cap, d1.simplices, d1.face, deg)
+    x = SimplicialSet(d1.dim_cap, d1.simplices, d1.d, lambda n, i, t: deg[(n, i)][t])
     assert not x.is_degenerate(1, (0, 1))
     assert x.witness == d1.witness
+    assert x.deg == d1.deg
+
+
+# -- golden tables -------------------------------------------------------------
+
+
+def _star_of_012():
+    b3 = standard_boundary(3, 3)
+    return restrict(b3, close_subcomplex(b3, {2: [(0, 1, 2)]}))
+
+
+def _circle_quotient():
+    d1 = standard_delta(1, 2)
+    ends = {m: frozenset(t for t in d1.simplices[m] if len(set(t)) == 1) for m in d1.dims()}
+    return quotient(d1, ends)
+
+
+def _s3_table():
+    """Composition table of the permutations of (0, 1, 2): a non-abelian group,
+    so the nerve's inner faces show the order of the product."""
+    perms = list(itertools.permutations(range(3)))
+    return {(a, b): tuple(a[b[k]] for k in range(3)) for a in perms for b in perms}
+
+
+# SHA-256 of serialize_complex for every construction, recorded when each
+# construction still built its own face and degeneracy tables.
+GOLDEN_TABLES = {
+    "delta3": (
+        lambda: standard_delta(3),
+        "67e54467bcc8b18a381b6a2e212359b2c7fc7e6d6160d4c194fed08e8c7f7dfb",
+    ),
+    "boundary3": (
+        lambda: standard_boundary(3, 3),
+        "1fd8d0250e6fd14ee4cc02d8efda679cf60a0b87b1f9523ee4783d49e3c8edbc",
+    ),
+    "horn3_1": (
+        lambda: standard_horn(3, 1),
+        "8747b12ae6ebb21ea5b0c2c1e50c7e5e7bacbfc70cd9120ee34b810ed792143c",
+    ),
+    "complex": (
+        lambda: simplicial_complex([[0, 1, 2], [2, 3]], 3),
+        "1040d81d01ac2723dbab4c2c00f13586a702544df45e3a1c26ed4dd8a1f106e9",
+    ),
+    "nerve1_2": (
+        lambda: nerve(cyclic_table(1), 2),
+        "8b68c02414cf806f269c8fb9e49084da6860e02139dd6b52225617c7b1cffa44",
+    ),
+    "nerve1_3": (
+        lambda: nerve(cyclic_table(1), 3),
+        "adad17e32760748a7d6ce7395f93edfbec5a465eec75889a383678cc34e12b3e",
+    ),
+    "nerve1_4": (
+        lambda: nerve(cyclic_table(1), 4),
+        "381a1242cadaa86853955001850a9e5d46963e72f909d091077cf94157278fa0",
+    ),
+    "nerve2_2": (
+        lambda: nerve(cyclic_table(2), 2),
+        "8c3b7cb4b8a22b29a393e3692c5cc4b650b2ed3e5303824d0c1c104a113a68c4",
+    ),
+    "nerve2_3": (
+        lambda: nerve(cyclic_table(2), 3),
+        "5ffc02ce1a04ffc24ba86e02748bdef9aa0b3316cbdcf2158ddc10f9935a6459",
+    ),
+    "nerve2_4": (
+        lambda: nerve(cyclic_table(2), 4),
+        "5cc905c023893983b8beee3c316efa1028ea7bfb59a041be2bcad66444e490be",
+    ),
+    "nerve3_2": (
+        lambda: nerve(cyclic_table(3), 2),
+        "a53a3ed14c50f2337152833aa8f07c3b1c376b454858e7bc9da6c1a7eeb3cd4d",
+    ),
+    "nerve3_3": (
+        lambda: nerve(cyclic_table(3), 3),
+        "4e43454e20ad10d306dbc97b8c5b1c5c888463c729518885cd26349ae9e00622",
+    ),
+    "nerve3_4": (
+        lambda: nerve(cyclic_table(3), 4),
+        "627f2bba8b0f39e3019c467cae815237e1a826209f36357ba8615e86bc598cf7",
+    ),
+    "nerve_s3_2": (
+        lambda: nerve(_s3_table(), 2),
+        "d7641d54122369692de1a20eda78432ef3382ae0e5e5746779035179c51de186",
+    ),
+    "product": (
+        lambda: product(standard_delta(1, 3), standard_boundary(2, 3)),
+        "0572de67795ebc6705eff6292cbd6fe9c977c04306285fadea88ce6dbd2c86be",
+    ),
+    "quotient": (
+        _circle_quotient,
+        "8d479ff3d46c73f7f97a6a6802bf27474d8f27f1ef21d32760f3cc0bcd7a2097",
+    ),
+    "sphere_quotient": (
+        lambda: sphere_quotient(2, 3),
+        "c3a586001a00a857abea326b2a10755a76c3441a8c806ad17deaa0feb7f981f9",
+    ),
+    "circle_two_edges": (
+        lambda: circle_two_edges(3),
+        "b45cd0f55d7c0997894d701551e7285c1acf56ea2074546334430c28b96a5461",
+    ),
+    "generators_degenerate_face": (
+        lambda: from_generators(
+            3, {0: [("v", ())], 1: [("e", ("v", "v"))], 2: [("t", ("e", "e", ((0, 0), "v")))]}
+        ),
+        "3109aa616e264cdcb8f3125a2ea732de56a03175534379dfb64fe2b099a1540b",
+    ),
+    "restrict_star": (
+        _star_of_012,
+        "798f49a42be1c727eea649b5168711bd82162b516a2253680e3e2953cc475eec",
+    ),
+    "truncate": (
+        lambda: truncate(nerve(cyclic_table(3), 4), 2),
+        "a53a3ed14c50f2337152833aa8f07c3b1c376b454858e7bc9da6c1a7eeb3cd4d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_constructions_keep_their_golden_tables(name):
+    build, digest = GOLDEN_TABLES[name]
+    x = build()
+    assert x.validate() == []
+    assert hashlib.sha256(serialize_complex(x).encode()).hexdigest() == digest
