@@ -32,18 +32,22 @@ def render_id(value):
 
 
 def serialize_complex(x):
+    # every face, degeneracy and witness is a listed simplex of the adjacent
+    # dimension, so each identifier is rendered once
+    names = {n: {s: render_id(s) for s in x.simplices[n]} for n in x.dims()}
     lines = ["sset 1", "cap %d" % x.dim_cap]
     for n in x.dims():
         lines.append("dim %d" % n)
+        below, above = names.get(n - 1), names.get(n + 1)
         for s in x.simplices[n]:
-            fields = [render_id(s)]
+            fields = [names[n][s]]
             if n >= 1:
-                fields.append("faces " + " ".join(render_id(x.d(n, i, s)) for i in range(n + 1)))
+                fields.append("faces " + " ".join(below[x.d(n, i, s)] for i in range(n + 1)))
             if n < x.dim_cap:
-                fields.append("deg " + " ".join(render_id(x.s(n, i, s)) for i in range(n + 1)))
+                fields.append("deg " + " ".join(above[x.s(n, i, s)] for i in range(n + 1)))
             if x.is_degenerate(n, s):
                 j, base = x.witness[(n, s)]
-                fields.append("degen %d %s" % (j, render_id(base)))
+                fields.append("degen %d %s" % (j, below[base]))
             lines.append(" | ".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -321,9 +325,17 @@ def parse_chain(text):
             for chunk in body.split():
                 if not (chunk.startswith("(") and chunk.endswith(")")):
                     raise StructureError("line %d: malformed point %r" % (ln, chunk))
-                points.append(tuple(Fraction(v) for v in chunk[1:-1].split(",")))
+                inner = chunk[1:-1]  # "()" is the point of R^0
+                points.append(tuple(Fraction(v) for v in inner.split(",")) if inner else ())
             coeff = Fraction(coeff_s.strip())
-        terms.append((AffineSimplex(points), coeff))
+        try:
+            simplex = AffineSimplex(points)
+        except ParameterError as exc:
+            raise StructureError("line %d: %s" % (ln, exc)) from None
+        if terms and simplex.dimension != terms[0][0].dimension:
+            raise StructureError("line %d: a %d-simplex in a chain of dimension %d"
+                                 % (ln, simplex.dimension, terms[0][0].dimension))
+        terms.append((simplex, coeff))
     return AffineChain(terms)
 
 

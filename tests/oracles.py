@@ -16,7 +16,10 @@ vertex_map_matrix build the matrices of simplicial maps. derham_reference
 builds the three truncations of de Rham cohomology from scratch, pulling
 every monomial form back through matrix_pullback for every face of every
 simplex; it is the reference for the tabulated, degree-filtered single
-truncation in ssetkit.derham.
+truncation in ssetkit.derham. The reference_* functions of the last section
+run barycentric subdivision, its homotopy and the boundary on dicts keyed
+by Fraction points, the reference for the integer point keys of
+ssetkit.subdivision.
 """
 
 from __future__ import annotations
@@ -578,4 +581,108 @@ def derham_reference(x, degree_cap):
     return DeRhamReport(
         degree_cap, tuple(dims), tuple(raw), tuple(betti),
         tuple(spaces.betti(p) for p in x.dims()), tuple(ranks), tuple(iso), tuple(stable),
+    )
+
+
+
+# -- affine chains on Fraction points -----------------------------------------------
+#
+# The reference for ssetkit.subdivision: the recursion on Fraction points that
+# the package ran before it moved to integer point keys. A chain is a plain dict
+# {points: Fraction}, points a tuple of Fraction coordinate tuples, so the point
+# keys and the AffineSimplex/AffineChain classes take no part.
+
+
+def reference_chain(chain):
+    """The dict {points: coefficient} of an AffineChain."""
+    return {s.points: c for s, c in chain.terms.items()}
+
+
+def _reference_combine(pairs):
+    acc = {}
+    for points, coeff in pairs:
+        acc[points] = acc.get(points, Fraction(0)) + coeff
+    return {p: c for p, c in acc.items() if c != 0}
+
+
+def reference_barycenter(points):
+    n = len(points)
+    return tuple(sum(p[i] for p in points) / n for i in range(len(points[0])))
+
+
+def reference_diameter_squared(points):
+    best = Fraction(0)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d = sum((a - b) ** 2 for a, b in zip(points[i], points[j]))
+            if d > best:
+                best = d
+    return best
+
+
+def reference_boundary(chain):
+    return _reference_combine(
+        (points[:i] + points[i + 1:], -c if i % 2 else c)
+        for points, c in chain.items()
+        if len(points) > 1
+        for i in range(len(points))
+    )
+
+
+def reference_cone(vertex, chain):
+    return {(vertex,) + points: c for points, c in chain.items()}
+
+
+def _reference_extend(chain, simplex_map):
+    return _reference_combine(
+        (t, c * v) for points, c in chain.items() for t, v in simplex_map(points).items()
+    )
+
+
+def reference_subdivide(chain):
+    """S = id in dimension 0, S(sigma) = cone_b(S(boundary sigma))."""
+    memo = {}
+
+    def sd(points):
+        if points not in memo:
+            if len(points) == 1:
+                memo[points] = {points: Fraction(1)}
+            else:
+                below = _reference_extend(reference_boundary({points: Fraction(1)}), sd)
+                memo[points] = reference_cone(reference_barycenter(points), below)
+        return memo[points]
+
+    return _reference_extend(chain, sd)
+
+
+def reference_homotopy(chain):
+    """T = 0 in dimension 0, T(sigma) = -cone_b(sigma + T(boundary sigma))."""
+    memo = {}
+
+    def t(points):
+        if points not in memo:
+            if len(points) == 1:
+                memo[points] = {}
+            else:
+                inner = _reference_combine(
+                    [(points, Fraction(1))]
+                    + list(_reference_extend(reference_boundary({points: Fraction(1)}), t).items())
+                )
+                memo[points] = {q: -c for q, c in reference_cone(reference_barycenter(points), inner).items()}
+        return memo[points]
+
+    return _reference_extend(chain, t)
+
+
+def reference_iterate_subdivision(points, m):
+    chain = {points: Fraction(1)}
+    for _ in range(m):
+        chain = reference_subdivide(chain)
+    return chain
+
+
+def reference_iterated_diameter(points, m):
+    return max(
+        (reference_diameter_squared(q) for q in reference_iterate_subdivision(points, m)),
+        default=Fraction(0),
     )

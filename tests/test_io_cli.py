@@ -5,6 +5,8 @@ import time
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssetkit import cli
 from ssetkit.cli import main
@@ -297,6 +299,18 @@ def test_malformed_chain_rows_name_their_line():
         parse_chain("chain 1\n\n1 : (1,a)\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("chain 1\n1 : \n", "^line 2: a simplex needs at least one vertex"),
+    ("chain 1\n1 : (1,2) (1)\n", "^line 2: vertices live in different ambient spaces"),
+    ("chain 1\n1 : (0) (1)\n# a vertex\n2 : (1/2)\n", "^line 4: a 0-simplex in a chain of dimension 1"),
+])
+def test_invalid_chain_rows_name_their_line(text, message):
+    from ssetkit.io_text import parse_chain
+
+    with pytest.raises(StructureError, match=message):
+        parse_chain(text)
+
+
 def test_form_errors_name_the_given_line():
     with pytest.raises(StructureError, match="^line 1: "):
         parse_form("form 1")
@@ -526,18 +540,34 @@ def test_cli_determinism(command, fixture):
     assert strip_timing(first) == strip_timing(second)
 
 
-def test_chain_round_trip():
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 3), st.booleans())
+def test_chain_round_trip(seed, n, use_homotopy):
     import random
 
     from ssetkit.io_text import parse_chain, serialize_chain
     from ssetkit.randomsuite import random_affine_simplex
-    from ssetkit.subdivision import AffineChain, subdivide
+    from ssetkit.subdivision import AffineChain, homotopy, subdivide
 
-    rng = random.Random(1)
-    chain = subdivide(AffineChain.of(random_affine_simplex(rng, 2)))
+    rng = random.Random(seed)
+    simplex = random_affine_simplex(rng, n, ambient=rng.randint(n, n + 1))
+    chain = (homotopy if use_homotopy else subdivide)(AffineChain.of(simplex))
     text = serialize_chain(chain)
     assert parse_chain(text) == chain
     assert serialize_chain(parse_chain(text)) == text
+
+
+def test_golden_subdivision_chains():
+    # S and T of the standard 2-simplex, terms sorted by their Fraction points
+    from ssetkit.io_text import parse_chain, serialize_chain
+    from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
+
+    triangle = AffineChain.of(standard_affine_simplex(2))
+    text = fixture_text("sd_triangle.chain")
+    s_text, t_text = ["chain 1" + part for part in text.split("chain 1")[1:]]
+    assert parse_chain(s_text) == subdivide(triangle)
+    assert parse_chain(t_text) == homotopy(triangle)
+    assert serialize_chain(subdivide(triangle)) + serialize_chain(homotopy(triangle)) == text
 
 
 def test_field_round_trip():

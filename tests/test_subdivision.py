@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssetkit.errors import ParameterError
 from ssetkit.randomsuite import random_affine_simplex, subdivision_suite
@@ -17,6 +20,18 @@ from ssetkit.subdivision import (
     iterated_diameter,
     standard_affine_simplex,
     subdivide,
+)
+
+from oracles import (
+    reference_barycenter,
+    reference_boundary,
+    reference_chain,
+    reference_cone,
+    reference_diameter_squared,
+    reference_homotopy,
+    reference_iterate_subdivision,
+    reference_iterated_diameter,
+    reference_subdivide,
 )
 
 
@@ -141,3 +156,120 @@ def test_cone_boundary_formula():
         lhs = boundary(cone(b, c))
         rhs = c - cone(b, boundary(c))
         assert lhs == rhs
+
+
+def test_cone_refuses_vertex_of_other_ambient_space():
+    with pytest.raises(ParameterError):
+        cone((Fraction(1, 2),), AffineChain.of(AffineSimplex([(0, 0), (1, 0)])))
+
+
+# -- integer point keys against the Fraction-point reference ------------------------
+
+DIFFERENTIAL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+COORDINATES = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
+
+
+@st.composite
+def point_lists(draw, n=None, ambient=None):
+    """n + 1 points in R^ambient: independent draws, or drawn with repeats
+    from a smaller pool (a degenerate simplex); ambient may exceed n."""
+    n = draw(st.integers(0, 3)) if n is None else n
+    ambient = draw(st.integers(0, n + 1)) if ambient is None else ambient
+    point = st.lists(COORDINATES, min_size=ambient, max_size=ambient).map(tuple)
+    if draw(st.booleans()):
+        return draw(st.lists(point, min_size=n + 1, max_size=n + 1))
+    pool = draw(st.lists(point, min_size=1, max_size=n + 1))
+    return draw(st.lists(st.sampled_from(pool), min_size=n + 1, max_size=n + 1))
+
+
+@st.composite
+def chains(draw, n=None, ambient=None):
+    """Multi-term chains with Fraction coefficients, integral or not."""
+    n = draw(st.integers(0, 3)) if n is None else n
+    ambient = draw(st.integers(0, n + 1)) if ambient is None else ambient
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = draw(st.lists(st.tuples(point_lists(n, ambient), coeffs), min_size=1, max_size=3))
+    return AffineChain([(AffineSimplex(points), c) for points, c in terms])
+
+
+def rewritten(value, k, as_text):
+    """value as an equal coordinate of another type or unreduced form."""
+    q = Fraction(value)
+    if as_text:
+        return "%d/%d" % (q.numerator * k, q.denominator * k)
+    if q.denominator == 1 and k == 1:
+        return int(q)
+    return Fraction(q.numerator * k, q.denominator * k)
+
+
+def assert_exact_and_canonical(chain):
+    """Fraction coefficients and points, and keys in lowest terms."""
+    assert all(type(c) is Fraction for c in chain.terms.values())
+    assert all(type(x) is Fraction for s in chain.terms for p in s.points for x in p)
+    assert all(AffineSimplex(s.points).key == s.key for s in chain.terms)
+
+
+@DIFFERENTIAL_SETTINGS
+@given(chains(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_operators_match_reference(chain, q):
+    ref = reference_chain(chain)
+    pairs = ((subdivide, reference_subdivide), (homotopy, reference_homotopy), (boundary, reference_boundary))
+    for op, reference in pairs:
+        got = op(chain)
+        assert_exact_and_canonical(got)
+        assert reference_chain(got) == reference(ref)
+    vertex = next(iter(chain.terms)).barycenter() if chain.terms else ()
+    got = cone(vertex, chain)
+    assert_exact_and_canonical(got)
+    assert reference_chain(got) == reference_cone(vertex, ref)
+    other = subdivide(chain).scale(q)
+    assert_exact_and_canonical(other)
+    assert reference_chain(other) == {p: c * q for p, c in reference_subdivide(ref).items() if q}
+    for got, sign in ((chain + other, 1), (chain - other, -1)):
+        assert_exact_and_canonical(got)
+        want = dict(ref)
+        for points, c in reference_chain(other).items():
+            want[points] = want.get(points, 0) + sign * c
+        assert reference_chain(got) == {p: c for p, c in want.items() if c}
+
+
+@DIFFERENTIAL_SETTINGS
+@given(point_lists())
+def test_simplex_geometry_matches_reference(points):
+    s = AffineSimplex(points)
+    ref = tuple(tuple(map(Fraction, p)) for p in points)
+    assert s.points == ref
+    assert s.barycenter() == reference_barycenter(ref)
+    assert all(type(x) is Fraction for x in s.barycenter())
+    assert s.diameter_squared() == reference_diameter_squared(ref)
+    assert type(s.diameter_squared()) is Fraction
+    for p in s.key:
+        assert p[0] > 0 and gcd(*p) == 1
+
+
+@DIFFERENTIAL_SETTINGS
+@given(st.data())
+def test_iterated_subdivision_matches_reference(data):
+    points = data.draw(point_lists(data.draw(st.integers(0, 2))))
+    m = data.draw(st.integers(0, 2))
+    s = AffineSimplex(points)
+    ref = tuple(tuple(map(Fraction, p)) for p in points)
+    chain = iterate_subdivision(s, m)
+    assert_exact_and_canonical(chain)
+    assert reference_chain(chain) == reference_iterate_subdivision(ref, m)
+    assert iterated_diameter(s, m) == reference_iterated_diameter(ref, m)
+
+
+@DIFFERENTIAL_SETTINGS
+@given(st.data())
+def test_equal_points_give_equal_simplices(data):
+    points = data.draw(point_lists())
+    k = data.draw(st.integers(1, 3))
+    as_text = data.draw(st.booleans())
+    other = [tuple(rewritten(c, k, as_text) for c in p) for p in points]
+    a, b = AffineSimplex(points), AffineSimplex(other)
+    assert a == b and hash(a) == hash(b)
+    assert a.points == b.points
+    assert AffineChain.of(a, Fraction(1, 3)) == AffineChain.of(b, Fraction(2, 6))
+    assert subdivide(AffineChain.of(a)) == subdivide(AffineChain.of(b))
