@@ -172,6 +172,12 @@ def main():
         "extend 1\nn 2\nface 1 entry 0 0 : %s\nface 2 entry 0 0 : %s\n"
         % (render_form(PolyForm.constant(1, 1)), render_form(PolyForm.constant(1, 0))),
     )
+    # a horn missing d_2 whose given faces d_0 and d_1 disagree at their common vertex
+    write(
+        "extend_horn_bad.ext",
+        "extend 1\nn 2\nmissing 2\nface 0 entry 0 0 : %s\nface 1 entry 0 0 : %s\n"
+        % (render_form(PolyForm.constant(1, 1)), render_form(PolyForm.constant(1, 0))),
+    )
 
     # subdivision S and homotopy T of the standard 2-simplex, one chain each
     triangle = AffineChain.of(standard_affine_simplex(2))

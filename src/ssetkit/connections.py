@@ -1,13 +1,15 @@
 """Lie-algebra-valued polynomial 1-forms as connections on trivial bundles,
-the recursive face-extension algorithm, curvature and Chern-Weil forms, an
-abelian Chern-number calculator, and the numeric extra-degeneracy operator.
+the face extension and horn filling of connection data, curvature and
+Chern-Weil forms, an abelian Chern-number calculator, and the numeric
+extra-degeneracy operator.
 
-Everything except extra_degeneracy_value is exact. The face extension works
-in orthant coordinates: the faces {t_i = 0}, i = 1..n, of the positive
-orthant are exactly the canonical-coordinate faces of the simplex, and the
-extension of a face datum constantly in the missing coordinate is literally
-the same polynomial. A horn with missing index k != 0 is first moved onto
-the coordinate faces by the vertex transposition (0 k).
+Everything except extra_degeneracy_value is exact. Face extension and horn
+filling share one kernel built on the vertex-map pullback of ssetkit.forms
+alone: faces are compared through the face embeddings of their common
+(n-2)-face, and data are extended along the retractions of the simplex onto
+its faces. The retraction onto face d_i sends vertex i to the apex, the
+vertex opposite the missing face (vertex 0 for face_extend, vertex k for a
+horn missing d_k), and fixes every other vertex.
 
 The abelian Chern model keeps a formal unit tau (standing for 2*pi) in the
 scalars: transition lifts may wind along an edge by integer multiples of
@@ -250,67 +252,24 @@ def chern_weil_form(f, k):
     return power.trace()
 
 
-# -- orthant polynomial operations -------------------------------------------
+# -- face extension --------------------------------------------------------------
 
 
-def orthant_restrict(form, i):
-    """Restriction to the face {t_i = 0}: kill t_i and dt_i, reindex down.
-
-    Agrees with the pullback along the i-th coface for i >= 1."""
-    if not 1 <= i <= form.n:
-        raise ParameterError("face index out of range")
-    out = []
-    for (exps, idx), coeff in form.terms.items():
-        if exps[i - 1] > 0 or i in idx:
-            continue
-        new_exps = exps[: i - 1] + exps[i:]
-        new_idx = tuple(v if v < i else v - 1 for v in idx)
-        out.append(((new_exps, new_idx), coeff))
-    return PolyForm(form.n - 1, form.p, out)
+def _coface(n, i):
+    """Vertex map of the face embedding Delta^{n-1} -> Delta^n missing vertex i."""
+    return tuple(v for v in range(n + 1) if v != i)
 
 
-def orthant_inject(form, i, n):
-    """Constant extension in t_i of a form on the face {t_i = 0} of n variables."""
-    if not 1 <= i <= n or form.n != n - 1:
-        raise ParameterError("injection index out of range")
-    out = []
-    for (exps, idx), coeff in form.terms.items():
-        new_exps = exps[: i - 1] + (0,) + exps[i - 1:]
-        new_idx = tuple(v if v < i else v + 1 for v in idx)
-        out.append(((new_exps, new_idx), coeff))
-    return PolyForm(n, form.p, out)
-
-
-def _is_lie(x):
-    return isinstance(x, LieValuedForm)
-
-
-def _restrict_any(form, i):
-    if _is_lie(form):
-        return form.entrywise(lambda f: orthant_restrict(f, i), n=form.n - 1)
-    return orthant_restrict(form, i)
-
-
-def _inject_any(form, i, n):
-    if _is_lie(form):
-        return form.entrywise(lambda f: orthant_inject(f, i, n), n=n)
-    return orthant_inject(form, i, n)
-
-
-def _zero_like(sample, n):
-    if _is_lie(sample):
-        return LieValuedForm.zero(sample.algebra, n, sample.p)
-    return PolyForm.zero(n, sample.p)
-
-
-def _double_restrict(form, i, j):
-    """Restriction to {t_i = t_j = 0}, i < j; j is removed first so the
-    index i stays put."""
-    return _restrict_any(_restrict_any(form, j), i)
+def _retraction(n, apex, i):
+    """Vertex map of the retraction Delta^n -> face i (i != apex): vertex i
+    goes to the apex, every other vertex stays. It is a left inverse of the
+    face embedding, and it sends every face j != i, apex into face j."""
+    face = _coface(n, i)
+    return tuple(face.index(apex if v == i else v) for v in range(n + 1))
 
 
 def _first_discrepancy(a, b):
-    if _is_lie(a):
+    if isinstance(a, LieValuedForm):
         for i, row in enumerate(a.entries):
             for j, f in enumerate(row):
                 g = b.entries[i][j]
@@ -325,80 +284,67 @@ def _first_discrepancy(a, b):
     return None
 
 
-def face_extend(n, data):
-    """Extend compatible face data to the whole orthant segment.
+def _extend(n, apex, data):
+    """Extend compatible forms given on faces d_i, i != apex, of Delta^n.
 
-    data maps face indices i in 1..n (a subset) to forms on the face
-    {t_i = 0}, each in n-1 canonical variables. The output restricts to
-    every datum exactly; for polynomial inputs it is polynomial, by the
-    recursion: extend the last face's residual constantly in its own
-    coordinate, subtract, continue with the remaining faces.
+    data maps face indices i != apex to PolyForms or LieValuedForms on
+    Delta^{n-1}, all of one degree. Faces i < j are compatible when they
+    agree on their intersection, the (n-2)-face missing vertices i and j.
+    The extension starts from the top face's datum pulled back along its
+    retraction; each further face, in descending order, adds the residual of
+    the sum so far pulled back along its own retraction. That residual
+    vanishes on the faces already matched, and so does its pullback, because
+    the retraction onto face i keeps every other non-apex face j inside
+    face j. Polynomial data give a polynomial extension.
     """
     if not data:
         raise ParameterError("no face data")
     degree = next(iter(data.values())).p
     for i in data:
-        if not 1 <= i <= n:
+        if i == apex or not 0 <= i <= n:
             raise ParameterError("face index %r out of range" % (i,))
         if data[i].n != n - 1:
             raise ParameterError("datum on face %d has wrong arity" % i)
         if data[i].p != degree:
             raise ParameterError("datum on face %d has the wrong degree" % i)
     keys = sorted(data, reverse=True)
-    for a_pos in range(len(keys)):
-        for b_pos in range(a_pos + 1, len(keys)):
-            j, i = keys[a_pos], keys[b_pos]  # i < j
-            rij = _double_restrict(_inject_any(data[i], i, n), i, j)
-            rji = _double_restrict(_inject_any(data[j], j, n), i, j)
+    for pos, j in enumerate(keys):
+        for i in keys[pos + 1:]:
+            rij = data[i].pullback(_coface(n - 1, j - 1))
+            rji = data[j].pullback(_coface(n - 1, i))
             if rij != rji:
                 raise CompatibilityError(
                     "face data disagree on the intersection of faces %d and %d" % (i, j),
                     witness=(i, j, _first_discrepancy(rij, rji)),
                 )
-    sample = data[keys[0]]
-    result = _zero_like(sample, n)
+    result = data[keys[0]].pullback(_retraction(n, apex, keys[0]))
+    for i in keys[1:]:
+        residual = data[i] - result.pullback(_coface(n, i))
+        result = result + residual.pullback(_retraction(n, apex, i))
     for i in keys:
-        residual = data[i] - _restrict_any(result, i)
-        result = result + _inject_any(residual, i, n)
-    for i in keys:
-        if _restrict_any(result, i) != data[i]:
+        if result.pullback(_coface(n, i)) != data[i]:
             raise StructureError("extension failed to restrict to face %d" % i)
     return result
 
 
+def face_extend(n, data):
+    """Extend compatible face data from faces of the n-simplex to the whole.
+
+    data maps face indices i in 1..n (a subset) to forms on the face d_i,
+    which in canonical coordinates is {t_i = 0}, each in n-1 canonical
+    variables. The output restricts to every datum exactly.
+    """
+    return _extend(n, 0, data)
+
+
 def horn_connection_fill(n, k, data):
     """Fill a horn of connection data: forms on the faces d_i, i != k, of the
-    n-simplex, compatible on intersections, extended to the whole simplex.
-
-    For k != 0 the vertex transposition (0 k) carries the given faces onto
-    the coordinate faces {t_i = 0}, i = 1..n, where face_extend applies; the
-    result is carried back and every restriction re-verified exactly.
-    """
+    n-simplex, compatible on intersections, extended to the whole simplex."""
     if not 0 <= k <= n:
         raise ParameterError("missing-face index out of range")
-    expected = [i for i in range(n + 1) if i != k]
-    if sorted(data) != expected:
+    if sorted(data) != [i for i in range(n + 1) if i != k]:
         raise ParameterError("horn data must cover exactly the faces other than %d" % k)
-    if k == 0:
-        filler = face_extend(n, dict(data))
-    else:
-        perm = list(range(n + 1))
-        perm[0], perm[k] = perm[k], perm[0]
-        moved = {}
-        for i in expected:
-            # perm maps face i onto face j, vertex v to perm[v]. data[i]
-            # moves to face j by pulling back along the inverse bijection,
-            # which (perm being an involution) sends vertex v of face j to
-            # the position of perm[v] in face i.
-            j = perm[i]
-            face_i = [v for v in range(n + 1) if v != i]
-            moved[j] = data[i].pullback(face_i.index(perm[v]) for v in range(n + 1) if v != j)
-        filler = face_extend(n, moved).pullback(perm)
-    for i in expected:
-        restricted = filler.pullback(v for v in range(n + 1) if v != i)
-        if restricted != data[i]:
-            raise StructureError("filler fails to restrict to face %d" % i)
-    return filler
+    return _extend(n, k, data)
 
 
 # -- abelian Chern numbers -----------------------------------------------------

@@ -28,10 +28,11 @@ the stage-D' prefix are the closed forms of stage D', and the rank of a
 column prefix is its width minus the free columns in it.
 
 The local operators are pure functions of their shape: restriction to face
-i of the monomial basis on Delta^n, pullback along the collapse map of a
-degeneracy word, and the exterior derivative. Face and collapse maps are
-simplicial, so their tables come from the int substitution kernel of
-forms.PolyForm.pullback, called once per basis element on the vertex map.
+i of the monomial basis on Delta^n, pullback along the collapse of a
+degenerate simplex onto its base (SimplicialSet.collapse), and the exterior
+derivative. Face and collapse maps are simplicial, so their tables come from
+the int substitution kernel of forms.PolyForm.pullback, called once per
+basis element on the vertex map.
 Each operator is tabulated once per process, as sparse rows of ints, and
 the face constraints and the derivative are assembled from the tables
 block by block.
@@ -91,18 +92,13 @@ def _face_rows(n, p, i, degree_cap):
 
 
 @lru_cache(maxsize=None)
-def _collapse_rows(base_dim, p, word, degree_cap):
-    """Pullback along the collapse of a degenerate simplex onto its base.
-
-    word lists the witness indices from the degenerate simplex down: the
-    simplex has dimension base_dim + len(word), and each letter j merges
-    vertices j and j+1. Row r (a basis element on the degenerate simplex)
-    maps each basis index on Delta^{base_dim} to its coefficient.
+def _collapse_rows(p, eta, degree_cap):
+    """Pullback along the collapse of a degenerate simplex onto its base, the
+    weakly increasing surjection with vertex map eta onto Delta^{eta[-1]}
+    (see SimplicialSet.collapse). Row r (a basis element on the degenerate
+    simplex) maps each basis index on the base to its coefficient.
     """
-    phi = list(range(base_dim + len(word) + 1))
-    for j in word:
-        phi = [v if v <= j else v - 1 for v in phi]
-    return _pullback_rows(base_dim, p, phi, degree_cap)
+    return _pullback_rows(eta[-1], p, eta, degree_cap)
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +166,6 @@ class _Truncation:
             self._columns[p] = (cols, where, widths)
         return self._columns[p]
 
-    def _collapse(self, n, s):
-        """Nondegenerate base of a simplex and the witness indices down to it."""
-        word = []
-        while self.x.is_degenerate(n, s):
-            j, s = self.x.witness[(n, s)]
-            word.append(j)
-            n -= 1
-        return n, s, tuple(word)
-
     def kernel(self, p):
         """Basis of face-compatible fields in degree p, as the rows of a Matrix
         over the ambient coordinates, with the column at which each row is 1
@@ -200,9 +187,9 @@ class _Truncation:
                 face = _face_rows(n, p, i, self.cap)
                 if not face:
                     continue
-                bdim, base, word = self._collapse(n - 1, self.x.d(n, i, s))
+                bdim, base, eta = self.x.collapse(n - 1, self.x.d(n, i, s))
                 there = where.get((bdim, base), ())
-                other = _collapse_rows(bdim, p, word, self.cap) if word else None
+                other = _collapse_rows(p, eta, self.cap) if bdim < n - 1 else None
                 for r, frow in enumerate(face):
                     row = {here[k]: c for k, c in frow.items()}
                     if other is None:

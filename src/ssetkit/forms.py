@@ -484,11 +484,9 @@ class FormField:
 
     def form_on(self, n, s):
         """The form on an arbitrary simplex, degenerate ones via collapse pullback."""
-        if not self.x.is_degenerate(n, s):
-            return self.forms[(n, s)]
-        j, base = self.x.witness[(n, s)]
-        # The collapse onto the base merges vertices j and j+1.
-        return self.form_on(n - 1, base).pullback(v - (v > j) for v in range(n + 1))
+        m, base, eta = self.x.collapse(n, s)
+        form = self.forms[(m, base)]
+        return form if m == n else form.pullback(eta)
 
     def validate(self):
         """Face-compatibility witnesses: (n, simplex, face index) triples."""

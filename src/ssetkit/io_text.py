@@ -395,13 +395,9 @@ def serialize_site_presheaf(presheaf):
     lines.append("presheaf")
     for name in site.names():
         lines.append("sections %s : %s" % (name, " ".join(presheaf.sections[name])))
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                pairs = " ".join(
-                    "%s>%s" % (s, presheaf.res[(a, b)][s]) for s in presheaf.sections[a]
-                )
-                lines.append("restrict %s %s : %s" % (a, b, pairs))
+    for a, b in site.arrows():
+        pairs = " ".join("%s>%s" % (s, presheaf.res[(a, b)][s]) for s in presheaf.sections[a])
+        lines.append("restrict %s %s : %s" % (a, b, pairs))
     return "\n".join(lines) + "\n"
 
 

@@ -62,6 +62,9 @@ class FiniteSite:
                         raise StructureError("object %r contains unknown simplex %r" % (name, s))
         for a, b in itertools.product(names, repeat=2):
             self._leq[(a, b)] = _sub_leq(self.objects[a], self.objects[b])
+        self._arrows = tuple(
+            (a, b) for a, b in itertools.product(names, repeat=2) if a != b and self._leq[(b, a)]
+        )
         for a, b in itertools.product(names, repeat=2):
             meet = sub_intersection(self.objects[a], self.objects[b])
             found = None
@@ -90,6 +93,11 @@ class FiniteSite:
 
     def leq(self, a, b):
         return self._leq[(a, b)]
+
+    def arrows(self):
+        """The pairs (a, b) of distinct names with b <= a, along which a
+        presheaf restricts from a to b; ordered by a, then b, in name order."""
+        return self._arrows
 
     def meet(self, a, b):
         """Name of the intersection object, or None when the intersection is empty
@@ -148,18 +156,15 @@ class Presheaf:
         for name in self.site.names():
             if name not in self.sections:
                 raise StructureError("no section set for %r" % (name,))
-        for a, b in itertools.product(self.site.names(), repeat=2):
-            if a == b:
-                continue
-            if self.site.leq(b, a):
-                table = self.res.get((a, b))
-                if table is None:
-                    raise StructureError("missing restriction from %r to %r" % (a, b))
-                for s in self.sections[a]:
-                    if s not in table:
-                        raise StructureError("restriction %r -> %r undefined on %r" % (a, b, s))
-                    if table[s] not in self.sections[b]:
-                        raise StructureError("restriction image %r not a section of %r" % (table[s], b))
+        for a, b in self.site.arrows():
+            table = self.res.get((a, b))
+            if table is None:
+                raise StructureError("missing restriction from %r to %r" % (a, b))
+            for s in self.sections[a]:
+                if s not in table:
+                    raise StructureError("restriction %r -> %r undefined on %r" % (a, b, s))
+                if table[s] not in self.sections[b]:
+                    raise StructureError("restriction image %r not a section of %r" % (table[s], b))
         for a in self.site.names():
             self.res[(a, a)] = {s: s for s in self.sections[a]}
         for a, b, c in itertools.product(self.site.names(), repeat=3):
@@ -311,13 +316,11 @@ def _separate_once(presheaf):
         for name in site.names()
     }
     restrictions = {}
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                table = {}
-                for s in presheaf.sections[a]:
-                    table[classes[a][s]] = classes[b][presheaf.restrict(a, b, s)]
-                restrictions[(a, b)] = table
+    for a, b in site.arrows():
+        table = {}
+        for s in presheaf.sections[a]:
+            table[classes[a][s]] = classes[b][presheaf.restrict(a, b, s)]
+        restrictions[(a, b)] = table
     return Presheaf(site, sections, restrictions), classes
 
 
@@ -391,32 +394,30 @@ def sheafify(presheaf):
         raise StructureError("datum not enumerated on %r" % (name,))
 
     restrictions = {}
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                table = {}
-                for i, (cover, family) in enumerate(data[a]):
-                    cls = labels[a][classes[a][i]]
-                    if cls in table:
-                        continue
-                    members = []
-                    values = []
-                    for m, val in zip(cover, family):
-                        mm = site.meet(m, b)
-                        if mm is None or _sub_empty(site.objects[mm]):
-                            continue
-                        members.append(mm)
-                        values.append(base.restrict(m, mm, val))
-                    # deduplicate members while keeping value agreement
-                    dedup = {}
-                    for m, v in zip(members, values):
-                        if m in dedup and dedup[m] != v:
-                            raise StructureError("restricted datum disagrees with itself")
-                        dedup[m] = v
-                    cover_b = tuple(sorted(dedup, key=str))
-                    fam_b = tuple(dedup[m] for m in cover_b)
-                    table[cls] = datum_class(b, (cover_b, fam_b))
-                restrictions[(a, b)] = table
+    for a, b in site.arrows():
+        table = {}
+        for i, (cover, family) in enumerate(data[a]):
+            cls = labels[a][classes[a][i]]
+            if cls in table:
+                continue
+            members = []
+            values = []
+            for m, val in zip(cover, family):
+                mm = site.meet(m, b)
+                if mm is None or _sub_empty(site.objects[mm]):
+                    continue
+                members.append(mm)
+                values.append(base.restrict(m, mm, val))
+            # deduplicate members while keeping value agreement
+            dedup = {}
+            for m, v in zip(members, values):
+                if m in dedup and dedup[m] != v:
+                    raise StructureError("restricted datum disagrees with itself")
+                dedup[m] = v
+            cover_b = tuple(sorted(dedup, key=str))
+            fam_b = tuple(dedup[m] for m in cover_b)
+            table[cls] = datum_class(b, (cover_b, fam_b))
+        restrictions[(a, b)] = table
     result = Presheaf(site, sections, restrictions)
     unit = {}
     for name in site.names():
@@ -444,7 +445,9 @@ def natural_maps(source, target):
     """
     site = source.site
     names = site.names()
-    below = {a: [b for b in names if b != a and site.leq(b, a)] for a in names}
+    below = {a: [] for a in names}
+    for a, b in site.arrows():
+        below[a].append(b)
     order = sorted(names, key=lambda n: (-len(below[n]), str(n)))
     items = [(n, s) for n in order for s in source.sections[n]]
     out = []
@@ -488,12 +491,10 @@ def natural_maps(source, target):
 
 def is_natural(source, target, maps):
     site = source.site
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                for s in source.sections[a]:
-                    if maps[b][source.restrict(a, b, s)] != target.res[(a, b)][maps[a][s]]:
-                        return False
+    for a, b in site.arrows():
+        for s in source.sections[a]:
+            if maps[b][source.restrict(a, b, s)] != target.res[(a, b)][maps[a][s]]:
+                return False
     return True
 
 
@@ -510,14 +511,12 @@ def _check_subpresheaf(ambient, sub_sections):
         extra = set(sub_sections[name]) - set(ambient.sections[name])
         if extra:
             raise StructureError("sections %r of %r are not sections of the ambient sheaf" % (extra, name))
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                for s in sub_sections[a]:
-                    if ambient.restrict(a, b, s) not in set(sub_sections[b]):
-                        raise StructureError(
-                            "subpresheaf not closed under restriction %r -> %r at %r" % (a, b, s)
-                        )
+    for a, b in site.arrows():
+        for s in sub_sections[a]:
+            if ambient.restrict(a, b, s) not in set(sub_sections[b]):
+                raise StructureError(
+                    "subpresheaf not closed under restriction %r -> %r at %r" % (a, b, s)
+                )
 
 
 def union_intersection(ambient, g_sections, h_sections):
@@ -552,11 +551,8 @@ def union_intersection(ambient, g_sections, h_sections):
 def sub_to_presheaf(ambient, sub_sections):
     """A subpresheaf of a sheaf as a standalone Presheaf."""
     site = ambient.site
-    restrictions = {}
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                restrictions[(a, b)] = {
-                    s: ambient.restrict(a, b, s) for s in sub_sections[a]
-                }
+    restrictions = {
+        (a, b): {s: ambient.restrict(a, b, s) for s in sub_sections[a]}
+        for a, b in site.arrows()
+    }
     return Presheaf(site, sub_sections, restrictions)

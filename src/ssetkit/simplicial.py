@@ -124,6 +124,22 @@ class SimplicialSet:
             return ()
         return self._nondegenerate[n]
 
+    def collapse(self, n, x):
+        """Eilenberg-Zilber collapse of x onto its nondegenerate base.
+
+        Returns (m, base, eta) with x the image of the m-simplex base under
+        the degeneracy whose vertex map Delta^n -> Delta^m is eta, a weakly
+        increasing surjective value tuple of length n+1 (the identity when x
+        is nondegenerate). The witnesses are walked from x down: each
+        x = s_j(y) merges vertices j and j+1.
+        """
+        eta = tuple(range(n + 1))
+        while x in self.degenerate[n]:
+            j, x = self.witness[(n, x)]
+            eta = tuple(v - (v > j) for v in eta)
+            n -= 1
+        return n, x, eta
+
     def cofaces(self, n, i, f):
         """The n-simplices y with d_i y = f, in stored order.
 

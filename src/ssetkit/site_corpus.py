@@ -17,12 +17,7 @@ def constant_presheaf(site, labels):
     """The same finite section set on every object, identity restrictions."""
     labels = tuple(labels)
     sections = {name: labels for name in site.names()}
-    restrictions = {
-        (a, b): {s: s for s in labels}
-        for a in site.names()
-        for b in site.names()
-        if a != b and site.leq(b, a)
-    }
+    restrictions = {arrow: {s: s for s in labels} for arrow in site.arrows()}
     return Presheaf(site, sections, restrictions)
 
 
@@ -32,6 +27,19 @@ def _vertices(site, name):
 
 def _label(assignment):
     return "|".join("%s=%s" % (v, val) for v, val in assignment)
+
+
+def _vertex_presheaf(site, sections, table):
+    """Presheaf of vertex assignments; table[(name, label)] is the assignment
+    of a section, and restriction keeps the smaller object's vertices."""
+    restrictions = {
+        (a, b): {
+            s: _label(tuple((v, table[(a, s)][v]) for v in _vertices(site, b)))
+            for s in sections[a]
+        }
+        for a, b in site.arrows()
+    }
+    return Presheaf(site, sections, restrictions)
 
 
 def vertex_functions(site, values=(0, 1)):
@@ -46,15 +54,7 @@ def vertex_functions(site, values=(0, 1)):
             items.append(_label(assignment))
             table[(name, _label(assignment))] = dict(assignment)
         sections[name] = tuple(sorted(items))
-    restrictions = {}
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                restrictions[(a, b)] = {
-                    s: _label(tuple((v, table[(a, s)][v]) for v in _vertices(site, b)))
-                    for s in sections[a]
-                }
-    return Presheaf(site, sections, restrictions)
+    return _vertex_presheaf(site, sections, table)
 
 
 def representable_to_delta1(site):
@@ -88,12 +88,4 @@ def representable_to_delta1(site):
                 items.append(_label(assignment))
                 table[(name, _label(assignment))] = dict(assignment)
         sections[name] = tuple(sorted(items))
-    restrictions = {}
-    for a in site.names():
-        for b in site.names():
-            if a != b and site.leq(b, a):
-                restrictions[(a, b)] = {
-                    s: _label(tuple((v, table[(a, s)][v]) for v in _vertices(site, b)))
-                    for s in sections[a]
-                }
-    return Presheaf(site, sections, restrictions)
+    return _vertex_presheaf(site, sections, table)

@@ -19,7 +19,10 @@ simplex; it is the reference for the tabulated, degree-filtered single
 truncation in ssetkit.derham. The reference_* functions of the last section
 run barycentric subdivision, its homotopy and the boundary on dicts keyed
 by Fraction points, the reference for the integer point keys of
-ssetkit.subdivision.
+ssetkit.subdivision. orthant_restrict, orthant_inject, reference_face_extend
+and reference_horn_fill extend face data in orthant coordinates and move a
+horn by the vertex transposition (0 k), the reference for the retraction
+kernel of ssetkit.connections.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from ssetkit.connections import LieValuedForm
 from ssetkit.derham import DeRhamReport
-from ssetkit.errors import ParameterError, StructureError
+from ssetkit.errors import CompatibilityError, ParameterError, StructureError
 from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
@@ -686,3 +690,93 @@ def reference_iterated_diameter(points, m):
         (reference_diameter_squared(q) for q in reference_iterate_subdivision(points, m)),
         default=Fraction(0),
     )
+
+
+# -- face extension in orthant coordinates ---------------------------------------
+# The reference for ssetkit.connections: the restriction and constant extension
+# that the package ran before its face extension moved onto the vertex-map
+# pullback. The faces {t_i = 0}, i = 1..n, of the positive orthant are the
+# faces d_i of the simplex in canonical coordinates, and a horn missing d_k,
+# k != 0, is moved onto them by the vertex transposition (0 k).
+
+
+def orthant_restrict(form, i):
+    """Restriction to the face {t_i = 0}: kill t_i and dt_i, reindex down."""
+    if not 1 <= i <= form.n:
+        raise ParameterError("face index out of range")
+    out = []
+    for (exps, idx), coeff in form.terms.items():
+        if exps[i - 1] > 0 or i in idx:
+            continue
+        new_idx = tuple(v if v < i else v - 1 for v in idx)
+        out.append(((exps[: i - 1] + exps[i:], new_idx), coeff))
+    return PolyForm(form.n - 1, form.p, out)
+
+
+def orthant_inject(form, i, n):
+    """Constant extension in t_i of a form on the face {t_i = 0} of n variables."""
+    if not 1 <= i <= n or form.n != n - 1:
+        raise ParameterError("injection index out of range")
+    out = []
+    for (exps, idx), coeff in form.terms.items():
+        new_idx = tuple(v if v < i else v + 1 for v in idx)
+        out.append(((exps[: i - 1] + (0,) + exps[i - 1:], new_idx), coeff))
+    return PolyForm(n, form.p, out)
+
+
+def _restrict_any(form, i):
+    if isinstance(form, LieValuedForm):
+        return form.entrywise(lambda f: orthant_restrict(f, i), n=form.n - 1)
+    return orthant_restrict(form, i)
+
+
+def _inject_any(form, i, n):
+    if isinstance(form, LieValuedForm):
+        return form.entrywise(lambda f: orthant_inject(f, i, n), n=n)
+    return orthant_inject(form, i, n)
+
+
+def _reference_discrepancy(a, b):
+    """First (entry, monomial key) at which a and b differ, entries in row order."""
+    pairs = (
+        [((i, j), f, b.entries[i][j]) for i, row in enumerate(a.entries) for j, f in enumerate(row)]
+        if isinstance(a, LieValuedForm) else [(None, a, b)]
+    )
+    for entry, f, g in pairs:
+        if f != g:
+            key = min(k for k in set(f.terms) | set(g.terms) if f.terms.get(k) != g.terms.get(k))
+            return key if entry is None else (entry, key)
+    return None
+
+
+def reference_face_extend(n, data):
+    """Orthant face extension of data on faces {t_i = 0}, i in 1..n: pairs
+    i < j are compared on {t_i = t_j = 0}, then each face's residual, from
+    the top face down, is extended constantly in its own coordinate."""
+    keys = sorted(data, reverse=True)
+    for pos, j in enumerate(keys):
+        for i in keys[pos + 1:]:
+            rij = _restrict_any(_restrict_any(_inject_any(data[i], i, n), j), i)
+            rji = _restrict_any(_restrict_any(_inject_any(data[j], j, n), j), i)
+            if rij != rji:
+                raise CompatibilityError("faces disagree", witness=(i, j, _reference_discrepancy(rij, rji)))
+    result = None
+    for i in keys:
+        residual = data[i] if result is None else data[i] - _restrict_any(result, i)
+        extended = _inject_any(residual, i, n)
+        result = extended if result is None else result + extended
+    return result
+
+
+def reference_horn_fill(n, k, data):
+    """Horn filling by the vertex transposition (0 k): face d_i moves to face
+    d_{perm[i]}, the orthant extension fills, and the filler moves back."""
+    perm = list(range(n + 1))
+    perm[0], perm[k] = perm[k], perm[0]
+    moved = {}
+    for i in data:
+        # perm is an involution, so vertex v of face perm[i] comes from vertex
+        # perm[v] of face i.
+        face_i = [v for v in range(n + 1) if v != i]
+        moved[perm[i]] = data[i].pullback(face_i.index(perm[v]) for v in range(n + 1) if v != perm[i])
+    return reference_face_extend(n, moved).pullback(perm)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssetkit.connections import (
     EdgeGluing,
@@ -22,8 +24,6 @@ from ssetkit.connections import (
     face_extend,
     gl,
     horn_connection_fill,
-    orthant_inject,
-    orthant_restrict,
     polyform_evaluator,
     sl2,
     u1_chern_number,
@@ -33,6 +33,7 @@ from ssetkit.forms import PolyForm, TAU, QTau, elementary_whitney
 from ssetkit.randomsuite import random_polyform
 
 from conftest import face_map
+from oracles import orthant_inject, reference_face_extend, reference_horn_fill
 
 
 def rnd_connection(rng, algebra, n, poly_degree=2):
@@ -68,25 +69,25 @@ def test_face_extend_two_face_example():
     f1 = PolyForm.from_raw(1, 0, [(1, (0, 1), ())])
     f2 = PolyForm.zero(1, 0)
     out = face_extend(2, {1: f1, 2: f2})
-    assert orthant_restrict(out, 1) == f1
-    assert orthant_restrict(out, 2) == f2
+    assert out.pullback(face_map(2, 1)) == f1
+    assert out.pullback(face_map(2, 2)) == f2
 
 
 def test_face_extend_zero_and_single():
     assert face_extend(3, {i: PolyForm.zero(2, 0) for i in (1, 2, 3)}).is_zero()
     datum = PolyForm.from_raw(2, 0, [(1, (0, 2, 1), ())])
     out = face_extend(3, {2: datum})
-    assert orthant_restrict(out, 2) == datum
+    assert out.pullback(face_map(3, 2)) == datum
 
 
 def test_face_extend_terminates_in_n_steps_for_n_faces():
     rng = random.Random(1)
     n = 3
     base = random_polyform(rng, n, 0, 3, 4)
-    data = {i: orthant_restrict(base, i) for i in range(1, n + 1)}
+    data = {i: base.pullback(face_map(n, i)) for i in range(1, n + 1)}
     out = face_extend(n, data)
     for i in data:
-        assert orthant_restrict(out, i) == data[i]
+        assert out.pullback(face_map(n, i)) == data[i]
 
 
 def test_face_extend_incompatible_witness():
@@ -99,19 +100,123 @@ def test_face_extend_incompatible_witness():
 def test_face_extend_forms_with_differentials():
     rng = random.Random(2)
     base = random_polyform(rng, 3, 1, 2, 4)
-    data = {i: orthant_restrict(base, i) for i in (1, 3)}
+    data = {i: base.pullback(face_map(3, i)) for i in (1, 3)}
     out = face_extend(3, data)
     for i in data:
-        assert orthant_restrict(out, i) == data[i]
+        assert out.pullback(face_map(3, i)) == data[i]
 
 
-def test_orthant_inject_restrict_inverse():
+def test_single_face_extension_is_a_retraction():
+    """Extending one face datum pulls it back along the retraction onto that
+    face, which the face embedding undoes; in orthant coordinates that is the
+    constant extension in the face's own coordinate."""
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randint(2, 4)
         i = rng.randint(1, n)
         f = random_polyform(rng, n - 1, rng.randint(0, n - 2), 3, 3)
-        assert orthant_restrict(orthant_inject(f, i, n), i) == f
+        out = face_extend(n, {i: f})
+        assert out == orthant_inject(f, i, n)
+        assert out.pullback(face_map(n, i)) == f
+
+
+def test_extension_input_checks():
+    c = PolyForm.constant
+    bad = [
+        (face_extend, (2, {})),
+        (face_extend, (2, {0: c(1, 1)})),
+        (face_extend, (2, {3: c(1, 1)})),
+        (face_extend, (2, {1: c(2, 1)})),
+        (face_extend, (2, {1: c(1, 1), 2: PolyForm.zero(1, 1)})),
+        (horn_connection_fill, (0, 0, {})),
+        (horn_connection_fill, (2, 3, {0: c(1, 1)})),
+        (horn_connection_fill, (2, 1, {0: c(1, 1)})),
+        (horn_connection_fill, (2, 1, {0: c(1, 1), 2: c(2, 1)})),
+    ]
+    for fill, args in bad:
+        with pytest.raises(ParameterError):
+            fill(*args)
+
+
+def test_horn_witness_names_the_given_faces():
+    with pytest.raises(CompatibilityError) as err:
+        horn_connection_fill(2, 2, {0: PolyForm.constant(1, 1), 1: PolyForm.constant(1, 0)})
+    assert err.value.witness[:2] == (0, 1)
+    rng = random.Random(5)
+    base = random_polyform(rng, 3, 0, 2, 3)
+    data = {i: base.pullback(face_map(3, i)) for i in (0, 2, 3)}
+    data[0] = data[0] + PolyForm.constant(2, 1)
+    with pytest.raises(CompatibilityError) as err:
+        horn_connection_fill(3, 1, data)
+    i, j, _ = err.value.witness
+    assert i < j and {i, j} <= set(data)
+
+
+# -- face extension and horn filling against the orthant oracle ---------------------
+
+ALGEBRAS = {"abelian": abelian_line(), "sl2": sl2()}
+
+
+@st.composite
+def face_problems(draw, horn):
+    """(n, k, data): restrictions of one random form on Delta^n, a PolyForm or
+    an abelian or sl2 LieValuedForm, to the faces of a horn missing d_k (horn)
+    or to a nonempty subset of the faces d_1..d_n (k = 0); sometimes one datum
+    is perturbed, which usually makes the data incompatible."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(0, n - 1))
+    algebra = ALGEBRAS.get(draw(st.sampled_from(("poly", "abelian", "sl2"))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def random_form(m):
+        if algebra is None:
+            return random_polyform(rng, m, p, 2, 3)
+        coeffs = [random_polyform(rng, m, p, 2, 3) for _ in algebra.basis]
+        return LieValuedForm.from_basis(algebra, m, p, coeffs)
+
+    if horn:
+        k = draw(st.integers(0, n))
+        faces = [i for i in range(n + 1) if i != k]
+    else:
+        k = 0
+        faces = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+    base = random_form(n)
+    data = {i: base.pullback(face_map(n, i)) for i in faces}
+    if draw(st.booleans()):
+        i = draw(st.sampled_from(faces))
+        data[i] = data[i] + random_form(n - 1)
+    return n, k, data
+
+
+def _outcome(fill, *args):
+    try:
+        return fill(*args), None
+    except CompatibilityError as exc:
+        return None, exc.witness
+
+
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@ORACLE_SETTINGS
+@given(face_problems(horn=False))
+def test_face_extend_matches_orthant_oracle(problem):
+    n, _, data = problem
+    assert _outcome(face_extend, n, data) == _outcome(reference_face_extend, n, data)
+
+
+@ORACLE_SETTINGS
+@given(face_problems(horn=True))
+def test_horn_fill_matches_transposition_oracle(problem):
+    n, k, data = problem
+    filled, witness = _outcome(horn_connection_fill, n, k, data)
+    expected, reference_witness = _outcome(reference_horn_fill, n, k, data)
+    assert filled == expected
+    assert (witness is None) == (reference_witness is None)
+    if witness is not None:
+        # The oracle names faces in the transposed frame; the fill names given ones.
+        i, j, _ = witness
+        assert i < j and {i, j} <= set(data)
 
 
 CASES_12 = [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
-from oracles import coface_matrix, collapse_matrix, derham_reference, matrix_pullback
+from oracles import coface_matrix, collapse_matrix, compose_matrices, derham_reference, matrix_pullback
 from ssetkit import derham
 from ssetkit.derham import derham_cohomology
 from ssetkit.errors import ParameterError
@@ -178,6 +178,13 @@ def test_collapse_tables_match_stepwise_pullback():
             top = base_dim + length
             for p in range(base_dim + 1):
                 for word in _words(base_dim, length):
+                    # The word's vertex map: the row of the 1 in each column of
+                    # the composite collapse matrix.
+                    composite = collapse_matrix(top - 1, word[0])
+                    for t in range(1, length):
+                        composite = compose_matrices(collapse_matrix(top - t - 1, word[t]), composite)
+                    eta = tuple(next(r for r, row in enumerate(composite) if row[v])
+                                for v in range(top + 1))
                     images = {}
                     for b in derham._local_basis(base_dim, p, max(TABLE_CAPS))[0]:
                         # Pull back one collapse at a time, from the base up.
@@ -188,7 +195,7 @@ def test_collapse_tables_match_stepwise_pullback():
                     for cap in TABLE_CAPS:
                         expected = _pulled_entries(images, derham._local_basis(base_dim, p, cap)[0],
                                                    derham._local_basis(top, p, cap)[1])
-                        rows = derham._collapse_rows(base_dim, p, word, cap)
+                        rows = derham._collapse_rows(p, eta, cap)
                         assert _table_entries(rows) == expected
 
 

@@ -495,6 +495,27 @@ def test_cli_extend_and_witness():
     assert "witness" in out
 
 
+def test_cli_empty_horn_is_a_usage_error(tmp_path):
+    path = tmp_path / "empty.ext"
+    path.write_text("extend 1\nn 0\nmissing 0\n")
+    code, out = run_cli("extend", str(path))
+    assert code == 2
+    assert "record error exact : no face data" in out
+
+
+def test_cli_horn_witness_golden():
+    """A horn missing d_2 whose faces d_0 and d_1 disagree: the witness names
+    those two given faces, not faces of a transposed frame."""
+    code, out = run_cli("extend", fixture_path("extend_horn_bad.ext"))
+    assert code == 1
+    assert out.splitlines()[2:6] == [
+        "input extend_horn_bad.ext sha256 bb85164fd4d978a02e8e07e6ae1fa72e19643433b458cf69adcffe8a65185fd1",
+        "record error exact : face data disagree on the intersection of faces 0 and 1",
+        "record witness exact : (0, 1, ((), ()))",
+        "status negative",
+    ]
+
+
 def test_cli_subdivide_and_stokes_exact_flags():
     code, out = run_cli("subdivide-check", "--trials", "5")
     assert code == 0

@@ -58,6 +58,15 @@ def test_site_validation():
         FiniteSite(path, {"X": site.objects["X"], "A": site.objects["A"]}, {"X": [("A",)]})
 
 
+def test_site_arrows_list_the_restrictions_once():
+    _, site = path_site()
+    assert site.arrows() == (("A", "M"), ("B", "M"), ("X", "A"), ("X", "B"), ("X", "M"))
+    _, site = two_point_site()
+    assert site.arrows() == (("X", "U0"), ("X", "U1"))
+    for _, presheaf, _ in corpus(site, False):
+        assert sorted(k for k in presheaf.res if k[0] != k[1]) == list(site.arrows())
+
+
 def test_constant_on_disconnected_is_not_sheaf():
     _, site = two_point_site()
     status = check_status(constant_presheaf(site, ("a", "b")))

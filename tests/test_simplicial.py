@@ -294,6 +294,21 @@ def test_from_generators_degenerate_iff_eta_not_injective():
             assert w == (i, gid if smaller == tuple(range(len(smaller))) else ("s", smaller, gid))
 
 
+def test_collapse_recovers_the_generator_encoding():
+    """Every simplex ("s", eta, gid) of a presented set collapses onto its
+    generator along eta, and a generator onto itself along the identity."""
+    sphere = from_generators(3, {0: [("v", ())], 2: [("S", [((0, 0), "v")] * 3)]})
+    for x in (circle_two_edges(3), sphere):
+        for n in x.dims():
+            for s in x.simplices[n]:
+                m, base, eta = x.collapse(n, s)
+                if isinstance(s, tuple):
+                    assert (base, eta) == (s[2], s[1])
+                else:
+                    assert (m, base, eta) == (n, s, tuple(range(n + 1)))
+                assert base in x.nondegenerate(m) and eta[-1] == m
+
+
 def test_quotient_base_point_witness():
     q = sphere_quotient(2, 4)
     for n in range(1, 5):
