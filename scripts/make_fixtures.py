@@ -179,6 +179,13 @@ def main():
         % (render_form(PolyForm.constant(1, 1)), render_form(PolyForm.constant(1, 0))),
     )
 
+    # without an algebra only entry 0 0 is read, so entry 0 1 is refused
+    write(
+        "extend_offmatrix.ext",
+        "extend 1\nn 2\nface 1 entry 0 0 : %s\nface 1 entry 0 1 : %s\nface 2 entry 0 0 : %s\n"
+        % (render_form(f1), render_form(f1), render_form(PolyForm.zero(1, 0))),
+    )
+
     # subdivision S and homotopy T of the standard 2-simplex, one chain each
     triangle = AffineChain.of(standard_affine_simplex(2))
     write("sd_triangle.chain", serialize_chain(subdivide(triangle)) + serialize_chain(homotopy(triangle)))

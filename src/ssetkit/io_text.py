@@ -575,6 +575,11 @@ def parse_extend(text):
     """Extension problem: ambient dimension, optional missing horn index,
     algebra name, and per-face (and per-entry) forms.
 
+    Without an algebra a face is one form, its entry 0 0. An entry outside
+    the algebra's matrix (any entry but 0 0 without one), an entry whose
+    form type differs from the first of its face, and a face whose matrix
+    is not in the algebra are errors naming their line.
+
     Returns (n, missing_or_None, algebra_or_None, data dict).
     """
     lines = [ln.strip() for ln in text.splitlines()]
@@ -582,7 +587,7 @@ def parse_extend(text):
         raise StructureError("expected header 'extend 1'")
     n = None
     missing = None
-    algebra = None
+    algebra, name = None, "none"
     raw = {}
     for ln, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
@@ -596,28 +601,40 @@ def parse_extend(text):
             elif words[0] == "algebra":
                 if words[1] not in _ALGEBRAS:
                     raise StructureError("line %d: unknown algebra %r" % (ln, words[1]))
-                algebra = _ALGEBRAS[words[1]]
+                algebra, name = _ALGEBRAS[words[1]], words[1]
             elif words[0] == "face":
                 i = int(words[1])
                 r, c = int(words[3]), int(words[4])
                 _, _, body = line.partition(":")
-                raw.setdefault(i, {})[(r, c)] = parse_form(body, ln)
+                raw.setdefault(i, {})[(r, c)] = (parse_form(body, ln), ln)
             else:
                 raise StructureError("line %d: unknown extend row %r" % (ln, words[0]))
     if n is None:
         raise StructureError("missing 'n' row")
-    if algebra is None:
-        for i, entries in raw.items():
-            if (0, 0) not in entries:
-                raise StructureError("face %d has no entry 0 0" % i)
-        data = {i: entries[(0, 0)] for i, entries in raw.items()}
-        return n, missing, None, data
-    alg = algebra()
+    alg = None if algebra is None else algebra()
+    size = 1 if alg is None else alg.size
     data = {}
     for i, entries in raw.items():
-        sample = next(iter(entries.values()))
-        zero = PolyForm.zero(sample.n, sample.p)
-        d = alg.size
-        rows = [[entries.get((r, c), zero) for c in range(d)] for r in range(d)]
-        data[i] = LieValuedForm(alg, sample.n, sample.p, rows)
+        first, first_ln = next(iter(entries.values()))
+        forms = {}
+        for (r, c), (form, ln) in entries.items():
+            if not (0 <= r < size and 0 <= c < size):
+                raise StructureError(
+                    "line %d: entry %d %d is outside the %dx%d matrix of algebra %s" % (ln, r, c, size, size, name)
+                )
+            if (form.n, form.p) != (first.n, first.p):
+                raise StructureError(
+                    "line %d: face %d mixes forms of type (%d, %d) and (%d, %d)"
+                    % (ln, i, first.n, first.p, form.n, form.p)
+                )
+            forms[(r, c)] = form
+        if alg is None:
+            data[i] = forms[(0, 0)]
+            continue
+        zero = PolyForm.zero(first.n, first.p)
+        data[i] = LieValuedForm(
+            alg, first.n, first.p, [[forms.get((r, c), zero) for c in range(size)] for r in range(size)]
+        )
+        if not data[i].in_algebra():
+            raise StructureError("line %d: face %d is not in algebra %s" % (first_ln, i, name))
     return n, missing, alg, data

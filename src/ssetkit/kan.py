@@ -5,13 +5,16 @@ Every verdict here is exhaustive over the stored tables and therefore only
 means "up to the dimension cap"; the certificates say so explicitly: a
 positive certificate enumerates every horn, a negative one carries a witness.
 
-Horn enumeration and filling draw candidates from the coface tables of the
-simplicial set (SimplicialSet.cofaces, the simplices with a given i-th face)
-rather than scanning a whole dimension: each horn face after the first
-placed one comes from the cofaces named by its identity with that first
-face, and a filler from the cofaces of one given face; every candidate is
-then checked against every face. Candidates keep stored order, so horns,
-fillers and certificates are those of an exhaustive scan.
+Horn enumeration draws candidates from the coface tables of the simplicial
+set (SimplicialSet.cofaces, the simplices with a given i-th face) rather
+than scanning a whole dimension: each horn face after the first placed one
+comes from the cofaces named by its identity with that first face, and is
+then checked against every other placed face in the face tables. Filling
+is one lookup in the horn index of the simplicial set
+(SimplicialSet.horn_fillers: for each (n, k), every tuple of given faces
+mapped to its fillers, built in one pass over X_n). Candidates and fillers
+keep stored order, so horns, fillers and certificates are those of an
+exhaustive scan.
 """
 
 from __future__ import annotations
@@ -35,16 +38,6 @@ class Horn:
         return [(i, f) for i, f in enumerate(self.faces) if i != self.k]
 
 
-def _horn_compatible(x, n, k, faces, j, candidate):
-    """Check d_i candidate = d_{j-1} faces[i] for already-placed i < j, i != k."""
-    for i in range(j):
-        if i == k or faces[i] is None:
-            continue
-        if x.d(n - 1, i, candidate) != x.d(n - 1, j - 1, faces[i]):
-            return False
-    return True
-
-
 def enumerate_horns(x, n, k):
     """All (n, k)-horns of x, by backtracking over face positions.
 
@@ -55,6 +48,7 @@ def enumerate_horns(x, n, k):
     if not 0 <= k <= n:
         raise ParameterError("horn index out of range")
     first = 1 if k == 0 else 0
+    tables = [x.face[(n - 1, i)] for i in range(n)] if n > 1 else []
     out = []
     faces = [None] * (n + 1)
 
@@ -68,11 +62,14 @@ def enumerate_horns(x, n, k):
         if j == first:
             candidates = x.simplices[n - 1]
         else:
-            # d_first x_j = d_{j-1} x_first narrows x_j to one coface list
+            # d_first x_j = d_{j-1} x_first narrows x_j to one coface list;
+            # every other placed x_i asks d_i x_j = d_{j-1} x_i
+            down = tables[j - 1]
+            rest = [(tables[i], down[faces[i]]) for i in range(first + 1, j) if i != k]
             candidates = [
                 c
-                for c in x.cofaces(n - 1, first, x.d(n - 1, j - 1, faces[first]))
-                if _horn_compatible(x, n, k, faces, j, c)
+                for c in x.cofaces(n - 1, first, down[faces[first]])
+                if all(d[c] == f for d, f in rest)
             ]
         for cand in candidates:
             faces[j] = cand
@@ -84,11 +81,8 @@ def enumerate_horns(x, n, k):
 
 
 def fill_horn(x, horn):
-    """Every n-simplex whose faces match the horn; emptiness certifies a failure.
-
-    Candidates are the cofaces of one given face; each is checked against
-    every given face in the face tables.
-    """
+    """Every n-simplex whose faces match the horn, in stored order;
+    emptiness certifies a failure. One lookup in the horn index of x."""
     n = horn.n
     if n < 1:
         raise ParameterError("horn dimension out of range")
@@ -96,11 +90,8 @@ def fill_horn(x, horn):
         raise ParameterError(
             "filling a %d-horn needs simplices above the cap %d" % (n, x.dim_cap)
         )
-    given = horn.given()
-    i0, f0 = given[0]
-    return [
-        y for y in x.cofaces(n, i0, f0) if all(x.d(n, i, y) == f for i, f in given)
-    ]
+    given = tuple(f for i, f in enumerate(horn.faces) if i != horn.k)
+    return list(x.horn_fillers(n, horn.k, given))
 
 
 @dataclass
@@ -161,21 +152,16 @@ def is_fibration(p):
     cap = p.dim_cap
     problems = 0
     for n in range(1, cap + 1):
+        below, level = p.level_map[n - 1], p.level_map[n]
         for k in range(n + 1):
             for h in enumerate_horns(x, n, k):
-                image = [(i, p(n - 1, f)) for i, f in h.given()]
-                i0, f0 = image[0]
-                down = [
-                    b
-                    for b in y.cofaces(n, i0, f0)
-                    if all(y.d(n, i, b) == f for i, f in image)
-                ]
+                down = y.horn_fillers(n, k, tuple(below[f] for _, f in h.given()))
                 if not down:
                     continue
-                fillers = fill_horn(x, h)
+                lifts = {level[z] for z in fill_horn(x, h)}
                 for b in down:
                     problems += 1
-                    if not any(p(n, z) == b for z in fillers):
+                    if b not in lifts:
                         return FibrationCertificate(cap, False, problems, witness=(h, b))
     return FibrationCertificate(cap, True, problems)
 

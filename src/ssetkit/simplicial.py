@@ -47,8 +47,8 @@ class SimplicialSet:
 
     Nothing changes the tables after construction, so derived structure
     (the index, the nondegenerate simplices, the identity scan behind
-    validate, the coface tables behind cofaces) is computed once and kept
-    on the object.
+    validate, the coface tables behind cofaces, the horn indexes behind
+    horn_fillers) is computed once and kept on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg):
@@ -80,10 +80,12 @@ class SimplicialSet:
         }
         self._violations = None
         self._cofaces = {}
+        self._horn_fillers = {}
 
     def _tabulate(self, structure_map, name, dims, step):
         """{(n, i): {x: structure_map(n, i, x)}} over the listed n-simplices
-        x, each value checked to be a listed simplex of dimension n + step."""
+        x in stored order, each value checked to be a listed simplex of
+        dimension n + step."""
         tables = {}
         for n in dims:
             known = self._index[n + step]
@@ -149,13 +151,24 @@ class SimplicialSet:
         if table is None:
             if not (1 <= n <= self.dim_cap and 0 <= i <= n):
                 raise ParameterError("no face map d_%d in dimension %d" % (i, n))
-            face = self.face[(n, i)]
-            table = {}
-            for y in self.simplices[n]:
-                table.setdefault(face[y], []).append(y)
-            table = {g: tuple(ys) for g, ys in table.items()}
+            table = _group(self.face[(n, i)].values(), self.simplices[n])
             self._cofaces[(n, i)] = table
         return table.get(f, ())
+
+    def horn_fillers(self, n, k, given):
+        """The n-simplices y with (d_i y)_{i != k} = given, in stored order.
+
+        The index for (n, k), from every given-face tuple to its fillers, is
+        built in one pass over X_n on its first call and kept.
+        """
+        table = self._horn_fillers.get((n, k))
+        if table is None:
+            if not (1 <= n <= self.dim_cap and 0 <= k <= n):
+                raise ParameterError("no (%d, %d)-horns to fill below the cap %d" % (n, k, self.dim_cap))
+            columns = [self.face[(n, i)].values() for i in range(n + 1) if i != k]
+            table = _group(zip(*columns), self.simplices[n])
+            self._horn_fillers[(n, k)] = table
+        return table.get(given, ())
 
     def counts(self):
         return tuple(len(self._nondegenerate[n]) for n in self.dims())
@@ -186,48 +199,86 @@ class SimplicialSet:
             self._violations = self._scan_identities()
         return list(self._violations)
 
+    def _position_tables(self, cap):
+        """The face and degeneracy tables up to dimension cap as lists of
+        stored positions: d[(n, i)][p] is the position in X_{n-1} of d_i of
+        the p-th n-simplex, s[(n, i)][p] that in X_{n+1} of s_i of it."""
+        d = {
+            (n, i): list(map(self._index[n - 1].__getitem__, self.face[(n, i)].values()))
+            for n in range(1, cap + 1)
+            for i in range(n + 1)
+        }
+        s = {
+            (n, i): list(map(self._index[n + 1].__getitem__, self.deg[(n, i)].values()))
+            for n in range(cap)
+            for i in range(n + 1)
+        }
+        return d, s
+
     def _scan_identities(self):
+        """Each identity at each (n, i, j) is checked over all of X_n at once:
+        both sides are composed as whole position tables and compared as
+        lists, and only a mismatch is walked for its simplices. Violations
+        come in the order of identity family, n, stored position of x, j, i."""
+        cap = self.dim_cap
+        d, s = self._position_tables(cap)
         bad = []
-        for n in range(2, self.dim_cap + 1):
-            for x in self.simplices[n]:
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = self.d(n - 1, i, self.d(n, j, x))
-                        rhs = self.d(n - 1, j - 1, self.d(n, i, x))
-                        if lhs != rhs:
-                            bad.append(("d_i d_j = d_{j-1} d_i", n, x, (i, j)))
-        for n in range(self.dim_cap):
-            for x in self.simplices[n]:
-                for j in range(n + 1):
-                    sx = self.s(n, j, x)
-                    if self.d(n + 1, j, sx) != x:
-                        bad.append(("d_j s_j = id", n, x, (j, j)))
-                    if self.d(n + 1, j + 1, sx) != x:
-                        bad.append(("d_{j+1} s_j = id", n, x, (j + 1, j)))
-        for n in range(1, self.dim_cap):
-            for x in self.simplices[n]:
-                for j in range(n + 1):
-                    sx = self.s(n, j, x)
-                    for i in range(n + 2):
-                        if i == j or i == j + 1:
-                            continue
-                        if i < j:
-                            rhs = self.s(n - 1, j - 1, self.d(n, i, x))
-                            name = "d_i s_j = s_{j-1} d_i (i<j)"
-                        else:
-                            rhs = self.s(n - 1, j, self.d(n, i - 1, x))
-                            name = "d_i s_j = s_j d_{i-1} (i>j+1)"
-                        if self.d(n + 1, i, sx) != rhs:
-                            bad.append((name, n, x, (i, j)))
-        for n in range(self.dim_cap - 1):
-            for x in self.simplices[n]:
-                for j in range(n + 1):
-                    for i in range(j + 1):
-                        lhs = self.s(n + 1, i, self.s(n, j, x))
-                        rhs = self.s(n + 1, j + 1, self.s(n, i, x))
-                        if lhs != rhs:
-                            bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, x, (i, j)))
+
+        def level(n, sides):
+            """Append the violations among sides, (name, i, j, lhs, rhs) over
+            X_n, in (position, j, i) order."""
+            found = []
+            for name, i, j, lhs, rhs in sides:
+                if lhs != rhs:
+                    found.extend((p, j, i, name) for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            xs = self.simplices[n]
+            bad.extend((name, n, xs[p], (i, j)) for p, j, i, name in sorted(found))
+
+        for n in range(2, cap + 1):
+            level(n, (
+                ("d_i d_j = d_{j-1} d_i", i, j,
+                 _compose(d[(n - 1, i)], d[(n, j)]), _compose(d[(n - 1, j - 1)], d[(n, i)]))
+                for j in range(n + 1)
+                for i in range(j)
+            ))
+        for n in range(cap):
+            same = list(range(len(self.simplices[n])))
+            level(n, (
+                (name, i, j, _compose(d[(n + 1, i)], s[(n, j)]), same)
+                for j in range(n + 1)
+                for i, name in ((j, "d_j s_j = id"), (j + 1, "d_{j+1} s_j = id"))
+            ))
+        for n in range(1, cap):
+            # d_i s_j = s_b d_a, as (name, i, j, b, a)
+            mixed = [("d_i s_j = s_{j-1} d_i (i<j)", i, j, j - 1, i)
+                     for j in range(n + 1) for i in range(j)]
+            mixed += [("d_i s_j = s_j d_{i-1} (i>j+1)", i, j, j, i - 1)
+                      for j in range(n + 1) for i in range(j + 2, n + 2)]
+            level(n, (
+                (name, i, j, _compose(d[(n + 1, i)], s[(n, j)]), _compose(s[(n - 1, b)], d[(n, a)]))
+                for name, i, j, b, a in mixed
+            ))
+        for n in range(cap - 1):
+            level(n, (
+                ("s_i s_j = s_{j+1} s_i (i<=j)", i, j,
+                 _compose(s[(n + 1, i)], s[(n, j)]), _compose(s[(n + 1, j + 1)], s[(n, i)]))
+                for j in range(n + 1)
+                for i in range(j + 1)
+            ))
         return bad
+
+
+def _group(keys, ys):
+    """{key: the ys with that key, in order}, keys and ys read in step."""
+    table = {}
+    for key, y in zip(keys, ys):
+        table.setdefault(key, []).append(y)
+    return {key: tuple(group) for key, group in table.items()}
+
+
+def _compose(outer, inner):
+    """outer after inner, for maps stored as position lists."""
+    return list(map(outer.__getitem__, inner))
 
 
 # -- canonical tuple machinery ----------------------------------------
@@ -672,24 +723,48 @@ class SimplicialMap:
         return self.level_map[n][x]
 
     def validate(self):
+        """The structure maps the map fails to commute with: ("face", n, i, x)
+        and then ("degeneracy", n, i, x), each in (n, stored position of x,
+        i) order.
+
+        A simplex the map leaves undefined or sends to an unknown identifier
+        is a StructureError, for the first such simplex in (n, stored)
+        order. Each (n, i) is checked over all of X_n at once, as whole
+        tables of stored positions.
+        """
+        cap = self.dim_cap
+        image = [self._image_positions(n) for n in range(cap + 1)]
+        source_d, source_s = self.source._position_tables(cap)
+        target_d, target_s = self.target._position_tables(cap)
         bad = []
-        for n in range(self.dim_cap + 1):
-            for x in self.source.simplices[n]:
-                if x not in self.level_map[n]:
-                    raise StructureError("map undefined on %r in dimension %d" % (x, n))
-                if not self.target.has(n, self.level_map[n][x]):
-                    raise StructureError("map sends %r to unknown identifier" % (x,))
-        for n in range(1, self.dim_cap + 1):
-            for x in self.source.simplices[n]:
+        for kind, dims, step, source, target in (
+            ("face", range(1, cap + 1), -1, source_d, target_d),
+            ("degeneracy", range(cap), 1, source_s, target_s),
+        ):
+            for n in dims:
+                found = []
                 for i in range(n + 1):
-                    if self(n - 1, self.source.d(n, i, x)) != self.target.d(n, i, self(n, x)):
-                        bad.append(("face", n, i, x))
-        for n in range(self.dim_cap):
-            for x in self.source.simplices[n]:
-                for i in range(n + 1):
-                    if self(n + 1, self.source.s(n, i, x)) != self.target.s(n, i, self(n, x)):
-                        bad.append(("degeneracy", n, i, x))
+                    lhs = _compose(image[n + step], source[(n, i)])
+                    rhs = _compose(target[(n, i)], image[n])
+                    if lhs != rhs:
+                        found.extend((p, i) for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                xs = self.source.simplices[n]
+                bad.extend((kind, n, i, xs[p]) for p, i in sorted(found))
         return bad
+
+    def _image_positions(self, n):
+        """The target positions of the images of X_n, in stored order."""
+        level = self.level_map[n]
+        known = self.target._index[n]
+        try:
+            return list(map(known.__getitem__, map(level.__getitem__, self.source.simplices[n])))
+        except KeyError:
+            for x in self.source.simplices[n]:
+                if x not in level:
+                    raise StructureError("map undefined on %r in dimension %d" % (x, n)) from None
+                if level[x] not in known:
+                    raise StructureError("map sends %r to unknown identifier" % (x,)) from None
+            raise
 
     def is_isomorphism(self):
         if self.source.dim_cap != self.target.dim_cap or self.validate():

@@ -173,14 +173,6 @@ class AffineChain:
     def __eq__(self, other):
         return isinstance(other, AffineChain) and self.terms == other.terms
 
-    def map_terms(self, fn):
-        """Linear extension of a simplex-to-chain map."""
-        out = []
-        for s, c in self.terms.items():
-            for t, v in fn(s).terms.items():
-                out.append((t, c * v))
-        return AffineChain(out)
-
     def __repr__(self):
         return "AffineChain(%d terms, dim %s)" % (len(self.terms), self.dimension)
 

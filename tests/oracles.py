@@ -6,11 +6,14 @@ symbolic integration, and counting problems from direct dynamic programs.
 unnormalized_betti is the unnormalized chain complex that the normalized
 one in ssetkit.homology must agree with below the cap.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
-lists of lists, the reference for the sparse engine in ssetkit.linalg. The
-scan_* functions find horns, fillers and lifts by scanning a whole dimension
-of the face tables, the reference for the coface-indexed search in
-ssetkit.kan. matrix_pullback substitutes an affine-barycentric map given as
-a column-stochastic Fraction matrix into a PolyForm, the reference for the
+lists of lists, the reference for the sparse engine in ssetkit.linalg.
+scan_identities and scan_map_violations check the simplicial identities and
+a map's commutation one simplex and one index pair at a time, the reference
+for the whole-table passes of ssetkit.simplicial. The other scan_* functions
+find horns, fillers and lifts by scanning a whole dimension of the face
+tables, the reference for the coface and horn-index search in ssetkit.kan.
+matrix_pullback substitutes an affine-barycentric map given as a
+column-stochastic Fraction matrix into a PolyForm, the reference for the
 vertex-map pullback of ssetkit.forms; coface_matrix, collapse_matrix and
 vertex_map_matrix build the matrices of simplicial maps. derham_reference
 builds the three truncations of de Rham cohomology from scratch, pulling
@@ -206,6 +209,74 @@ def strict_chain_count(p, q, length):
         if all(less(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)):
             count += 1
     return count
+
+
+def scan_identities(x):
+    """The simplicial identity violations of x, one simplex and one index
+    pair at a time through the d/s accessors: the order of the report is
+    identity family, n, stored position of x, then j, then i."""
+    bad = []
+    for n in range(2, x.dim_cap + 1):
+        for s in x.simplices[n]:
+            for j in range(n + 1):
+                for i in range(j):
+                    if x.d(n - 1, i, x.d(n, j, s)) != x.d(n - 1, j - 1, x.d(n, i, s)):
+                        bad.append(("d_i d_j = d_{j-1} d_i", n, s, (i, j)))
+    for n in range(x.dim_cap):
+        for s in x.simplices[n]:
+            for j in range(n + 1):
+                ss = x.s(n, j, s)
+                if x.d(n + 1, j, ss) != s:
+                    bad.append(("d_j s_j = id", n, s, (j, j)))
+                if x.d(n + 1, j + 1, ss) != s:
+                    bad.append(("d_{j+1} s_j = id", n, s, (j + 1, j)))
+    for n in range(1, x.dim_cap):
+        for s in x.simplices[n]:
+            for j in range(n + 1):
+                ss = x.s(n, j, s)
+                for i in range(n + 2):
+                    if i == j or i == j + 1:
+                        continue
+                    if i < j:
+                        rhs = x.s(n - 1, j - 1, x.d(n, i, s))
+                        name = "d_i s_j = s_{j-1} d_i (i<j)"
+                    else:
+                        rhs = x.s(n - 1, j, x.d(n, i - 1, s))
+                        name = "d_i s_j = s_j d_{i-1} (i>j+1)"
+                    if x.d(n + 1, i, ss) != rhs:
+                        bad.append((name, n, s, (i, j)))
+    for n in range(x.dim_cap - 1):
+        for s in x.simplices[n]:
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    if x.s(n + 1, i, x.s(n, j, s)) != x.s(n + 1, j + 1, x.s(n, i, s)):
+                        bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, s, (i, j)))
+    return bad
+
+
+def scan_map_violations(p):
+    """SimplicialMap.validate one simplex at a time: a StructureError for the
+    first simplex, in (n, stored) order, that the map leaves undefined or
+    sends to an unknown identifier; else the face, then the degeneracy
+    violations in (n, stored position, i) order."""
+    for n in range(p.dim_cap + 1):
+        for s in p.source.simplices[n]:
+            if s not in p.level_map[n]:
+                raise StructureError("map undefined on %r in dimension %d" % (s, n))
+            if not p.target.has(n, p.level_map[n][s]):
+                raise StructureError("map sends %r to unknown identifier" % (s,))
+    bad = []
+    for n in range(1, p.dim_cap + 1):
+        for s in p.source.simplices[n]:
+            for i in range(n + 1):
+                if p(n - 1, p.source.d(n, i, s)) != p.target.d(n, i, p(n, s)):
+                    bad.append(("face", n, i, s))
+    for n in range(p.dim_cap):
+        for s in p.source.simplices[n]:
+            for i in range(n + 1):
+                if p(n + 1, p.source.s(n, i, s)) != p.target.s(n, i, p(n, s)):
+                    bad.append(("degeneracy", n, i, s))
+    return bad
 
 
 def scan_enumerate_horns(x, n, k):

@@ -195,7 +195,7 @@ def _outcome(fill, *args):
         return None, exc.witness
 
 
-ORACLE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+ORACLE_SETTINGS = settings(max_examples=150)
 
 
 @ORACLE_SETTINGS

@@ -98,7 +98,7 @@ def test_second_call_reuses_the_tables(monkeypatch):
 
 # -- differential tests against the three-stage reference -----------------------
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=40)
 
 
 @st.composite

@@ -148,7 +148,7 @@ def test_pullback_rejects_bad_substitution():
 
 # -- the vertex-map pullback against the matrix oracle ------------------------------
 
-PULLBACK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PULLBACK_SETTINGS = settings(max_examples=60)
 
 
 @st.composite

@@ -31,7 +31,7 @@ from ssetkit.simplicial import (
     truncate,
 )
 
-from conftest import swapped_delta2
+from conftest import swapped_delta2, with_replaced_entries
 
 
 def test_horn_enumeration_on_delta1():
@@ -179,7 +179,7 @@ def test_extra_degeneracy_implies_trivial_reduced_homology():
 
 # -- coface-indexed search against the scanning oracles ------------------------
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 def _delta_family(draw, cap):
@@ -194,11 +194,12 @@ def _delta_family(draw, cap):
 
 @st.composite
 def simplicial_sets(draw):
-    """Nerves, products, boundaries, horns, truncations, sphere quotients and
-    a set whose face tables break an identity, all small enough to scan."""
+    """Nerves, products, boundaries, horns, truncations, sphere quotients,
+    a set whose face tables break an identity and nerves with face entries
+    replaced at random, all small enough to scan."""
     cap = draw(st.integers(1, 3))
     kind = draw(
-        st.sampled_from(["nerve", "simplex", "product", "truncation", "sphere", "broken"])
+        st.sampled_from(["nerve", "simplex", "product", "truncation", "sphere", "broken", "corrupted"])
     )
     if kind == "nerve":
         return nerve(cyclic_table(draw(st.integers(1, 3))), cap)
@@ -212,7 +213,15 @@ def simplicial_sets(draw):
         return truncate(nerve(cyclic_table(draw(st.integers(2, 3))), 3), cap)
     if kind == "sphere":
         return sphere_quotient(draw(st.integers(1, 3)), cap)
-    return swapped_delta2(max(cap, 2))
+    if kind == "broken":
+        return swapped_delta2(max(cap, 2))
+    x = nerve(cyclic_table(draw(st.integers(2, 3))), cap)
+    changes = {}
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, cap))
+        key = ("d", n, draw(st.integers(0, n)), draw(st.sampled_from(x.simplices[n])))
+        changes[key] = draw(st.sampled_from(x.simplices[n - 1]))
+    return with_replaced_entries(x, changes)
 
 
 def _projection(x, y):
@@ -295,11 +304,80 @@ def test_cofaces_are_the_stored_simplices_with_that_face():
             x.cofaces(n, i, (0,))
 
 
-def test_face_lookups_of_fibrancy_check_on_nerve_z4(monkeypatch):
-    """Exact work count: the scan over every n-simplex per horn made 764048."""
+def test_horn_fillers_are_the_stored_simplices_with_those_faces():
+    x = standard_boundary(3, 3)
+    for n in range(1, 4):
+        for k in range(n + 1):
+            for y in x.simplices[n]:
+                given = tuple(x.d(n, i, y) for i in range(n + 1) if i != k)
+                assert x.horn_fillers(n, k, given) == tuple(
+                    z for z in x.simplices[n] if all(x.d(n, i, z) == x.d(n, i, y) for i in range(n + 1) if i != k)
+                )
+    assert x.horn_fillers(2, 1, ("not", "faces")) == ()
+    for n, k in ((0, 0), (4, 0), (2, 3)):
+        with pytest.raises(ParameterError):
+            x.horn_fillers(n, k, ())
+
+
+def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
+    """Exact work count. The scan over every n-simplex per horn made 764048
+    SimplicialSet.d calls and the coface search 69492; enumeration now reads
+    the face tables directly and filling is one index lookup per horn, with
+    one index built per (n, k)."""
     x = nerve(cyclic_table(4), 4)
-    calls = []
-    d = SimplicialSet.d
-    monkeypatch.setattr(SimplicialSet, "d", lambda self, n, i, y: calls.append(1) or d(self, n, i, y))
-    assert is_fibrant(x).fibrant
-    assert len(calls) == 69492
+    calls = {"d": 0, "cofaces": 0, "horn_fillers": 0}
+    for name in calls:
+        method = getattr(SimplicialSet, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SimplicialSet, name, counted)
+    cert = is_fibrant(x)
+    assert cert.fibrant
+    horns = sum(h for h, _ in cert.counts.values())
+    assert calls == {"d": 0, "cofaces": 3212, "horn_fillers": horns}
+    assert horns == 1586
+    assert sorted(x._horn_fillers) == [(n, k) for n in range(1, 5) for k in range(n + 1)]
+
+
+NEGATIVE_SETS = {
+    "delta1": standard_delta(1, 2),
+    "boundary2": standard_boundary(2, 2),
+    "horn21": standard_horn(2, 1, 2),
+    "sphere2": sphere_quotient(2, 3),
+    "broken": swapped_delta2(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_SETS))
+def test_non_fibrant_witness_matches_scanning_oracle(name):
+    x = NEGATIVE_SETS[name]
+    cert = is_fibrant(x)
+    assert not cert.fibrant
+    assert cert == oracles.scan_is_fibrant(x)
+    assert fill_horn(x, cert.witness) == []
+    for n in range(1, x.dim_cap + 1):
+        for k in range(n + 1):
+            for h in enumerate_horns(x, n, k):
+                assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
+
+
+NO_LIFT_MAPS = {
+    "boundary2 in delta2": lambda: _inclusion(standard_boundary(2, 2), standard_delta(2)),
+    "horn21 in delta2": lambda: _inclusion(standard_horn(2, 1, 2), standard_delta(2)),
+    "N(Z/2) to N(Z/4)": lambda: _homomorphism(2, 4, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_LIFT_MAPS))
+def test_missing_lift_witness_matches_scanning_oracle(name):
+    p = NO_LIFT_MAPS[name]()
+    cert = is_fibration(p)
+    assert not cert.fibration
+    assert cert == oracles.scan_is_fibration(p)
+    horn, base = cert.witness
+    n = horn.n
+    assert [p.target.d(n, i, base) for i, _ in horn.given()] == [p(n - 1, f) for _, f in horn.given()]
+    assert base not in {p(n, z) for z in fill_horn(p.source, horn)}

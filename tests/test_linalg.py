@@ -29,7 +29,7 @@ from ssetkit.linalg import (
     solve,
 )
 
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=100)
 
 # Mostly zeros, so rows and columns are sparse and often entirely zero.
 INTEGERS = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6])

@@ -6,7 +6,10 @@ import itertools
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ssetkit.cli import main
 from ssetkit.errors import CapExceededError, ParameterError, StructureError
 from ssetkit.io_text import serialize_complex
@@ -32,7 +35,7 @@ from ssetkit.simplicial import (
     truncate,
 )
 
-from conftest import fixture_path, swapped_delta2
+from conftest import fixture_path, swapped_delta2, with_replaced_entries
 from oracles import strict_chain_count
 
 
@@ -235,6 +238,126 @@ def test_every_generated_object_validates():
     ]
     for x in objects:
         assert x.validate() == []
+
+
+# -- whole-table scans against the element-wise oracles -------------------------
+
+SCAN_SETTINGS = settings(max_examples=80)
+
+
+@st.composite
+def simplicial_sets(draw):
+    """Random ordered complexes, nerves, products and quotients, caps 1-3."""
+    cap = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["complex", "nerve", "product", "quotient"]))
+    if kind == "nerve":
+        return nerve(cyclic_table(draw(st.integers(1, 3))), cap)
+    if kind == "product":
+        cap = min(cap, 2)
+        left = draw(st.sampled_from([standard_delta(1, cap), nerve(cyclic_table(2), cap)]))
+        return product(left, draw(st.sampled_from([standard_boundary(2, cap), sphere_quotient(1, cap)])))
+    facets = draw(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4))
+    x = simplicial_complex(facets, cap)
+    if kind == "complex":
+        return x
+    seeds = draw(st.lists(st.sampled_from(x.simplices[1]), min_size=1, max_size=2))
+    return quotient(x, close_subcomplex(x, {1: seeds}))
+
+
+@st.composite
+def corrupted_sets(draw):
+    """A drawn set with up to six face or degeneracy entries replaced by other
+    listed simplices of the adjacent dimension."""
+    x = draw(simplicial_sets())
+    changes = {}
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["d", "s"]))
+        n = draw(st.integers(1, x.dim_cap) if kind == "d" else st.integers(0, x.dim_cap - 1))
+        step = -1 if kind == "d" else 1
+        s = draw(st.sampled_from(x.simplices[n]))
+        i = draw(st.integers(0, n))
+        changes[(kind, n, i, s)] = draw(st.sampled_from(x.simplices[n + step]))
+    return with_replaced_entries(x, changes)
+
+
+@SCAN_SETTINGS
+@given(corrupted_sets())
+def test_identity_scan_matches_the_element_wise_oracle(x):
+    assert x.validate() == oracles.scan_identities(x)
+
+
+def test_identity_scan_reports_every_family_in_order():
+    """Three corrupted entries of Delta^2 that break every identity, several
+    of them on more than one simplex of a dimension."""
+    d2 = standard_delta(2, 3)
+    x = with_replaced_entries(d2, {
+        ("d", 2, 0, (0, 1, 2)): (0, 1),
+        ("s", 1, 0, (0, 2)): (0, 1, 2),
+        ("s", 1, 1, (0, 2)): (0, 1, 2),
+    })
+    bad = x.validate()
+    assert bad == oracles.scan_identities(x)
+    assert {name for name, *_ in bad} == {
+        "d_i d_j = d_{j-1} d_i",
+        "d_j s_j = id",
+        "d_{j+1} s_j = id",
+        "d_i s_j = s_{j-1} d_i (i<j)",
+        "d_i s_j = s_j d_{i-1} (i>j+1)",
+        "s_i s_j = s_{j+1} s_i (i<=j)",
+    }
+
+
+def _outcome(check):
+    try:
+        return check()
+    except StructureError as exc:
+        return ("StructureError", str(exc))
+
+
+@st.composite
+def corrupted_maps(draw):
+    """Identities, projections, subcomplex inclusions and nerve homomorphisms
+    with some values replaced by other target simplices, and at times one
+    value dropped or sent to an identifier the target does not list."""
+    kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
+    if kind == "identity":
+        x = draw(simplicial_sets())
+        source = target = x
+        level = {n: {s: s for s in x.simplices[n]} for n in x.dims()}
+    elif kind == "projection":
+        cap = draw(st.integers(1, 2))
+        target = draw(st.sampled_from([standard_delta(1, cap), standard_boundary(2, cap)]))
+        source = product(target, nerve(cyclic_table(draw(st.integers(1, 2))), cap))
+        level = {n: {s: s[0] for s in source.simplices[n]} for n in source.dims()}
+    elif kind == "inclusion":
+        n = draw(st.integers(1, 3))
+        target = standard_delta(n, draw(st.integers(max(1, n - 1), 3)))
+        source = restrict(target, close_subcomplex(target, {n - 1: [tuple(range(n))]}))
+        level = {m: {s: s for s in source.simplices[m]} for m in source.dims()}
+    else:
+        cap = draw(st.integers(1, 3))
+        m, q, image = draw(st.sampled_from([(4, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 0)]))
+        source, target = nerve(cyclic_table(m), cap), nerve(cyclic_table(q), cap)
+        level = {n: {g: tuple(a * image % q for a in g) for g in source.simplices[n]} for n in source.dims()}
+    cap = min(source.dim_cap, target.dim_cap)
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, cap))
+        level[n][draw(st.sampled_from(source.simplices[n]))] = draw(st.sampled_from(target.simplices[n]))
+    fault = draw(st.sampled_from([None, None, "undefined", "unknown"]))
+    if fault is not None:
+        n = draw(st.integers(0, cap))
+        s = draw(st.sampled_from(source.simplices[n]))
+        if fault == "undefined":
+            del level[n][s]
+        else:
+            level[n][s] = "not a simplex"
+    return SimplicialMap(source, target, level)
+
+
+@SCAN_SETTINGS
+@given(corrupted_maps())
+def test_map_check_matches_the_element_wise_oracle(p):
+    assert _outcome(p.validate) == _outcome(lambda: oracles.scan_map_violations(p))
 
 
 # -- derived degeneracies ------------------------------------------------------

@@ -165,7 +165,7 @@ def test_cone_refuses_vertex_of_other_ambient_space():
 
 # -- integer point keys against the Fraction-point reference ------------------------
 
-DIFFERENTIAL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+DIFFERENTIAL_SETTINGS = settings(max_examples=60)
 
 COORDINATES = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
 
