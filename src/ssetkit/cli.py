@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a computed affirmative result, 1 for a verified
 mathematical negative (not fibrant, not a sheaf, incompatible data; the
-report carries the witness), 2 for input or usage errors.
+report carries the witness), 2 for input or usage errors. Each command
+returns True for an affirmative result and False for a verified negative;
+main alone turns that verdict into the report status and the exit code.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ def build_parser():
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_cap=True):
-        if with_cap:
-            p.add_argument("--cap", type=int, default=None, help="lower the dimension cap")
+    def common(p):
+        p.add_argument("--cap", type=int, default=None, help="lower the dimension cap")
 
     p = sub.add_parser("homology", help="betti numbers and torsion")
     p.add_argument("sset")
@@ -116,7 +117,7 @@ def cmd_homology(report, args):
         for n in sorted(summary.torsion):
             report.add("torsion.H%d" % n, summary.torsion[n])
     report.add("euler", sum((-1) ** n * b for n, b in enumerate(summary.betti)))
-    return 0
+    return True
 
 
 def cmd_ring(report, args):
@@ -127,7 +128,7 @@ def cmd_ring(report, args):
     for (p, i, q, j), coords in sorted(ring.table.items()):
         if p <= q:
             report.add("cup.H%d[%d].H%d[%d]" % (p, i, q, j), coords)
-    return 0
+    return True
 
 
 def cmd_mv(report, args):
@@ -145,23 +146,20 @@ def cmd_mv(report, args):
             "exact.%s.deg%d" % (label.replace(" ", ""), p),
             "ok" if ok else "FAIL composite_zero=%s rank_in=%d nullity_out=%d" % (zero, r_in, nullity),
         )
-    if not mv.exact():
-        report.status = "negative"
-        return 1
-    return 0
+    return mv.exact()
 
 
-def cmd_subdivide_check(report, args):
-    rng = random.Random(args.seed)
-    rows = subdivision_suite(rng, trials=args.trials)
+def _add_suite(report, rows):
+    """One record per (name, passed, details) row; True when every row passed."""
     ok = True
     for name, passed, details in rows:
         report.add(name, "pass (%s)" % details if passed else "FAIL (%s)" % details)
         ok = ok and passed
-    if not ok:
-        report.status = "negative"
-        return 1
-    return 0
+    return ok
+
+
+def cmd_subdivide_check(report, args):
+    return _add_suite(report, subdivision_suite(random.Random(args.seed), trials=args.trials))
 
 
 def cmd_sheaf(report, args):
@@ -180,27 +178,13 @@ def cmd_sheaf(report, args):
             report.add("sheafify.sections.%s" % name, sheafed.sections[name])
         after = check_status(sheafed)
         report.add("sheafify.is_sheaf", after.sheaf)
-        if not after.sheaf:
-            report.status = "negative"
-            return 1
-        return 0
-    if not status.sheaf:
-        report.status = "negative"
-        return 1
-    return 0
+        return after.sheaf
+    return status.sheaf
 
 
 def cmd_derham(report, args):
     if args.check_stokes:
-        rng = random.Random(args.seed)
-        ok = True
-        for name, passed, details in stokes_suite(rng, trials=args.trials):
-            report.add(name, "pass (%s)" % details if passed else "FAIL (%s)" % details)
-            ok = ok and passed
-        if not ok:
-            report.status = "negative"
-            return 1
-        return 0
+        return _add_suite(report, stokes_suite(random.Random(args.seed), trials=args.trials))
     if args.sset is None:
         raise ParameterError("derham needs a simplicial set file unless --check-stokes")
     x = _load_sset(report, args)
@@ -213,7 +197,7 @@ def cmd_derham(report, args):
     report.add("comparison_rank", result.comparison_rank)
     report.add("isomorphism", result.isomorphism)
     report.add("stable", result.stable)
-    return 0
+    return True
 
 
 def cmd_kan(report, args):
@@ -225,9 +209,7 @@ def cmd_kan(report, args):
         report.add("horns.n%d.k%d" % (n, k), "%d horns, %d with unique filler" % (horns, unique))
     if not cert.fibrant:
         report.add("witness", {"n": cert.witness.n, "k": cert.witness.k, "faces": cert.witness.faces})
-        report.status = "negative"
-        return 1
-    return 0
+    return cert.fibrant
 
 
 def cmd_fibration(report, args):
@@ -241,9 +223,7 @@ def cmd_fibration(report, args):
     if not cert.fibration:
         horn, base = cert.witness
         report.add("witness", {"n": horn.n, "k": horn.k, "faces": horn.faces, "base": base})
-        report.status = "negative"
-        return 1
-    return 0
+    return cert.fibration
 
 
 def cmd_chern(report, args):
@@ -257,7 +237,7 @@ def cmd_chern(report, args):
         {str(k): io_text.render_scalar(v) for k, v in result.vertex_sums.items()},
     )
     report.add("vertex_sums_integral", result.integral_vertex_sums)
-    return 0
+    return True
 
 
 def cmd_extend(report, args):
@@ -277,7 +257,7 @@ def cmd_extend(report, args):
                 if not f.is_zero():
                     report.add("extension.entry.%d.%d" % (i, j), render_form(f))
     report.add("restrictions_verified", True)
-    return 0
+    return True
 
 
 COMMANDS = {
@@ -306,9 +286,8 @@ def main(argv=None):
     report = Report(command="%s %s" % (args.command, " ".join(a for a in argv if a != args.command)))
     started = time.time()
     try:
-        code = COMMANDS[args.command](report, args)
+        code = 0 if COMMANDS[args.command](report, args) else 1
     except CompatibilityError as exc:
-        report.status = "negative"
         report.add("error", str(exc))
         report.add("witness", str(exc.witness))
         code = 1
@@ -316,6 +295,8 @@ def main(argv=None):
         report.status = "error"
         report.add("error", str(exc))
         code = 2
+    if code == 1:
+        report.status = "negative"
     report.timing_ms = int((time.time() - started) * 1000)
     sys.stdout.write(report.render(args.format))
     return code

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompatibilityError, DomainError, ParameterError, StructureError
-from .forms import PolyForm, QTau, TAU
+from .forms import PolyForm, QTau, TAU, _as_qtau
 from .linalg import Matrix, solve
+from .simplicial import _UnionFind
 
 
 # -- matrix Lie algebras -----------------------------------------------------
@@ -436,30 +437,15 @@ def check_u1_invariants(bundle):
 
 
 def _vertex_classes(bundle):
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for t in bundle.triangles:
-        for c in range(3):
-            parent[(t, c)] = (t, c)
+    corners = _UnionFind((t, c) for t in bundle.triangles for c in range(3))
     for g in bundle.gluings:
         (tp, ip), (tm, im) = g.plus, g.minus
         ends_p = sorted(set(range(3)) - {ip})
         ends_m = sorted(set(range(3)) - {im})
         for lam in (0, 1):
             lam_m = 1 - lam if g.flip else lam
-            a, b = find((tp, ends_p[lam])), find((tm, ends_m[lam_m]))
-            if a != b:
-                parent[a] = b
-    classes = {}
-    for corner in parent:
-        classes.setdefault(find(corner), []).append(corner)
-    return classes
+            corners.union((tp, ends_p[lam]), (tm, ends_m[lam_m]))
+    return corners.groups()
 
 
 @dataclass
@@ -500,8 +486,8 @@ def u1_chern_number(bundle):
         ends_p = sorted(set(range(3)) - {ip})
         p_at = g.p.coefficients_at((Fraction(1),)).get((), Fraction(0))
         p_at0 = g.p.coefficients_at((Fraction(0),)).get((), Fraction(0))
-        lift_head = _as_qtau_value(p_at) + TAU * g.winding
-        lift_tail = _as_qtau_value(p_at0)
+        lift_head = _as_qtau(p_at) + TAU * g.winding
+        lift_tail = _as_qtau(p_at0)
         head_rep = rep_of[(tp, ends_p[1])]
         tail_rep = rep_of[(tp, ends_p[0])]
         vertex_sums[head_rep] = vertex_sums.get(head_rep, QTau(0, 0)) + lift_head * s_e
@@ -512,10 +498,6 @@ def u1_chern_number(bundle):
     if total.q != 0:
         raise StructureError("total curvature has a nonzero rational part %r" % (total.q,))
     return ChernReport(total.m, total, edge_sum, vertex_sums, integral)
-
-
-def _as_qtau_value(v):
-    return v if isinstance(v, QTau) else QTau(Fraction(v), 0)
 
 
 # -- the numeric extra degeneracy ---------------------------------------------

@@ -42,13 +42,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ParameterError, StructureError
-from .forms import _pull_monomial
+from .forms import _monomial_integral, _pull_monomial
 from .homology import CochainSpaces
 from .linalg import Matrix, nullspace, rank
 
@@ -122,12 +120,8 @@ def _d_rows(n, p, degree_cap):
 
 @lru_cache(maxsize=None)
 def _integrals(p, degree_cap):
-    """Integral over Delta^p of each basis element of top-degree forms:
-    prod(a_j!) / (p + sum a_j)! for t^a dt_1 ^ ... ^ dt_p."""
-    return tuple(
-        Fraction(math.prod(math.factorial(a) for a in exps), math.factorial(p + sum(exps)))
-        for exps, _ in _local_basis(p, p, degree_cap)[0]
-    )
+    """Integral over Delta^p of each basis element of top-degree forms."""
+    return tuple(_monomial_integral(exps) for exps, _ in _local_basis(p, p, degree_cap)[0])
 
 
 # -- the filtered truncation --------------------------------------------------

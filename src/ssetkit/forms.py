@@ -121,6 +121,11 @@ def _sorted_with_sign(indices):
     return sign, tuple(idx)
 
 
+def _monomial_integral(exps):
+    """int_{Delta^n} t_1^{a_1} ... t_n^{a_n} dt_1 ... dt_n for exps = (a_1, ..., a_n)."""
+    return Fraction(math.prod(math.factorial(a) for a in exps), math.factorial(len(exps) + sum(exps)))
+
+
 def _multinomial(total, parts):
     out = math.factorial(total)
     for p in parts:
@@ -284,18 +289,9 @@ class PolyForm:
         """Exact integral over the standard simplex; requires top degree."""
         if self.p != self.n:
             raise ParameterError("integration needs degree p equal to the dimension n")
-        if self.n == 0:
-            total = _ZERO
-            for (_, _idx), coeff in self.terms.items():
-                total = total + coeff
-            return total
         total = _ZERO
         for (exps, _idx), coeff in self.terms.items():
-            num = 1
-            for a in exps:
-                num *= math.factorial(a)
-            den = math.factorial(self.n + sum(exps))
-            total = total + coeff * Fraction(num, den)
+            total = total + coeff * _monomial_integral(exps)
         return total
 
     def coefficients_at(self, point):
@@ -581,11 +577,7 @@ def whitney(cochain):
                 continue
             total = PolyForm.zero(m, p)
             for J in itertools.combinations(range(m + 1), p + 1):
-                face, dim = s, m
-                for i in range(m, -1, -1):
-                    if i not in J:
-                        face = x.d(dim, i, face)
-                        dim -= 1
+                face = x.face_on(m, s, J)
                 if x.is_degenerate(p, face):
                     continue
                 v = cochain.value(face)

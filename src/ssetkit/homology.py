@@ -333,21 +333,10 @@ def mayer_vietoris(x, sub_a, sub_b):
         cols = []
         for rep in sp_ab.reps(p):
             # lift to A by zero-extension, take its coboundary, glue with 0 on B
-            u = tuple(
-                sp_ab.value_at(p, rep, s) if s in sp_ab.complex.index[p] else Fraction(0)
-                for s in sp_a.basis[p]
-            )
-            du = sp_a.delta(p).matvec(u)
-            for s in sp_ab.basis[p + 1]:
-                if du[sp_a.complex.index[p + 1][s]] != 0:
-                    raise StructureError("connecting cochain fails to vanish on the intersection")
-            z = []
-            for s in sp_x.basis[p + 1]:
-                if s in sp_a.complex.index[p + 1]:
-                    z.append(du[sp_a.complex.index[p + 1][s]])
-                else:
-                    z.append(Fraction(0))
-            cols.append(sp_x.express(p + 1, tuple(z)))
+            du = sp_a.delta(p).matvec(restrict_vec(sp_ab, sp_a, p, rep))
+            if any(restrict_vec(sp_a, sp_ab, p + 1, du)):
+                raise StructureError("connecting cochain fails to vanish on the intersection")
+            cols.append(sp_x.express(p + 1, restrict_vec(sp_a, sp_x, p + 1, du)))
         connecting[p] = Matrix.from_columns(cols, sp_x.betti(p + 1))
 
     nodes = []

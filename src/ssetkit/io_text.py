@@ -504,7 +504,11 @@ def parse_map(text):
             continue
         dim_s, _, body = line.partition(":")
         src, _, dst = body.partition(">")
-        level_map.setdefault(_int_token([dim_s], 0, ln), {})[src.strip()] = dst.strip()
+        n, src = _int_token([dim_s], 0, ln), src.strip()
+        level = level_map.setdefault(n, {})
+        if src in level:
+            raise StructureError("line %d: repeated map row for %s in dimension %d" % (ln, src, n))
+        level[src] = dst.strip()
     return SimplicialMap(source, target, level_map)
 
 
@@ -575,10 +579,11 @@ def parse_extend(text):
     """Extension problem: ambient dimension, optional missing horn index,
     algebra name, and per-face (and per-entry) forms.
 
-    Without an algebra a face is one form, its entry 0 0. An entry outside
-    the algebra's matrix (any entry but 0 0 without one), an entry whose
-    form type differs from the first of its face, and a face whose matrix
-    is not in the algebra are errors naming their line.
+    Without an algebra a face is one form, its entry 0 0. A repeated entry
+    of a face, an entry outside the algebra's matrix (any entry but 0 0
+    without one), an entry whose form type differs from the first of its
+    face, and a face whose matrix is not in the algebra are errors naming
+    their line.
 
     Returns (n, missing_or_None, algebra_or_None, data dict).
     """
@@ -606,7 +611,12 @@ def parse_extend(text):
                 i = int(words[1])
                 r, c = int(words[3]), int(words[4])
                 _, _, body = line.partition(":")
-                raw.setdefault(i, {})[(r, c)] = (parse_form(body, ln), ln)
+                entries = raw.setdefault(i, {})
+                if (r, c) in entries:
+                    raise StructureError(
+                        "line %d: repeated entry %d %d of face %d (first on line %d)" % (ln, r, c, i, entries[(r, c)][1])
+                    )
+                entries[(r, c)] = (parse_form(body, ln), ln)
             else:
                 raise StructureError("line %d: unknown extend row %r" % (ln, words[0]))
     if n is None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError, StructureError
 from .homology import chain_complex, homology
+from .simplicial import _UnionFind
 
 
 @dataclass(frozen=True)
@@ -188,23 +189,11 @@ class ExtraDegeneracy:
 
 def connected_components(x):
     """Vertex partition generated by the edges."""
-    parent = {v: v for v in x.simplices[0]}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    components = _UnionFind(x.simplices[0])
     if x.dim_cap >= 1:
         for e in x.simplices[1]:
-            a, b = find(x.d(1, 0, e)), find(x.d(1, 1, e))
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for v in x.simplices[0]:
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+            components.union(x.d(1, 0, e), x.d(1, 1, e))
+    return list(components.groups().values())
 
 
 @dataclass

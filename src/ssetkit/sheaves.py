@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .simplicial import sub_intersection, sub_union
+from .simplicial import _UnionFind, sub_intersection, sub_union
 
 
 def _sub_eq(a, b):
@@ -249,22 +249,6 @@ def check_status(presheaf):
     return SheafStatus(separated, sheaf, witness)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _canonical_label(members):
     return min(str(m) for m in members)
 
@@ -307,10 +291,7 @@ def _separate_once(presheaf):
                     for m in cover
                 ):
                     uf.union(a, b)
-        groups = {}
-        for s in presheaf.sections[name]:
-            groups.setdefault(uf.find(s), []).append(s)
-        classes[name] = {s: _canonical_label(g) for g in groups.values() for s in g}
+        classes[name] = {s: _canonical_label(g) for g in uf.groups().values() for s in g}
     sections = {
         name: tuple(sorted(set(classes[name].values())))
         for name in site.names()
@@ -365,26 +346,19 @@ def sheafify(presheaf):
 
     classes = {}
     labels = {}
+    sections = {}
     for name in site.names():
         items = data[name]
         uf = _UnionFind(range(len(items)))
         for i, j in itertools.combinations(range(len(items)), 2):
             if agree(name, items[i], items[j]):
                 uf.union(i, j)
-        groups = {}
-        for i in range(len(items)):
-            groups.setdefault(uf.find(i), []).append(i)
-        reps = {}
-        for g in groups.values():
-            rep = min(g)
-            for i in g:
-                reps[i] = rep
-        classes[name] = reps
+        groups = uf.groups().values()
+        classes[name] = {i: min(g) for g in groups for i in g}
         # deterministic labels ordered by the representative datum
-        ordered = sorted(set(reps.values()), key=lambda i: _datum_key(items[i]))
+        ordered = sorted((min(g) for g in groups), key=lambda i: _datum_key(items[i]))
         labels[name] = {rep: "c%d" % pos for pos, rep in enumerate(ordered)}
-
-    sections = {name: tuple(labels[name][r] for r in sorted(set(classes[name].values()), key=lambda i: _datum_key(data[name][i]))) for name in site.names()}
+        sections[name] = tuple(labels[name][rep] for rep in ordered)
 
     def datum_class(name, datum):
         items = data[name]
@@ -532,7 +506,6 @@ def union_intersection(ambient, g_sections, h_sections):
     sat = site.saturated_covers()
     union = {}
     for name in site.names():
-        allowed = set(g_sections[name]) | set(h_sections[name])
         keep = []
         for s in ambient.sections[name]:
             for cover in sat[name]:

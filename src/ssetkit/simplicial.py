@@ -173,18 +173,19 @@ class SimplicialSet:
     def counts(self):
         return tuple(len(self._nondegenerate[n]) for n in self.dims())
 
+    def face_on(self, n, x, vertices):
+        """The face of the n-simplex x spanned by the vertex positions in
+        `vertices` (a subset of 0..n): every other position is deleted, from
+        the top down, so the lower positions keep their numbers."""
+        for i in range(n, -1, -1):
+            if i not in vertices:
+                x = self.d(n, i, x)
+                n -= 1
+        return x
+
     def vertices_of(self, n, x):
         """Images of the n+1 vertex inclusions, in order."""
-        verts = []
-        for j in range(n + 1):
-            y, m = x, n
-            # delete every position except j, from the top down
-            for i in range(n, -1, -1):
-                if i != j:
-                    y = self.d(m, i, y)
-                    m -= 1
-            verts.append(y)
-        return tuple(verts)
+        return tuple(self.face_on(n, x, (j,)) for j in range(n + 1))
 
     # -- validation ---------------------------------------------------
 
@@ -266,6 +267,32 @@ class SimplicialSet:
                 for i in range(j + 1)
             ))
         return bad
+
+
+class _UnionFind:
+    """Disjoint classes of hashable items, merged by union."""
+
+    def __init__(self, items):
+        self.parent = {i: i for i in items}
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def groups(self):
+        """{root: the items of its class, in item order}, the classes in
+        the order of their first items."""
+        groups = {}
+        for i in self.parent:
+            groups.setdefault(self.find(i), []).append(i)
+        return groups
 
 
 def _group(keys, ys):
@@ -614,18 +641,6 @@ def _identity_surjection(n):
     return tuple(range(n + 1))
 
 
-def _surjections_onto(m, n):
-    """All weakly increasing surjections [n] -> [m] as value tuples."""
-    for steps in itertools.combinations(range(n), m):
-        out = []
-        level = 0
-        for pos in range(n + 1):
-            out.append(level)
-            if pos in steps:
-                level += 1
-        yield tuple(out)
-
-
 def _pair_id(eta, gid):
     return gid if eta == _identity_surjection(len(eta) - 1) else ("s", eta, gid)
 
@@ -678,7 +693,7 @@ def from_generators(dim_cap, generators):
         ids = []
         for m in range(n + 1):
             for gid, _ in gens[m]:
-                for eta in _surjections_onto(m, n):
+                for eta in _surjective_tuples(tuple(range(m + 1)), n + 1):
                     sid = _pair_id(eta, gid)
                     pair_of[(n, sid)] = (eta, gid)
                     ids.append(sid)

@@ -16,8 +16,10 @@ from ssetkit.io_text import parse_complex
 from ssetkit.simplicial import (
     cyclic_table,
     nerve,
+    product,
     simplicial_complex,
     sphere_quotient,
+    standard_boundary,
     standard_delta,
 )
 
@@ -117,6 +119,41 @@ def small_complexes(draw):
 @given(small_complexes(), st.integers(1, 3))
 def test_report_matches_three_stage_reference(x, degree_cap):
     assert derham_cohomology(x, degree_cap) == derham_reference(x, degree_cap)
+
+
+def relative_dim(n, p, degree_cap):
+    """r(n, p, D): the compatible p-forms of degree <= D on Delta^n that
+    vanish on every face, counted as the forms on Delta^n minus the
+    compatible forms on its boundary."""
+    if p > n:
+        return 0
+    whole = derham_cohomology(standard_delta(n), degree_cap).dims[p]
+    if p == n:
+        return whole
+    return whole - derham_cohomology(standard_boundary(n), degree_cap).dims[p]
+
+
+# (simplicial set, degree caps D); N(Z/2) cap 4 also holds but takes seconds.
+CLOSED_FORM_SETS = {
+    "nerve_z2_cap3": (lambda: nerve(cyclic_table(2), 3), (2,)),
+    "sphere3": (lambda: sphere_quotient(3), (1, 2, 3)),
+    "circle_x_circle": (lambda: product(sphere_quotient(1, 2), sphere_quotient(1, 2)), (2,)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_SETS)
+def test_compatible_dims_are_sums_of_relative_dims(name):
+    """A compatible field is built skeleton by skeleton: each nondegenerate
+    n-simplex adds the forms on Delta^n that vanish on its boundary, so
+    dims[p] = sum_n c_n * r(n, p, D) with c_n the nondegenerate count."""
+    build, degree_caps = CLOSED_FORM_SETS[name]
+    x = build()
+    for degree_cap in degree_caps:
+        expected = tuple(
+            sum(len(x.nondegenerate(n)) * relative_dim(n, p, degree_cap) for n in x.dims())
+            for p in x.dims()
+        )
+        assert derham_cohomology(x, degree_cap).dims == expected
 
 
 @pytest.mark.parametrize("name", ["circle2", "sphere2", "torus", "nerve_z2", "rp2"])

@@ -21,7 +21,15 @@ from ssetkit.forms import (
 )
 from ssetkit.homology import CochainSpaces, cohomology_ring
 from ssetkit.randomsuite import random_polyform, stokes_suite
-from ssetkit.simplicial import product, sphere_quotient, standard_boundary, standard_delta
+from ssetkit.simplicial import (
+    circle_two_edges,
+    cyclic_table,
+    nerve,
+    product,
+    sphere_quotient,
+    standard_boundary,
+    standard_delta,
+)
 
 from conftest import face_map
 from oracles import (
@@ -301,9 +309,19 @@ def test_whitney_examples():
     assert other_edge.integrate() == 0
 
 
-@pytest.mark.parametrize("build", [standard_boundary, None])
-def test_derham_whitney_identity(build):
-    x = standard_boundary(3) if build else torus()
+WHITNEY_SETS = {
+    "bd_delta3": lambda: standard_boundary(3),
+    "torus": torus,
+    "nerve_z3_cap3": lambda: nerve(cyclic_table(3), 3),
+    "nerve_z2_cap4": lambda: nerve(cyclic_table(2), 4),
+    "sphere3": lambda: sphere_quotient(3),
+    "circle2_x_circle": lambda: product(circle_two_edges(2), sphere_quotient(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", WHITNEY_SETS)
+def test_derham_whitney_identity(name):
+    x = WHITNEY_SETS[name]()
     for p in x.dims():
         for s in x.nondegenerate(p):
             c = Cochain.elementary(x, p, s)

@@ -16,7 +16,7 @@ from conftest import FIXTURES, fixture_path, fixture_text
 from ssetkit.cli import main
 
 COMMANDS = {
-    ".sset": (["homology"], ["kan"]),
+    ".sset": (["homology"], ["kan"], ["derham", "--poly-degree", "1"], ["homology", "--cap", "1"]),
     ".smap": (["fibration"],),
     ".u1": (["chern"],),
     ".ext": (["extend"],),

@@ -187,6 +187,20 @@ def test_smap_repeated_section_header_names_its_line():
         parse_map("\n".join(lines) + "\n")
 
 
+def test_smap_repeated_map_row_names_its_line(tmp_path):
+    lines = fixture_text("incl_bd2.smap").splitlines()
+    line = lines.index("1 : (0,1) > (0,1)") + 1
+    lines.insert(line, "1 : (0,1) > (0,2)")
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(StructureError, match="^line %d: repeated map row for \\(0,1\\) in dimension 1$" % (line + 1)):
+        parse_map(text)
+    path = tmp_path / "repeated.smap"
+    path.write_text(text)
+    code, out = run_cli("fibration", str(path))
+    assert code == 2
+    assert "status error" in out
+
+
 # Short rows, non-integer tokens and bad scalars in the .u1 and .ext readers
 # and in the forms they carry: (command, text, line of the error).
 MALFORMED_ROWS = {
@@ -208,6 +222,9 @@ MALFORMED_ROWS = {
         "extend", "extend 1\nn 2\nface 1 entry 2 0 : form 1 0 : \nalgebra gl2\n", 3),
     "ext entry not in algebra": (
         "extend", "extend 1\nn 2\nalgebra sl2\nface 1 entry 0 0 : form 1 0 : 1 | 1 | \n", 4),
+    "ext repeated entry": (
+        "extend", "extend 1\nn 2\nface 1 entry 0 0 : form 1 0 : 1 | 1 | \nface 1 entry 0 0 : form 1 0 : \n"
+        "face 2 entry 0 0 : form 1 0 : \n", 4),
     "ext mixed form types": (
         "extend", "extend 1\nn 2\nalgebra gl2\nface 1 entry 0 0 : form 1 0 : \n"
         "face 1 entry 1 1 : form 1 1 : \n", 5),

@@ -13,6 +13,7 @@ from ssetkit.kan import (
     Horn,
     check_extra_degeneracy,
     cone_extra_degeneracy,
+    connected_components,
     enumerate_horns,
     fill_horn,
     is_fibrant,
@@ -168,6 +169,13 @@ def test_extra_degeneracy_needs_connected():
     two = simplicial_complex([[0], [1]], 2)
     with pytest.raises(ParameterError):
         check_extra_degeneracy(two, cone_extra_degeneracy(two))
+
+
+def test_connected_components_in_first_vertex_order():
+    from ssetkit.simplicial import simplicial_complex
+
+    x = simplicial_complex([[3, 4], [2], [4, 0], [1]], 1)
+    assert connected_components(x) == [[(0,), (3,), (4,)], [(1,)], [(2,)]]
 
 
 def test_extra_degeneracy_implies_trivial_reduced_homology():

@@ -33,6 +33,7 @@ from ssetkit.simplicial import (
     standard_delta,
     standard_horn,
     truncate,
+    _surjective_tuples,
 )
 
 from conftest import fixture_path, swapped_delta2, with_replaced_entries
@@ -417,6 +418,19 @@ def test_from_generators_degenerate_iff_eta_not_injective():
             assert w == (i, gid if smaller == tuple(range(len(smaller))) else ("s", smaller, gid))
 
 
+@pytest.mark.parametrize("support", [(0,), (0, 1), (0, 1, 2), (2, 5, 7)])
+def test_surjective_tuples_in_decreasing_order(support):
+    """Every weakly increasing tuple with image `support`, largest first;
+    from_generators lists each generator's degeneracies in this order."""
+    for length in range(1, 7):
+        expected = sorted(
+            (t for t in itertools.product(support, repeat=length)
+             if set(t) == set(support) and list(t) == sorted(t)),
+            reverse=True,
+        )
+        assert list(_surjective_tuples(support, length)) == expected
+
+
 def test_collapse_recovers_the_generator_encoding():
     """Every simplex ("s", eta, gid) of a presented set collapses onto its
     generator along eta, and a generator onto itself along the identity."""
@@ -430,6 +444,24 @@ def test_collapse_recovers_the_generator_encoding():
                 else:
                     assert (m, base, eta) == (n, s, tuple(range(n + 1)))
                 assert base in x.nondegenerate(m) and eta[-1] == m
+
+
+@pytest.mark.parametrize("x", [standard_delta(3), nerve(cyclic_table(3), 3), sphere_quotient(3)],
+                         ids=["delta3", "nerve_z3_cap3", "sphere3"])
+def test_face_on_is_the_composite_of_the_other_faces(x):
+    """face_on against the other order of deletion, from the bottom up with
+    each index lowered by the deletions below it, for every simplex and
+    every nonempty vertex subset."""
+    for n in x.dims():
+        for s in x.simplices[n]:
+            for k in range(1, n + 2):
+                for vertices in itertools.combinations(range(n + 1), k):
+                    y, deleted = s, 0
+                    for i in range(n + 1):
+                        if i not in vertices:
+                            y = x.d(n - deleted, i - deleted, y)
+                            deleted += 1
+                    assert x.face_on(n, s, vertices) == y
 
 
 def test_quotient_base_point_witness():
