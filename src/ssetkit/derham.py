@@ -27,12 +27,20 @@ degree then gives every count in the report: its rows with free column in
 the stage-D' prefix are the closed forms of stage D', and the rank of a
 column prefix is its width minus the free columns in it.
 
+The comparison is certified by Whitney forms (Whitney 1957; Dupont 1976):
+the Whitney field W(c) of each simplicial class representative c has
+coefficient degree 1, and its kernel coordinates, d W(c) = 0 and
+int W(c) = c are checked exactly (a failed check is an internal error). So
+integration maps the closed fields of every stage onto simplicial
+cohomology: the comparison rank is the simplicial betti number, and the
+comparison is an isomorphism when the surviving classes number as many.
+
 The local operators are pure functions of their shape: restriction to face
 i of the monomial basis on Delta^n, pullback along the collapse of a
 degenerate simplex onto its base (SimplicialSet.collapse), and the exterior
 derivative. Face and collapse maps are simplicial, so their tables come from
 the int substitution kernel of forms.PolyForm.pullback, called once per
-basis element on the vertex map.
+basis element on the vertex map, and the derivative's from its kernel.
 Each operator is tabulated once per process, as sparse rows of ints, and
 the face constraints and the derivative are assembled from the tables
 block by block.
@@ -46,9 +54,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterError, StructureError
-from .forms import _monomial_integral, _pull_monomial
+from .forms import Cochain, _d_monomial, _pull_monomial, whitney
 from .homology import CochainSpaces
-from .linalg import Matrix, nullspace, rank
+from .linalg import Matrix, coordinates, nullspace
 
 
 # -- tabulated local operators ------------------------------------------------
@@ -102,26 +110,10 @@ def _collapse_rows(p, eta, degree_cap):
 @lru_cache(maxsize=None)
 def _d_rows(n, p, degree_cap):
     """Exterior derivative: row k (a basis element of degree p) maps each basis
-    index of degree p+1 to its coefficient in d of the basis element,
-    d(t^a dt_I) = sum over j not in I of a_j t^(a - e_j) dt_j ^ dt_I."""
+    index of degree p+1 to its coefficient in d of the basis element."""
     _, target = _local_basis(n, p + 1, degree_cap)
-    rows = []
-    for exps, idx in _local_basis(n, p, degree_cap)[0]:
-        row = {}
-        for j in range(1, n + 1):
-            a = exps[j - 1]
-            if a and j not in idx:
-                sign = -1 if sum(1 for i in idx if i < j) % 2 else 1
-                key = (exps[: j - 1] + (a - 1,) + exps[j:], tuple(sorted(idx + (j,))))
-                row[target[key]] = a * sign
-        rows.append(row)
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _integrals(p, degree_cap):
-    """Integral over Delta^p of each basis element of top-degree forms."""
-    return tuple(_monomial_integral(exps) for exps, _ in _local_basis(p, p, degree_cap)[0])
+    return tuple({target[key]: c for key, c in _d_monomial(exps, idx).items()}
+                 for exps, idx in _local_basis(n, p, degree_cap)[0])
 
 
 # -- the filtered truncation --------------------------------------------------
@@ -140,7 +132,6 @@ class _Truncation:
         self._kernel = {}
         self._dmat = {}
         self._closed = {}
-        self._integrals = {}
 
     def columns(self, p):
         """(ambient columns as (n, simplex, local index), ambient column of each
@@ -228,18 +219,17 @@ class _Truncation:
         return self._dmat[p]
 
     def closed(self, p):
-        """Nullspace of d_matrix(p), the closed fields of degree p, with the
-        free column of each row. The rows with free column below
+        """Free columns of the nullspace of d_matrix(p), whose rows are the
+        closed fields of degree p. The rows with free column below
         dim(p, D') are a basis of the closed fields of stage D': a
         nullspace row lives on its free column and the pivot columns left
         of it."""
         if p not in self._closed:
-            rows = nullspace(self.d_matrix(p))
-            self._closed[p] = (rows, [max(row) for row in rows.rows])
+            self._closed[p] = [max(row) for row in nullspace(self.d_matrix(p)).rows]
         return self._closed[p]
 
     def closed_dim(self, p, degree_cap):
-        return bisect.bisect_left(self.closed(p)[1], self.dim(p, degree_cap))
+        return bisect.bisect_left(self.closed(p), self.dim(p, degree_cap))
 
     def exact_dim(self, p, degree_cap):
         """Dimension of the image of d on the degree p-1 fields of stage D':
@@ -254,25 +244,20 @@ class _Truncation:
         modulo the exact forms of stage D'+1 (which d puts in stage D')."""
         return self.closed_dim(p, degree_cap) - self.exact_dim(p, degree_cap + 1)
 
-    def integrals(self, p, coords):
-        """Integral over each nondegenerate p-simplex of a field given by kernel coordinates."""
-        if p not in self._integrals:
-            cols, _, _ = self.columns(p)
-            weights = _integrals(p, self.cap)
-            per_row = []
-            for base in self.kernel(p)[0].rows:
-                values = {}
-                for c, v in base.items():
-                    n, s, k = cols[c]
-                    if n == p:
-                        values[s] = values.get(s, 0) + v * weights[k]
-                per_row.append(values)
-            self._integrals[p] = per_row
-        values = {}
-        for i, coef in coords.items():
-            for s, v in self._integrals[p][i].items():
-                values[s] = values.get(s, 0) + coef * v
-        return values
+    def check_whitney(self, spaces, p):
+        """Certify the comparison in degree p (see the module docstring): the
+        Whitney field of each class representative of spaces is compatible,
+        closed and integrates back to it; otherwise raise StructureError."""
+        _, where, _ = self.columns(p)
+        for rep in spaces.reps(p):
+            w = whitney(Cochain(self.x, p, zip(spaces.basis[p], rep)))
+            row = {where[(n, s)][_local_basis(n, p, self.cap)[1][key]]: v
+                   for (n, s), form in w.forms.items() for key, v in form.terms.items()}
+            coords, rest = coordinates(row, *self.kernel(p))
+            if rest or any(self.d_matrix(p).matvec(coords)) or any(
+                w.forms[(p, s)].integrate() != v for s, v in zip(spaces.basis[p], rep)
+            ):
+                raise StructureError("the Whitney field of a degree-%d class fails the comparison" % p)
 
 
 @dataclass
@@ -282,7 +267,7 @@ class DeRhamReport:
     raw_betti: tuple           # truncated cohomology at D, transient classes included
     betti: tuple               # classes of stage D surviving into stage D+1
     simplicial_betti: tuple
-    comparison_rank: tuple     # rank of the integration comparison per degree
+    comparison_rank: tuple     # integration comparison rank: simplicial betti, by Whitney fields
     isomorphism: tuple         # per-degree: comparison is iso onto simplicial cohomology
     stable: tuple              # surviving count at D equals the one at D+1
 
@@ -300,17 +285,9 @@ def derham_cohomology(x, degree_cap):
         raw.append(top.closed_dim(p, degree_cap) - top.exact_dim(p, degree_cap))
         surv = top.survivors(p, degree_cap)
         betti.append(surv)
-        # Integration sends exact forms to coboundaries, so the comparison's
-        # rank on the closed forms is its rank on cohomology; express checks
-        # that each integral is a cocycle (Stokes).
-        closed = top.closed(p)[0]
-        cols = []
-        for row in closed.rows[: top.closed_dim(p, degree_cap)]:
-            values = top.integrals(p, row)
-            cols.append(spaces.express(p, tuple(values.get(s, 0) for s in spaces.basis[p])))
-        r = rank(Matrix.from_columns(cols, spaces.betti(p)))
-        ranks.append(r)
-        iso.append(r == surv == spaces.betti(p))
+        top.check_whitney(spaces, p)
+        ranks.append(spaces.betti(p))
+        iso.append(surv == spaces.betti(p))
         stable.append(top.survivors(p, degree_cap + 1) == surv)
     return DeRhamReport(
         degree_cap,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import CompatibilityError, ParameterError
 
@@ -175,8 +176,13 @@ class PolyForm:
         Degrees p > n canonicalize to the zero form; that is valid output,
         not an error.
         """
+        return cls(n, p, cls._raw_terms(n, p, raw_terms))
+
+    @staticmethod
+    def _raw_terms(n, p, raw_terms):
+        """The canonical terms of from_raw, a key possibly repeated."""
         if p > n:
-            return cls.zero(n, p)
+            return []
         out = []
         for coeff, exps, indices in raw_terms:
             exps = tuple(int(e) for e in exps)
@@ -203,7 +209,7 @@ class PolyForm:
                 out.extend(
                     ((e, idx), c * sign * w) for e, w in _expand_t0(exps, n)
                 )
-        return cls(n, p, out)
+        return out
 
     @classmethod
     def coordinate(cls, n, i):
@@ -259,15 +265,7 @@ class PolyForm:
         """Exterior derivative, termwise product rule on the monomials."""
         out = []
         for (exps, idx), coeff in self.terms.items():
-            for j in range(1, self.n + 1):
-                a = exps[j - 1]
-                if a == 0 or j in idx:
-                    continue
-                pos = sum(1 for i in idx if i < j)
-                sign = -1 if pos % 2 else 1
-                new_exps = exps[: j - 1] + (a - 1,) + exps[j:]
-                new_idx = tuple(sorted(idx + (j,)))
-                out.append(((new_exps, new_idx), coeff * (a * sign)))
+            out.extend((key, coeff * c) for key, c in _d_monomial(exps, idx).items())
         return PolyForm(self.n, self.p + 1, out)
 
     def wedge(self, other):
@@ -324,6 +322,17 @@ class PolyForm:
             for key, c in _pull_monomial(exps, idx, phi).items():
                 out.append((key, coeff * c))
         return PolyForm(len(phi) - 1, self.p, out)
+
+
+def _d_monomial(exps, idx):
+    """Int coefficients of d(t^exps dt_idx) = sum over j not in idx of
+    a_j t^(exps - e_j) dt_j ^ dt_idx; PolyForm.d and ssetkit.derham share it."""
+    out = {}
+    for j, a in enumerate(exps, 1):
+        if a and j not in idx:
+            sign = -1 if sum(1 for i in idx if i < j) % 2 else 1
+            out[(exps[: j - 1] + (a - 1,) + exps[j:], tuple(sorted(idx + (j,))))] = a * sign
+    return out
 
 
 def _pull_monomial(exps, idx, phi):
@@ -550,6 +559,14 @@ def elementary_whitney(m, subset):
     """Whitney form of the vertex subset J on Delta^m:
     p! * sum_k (-1)^k t_{j_k} dt_{j_0} ^ ... (omit k) ... ^ dt_{j_p}."""
     J = tuple(subset)
+    return PolyForm(m, len(J) - 1, _whitney_terms(m, J))
+
+
+@lru_cache(maxsize=None)
+def _whitney_terms(m, J):
+    """Canonical terms of elementary_whitney(m, J), as (key, coeff) pairs.
+    Like the ssetkit.derham tables it is kept for the process and calls no
+    public method, so filling it does not change which public calls a run makes."""
     p = len(J) - 1
     raw = []
     fact = math.factorial(p)
@@ -558,7 +575,7 @@ def elementary_whitney(m, subset):
         exps[J[k]] = 1
         idx = J[:k] + J[k + 1:]
         raw.append((Fraction(fact * (-1) ** k), tuple(exps), idx))
-    return PolyForm.from_raw(m, p, raw)
+    return tuple(PolyForm(m, p, PolyForm._raw_terms(m, p, raw)).terms.items())
 
 
 def whitney(cochain):
@@ -575,13 +592,13 @@ def whitney(cochain):
         for s in x.nondegenerate(m):
             if m < p:
                 continue
-            total = PolyForm.zero(m, p)
+            terms = []
             for J in itertools.combinations(range(m + 1), p + 1):
                 face = x.face_on(m, s, J)
                 if x.is_degenerate(p, face):
                     continue
                 v = cochain.value(face)
                 if v != 0:
-                    total = total + elementary_whitney(m, J).scale(v)
-            forms[(m, s)] = total
+                    terms.extend((key, c * v) for key, c in _whitney_terms(m, J))
+            forms[(m, s)] = PolyForm(m, p, terms)
     return FormField(x, p, forms)

@@ -122,7 +122,7 @@ class Matrix:
     def matvec(self, vec):
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(v * vec[j] for j, v in row.items()) for row in self.rows)
+        return tuple(sum(v * vec[j] for j, v in row.items() if vec[j]) for row in self.rows)
 
     def column(self, j):
         return tuple(row.get(j, 0) for row in self.rows)

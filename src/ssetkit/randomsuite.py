@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParameterError
 from .forms import PolyForm
 from .subdivision import (
     AffineChain,
@@ -48,6 +49,8 @@ def subdivision_suite(rng, trials=100, dims=(1, 2, 3, 4), diameter_dims=(1, 2, 3
 
     Returns a list of (name, passed, details) rows; every check is exact.
     """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     rows = []
     for n in dims:
         chain_map_ok = True
@@ -76,6 +79,8 @@ def subdivision_suite(rng, trials=100, dims=(1, 2, 3, 4), diameter_dims=(1, 2, 3
 
 def stokes_suite(rng, trials=200, max_dim=3):
     """Exact Stokes identity on random (form, simplex) pairs."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
     failures = 0
     for _ in range(trials):
         n = rng.randint(1, max_dim)

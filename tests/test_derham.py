@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import fixture_text
 from oracles import coface_matrix, collapse_matrix, compose_matrices, derham_reference, matrix_pullback
-from ssetkit import derham
+from ssetkit import derham, forms
 from ssetkit.derham import derham_cohomology
-from ssetkit.errors import ParameterError
+from ssetkit.errors import ParameterError, StructureError
 from ssetkit.forms import PolyForm
 from ssetkit.io_text import parse_complex
 from ssetkit.simplicial import (
@@ -156,10 +156,57 @@ def test_compatible_dims_are_sums_of_relative_dims(name):
         assert derham_cohomology(x, degree_cap).dims == expected
 
 
-@pytest.mark.parametrize("name", ["circle2", "sphere2", "torus", "nerve_z2", "rp2"])
+# nerve_z3 is left out: its reference takes seconds.
+@pytest.mark.parametrize("name", [
+    "bd_delta3", "circle2", "delta1", "delta2", "nerve_z2", "path", "point", "rp2", "sphere2",
+    "torus", "two_points",
+])
 def test_fixture_reports_match_reference(name):
     x = parse_complex(fixture_text(name + ".sset"))
     assert derham_cohomology(x, 1) == derham_reference(x, 1)
+
+
+def _with_vertex_bubble(m, J, terms):
+    """The 0-form t_j plus the bubble t_j (1 - t_j): still compatible (the
+    bubble restricts to itself on the faces containing vertex j and to 0 on
+    the others) and still 1 at vertex j and 0 at the others, but not closed."""
+    if len(J) != 1:
+        return terms
+    e = tuple(int(v == J[0]) for v in range(m + 1))
+    bubble = PolyForm.from_raw(m, 0, [(1, e, ()), (-1, tuple(2 * a for a in e), ())])
+    return tuple((PolyForm(m, 0, terms) + bubble).terms.items())
+
+
+# Mutations of the cached terms of the elementary Whitney forms, each caught by
+# one part of the check: the field's compatibility, its closedness or its
+# integrals.
+WHITNEY_MUTATIONS = {
+    "first_sign": lambda m, J, terms: ((terms[0][0], -terms[0][1]),) + terms[1:],
+    # a closed compatible field integrating to minus its cochain
+    "every_sign": lambda m, J, terms: tuple((key, -c) for key, c in terms),
+    # not compatible: on a p-dimensional face, the field restricts to twice its form there
+    "doubled_above_degree": lambda m, J, terms: (
+        terms if m == len(J) - 1 else tuple((key, 2 * c) for key, c in terms)),
+    "vertex_bubble": _with_vertex_bubble,
+}
+
+
+@pytest.mark.parametrize("mutation", WHITNEY_MUTATIONS)
+@pytest.mark.parametrize("name", ["bd_delta3", "nerve_z3", "sphere2", "torus"])
+def test_wrong_whitney_field_fails_the_comparison(name, mutation, monkeypatch):
+    """The comparison is certified by the Whitney field of each class
+    representative: it must be compatible, closed and integrate back to the
+    representative. With the elementary Whitney forms mutated, one of these
+    fails and the report is refused."""
+    x = parse_complex(fixture_text(name + ".sset"))
+    terms, change = forms._whitney_terms, WHITNEY_MUTATIONS[mutation]
+
+    def mutated(m, J):
+        return change(m, J, terms(m, J))
+
+    monkeypatch.setattr(forms, "_whitney_terms", mutated)
+    with pytest.raises(StructureError, match="Whitney field"):
+        derham_cohomology(x, 1)
 
 
 def _unit(n, p, key):

@@ -563,6 +563,16 @@ def test_cli_subdivide_and_stokes_exact_flags():
     assert "exact : pass" in out
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+@pytest.mark.parametrize("command", [["subdivide-check"], ["derham", "--check-stokes"]])
+def test_cli_suites_refuse_fewer_than_one_trial(command, trials):
+    code, out = run_cli(*command, "--trials", trials)
+    assert code == 2
+    assert "record error exact : trials must be >= 1" in out
+    assert "status error" in out
+    assert "pass" not in out
+
+
 def test_cli_derham_report():
     code, out = run_cli("derham", fixture_path("delta2.sset"), "--poly-degree", "3")
     assert code == 0
