@@ -90,7 +90,10 @@ def _read(report, path):
     with open(path, "rb") as fh:
         data = fh.read()
     report.add_input(path.rsplit("/", 1)[-1], data)
-    return data.decode()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise StructureError("%s is not UTF-8 text: %s" % (path, exc)) from None
 
 
 def _check_identities(x):

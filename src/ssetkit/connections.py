@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import CompatibilityError, DomainError, ParameterError, StructureError
 from .forms import PolyForm, QTau, TAU, _as_qtau
-from .linalg import Matrix, solve
+from .linalg import Matrix, coordinates, rref
 from .simplicial import _UnionFind
 
 
@@ -48,6 +48,7 @@ class MatrixLieAlgebra:
             raise ParameterError("basis matrices must be square of one size")
         self.size = sizes.pop()
         self._check_bracket()
+        self._span = rref(Matrix([[x for row in b for x in row] for b in self.basis]))
 
     def _mat_mul(self, a, b):
         d = self.size
@@ -87,12 +88,8 @@ class MatrixLieAlgebra:
 
     def contains(self, matrix):
         """Membership of a rational matrix in the span of the basis."""
-        cols = [
-            [b[i][j] for i in range(self.size) for j in range(self.size)]
-            for b in self.basis
-        ]
-        vec = [matrix[i][j] for i in range(self.size) for j in range(self.size)]
-        return solve(Matrix.from_columns(cols, self.size ** 2), vec) is not None
+        flat = {k: v for k, v in enumerate(x for row in matrix for x in row) if v}
+        return not coordinates(flat, *self._span)[1]
 
 
 def abelian_line():

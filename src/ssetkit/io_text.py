@@ -402,6 +402,9 @@ def serialize_site_presheaf(presheaf):
 
 
 def parse_site_presheaf(text, base):
+    """Parse a 'site 1' text over base. A second object, sections or restrict
+    row for the same names, and a name repeated within a sections row or
+    among the sources of a restrict row, are errors naming their line."""
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or lines[0] != "site 1":
         raise StructureError("expected header 'site 1'")
@@ -409,6 +412,7 @@ def parse_site_presheaf(text, base):
     covers = {}
     sections = {}
     restrictions = {}
+    first = {}
     mode = "site"
     for ln, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
@@ -418,6 +422,11 @@ def parse_site_presheaf(text, base):
             continue
         words = line.split()
         with _row(ln, line):
+            if words[0] in ("object", "sections", "restrict"):
+                key = " ".join(words[:3 if words[0] == "restrict" else 2])
+                if key in first:
+                    raise StructureError("line %d: repeated '%s' row (first on line %d)" % (ln, key, first[key]))
+                first[key] = ln
             if mode == "site" and words[0] == "object":
                 name = words[1]
                 _, _, body = line.partition("=")
@@ -439,14 +448,15 @@ def parse_site_presheaf(text, base):
                 name = words[1]
                 _, _, body = line.partition(":")
                 sections[name] = tuple(body.split())
+                if len(set(sections[name])) != len(sections[name]):
+                    raise StructureError("line %d: repeated section in %r" % (ln, name))
             elif words[0] == "restrict":
                 a, b = words[1], words[2]
                 _, _, body = line.partition(":")
-                table = {}
-                for pair in body.split():
-                    s, _, t = pair.partition(">")
-                    table[s] = t
-                restrictions[(a, b)] = table
+                pairs = body.split()
+                restrictions[(a, b)] = dict(pair.partition(">")[::2] for pair in pairs)
+                if len(restrictions[(a, b)]) != len(pairs):
+                    raise StructureError("line %d: repeated source in restriction %r -> %r" % (ln, a, b))
             else:
                 raise StructureError("line %d: unknown presheaf row %r" % (ln, words[0]))
     site = FiniteSite(base, objects, covers)

@@ -9,14 +9,15 @@ There is one elimination engine for rational work: sparse Gauss-Jordan
 elimination that takes the columns left to right and, in each column, the
 shortest candidate row as pivot. The reduced row echelon form is unique, so
 the pivot choice changes the cost but not the result: rank, nullspace,
-solutions, canonical row spaces and quotient representatives are the same
+coordinates, canonical row spaces and quotient representatives are the same
 as textbook dense elimination gives. Integer entries stay Python ints until a
 non-unit pivot forces a Fraction.
 
-Integer Smith normal form first removes unit (+-1) pivots, cheapest fill-in
-first (the reduction-pair step of Kaczynski-Mrozek-Slusarek, 1998), then runs
-Euclidean elimination on the small dense remainder with arbitrary-precision
-integers (compare Dumas-Saunders-Villard, JSC 2001).
+Integer Smith normal form works on the same sparse rows throughout. It first
+removes unit (+-1) pivots, cheapest fill-in first (the reduction-pair step of
+Kaczynski-Mrozek-Slusarek, 1998), then runs Euclidean row and column steps
+on the small remainder with arbitrary-precision integers (compare
+Dumas-Saunders-Villard, JSC 2001).
 """
 
 from __future__ import annotations
@@ -249,27 +250,6 @@ def nullspace(matrix):
     return Matrix.sparse(vectors.values(), matrix.ncols)
 
 
-def solve(matrix, rhs):
-    """One exact solution of matrix @ x = rhs, or None when inconsistent."""
-    if len(rhs) != matrix.nrows:
-        raise ValueError("rhs length mismatch")
-    n = matrix.ncols
-    aug = []
-    for row, b in zip(matrix.rows, rhs):
-        if b:
-            row = dict(row)
-            row[n] = b
-        aug.append(row)
-    basis = _echelon(aug)
-    if basis and basis[-1][0] == n:
-        return None
-    x = [_ZERO] * n
-    for c, row in basis:
-        if n in row:
-            x[c] = Fraction(row[n])
-    return tuple(x)
-
-
 def row_space(matrix):
     """Canonical (RREF) basis of the row space, as a Matrix with one row per basis vector."""
     return Matrix.sparse([row for _, row in _echelon(matrix.rows)], matrix.ncols)
@@ -324,8 +304,10 @@ def invariant_factors(matrix):
 
     Unit pivots go first, each chosen by the smallest fill-in bound
     (row nonzeros - 1) * (column nonzeros - 1); a unit pivot splits off an
-    invariant factor 1 and leaves its Schur complement. Whatever has no unit
-    entry left goes through Euclidean elimination.
+    invariant factor 1 and leaves its Schur complement. Euclidean row and
+    column steps then reduce the rows left in place, each round about the
+    entry of least absolute value, and a gcd/lcm pass puts the diagonal they
+    give into divisibility order.
     """
     rows = {}
     where = {}  # column -> ids of live rows with an entry there
@@ -378,75 +360,27 @@ def invariant_factors(matrix):
             if not row:
                 del rows[r]
         units += 1
-    columns = sorted({j for row in rows.values() for j in row})
-    rest = [[row.get(j, 0) for j in columns] for row in rows.values()]
-    return [1] * units + _euclid_diagonal(rest)
-
-
-def _first_nonzero(a, top, left):
-    best = None
-    for i in range(top, len(a)):
-        for j in range(left, len(a[0])):
-            if a[i][j] != 0:
-                if best is None or abs(a[i][j]) < abs(a[best[0]][best[1]]):
-                    best = (i, j)
-    return best
-
-
-def _euclid_diagonal(a):
-    """Nonzero Smith diagonal of a dense integer matrix (list of lists, modified)."""
-    m = len(a)
-    n = len(a[0]) if m else 0
+    # Euclidean steps on the rows left, which hold no unit, about the entry v
+    # of least absolute value. Every round that records nothing leaves a
+    # nonzero entry smaller than |v|, so the least absolute value falls and
+    # the loop ends.
     diag = []
-    t = 0
-    while t < min(m, n):
-        pos = _first_nonzero(a, t, t)
-        if pos is None:
-            break
-        i0, j0 = pos
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear the pivot column
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            if any(a[i][t] for i in range(t + 1, m)):
-                # remainder smaller than pivot; swap it up and repeat
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        break
-                continue
-            # clear the pivot row
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-            if any(a[t][j] for j in range(t + 1, n)):
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        break
-                continue
-            # force divisibility of the remaining block by the pivot
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        diag.append(abs(a[t][t]))
-        t += 1
+    while rows:
+        _, i, j = min((abs(x), r, c) for r, row in rows.items() for c, x in row.items())
+        prow = rows[i]
+        v = prow[j]
+        for r in list(where[j]):
+            if r != i:
+                _snf_step(rows, where, r, rows[r][j] // v, prow)
+        if len(where[j]) > 1:
+            continue
+        # Column j holds only the pivot row, so a column step touches only
+        # that row: it takes each other entry modulo v.
+        _snf_step(rows, where, i, 1, {k: x - x % v for k, x in prow.items() if k != j})
+        if len(prow) == 1:
+            diag.append(abs(v))
+            del rows[i]
+            where[j].discard(i)
     # pairwise divisibility fix
     changed = True
     while changed:
@@ -457,4 +391,14 @@ def _euclid_diagonal(a):
                 g = gcd(x, y)
                 diag[i], diag[i + 1] = g, x * y // g
                 changed = True
-    return [d for d in diag if d != 0]
+    return [1] * units + diag
+
+
+def _snf_step(rows, where, r, f, source):
+    """rows[r] -= f * source, keeping where in step; an emptied row leaves."""
+    row = rows[r]
+    _subtract(row, f, source)
+    for k in source:
+        (where[k].add if k in row else where[k].discard)(r)
+    if not row:
+        del rows[r]

@@ -156,6 +156,8 @@ class Presheaf:
         for name in self.site.names():
             if name not in self.sections:
                 raise StructureError("no section set for %r" % (name,))
+            if len(set(self.sections[name])) != len(self.sections[name]):
+                raise StructureError("repeated section in %r" % (name,))
         for a, b in self.site.arrows():
             table = self.res.get((a, b))
             if table is None:
@@ -344,8 +346,7 @@ def sheafify(presheaf):
                     return False
         return True
 
-    classes = {}
-    labels = {}
+    label_of = {}  # name -> local datum (cover, family) -> label of its class
     sections = {}
     for name in site.names():
         items = data[name]
@@ -353,25 +354,25 @@ def sheafify(presheaf):
         for i, j in itertools.combinations(range(len(items)), 2):
             if agree(name, items[i], items[j]):
                 uf.union(i, j)
-        groups = uf.groups().values()
-        classes[name] = {i: min(g) for g in groups for i in g}
         # deterministic labels ordered by the representative datum
-        ordered = sorted((min(g) for g in groups), key=lambda i: _datum_key(items[i]))
-        labels[name] = {rep: "c%d" % pos for pos, rep in enumerate(ordered)}
-        sections[name] = tuple(labels[name][rep] for rep in ordered)
+        groups = sorted(uf.groups().values(), key=lambda g: _datum_key(items[min(g)]))
+        label = {i: "c%d" % pos for pos, g in enumerate(groups) for i in g}
+        sections[name] = tuple("c%d" % pos for pos in range(len(groups)))
+        label_of[name] = {}
+        for i, datum in enumerate(items):
+            label_of[name].setdefault(datum, label[i])
 
     def datum_class(name, datum):
-        items = data[name]
-        for i, it in enumerate(items):
-            if it[0] == datum[0] and it[1] == datum[1]:
-                return labels[name][classes[name][i]]
-        raise StructureError("datum not enumerated on %r" % (name,))
+        label = label_of[name].get(datum)
+        if label is None:
+            raise StructureError("datum not enumerated on %r" % (name,))
+        return label
 
     restrictions = {}
     for a, b in site.arrows():
         table = {}
-        for i, (cover, family) in enumerate(data[a]):
-            cls = labels[a][classes[a][i]]
+        for cover, family in data[a]:
+            cls = label_of[a][(cover, family)]
             if cls in table:
                 continue
             members = []

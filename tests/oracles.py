@@ -135,17 +135,6 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
-def dense_solve(rows, ncols, rhs):
-    """One solution of rows @ x = rhs (free variables 0), or None."""
-    red, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
-
-
 def dense_row_space(rows, ncols):
     red, pivots = dense_rref(rows, ncols)
     return red[: len(pivots)]

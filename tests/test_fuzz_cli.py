@@ -2,7 +2,8 @@
 
 The exit-code contract (0 affirmative, 1 verified negative, 2 input or usage
 error) must hold for any input bytes: a mutated file may be rejected, but
-never by a raw exception escaping cli.main.
+never by a raw exception escaping cli.main, and a file that is not UTF-8 is
+always an input error.
 """
 
 import io
@@ -32,12 +33,18 @@ BASES = {
     "circle2.cover": "circle2.sset",
 }
 JUNK_TOKENS = ("x", "-1", "0", "1", "7", "(0,1)", "|", ":", "None", "1/0")
-MUTATIONS_PER_FIXTURE = 12
+MUTATIONS_PER_FIXTURE = 15
+NOT_UTF8 = 4
 
 
 def mutate(text, rng, op):
-    """Delete (op 0), duplicate (1) or truncate (2) one line, or replace one
-    token (3) by another of the file's tokens or a junk token."""
+    """Delete (op 0), duplicate (1) or truncate (2) one line, replace one
+    token (3) by another of the file's tokens or a junk token, or insert a
+    byte that never occurs in UTF-8 (op NOT_UTF8). Returns the file's bytes."""
+    if op == NOT_UTF8:
+        data = text.encode()
+        i = rng.randrange(len(data) + 1)
+        return data[:i] + b"\xff" + data[i:]
     lines = text.splitlines()
     i = rng.randrange(len(lines))
     if op == 0:
@@ -51,7 +58,7 @@ def mutate(text, rng, op):
         pool = text.split() + list(JUNK_TOKENS)
         words[rng.randrange(len(words))] = pool[rng.randrange(len(pool))]
         lines[i] = " ".join(words)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 MUTATED_FIXTURES = sorted(f for f in os.listdir(FIXTURES) if os.path.splitext(f)[1] in COMMANDS)
@@ -63,12 +70,13 @@ def test_mutated_fixture_keeps_the_exit_code_contract(name, tmp_path):
     text = fixture_text(name)
     rng = random.Random(name)
     for k in range(MUTATIONS_PER_FIXTURE):
-        mutated = mutate(text, rng, k % 4)
+        op = k % 5
+        mutated = mutate(text, rng, op)
         path = tmp_path / ("mutated%d%s" % (k, ext))
-        path.write_text(mutated)
+        path.write_bytes(mutated)
         base = [fixture_path(BASES[name])] if name in BASES else []
         for command in COMMANDS[ext]:
             argv = command[:1] + base + [str(path)] + command[1:]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv)
-            assert code in (0, 1, 2), (argv, mutated)
+            assert code in ((2,) if op == NOT_UTF8 else (0, 1, 2)), (argv, mutated)

@@ -266,6 +266,39 @@ def test_malformed_site_rows_name_their_line(case, tmp_path):
     assert "status error" in out
 
 
+# Repeated names in site_two_points_constant.site: (old line, new line or
+# lines, line and message of the error).
+REPEATED_SITE_NAMES = {
+    "section": ("sections X : a b", "sections X : a b a", 9, "repeated section in 'X'"),
+    "restrict source": (
+        "restrict X U0 : a>a b>b", "restrict X U0 : a>a b>b a>b", 10,
+        "repeated source in restriction 'X' -> 'U0'"),
+    "object row": (
+        "object U0 = 0 : (0) ; 1 : (0,0)", "object U0 = 0 : (0) ; 1 : (0,0)\nobject U0 = 0 : (0)", 3,
+        "repeated 'object U0' row \\(first on line 2\\)"),
+    "sections row": ("sections U0 : a b", "sections U0 : a b\nsections U0 : a", 8,
+                     "repeated 'sections U0' row \\(first on line 7\\)"),
+    "restrict row": (
+        "restrict X U0 : a>a b>b", "restrict X U0 : a>a b>b\nrestrict X U0 : a>b b>a", 11,
+        "repeated 'restrict X U0' row \\(first on line 10\\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_SITE_NAMES))
+def test_repeated_site_names_are_refused(case, tmp_path):
+    old, new, line, message = REPEATED_SITE_NAMES[case]
+    text = fixture_text("site_two_points_constant.site")
+    assert old + "\n" in text
+    text = text.replace(old + "\n", new + "\n", 1)
+    with pytest.raises(StructureError, match="^line %d: %s$" % (line, message)):
+        parse_site_presheaf(text, parse_complex(fixture_text("two_points.sset")))
+    path = tmp_path / "repeated.site"
+    path.write_text(text)
+    code, out = run_cli("sheaf", fixture_path("two_points.sset"), str(path))
+    assert code == 2
+    assert "status error" in out
+
+
 def test_site_object_without_sections_is_rejected(tmp_path):
     text = fixture_text("site_two_points_constant.site").replace("sections X : a b\n", "")
     with pytest.raises(StructureError, match="no section set for 'X'"):
@@ -438,6 +471,35 @@ def test_cli_corrupt_input_exit_2():
     code, out = run_cli("homology", fixture_path("corrupt_dangling.sset"))
     assert code == 2
     assert "v1" in out
+    assert "status error" in out
+
+
+# Every command that reads a file, with the file that gets non-UTF-8 bytes
+# marked BAD.
+NON_UTF8_ARGV = [
+    ["homology", "BAD"],
+    ["ring", "BAD"],
+    ["mv", "BAD", "circle2.cover"],
+    ["mv", "circle2.sset", "BAD"],
+    ["sheaf", "BAD", "site_two_points_constant.site"],
+    ["sheaf", "two_points.sset", "BAD"],
+    ["derham", "BAD", "--poly-degree", "1"],
+    ["kan", "BAD"],
+    ["fibration", "BAD"],
+    ["chern", "BAD"],
+    ["extend", "BAD"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_UTF8_ARGV, ids=" ".join)
+def test_cli_non_utf8_input_exit_2(argv, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"sset 1\ncap 0\ndim 0\n\xff\xfe\n")
+    argv = [str(bad) if a == "BAD" else fixture_path(a) if "." in a else a for a in argv]
+    code, out = run_cli(*argv)
+    assert code == 2
+    assert "record error exact : %s is not UTF-8 text: " % bad in out
+    assert "input bad.txt sha256 " in out
     assert "status error" in out
 
 

@@ -26,7 +26,6 @@ from ssetkit.linalg import (
     rank,
     row_space,
     rref,
-    solve,
 )
 
 SETTINGS = settings(max_examples=100)
@@ -90,28 +89,6 @@ def test_nullspace_matches_dense(case):
 
 @SETTINGS
 @given(matrices(), st.data())
-def test_solve_matches_dense(case, data):
-    rows, ncols = case
-    m = Matrix(rows, ncols)
-    x = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
-    consistent = [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
-    arbitrary = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
-    for rhs in (consistent, arbitrary):
-        assert solve(m, rhs) == oracles.dense_solve(rows, ncols, rhs)
-    sol = solve(m, consistent)
-    assert sol is not None and list(m.matvec(sol)) == consistent
-
-
-def test_solve_inconsistent_and_shapes():
-    assert solve(Matrix([[1, 1], [2, 2]]), [1, 3]) is None
-    assert solve(Matrix([[0, 0]]), [5]) is None
-    assert solve(Matrix([], 2), []) == (0, 0)
-    with pytest.raises(ValueError):
-        solve(Matrix([[1]]), [1, 2])
-
-
-@SETTINGS
-@given(matrices(), st.data())
 def test_quotient_reps_match_dense(case, data):
     rows, ncols = case
     k = data.draw(st.integers(0, 4))
@@ -164,6 +141,12 @@ def _triples(rows):
     return {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v}
 
 
+def _check_invariant_factors(rows, ncols):
+    got = invariant_factors(Matrix(rows, ncols))
+    assert got == oracles.snf_diagonal(_triples(rows), len(rows), ncols)
+    assert len(got) == oracles.dense_rank(rows, ncols)
+
+
 @SETTINGS
 @given(matrices(entries=INTEGERS, max_rows=7, max_cols=7))
 @example(([[2, 0, 0], [0, 6, 0], [0, 0, 0]], 3))
@@ -172,10 +155,23 @@ def _triples(rows):
 @example(([], 3))
 @example(([[], [], []], 0))
 def test_invariant_factors_match_sympy(case):
-    rows, ncols = case
-    got = invariant_factors(Matrix(rows, ncols))
-    assert got == oracles.snf_diagonal(_triples(rows), len(rows), ncols)
-    assert len(got) == oracles.dense_rank(rows, ncols)
+    _check_invariant_factors(*case)
+
+
+# No units, so everything goes through the Euclidean steps, with negative
+# pivots and diagonals that need the gcd/lcm pass.
+UNIT_FREE = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6, -9, 10])
+
+
+@SETTINGS
+@given(matrices(entries=UNIT_FREE, max_rows=8, max_cols=8))
+@example(([[-2]], 1))
+@example(([[2, 0], [0, 3]], 2))
+@example(([[-9, 6], [6, 10]], 2))
+@example(([[4, -9, 10], [6, 4, -3], [-9, 10, 6]], 3))
+@example(([[0, -3, 0], [-9, 0, 6], [6, 4, 0]], 3))
+def test_invariant_factors_without_units_match_sympy(case):
+    _check_invariant_factors(*case)
 
 
 def test_invariant_factors_of_torsion_diagonal():

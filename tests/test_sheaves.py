@@ -67,6 +67,12 @@ def test_site_arrows_list_the_restrictions_once():
         assert sorted(k for k in presheaf.res if k[0] != k[1]) == list(site.arrows())
 
 
+def test_presheaf_refuses_a_repeated_section():
+    _, site = two_point_site()
+    with pytest.raises(StructureError, match="repeated section in 'U0'"):
+        constant_presheaf(site, ("a", "b", "a"))
+
+
 def test_constant_on_disconnected_is_not_sheaf():
     _, site = two_point_site()
     status = check_status(constant_presheaf(site, ("a", "b")))
