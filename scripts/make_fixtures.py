@@ -186,6 +186,20 @@ def main():
         % (render_form(f1), render_form(f1), render_form(PolyForm.zero(1, 0))),
     )
 
+    # tau scalars: an off-diagonal sl2 entry extends; two faces that
+    # disagree at their common vertex are a verified negative
+    tau_f1 = f1.scale(TAU)
+    write(
+        "extend_tau.ext",
+        "extend 1\nn 2\nalgebra sl2\nface 1 entry 0 1 : %s\nface 2 entry 0 1 : %s\n"
+        % (render_form(tau_f1), render_form(PolyForm.zero(1, 0))),
+    )
+    write(
+        "extend_tau_bad.ext",
+        "extend 1\nn 2\nface 1 entry 0 0 : %s\nface 2 entry 0 0 : %s\n"
+        % (render_form(PolyForm.constant(1, TAU)), render_form(tau_f1)),
+    )
+
     # subdivision S and homotopy T of the standard 2-simplex, one chain each
     triangle = AffineChain.of(standard_affine_simplex(2))
     write("sd_triangle.chain", serialize_chain(subdivide(triangle)) + serialize_chain(homotopy(triangle)))

@@ -209,18 +209,19 @@ class LieValuedForm:
         return self.entrywise(lambda f: f.pullback(phi), n=len(phi) - 1)
 
     def in_algebra(self):
-        """Do all monomial coefficient matrices lie in the algebra's span?"""
+        """Do all monomial coefficient matrices lie in the algebra's span?
+        A matrix does when its rational part and its tau part both do."""
         keys = set()
         for row in self.entries:
             for f in row:
                 keys.update(f.terms)
         d = self.algebra.size
         for key in keys:
-            mat = tuple(
-                tuple(self.entries[i][j].terms.get(key, Fraction(0)) for j in range(d))
-                for i in range(d)
-            )
-            if not self.algebra.contains(mat):
+            mat = [[_as_qtau(self.entries[i][j].terms.get(key, 0)) for j in range(d)] for i in range(d)]
+            if not (
+                self.algebra.contains([[x.q for x in row] for row in mat])
+                and self.algebra.contains([[x.m for x in row] for row in mat])
+            ):
                 return False
         return True
 

@@ -16,6 +16,13 @@ so each monomial form pulls back to int coefficients. One private kernel
 computes them, one monomial at a time; PolyForm.pullback scales them by its
 coefficients and ssetkit.derham tabulates them on its local bases.
 
+The elimination of t_0 and dt_0 is that kernel too. The face delta_0 :
+Delta^n -> Delta^(n+1), vertex map (1, ..., n+1), pulls the coordinates
+u_1, ..., u_(n+1) of Delta^(n+1) back to t_0, ..., t_n, and the kernel
+writes every pullback with t_0 and dt_0 eliminated. So PolyForm.from_raw
+reads a term in t_0..t_n as a monomial form in u_1..u_(n+1) and pulls it
+back along delta_0.
+
 Integration over the simplex is exact through the monomial rule
 
     int_{Delta^n} t_1^{a_1} ... t_n^{a_n} dt_1 ... dt_n
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,6 +97,8 @@ class QTau:
         return QTau(self.q / other, self.m / other)
 
     def __eq__(self, other):
+        if not isinstance(other, (QTau, numbers.Real)):
+            return NotImplemented
         other = _as_qtau(other)
         return self.q == other.q and self.m == other.m
 
@@ -108,30 +118,9 @@ def _as_qtau(value):
 TAU = QTau(0, 1)
 
 
-def _sorted_with_sign(indices):
-    """Sort a wedge index tuple; return (sign, sorted tuple) or None on repeats."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return None
-    sign = 1
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return sign, tuple(idx)
-
-
 def _monomial_integral(exps):
     """int_{Delta^n} t_1^{a_1} ... t_n^{a_n} dt_1 ... dt_n for exps = (a_1, ..., a_n)."""
     return Fraction(math.prod(math.factorial(a) for a in exps), math.factorial(len(exps) + sum(exps)))
-
-
-def _multinomial(total, parts):
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 class PolyForm:
@@ -172,17 +161,23 @@ class PolyForm:
         """Build a form from terms that may still mention t_0 and dt_0.
 
         Each raw term is (coeff, exps, indices) with exps of length n+1
-        (slot 0 is the t_0 exponent) and indices over 0..n, in any order.
-        Degrees p > n canonicalize to the zero form; that is valid output,
-        not an error.
+        (slot 0 is the t_0 exponent) and indices over 0..n, in any order;
+        a repeated index makes the term vanish. The term is pulled back
+        along the face delta_0 (see the module docstring), which expands
+        t_0 and dt_0 and sorts the indices with their sign. Degrees p > n
+        canonicalize to the zero form; that is valid output, not an error.
+        An index outside 0..n is a ParameterError.
         """
         return cls(n, p, cls._raw_terms(n, p, raw_terms))
 
     @staticmethod
     def _raw_terms(n, p, raw_terms):
-        """The canonical terms of from_raw, a key possibly repeated."""
+        """The canonical terms of from_raw, a key possibly repeated: each
+        raw term, read on Delta^(n+1) with its indices shifted up by one,
+        pulled back along delta_0."""
         if p > n:
             return []
+        phi = tuple(range(1, n + 2))
         out = []
         for coeff, exps, indices in raw_terms:
             exps = tuple(int(e) for e in exps)
@@ -190,25 +185,10 @@ class PolyForm:
                 raise ParameterError("raw exponent tuple must have length n+1, entries >= 0")
             if len(indices) != p:
                 raise ParameterError("raw index tuple must have length p")
-            # expand dt_0 -> -(dt_1 + ... + dt_n), branching per occurrence
-            branches = [(coeff, [])]
-            for i in indices:
-                if i == 0:
-                    branches = [
-                        (c * Fraction(-1), chosen + [j])
-                        for c, chosen in branches
-                        for j in range(1, n + 1)
-                    ]
-                else:
-                    branches = [(c, chosen + [int(i)]) for c, chosen in branches]
-            for c, chosen in branches:
-                norm = _sorted_with_sign(chosen)
-                if norm is None:
-                    continue
-                sign, idx = norm
-                out.extend(
-                    ((e, idx), c * sign * w) for e, w in _expand_t0(exps, n)
-                )
+            idx = tuple(int(i) + 1 for i in indices)
+            if any(not 1 <= i <= n + 1 for i in idx):
+                raise ParameterError("raw wedge indices must lie in 0..n")
+            out.extend((key, coeff * c) for key, c in _pull_monomial(exps, idx, phi).items())
         return out
 
     @classmethod
@@ -380,30 +360,6 @@ def _pull_monomial(exps, idx, phi):
                     out[e2] = out.get(e2, 0) + c * l
             poly = {e: c for e, c in out.items() if c}
     return {(e, w): pc * wc for e, pc in poly.items() for w, wc in wedge.items()}
-
-
-def _expand_t0(exps, n):
-    """Expand t_0^a0 * t^rest via the barycentric relation; yields (exps', weight)."""
-    a0 = exps[0]
-    rest = exps[1:]
-    if a0 == 0:
-        yield rest, 1
-        return
-    for j in range(a0 + 1):
-        c_j = math.comb(a0, j) * (-1) ** j
-        for parts in _compositions(j, n):
-            w = c_j * _multinomial(j, parts)
-            yield tuple(r + q for r, q in zip(rest, parts)), w
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # -- cochains --------------------------------------------------------------

@@ -199,15 +199,10 @@ class CochainSpaces:
         if n > self.x.dim_cap:
             raise ParameterError("cup product degree exceeds the cap")
         out = []
+        front_vertices, back_vertices = range(p + 1), range(p, n + 1)
         for s in self.basis[n]:
-            front, m = s, n
-            for _ in range(q):
-                front = self.x.d(m, m, front)
-                m -= 1
-            back, m = s, n
-            for _ in range(p):
-                back = self.x.d(m, 0, back)
-                m -= 1
+            front = self.x.face_on(n, s, front_vertices)
+            back = self.x.face_on(n, s, back_vertices)
             out.append(self.value_at(p, avec, front) * self.value_at(q, bvec, back))
         return tuple(out)
 

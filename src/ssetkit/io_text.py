@@ -216,7 +216,7 @@ def parse_matrix_triples(text):
     rows = [
         (ln, line)
         for ln, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.startswith("#")
+        if line.strip() and not line.lstrip().startswith("#")
     ]
     ln, head = rows[0] if rows else (1, "")
     with _row(ln, head):
@@ -496,6 +496,8 @@ def parse_map(text):
             mode = stripped
             continue
         if mode is None:
+            if not stripped or stripped.startswith("#"):
+                continue
             raise StructureError("line %d: content before any section header" % ln)
         sections[mode].append((ln, line))
 

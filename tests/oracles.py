@@ -25,7 +25,9 @@ by Fraction points, the reference for the integer point keys of
 ssetkit.subdivision. orthant_restrict, orthant_inject, reference_face_extend
 and reference_horn_fill extend face data in orthant coordinates and move a
 horn by the vertex transposition (0 k), the reference for the retraction
-kernel of ssetkit.connections.
+kernel of ssetkit.connections. sympy_from_raw substitutes the barycentric
+relation for t_0 and dt_0 symbolically, the reference for PolyForm.from_raw,
+which pulls raw terms back along a face map through the pullback kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import itertools
 from fractions import Fraction
 
 import sympy
+from sympy.combinatorics import Permutation
 from sympy.matrices.normalforms import smith_normal_form
 
 from ssetkit.connections import LieValuedForm
@@ -342,6 +345,34 @@ def scan_is_fibration(p):
                     if not any(p(n, z) == b for z in scan_fill_horn(x, h)):
                         return FibrationCertificate(cap, False, problems, witness=(h, b))
     return FibrationCertificate(cap, True, problems)
+
+
+# -- raw forms: sympy substitution of the barycentric relation -------------------
+
+
+def sympy_from_raw(n, p, raw_terms):
+    """PolyForm.from_raw computed symbolically: t_0 = 1 - t_1 - ... - t_n is
+    substituted and expanded by sympy, and dt_0 = -(dt_1 + ... + dt_n) is
+    expanded multilinearly, each ordered index tuple sorted with the sign of
+    its permutation. Coefficients may be Fraction or QTau."""
+    t = sympy.symbols("t1:%d" % (n + 1)) if n else ()
+    coords = (1 - sum(t),) + tuple(t)
+    out = []
+    for coeff, exps, indices in raw_terms:
+        expr = sympy.expand(sympy.Mul(*(c ** a for c, a in zip(coords, exps))))
+        monomials = sympy.Poly(expr, *t).terms() if n else [((), expr)]
+        choices = [[(-1, j) for j in range(1, n + 1)] if i == 0 else [(1, i)] for i in indices]
+        for choice in itertools.product(*choices):
+            idx = [j for _, j in choice]
+            if len(set(idx)) != len(idx):
+                continue
+            order = sorted(range(len(idx)), key=idx.__getitem__)
+            sign = Permutation(order).signature() if idx else 1
+            for c in choice:
+                sign *= c[0]
+            for mono, pc in monomials:
+                out.append(((tuple(mono), tuple(sorted(idx))), coeff * (sign * int(pc))))
+    return PolyForm(n, p, out)
 
 
 # -- pullback along affine-barycentric matrices ----------------------------------

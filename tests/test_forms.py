@@ -3,6 +3,7 @@ and the integration comparison map."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from conftest import face_map
 from oracles import (
     matrix_pullback,
     simplex_monomial_integral_symbolic,
+    sympy_from_raw,
     triangle_quadrature,
     vertex_map_matrix,
 )
@@ -73,6 +75,52 @@ def test_repeated_index_vanishes():
 def test_degree_above_dimension_is_zero_form():
     z = PolyForm.from_raw(1, 2, [(1, (0, 0), (0, 1))])
     assert z.is_zero() and z.p == 2
+
+
+@st.composite
+def raw_problems(draw):
+    """(n, p, raw terms) with indices over 0..n in any order, repeats allowed,
+    and Fraction or QTau coefficients."""
+    n = draw(st.integers(0, 4))
+    p = draw(st.integers(0, n + 1))
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    scalars = st.one_of(fractions, st.builds(QTau, fractions, fractions))
+    term = st.tuples(
+        scalars,
+        st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1).map(tuple),
+        st.lists(st.integers(0, n), min_size=p, max_size=p).map(tuple),
+    )
+    return n, p, draw(st.lists(term, max_size=3))
+
+
+@settings(max_examples=150)
+@given(raw_problems())
+def test_from_raw_matches_sympy_substitution(problem):
+    n, p, raw = problem
+    assert PolyForm.from_raw(n, p, raw) == sympy_from_raw(n, p, raw)
+
+
+@pytest.mark.parametrize(
+    "n, p, raw, message",
+    [
+        (2, 1, [(1, (0, 0, 0), (3,))], "raw wedge indices must lie in 0..n"),
+        (2, 1, [(1, (0, 0, 0), (-1,))], "raw wedge indices must lie in 0..n"),
+        (2, 2, [(1, (0, 0, 0), (3, 3))], "raw wedge indices must lie in 0..n"),
+        (2, 1, [(1, (0, 0), (1,))], "raw exponent tuple must have length n+1, entries >= 0"),
+        (2, 1, [(1, (0, -1, 0), (1,))], "raw exponent tuple must have length n+1, entries >= 0"),
+        (2, 1, [(1, (0, 0, 0), (1, 2))], "raw index tuple must have length p"),
+        (2, 1, [(1, (0, 0, 0), ())], "raw index tuple must have length p"),
+    ],
+)
+def test_from_raw_refuses_malformed_terms(n, p, raw, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        PolyForm.from_raw(n, p, raw)
+
+
+def test_qtau_equality_with_a_non_number_is_false():
+    assert QTau(0, 1) != None  # noqa: E711
+    assert not QTau(0, 1) == "tau"
+    assert QTau(2, 0) == 2 and QTau(2, 0) == Fraction(2)
 
 
 def test_canonicalization_idempotent():

@@ -187,6 +187,14 @@ def test_smap_repeated_section_header_names_its_line():
         parse_map("\n".join(lines) + "\n")
 
 
+def test_smap_skips_blank_and_comment_lines_before_the_first_section():
+    text = fixture_text("incl_bd2.smap")
+    head, _, rest = text.partition("\n")
+    spaced = parse_map(head + "\n\n# the inclusion bd(Delta^2) -> Delta^2\n  # indented\n" + rest)
+    plain = parse_map(text)
+    assert serialize_map(spaced) == serialize_map(plain)
+
+
 def test_smap_repeated_map_row_names_its_line(tmp_path):
     lines = fixture_text("incl_bd2.smap").splitlines()
     line = lines.index("1 : (0,1) > (0,1)") + 1
@@ -347,6 +355,10 @@ def test_field_forms_off_the_nondegenerate_simplices_are_refused():
 def test_malformed_matrix_rows_name_their_line(text, line):
     with pytest.raises(StructureError, match="^line %d: " % line):
         parse_matrix_triples(text)
+
+
+def test_matrix_skips_indented_comment_lines():
+    assert parse_matrix_triples("matrix 1 2\n  # note\n0 1 5\n\t# another\n") == (1, 2, {(0, 1): 5})
 
 
 def test_malformed_chain_rows_name_their_line():
@@ -614,6 +626,42 @@ def test_cli_off_matrix_entry_golden():
         "record error exact : line 4: entry 0 1 is outside the 1x1 matrix of algebra none",
         "status error",
     ]
+
+
+def test_cli_tau_extension_golden():
+    """A tau scalar off the sl2 diagonal lies in the algebra and extends."""
+    code, out = run_cli("extend", fixture_path("extend_tau.ext"))
+    assert code == 0
+    assert out.splitlines()[2:9] == [
+        "input extend_tau.ext sha256 7f42ed5452636757d4940ce11b9451b07bb0de384909683d00eeb06a01e079c7",
+        "record n exact : 2",
+        "record missing exact : none",
+        "record algebra exact : 2x2 traceless",
+        "record extension.entry.0.1 exact : form 2 0 : 0+1*tau | 0 1 | ",
+        "record restrictions_verified exact : True",
+        "status ok",
+    ]
+
+
+def test_cli_tau_disagreement_golden():
+    """Tau data that disagree at the common vertex of faces 1 and 2 are a
+    verified negative with a witness."""
+    code, out = run_cli("extend", fixture_path("extend_tau_bad.ext"))
+    assert code == 1
+    assert out.splitlines()[2:6] == [
+        "input extend_tau_bad.ext sha256 d19251d70b02b99d06b66d92696bf850452120256fcc4949a2cd1b5120b2026d",
+        "record error exact : face data disagree on the intersection of faces 1 and 2",
+        "record witness exact : (1, 2, ((), ()))",
+        "status negative",
+    ]
+
+
+def test_cli_tau_on_the_sl2_diagonal_is_not_in_the_algebra(tmp_path):
+    path = tmp_path / "diagonal.ext"
+    path.write_text(fixture_text("extend_tau.ext").replace("entry 0 1", "entry 0 0"))
+    code, out = run_cli("extend", str(path))
+    assert code == 2
+    assert "record error exact : line 4: face 1 is not in algebra sl2" in out
 
 
 def test_cli_subdivide_and_stokes_exact_flags():
