@@ -114,12 +114,6 @@ def homology(complex_):
     return HomologySummary(tuple(betti), torsion)
 
 
-def torsion_coefficients(complex_, n):
-    if complex_.ring != "int":
-        raise ParameterError("torsion requested over the rationals")
-    return tuple(d for d in complex_.boundary_factors(n + 1) if d > 1)
-
-
 # -- rational cohomology ------------------------------------------------
 
 

@@ -5,16 +5,15 @@ Every verdict here is exhaustive over the stored tables and therefore only
 means "up to the dimension cap"; the certificates say so explicitly: a
 positive certificate enumerates every horn, a negative one carries a witness.
 
-Horn enumeration draws candidates from the coface tables of the simplicial
-set (SimplicialSet.cofaces, the simplices with a given i-th face) rather
-than scanning a whole dimension: each horn face after the first placed one
-comes from the cofaces named by its identity with that first face, and is
-then checked against every other placed face in the face tables. Filling
-is one lookup in the horn index of the simplicial set
-(SimplicialSet.horn_fillers: for each (n, k), every tuple of given faces
-mapped to its fillers, built in one pass over X_n). Candidates and fillers
-keep stored order, so horns, fillers and certificates are those of an
-exhaustive scan.
+Horn search asks one question of the simplicial set, SimplicialSet.matching:
+the simplices whose faces at given positions are given simplices, one lookup
+in an index kept on the set for those positions. Enumeration places the
+faces x_j (j != k) in increasing j, and the candidates for x_j are the
+matches of d_i x_j = d_{j-1} x_i over every placed i; filling a horn and
+lifting a horn through a map are the matches of its faces at every position
+but k. Matches keep stored order, so horns, fillers and certificates are
+those of an exhaustive scan. The backtracking is a module-level recursion,
+so a search leaves no reference cycle for the collector.
 """
 
 from __future__ import annotations
@@ -48,42 +47,32 @@ def enumerate_horns(x, n, k):
         raise ParameterError("horn dimension out of range")
     if not 0 <= k <= n:
         raise ParameterError("horn index out of range")
-    first = 1 if k == 0 else 0
-    tables = [x.face[(n - 1, i)] for i in range(n)] if n > 1 else []
+    slots = [j for j in range(n + 1) if j != k]
+    # x_j is an (n-1)-simplex with d_i x_j = d_{j-1} x_i for every slot i < j
+    steps = [(j, tuple(slots[:r]), x.face[(n - 1, j - 1)] if r else None) for r, j in enumerate(slots)]
     out = []
-    faces = [None] * (n + 1)
-
-    def place(j):
-        if j == n + 1:
-            out.append(Horn(n, k, tuple(faces)))
-            return
-        if j == k:
-            place(j + 1)
-            return
-        if j == first:
-            candidates = x.simplices[n - 1]
-        else:
-            # d_first x_j = d_{j-1} x_first narrows x_j to one coface list;
-            # every other placed x_i asks d_i x_j = d_{j-1} x_i
-            down = tables[j - 1]
-            rest = [(tables[i], down[faces[i]]) for i in range(first + 1, j) if i != k]
-            candidates = [
-                c
-                for c in x.cofaces(n - 1, first, down[faces[first]])
-                if all(d[c] == f for d, f in rest)
-            ]
-        for cand in candidates:
-            faces[j] = cand
-            place(j + 1)
-            faces[j] = None
-
-    place(0)
+    _place(x, n, k, steps, 0, [None] * (n + 1), out)
     return out
+
+
+def _place(x, n, k, steps, r, faces, out):
+    """Append to out every horn that extends the faces placed at the slots
+    before steps[r], each slot's candidates one lookup in x.matching."""
+    j, placed, down = steps[r]
+    matches = x.matching(n - 1, placed, tuple([down[faces[i]] for i in placed]))
+    if r + 1 == len(steps):
+        for y in matches:
+            faces[j] = y
+            out.append(Horn(n, k, tuple(faces)))
+        return
+    for y in matches:
+        faces[j] = y
+        _place(x, n, k, steps, r + 1, faces, out)
 
 
 def fill_horn(x, horn):
     """Every n-simplex whose faces match the horn, in stored order;
-    emptiness certifies a failure. One lookup in the horn index of x."""
+    emptiness certifies a failure. One lookup in a face-tuple index of x."""
     n = horn.n
     if n < 1:
         raise ParameterError("horn dimension out of range")
@@ -91,8 +80,13 @@ def fill_horn(x, horn):
         raise ParameterError(
             "filling a %d-horn needs simplices above the cap %d" % (n, x.dim_cap)
         )
-    given = tuple(f for i, f in enumerate(horn.faces) if i != horn.k)
-    return list(x.horn_fillers(n, horn.k, given))
+    k = horn.k
+    return list(x.matching(n, _without(range(n + 1), k), _without(horn.faces, k)))
+
+
+def _without(seq, k):
+    """The entries of seq other than entry k, as a tuple."""
+    return tuple(seq[:k]) + tuple(seq[k + 1 :])
 
 
 @dataclass
@@ -155,8 +149,9 @@ def is_fibration(p):
     for n in range(1, cap + 1):
         below, level = p.level_map[n - 1], p.level_map[n]
         for k in range(n + 1):
+            given = _without(range(n + 1), k)
             for h in enumerate_horns(x, n, k):
-                down = y.horn_fillers(n, k, tuple(below[f] for _, f in h.given()))
+                down = y.matching(n, given, tuple(below[f] for f in _without(h.faces, k)))
                 if not down:
                     continue
                 lifts = {level[z] for z in fill_horn(x, h)}

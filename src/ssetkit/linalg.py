@@ -250,11 +250,6 @@ def nullspace(matrix):
     return Matrix.sparse(vectors.values(), matrix.ncols)
 
 
-def row_space(matrix):
-    """Canonical (RREF) basis of the row space, as a Matrix with one row per basis vector."""
-    return Matrix.sparse([row for _, row in _echelon(matrix.rows)], matrix.ncols)
-
-
 def quotient_reps(space_rows, sub_rows):
     """Canonical representatives of rowspace(space) / rowspace(sub).
 

@@ -192,34 +192,28 @@ class SheafStatus:
 
 def _compatible_families(presheaf, cover):
     """Backtracking enumeration of families compatible on pairwise meets."""
-    site = presheaf.site
-    members = list(cover)
     out = []
-    chosen = []
-
-    def ok(j, candidate):
-        for i in range(j):
-            meet = site.meet(members[i], members[j])
-            if meet is None:
-                continue
-            if presheaf.restrict(members[i], meet, chosen[i]) != presheaf.restrict(
-                members[j], meet, candidate
-            ):
-                return False
-        return True
-
-    def place(j):
-        if j == len(members):
-            out.append(tuple(chosen))
-            return
-        for cand in presheaf.sections[members[j]]:
-            if ok(j, cand):
-                chosen.append(cand)
-                place(j + 1)
-                chosen.pop()
-
-    place(0)
+    _extend_family(presheaf, list(cover), [], out)
     return out
+
+
+def _extend_family(presheaf, members, chosen, out):
+    """Append to out every compatible family that extends chosen, the
+    sections picked on the first len(chosen) members."""
+    j = len(chosen)
+    if j == len(members):
+        out.append(tuple(chosen))
+        return
+    meets = [(i, presheaf.site.meet(members[i], members[j])) for i in range(j)]
+    for cand in presheaf.sections[members[j]]:
+        if all(
+            presheaf.restrict(members[i], meet, chosen[i]) == presheaf.restrict(members[j], meet, cand)
+            for i, meet in meets
+            if meet is not None
+        ):
+            chosen.append(cand)
+            _extend_family(presheaf, members, chosen, out)
+            chosen.pop()
 
 
 def check_status(presheaf):
@@ -426,42 +420,43 @@ def natural_maps(source, target):
     order = sorted(names, key=lambda n: (-len(below[n]), str(n)))
     items = [(n, s) for n in order for s in source.sections[n]]
     out = []
-    assignment = {}
-
-    def assign(key, value, trail):
-        stack = [(key, value)]
-        while stack:
-            k, v = stack.pop()
-            if k in assignment:
-                if assignment[k] != v:
-                    return False
-                continue
-            assignment[k] = v
-            trail.append(k)
-            a, s = k
-            for b in below[a]:
-                stack.append(((b, source.restrict(a, b, s)), target.res[(a, b)][v]))
-        return True
-
-    def place(i):
-        if i == len(items):
-            out.append(
-                {n: {s: assignment[(n, s)] for s in source.sections[n]} for n in names}
-            )
-            return
-        key = items[i]
-        if key in assignment:
-            place(i + 1)
-            return
-        for v in target.sections[key[0]]:
-            trail = []
-            if assign(key, v, trail):
-                place(i + 1)
-            for k in trail:
-                del assignment[k]
-
-    place(0)
+    _extend_maps(source, target, below, names, items, 0, {}, out)
     return out
+
+
+def _extend_maps(source, target, below, names, items, i, assignment, out):
+    """Append to out every natural map that extends assignment, which fixes
+    the images of items[:i] and of every restriction of them."""
+    while i < len(items) and items[i] in assignment:
+        i += 1
+    if i == len(items):
+        out.append({n: {s: assignment[(n, s)] for s in source.sections[n]} for n in names})
+        return
+    key = items[i]
+    for v in target.sections[key[0]]:
+        trail = []
+        if _assign(source, target, below, assignment, key, v, trail):
+            _extend_maps(source, target, below, names, items, i + 1, assignment, out)
+        for k in trail:
+            del assignment[k]
+
+
+def _assign(source, target, below, assignment, key, value, trail):
+    """Fix key -> value and every image it forces along restrictions,
+    recording each new key in trail; False on a conflict."""
+    stack = [(key, value)]
+    while stack:
+        k, v = stack.pop()
+        if k in assignment:
+            if assignment[k] != v:
+                return False
+            continue
+        assignment[k] = v
+        trail.append(k)
+        a, s = k
+        for b in below[a]:
+            stack.append(((b, source.restrict(a, b, s)), target.res[(a, b)][v]))
+    return True
 
 
 def is_natural(source, target, maps):

@@ -47,8 +47,8 @@ class SimplicialSet:
 
     Nothing changes the tables after construction, so derived structure
     (the index, the nondegenerate simplices, the identity scan behind
-    validate, the coface tables behind cofaces, the horn indexes behind
-    horn_fillers) is computed once and kept on the object.
+    validate, the face-tuple indexes behind matching) is computed once and
+    kept on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg):
@@ -79,8 +79,7 @@ class SimplicialSet:
             for n in range(dim_cap + 1)
         }
         self._violations = None
-        self._cofaces = {}
-        self._horn_fillers = {}
+        self._matching = {}
 
     def _tabulate(self, structure_map, name, dims, step):
         """{(n, i): {x: structure_map(n, i, x)}} over the listed n-simplices
@@ -142,33 +141,22 @@ class SimplicialSet:
             n -= 1
         return n, x, eta
 
-    def cofaces(self, n, i, f):
-        """The n-simplices y with d_i y = f, in stored order.
+    def matching(self, n, positions, faces):
+        """The n-simplices y with d_i y = faces[r] for the r-th i of the
+        tuple positions, in stored order (every n-simplex when it is ()).
 
-        The table for (n, i) is built on its first call and kept.
+        The index for (n, positions), from every tuple of faces at those
+        positions to the simplices that have it, is built in one pass over
+        X_n on its first call and kept.
         """
-        table = self._cofaces.get((n, i))
+        table = self._matching.get((n, positions))
         if table is None:
-            if not (1 <= n <= self.dim_cap and 0 <= i <= n):
-                raise ParameterError("no face map d_%d in dimension %d" % (i, n))
-            table = _group(self.face[(n, i)].values(), self.simplices[n])
-            self._cofaces[(n, i)] = table
-        return table.get(f, ())
-
-    def horn_fillers(self, n, k, given):
-        """The n-simplices y with (d_i y)_{i != k} = given, in stored order.
-
-        The index for (n, k), from every given-face tuple to its fillers, is
-        built in one pass over X_n on its first call and kept.
-        """
-        table = self._horn_fillers.get((n, k))
-        if table is None:
-            if not (1 <= n <= self.dim_cap and 0 <= k <= n):
-                raise ParameterError("no (%d, %d)-horns to fill below the cap %d" % (n, k, self.dim_cap))
-            columns = [self.face[(n, i)].values() for i in range(n + 1) if i != k]
-            table = _group(zip(*columns), self.simplices[n])
-            self._horn_fillers[(n, k)] = table
-        return table.get(given, ())
+            if not (0 <= n <= self.dim_cap and all((n, i) in self.face for i in positions)):
+                raise ParameterError("no faces %r of %d-simplices below the cap %d" % (positions, n, self.dim_cap))
+            columns = [self.face[(n, i)].values() for i in positions]
+            table = _group(zip(*columns) if columns else itertools.repeat(()), self.simplices[n])
+            self._matching[(n, positions)] = table
+        return table.get(faces, ())
 
     def counts(self):
         return tuple(len(self._nondegenerate[n]) for n in self.dims())

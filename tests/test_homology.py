@@ -16,7 +16,6 @@ from ssetkit.homology import (
     homology,
     induced_map,
     mayer_vietoris,
-    torsion_coefficients,
     unit_class_coords,
 )
 from ssetkit.io_text import parse_matrix_triples, serialize_complex, serialize_matrix
@@ -97,12 +96,6 @@ def test_homology_examples_against_serialized_snf_oracle():
             entries, nrows, ncols = boundaries[n + 1]
             divisors = [d for d in snf_diagonal(entries, nrows, ncols) if d > 1]
             assert tuple(divisors) == summary.torsion.get(n, ())
-
-
-def test_torsion_requires_integer_ring():
-    c = chain_complex(standard_boundary(3), ring="rat")
-    with pytest.raises(ParameterError):
-        torsion_coefficients(c, 1)
 
 
 def test_unnormalized_complex_agrees_below_cap():

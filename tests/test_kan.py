@@ -1,6 +1,9 @@
 """Horn enumeration and filling, fibrancy and fibration certificates,
 extra-degeneracy contractibility."""
 
+import gc
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,18 +22,22 @@ from ssetkit.kan import (
     is_fibrant,
     is_fibration,
 )
+from ssetkit.sheaves import FiniteSite, check_status, natural_maps
 from ssetkit.simplicial import (
     SimplicialMap,
     SimplicialSet,
+    close_subcomplex,
     cyclic_table,
     nerve,
     product,
+    simplicial_complex,
     sphere_quotient,
     standard_boundary,
     standard_delta,
     standard_horn,
     truncate,
 )
+from ssetkit.site_corpus import constant_presheaf, representable_to_delta1
 
 from conftest import swapped_delta2, with_replaced_entries
 
@@ -102,16 +109,6 @@ def test_fibrancy_certificates():
     assert not cert.fibrant
     assert cert.witness.n == 2
     assert is_fibrant(standard_delta(0, 3)).fibrant
-
-
-def test_nerves_of_small_groups_unique_fillers():
-    klein = {}
-    for a in range(4):
-        for b in range(4):
-            klein[(a, b)] = (a ^ b)  # Z/2 x Z/2 as xor on 0..3
-    for table in (cyclic_table(4), klein):
-        cert = is_fibrant(nerve(table, 2))
-        assert cert.fibrant and cert.all_unique(min_n=2)
 
 
 def test_identity_is_fibration():
@@ -300,40 +297,39 @@ def test_fibration_certificate_matches_scanning_oracle(p):
     assert is_fibration(p) == oracles.scan_is_fibration(p)
 
 
-def test_cofaces_are_the_stored_simplices_with_that_face():
-    x = nerve(cyclic_table(3), 3)
-    for n in range(1, 4):
-        for i in range(n + 1):
-            for f in x.simplices[n - 1]:
-                assert x.cofaces(n, i, f) == tuple(y for y in x.simplices[n] if x.d(n, i, y) == f)
-    assert x.cofaces(2, 0, "not a simplex") == ()
-    for n, i in ((0, 0), (4, 0), (2, 3)):
+@SETTINGS
+@given(simplicial_sets(), st.data())
+def test_matching_is_the_stored_simplices_with_those_faces(x, data):
+    for n in range(x.dim_cap + 1):
+        positions = tuple(data.draw(st.lists(st.integers(0, n), max_size=n + 2))) if n else ()
+        if data.draw(st.booleans()):
+            y = data.draw(st.sampled_from(x.simplices[n]))
+            faces = tuple(x.d(n, i, y) for i in positions)
+        else:
+            faces = tuple(data.draw(st.sampled_from(x.simplices[n - 1])) for _ in positions)
+        assert x.matching(n, positions, faces) == tuple(
+            y for y in x.simplices[n] if all(x.d(n, i, y) == f for i, f in zip(positions, faces))
+        )
+        assert x.matching(n, positions, ("not a face",) * len(positions)) == (() if positions else x.simplices[n])
+    for n, positions in ((-1, ()), (0, (0,)), (x.dim_cap + 1, ()), (1, (2,)), (1, (0, -1))):
         with pytest.raises(ParameterError):
-            x.cofaces(n, i, (0,))
+            x.matching(n, positions, (None,) * len(positions))
 
 
-def test_horn_fillers_are_the_stored_simplices_with_those_faces():
-    x = standard_boundary(3, 3)
-    for n in range(1, 4):
-        for k in range(n + 1):
-            for y in x.simplices[n]:
-                given = tuple(x.d(n, i, y) for i in range(n + 1) if i != k)
-                assert x.horn_fillers(n, k, given) == tuple(
-                    z for z in x.simplices[n] if all(x.d(n, i, z) == x.d(n, i, y) for i in range(n + 1) if i != k)
-                )
-    assert x.horn_fillers(2, 1, ("not", "faces")) == ()
-    for n, k in ((0, 0), (4, 0), (2, 3)):
-        with pytest.raises(ParameterError):
-            x.horn_fillers(n, k, ())
+def _slots(n, k):
+    return tuple(j for j in range(n + 1) if j != k)
 
 
 def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
     """Exact work count. The scan over every n-simplex per horn made 764048
-    SimplicialSet.d calls and the coface search 69492; enumeration now reads
-    the face tables directly and filling is one index lookup per horn, with
-    one index built per (n, k)."""
+    SimplicialSet.d calls; the coface search that followed made 69492, then
+    none, with 3212 coface lookups and one horn-index lookup per horn. Now
+    every step is one SimplicialSet.matching lookup: one per node of the horn
+    search (the 3212 nodes below a first face, plus one root per (n, k)) and
+    one per horn filled. The indexes kept are one per prefix of the face
+    positions each search places, and one per (n, k) that is filled."""
     x = nerve(cyclic_table(4), 4)
-    calls = {"d": 0, "cofaces": 0, "horn_fillers": 0}
+    calls = {"d": 0, "matching": 0}
     for name in calls:
         method = getattr(SimplicialSet, name)
 
@@ -345,9 +341,63 @@ def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
     cert = is_fibrant(x)
     assert cert.fibrant
     horns = sum(h for h, _ in cert.counts.values())
-    assert calls == {"d": 0, "cofaces": 3212, "horn_fillers": horns}
     assert horns == 1586
-    assert sorted(x._horn_fillers) == [(n, k) for n in range(1, 5) for k in range(n + 1)]
+    pairs = [(n, k) for n in range(1, 5) for k in range(n + 1)]
+    assert calls == {"d": 0, "matching": 3212 + len(pairs) + horns}
+    searched = {(n - 1, _slots(n, k)[:r]) for n, k in pairs for r in range(n)}
+    filled = {(n, _slots(n, k)) for n, k in pairs}
+    assert set(x._matching) == searched | filled
+    assert len(x._matching) == 25
+
+
+def _permutation_table(m):
+    """Composition table of the permutations of 0..m-1, as value tuples."""
+    perms = list(itertools.permutations(range(m)))
+    return {(a, b): tuple(a[i] for i in b) for a in perms for b in perms}
+
+
+def test_nerves_of_small_groups_unique_fillers():
+    """Nerves of Z/1..Z/4, Z/2 x Z/2 (xor on 0..3) and S3 (composition of
+    permutations) are fibrant up to cap 3, with exactly |G|^n horns of each
+    kind in dimension n >= 2, each with one filler."""
+    klein = {(a, b): a ^ b for a in range(4) for b in range(4)}
+    for table in [cyclic_table(m) for m in range(1, 5)] + [klein, _permutation_table(3)]:
+        order = len({a for a, _ in table})
+        cert = is_fibrant(nerve(table, 3))
+        assert cert.fibrant
+        assert cert.counts == {
+            (n, k): (order**n, order**n) if n >= 2 else (1, int(order == 1))
+            for n in range(1, 4)
+            for k in range(n + 1)
+        }
+
+
+def test_backtracking_leaves_no_reference_cycles():
+    """Horn search, lifting and the sheaf searches free everything they
+    build by reference counting: with the collector off, a collection
+    afterwards finds nothing."""
+    x = nerve(cyclic_table(3), 3)
+    p = SimplicialMap.identity(nerve(cyclic_table(2), 2))
+    path = simplicial_complex([[0, 1], [1, 2]], 1)
+    objects = {
+        "X": close_subcomplex(path, {1: [(0, 1), (1, 2)]}),
+        "A": close_subcomplex(path, {1: [(0, 1)]}),
+        "B": close_subcomplex(path, {1: [(1, 2)]}),
+        "M": close_subcomplex(path, {0: [(1,)]}),
+    }
+    site = FiniteSite(path, objects, {"X": [("A", "B")]})
+    f, g = constant_presheaf(site, ("a", "b")), representable_to_delta1(site)
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_fibrant(x).fibrant
+        assert len(enumerate_horns(x, 3, 1)) == 27
+        assert is_fibration(p).fibration
+        assert check_status(f).sheaf
+        assert natural_maps(f, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 NEGATIVE_SETS = {

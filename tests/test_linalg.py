@@ -24,7 +24,6 @@ from ssetkit.linalg import (
     nullspace,
     quotient_reps,
     rank,
-    row_space,
     rref,
 )
 
@@ -68,9 +67,6 @@ def test_rref_rank_row_space_match_dense(case):
     assert (red.nrows, red.ncols) == (len(rows), ncols)
     assert dense(red) == ref_rows
     assert rank(m) == len(ref_pivots)
-    space = row_space(m)
-    assert (space.nrows, space.ncols) == (len(ref_pivots), ncols)
-    assert dense(space) == oracles.dense_row_space(rows, ncols)
 
 
 @SETTINGS
