@@ -320,6 +320,34 @@ def _slots(n, k):
     return tuple(j for j in range(n + 1) if j != k)
 
 
+def test_cofaces_are_the_stored_simplices_with_that_face():
+    x = nerve(cyclic_table(3), 3)
+    for n in range(1, 4):
+        for i in range(n + 1):
+            for f in x.simplices[n - 1]:
+                assert x.matching(n, (i,), (f,)) == tuple(y for y in x.simplices[n] if x.d(n, i, y) == f)
+    assert x.matching(2, (0,), ("not a simplex",)) == ()
+    for n, i in ((0, 0), (4, 0), (2, 3)):
+        with pytest.raises(ParameterError):
+            x.matching(n, (i,), ((0,),))
+
+
+def test_horn_fillers_are_the_stored_simplices_with_those_faces():
+    x = standard_boundary(3, 3)
+    for n in range(1, 4):
+        for k in range(n + 1):
+            slots = _slots(n, k)
+            for y in x.simplices[n]:
+                given = tuple(x.d(n, i, y) for i in slots)
+                assert x.matching(n, slots, given) == tuple(
+                    z for z in x.simplices[n] if all(x.d(n, i, z) == x.d(n, i, y) for i in slots)
+                )
+    assert x.matching(2, (0, 2), ("not", "faces")) == ()
+    for n, slots in ((0, (1,)), (4, _slots(4, 0)), (2, (0, 1, 3))):
+        with pytest.raises(ParameterError):
+            x.matching(n, slots, (None,) * len(slots))
+
+
 def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
     """Exact work count. The scan over every n-simplex per horn made 764048
     SimplicialSet.d calls; the coface search that followed made 69492, then
