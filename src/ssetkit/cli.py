@@ -25,7 +25,6 @@ from .randomsuite import stokes_suite, subdivision_suite
 from .reporting import Report
 from .sheaves import check_status, sheafify
 from .simplicial import truncate
-from .io_text import render_form
 
 
 def build_parser():
@@ -253,12 +252,12 @@ def cmd_extend(report, args):
     report.add("missing", "none" if missing is None else missing)
     report.add("algebra", "none" if algebra is None else algebra.name)
     if algebra is None:
-        report.add("extension", render_form(result))
+        report.add("extension", io_text.render_form(result))
     else:
         for i, row in enumerate(result.entries):
             for j, f in enumerate(row):
                 if not f.is_zero():
-                    report.add("extension.entry.%d.%d" % (i, j), render_form(f))
+                    report.add("extension.entry.%d.%d" % (i, j), io_text.render_form(f))
     report.add("restrictions_verified", True)
     return True
 

@@ -5,6 +5,10 @@ back into the structures they came from; serializing a parsed file
 reproduces it byte for byte. Identifiers are flattened to strings on
 serialization (tuples render as "(a,b)"), so parsed objects use string
 identifiers throughout.
+
+Every reader takes its rows from one _RowReader: a format's header is its
+line 1, its fixed header lines ('cap N', 'degree p') follow at once, and
+after them blank and '#' rows are skipped. Errors name their file line.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from fractions import Fraction
 
 from .connections import EdgeGluing, U1BundleData, LieValuedForm, abelian_line, gl, sl2
 from .errors import ParameterError, StructureError
-from .forms import PolyForm, QTau
+from .forms import FormField, PolyForm, QTau
 from .sheaves import FiniteSite, Presheaf
-from .simplicial import SimplicialSet
+from .simplicial import SimplicialMap, SimplicialSet
+from .subdivision import AffineChain, AffineSimplex
 
 
 def render_id(value):
@@ -26,6 +31,68 @@ def render_id(value):
     if not text or any(ch in text for ch in " |;:\t\n"):
         raise ParameterError("identifier %r cannot be serialized" % (value,))
     return text
+
+
+# -- the row reader ------------------------------------------------------------
+
+
+class _RowReader:
+    """A text as its stripped lines, line k at index k - 1; the sections of
+    an 'smap 1' file are read as slices of the file's reader."""
+
+    def __init__(self, text):
+        self.lines = [line.strip() for line in text.splitlines()]
+
+    def rows(self, header, *fixed, start=0, stop=None):
+        """Check in place the header lines of the format on line indices
+        start to stop - 1: header first (unless None), then one line per
+        fixed pattern, a keyword and integers such as 'cap N'. A missing,
+        blank, comment or malformed header line is an error naming it.
+        Returns those integers and the (line number, row) pairs of the rows
+        after them, blank and '#' rows skipped."""
+        lines = self.lines
+        stop = len(lines) if stop is None else stop
+        at = start
+        if header is not None:
+            if (lines[at] if at < stop else "") != header:
+                raise StructureError("line %d: expected header %r" % (at + 1, header))
+            at += 1
+        values = []
+        for pattern in fixed:
+            words, keyword = (lines[at].split() if at < stop else []), pattern.split()
+            if words[:1] != keyword[:1] or len(words) > len(keyword):
+                raise StructureError("line %d: expected %r" % (at + 1, pattern))
+            values.extend(_int_token(words, k, at + 1) for k in range(1, len(keyword)))
+            at += 1
+        rows = enumerate(lines[at:stop], start=at + 1)
+        return values, [(ln, line) for ln, line in rows if line and not line.startswith("#")]
+
+
+def _once(seen, key, ln):
+    """Note in seen that the single-valued row key is on line ln; a second
+    such row is an error naming both lines."""
+    if key in seen:
+        raise StructureError("line %d: repeated '%s' row (first on line %d)" % (ln, key, seen[key]))
+    seen[key] = ln
+
+
+def _int_token(words, k, ln):
+    """words[k] as an int, or StructureError naming the (1-based) line ln."""
+    try:
+        return int(words[k])
+    except (IndexError, ValueError):
+        raise StructureError("line %d: expected an integer in %r" % (ln, " ".join(words)))
+
+
+@contextlib.contextmanager
+def _row(ln, line):
+    """Report a row whose tokens are missing or do not convert (a short row,
+    a non-integer where an integer belongs, a scalar like 1/0) as a
+    StructureError naming its (1-based) line ln."""
+    try:
+        yield
+    except (IndexError, ValueError, ZeroDivisionError):
+        raise StructureError("line %d: malformed row %r" % (ln, line)) from None
 
 
 # -- simplicial sets --------------------------------------------------------
@@ -52,54 +119,27 @@ def serialize_complex(x):
     return "\n".join(lines) + "\n"
 
 
-def _int_token(words, k, ln):
-    """words[k] as an int, or StructureError naming the (1-based) line ln."""
-    try:
-        return int(words[k])
-    except (IndexError, ValueError):
-        raise StructureError("line %d: expected an integer in %r" % (ln, " ".join(words)))
+def parse_complex(text):
+    return _complex(_RowReader(text))
 
 
-@contextlib.contextmanager
-def _row(ln, line):
-    """Report a row whose tokens are missing or do not convert (a short row,
-    a non-integer where an integer belongs, a scalar like 1/0) as a
-    StructureError naming its (1-based) line ln."""
-    try:
-        yield
-    except (IndexError, ValueError, ZeroDivisionError):
-        raise StructureError("line %d: malformed row %r" % (ln, line)) from None
-
-
-def parse_complex(text, first_line=1):
-    """Parse an .sset text; error line numbers count from first_line, the
-    number of the text's first line in its file."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    pos = 0
+def _complex(reader, start=0, stop=None):
+    """The 'sset 1' text of reader that starts at line index start and ends
+    before stop."""
+    (cap,), rows = reader.rows("sset 1", "cap N", start=start, stop=stop)
 
     def fail(msg, ln):
-        raise StructureError("line %d: %s" % (ln + first_line, msg))
+        raise StructureError("line %d: %s" % (ln, msg))
 
-    if pos >= len(lines) or lines[pos].strip() != "sset 1":
-        fail("expected header 'sset 1'", pos)
-    pos += 1
-    if pos >= len(lines) or not lines[pos].startswith("cap "):
-        fail("expected 'cap N'", pos)
-    cap_line = pos
-    cap = _int_token(lines[pos].split(), 1, pos + first_line)
-    pos += 1
     simplices = {}
     faces = {}
     degs = {}
-    rows = {}  # (dim, id) -> line index of its row
+    lines_of = {}  # (dim, id) -> line number of its row
     degen = {}  # (dim, id) -> words after 'degen'
     current = None
-    for ln in range(pos, len(lines)):
-        line = lines[ln].strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in rows:
         if line.startswith("dim "):
-            current = _int_token(line.split(), 1, ln + first_line)
+            current = _int_token(line.split(), 1, ln)
             if current > cap:
                 fail("dimension above the cap", ln)
             if current < 0:
@@ -112,7 +152,7 @@ def parse_complex(text, first_line=1):
         if not sid:
             fail("empty identifier", ln)
         simplices.setdefault(current, []).append(sid)
-        rows[(current, sid)] = ln
+        lines_of[(current, sid)] = ln
         for field in fields[1:]:
             if not field:
                 continue
@@ -140,7 +180,7 @@ def parse_complex(text, first_line=1):
     while gap in simplices:
         gap += 1
     if gap <= cap:
-        fail("cap %d but no simplex of dimension %d" % (cap, gap), cap_line)
+        fail("cap %d but no simplex of dimension %d" % (cap, gap), start + 2)
     x = SimplicialSet(
         cap,
         simplices,
@@ -148,7 +188,7 @@ def parse_complex(text, first_line=1):
         lambda n, i, sid: degs[(n, sid)][i],
     )
     # the degen fields must name the witnesses the deg tables give
-    for (n, sid), ln in rows.items():
+    for (n, sid), ln in lines_of.items():
         given = degen.get((n, sid))
         derived = x.witness.get((n, sid))
         if derived is None:
@@ -180,14 +220,9 @@ def serialize_cover(sub_a, sub_b):
 
 
 def parse_cover(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "cover 1":
-        raise StructureError("expected header 'cover 1'")
+    _, rows = _RowReader(text).rows("cover 1")
     subs = {"A": {}, "B": {}}
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in rows:
         try:
             head, members = line.split(":")
             label, dim = head.split()
@@ -213,19 +248,9 @@ def serialize_matrix(matrix):
 
 def parse_matrix_triples(text):
     """Sparse triplet text as (nrows, ncols, {(i, j): Fraction})."""
-    rows = [
-        (ln, line)
-        for ln, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    ln, head = rows[0] if rows else (1, "")
-    with _row(ln, head):
-        tag, nrows, ncols = head.split()
-        nrows, ncols = int(nrows), int(ncols)
-    if tag != "matrix":
-        raise StructureError("line %d: expected 'matrix R C' header" % ln)
+    (nrows, ncols), rows = _RowReader(text).rows(None, "matrix R C")
     entries = {}
-    for ln, line in rows[1:]:
+    for ln, line in rows:
         with _row(ln, line):
             i, j, v = line.split()
             i, j, v = int(i), int(j), Fraction(v)
@@ -297,8 +322,6 @@ def parse_form(text, ln=1):
 
 def serialize_chain(chain):
     """AffineChain as one line per term: coefficient, then vertex tuples."""
-    from .subdivision import AffineChain
-
     lines = ["chain 1"]
     terms = sorted(chain.terms.items(), key=lambda kv: kv[0].points)
     for simplex, coeff in terms:
@@ -310,15 +333,9 @@ def serialize_chain(chain):
 
 
 def parse_chain(text):
-    from .subdivision import AffineChain, AffineSimplex
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines or lines[0] != "chain 1":
-        raise StructureError("expected header 'chain 1'")
+    _, rows = _RowReader(text).rows("chain 1")
     terms = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in rows:
         coeff_s, _, body = line.partition(":")
         points = []
         with _row(ln, line):
@@ -354,24 +371,19 @@ def serialize_field(field):
 
 
 def parse_field(text, x):
-    from .forms import FormField
-
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines or lines[0] != "field 1":
-        raise StructureError("expected header 'field 1'")
-    if len(lines) < 2 or not lines[1].startswith("degree "):
-        raise StructureError("line 2: expected 'degree p'")
-    degree = _int_token(lines[1].split(), 1, 2)
+    """Parse a 'field 1' text over x; a second 'on' row for the same simplex
+    is an error naming its line."""
+    (degree,), rows = _RowReader(text).rows("field 1", "degree p")
     forms = {}
-    for ln, line in enumerate(lines[2:], start=3):
-        if not line or line.startswith("#"):
-            continue
+    seen = {}
+    for ln, line in rows:
         if not line.startswith("on "):
             raise StructureError("line %d: expected 'on dim id : form ...'" % ln)
         head, _, body = line.partition(":")
         words = head.split()
         with _row(ln, line):
             key = (int(words[1]), words[2])
+        _once(seen, "on %d %s" % key, ln)
         forms[key] = parse_form(body, ln)
     return FormField(x, degree, forms)
 
@@ -405,28 +417,21 @@ def parse_site_presheaf(text, base):
     """Parse a 'site 1' text over base. A second object, sections or restrict
     row for the same names, and a name repeated within a sections row or
     among the sources of a restrict row, are errors naming their line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines or lines[0] != "site 1":
-        raise StructureError("expected header 'site 1'")
+    _, rows = _RowReader(text).rows("site 1")
     objects = {}
     covers = {}
     sections = {}
     restrictions = {}
-    first = {}
+    seen = {}
     mode = "site"
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in rows:
         if line == "presheaf":
             mode = "presheaf"
             continue
         words = line.split()
         with _row(ln, line):
             if words[0] in ("object", "sections", "restrict"):
-                key = " ".join(words[:3 if words[0] == "restrict" else 2])
-                if key in first:
-                    raise StructureError("line %d: repeated '%s' row (first on line %d)" % (ln, key, first[key]))
-                first[key] = ln
+                _once(seen, " ".join(words[:3 if words[0] == "restrict" else 2]), ln)
             if mode == "site" and words[0] == "object":
                 name = words[1]
                 _, _, body = line.partition("=")
@@ -479,41 +484,33 @@ def serialize_map(smap):
 
 
 def parse_map(text):
-    from .simplicial import SimplicialMap
-
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "smap 1":
-        raise StructureError("expected header 'smap 1'")
-    sections = {"source": [], "target": [], "map": []}
+    reader = _RowReader(text)
+    _, rows = reader.rows("smap 1")
     header = {}  # section -> line number of its header
+    map_rows = []
     mode = None
-    for ln, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if stripped in sections:
-            if stripped in header:
-                raise StructureError("line %d: repeated section header %r" % (ln, stripped))
-            header[stripped] = ln
-            mode = stripped
-            continue
-        if mode is None:
-            if not stripped or stripped.startswith("#"):
-                continue
+    for ln, line in rows:
+        if line in ("source", "target", "map"):
+            if line in header:
+                raise StructureError("line %d: repeated section header %r" % (ln, line))
+            header[line] = ln
+            mode = line
+        elif mode is None:
             raise StructureError("line %d: content before any section header" % ln)
-        sections[mode].append((ln, line))
+        elif mode == "map":
+            map_rows.append((ln, line))
 
     def complex_of(name):
-        # A section's rows are the lines after its one header, so the file
-        # line of the first is the header's plus one.
-        text = "\n".join(line for _, line in sections[name])
-        return parse_complex(text, header.get(name, len(lines)) + 1)
+        # A section's 'sset 1' line follows its header, so its index is the
+        # header's line number; the section ends at the next header.
+        end = len(reader.lines)
+        start = header.get(name, end)
+        return _complex(reader, start, min((ln - 1 for ln in header.values() if ln > start), default=end))
 
     source = complex_of("source")
     target = complex_of("target")
     level_map = {}
-    for ln, line in sections["map"]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in map_rows:
         dim_s, _, body = line.partition(":")
         src, _, dst = body.partition(">")
         n, src = _int_token([dim_s], 0, ln), src.strip()
@@ -547,19 +544,20 @@ def serialize_u1(bundle):
 
 
 def parse_u1(text):
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines or lines[0] != "u1 1":
-        raise StructureError("expected header 'u1 1'")
+    """Parse a 'u1 1' text; a second 'triangle' or 'A' row for the same
+    triangle is an error naming its line."""
+    _, rows = _RowReader(text).rows("u1 1")
     triangles = []
     orientations = {}
     forms = {}
     gluings = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
+    seen = {}
+    for ln, line in rows:
         words = line.split()
         head, _, body = line.partition(":")
         with _row(ln, line):
+            if words[0] in ("triangle", "A"):
+                _once(seen, " ".join(words[:2]), ln)
             if words[0] == "triangle":
                 triangles.append(words[1])
                 orientations[words[1]] = int(words[3])
@@ -591,26 +589,25 @@ def parse_extend(text):
     """Extension problem: ambient dimension, optional missing horn index,
     algebra name, and per-face (and per-entry) forms.
 
-    Without an algebra a face is one form, its entry 0 0. A repeated entry
-    of a face, an entry outside the algebra's matrix (any entry but 0 0
+    Without an algebra a face is one form, its entry 0 0. A second n,
+    missing or algebra row, a repeated entry of a face, an entry outside the algebra's matrix (any entry but 0 0
     without one), an entry whose form type differs from the first of its
     face, and a face whose matrix is not in the algebra are errors naming
     their line.
 
     Returns (n, missing_or_None, algebra_or_None, data dict).
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    if not lines or lines[0] != "extend 1":
-        raise StructureError("expected header 'extend 1'")
+    _, rows = _RowReader(text).rows("extend 1")
     n = None
     missing = None
     algebra, name = None, "none"
     raw = {}
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
+    seen = {}
+    for ln, line in rows:
         words = line.split()
         with _row(ln, line):
+            if words[0] in ("n", "missing", "algebra"):
+                _once(seen, words[0], ln)
             if words[0] == "n":
                 n = int(words[1])
             elif words[0] == "missing":

@@ -1,7 +1,6 @@
 """Polynomial forms: canonicalization, calculus, integration, Whitney forms,
 and the integration comparison map."""
 
-import itertools
 import random
 import re
 from fractions import Fraction
@@ -32,7 +31,7 @@ from ssetkit.simplicial import (
     standard_delta,
 )
 
-from conftest import face_map
+from conftest import face_map, forms
 from oracles import (
     matrix_pullback,
     simplex_monomial_integral_symbolic,
@@ -218,20 +217,6 @@ def vertex_maps(draw, n, m=None):
     if kind == "permutation" and m == n:
         return tuple(draw(st.permutations(range(n + 1))))
     return tuple(draw(st.lists(st.integers(0, n), min_size=m + 1, max_size=m + 1)))
-
-
-@st.composite
-def forms(draw, n=None, p=None, tau=True):
-    """Forms on Delta^n with Fraction or, if tau, possibly QTau coefficients."""
-    n = draw(st.integers(0, 3)) if n is None else n
-    p = draw(st.integers(0, n)) if p is None else p
-    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    scalars = st.builds(QTau, fractions, fractions) if tau and draw(st.booleans()) else fractions
-    monomials = st.tuples(
-        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
-        st.sampled_from(list(itertools.combinations(range(1, n + 1), p))),
-    )
-    return PolyForm(n, p, draw(st.lists(st.tuples(monomials, scalars), max_size=4)))
 
 
 @PULLBACK_SETTINGS

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import FIXTURES, fixture_path, fixture_text
+from conftest import BASES, FIXTURES, fixture_path, fixture_text
 from ssetkit.cli import main
 
 COMMANDS = {
@@ -24,14 +24,8 @@ COMMANDS = {
     ".site": (["sheaf"], ["sheaf", "--op", "sheafify"]),
     ".cover": (["mv"],),
 }
-# A .site or .cover file is read against the simplicial set it was written
-# for, which stays intact.
-BASES = {
-    "site_path_representable.site": "path.sset",
-    "site_two_points_constant.site": "two_points.sset",
-    "bd_delta3_star.cover": "bd_delta3.sset",
-    "circle2.cover": "circle2.sset",
-}
+# A .site or .cover file is read against its base in BASES, which stays
+# intact.
 JUNK_TOKENS = ("x", "-1", "0", "1", "7", "(0,1)", "|", ":", "None", "1/0")
 MUTATIONS_PER_FIXTURE = 15
 NOT_UTF8 = 4

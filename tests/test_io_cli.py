@@ -1,8 +1,11 @@
 """Text formats, the command line, exit codes, and report determinism."""
 
 import io
+import os
+import random
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,43 +14,194 @@ from hypothesis import strategies as st
 from ssetkit import cli
 from ssetkit.cli import main
 from ssetkit.errors import ParameterError, StructureError
-from ssetkit.forms import PolyForm, QTau
+from ssetkit.forms import Cochain, FormField, PolyForm, QTau, whitney
 from ssetkit.io_text import (
+    parse_chain,
     parse_complex,
     parse_cover,
     parse_extend,
+    parse_field,
     parse_form,
     parse_map,
     parse_matrix_triples,
     parse_site_presheaf,
     parse_u1,
+    relabel_as_strings,
     render_form,
+    serialize_chain,
     serialize_complex,
+    serialize_cover,
+    serialize_field,
     serialize_map,
     serialize_matrix,
     serialize_site_presheaf,
     serialize_u1,
 )
 from ssetkit.linalg import Matrix
-
+from ssetkit.randomsuite import random_affine_simplex
 from ssetkit.simplicial import SimplicialMap
+from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
 
-from conftest import fixture_path, fixture_text, swapped_delta2
+from conftest import (
+    BASES,
+    FIXTURES,
+    fixture_path,
+    fixture_text,
+    forms,
+    matrices,
+    simplicial_sets,
+    swapped_delta2,
+)
 
 
-SSET_FIXTURES = [
-    "point.sset", "delta1.sset", "delta2.sset", "bd_delta3.sset", "sphere2.sset",
-    "circle2.sset", "rp2.sset", "torus.sset", "nerve_z2.sset", "nerve_z3.sset",
-    "path.sset", "two_points.sset",
-]
+# -- the formats: round trips, header places and the comment rule ---------------
 
 
-@pytest.mark.parametrize("name", SSET_FIXTURES)
+def extend_key(problem):
+    """An extension problem as a comparable tuple: its algebra by name."""
+    n, missing, algebra, data = problem
+    return n, missing, algebra and algebra.name, data
+
+
+def over(base, parse):
+    """parse with the simplicial set base as its second argument."""
+    return lambda text: parse(text, base)
+
+
+def fixture_format(name):
+    """(read, write) for a fixture: read parses its text, and write turns the
+    result back into text (an extension problem into extend_key). A .site
+    file is read over its base in BASES."""
+    ext = os.path.splitext(name)[1]
+    if ext == ".site":
+        return over(parse_complex(fixture_text(BASES[name])), parse_site_presheaf), serialize_site_presheaf
+    return {
+        ".sset": (parse_complex, serialize_complex),
+        ".cover": (parse_cover, lambda subs: serialize_cover(*subs)),
+        ".smap": (parse_map, serialize_map),
+        ".u1": (parse_u1, serialize_u1),
+        ".ext": (parse_extend, extend_key),
+    }[ext]
+
+
+BD_DELTA3 = parse_complex(fixture_text("bd_delta3.sset"))
+WHITNEY_FIELD = whitney(
+    Cochain(BD_DELTA3, 1, [(s, Fraction(k % 5 - 2)) for k, s in enumerate(BD_DELTA3.nondegenerate(1))])
+)
+# The readers without a fixture, each as (read, write, serialized text).
+SERIALIZED = {
+    "matrix": (parse_matrix_triples, lambda triples: triples, serialize_matrix(Matrix([[1, 0, -3], [0, 2, 5]]))),
+    "field": (over(BD_DELTA3, parse_field), serialize_field, serialize_field(WHITNEY_FIELD)),
+    "chain": (parse_chain, serialize_chain, serialize_chain(subdivide(AffineChain.of(standard_affine_simplex(2))))),
+}
+# Every fixture a reader accepts; sd_triangle.chain holds two chains.
+FIXTURE_NAMES = sorted(
+    f for f in os.listdir(FIXTURES)
+    if f.endswith((".sset", ".cover", ".smap", ".u1", ".site", ".ext"))
+    and f not in ("corrupt_dangling.sset", "extend_offmatrix.ext")
+)
+SAMPLES = {**{name: fixture_format(name) + (fixture_text(name),) for name in FIXTURE_NAMES}, **SERIALIZED}
+# One sample of each of the nine formats.
+FORMAT_SAMPLES = ["delta2.sset", "circle2.cover", "incl_bd2.smap", "u1_unit.u1",
+                  "site_two_points_constant.site", "extend_horn.ext", "matrix", "field", "chain"]
+
+
+def is_header_place(lines, k):
+    """Whether lines[k] is a header line of its format, which no blank or
+    comment row may displace: line 1, 'cap N', 'degree p', or the 'sset 1'
+    of an smap section."""
+    return k == 0 or k < len(lines) and (lines[k] == "sset 1" or lines[k].split()[0] in ("cap", "degree"))
+
+
+def assert_round_trip(name):
+    read, write, text = SAMPLES[name]
+    parsed = read(text)
+    if name.endswith((".sset", ".smap")):
+        assert parsed.validate() == []
+    assert write(parsed) == text
+
+
+@pytest.mark.parametrize("name", [f for f in FIXTURE_NAMES if f.endswith(".sset")])
 def test_sset_round_trip(name):
-    text = fixture_text(name)
-    x = parse_complex(text)
-    assert x.validate() == []
-    assert serialize_complex(x) == text
+    assert_round_trip(name)
+
+
+@pytest.mark.parametrize("name", [f for f in FIXTURE_NAMES if f.endswith((".cover", ".smap", ".u1", ".site"))])
+def test_fixture_round_trip(name):
+    assert_round_trip(name)
+
+
+@pytest.mark.parametrize("name", FORMAT_SAMPLES)
+def test_header_lines_are_checked_in_place(name):
+    read, _, text = SAMPLES[name]
+    lines = text.splitlines()
+    for bad in ("", "wrong 1\n" + "\n".join(lines[1:]), "# x\n" + text, "\n" + text):
+        with pytest.raises(StructureError, match="^line 1: "):
+            read(bad)
+    places = [k for k in range(1, len(lines)) if is_header_place(lines, k)]
+    assert bool(places) == (name in ("delta2.sset", "incl_bd2.smap", "field"))
+    for k in places:
+        for filler in ("", "# x", "  # x"):
+            with pytest.raises(StructureError, match="^line %d: " % (k + 1)):
+                read("\n".join(lines[:k] + [filler] + lines[k:]) + "\n")
+
+
+def test_indented_cap_parses():
+    text = fixture_text("delta2.sset")
+    assert serialize_complex(parse_complex(text.replace("\ncap 2\n", "\n  cap 2\n"))) == text
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_blank_and_comment_rows_are_skipped_after_the_header_lines(name):
+    # one blank or comment row at each row position in turn, cycling through
+    # the three kinds
+    read, write, text = SAMPLES[name]
+    lines = text.splitlines()
+    expected = write(read(text))
+    for k in range(1, len(lines) + 1):
+        if not is_header_place(lines, k):
+            filler = ("", "# x", "  # x")[k % 3]
+            assert write(read("\n".join(lines[:k] + [filler] + lines[k:]) + "\n")) == expected, k
+
+
+@settings(max_examples=15)
+@given(simplicial_sets())
+def test_sset_serialization_is_a_fixed_point(x):
+    text = serialize_complex(x)
+    assert serialize_complex(parse_complex(text)) == text
+
+
+@settings(max_examples=15)
+@given(matrices())
+def test_matrix_serialization_is_a_fixed_point(drawn):
+    text = serialize_matrix(Matrix(*drawn))
+    nrows, ncols, entries = parse_matrix_triples(text)
+    rebuilt = Matrix([[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)], ncols)
+    assert serialize_matrix(rebuilt) == text
+
+
+@settings(max_examples=15)
+@given(forms(tau=True))
+def test_form_serialization_is_a_fixed_point(form):
+    text = render_form(form)
+    assert render_form(parse_form(text)) == text
+
+
+@st.composite
+def fields(draw):
+    """Fields of a random degree on a random set with string identifiers."""
+    x = relabel_as_strings(draw(simplicial_sets()))
+    p = draw(st.integers(0, x.dim_cap))
+    keys = [(n, s) for n in x.dims() if n >= p for s in x.nondegenerate(n)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True)) if keys else []
+    return FormField(x, p, {(n, s): draw(forms(n, p)) for n, s in chosen})
+
+
+@settings(max_examples=15)
+@given(fields())
+def test_field_serialization_is_a_fixed_point(field):
+    text = serialize_field(field)
+    assert serialize_field(parse_field(text, field.x)) == text
 
 
 def test_parse_boundary_counts():
@@ -130,6 +284,7 @@ def test_unknown_identifier_names_the_simplex():
         ("sset 1\ncap 0\ndim |\n", 3),
         ("sset 1\ncap 1\ndim\n(0) | deg (0,0)\n", 3),
         ("sset 1\ncap 1\ndim -1\n", 3),
+        ("sset 1\ncap 0 0\ndim 0\n(0)\n", 2),
     ],
 )
 def test_malformed_sset_header_names_its_line(text, line):
@@ -236,6 +391,21 @@ MALFORMED_ROWS = {
     "ext mixed form types": (
         "extend", "extend 1\nn 2\nalgebra gl2\nface 1 entry 0 0 : form 1 0 : \n"
         "face 1 entry 1 1 : form 1 1 : \n", 5),
+    "u1 repeated A": (
+        "chern", "u1 1\ntriangle 012 or 1\nA 012 : form 2 1 : \nA 012 : form 2 1 : 1 | 0 0 | 1\n", 4),
+    "u1 repeated triangle": ("chern", "u1 1\ntriangle 012 or 1\n\ntriangle 012 or -1\n", 4),
+    "ext repeated algebra": ("extend", "extend 1\nn 2\nalgebra sl2\nalgebra gl2\n", 4),
+    "ext repeated n": ("extend", "extend 1\nn 2\n# again\nn 3\n", 4),
+    "ext repeated missing": ("extend", "extend 1\nmissing 0\nn 2\nmissing 1\n", 4),
+}
+# The single-valued rows among them, refused at their second row: (key,
+# line of the first row).
+REPEATED_ROWS = {
+    "u1 repeated A": ("A 012", 3),
+    "u1 repeated triangle": ("triangle 012", 2),
+    "ext repeated algebra": ("algebra", 3),
+    "ext repeated n": ("n", 2),
+    "ext repeated missing": ("missing", 2),
 }
 
 
@@ -250,6 +420,9 @@ def test_malformed_rows_name_their_line(case, tmp_path):
     code, out = run_cli(command, str(path))
     assert code == 2
     assert "status error" in out
+    if case in REPEATED_ROWS:
+        message = "line %d: repeated '%s' row (first on line %d)" % ((line,) + REPEATED_ROWS[case])
+        assert "record error exact : %s\n" % message in out
 
 
 # Short rows and non-integer tokens in the .site reader: (text, line of the error).
@@ -322,20 +495,24 @@ def test_site_object_without_sections_is_rejected(tmp_path):
     [
         ("field 1\n", 2),
         ("field 1\ndegree z\n", 2),
+        ("field 1\ndegree 0 0\n", 2),
         ("field 1\ndegree 1\non 1\n", 3),
         ("field 1\ndegree 1\n\non x (0,1) : form 1 1 : \n", 4),
+        ("field 1\ndegree 1\non 1 (0,1) : form 1 1 : \non 1 (0,1) : form 1 1 : 1 | 0 | 1\n", 4),
     ],
 )
 def test_malformed_field_rows_name_their_line(text, line):
-    from ssetkit.io_text import parse_field
-
     with pytest.raises(StructureError, match="^line %d: " % line):
         parse_field(text, parse_complex(fixture_text("delta1.sset")))
 
 
-def test_field_forms_off_the_nondegenerate_simplices_are_refused():
-    from ssetkit.io_text import parse_field
+def test_repeated_field_row_names_the_first():
+    text = "field 1\ndegree 0\non 0 (0) : form 0 0 : 1 |  | \n  # the same vertex\non 00 (0) : form 0 0 : \n"
+    with pytest.raises(StructureError, match=r"^line 5: repeated 'on 0 \(0\)' row \(first on line 3\)$"):
+        parse_field(text, parse_complex(fixture_text("delta1.sset")))
 
+
+def test_field_forms_off_the_nondegenerate_simplices_are_refused():
     delta1 = parse_complex(fixture_text("delta1.sset"))
     for sid in ("zz", "(0,0)"):  # unknown, degenerate
         with pytest.raises(ParameterError) as err:
@@ -350,6 +527,7 @@ def test_field_forms_off_the_nondegenerate_simplices_are_refused():
         ("matrix 2\n", 1),
         ("matrix 1 1\n0 0\n", 2),
         ("matrix 1 1\n# entries\n0 1 5\n", 3),
+        ("matrix 1 1 1\n", 1),
     ],
 )
 def test_malformed_matrix_rows_name_their_line(text, line):
@@ -362,8 +540,6 @@ def test_matrix_skips_indented_comment_lines():
 
 
 def test_malformed_chain_rows_name_their_line():
-    from ssetkit.io_text import parse_chain
-
     with pytest.raises(StructureError, match="^line 2: "):
         parse_chain("chain 1\nx : (1,2)\n")
     with pytest.raises(StructureError, match="^line 3: "):
@@ -376,8 +552,6 @@ def test_malformed_chain_rows_name_their_line():
     ("chain 1\n1 : (0) (1)\n# a vertex\n2 : (1/2)\n", "^line 4: a 0-simplex in a chain of dimension 1"),
 ])
 def test_invalid_chain_rows_name_their_line(text, message):
-    from ssetkit.io_text import parse_chain
-
     with pytest.raises(StructureError, match=message):
         parse_chain(text)
 
@@ -398,12 +572,6 @@ def test_extend_faces_of_different_degrees_are_rejected(tmp_path):
     assert "wrong degree" in out
 
 
-def test_cover_round_trip():
-    text = fixture_text("circle2.cover")
-    sub_a, sub_b = parse_cover(text)
-    assert "a" in sub_a[1] and "b" in sub_b[1]
-
-
 def test_matrix_round_trip():
     m = Matrix([[1, 0, -3], [0, 2, 5]])
     nrows, ncols, entries = parse_matrix_triples(serialize_matrix(m))
@@ -417,27 +585,6 @@ def test_matrix_round_trip():
 def test_form_round_trip_with_tau():
     f = PolyForm(2, 1, {((1, 0), (1,)): QTau(1, 2), ((0, 0), (2,)): QTau(0, -1)})
     assert parse_form(render_form(f)) == f
-
-
-def test_site_presheaf_round_trip():
-    base = parse_complex(fixture_text("two_points.sset"))
-    text = fixture_text("site_two_points_constant.site")
-    presheaf = parse_site_presheaf(text, base)
-    assert serialize_site_presheaf(presheaf) == text
-
-
-def test_map_round_trip():
-    text = fixture_text("incl_bd2.smap")
-    smap = parse_map(text)
-    assert smap.validate() == []
-    assert serialize_map(smap) == text
-
-
-def test_u1_round_trip():
-    for name in ("u1_trivial.u1", "u1_unit.u1"):
-        text = fixture_text(name)
-        bundle = parse_u1(text)
-        assert serialize_u1(bundle) == text
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -722,12 +869,6 @@ def test_cli_determinism(command, fixture):
 @settings(max_examples=40)
 @given(st.integers(0, 2**32), st.integers(0, 3), st.booleans())
 def test_chain_round_trip(seed, n, use_homotopy):
-    import random
-
-    from ssetkit.io_text import parse_chain, serialize_chain
-    from ssetkit.randomsuite import random_affine_simplex
-    from ssetkit.subdivision import AffineChain, homotopy, subdivide
-
     rng = random.Random(seed)
     simplex = random_affine_simplex(rng, n, ambient=rng.randint(n, n + 1))
     chain = (homotopy if use_homotopy else subdivide)(AffineChain.of(simplex))
@@ -738,9 +879,6 @@ def test_chain_round_trip(seed, n, use_homotopy):
 
 def test_golden_subdivision_chains():
     # S and T of the standard 2-simplex, terms sorted by their Fraction points
-    from ssetkit.io_text import parse_chain, serialize_chain
-    from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
-
     triangle = AffineChain.of(standard_affine_simplex(2))
     text = fixture_text("sd_triangle.chain")
     s_text, t_text = ["chain 1" + part for part in text.split("chain 1")[1:]]
@@ -750,12 +888,6 @@ def test_golden_subdivision_chains():
 
 
 def test_field_round_trip():
-    import random
-    from fractions import Fraction
-
-    from ssetkit.forms import Cochain, whitney
-    from ssetkit.io_text import parse_field, serialize_field
-
     rng = random.Random(2)
     x = parse_complex(fixture_text("bd_delta3.sset"))
     cochain = Cochain(x, 1, [(s, Fraction(rng.randint(-2, 2))) for s in x.nondegenerate(1)])

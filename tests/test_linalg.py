@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import INTEGERS, RATIONALS, matrices
 from ssetkit.errors import StructureError
 from ssetkit.homology import ChainComplex
 from ssetkit.linalg import (
@@ -28,22 +29,6 @@ from ssetkit.linalg import (
 )
 
 SETTINGS = settings(max_examples=100)
-
-# Mostly zeros, so rows and columns are sparse and often entirely zero.
-INTEGERS = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6])
-RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
-
-
-@st.composite
-def matrices(draw, entries=RATIONALS, max_rows=6, max_cols=7, nrows=None, ncols=None):
-    """(dense rows, ncols); nrows or ncols fixes that dimension."""
-    if ncols is None:
-        ncols = draw(st.integers(0, max_cols))
-    row = st.lists(entries, min_size=ncols, max_size=ncols)
-    if nrows is None:
-        return draw(st.lists(row, max_size=max_rows)), ncols
-    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
-
 
 def dense(m):
     return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]

@@ -36,7 +36,7 @@ from ssetkit.simplicial import (
     _surjective_tuples,
 )
 
-from conftest import fixture_path, swapped_delta2, with_replaced_entries
+from conftest import fixture_path, simplicial_sets, swapped_delta2, with_replaced_entries
 from oracles import strict_chain_count
 
 
@@ -244,25 +244,6 @@ def test_every_generated_object_validates():
 # -- whole-table scans against the element-wise oracles -------------------------
 
 SCAN_SETTINGS = settings(max_examples=80)
-
-
-@st.composite
-def simplicial_sets(draw):
-    """Random ordered complexes, nerves, products and quotients, caps 1-3."""
-    cap = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["complex", "nerve", "product", "quotient"]))
-    if kind == "nerve":
-        return nerve(cyclic_table(draw(st.integers(1, 3))), cap)
-    if kind == "product":
-        cap = min(cap, 2)
-        left = draw(st.sampled_from([standard_delta(1, cap), nerve(cyclic_table(2), cap)]))
-        return product(left, draw(st.sampled_from([standard_boundary(2, cap), sphere_quotient(1, cap)])))
-    facets = draw(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4))
-    x = simplicial_complex(facets, cap)
-    if kind == "complex":
-        return x
-    seeds = draw(st.lists(st.sampled_from(x.simplices[1]), min_size=1, max_size=2))
-    return quotient(x, close_subcomplex(x, {1: seeds}))
 
 
 @st.composite
