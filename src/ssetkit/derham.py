@@ -82,7 +82,7 @@ def _pullback_rows(n, p, phi, degree_cap):
     _, index = _local_basis(len(phi) - 1, p, degree_cap)
     rows = [{} for _ in index]
     for col, (exps, idx) in enumerate(_local_basis(n, p, degree_cap)[0]):
-        for key, c in _pull_monomial(exps, idx, phi).items():
+        for key, c in _pull_monomial(exps, idx, phi):
             r = index.get(key)
             if r is None:
                 raise StructureError("form leaves the truncated basis")

@@ -13,8 +13,18 @@ degeneracy maps and their composites, given by their vertex maps: a tuple
 phi of length m+1 with phi[j] in 0..n the image of vertex j. Such a map
 sends t_k to the sum of the source coordinates over the vertices sent to k,
 so each monomial form pulls back to int coefficients. One private kernel
-computes them, one monomial at a time; PolyForm.pullback scales them by its
-coefficients and ssetkit.derham tabulates them on its local bases.
+computes them, one monomial at a time, and is memoized for the process:
+a bounded least-recently-used cache keyed by (exponents, wedge indices,
+vertex map) holds each result as an immutable tuple of (key, int) pairs,
+and each vertex map's affine images are computed once. PolyForm.pullback
+scales the results by its coefficients and ssetkit.derham tabulates them on
+its local bases, through the same cache.
+
+The kernels write canonical keys, so their output becomes a form through
+one private summing routine that adds like keys, drops zeros and checks
+nothing. The public constructor PolyForm(n, p, terms) checks each key's
+arity and index order, where terms enter from outside, and then sums
+through the same routine.
 
 The elimination of t_0 and dt_0 is that kernel too. The face delta_0 :
 Delta^n -> Delta^(n+1), vertex map (1, ..., n+1), pulls the coordinates
@@ -103,7 +113,8 @@ class QTau:
         return self.q == other.q and self.m == other.m
 
     def __hash__(self):
-        return hash((self.q, self.m))
+        # Equal to a real number when m == 0, so it must hash like one.
+        return hash(self.q) if self.m == 0 else hash((self.q, self.m))
 
     def __repr__(self):
         return "QTau(%s, %s)" % (self.q, self.m)
@@ -117,7 +128,13 @@ def _as_qtau(value):
 
 TAU = QTau(0, 1)
 
+# Entries kept by each memoized kernel below. A Stokes suite meets about
+# 1300 distinct monomial pullbacks however many trials it runs; the de Rham
+# tables keep their own rows, so a large truncation only cycles through.
+_KERNEL_CACHE = 4096
 
+
+@lru_cache(maxsize=_KERNEL_CACHE)
 def _monomial_integral(exps):
     """int_{Delta^n} t_1^{a_1} ... t_n^{a_n} dt_1 ... dt_n for exps = (a_1, ..., a_n)."""
     return Fraction(math.prod(math.factorial(a) for a in exps), math.factorial(len(exps) + sum(exps)))
@@ -129,9 +146,12 @@ class PolyForm:
     __slots__ = ("n", "p", "terms")
 
     def __init__(self, n, p, terms=()):
+        """The form with the given (key, coeff) terms, a dict or an iterable
+        of pairs; each key (exps, idx) with a nonzero coefficient must have
+        len(exps) == n and idx strictly increasing in 1..n, with len(idx) == p."""
         self.n = int(n)
         self.p = int(p)
-        acc = {}
+        checked = []
         for (exps, idx), coeff in (terms.items() if isinstance(terms, dict) else terms):
             if coeff == 0:
                 continue
@@ -142,9 +162,8 @@ class PolyForm:
                 not 1 <= i <= self.n for i in key[1]
             ):
                 raise ParameterError("wedge indices must be strictly increasing in 1..n")
-            prev = acc.get(key)
-            acc[key] = coeff if prev is None else prev + coeff
-        self.terms = {k: c for k, c in acc.items() if c != 0}
+            checked.append((key, coeff))
+        self.terms = _summed(checked)
 
     # -- constructors ---------------------------------------------------
 
@@ -168,13 +187,14 @@ class PolyForm:
         canonicalize to the zero form; that is valid output, not an error.
         An index outside 0..n is a ParameterError.
         """
-        return cls(n, p, cls._raw_terms(n, p, raw_terms))
+        n, p = int(n), int(p)
+        return _form(n, p, cls._raw_terms(n, p, raw_terms))
 
     @staticmethod
     def _raw_terms(n, p, raw_terms):
         """The canonical terms of from_raw, a key possibly repeated: each
-        raw term, read on Delta^(n+1) with its indices shifted up by one,
-        pulled back along delta_0."""
+        raw term, checked, read on Delta^(n+1) with its indices shifted up
+        by one, and pulled back along delta_0."""
         if p > n:
             return []
         phi = tuple(range(1, n + 2))
@@ -188,7 +208,7 @@ class PolyForm:
             idx = tuple(int(i) + 1 for i in indices)
             if any(not 1 <= i <= n + 1 for i in idx):
                 raise ParameterError("raw wedge indices must lie in 0..n")
-            out.extend((key, coeff * c) for key, c in _pull_monomial(exps, idx, phi).items())
+            out.extend((key, coeff * c) for key, c in _pull_monomial(exps, idx, phi))
         return out
 
     @classmethod
@@ -228,13 +248,13 @@ class PolyForm:
     def __add__(self, other):
         if (self.n, self.p) != (other.n, other.p):
             raise ParameterError("cannot add forms of different type")
-        return PolyForm(self.n, self.p, list(self.terms.items()) + list(other.terms.items()))
+        return _form(self.n, self.p, itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return PolyForm(self.n, self.p, {k: v * c for k, v in self.terms.items()})
+        return _form(self.n, self.p, [(k, v * c) for k, v in self.terms.items()])
 
     def __neg__(self):
         return self.scale(-1)
@@ -246,7 +266,7 @@ class PolyForm:
         out = []
         for (exps, idx), coeff in self.terms.items():
             out.extend((key, coeff * c) for key, c in _d_monomial(exps, idx).items())
-        return PolyForm(self.n, self.p + 1, out)
+        return _form(self.n, self.p + 1, out)
 
     def wedge(self, other):
         if self.n != other.n:
@@ -261,7 +281,7 @@ class PolyForm:
                 exps = tuple(x + y for x, y in zip(e1, e2))
                 idx = tuple(sorted(i1 + i2))
                 out.append(((exps, idx), (c1 * c2) * sign))
-        return PolyForm(self.n, self.p + other.p, out)
+        return _form(self.n, self.p + other.p, out)
 
     def integrate(self):
         """Exact integral over the standard simplex; requires top degree."""
@@ -299,9 +319,28 @@ class PolyForm:
             raise ParameterError("a vertex map needs at least one entry, each an int in 0..%d" % self.n)
         out = []
         for (exps, idx), coeff in self.terms.items():
-            for key, c in _pull_monomial(exps, idx, phi).items():
-                out.append((key, coeff * c))
-        return PolyForm(len(phi) - 1, self.p, out)
+            out.extend((key, coeff * c) for key, c in _pull_monomial(exps, idx, phi))
+        return _form(len(phi) - 1, self.p, out)
+
+
+def _summed(terms):
+    """Sum (key, coeff) pairs into a terms dict: like keys add, zeros drop.
+    The keys must already be canonical; nothing is checked."""
+    acc = {}
+    for key, coeff in terms:
+        prev = acc.get(key)
+        acc[key] = coeff if prev is None else prev + coeff
+    return {k: c for k, c in acc.items() if c != 0}
+
+
+def _form(n, p, terms):
+    """The PolyForm of type (n, p) with canonical (key, coeff) terms, built
+    without the checks of PolyForm(n, p, terms): the kernels' way in."""
+    form = object.__new__(PolyForm)
+    form.n = n
+    form.p = p
+    form.terms = _summed(terms)
+    return form
 
 
 def _d_monomial(exps, idx):
@@ -315,27 +354,40 @@ def _d_monomial(exps, idx):
     return out
 
 
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _affine_images(phi):
+    """(const_k, lin_k) for k = 0..max(phi): t_k pulls back along the vertex
+    map phi to const_k + sum of l s_j over (j, l) in lin_k, with s_0
+    eliminated; const_k = [phi(0) = k] and lin_k holds the nonzero
+    [phi(j) = k] - const_k for j = 1..m. For k > max(phi), t_k pulls back to 0."""
+    images = []
+    for k in range(max(phi) + 1):
+        const = int(phi[0] == k)
+        images.append((const, tuple((j, int(v == k) - const)
+                                    for j, v in enumerate(phi) if j and (v == k) != const)))
+    return tuple(images)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
 def _pull_monomial(exps, idx, phi):
     """Int coefficients, over the monomial forms of Delta^m (m = len(phi) - 1),
     of the pullback of the monomial form t^exps dt_idx on Delta^n along the
-    simplicial map with vertex map phi (entries unchecked).
+    simplicial map with vertex map phi (entries unchecked), as a tuple of
+    (key, int) pairs with distinct keys and no zero.
 
-    t_k pulls back to the sum of s_j over phi(j) = k; with s_0 eliminated
-    that is const_k + sum of lin_k[j] s_j, const_k = [phi(0) = k] and
-    lin_k[j] = [phi(j) = k] - const_k, and dt_k to the sum of lin_k[j] ds_j.
+    t_k pulls back to its affine image const_k + sum of lin_k[j] s_j (see
+    _affine_images) and dt_k to the sum of lin_k[j] ds_j. The result is
+    memoized; it is immutable, so callers share it safely.
     """
     m = len(phi) - 1
-
-    def affine(k):
-        const = int(phi[0] == k)
-        return const, [(j, int(phi[j] == k) - const) for j in range(1, m + 1) if (phi[j] == k) != const]
-
+    images = _affine_images(phi)
     wedge = {(): 1}
     for k in idx:
-        _, lin = affine(k)
+        if k >= len(images):
+            return ()
         out = {}
         for w, c in wedge.items():
-            for j, l in lin:
+            for j, l in images[k][1]:
                 if j in w:
                     continue
                 # ds_j joins on the right, past the indices above it.
@@ -344,12 +396,14 @@ def _pull_monomial(exps, idx, phi):
                 out[key] = out.get(key, 0) + c * l * sign
         wedge = {w: c for w, c in out.items() if c}
         if not wedge:
-            return {}
+            return ()
     poly = {(0,) * m: 1}
     for k, a in enumerate(exps, 1):
         if not a:
             continue
-        const, lin = affine(k)
+        if k >= len(images):
+            return ()
+        const, lin = images[k]
         for _ in range(a):
             out = {}
             for e, c in poly.items():
@@ -359,7 +413,9 @@ def _pull_monomial(exps, idx, phi):
                     e2 = e[: j - 1] + (e[j - 1] + 1,) + e[j:]
                     out[e2] = out.get(e2, 0) + c * l
             poly = {e: c for e, c in out.items() if c}
-    return {(e, w): pc * wc for e, pc in poly.items() for w, wc in wedge.items()}
+        if not poly:
+            return ()
+    return tuple(((e, w), pc * wc) for e, pc in poly.items() for w, wc in wedge.items())
 
 
 # -- cochains --------------------------------------------------------------
@@ -531,7 +587,7 @@ def _whitney_terms(m, J):
         exps[J[k]] = 1
         idx = J[:k] + J[k + 1:]
         raw.append((Fraction(fact * (-1) ** k), tuple(exps), idx))
-    return tuple(PolyForm(m, p, PolyForm._raw_terms(m, p, raw)).terms.items())
+    return tuple(_summed(PolyForm._raw_terms(m, p, raw)).items())
 
 
 def whitney(cochain):
@@ -556,5 +612,5 @@ def whitney(cochain):
                 v = cochain.value(face)
                 if v != 0:
                     terms.extend((key, c * v) for key, c in _whitney_terms(m, J))
-            forms[(m, s)] = PolyForm(m, p, terms)
+            forms[(m, s)] = _form(m, p, terms)
     return FormField(x, p, forms)

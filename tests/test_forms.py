@@ -1,6 +1,7 @@
 """Polynomial forms: canonicalization, calculus, integration, Whitney forms,
 and the integration comparison map."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -15,6 +16,7 @@ from ssetkit.forms import (
     FormField,
     PolyForm,
     QTau,
+    _pull_monomial,
     derham_map,
     elementary_whitney,
     whitney,
@@ -120,6 +122,14 @@ def test_qtau_equality_with_a_non_number_is_false():
     assert QTau(0, 1) != None  # noqa: E711
     assert not QTau(0, 1) == "tau"
     assert QTau(2, 0) == 2 and QTau(2, 0) == Fraction(2)
+
+
+def test_qtau_hashes_like_the_number_it_equals():
+    assert hash(QTau(1, 0)) == hash(1)
+    assert hash(QTau(Fraction(-2, 3), 0)) == hash(Fraction(-2, 3))
+    f = PolyForm(1, 0, [(((1,), ()), Fraction(3))])
+    g = PolyForm(1, 0, [(((1,), ()), QTau(3, 0))])
+    assert f == g and len({f, g}) == 1
 
 
 def test_canonicalization_idempotent():
@@ -246,6 +256,65 @@ def test_pullback_respects_wedge(data):
     b = data.draw(forms(a.n, data.draw(st.integers(0, a.n - a.p)), tau=False))
     phi = data.draw(vertex_maps(a.n))
     assert a.wedge(b).pullback(phi) == a.pullback(phi).wedge(b.pullback(phi))
+
+
+# -- the memoized monomial kernel ------------------------------------------------------
+
+
+@st.composite
+def monomials(draw):
+    """(n, exps, idx): a monomial form t^exps dt_idx on Delta^n."""
+    n = draw(st.integers(0, 3))
+    exps = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    p = draw(st.integers(0, n))
+    idx = draw(st.sampled_from(list(itertools.combinations(range(1, n + 1), p))))
+    return n, exps, idx
+
+
+@PULLBACK_SETTINGS
+@given(st.data())
+def test_cached_kernel_matches_uncached_kernel_and_matrix_oracle(data):
+    n, exps, idx = data.draw(monomials())
+    phi = data.draw(vertex_maps(n))
+    expected = _pull_monomial.__wrapped__(exps, idx, phi)
+    oracle = matrix_pullback(PolyForm(n, len(idx), [((exps, idx), 1)]), vertex_map_matrix(phi, n))
+    # The second call is answered from the cache.
+    for _ in range(2):
+        got = _pull_monomial(exps, idx, phi)
+        assert got == expected
+        assert dict(got) == oracle.terms and len(dict(got)) == len(got)
+
+
+def test_kernel_results_cannot_be_changed_by_callers():
+    exps, idx, phi = (2, 1), (1,), (0, 2, 1, 2)
+    expected = _pull_monomial.__wrapped__(exps, idx, phi)
+    with pytest.raises(TypeError):
+        _pull_monomial(exps, idx, phi)[0] = None
+    form = PolyForm(2, 1, [((exps, idx), 1)])
+    raw = [(Fraction(1), (0,) + exps, idx)]
+    builders = [lambda: form.pullback(phi), form.d, lambda: PolyForm.from_raw(2, 1, raw)]
+    for build in builders:
+        first = build()
+        before = dict(first.terms)
+        first.terms.clear()
+        first.terms[((9, 9), (1,))] = Fraction(7)
+        assert build().terms == before
+    assert _pull_monomial(exps, idx, phi) == expected
+
+
+@PULLBACK_SETTINGS
+@given(st.data())
+def test_kernel_built_forms_pass_the_checked_constructor(data):
+    form = data.draw(forms())
+    phi = data.draw(vertex_maps(form.n))
+    other = data.draw(forms(form.n, data.draw(st.integers(0, form.n - form.p)), tau=False))
+    n, p, raw = data.draw(raw_problems())
+    pulled = form.pullback(phi)
+    from_raw = PolyForm.from_raw(n, p, raw)
+    built = [pulled, form.d(), pulled.d(), from_raw, from_raw.d(),
+             form.wedge(other), form + form, form.scale(Fraction(-1, 2))]
+    for f in built:
+        assert PolyForm(f.n, f.p, f.terms) == f
 
 
 # -- integration --------------------------------------------------------------------
