@@ -415,8 +415,10 @@ def serialize_site_presheaf(presheaf):
 
 def parse_site_presheaf(text, base):
     """Parse a 'site 1' text over base. A second object, sections or restrict
-    row for the same names, and a name repeated within a sections row or
-    among the sources of a restrict row, are errors naming their line."""
+    row for the same names, a name repeated within a sections row or among
+    the sources of a restrict row, a sections row for a name that is not an
+    object, and a restrict row for a pair that is not an arrow of the site
+    are errors naming their line."""
     _, rows = _RowReader(text).rows("site 1")
     objects = {}
     covers = {}
@@ -465,6 +467,12 @@ def parse_site_presheaf(text, base):
             else:
                 raise StructureError("line %d: unknown presheaf row %r" % (ln, words[0]))
     site = FiniteSite(base, objects, covers)
+    for key, ln in seen.items():
+        kind, *names = key.split()
+        if kind == "sections" and names[0] not in site.objects:
+            raise StructureError("line %d: sections of %r, which is not an object of the site" % (ln, names[0]))
+        if kind == "restrict" and tuple(names) not in site.arrows():
+            raise StructureError("line %d: restriction %r -> %r is not an arrow of the site" % (ln, *names))
     return Presheaf(site, sections, restrictions)
 
 
@@ -509,11 +517,16 @@ def parse_map(text):
 
     source = complex_of("source")
     target = complex_of("target")
+    cap = min(source.dim_cap, target.dim_cap)
     level_map = {}
     for ln, line in map_rows:
         dim_s, _, body = line.partition(":")
         src, _, dst = body.partition(">")
         n, src = _int_token([dim_s], 0, ln), src.strip()
+        if n > cap:
+            raise StructureError("line %d: map row in dimension %d, above the map's cap %d" % (ln, n, cap))
+        if not source.has(n, src):
+            raise StructureError("line %d: %s is not a source simplex of dimension %d" % (ln, src, n))
         level = level_map.setdefault(n, {})
         if src in level:
             raise StructureError("line %d: repeated map row for %s in dimension %d" % (ln, src, n))
@@ -545,7 +558,8 @@ def serialize_u1(bundle):
 
 def parse_u1(text):
     """Parse a 'u1 1' text; a second 'triangle' or 'A' row for the same
-    triangle is an error naming its line."""
+    triangle, and an 'A' row for a triangle with no 'triangle' row, are
+    errors naming their line."""
     _, rows = _RowReader(text).rows("u1 1")
     triangles = []
     orientations = {}
@@ -576,6 +590,9 @@ def parse_u1(text):
                 )
             else:
                 raise StructureError("line %d: unknown u1 row %r" % (ln, words[0]))
+    for t in forms:
+        if t not in orientations:
+            raise StructureError("line %d: 'A' row for %s, which has no 'triangle' row" % (seen["A " + t], t))
     return U1BundleData(triangles, orientations, forms, gluings)
 
 

@@ -209,15 +209,17 @@ def check_extra_degeneracy(x, extra):
     connected = len(components) == 1
     if not connected:
         raise ParameterError("extra-degeneracy check needs a connected complex")
+    # every level's table, defined and listed, before any identity reads it
+    for n in range(x.dim_cap):
+        for s in x.simplices[n]:
+            if s not in extra.maps[n]:
+                raise StructureError("s_{-1} undefined on %r" % (s,))
+            if not x.has(n + 1, extra(n, s)):
+                raise StructureError("s_{-1} of %r is not a simplex" % (s,))
     witness = None
     for n in range(x.dim_cap):
-        table = extra.maps[n]
         for s in x.simplices[n]:
-            if s not in table:
-                raise StructureError("s_{-1} undefined on %r" % (s,))
-            img = table[s]
-            if not x.has(n + 1, img):
-                raise StructureError("s_{-1} of %r is not a simplex" % (s,))
+            img = extra(n, s)
             if x.d(n + 1, 0, img) != s:
                 witness = ("d_0 s_{-1} = id", n, s)
                 break

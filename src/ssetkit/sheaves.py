@@ -20,76 +20,59 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .simplicial import _UnionFind, sub_intersection, sub_union
-
-
-def _sub_eq(a, b):
-    keys = set(a) | set(b)
-    return all(a.get(n, frozenset()) == b.get(n, frozenset()) for n in keys)
-
-
-def _sub_leq(a, b):
-    keys = set(a) | set(b)
-    return all(a.get(n, frozenset()) <= b.get(n, frozenset()) for n in keys)
-
-
-def _sub_empty(a):
-    return all(not v for v in a.values())
+from .simplicial import _UnionFind
 
 
 class FiniteSite:
     """Finite poset of subcomplexes of a base simplicial set, with covers.
 
-    objects: dict name -> subcomplex (dict dim -> frozenset of identifiers)
+    objects: dict name -> subcomplex (dict dim -> frozenset of identifiers),
+             stored over every dimension of the base
     covers:  dict name -> list of tuples of member names
+
+    The names (in name order), the order, the arrows and the meets are
+    computed once, here.
     """
 
     def __init__(self, base, objects, covers):
         self.base = base
-        self.objects = {name: {n: frozenset(v) for n, v in sub.items()} for name, sub in objects.items()}
+        self.objects = {}
+        for name, sub in objects.items():
+            sub = {n: frozenset(v) for n, v in sub.items()}
+            unknown = [s for n, members in sub.items() for s in members if not base.has(n, s)]
+            if unknown:
+                raise StructureError("object %r contains unknown simplex %r" % (name, unknown[0]))
+            self.objects[name] = {n: sub.get(n, frozenset()) for n in base.dims()}
         self.covers = {name: [tuple(fam) for fam in fams] for name, fams in covers.items()}
-        self._leq = {}
-        self._meet = {}
-        self._validate()
-        self._saturated = None
-
-    def _validate(self):
-        names = sorted(self.objects, key=str)
-        for name, sub in self.objects.items():
-            for n, members in sub.items():
-                for s in members:
-                    if not self.base.has(n, s):
-                        raise StructureError("object %r contains unknown simplex %r" % (name, s))
-        for a, b in itertools.product(names, repeat=2):
-            self._leq[(a, b)] = _sub_leq(self.objects[a], self.objects[b])
+        self._names = tuple(sorted(self.objects, key=str))
+        value = {name: tuple(sub.values()) for name, sub in self.objects.items()}
+        self._leq = {
+            (a, b): all(x <= y for x, y in zip(value[a], value[b]))
+            for a, b in itertools.product(self._names, repeat=2)
+        }
         self._arrows = tuple(
-            (a, b) for a, b in itertools.product(names, repeat=2) if a != b and self._leq[(b, a)]
+            (a, b) for a, b in itertools.product(self._names, repeat=2) if a != b and self._leq[(b, a)]
         )
-        for a, b in itertools.product(names, repeat=2):
-            meet = sub_intersection(self.objects[a], self.objects[b])
-            found = None
-            for c in names:
-                if _sub_eq(self.objects[c], meet):
-                    found = c
-                    break
-            if found is None and not _sub_empty(meet):
-                raise StructureError(
-                    "intersection of %r and %r is missing from the poset" % (a, b)
-                )
-            self._meet[(a, b)] = found
+        first = {value[name]: name for name in reversed(self._names)}  # value -> its first name
+        self._meet = {}
+        for a, b in itertools.product(self._names, repeat=2):
+            meet = tuple(x & y for x, y in zip(value[a], value[b]))
+            if meet not in first and any(meet):
+                raise StructureError("intersection of %r and %r is missing from the poset" % (a, b))
+            self._meet[(a, b)] = first.get(meet)
         for name, fams in self.covers.items():
             if name not in self.objects:
                 raise StructureError("cover declared on unknown object %r" % (name,))
             for fam in fams:
-                union = {}
                 for m in fam:
                     if m not in self.objects:
                         raise StructureError("cover member %r unknown" % (m,))
                     if not self._leq[(m, name)]:
                         raise StructureError("cover member %r not below %r" % (m, name))
-                    union = sub_union(union, self.objects[m])
-                if not _sub_eq(union, self.objects[name]):
+                union = {n: frozenset().union(*(self.objects[m][n] for m in fam)) for n in base.dims()}
+                if union != self.objects[name]:
                     raise StructureError("cover of %r does not exhaust it" % (name,))
+        self._saturated = None
 
     def leq(self, a, b):
         return self._leq[(a, b)]
@@ -106,49 +89,59 @@ class FiniteSite:
         return self._meet[(a, b)]
 
     def names(self):
-        return sorted(self.objects, key=str)
+        return self._names
+
+    def _restrict_cover(self, cover, below):
+        """The nonempty meets of the members of cover with below, in name
+        order, each with the positions in cover of the members it meets."""
+        positions = {}
+        for i, m in enumerate(cover):
+            meet = self._meet[(m, below)]
+            if meet is not None and any(self.objects[meet].values()):
+                positions.setdefault(meet, []).append(i)
+        return tuple((meet, tuple(positions[meet])) for meet in sorted(positions, key=str))
 
     def saturated_covers(self):
-        """Declared covers plus trivial covers plus restrictions to subobjects."""
+        """Declared covers plus trivial covers plus restrictions to subobjects.
+
+        The meets of a cover of U with a subobject V cover V, so every
+        restriction is again a cover; on an empty V it is the empty family."""
         if self._saturated is not None:
             return self._saturated
-        sat = {name: {(name,)} for name in self.names()}
+        sat = {name: {(name,)} for name in self._names}
         for name, fams in self.covers.items():
             for fam in fams:
                 sat[name].add(tuple(sorted(set(fam), key=str)))
         changed = True
         while changed:
             changed = False
-            for name in self.names():
+            for name, below in self._arrows:
                 for fam in list(sat[name]):
-                    for below in self.names():
-                        if below == name or not self.leq(below, name):
-                            continue
-                        members = []
-                        for m in fam:
-                            mm = self.meet(m, below)
-                            if mm is not None and not _sub_empty(self.objects[mm]):
-                                members.append(mm)
-                        restricted = tuple(sorted(set(members), key=str))
-                        if restricted and restricted not in sat[below]:
-                            union = {}
-                            for m in restricted:
-                                union = sub_union(union, self.objects[m])
-                            if _sub_eq(union, self.objects[below]):
-                                sat[below].add(restricted)
-                                changed = True
+                    restricted = tuple(meet for meet, _ in self._restrict_cover(fam, below))
+                    if restricted not in sat[below]:
+                        sat[below].add(restricted)
+                        changed = True
         self._saturated = {name: sorted(fams) for name, fams in sat.items()}
         return self._saturated
 
 
 class Presheaf:
-    """Finite set-valued presheaf: sections per object, restriction tables."""
+    """Finite set-valued presheaf: sections per object, restriction tables.
+
+    Sections of a name that is not an object, and a restriction along a pair
+    that is not one of site.arrows(), are refused."""
 
     def __init__(self, site, sections, restrictions):
         self.site = site
+        for name in sections:
+            if name not in site.objects:
+                raise StructureError("sections of %r, which is not an object of the site" % (name,))
         self.sections = {name: tuple(sections[name]) for name in site.names() if name in sections}
         self.res = {}
+        arrows = set(site.arrows())
         for (u, v), table in restrictions.items():
+            if (u, v) not in arrows:
+                raise StructureError("restriction %r -> %r is not an arrow of the site" % (u, v))
             self.res[(u, v)] = dict(table)
         self._validate()
 
@@ -245,10 +238,6 @@ def check_status(presheaf):
     return SheafStatus(separated, sheaf, witness)
 
 
-def _canonical_label(members):
-    return min(str(m) for m in members)
-
-
 def separated_quotient(presheaf):
     """The separated reflection: sections modulo agreement on some cover.
 
@@ -281,23 +270,16 @@ def _separate_once(presheaf):
         for cover in sat[name]:
             if cover == (name,):
                 continue
-            for a, b in itertools.combinations(presheaf.sections[name], 2):
-                if all(
-                    presheaf.restrict(name, m, a) == presheaf.restrict(name, m, b)
-                    for m in cover
-                ):
-                    uf.union(a, b)
-        classes[name] = {s: _canonical_label(g) for g in uf.groups().values() for s in g}
-    sections = {
-        name: tuple(sorted(set(classes[name].values())))
-        for name in site.names()
+            agreeing = {}  # restrictions to the cover -> first section with them
+            for s in presheaf.sections[name]:
+                uf.union(s, agreeing.setdefault(tuple(presheaf.restrict(name, m, s) for m in cover), s))
+        # each class is labeled by the least rendering of its members
+        classes[name] = {s: min(map(str, g)) for g in uf.groups().values() for s in g}
+    sections = {name: tuple(sorted(set(classes[name].values()))) for name in site.names()}
+    restrictions = {
+        (a, b): {classes[a][s]: classes[b][presheaf.restrict(a, b, s)] for s in presheaf.sections[a]}
+        for a, b in site.arrows()
     }
-    restrictions = {}
-    for a, b in site.arrows():
-        table = {}
-        for s in presheaf.sections[a]:
-            table[classes[a][s]] = classes[b][presheaf.restrict(a, b, s)]
-        restrictions[(a, b)] = table
     return Presheaf(site, sections, restrictions), classes
 
 
@@ -369,23 +351,14 @@ def sheafify(presheaf):
             cls = label_of[a][(cover, family)]
             if cls in table:
                 continue
-            members = []
-            values = []
-            for m, val in zip(cover, family):
-                mm = site.meet(m, b)
-                if mm is None or _sub_empty(site.objects[mm]):
-                    continue
-                members.append(mm)
-                values.append(base.restrict(m, mm, val))
-            # deduplicate members while keeping value agreement
-            dedup = {}
-            for m, v in zip(members, values):
-                if m in dedup and dedup[m] != v:
+            cover_b, fam_b = [], []
+            for meet, positions in site._restrict_cover(cover, b):
+                values = {base.restrict(cover[i], meet, family[i]) for i in positions}
+                if len(values) > 1:
                     raise StructureError("restricted datum disagrees with itself")
-                dedup[m] = v
-            cover_b = tuple(sorted(dedup, key=str))
-            fam_b = tuple(dedup[m] for m in cover_b)
-            table[cls] = datum_class(b, (cover_b, fam_b))
+                cover_b.append(meet)
+                fam_b.extend(values)
+            table[cls] = datum_class(b, (tuple(cover_b), tuple(fam_b)))
         restrictions[(a, b)] = table
     result = Presheaf(site, sections, restrictions)
     unit = {}

@@ -530,11 +530,6 @@ def is_subcomplex(x, sub):
     return None
 
 
-def sub_union(a, b):
-    keys = set(a) | set(b)
-    return {n: frozenset(a.get(n, frozenset()) | b.get(n, frozenset())) for n in keys}
-
-
 def sub_intersection(a, b):
     keys = set(a) | set(b)
     return {n: frozenset(a.get(n, frozenset()) & b.get(n, frozenset())) for n in keys}

@@ -22,7 +22,7 @@ def constant_presheaf(site, labels):
 
 
 def _vertices(site, name):
-    return tuple(sorted(site.objects[name].get(0, frozenset())))
+    return tuple(sorted(site.objects[name][0]))
 
 
 def _label(assignment):
@@ -74,7 +74,7 @@ def representable_to_delta1(site):
             lookup = dict(zip(verts, vals))
             ok = True
             for n in range(1, x.dim_cap + 1):
-                for s in site.objects[name].get(n, frozenset()):
+                for s in site.objects[name][n]:
                     if x.is_degenerate(n, s):
                         continue
                     imgs = [lookup[v] for v in x.vertices_of(n, s)]

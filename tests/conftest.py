@@ -10,21 +10,30 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from ssetkit.forms import PolyForm, QTau  # noqa: E402
 from ssetkit.simplicial import (  # noqa: E402
+    SimplicialMap,
     SimplicialSet,
     close_subcomplex,
     cyclic_table,
     nerve,
     product,
     quotient,
+    restrict,
     simplicial_complex,
     sphere_quotient,
     standard_boundary,
     standard_delta,
+    standard_horn,
+    truncate,
 )
+from ssetkit.sheaves import Presheaf  # noqa: E402
+from ssetkit.site_corpus import constant_presheaf, representable_to_delta1, vertex_functions  # noqa: E402
 
 # Every property test is derandomized and keeps no example database, so a
 # run depends on the code alone; each module sets its own max_examples.
+# The "fresh" profile, chosen with --hypothesis-profile=fresh, draws the
+# examples from a random seed instead (fix one with --hypothesis-seed=N).
 settings.register_profile("ssetkit", deadline=None, derandomize=True, database=None)
+settings.register_profile("fresh", deadline=None, derandomize=False, database=None, print_blob=True)
 settings.load_profile("ssetkit")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -98,6 +107,262 @@ def simplicial_sets(draw):
         return x
     seeds = draw(st.lists(st.sampled_from(x.simplices[1]), min_size=1, max_size=2))
     return quotient(x, close_subcomplex(x, {1: seeds}))
+
+
+@st.composite
+def small_complexes(draw):
+    """Random graphs and 2-complexes on at most five vertices, with a cap
+    above their dimension half the time."""
+    top = draw(st.integers(1, 2))
+    vertices = draw(st.integers(top + 1, 5))
+    candidates = list(itertools.combinations(range(vertices), top + 1))
+    facets = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+    facets += [(v,) for v in range(vertices)]
+    return simplicial_complex(facets, top + draw(st.integers(0, 1)))
+
+
+def _delta_family(draw, cap):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["delta", "boundary", "horn"]))
+    if kind == "delta":
+        return standard_delta(n, cap)
+    if kind == "boundary":
+        return standard_boundary(n, cap)
+    return standard_horn(n, draw(st.integers(0, n)), cap)
+
+
+@st.composite
+def kan_sets(draw):
+    """Nerves, products, boundaries, horns, truncations, sphere quotients,
+    a set whose face tables break an identity and nerves with face entries
+    replaced at random, all small enough to scan."""
+    cap = draw(st.integers(1, 3))
+    kind = draw(
+        st.sampled_from(["nerve", "simplex", "product", "truncation", "sphere", "broken", "corrupted"])
+    )
+    if kind == "nerve":
+        return nerve(cyclic_table(draw(st.integers(1, 3))), cap)
+    if kind == "simplex":
+        return _delta_family(draw, cap)
+    if kind == "product":
+        cap = min(cap, 2)
+        left = nerve(cyclic_table(draw(st.integers(1, 2))), cap)
+        return product(draw(st.sampled_from([left, standard_delta(1, cap)])), _delta_family(draw, cap))
+    if kind == "truncation":
+        return truncate(nerve(cyclic_table(draw(st.integers(2, 3))), 3), cap)
+    if kind == "sphere":
+        return sphere_quotient(draw(st.integers(1, 3)), cap)
+    if kind == "broken":
+        return swapped_delta2(max(cap, 2))
+    x = nerve(cyclic_table(draw(st.integers(2, 3))), cap)
+    changes = {}
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, cap))
+        key = ("d", n, draw(st.integers(0, n)), draw(st.sampled_from(x.simplices[n])))
+        changes[key] = draw(st.sampled_from(x.simplices[n - 1]))
+    return with_replaced_entries(x, changes)
+
+
+def projection(x, y):
+    """The projection X x Y -> X."""
+    xy = product(x, y)
+    return SimplicialMap(xy, x, {n: {s: s[0] for s in xy.simplices[n]} for n in xy.dims()})
+
+
+def inclusion(sub, x):
+    """The inclusion of a set whose simplices are simplices of x."""
+    return SimplicialMap(sub, x, {n: {s: s for s in sub.simplices[n]} for n in sub.dims()})
+
+
+def homomorphism(m, q, image, cap):
+    """Nerve of Z/m -> Z/q, a -> a * image mod q (a homomorphism when q | m * image)."""
+    source = nerve(cyclic_table(m), cap)
+    level = {n: {g: tuple(a * image % q for a in g) for g in source.simplices[n]} for n in source.dims()}
+    return SimplicialMap(source, nerve(cyclic_table(q), cap), level)
+
+
+@st.composite
+def kan_maps(draw):
+    """Identities of kan_sets, projections, boundary and horn inclusions, and
+    nerve homomorphisms (some of them not simplicial)."""
+    kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
+    if kind == "identity":
+        return SimplicialMap.identity(draw(kan_sets()))
+    cap = draw(st.integers(1, 2))
+    if kind == "projection":
+        return projection(
+            draw(st.sampled_from([standard_delta(1, cap), standard_boundary(2, cap)])),
+            nerve(cyclic_table(draw(st.integers(1, 2))), cap),
+        )
+    if kind == "inclusion":
+        n = draw(st.integers(1, 3))
+        sub = draw(
+            st.sampled_from([standard_boundary(n, cap), standard_horn(n, draw(st.integers(0, n)), cap)])
+        )
+        return inclusion(sub, standard_delta(n, cap))
+    m, q, image = draw(st.sampled_from([(4, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 0), (3, 1, 0)]))
+    return homomorphism(m, q, image, cap)
+
+
+@st.composite
+def corrupted_sets(draw):
+    """A drawn set with up to six face or degeneracy entries replaced by other
+    listed simplices of the adjacent dimension."""
+    x = draw(simplicial_sets())
+    changes = {}
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["d", "s"]))
+        n = draw(st.integers(1, x.dim_cap) if kind == "d" else st.integers(0, x.dim_cap - 1))
+        step = -1 if kind == "d" else 1
+        s = draw(st.sampled_from(x.simplices[n]))
+        i = draw(st.integers(0, n))
+        changes[(kind, n, i, s)] = draw(st.sampled_from(x.simplices[n + step]))
+    return with_replaced_entries(x, changes)
+
+
+@st.composite
+def corrupted_maps(draw):
+    """Identities, projections, subcomplex inclusions and nerve homomorphisms
+    with some values replaced by other target simplices, and at times one
+    value dropped or sent to an identifier the target does not list."""
+    kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
+    if kind == "identity":
+        x = draw(simplicial_sets())
+        source = target = x
+        level = {n: {s: s for s in x.simplices[n]} for n in x.dims()}
+    elif kind == "projection":
+        cap = draw(st.integers(1, 2))
+        target = draw(st.sampled_from([standard_delta(1, cap), standard_boundary(2, cap)]))
+        source = product(target, nerve(cyclic_table(draw(st.integers(1, 2))), cap))
+        level = {n: {s: s[0] for s in source.simplices[n]} for n in source.dims()}
+    elif kind == "inclusion":
+        n = draw(st.integers(1, 3))
+        target = standard_delta(n, draw(st.integers(max(1, n - 1), 3)))
+        source = restrict(target, close_subcomplex(target, {n - 1: [tuple(range(n))]}))
+        level = {m: {s: s for s in source.simplices[m]} for m in source.dims()}
+    else:
+        cap = draw(st.integers(1, 3))
+        m, q, image = draw(st.sampled_from([(4, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 0)]))
+        source, target = nerve(cyclic_table(m), cap), nerve(cyclic_table(q), cap)
+        level = {n: {g: tuple(a * image % q for a in g) for g in source.simplices[n]} for n in source.dims()}
+    cap = min(source.dim_cap, target.dim_cap)
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, cap))
+        level[n][draw(st.sampled_from(source.simplices[n]))] = draw(st.sampled_from(target.simplices[n]))
+    fault = draw(st.sampled_from([None, None, "undefined", "unknown"]))
+    if fault is not None:
+        n = draw(st.integers(0, cap))
+        s = draw(st.sampled_from(source.simplices[n]))
+        if fault == "undefined":
+            del level[n][s]
+        else:
+            level[n][s] = "not a simplex"
+    return SimplicialMap(source, target, level)
+
+
+@st.composite
+def finite_sites(draw):
+    """(base, objects, covers) of a random finite site on a small ordered
+    complex. The objects are two to four generated subcomplexes, unions of
+    some of them and every intersection, the empty one kept only at times;
+    some values get a second name, and some objects leave out dimensions
+    in which they are empty or list an empty one above the cap. Each union
+    is covered by its generators, and other covers are drawn from the
+    objects below."""
+    facets = draw(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4))
+    base = simplicial_complex(facets, draw(st.integers(1, 2)))
+    simplex = st.sampled_from([(n, s) for n in base.dims() for s in base.simplices[n]])
+
+    def value(sub):
+        return tuple(sub[n] for n in base.dims())
+
+    def union(vs):
+        return tuple(frozenset().union(*levels) for levels in zip(*vs))
+
+    generators = []
+    for _ in range(draw(st.integers(2, 4))):
+        seeds = {}
+        for n, s in draw(st.lists(simplex, min_size=1, max_size=2)):
+            seeds.setdefault(n, []).append(s)
+        generators.append(value(close_subcomplex(base, seeds)))
+    values = list(dict.fromkeys(generators))
+    unions = []
+    groups = st.sets(st.sampled_from(range(len(generators))), min_size=2)
+    for group in draw(st.lists(groups, max_size=3)):
+        members = sorted(group)
+        unions.append((union(generators[i] for i in members), members))
+        values.append(unions[-1][0])
+    closed = False
+    while not closed:
+        meets = [tuple(x & y for x, y in zip(a, b)) for a in values for b in values]
+        closed = all(m in values for m in meets)
+        values = list(dict.fromkeys(values + meets))
+    if not draw(st.booleans()):
+        values = [v for v in values if any(v)]
+    labels = draw(st.permutations(range(len(values) + 2)))
+    named = [("U%d" % labels[i], v) for i, v in enumerate(values)]
+    for i in range(2):
+        if draw(st.booleans()):
+            named.append(("U%d" % labels[len(values) + i], draw(st.sampled_from(values))))
+    objects = {}
+    for name, v in named:
+        sub = dict(zip(base.dims(), v))
+        edit = draw(st.sampled_from(["none", "drop empty", "add empty"]))
+        if edit == "drop empty":
+            sub = {n: members for n, members in sub.items() if members}
+        elif edit == "add empty":
+            sub[base.dim_cap + 1] = frozenset()
+        objects[name] = sub
+    first = {}
+    for name, v in named:
+        first.setdefault(v, name)
+    covers = {}
+    for v, members in unions:
+        if v in first:
+            covers.setdefault(first[v], []).append(tuple(first[generators[i]] for i in members))
+    for name, v in draw(st.lists(st.sampled_from(named), max_size=3)):
+        below = [m for m, w in named if all(x <= y for x, y in zip(w, v))]
+        fam = draw(st.lists(st.sampled_from(below), min_size=1, max_size=3))
+        if union(dict(named)[m] for m in fam) == v:
+            covers.setdefault(name, []).append(tuple(fam))
+    return base, objects, covers
+
+
+@st.composite
+def site_presheaves(draw, site):
+    """A presheaf on site: constant, vertex functions or maps to Delta^1, at
+    times cut down to sections closed under restriction, and at times with
+    extra sections that restrict like a given section of their object (so
+    the result need not be separated)."""
+    kind = draw(st.sampled_from(["constant", "vertex", "representable"]))
+    if kind == "constant":
+        start = constant_presheaf(site, ["a%d" % i for i in range(draw(st.integers(1, 3)))])
+    elif kind == "vertex":
+        start = vertex_functions(site)
+    else:
+        start = representable_to_delta1(site)
+    arrows = site.arrows()
+    sections = {name: list(start.sections[name]) for name in site.names()}
+    if draw(st.booleans()):
+        chosen = {name: set(draw(st.lists(st.sampled_from(ss), max_size=3))) if ss else set()
+                  for name, ss in sections.items()}
+        kept = {name: set(chosen[name]) for name in chosen}
+        for a, b in arrows:
+            kept[b] |= {start.restrict(a, b, s) for s in chosen[a]}
+        sections = {name: [s for s in ss if s in kept[name]] for name, ss in sections.items()}
+    restrictions = {(a, b): {s: start.restrict(a, b, s) for s in sections[a]} for a, b in arrows}
+    # an object with a second name restricts to it and back, so it gets none
+    alone = [a for a in site.names() if not any(b != a and site.leq(a, b) for b in site.names() if site.leq(b, a))]
+    for k in range(draw(st.integers(0, 3)) if alone else 0):
+        name = draw(st.sampled_from(alone))
+        if not sections[name]:
+            continue
+        like = draw(st.sampled_from(sections[name]))
+        sections[name].append("g%d" % k)
+        for a, b in arrows:
+            if a == name:
+                restrictions[(a, b)]["g%d" % k] = restrictions[(a, b)][like]
+    return Presheaf(site, sections, restrictions)
 
 
 @st.composite

@@ -28,6 +28,13 @@ horn by the vertex transposition (0 k), the reference for the retraction
 kernel of ssetkit.connections. sympy_from_raw substitutes the barycentric
 relation for t_0 and dt_0 symbolically, the reference for PolyForm.from_raw,
 which pulls raw terms back along a face map through the pullback kernel.
+scan_site reads a finite site's order, arrows, meets and saturated covers
+element-wise off its objects as given, scanning every object for each meet
+and checking that each restricted cover covers its subobject;
+pairwise_separated_quotient and reference_sheafify rebuild the separated
+quotient and sheafification on it, comparing sections pair by pair and
+restricting covers member by member, the reference for the tables
+ssetkit.sheaves.FiniteSite computes once.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
+from ssetkit.sheaves import Presheaf, check_status
 
 
 def snf_diagonal(rows, nrows, ncols):
@@ -871,3 +879,177 @@ def reference_horn_fill(n, k, data):
         face_i = [v for v in range(n + 1) if v != i]
         moved[perm[i]] = data[i].pullback(face_i.index(perm[v]) for v in range(n + 1) if v != perm[i])
     return reference_face_extend(n, moved).pullback(perm)
+
+
+# -- finite sites, element by element ---------------------------------------------
+
+
+def _level(sub, n):
+    return sub.get(n, frozenset())
+
+
+def scan_sub_leq(a, b):
+    return all(_level(a, n) <= _level(b, n) for n in set(a) | set(b))
+
+
+def scan_sub_eq(a, b):
+    return scan_sub_leq(a, b) and scan_sub_leq(b, a)
+
+
+def scan_sub_union(subs):
+    out = {}
+    for sub in subs:
+        out = {n: _level(out, n) | _level(sub, n) for n in set(out) | set(sub)}
+    return out
+
+
+def _scan_sub_empty(sub):
+    return all(not members for members in sub.values())
+
+
+def scan_site(objects, covers):
+    """The names, order, arrows, meets and saturated covers of the site on
+    objects (dict name -> dict dim -> set, an absent dimension empty) with
+    covers, each meet found by scanning every object. A restricted cover is
+    added only when its members cover the subobject; the ones that do not
+    are listed under "uncovered"."""
+    names = sorted(objects, key=str)
+    leq = {(a, b): scan_sub_leq(objects[a], objects[b]) for a in names for b in names}
+    arrows = tuple((a, b) for a in names for b in names if a != b and leq[(b, a)])
+    meet = {}
+    for a in names:
+        for b in names:
+            inter = {n: _level(objects[a], n) & _level(objects[b], n) for n in set(objects[a]) | set(objects[b])}
+            meet[(a, b)] = next((c for c in names if scan_sub_eq(objects[c], inter)), None)
+    ref = {"objects": objects, "names": names, "leq": leq, "arrows": arrows, "meet": meet, "uncovered": []}
+    sat = {name: {(name,)} for name in names}
+    for name, fams in covers.items():
+        for fam in fams:
+            sat[name].add(tuple(sorted(set(fam), key=str)))
+    changed = True
+    while changed:
+        changed = False
+        for name in names:
+            for fam in list(sat[name]):
+                for below in names:
+                    if below == name or not leq[(below, name)]:
+                        continue
+                    restricted = tuple(sorted({m for m, _ in _scan_restrict(ref, fam, below)}, key=str))
+                    if restricted in sat[below]:
+                        continue
+                    if scan_sub_eq(scan_sub_union(objects[m] for m in restricted), objects[below]):
+                        sat[below].add(restricted)
+                        changed = True
+                    else:
+                        ref["uncovered"].append((below, restricted))
+    ref["sat"] = {name: sorted(fams) for name, fams in sat.items()}
+    return ref
+
+
+def _scan_restrict(ref, cover, below):
+    """(meet, position in cover) for each member of cover whose meet with
+    below is a nonempty object, in cover order."""
+    out = []
+    for i, m in enumerate(cover):
+        meet = ref["meet"][(m, below)]
+        if meet is not None and not _scan_sub_empty(ref["objects"][meet]):
+            out.append((meet, i))
+    return out
+
+
+def _classes(items, agree):
+    """Each item mapped to the list of its class under the transitive
+    closure of the symmetric relation agree."""
+    classes = []
+    for item in items:
+        joined = [cls for cls in classes if any(agree(item, other) for other in cls)]
+        classes = [cls for cls in classes if cls not in joined]
+        classes.append([x for cls in joined for x in cls] + [item])
+    return {x: cls for cls in classes for x in cls}
+
+
+def pairwise_separated_quotient(presheaf, ref):
+    """separated_quotient of presheaf, each object's sections compared pair
+    by pair on every nontrivial saturated cover of ref."""
+    current = presheaf
+    names = ref["names"]
+    unit = {name: {s: s for s in presheaf.sections[name]} for name in names}
+    for _ in range(sum(len(s) for s in presheaf.sections.values()) + 1):
+        label = {}
+        for name in names:
+            def agree(a, b, name=name):
+                return any(
+                    all(current.res[(name, m)][a] == current.res[(name, m)][b] for m in cover)
+                    for cover in ref["sat"][name]
+                    if cover != (name,)
+                )
+            classes = _classes(current.sections[name], agree)
+            label[name] = {s: min(str(m) for m in cls) for s, cls in classes.items()}
+        sections = {name: tuple(sorted(set(label[name].values()))) for name in names}
+        restrictions = {
+            (a, b): {label[a][s]: label[b][current.res[(a, b)][s]] for s in current.sections[a]}
+            for a, b in ref["arrows"]
+        }
+        unit = {name: {s: label[name][unit[name][s]] for s in unit[name]} for name in names}
+        current = Presheaf(presheaf.site, sections, restrictions)
+        if check_status(current).separated:
+            return current, unit
+    raise StructureError("separated quotient failed to stabilize")
+
+
+def reference_sheafify(presheaf, ref):
+    """sheafify of presheaf as (sections, restrictions without identities,
+    unit, separated_first), local data enumerated over every product of
+    sections, and each datum restricted member by member."""
+    separated_first = not check_status(presheaf).separated
+    names, meet = ref["names"], ref["meet"]
+    base = presheaf
+    unit0 = {name: {s: s for s in presheaf.sections[name]} for name in names}
+    if separated_first:
+        base, unit0 = pairwise_separated_quotient(presheaf, ref)
+
+    def agree(c1, f1, c2, f2):
+        return all(
+            meet[(m1, m2)] is None
+            or base.res[(m1, meet[(m1, m2)])][v1] == base.res[(m2, meet[(m1, m2)])][v2]
+            for m1, v1 in zip(c1, f1)
+            for m2, v2 in zip(c2, f2)
+        )
+
+    label_of, sections = {}, {}
+    for name in names:
+        items = [
+            (cover, family)
+            for cover in ref["sat"][name]
+            for family in itertools.product(*(base.sections[m] for m in cover))
+            if agree(cover, family, cover, family)
+        ]
+        classes = _classes(range(len(items)), lambda i, j: agree(*items[i], *items[j]))
+        groups = sorted(
+            {min(cls) for cls in classes.values()},
+            key=lambda i: (tuple(map(str, items[i][0])), tuple(map(str, items[i][1]))),
+        )
+        position = {first: pos for pos, first in enumerate(groups)}
+        sections[name] = tuple("c%d" % pos for pos in range(len(groups)))
+        label_of[name] = {}
+        for i, datum in enumerate(items):
+            label_of[name].setdefault(datum, "c%d" % position[min(classes[i])])
+    restrictions = {}
+    for a, b in ref["arrows"]:
+        table = {}
+        for (cover, family), cls in label_of[a].items():
+            if cls in table:
+                continue
+            values = {}
+            for m, i in _scan_restrict(ref, cover, b):
+                value = base.res[(cover[i], m)][family[i]]
+                if values.setdefault(m, value) != value:
+                    raise StructureError("restricted datum disagrees with itself")
+            cover_b = tuple(sorted(values, key=str))
+            table[cls] = label_of[b][(cover_b, tuple(values[m] for m in cover_b))]
+        restrictions[(a, b)] = table
+    unit = {
+        name: {s0: label_of[name][((name,), (unit0[name][s0],))] for s0 in unit0[name]}
+        for name in names
+    }
+    return sections, restrictions, unit, separated_first

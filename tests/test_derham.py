@@ -1,12 +1,10 @@
 """Truncated de Rham cohomology and the comparison isomorphism."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text
+from conftest import fixture_text, small_complexes
 from oracles import coface_matrix, collapse_matrix, compose_matrices, derham_reference, matrix_pullback
 from ssetkit import derham, forms
 from ssetkit.derham import derham_cohomology
@@ -17,7 +15,6 @@ from ssetkit.simplicial import (
     cyclic_table,
     nerve,
     product,
-    simplicial_complex,
     sphere_quotient,
     standard_boundary,
     standard_delta,
@@ -101,18 +98,6 @@ def test_second_call_reuses_the_tables(monkeypatch):
 # -- differential tests against the three-stage reference -----------------------
 
 SETTINGS = settings(max_examples=40)
-
-
-@st.composite
-def small_complexes(draw):
-    """Random graphs and 2-complexes on at most five vertices, with a cap
-    above their dimension half the time."""
-    top = draw(st.integers(1, 2))
-    vertices = draw(st.integers(top + 1, 5))
-    candidates = list(itertools.combinations(range(vertices), top + 1))
-    facets = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
-    facets += [(v,) for v in range(vertices)]
-    return simplicial_complex(facets, top + draw(st.integers(0, 1)))
 
 
 @SETTINGS

@@ -350,6 +350,24 @@ def test_smap_skips_blank_and_comment_lines_before_the_first_section():
     assert serialize_map(spaced) == serialize_map(plain)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0 : zz > (0)", "zz is not a source simplex of dimension 0"),
+    ("1 : (0) > (0)", "\\(0\\) is not a source simplex of dimension 1"),
+    ("-1 : (0) > (0)", "\\(0\\) is not a source simplex of dimension -1"),
+    ("9 : (0) > (0)", "map row in dimension 9, above the map's cap 2"),
+])
+def test_smap_map_rows_off_the_source_name_their_line(row, message, tmp_path):
+    text = fixture_text("incl_bd2.smap") + row + "\n"
+    line = len(text.splitlines())
+    with pytest.raises(StructureError, match="^line %d: %s$" % (line, message)):
+        parse_map(text)
+    path = tmp_path / "off_source.smap"
+    path.write_text(text)
+    code, out = run_cli("fibration", str(path))
+    assert code == 2
+    assert "status error" in out
+
+
 def test_smap_repeated_map_row_names_its_line(tmp_path):
     lines = fixture_text("incl_bd2.smap").splitlines()
     line = lines.index("1 : (0,1) > (0,1)") + 1
@@ -397,6 +415,8 @@ MALFORMED_ROWS = {
     "ext repeated algebra": ("extend", "extend 1\nn 2\nalgebra sl2\nalgebra gl2\n", 4),
     "ext repeated n": ("extend", "extend 1\nn 2\n# again\nn 3\n", 4),
     "ext repeated missing": ("extend", "extend 1\nmissing 0\nn 2\nmissing 1\n", 4),
+    "u1 A without triangle": (
+        "chern", "u1 1\ntriangle 012 or 1\nA 012 : form 2 1 : \nA zz : form 2 1 : 1 | 0 0 | 1\n", 4),
 }
 # The single-valued rows among them, refused at their second row: (key,
 # line of the first row).
@@ -478,6 +498,30 @@ def test_repeated_site_names_are_refused(case, tmp_path):
     code, out = run_cli("sheaf", fixture_path("two_points.sset"), str(path))
     assert code == 2
     assert "status error" in out
+
+
+# Rows appended to site_two_points_constant.site that name no object or no
+# arrow of its site: (row, message of the error on the appended line).
+OFF_SITE_ROWS = {
+    "sections of no object": ("sections ZZ : q", "sections of 'ZZ', which is not an object of the site"),
+    "restrict upward": ("restrict U0 X : a>a b>b", "restriction 'U0' -> 'X' is not an arrow of the site"),
+    "restrict incomparable": ("restrict U0 U1 : a>a b>b", "restriction 'U0' -> 'U1' is not an arrow of the site"),
+    "restrict to itself": ("restrict X X : a>a b>b", "restriction 'X' -> 'X' is not an arrow of the site"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_SITE_ROWS))
+def test_site_rows_off_the_site_name_their_line(case, tmp_path):
+    row, message = OFF_SITE_ROWS[case]
+    text = fixture_text("site_two_points_constant.site") + row + "\n"
+    line = len(text.splitlines())
+    with pytest.raises(StructureError, match="^line %d: %s$" % (line, message)):
+        parse_site_presheaf(text, parse_complex(fixture_text("two_points.sset")))
+    path = tmp_path / "off_site.site"
+    path.write_text(text)
+    code, out = run_cli("sheaf", fixture_path("two_points.sset"), str(path))
+    assert code == 2
+    assert "record error exact : line %d: " % line in out
 
 
 def test_site_object_without_sections_is_rejected(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ssetkit.errors import ParameterError
+from ssetkit.errors import ParameterError, StructureError
 from ssetkit.homology import chain_complex, homology
 from ssetkit.kan import (
     ExtraDegeneracy,
@@ -35,11 +35,10 @@ from ssetkit.simplicial import (
     standard_boundary,
     standard_delta,
     standard_horn,
-    truncate,
 )
 from ssetkit.site_corpus import constant_presheaf, representable_to_delta1
 
-from conftest import swapped_delta2, with_replaced_entries
+from conftest import homomorphism, inclusion, kan_maps, kan_sets, swapped_delta2
 
 
 def test_horn_enumeration_on_delta1():
@@ -160,6 +159,16 @@ def test_extra_degeneracy_corruption_witnessed():
     assert report.witness[2] == (0, 1)
 
 
+def test_extra_degeneracy_table_undefined_one_level_up_is_refused():
+    """The s_{-1} table of dimension 1 misses (0, 0), which the identity
+    s_1 s_{-1} = s_{-1} s_0 at the vertex (0,) reads."""
+    d2 = standard_delta(2, 3)
+    extra = cone_extra_degeneracy(d2)
+    del extra.maps[1][(0, 0)]
+    with pytest.raises(StructureError, match=r"^s_\{-1\} undefined on \(0, 0\)$"):
+        check_extra_degeneracy(d2, extra)
+
+
 def test_extra_degeneracy_needs_connected():
     from ssetkit.simplicial import simplicial_complex
 
@@ -187,87 +196,8 @@ def test_extra_degeneracy_implies_trivial_reduced_homology():
 SETTINGS = settings(max_examples=60)
 
 
-def _delta_family(draw, cap):
-    n = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["delta", "boundary", "horn"]))
-    if kind == "delta":
-        return standard_delta(n, cap)
-    if kind == "boundary":
-        return standard_boundary(n, cap)
-    return standard_horn(n, draw(st.integers(0, n)), cap)
-
-
-@st.composite
-def simplicial_sets(draw):
-    """Nerves, products, boundaries, horns, truncations, sphere quotients,
-    a set whose face tables break an identity and nerves with face entries
-    replaced at random, all small enough to scan."""
-    cap = draw(st.integers(1, 3))
-    kind = draw(
-        st.sampled_from(["nerve", "simplex", "product", "truncation", "sphere", "broken", "corrupted"])
-    )
-    if kind == "nerve":
-        return nerve(cyclic_table(draw(st.integers(1, 3))), cap)
-    if kind == "simplex":
-        return _delta_family(draw, cap)
-    if kind == "product":
-        cap = min(cap, 2)
-        left = nerve(cyclic_table(draw(st.integers(1, 2))), cap)
-        return product(draw(st.sampled_from([left, standard_delta(1, cap)])), _delta_family(draw, cap))
-    if kind == "truncation":
-        return truncate(nerve(cyclic_table(draw(st.integers(2, 3))), 3), cap)
-    if kind == "sphere":
-        return sphere_quotient(draw(st.integers(1, 3)), cap)
-    if kind == "broken":
-        return swapped_delta2(max(cap, 2))
-    x = nerve(cyclic_table(draw(st.integers(2, 3))), cap)
-    changes = {}
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, cap))
-        key = ("d", n, draw(st.integers(0, n)), draw(st.sampled_from(x.simplices[n])))
-        changes[key] = draw(st.sampled_from(x.simplices[n - 1]))
-    return with_replaced_entries(x, changes)
-
-
-def _projection(x, y):
-    xy = product(x, y)
-    return SimplicialMap(xy, x, {n: {s: s[0] for s in xy.simplices[n]} for n in xy.dims()})
-
-
-def _inclusion(sub, x):
-    return SimplicialMap(sub, x, {n: {s: s for s in sub.simplices[n]} for n in sub.dims()})
-
-
-def _homomorphism(m, q, image, cap):
-    """Nerve of Z/m -> Z/q, a -> a * image mod q (a homomorphism when q | m * image)."""
-    source = nerve(cyclic_table(m), cap)
-    level = {n: {g: tuple(a * image % q for a in g) for g in source.simplices[n]} for n in source.dims()}
-    return SimplicialMap(source, nerve(cyclic_table(q), cap), level)
-
-
-@st.composite
-def simplicial_maps(draw):
-    kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
-    if kind == "identity":
-        return SimplicialMap.identity(draw(simplicial_sets()))
-    cap = draw(st.integers(1, 2))
-    if kind == "projection":
-        return _projection(
-            draw(st.sampled_from([standard_delta(1, cap), standard_boundary(2, cap)])),
-            nerve(cyclic_table(draw(st.integers(1, 2))), cap),
-        )
-    if kind == "inclusion":
-        n = draw(st.integers(1, 3))
-        sub = draw(
-            st.sampled_from([standard_boundary(n, cap), standard_horn(n, draw(st.integers(0, n)), cap)])
-        )
-        return _inclusion(sub, standard_delta(n, cap))
-    m, q, image = draw(st.sampled_from([(4, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 0), (3, 1, 0)]))
-    return _homomorphism(m, q, image, cap)
-
-
 @SETTINGS
-@given(simplicial_sets(), st.data())
+@given(kan_sets(), st.data())
 def test_horns_and_fillers_match_scanning_oracle(x, data):
     for n in range(1, x.dim_cap + 2):
         for k in range(n + 1):
@@ -286,19 +216,19 @@ def test_horns_and_fillers_match_scanning_oracle(x, data):
 
 
 @SETTINGS
-@given(simplicial_sets())
+@given(kan_sets())
 def test_fibrancy_certificate_matches_scanning_oracle(x):
     assert is_fibrant(x) == oracles.scan_is_fibrant(x)
 
 
 @SETTINGS
-@given(simplicial_maps())
+@given(kan_maps())
 def test_fibration_certificate_matches_scanning_oracle(p):
     assert is_fibration(p) == oracles.scan_is_fibration(p)
 
 
 @SETTINGS
-@given(simplicial_sets(), st.data())
+@given(kan_sets(), st.data())
 def test_matching_is_the_stored_simplices_with_those_faces(x, data):
     for n in range(x.dim_cap + 1):
         positions = tuple(data.draw(st.lists(st.integers(0, n), max_size=n + 2))) if n else ()
@@ -451,9 +381,9 @@ def test_non_fibrant_witness_matches_scanning_oracle(name):
 
 
 NO_LIFT_MAPS = {
-    "boundary2 in delta2": lambda: _inclusion(standard_boundary(2, 2), standard_delta(2)),
-    "horn21 in delta2": lambda: _inclusion(standard_horn(2, 1, 2), standard_delta(2)),
-    "N(Z/2) to N(Z/4)": lambda: _homomorphism(2, 4, 2, 2),
+    "boundary2 in delta2": lambda: inclusion(standard_boundary(2, 2), standard_delta(2)),
+    "horn21 in delta2": lambda: inclusion(standard_horn(2, 1, 2), standard_delta(2)),
+    "N(Z/2) to N(Z/4)": lambda: homomorphism(2, 4, 2, 2),
 }
 
 

@@ -2,7 +2,11 @@
 sheafification with its universal property, subpresheaf lattice."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import finite_sites, site_presheaves
 from ssetkit.errors import StructureError
 from ssetkit.homology import mayer_vietoris
 from ssetkit.sheaves import (
@@ -56,6 +60,18 @@ def test_site_validation():
     path, site = path_site()
     with pytest.raises(StructureError):
         FiniteSite(path, {"X": site.objects["X"], "A": site.objects["A"]}, {"X": [("A",)]})
+
+
+def test_presheaf_refuses_sections_and_restrictions_off_the_site():
+    _, site = two_point_site()
+    sections = {"X": ("a",), "U0": ("a",), "U1": ("a",)}
+    restrictions = {("X", "U0"): {"a": "a"}, ("X", "U1"): {"a": "a"}}
+    with pytest.raises(StructureError, match="^sections of 'Z', which is not an object of the site$"):
+        Presheaf(site, dict(sections, Z=("a",)), restrictions)
+    for arrow in (("U0", "X"), ("U0", "U1"), ("X", "X")):
+        with pytest.raises(StructureError, match="^restriction %r -> %r is not an arrow of the site$" % arrow):
+            Presheaf(site, sections, {**restrictions, arrow: {"a": "a"}})
+    Presheaf(site, sections, restrictions)
 
 
 def test_site_arrows_list_the_restrictions_once():
@@ -227,3 +243,33 @@ def test_site_cover_mv_agrees_with_classical():
     assert mv.betti_a == (1, 0)
     assert mv.betti_ab == (1, 0)
     assert mv.exact()
+
+
+@settings(max_examples=100)
+@given(finite_sites(), st.data())
+def test_site_tables_match_the_element_wise_oracle(drawn, data):
+    """Order, arrows, meets and saturated covers read off the normalized
+    objects once, and the separated quotient and sheafification built on
+    them, equal the element-wise scans; every saturated cover covers its
+    object."""
+    base, objects, covers = drawn
+    site = FiniteSite(base, objects, covers)
+    ref = oracles.scan_site(objects, covers)
+    assert site.names() == tuple(ref["names"])
+    for a in site.names():
+        for b in site.names():
+            assert site.leq(a, b) == ref["leq"][(a, b)]
+            assert site.meet(a, b) == ref["meet"][(a, b)]
+    assert site.arrows() == ref["arrows"]
+    assert site.saturated_covers() == ref["sat"]
+    assert ref["uncovered"] == []
+    for name, fams in site.saturated_covers().items():
+        for fam in fams:
+            assert oracles.scan_sub_eq(oracles.scan_sub_union(objects[m] for m in fam), objects[name])
+    presheaf = data.draw(site_presheaves(site))
+    quotient, unit = separated_quotient(presheaf)
+    expected, expected_unit = oracles.pairwise_separated_quotient(presheaf, ref)
+    assert (quotient.sections, quotient.res, unit) == (expected.sections, expected.res, expected_unit)
+    sheafed, unit, separated_first = sheafify(presheaf)
+    restrictions = {arrow: sheafed.res[arrow] for arrow in site.arrows()}
+    assert (sheafed.sections, restrictions, unit, separated_first) == oracles.reference_sheafify(presheaf, ref)

@@ -7,7 +7,6 @@ from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from ssetkit.cli import main
@@ -36,7 +35,7 @@ from ssetkit.simplicial import (
     _surjective_tuples,
 )
 
-from conftest import fixture_path, simplicial_sets, swapped_delta2, with_replaced_entries
+from conftest import corrupted_maps, corrupted_sets, fixture_path, swapped_delta2, with_replaced_entries
 from oracles import strict_chain_count
 
 
@@ -246,22 +245,6 @@ def test_every_generated_object_validates():
 SCAN_SETTINGS = settings(max_examples=80)
 
 
-@st.composite
-def corrupted_sets(draw):
-    """A drawn set with up to six face or degeneracy entries replaced by other
-    listed simplices of the adjacent dimension."""
-    x = draw(simplicial_sets())
-    changes = {}
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["d", "s"]))
-        n = draw(st.integers(1, x.dim_cap) if kind == "d" else st.integers(0, x.dim_cap - 1))
-        step = -1 if kind == "d" else 1
-        s = draw(st.sampled_from(x.simplices[n]))
-        i = draw(st.integers(0, n))
-        changes[(kind, n, i, s)] = draw(st.sampled_from(x.simplices[n + step]))
-    return with_replaced_entries(x, changes)
-
-
 @SCAN_SETTINGS
 @given(corrupted_sets())
 def test_identity_scan_matches_the_element_wise_oracle(x):
@@ -294,46 +277,6 @@ def _outcome(check):
         return check()
     except StructureError as exc:
         return ("StructureError", str(exc))
-
-
-@st.composite
-def corrupted_maps(draw):
-    """Identities, projections, subcomplex inclusions and nerve homomorphisms
-    with some values replaced by other target simplices, and at times one
-    value dropped or sent to an identifier the target does not list."""
-    kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
-    if kind == "identity":
-        x = draw(simplicial_sets())
-        source = target = x
-        level = {n: {s: s for s in x.simplices[n]} for n in x.dims()}
-    elif kind == "projection":
-        cap = draw(st.integers(1, 2))
-        target = draw(st.sampled_from([standard_delta(1, cap), standard_boundary(2, cap)]))
-        source = product(target, nerve(cyclic_table(draw(st.integers(1, 2))), cap))
-        level = {n: {s: s[0] for s in source.simplices[n]} for n in source.dims()}
-    elif kind == "inclusion":
-        n = draw(st.integers(1, 3))
-        target = standard_delta(n, draw(st.integers(max(1, n - 1), 3)))
-        source = restrict(target, close_subcomplex(target, {n - 1: [tuple(range(n))]}))
-        level = {m: {s: s for s in source.simplices[m]} for m in source.dims()}
-    else:
-        cap = draw(st.integers(1, 3))
-        m, q, image = draw(st.sampled_from([(4, 2, 1), (2, 4, 2), (3, 3, 2), (2, 2, 0)]))
-        source, target = nerve(cyclic_table(m), cap), nerve(cyclic_table(q), cap)
-        level = {n: {g: tuple(a * image % q for a in g) for g in source.simplices[n]} for n in source.dims()}
-    cap = min(source.dim_cap, target.dim_cap)
-    for _ in range(draw(st.integers(0, 5))):
-        n = draw(st.integers(0, cap))
-        level[n][draw(st.sampled_from(source.simplices[n]))] = draw(st.sampled_from(target.simplices[n]))
-    fault = draw(st.sampled_from([None, None, "undefined", "unknown"]))
-    if fault is not None:
-        n = draw(st.integers(0, cap))
-        s = draw(st.sampled_from(source.simplices[n]))
-        if fault == "undefined":
-            del level[n][s]
-        else:
-            level[n][s] = "not a simplex"
-    return SimplicialMap(source, target, level)
 
 
 @SCAN_SETTINGS
