@@ -467,13 +467,12 @@ def parse_site_presheaf(text, base):
             else:
                 raise StructureError("line %d: unknown presheaf row %r" % (ln, words[0]))
     site = FiniteSite(base, objects, covers)
-    for key, ln in seen.items():
-        kind, *names = key.split()
-        if kind == "sections" and names[0] not in site.objects:
-            raise StructureError("line %d: sections of %r, which is not an object of the site" % (ln, names[0]))
-        if kind == "restrict" and tuple(names) not in site.arrows():
-            raise StructureError("line %d: restriction %r -> %r is not an arrow of the site" % (ln, *names))
-    return Presheaf(site, sections, restrictions)
+    try:
+        return Presheaf(site, sections, restrictions)
+    except StructureError as exc:
+        if not hasattr(exc, "offending"):
+            raise
+        raise StructureError("line %d: %s" % (seen[" ".join(exc.offending)], exc)) from None
 
 
 # -- simplicial maps ------------------------------------------------------------

@@ -105,7 +105,9 @@ class FiniteSite:
         """Declared covers plus trivial covers plus restrictions to subobjects.
 
         The meets of a cover of U with a subobject V cover V, so every
-        restriction is again a cover; on an empty V it is the empty family."""
+        restriction to a nonempty V is again a cover. On an empty V it is the
+        empty family, which is not taken as a cover: an empty object is an
+        object like any other, covered only by its declared covers."""
         if self._saturated is not None:
             return self._saturated
         sat = {name: {(name,)} for name in self._names}
@@ -118,7 +120,7 @@ class FiniteSite:
             for name, below in self._arrows:
                 for fam in list(sat[name]):
                     restricted = tuple(meet for meet, _ in self._restrict_cover(fam, below))
-                    if restricted not in sat[below]:
+                    if restricted and restricted not in sat[below]:
                         sat[below].add(restricted)
                         changed = True
         self._saturated = {name: sorted(fams) for name, fams in sat.items()}
@@ -129,19 +131,24 @@ class Presheaf:
     """Finite set-valued presheaf: sections per object, restriction tables.
 
     Sections of a name that is not an object, and a restriction along a pair
-    that is not one of site.arrows(), are refused."""
+    that is not one of site.arrows(), are refused; the error's offending
+    attribute is ("sections", name) or ("restrict", u, v)."""
 
     def __init__(self, site, sections, restrictions):
         self.site = site
         for name in sections:
             if name not in site.objects:
-                raise StructureError("sections of %r, which is not an object of the site" % (name,))
+                exc = StructureError("sections of %r, which is not an object of the site" % (name,))
+                exc.offending = ("sections", name)
+                raise exc
         self.sections = {name: tuple(sections[name]) for name in site.names() if name in sections}
         self.res = {}
         arrows = set(site.arrows())
         for (u, v), table in restrictions.items():
             if (u, v) not in arrows:
-                raise StructureError("restriction %r -> %r is not an arrow of the site" % (u, v))
+                exc = StructureError("restriction %r -> %r is not an arrow of the site" % (u, v))
+                exc.offending = ("restrict", u, v)
+                raise exc
             self.res[(u, v)] = dict(table)
         self._validate()
 
@@ -211,30 +218,27 @@ def _extend_family(presheaf, members, chosen, out):
 
 def check_status(presheaf):
     """Test existence and uniqueness of gluings for every declared cover."""
+    return _gluing_status(presheaf, presheaf.site.covers)
+
+
+def _gluing_status(presheaf, covers):
+    """check_status over covers, a dict name -> list of covers."""
     site = presheaf.site
     separated = True
     sheaf = True
     witness = None
     for name in site.names():
-        for cover in site.covers.get(name, []):
+        for cover in covers.get(name, []):
             for family in _compatible_families(presheaf, cover):
-                gluings = [
-                    s
+                gluings = sum(
+                    all(presheaf.restrict(name, m, s) == v for m, v in zip(cover, family))
                     for s in presheaf.sections[name]
-                    if all(
-                        presheaf.restrict(name, m, s) == family[i]
-                        for i, m in enumerate(cover)
-                    )
-                ]
-                if len(gluings) > 1:
-                    separated = False
+                )
+                if gluings != 1:
                     sheaf = False
+                    separated = separated and gluings == 0
                     if witness is None:
-                        witness = (name, cover, family, len(gluings))
-                if len(gluings) == 0:
-                    sheaf = False
-                    if witness is None:
-                        witness = (name, cover, family, 0)
+                        witness = (name, cover, family, gluings)
     return SheafStatus(separated, sheaf, witness)
 
 
@@ -250,12 +254,8 @@ def separated_quotient(presheaf):
     current = presheaf
     unit = {name: {s: s for s in presheaf.sections[name]} for name in presheaf.site.names()}
     for _ in range(sum(len(s) for s in presheaf.sections.values()) + 1):
-        nxt, step = _separate_once(current)
-        unit = {
-            name: {s: step[name][unit[name][s]] for s in unit[name]}
-            for name in unit
-        }
-        current = nxt
+        current, step = _separate_once(current)
+        unit = compose_maps(presheaf.site, unit, step)
         if check_status(current).separated:
             return current, unit
     raise StructureError("separated quotient failed to stabilize")
@@ -286,13 +286,34 @@ def _separate_once(presheaf):
 def sheafify(presheaf):
     """Sheafification via equivalence classes of local data.
 
-    The input is separated first when needed (recorded in the returned
-    record). Local data run over the saturated covers; two data are
-    equivalent when they agree on the pairwise meets of their members, the
-    relation again closed transitively.
+    A step separates its input first when needed (for the input itself this
+    is recorded in the returned record), then takes the classes of local
+    data: compatible families over the saturated covers, two equivalent when
+    they agree on the pairwise meets of their members, closed transitively.
+    Saturated covers need not compose, so the step is repeated until the
+    result glues uniquely on every saturated cover; on such an input one
+    step is a bijection.
+
+    A site with an arrow into an empty object is refused: a local datum
+    restricts there to the empty family, which is not a cover.
 
     Returns (sheaf presheaf, unit maps, was_separated_first).
     """
+    site = presheaf.site
+    for a, b in site.arrows():
+        if not any(site.objects[b].values()):
+            raise StructureError("sheafify is undefined on a site with the empty object %r below %r" % (b, a))
+    result, unit, separated_first = _sheafify_step(presheaf)
+    for _ in range(len(site.names())):
+        if _gluing_status(result, site.saturated_covers()).sheaf:
+            return result, unit, separated_first
+        result, step, _ = _sheafify_step(result)
+        unit = compose_maps(site, unit, step)
+    raise StructureError("sheafification failed to stabilize")
+
+
+def _sheafify_step(presheaf):
+    """One step of sheafify: (result, unit maps, was_separated_first)."""
     status = check_status(presheaf)
     separated_first = not status.separated
     unit0 = {name: {s: s for s in presheaf.sections[name]} for name in presheaf.site.names()}
@@ -302,23 +323,17 @@ def sheafify(presheaf):
     site = base.site
     sat = site.saturated_covers()
 
-    data = {}
-    for name in site.names():
-        items = []
-        for cover in sat[name]:
-            for family in _compatible_families(base, cover):
-                items.append((cover, family))
-        data[name] = items
+    data = {
+        name: [(cover, family) for cover in sat[name] for family in _compatible_families(base, cover)]
+        for name in site.names()
+    }
 
-    def agree(name, d1, d2):
-        c1, f1 = d1
-        c2, f2 = d2
-        for i, m1 in enumerate(c1):
-            for j, m2 in enumerate(c2):
+    def agree(d1, d2):
+        """Whether two local data agree on the pairwise meets of their members."""
+        for m1, v1 in zip(*d1):
+            for m2, v2 in zip(*d2):
                 meet = site.meet(m1, m2)
-                if meet is None:
-                    continue
-                if base.restrict(m1, meet, f1[i]) != base.restrict(m2, meet, f2[j]):
+                if meet is not None and base.restrict(m1, meet, v1) != base.restrict(m2, meet, v2):
                     return False
         return True
 
@@ -328,15 +343,13 @@ def sheafify(presheaf):
         items = data[name]
         uf = _UnionFind(range(len(items)))
         for i, j in itertools.combinations(range(len(items)), 2):
-            if agree(name, items[i], items[j]):
+            if agree(items[i], items[j]):
                 uf.union(i, j)
         # deterministic labels ordered by the representative datum
         groups = sorted(uf.groups().values(), key=lambda g: _datum_key(items[min(g)]))
         label = {i: "c%d" % pos for pos, g in enumerate(groups) for i in g}
         sections[name] = tuple("c%d" % pos for pos in range(len(groups)))
-        label_of[name] = {}
-        for i, datum in enumerate(items):
-            label_of[name].setdefault(datum, label[i])
+        label_of[name] = {datum: label[i] for i, datum in enumerate(items)}
 
     def datum_class(name, datum):
         label = label_of[name].get(datum)
@@ -361,12 +374,10 @@ def sheafify(presheaf):
             table[cls] = datum_class(b, (tuple(cover_b), tuple(fam_b)))
         restrictions[(a, b)] = table
     result = Presheaf(site, sections, restrictions)
-    unit = {}
-    for name in site.names():
-        table = {}
-        for s in base.sections[name]:
-            table[s] = datum_class(name, ((name,), (s,)))
-        unit[name] = {s0: table[unit0[name][s0]] for s0 in unit0[name]}
+    unit = {
+        name: {s0: datum_class(name, ((name,), (unit0[name][s0],))) for s0 in unit0[name]}
+        for name in site.names()
+    }
     return result, unit, separated_first
 
 

@@ -264,7 +264,9 @@ def corrupted_maps(draw):
 def finite_sites(draw):
     """(base, objects, covers) of a random finite site on a small ordered
     complex. The objects are two to four generated subcomplexes, unions of
-    some of them and every intersection, the empty one kept only at times;
+    some of them (at times of two disjoint ones, so that the empty
+    subcomplex is the meet of two covering members) and every intersection,
+    the empty one kept only at times;
     some values get a second name, and some objects leave out dimensions
     in which they are empty or list an empty one above the cap. Each union
     is covered by its generators, and other covers are drawn from the
@@ -287,8 +289,15 @@ def finite_sites(draw):
         generators.append(value(close_subcomplex(base, seeds)))
     values = list(dict.fromkeys(generators))
     unions = []
-    groups = st.sets(st.sampled_from(range(len(generators))), min_size=2)
-    for group in draw(st.lists(groups, max_size=3)):
+    groups = draw(st.lists(st.sets(st.sampled_from(range(len(generators))), min_size=2), max_size=3))
+    disjoint = [
+        {i, j}
+        for i, j in itertools.combinations(range(len(generators)), 2)
+        if not any(x & y for x, y in zip(generators[i], generators[j]))
+    ]
+    if disjoint and draw(st.booleans()):
+        groups.append(draw(st.sampled_from(disjoint)))
+    for group in groups:
         members = sorted(group)
         unions.append((union(generators[i] for i in members), members))
         values.append(unions[-1][0])

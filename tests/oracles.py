@@ -53,7 +53,7 @@ from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
-from ssetkit.sheaves import Presheaf, check_status
+from ssetkit.sheaves import FiniteSite, Presheaf, check_status
 
 
 def snf_diagonal(rows, nrows, ncols):
@@ -911,8 +911,8 @@ def scan_site(objects, covers):
     """The names, order, arrows, meets and saturated covers of the site on
     objects (dict name -> dict dim -> set, an absent dimension empty) with
     covers, each meet found by scanning every object. A restricted cover is
-    added only when its members cover the subobject; the ones that do not
-    are listed under "uncovered"."""
+    added only when it is not empty and its members cover the subobject;
+    the nonempty ones that do not are listed under "uncovered"."""
     names = sorted(objects, key=str)
     leq = {(a, b): scan_sub_leq(objects[a], objects[b]) for a in names for b in names}
     arrows = tuple((a, b) for a in names for b in names if a != b and leq[(b, a)])
@@ -935,7 +935,7 @@ def scan_site(objects, covers):
                     if below == name or not leq[(below, name)]:
                         continue
                     restricted = tuple(sorted({m for m, _ in _scan_restrict(ref, fam, below)}, key=str))
-                    if restricted in sat[below]:
+                    if not restricted or restricted in sat[below]:
                         continue
                     if scan_sub_eq(scan_sub_union(objects[m] for m in restricted), objects[below]):
                         sat[below].add(restricted)
@@ -999,7 +999,21 @@ def pairwise_separated_quotient(presheaf, ref):
 
 def reference_sheafify(presheaf, ref):
     """sheafify of presheaf as (sections, restrictions without identities,
-    unit, separated_first), local data enumerated over every product of
+    unit, separated_first): steps of _reference_sheafify_step until the
+    result is a sheaf on a copy of the site that declares every saturated
+    cover."""
+    site = presheaf.site
+    saturated = FiniteSite(site.base, ref["objects"], ref["sat"])
+    sections, restrictions, unit, separated_first = _reference_sheafify_step(presheaf, ref)
+    while not check_status(Presheaf(saturated, sections, restrictions)).sheaf:
+        step = _reference_sheafify_step(Presheaf(site, sections, restrictions), ref)
+        sections, restrictions = step[0], step[1]
+        unit = {name: {s: step[2][name][unit[name][s]] for s in unit[name]} for name in unit}
+    return sections, restrictions, unit, separated_first
+
+
+def _reference_sheafify_step(presheaf, ref):
+    """One step of sheafify, local data enumerated over every product of
     sections, and each datum restricted member by member."""
     separated_first = not check_status(presheaf).separated
     names, meet = ref["names"], ref["meet"]

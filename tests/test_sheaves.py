@@ -120,7 +120,8 @@ def test_separated_quotient_forces_identification():
         {"X": ("a", "b"), "U0": ("c",), "U1": ("c",)},
         {("X", "U0"): {"a": "c", "b": "c"}, ("X", "U1"): {"a": "c", "b": "c"}},
     )
-    assert not check_status(f).separated
+    status = check_status(f)
+    assert not status.separated and status.witness == ("X", ("U0", "U1"), ("c", "c"), 2)
     q, unit = separated_quotient(f)
     assert len(q.sections["X"]) == 1
     assert unit["X"]["a"] == unit["X"]["b"]
@@ -156,6 +157,55 @@ def test_sheafify_gains_mismatched_sections():
     assert len(sheafed.sections["U0"]) == 2
     assert check_status(sheafed).sheaf
     assert is_natural(f, sheafed, unit)
+
+
+def test_sheafify_repeats_its_step_until_composite_covers_glue():
+    """X has the three components {1, 2}, {0} and {3}. The declared cover
+    (A, P3, B) of X restricts to the cover (P0, P1) of B, whose sheaf
+    sections are families on a cover that no saturated cover of X has, so
+    one step leaves X with 4 sections and no gluing for the rest."""
+    x = simplicial_complex([[1, 2], [0], [3]], 1)
+
+    def sub(*verts, edge=()):
+        return close_subcomplex(x, {0: [(v,) for v in verts], 1: list(edge)})
+
+    objs = {
+        "X": sub(0, 1, 2, 3, edge=[(1, 2)]),
+        "A": sub(1, 2, edge=[(1, 2)]),
+        "AP3": sub(1, 2, 3, edge=[(1, 2)]),
+        "AP0": sub(0, 1, 2, edge=[(1, 2)]),
+        "B": sub(0, 1),
+        "P0": sub(0),
+        "P1": sub(1),
+        "P3": sub(3),
+    }
+    covers = {"X": [("A", "P3", "B")], "AP3": [("A", "P3")], "AP0": [("A", "P0")]}
+    site = FiniteSite(x, objs, covers)
+    f = constant_presheaf(site, ("a", "b"))
+    sheafed, unit, _ = sheafify(f)
+    assert check_status(sheafed).sheaf
+    assert {name: len(sheafed.sections[name]) for name in ("X", "AP3", "AP0", "B")} == {
+        "X": 8, "AP3": 4, "AP0": 4, "B": 4
+    }
+    assert is_natural(f, sheafed, unit)
+
+
+def test_empty_object_is_an_object_and_sheafify_refuses_it():
+    """With the empty subcomplex E as the meet of U0 and U1, families on
+    (U0, U1) must agree on E, so the constant presheaf is a sheaf on the
+    declared cover; E keeps both sections in the separated quotient, since
+    the empty family is not a cover, and sheafify refuses the site."""
+    two, site = two_point_site()
+    objs = dict(site.objects, E={})
+    site = FiniteSite(two, objs, site.covers)
+    assert site.meet("U0", "U1") == "E"
+    assert site.saturated_covers()["E"] == [("E",)]
+    f = constant_presheaf(site, ("a", "b"))
+    assert check_status(f).sheaf
+    quotient, _ = separated_quotient(f)
+    assert quotient.sections == f.sections
+    with pytest.raises(StructureError, match="empty object 'E' below"):
+        sheafify(f)
 
 
 def test_sheafify_lands_in_sheaves_for_all_corpus_presheaves():
@@ -251,7 +301,10 @@ def test_site_tables_match_the_element_wise_oracle(drawn, data):
     """Order, arrows, meets and saturated covers read off the normalized
     objects once, and the separated quotient and sheafification built on
     them, equal the element-wise scans; every saturated cover covers its
-    object."""
+    object. The theorems hold as well: the separated quotient is separated,
+    sheafification gives a sheaf for every saturated cover, and its unit is
+    a bijection exactly when the presheaf is such a sheaf already. A site
+    with an arrow into an empty object is refused by sheafify."""
     base, objects, covers = drawn
     site = FiniteSite(base, objects, covers)
     ref = oracles.scan_site(objects, covers)
@@ -270,6 +323,20 @@ def test_site_tables_match_the_element_wise_oracle(drawn, data):
     quotient, unit = separated_quotient(presheaf)
     expected, expected_unit = oracles.pairwise_separated_quotient(presheaf, ref)
     assert (quotient.sections, quotient.res, unit) == (expected.sections, expected.res, expected_unit)
+    assert check_status(quotient).separated
+    if any(not any(site.objects[b].values()) for _, b in site.arrows()):
+        with pytest.raises(StructureError, match="empty object"):
+            sheafify(presheaf)
+        return
     sheafed, unit, separated_first = sheafify(presheaf)
     restrictions = {arrow: sheafed.res[arrow] for arrow in site.arrows()}
     assert (sheafed.sections, restrictions, unit, separated_first) == oracles.reference_sheafify(presheaf, ref)
+    # the same objects with every saturated cover declared
+    saturated = FiniteSite(base, objects, site.saturated_covers())
+
+    def sheaf_on_saturated(p):
+        return check_status(Presheaf(saturated, p.sections, {arrow: p.res[arrow] for arrow in site.arrows()})).sheaf
+
+    assert check_status(sheafed).sheaf and sheaf_on_saturated(sheafed)
+    bijective = all(sorted(unit[name].values()) == sorted(sheafed.sections[name]) for name in site.names())
+    assert bijective == sheaf_on_saturated(presheaf)
