@@ -85,6 +85,18 @@ def _int_token(words, k, ln):
 
 
 @contextlib.contextmanager
+def _refused_row(lines):
+    """Prefix a constructor's StructureError with the line of the row it
+    refused, lines[its offending key's words joined by spaces]."""
+    try:
+        yield
+    except StructureError as exc:
+        if not hasattr(exc, "offending"):
+            raise
+        raise StructureError("line %d: %s" % (lines[" ".join(map(str, exc.offending))], exc)) from None
+
+
+@contextlib.contextmanager
 def _row(ln, line):
     """Report a row whose tokens are missing or do not convert (a short row,
     a non-integer where an integer belongs, a scalar like 1/0) as a
@@ -467,12 +479,8 @@ def parse_site_presheaf(text, base):
             else:
                 raise StructureError("line %d: unknown presheaf row %r" % (ln, words[0]))
     site = FiniteSite(base, objects, covers)
-    try:
+    with _refused_row(seen):
         return Presheaf(site, sections, restrictions)
-    except StructureError as exc:
-        if not hasattr(exc, "offending"):
-            raise
-        raise StructureError("line %d: %s" % (seen[" ".join(exc.offending)], exc)) from None
 
 
 # -- simplicial maps ------------------------------------------------------------
@@ -518,19 +526,20 @@ def parse_map(text):
     target = complex_of("target")
     cap = min(source.dim_cap, target.dim_cap)
     level_map = {}
+    lines = {}  # "n source" -> line number of its row
     for ln, line in map_rows:
         dim_s, _, body = line.partition(":")
         src, _, dst = body.partition(">")
         n, src = _int_token([dim_s], 0, ln), src.strip()
         if n > cap:
             raise StructureError("line %d: map row in dimension %d, above the map's cap %d" % (ln, n, cap))
-        if not source.has(n, src):
-            raise StructureError("line %d: %s is not a source simplex of dimension %d" % (ln, src, n))
         level = level_map.setdefault(n, {})
         if src in level:
             raise StructureError("line %d: repeated map row for %s in dimension %d" % (ln, src, n))
         level[src] = dst.strip()
-    return SimplicialMap(source, target, level_map)
+        lines["%d %s" % (n, src)] = ln
+    with _refused_row(lines):
+        return SimplicialMap(source, target, level_map)
 
 
 # -- abelian bundle data ----------------------------------------------------------

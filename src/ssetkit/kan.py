@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError, StructureError
 from .homology import chain_complex, homology
-from .simplicial import _UnionFind
+from .simplicial import _UnionFind, _compose, _entry, _mismatches, _tabulate
 
 
 @dataclass(frozen=True)
@@ -201,51 +201,41 @@ class ContractibilityReport:
 
 
 def check_extra_degeneracy(x, extra):
-    """Verify the extra-degeneracy identities table-wise; on success cross-check
-    that reduced homology vanishes below the cap."""
+    """Check the base vertex, connectivity and the s_{-1} tables, then each
+    identity at each (n, i) over all of X_n at once as stored positions: the
+    witness is the first violation by n, stored position, d_0 s_{-1} = id,
+    then the d and s identities by i. On success cross-check that reduced
+    homology vanishes below the cap."""
     if not x.has(0, extra.base):
         raise StructureError("base vertex %r not in the complex" % (extra.base,))
-    components = connected_components(x)
-    connected = len(components) == 1
-    if not connected:
+    if len(connected_components(x)) != 1:
         raise ParameterError("extra-degeneracy check needs a connected complex")
-    # every level's table, defined and listed, before any identity reads it
-    for n in range(x.dim_cap):
-        for s in x.simplices[n]:
-            if s not in extra.maps[n]:
-                raise StructureError("s_{-1} undefined on %r" % (s,))
-            if not x.has(n + 1, extra(n, s)):
-                raise StructureError("s_{-1} of %r is not a simplex" % (s,))
-    witness = None
-    for n in range(x.dim_cap):
-        for s in x.simplices[n]:
-            img = extra(n, s)
-            if x.d(n + 1, 0, img) != s:
-                witness = ("d_0 s_{-1} = id", n, s)
-                break
-            for i in range(n + 1):
-                if n >= 1:
-                    if x.d(n + 1, i + 1, img) != extra(n - 1, x.d(n, i, s)):
-                        witness = ("d_{i+1} s_{-1} = s_{-1} d_i", n, s)
-                        break
-                if n + 1 < x.dim_cap:
-                    if x.s(n + 1, i + 1, img) != extra(n + 1, x.s(n, i, s)):
-                        witness = ("s_{i+1} s_{-1} = s_{-1} s_i", n, s)
-                        break
-            if witness:
-                break
-        if witness:
-            break
-    if witness is None and x.dim_cap >= 1:
-        if extra(0, extra.base) != x.s(0, 0, extra.base):
-            witness = ("s_{-1}(base) = s_0(base)", 0, extra.base)
-    if witness is not None:
-        return ContractibilityReport(False, witness, connected, False, ())
+    cap = x.dim_cap
+    e = []  # e[n][p]: the position in X_{n+1} of s_{-1} of the p-th n-simplex
+    for n in range(cap):
+        table = _tabulate(_entry, extra.maps, n, x.simplices[n], x._index[n + 1], "s_{-1}")
+        e.append(list(map(x._index[n + 1].__getitem__, table.values())))
+    d, s = x._position_tables(cap)
+    for n in range(cap):
+        sides = [((0, 0, "d_0 s_{-1} = id"), _compose(d[(n + 1, 0)], e[n]), list(range(len(e[n]))))]
+        for i in range(n + 1):
+            if n >= 1:
+                sides.append(((i + 1, 0, "d_{i+1} s_{-1} = s_{-1} d_i"),
+                              _compose(d[(n + 1, i + 1)], e[n]), _compose(e[n - 1], d[(n, i)])))
+            if n + 1 < cap:
+                sides.append(((i + 1, 1, "s_{i+1} s_{-1} = s_{-1} s_i"),
+                              _compose(s[(n + 1, i + 1)], e[n]), _compose(e[n + 1], s[(n, i)])))
+        found = _mismatches(sides)
+        if found:
+            p, _, _, name = found[0]
+            return ContractibilityReport(False, (name, n, x.simplices[n][p]), True, False, ())
+    if cap >= 1 and extra(0, extra.base) != x.s(0, 0, extra.base):
+        return ContractibilityReport(False, ("s_{-1}(base) = s_0(base)", 0, extra.base), True, False, ())
     summary = homology(chain_complex(x))
     reduced_trivial = summary.betti[0] == 1 and all(
         b == 0 for b in summary.betti[1 : x.dim_cap]
     ) and all(not summary.torsion.get(n, ()) for n in range(x.dim_cap))
-    return ContractibilityReport(True, None, connected, reduced_trivial, summary.betti)
+    return ContractibilityReport(True, None, True, reduced_trivial, summary.betti)
 
 
 def cone_extra_degeneracy(x, apex_value=0):
@@ -253,12 +243,7 @@ def cone_extra_degeneracy(x, apex_value=0):
 
     Works for the standard simplex models where prepending the apex to a
     vertex tuple is again a simplex."""
-    maps = {}
-    for n in range(x.dim_cap):
-        table = {}
-        for s in x.simplices[n]:
-            if not isinstance(s, tuple):
-                raise ParameterError("cone construction needs tuple identifiers")
-            table[s] = (apex_value,) + s
-        maps[n] = table
+    if not all(isinstance(s, tuple) for n in range(x.dim_cap) for s in x.simplices[n]):
+        raise ParameterError("cone construction needs tuple identifiers")
+    maps = {n: {s: (apex_value,) + s for s in x.simplices[n]} for n in range(x.dim_cap)}
     return ExtraDegeneracy(x, maps, (apex_value,))

@@ -3,10 +3,11 @@ sheafification, and unions/intersections of subpresheaves of a sheaf.
 
 The site is a finite poset of subcomplexes of a fixed base, ordered by
 inclusion, with declared covering families whose union is the covered
-object. The sheaf condition is tested against every declared cover. For
-the quotient and sheafification constructions the declared covers are
+object. The sheaf condition is tested against the declared covers only.
+For the quotient and sheafification constructions the declared covers are
 saturated with the trivial covers and with restrictions to subobjects,
-which is what makes restriction of a local datum another local datum;
+which is what makes restriction of a local datum another local datum, so
+sheafify can change a presheaf that check_status calls a sheaf;
 equivalence of sections and of local data is taken as the transitive
 closure of the pairwise agreement relation.
 
@@ -217,7 +218,8 @@ def _extend_family(presheaf, members, chosen, out):
 
 
 def check_status(presheaf):
-    """Test existence and uniqueness of gluings for every declared cover."""
+    """Test existence and uniqueness of gluings for every declared cover, not
+    the saturated covers that sheafify glues over."""
     return _gluing_status(presheaf, presheaf.site.covers)
 
 
@@ -292,7 +294,8 @@ def sheafify(presheaf):
     they agree on the pairwise meets of their members, closed transitively.
     Saturated covers need not compose, so the step is repeated until the
     result glues uniquely on every saturated cover; on such an input one
-    step is a bijection.
+    step is a bijection. check_status tests only the declared covers, so a
+    presheaf it calls a sheaf can still gain sections here.
 
     A site with an arrow into an empty object is refused: a local datum
     restricts there to the empty family, which is not a cover.

@@ -63,8 +63,11 @@ class SimplicialSet:
         for n, idx in self._index.items():
             if len(idx) != len(self.simplices[n]):
                 raise StructureError("duplicate identifier in dimension %d" % n)
-        self.face = self._tabulate(face, "face d", range(1, self.dim_cap + 1), -1)
-        self.deg = self._tabulate(deg, "degeneracy s", range(self.dim_cap), 1)
+        xs, index = self.simplices, self._index
+        self.face = {(n, i): _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
+                     for n in range(1, dim_cap + 1) for i in range(n + 1)}
+        self.deg = {(n, i): _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
+                    for n in range(dim_cap) for i in range(n + 1)}
         self.degenerate = {0: frozenset()}
         self.witness = {}
         for n in range(1, self.dim_cap + 1):
@@ -80,28 +83,6 @@ class SimplicialSet:
         }
         self._violations = None
         self._matching = {}
-
-    def _tabulate(self, structure_map, name, dims, step):
-        """{(n, i): {x: structure_map(n, i, x)}} over the listed n-simplices
-        x in stored order, each value checked to be a listed simplex of
-        dimension n + step."""
-        tables = {}
-        for n in dims:
-            known = self._index[n + step]
-            for i in range(n + 1):
-                table = {}
-                try:
-                    for x in self.simplices[n]:
-                        y = structure_map(n, i, x)
-                        if y not in known:
-                            raise StructureError(
-                                "%s_%d of %r hits unknown identifier %r" % (name, i, x, y)
-                            )
-                        table[x] = y
-                except (KeyError, IndexError):
-                    raise StructureError("%s_%d undefined on %r" % (name, i, x)) from None
-                tables[(n, i)] = table
-        return tables
 
     # -- basic access -------------------------------------------------
 
@@ -214,18 +195,14 @@ class SimplicialSet:
         bad = []
 
         def level(n, sides):
-            """Append the violations among sides, (name, i, j, lhs, rhs) over
-            X_n, in (position, j, i) order."""
-            found = []
-            for name, i, j, lhs, rhs in sides:
-                if lhs != rhs:
-                    found.extend((p, j, i, name) for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            """Append the violations among sides, ((j, i, name), lhs, rhs)
+            over X_n, in (position, j, i) order."""
             xs = self.simplices[n]
-            bad.extend((name, n, xs[p], (i, j)) for p, j, i, name in sorted(found))
+            bad.extend((name, n, xs[p], (i, j)) for p, j, i, name in _mismatches(sides))
 
         for n in range(2, cap + 1):
             level(n, (
-                ("d_i d_j = d_{j-1} d_i", i, j,
+                ((j, i, "d_i d_j = d_{j-1} d_i"),
                  _compose(d[(n - 1, i)], d[(n, j)]), _compose(d[(n - 1, j - 1)], d[(n, i)]))
                 for j in range(n + 1)
                 for i in range(j)
@@ -233,7 +210,7 @@ class SimplicialSet:
         for n in range(cap):
             same = list(range(len(self.simplices[n])))
             level(n, (
-                (name, i, j, _compose(d[(n + 1, i)], s[(n, j)]), same)
+                ((j, i, name), _compose(d[(n + 1, i)], s[(n, j)]), same)
                 for j in range(n + 1)
                 for i, name in ((j, "d_j s_j = id"), (j + 1, "d_{j+1} s_j = id"))
             ))
@@ -244,12 +221,12 @@ class SimplicialSet:
             mixed += [("d_i s_j = s_j d_{i-1} (i>j+1)", i, j, j, i - 1)
                       for j in range(n + 1) for i in range(j + 2, n + 2)]
             level(n, (
-                (name, i, j, _compose(d[(n + 1, i)], s[(n, j)]), _compose(s[(n - 1, b)], d[(n, a)]))
+                ((j, i, name), _compose(d[(n + 1, i)], s[(n, j)]), _compose(s[(n - 1, b)], d[(n, a)]))
                 for name, i, j, b, a in mixed
             ))
         for n in range(cap - 1):
             level(n, (
-                ("s_i s_j = s_{j+1} s_i (i<=j)", i, j,
+                ((j, i, "s_i s_j = s_{j+1} s_i (i<=j)"),
                  _compose(s[(n + 1, i)], s[(n, j)]), _compose(s[(n + 1, j + 1)], s[(n, i)]))
                 for j in range(n + 1)
                 for i in range(j + 1)
@@ -291,9 +268,40 @@ def _group(keys, ys):
     return {key: tuple(group) for key, group in table.items()}
 
 
+def _tabulate(f, a, b, xs, known, name):
+    """{x: f(a, b, x)} over the listed simplices xs in stored order, each value
+    checked to be a key of known; f (a structure map f(n, i, x) or _entry,
+    called directly) raising KeyError or IndexError is "<name> undefined on x"."""
+    table = {}
+    try:
+        for x in xs:
+            y = f(a, b, x)
+            if y not in known:
+                raise StructureError("%s of %r hits unknown identifier %r" % (name, x, y))
+            table[x] = y
+    except (KeyError, IndexError):
+        raise StructureError("%s undefined on %r" % (name, x)) from None
+    return table
+
+
+def _entry(tables, n, x):
+    """tables[n][x], a table of tables read as a levelwise map."""
+    return tables[n][x]
+
+
 def _compose(outer, inner):
     """outer after inner, for maps stored as position lists."""
     return list(map(outer.__getitem__, inner))
+
+
+def _mismatches(sides):
+    """(position, *key) for each position where lhs and rhs differ, over the
+    (key, lhs, rhs) triples of sides, sorted."""
+    found = []
+    for key, lhs, rhs in sides:
+        if lhs != rhs:
+            found.extend((p, *key) for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return sorted(found)
 
 
 # -- canonical tuple machinery ----------------------------------------
@@ -708,82 +716,76 @@ def circle_two_edges(dim_cap=2):
 
 
 class SimplicialMap:
-    """Levelwise map of simplicial sets; must commute with all structure maps."""
+    """Levelwise map of simplicial sets, up to the lesser cap of its ends.
+
+    The constructor is the one place the table is made and checked: a key up
+    to the cap (at any dimension) that is not a source simplex of its
+    dimension, with offending = (n, key) on the error, an undefined source
+    simplex and an image off the target are StructureErrors; levels above
+    the cap are ignored. level_map[n] lists X_n in stored order."""
 
     def __init__(self, source, target, level_map):
         self.source = source
         self.target = target
-        cap = min(source.dim_cap, target.dim_cap)
-        self.dim_cap = cap
-        self.level_map = {n: dict(level_map.get(n, {})) for n in range(cap + 1)}
+        cap = self.dim_cap = min(source.dim_cap, target.dim_cap)
+        for n in sorted(k for k in level_map if k <= cap):
+            for x in level_map[n]:
+                if not source.has(n, x):
+                    exc = StructureError("%s is not a source simplex of dimension %d" % (x, n))
+                    exc.offending = (n, x)
+                    raise exc
+        self.level_map = {
+            n: _tabulate(_entry, level_map, n, source.simplices[n], target._index[n], "map f_%d" % n)
+            for n in range(cap + 1)
+        }
+        self._violations = None
 
     def __call__(self, n, x):
         return self.level_map[n][x]
 
     def validate(self):
-        """The structure maps the map fails to commute with: ("face", n, i, x)
-        and then ("degeneracy", n, i, x), each in (n, stored position of x,
-        i) order.
-
-        A simplex the map leaves undefined or sends to an unknown identifier
-        is a StructureError, for the first such simplex in (n, stored)
-        order. Each (n, i) is checked over all of X_n at once, as whole
-        tables of stored positions.
-        """
-        cap = self.dim_cap
-        image = [self._image_positions(n) for n in range(cap + 1)]
-        source_d, source_s = self.source._position_tables(cap)
-        target_d, target_s = self.target._position_tables(cap)
-        bad = []
-        for kind, dims, step, source, target in (
-            ("face", range(1, cap + 1), -1, source_d, target_d),
-            ("degeneracy", range(cap), 1, source_s, target_s),
-        ):
-            for n in dims:
-                found = []
-                for i in range(n + 1):
-                    lhs = _compose(image[n + step], source[(n, i)])
-                    rhs = _compose(target[(n, i)], image[n])
-                    if lhs != rhs:
-                        found.extend((p, i) for p, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                xs = self.source.simplices[n]
-                bad.extend((kind, n, i, xs[p]) for p, i in sorted(found))
-        return bad
-
-    def _image_positions(self, n):
-        """The target positions of the images of X_n, in stored order."""
-        level = self.level_map[n]
-        known = self.target._index[n]
-        try:
-            return list(map(known.__getitem__, map(level.__getitem__, self.source.simplices[n])))
-        except KeyError:
-            for x in self.source.simplices[n]:
-                if x not in level:
-                    raise StructureError("map undefined on %r in dimension %d" % (x, n)) from None
-                if level[x] not in known:
-                    raise StructureError("map sends %r to unknown identifier" % (x,)) from None
-            raise
+        """The structure maps the map fails to commute with: ("face", n, i, x),
+        then ("degeneracy", n, i, x), each in (n, stored position of x, i)
+        order; one pass per (n, i) over X_n as stored positions, kept."""
+        if self._violations is None:
+            cap = self.dim_cap
+            image = [list(map(self.target._index[n].__getitem__, self.level_map[n].values())) for n in range(cap + 1)]
+            source_d, source_s = self.source._position_tables(cap)
+            target_d, target_s = self.target._position_tables(cap)
+            bad = []
+            for kind, dims, step, source, target in (
+                ("face", range(1, cap + 1), -1, source_d, target_d),
+                ("degeneracy", range(cap), 1, source_s, target_s),
+            ):
+                for n in dims:
+                    sides = (((i,), _compose(image[n + step], source[(n, i)]), _compose(target[(n, i)], image[n]))
+                             for i in range(n + 1))
+                    bad.extend((kind, n, i, self.source.simplices[n][p]) for p, i in _mismatches(sides))
+            self._violations = bad
+        return list(self._violations)
 
     def is_isomorphism(self):
+        """Equal caps, commuting, and in every dimension as many distinct images
+        as X_n and Y_n have simplices (the checked tables are total, into Y_n)."""
         if self.source.dim_cap != self.target.dim_cap or self.validate():
             return False
-        for n in range(self.dim_cap + 1):
-            values = set(self.level_map[n].values())
-            if len(values) != len(self.source.simplices[n]):
-                return False
-            if values != set(self.target.simplices[n]):
-                return False
-        return True
+        return all(
+            len(set(level.values())) == len(self.source.simplices[n]) == len(self.target.simplices[n])
+            for n, level in self.level_map.items()
+        )
 
     @classmethod
     def identity(cls, x):
         return cls(x, x, {n: {s: s for s in x.simplices[n]} for n in x.dims()})
 
     def compose(self, other):
-        """self after other."""
+        """self after other. A middle set of lower cap than both ends would
+        leave the composite undefined above it, so it is refused."""
         if other.target is not self.source:
             raise ParameterError("maps not composable")
-        cap = min(self.dim_cap, other.dim_cap)
+        cap = min(other.source.dim_cap, self.target.dim_cap)
+        if self.source.dim_cap < cap:
+            raise ParameterError("composite of cap %d through a middle set of cap %d" % (cap, self.source.dim_cap))
         lm = {
             n: {x: self(n, other(n, x)) for x in other.source.simplices[n]}
             for n in range(cap + 1)

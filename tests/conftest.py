@@ -222,9 +222,12 @@ def corrupted_sets(draw):
 
 @st.composite
 def corrupted_maps(draw):
-    """Identities, projections, subcomplex inclusions and nerve homomorphisms
-    with some values replaced by other target simplices, and at times one
-    value dropped or sent to an identifier the target does not list."""
+    """Raw (source, target, level_map) tables of identities, projections,
+    subcomplex inclusions and nerve homomorphisms with some values replaced
+    by other target simplices, and at times one value dropped, one sent to
+    an identifier the target does not list, or one key added that is not a
+    source simplex of its dimension (at times a negative one, or one above
+    the cap, which the map ignores)."""
     kind = draw(st.sampled_from(["identity", "projection", "inclusion", "homomorphism"]))
     if kind == "identity":
         x = draw(simplicial_sets())
@@ -249,15 +252,20 @@ def corrupted_maps(draw):
     for _ in range(draw(st.integers(0, 5))):
         n = draw(st.integers(0, cap))
         level[n][draw(st.sampled_from(source.simplices[n]))] = draw(st.sampled_from(target.simplices[n]))
-    fault = draw(st.sampled_from([None, None, "undefined", "unknown"]))
-    if fault is not None:
+    fault = draw(st.sampled_from([None, None, "undefined", "unknown", "stray"]))
+    if fault == "stray":
+        n = draw(st.integers(-1, cap + 1))
+        others = [s for m in source.dims() if m != n for s in source.simplices[m]]
+        key = draw(st.sampled_from(["not a simplex"] + others))
+        level.setdefault(n, {})[key] = draw(st.sampled_from(target.simplices[min(max(n, 0), cap)]))
+    elif fault is not None:
         n = draw(st.integers(0, cap))
         s = draw(st.sampled_from(source.simplices[n]))
         if fault == "undefined":
             del level[n][s]
         else:
             level[n][s] = "not a simplex"
-    return SimplicialMap(source, target, level)
+    return source, target, level
 
 
 @st.composite

@@ -9,9 +9,11 @@ The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg.
 scan_identities and scan_map_violations check the simplicial identities and
 a map's commutation one simplex and one index pair at a time, the reference
-for the whole-table passes of ssetkit.simplicial. The other scan_* functions
-find horns, fillers and lifts by scanning a whole dimension of the face
-tables, the reference for the coface and horn-index search in ssetkit.kan.
+for the whole-table passes of ssetkit.simplicial; scan_extra_degeneracy does
+the same for the extra-degeneracy identities of ssetkit.kan. The other scan_*
+functions find horns, fillers and lifts by scanning a whole dimension of the
+face tables, the reference for the coface and horn-index search in
+ssetkit.kan.
 matrix_pullback substitutes an affine-barycentric map given as a
 column-stochastic Fraction matrix into a PolyForm, the reference for the
 vertex-map pullback of ssetkit.forms; coface_matrix, collapse_matrix and
@@ -254,29 +256,70 @@ def scan_identities(x):
     return bad
 
 
-def scan_map_violations(p):
-    """SimplicialMap.validate one simplex at a time: a StructureError for the
-    first simplex, in (n, stored) order, that the map leaves undefined or
-    sends to an unknown identifier; else the face, then the degeneracy
-    violations in (n, stored position, i) order."""
-    for n in range(p.dim_cap + 1):
-        for s in p.source.simplices[n]:
-            if s not in p.level_map[n]:
-                raise StructureError("map undefined on %r in dimension %d" % (s, n))
-            if not p.target.has(n, p.level_map[n][s]):
-                raise StructureError("map sends %r to unknown identifier" % (s,))
+def scan_map_violations(source, target, level_map):
+    """SimplicialMap(source, target, level_map) and its validate() one
+    simplex at a time, on the raw tables: a StructureError for the first key
+    in dimension order, at a dimension up to the cap, that is not a source
+    simplex of that dimension; then for the first simplex, in (n, stored)
+    order, that the map leaves undefined or sends to an unknown identifier;
+    else the face, then the degeneracy violations in (n, stored position, i)
+    order."""
+    cap = min(source.dim_cap, target.dim_cap)
+    for n in sorted(k for k in level_map if k <= cap):
+        for s in level_map[n]:
+            if not source.has(n, s):
+                raise StructureError("%s is not a source simplex of dimension %d" % (s, n))
+    for n in range(cap + 1):
+        for s in source.simplices[n]:
+            if s not in level_map.get(n, {}):
+                raise StructureError("map f_%d undefined on %r" % (n, s))
+            if not target.has(n, level_map[n][s]):
+                raise StructureError("map f_%d of %r hits unknown identifier %r" % (n, s, level_map[n][s]))
+
+    def p(n, s):
+        return level_map[n][s]
+
     bad = []
-    for n in range(1, p.dim_cap + 1):
-        for s in p.source.simplices[n]:
+    for n in range(1, cap + 1):
+        for s in source.simplices[n]:
             for i in range(n + 1):
-                if p(n - 1, p.source.d(n, i, s)) != p.target.d(n, i, p(n, s)):
+                if p(n - 1, source.d(n, i, s)) != target.d(n, i, p(n, s)):
                     bad.append(("face", n, i, s))
-    for n in range(p.dim_cap):
-        for s in p.source.simplices[n]:
+    for n in range(cap):
+        for s in source.simplices[n]:
             for i in range(n + 1):
-                if p(n + 1, p.source.s(n, i, s)) != p.target.s(n, i, p(n, s)):
+                if p(n + 1, source.s(n, i, s)) != target.s(n, i, p(n, s)):
                     bad.append(("degeneracy", n, i, s))
     return bad
+
+
+def scan_extra_degeneracy(x, extra):
+    """The witness of ssetkit.kan.check_extra_degeneracy one simplex at a
+    time, for a connected x with a listed base vertex: a StructureError for
+    the first simplex, in (n, stored) order, that s_{-1} leaves undefined or
+    sends off X_{n+1}; else the first identity violation, each simplex
+    checked for d_0 s_{-1} = id and then, for each i, d_{i+1} s_{-1} =
+    s_{-1} d_i and s_{i+1} s_{-1} = s_{-1} s_i; else the base check; else
+    None."""
+    for n in range(x.dim_cap):
+        for s in x.simplices[n]:
+            if s not in extra.maps[n]:
+                raise StructureError("s_{-1} undefined on %r" % (s,))
+            if not x.has(n + 1, extra(n, s)):
+                raise StructureError("s_{-1} of %r hits unknown identifier %r" % (s, extra(n, s)))
+    for n in range(x.dim_cap):
+        for s in x.simplices[n]:
+            img = extra(n, s)
+            if x.d(n + 1, 0, img) != s:
+                return ("d_0 s_{-1} = id", n, s)
+            for i in range(n + 1):
+                if n >= 1 and x.d(n + 1, i + 1, img) != extra(n - 1, x.d(n, i, s)):
+                    return ("d_{i+1} s_{-1} = s_{-1} d_i", n, s)
+                if n + 1 < x.dim_cap and x.s(n + 1, i + 1, img) != extra(n + 1, x.s(n, i, s)):
+                    return ("s_{i+1} s_{-1} = s_{-1} s_i", n, s)
+    if x.dim_cap >= 1 and extra(0, extra.base) != x.s(0, 0, extra.base):
+        return ("s_{-1}(base) = s_0(base)", 0, extra.base)
+    return None
 
 
 def scan_enumerate_horns(x, n, k):

@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ssetkit.cli import main
 from ssetkit.derham import derham_cohomology
@@ -32,7 +33,7 @@ from ssetkit.simplicial import (
     standard_delta,
 )
 
-from conftest import swapped_delta2
+from conftest import simplicial_sets, swapped_delta2
 from oracles import betti_from_matrices, snf_diagonal, unnormalized_betti
 
 RP2_FACETS = [
@@ -113,6 +114,13 @@ def test_euler_characteristic_matches_betti_sum():
         assert chi == c.euler_characteristic()
         betti = homology(c).betti
         assert chi == sum((-1) ** n * b for n, b in enumerate(betti))
+
+
+@settings(max_examples=50)
+@given(simplicial_sets())
+def test_euler_characteristic_is_the_alternating_betti_sum(x):
+    chi = sum((-1) ** n * len(x.nondegenerate(n)) for n in x.dims())
+    assert chi == sum((-1) ** n * b for n, b in enumerate(homology(chain_complex(x)).betti))
 
 
 def test_rational_homology_is_rank_part():

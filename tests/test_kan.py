@@ -159,6 +159,17 @@ def test_extra_degeneracy_corruption_witnessed():
     assert report.witness[2] == (0, 1)
 
 
+def test_extra_degeneracy_witness_is_the_first_in_stored_order():
+    """(1, 2) comes before (2, 3) in X_1, so its d_1 violation is the
+    witness, though d_0 s_{-1} = id is checked first at each simplex."""
+    d3 = standard_delta(3, 2)
+    maps = {n: dict(table) for n, table in cone_extra_degeneracy(d3).maps.items()}
+    maps[1][(1, 2)] = (1, 1, 2)
+    maps[1][(2, 3)] = (0, 1, 2)
+    report = check_extra_degeneracy(d3, ExtraDegeneracy(d3, maps, (0,)))
+    assert report.witness == ("d_{i+1} s_{-1} = s_{-1} d_i", 1, (1, 2))
+
+
 def test_extra_degeneracy_table_undefined_one_level_up_is_refused():
     """The s_{-1} table of dimension 1 misses (0, 0), which the identity
     s_1 s_{-1} = s_{-1} s_0 at the vertex (0,) reads."""
@@ -189,6 +200,48 @@ def test_extra_degeneracy_implies_trivial_reduced_homology():
         report = check_extra_degeneracy(x, cone_extra_degeneracy(x))
         assert report.valid
         assert report.reduced_homology_trivial
+
+
+@st.composite
+def corrupted_extra_degeneracies(draw):
+    """The cone extra degeneracy of a standard simplex with up to two s_{-1}
+    entries replaced by other listed simplices (at times ones with the
+    right d_0, so the other identities are reached), and at times one entry
+    dropped or sent to an identifier the set does not list; the base is any
+    vertex, so s_{-1}(base) = s_0(base) fails off the apex."""
+    n = draw(st.integers(0, 3))
+    x = standard_delta(n, draw(st.integers(1, 3)))
+    maps = {m: dict(table) for m, table in cone_extra_degeneracy(x).maps.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        m = x.dim_cap - 1 - draw(st.integers(0, x.dim_cap - 1))  # the top level first
+        y = draw(st.sampled_from(x.simplices[m + 1]))
+        s = x.d(m + 1, 0, y) if draw(st.booleans()) else draw(st.sampled_from(x.simplices[m]))
+        maps[m][s] = y
+    fault = draw(st.sampled_from([None, None, None, "undefined", "unknown"]))
+    if fault is not None:
+        m = draw(st.integers(0, x.dim_cap - 1))
+        s = draw(st.sampled_from(x.simplices[m]))
+        if fault == "undefined":
+            del maps[m][s]
+        else:
+            maps[m][s] = "not a simplex"
+    return x, ExtraDegeneracy(x, maps, draw(st.sampled_from(x.simplices[0])))
+
+
+def _witness_or_error(check):
+    try:
+        return check()
+    except StructureError as exc:
+        return ("StructureError", str(exc))
+
+
+@settings(max_examples=80)
+@given(corrupted_extra_degeneracies())
+def test_extra_degeneracy_check_matches_the_element_wise_oracle(drawn):
+    x, extra = drawn
+    assert _witness_or_error(lambda: check_extra_degeneracy(x, extra).witness) == _witness_or_error(
+        lambda: oracles.scan_extra_degeneracy(x, extra)
+    )
 
 
 # -- coface-indexed search against the scanning oracles ------------------------

@@ -190,6 +190,30 @@ def test_sheafify_repeats_its_step_until_composite_covers_glue():
     assert is_natural(f, sheafed, unit)
 
 
+def test_check_status_tests_declared_covers_and_sheafify_saturated_ones():
+    """On three points with one declared cover (A, B) of X, the constant
+    presheaf glues on it, so check_status calls it a sheaf; saturation
+    restricts (A, B) to the cover (P1, P2) of C = {1, 2}, on which sheafify
+    glues, so C gets a section for each of the 4 families."""
+    three = simplicial_complex([[0], [1], [2]], 1)
+
+    def sub(*verts):
+        return close_subcomplex(three, {0: [(v,) for v in verts]})
+
+    objs = {
+        "X": sub(0, 1, 2), "A": sub(0, 1), "B": sub(0, 2), "C": sub(1, 2),
+        "P0": sub(0), "P1": sub(1), "P2": sub(2),
+    }
+    site = FiniteSite(three, objs, {"X": [("A", "B")]})
+    assert ("P1", "P2") in site.saturated_covers()["C"]
+    f = constant_presheaf(site, ("a", "b"))
+    assert check_status(f).sheaf
+    sheafed, unit, _ = sheafify(f)
+    assert len(sheafed.sections["C"]) == 4
+    assert check_status(sheafed).sheaf
+    assert len(set(unit["C"].values())) == 2
+
+
 def test_empty_object_is_an_object_and_sheafify_refuses_it():
     """With the empty subcomplex E as the meet of U0 and U1, families on
     (U0, U1) must agree on E, so the constant presheaf is a sheaf on the

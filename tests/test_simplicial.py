@@ -171,6 +171,63 @@ def test_product_refuses_cap_overflow():
         product(standard_delta(1, 2), standard_delta(1, 2), dim_cap=3)
 
 
+def _constant_on_two_points(extra=None):
+    """Both vertices of two points (cap 1) sent to the tower on (0,); extra
+    adds a key to every level."""
+    two = simplicial_complex([[0], [1]], 1)
+    level = {n: {s: (0,) * (n + 1) for s in two.simplices[n]} for n in two.dims()}
+    for n in two.dims():
+        level[n].update(extra or {})
+    return two, level
+
+
+def test_map_refuses_a_key_that_is_not_a_source_simplex():
+    two, level = _constant_on_two_points({"zz": (1,)})
+    with pytest.raises(StructureError, match="^zz is not a source simplex of dimension 0$") as err:
+        SimplicialMap(two, two, level)
+    assert err.value.offending == (0, "zz")
+
+
+def test_non_injective_map_of_equal_caps_is_not_an_isomorphism():
+    two, level = _constant_on_two_points()
+    p = SimplicialMap(two, two, level)
+    assert p.validate() == []
+    assert not p.is_isomorphism()
+
+
+def test_map_checks_keys_up_to_its_cap_only():
+    d1 = standard_delta(1, 2)
+    level = {n: {s: s for s in d1.simplices[n]} for n in d1.dims()}
+    with pytest.raises(StructureError, match=r"^\(0,\) is not a source simplex of dimension -1$"):
+        SimplicialMap(d1, d1, {**level, -1: {(0,): (0,)}})
+    p = SimplicialMap(d1, truncate(d1, 1), {**level, 5: {"zz": "zz"}})
+    assert p.dim_cap == 1 and sorted(p.level_map) == [0, 1]
+    with pytest.raises(StructureError, match=r"^map f_1 undefined on \(0, 1\)$"):
+        SimplicialMap(d1, d1, {**level, 1: {(0, 0): (0, 0), (1, 1): (1, 1)}})
+    with pytest.raises(StructureError, match=r"^map f_0 of \(1,\) hits unknown identifier \(2,\)$"):
+        SimplicialMap(d1, d1, {**level, 0: {(0,): (0,), (1,): (2,)}})
+
+
+def test_map_validate_is_scanned_once_and_copied(monkeypatch):
+    d1 = standard_delta(1)
+    p = SimplicialMap(d1, d1, {0: {s: s for s in d1.simplices[0]}, 1: {s: (0, 0) for s in d1.simplices[1]}})
+    bad = p.validate()
+    assert bad == [("face", 1, 0, (0, 1)), ("face", 1, 0, (1, 1)), ("face", 1, 1, (1, 1)), ("degeneracy", 0, 0, (1,))]
+    monkeypatch.setattr(SimplicialSet, "_position_tables", None)
+    again = p.validate()
+    assert again == bad and again is not bad
+
+
+def test_compose_through_a_lower_middle_cap_is_refused():
+    d = standard_delta(1, 3)
+    low = truncate(d, 1)
+    down = SimplicialMap(d, low, {n: {s: s for s in low.simplices[n]} for n in low.dims()})
+    up = SimplicialMap(low, d, {n: {s: s for s in low.simplices[n]} for n in low.dims()})
+    with pytest.raises(ParameterError, match="^composite of cap 3 through a middle set of cap 1$"):
+        up.compose(down)
+    assert down.compose(up).is_isomorphism()
+
+
 def test_quotient_examples():
     d2 = standard_delta(2)
     bdy = {
@@ -281,8 +338,8 @@ def _outcome(check):
 
 @SCAN_SETTINGS
 @given(corrupted_maps())
-def test_map_check_matches_the_element_wise_oracle(p):
-    assert _outcome(p.validate) == _outcome(lambda: oracles.scan_map_violations(p))
+def test_map_check_matches_the_element_wise_oracle(raw):
+    assert _outcome(lambda: SimplicialMap(*raw).validate()) == _outcome(lambda: oracles.scan_map_violations(*raw))
 
 
 # -- derived degeneracies ------------------------------------------------------
