@@ -24,11 +24,16 @@ from .simplicial import SimplicialMap, SimplicialSet
 from .subdivision import AffineChain, AffineSimplex
 
 
+# The characters no identifier may hold: the writer refuses them, and so does
+# the 'sset 1' reader.
+_UNWRITABLE = frozenset(" |;:\t\n")
+
+
 def render_id(value):
     if isinstance(value, tuple):
         return "(" + ",".join(render_id(v) for v in value) + ")"
     text = str(value)
-    if not text or any(ch in text for ch in " |;:\t\n"):
+    if not text or not _UNWRITABLE.isdisjoint(text):
         raise ParameterError("identifier %r cannot be serialized" % (value,))
     return text
 
@@ -85,15 +90,17 @@ def _int_token(words, k, ln):
 
 
 @contextlib.contextmanager
-def _refused_row(lines):
+def _refused_row(line_of):
     """Prefix a constructor's StructureError with the line of the row it
-    refused, lines[its offending key's words joined by spaces]."""
+    refused, line_of(its offending key); an error without that key, or whose
+    key no row gave (a simplex a map has no row for), passes unchanged."""
     try:
         yield
     except StructureError as exc:
-        if not hasattr(exc, "offending"):
+        ln = line_of(exc.offending) if hasattr(exc, "offending") else None
+        if ln is None:
             raise
-        raise StructureError("line %d: %s" % (lines[" ".join(map(str, exc.offending))], exc)) from None
+        raise StructureError("line %d: %s" % (ln, exc)) from None
 
 
 @contextlib.contextmanager
@@ -137,79 +144,93 @@ def parse_complex(text):
 
 def _complex(reader, start=0, stop=None):
     """The 'sset 1' text of reader that starts at line index start and ends
-    before stop."""
+    before stop. Each row is split once; its fields are kept per dimension,
+    keyed by identifier, as the word lists read. A refusal names its line."""
     (cap,), rows = reader.rows("sset 1", "cap N", start=start, stop=stop)
 
     def fail(msg, ln):
         raise StructureError("line %d: %s" % (ln, msg))
 
-    simplices = {}
-    faces = {}
-    degs = {}
-    lines_of = {}  # (dim, id) -> line number of its row
-    degen = {}  # (dim, id) -> words after 'degen'
+    simplices = {n: [] for n in range(cap + 1)}
+    # per dimension, keyed by identifier: the line of its row, and the words
+    # of its faces, deg and degen fields
+    lines, faces, degs, degen = ({n: {} for n in range(cap + 1)} for _ in range(4))
     current = None
     for ln, line in rows:
         if line.startswith("dim "):
-            current = _int_token(line.split(), 1, ln)
+            words = line.split()
+            current = _int_token(words, 1, ln)
             if current > cap:
                 fail("dimension above the cap", ln)
             if current < 0:
                 fail("negative dimension", ln)
+            if len(words) > 2:
+                fail("expected 'dim N'", ln)
+            ids, row_of, faces_of, degs_of, degen_of = (
+                simplices[current], lines[current], faces[current], degs[current], degen[current])
             continue
         if current is None:
             fail("simplex row before any 'dim' header", ln)
-        fields = [f.strip() for f in line.split("|")]
-        sid = fields[0]
+        head, *fields = line.split("|")
+        sid = head.strip()
         if not sid:
             fail("empty identifier", ln)
-        simplices.setdefault(current, []).append(sid)
-        lines_of[(current, sid)] = ln
-        for field in fields[1:]:
-            if not field:
-                continue
+        ids.append(sid)
+        row_of[sid] = ln
+        for field in fields:
             words = field.split()
+            if not words:
+                continue
             if words[0] == "faces":
                 if len(words) != current + 2:
                     fail("need %d faces" % (current + 1), ln)
-                faces[(current, sid)] = tuple(words[1:])
+                faces_of[sid] = words
             elif words[0] == "deg":
                 if len(words) != current + 2:
                     fail("need %d degeneracies" % (current + 1), ln)
-                degs[(current, sid)] = tuple(words[1:])
+                degs_of[sid] = words
             elif words[0] == "degen":
-                degen[(current, sid)] = words[1:]
+                degen_of[sid] = words
             else:
                 fail("unknown field %r" % (words[0],), ln)
-        if current >= 1 and (current, sid) not in faces:
+        if current >= 1 and sid not in faces_of:
             fail("simplex %s of dimension %d has no faces field" % (sid, current), ln)
-        if current < cap and (current, sid) not in degs:
+        if current < cap and sid not in degs_of:
             fail("simplex %s of dimension %d has no deg field" % (sid, current), ln)
+        if not _UNWRITABLE.isdisjoint(sid):
+            fail("identifier %r cannot be serialized" % sid, ln)
     # A simplicial set has a simplex in every dimension up to its cap (the
     # degeneracies of a vertex), so a gap is refused here, in time linear in
     # the rows: the tables take work quadratic in the cap.
     gap = 0
-    while gap in simplices:
+    while gap <= cap and simplices[gap]:
         gap += 1
     if gap <= cap:
         fail("cap %d but no simplex of dimension %d" % (cap, gap), start + 2)
-    x = SimplicialSet(
-        cap,
-        simplices,
-        lambda n, i, sid: faces[(n, sid)][i],
-        lambda n, i, sid: degs[(n, sid)][i],
-    )
-    # the degen fields must name the witnesses the deg tables give
-    for (n, sid), ln in lines_of.items():
-        given = degen.get((n, sid))
-        derived = x.witness.get((n, sid))
-        if derived is None:
-            if given is not None:
-                fail("%s is not degenerate but has a degen field" % sid, ln)
-        elif given is None:
-            fail("degenerate simplex %s has no degen field" % sid, ln)
-        elif given != [str(derived[0]), derived[1]]:
-            fail("degen of %s must be '%d %s', its least degeneracy" % (sid, derived[0], derived[1]), ln)
+    if cap < 0:
+        fail("negative cap", start + 2)
+    with _refused_row(lambda key: lines[key[0]].get(key[1])):
+        x = SimplicialSet(
+            cap,
+            simplices,
+            lambda n, i, sid: faces[n][sid][i + 1],
+            lambda n, i, sid: degs[n][sid][i + 1],
+        )
+    # the degen fields must name the witnesses the deg tables give, checked
+    # one dimension at a time, its rows in order
+    for n in range(cap + 1):
+        degenerate, degen_of = x.degenerate[n], degen[n]
+        for sid, ln in lines[n].items():
+            given = degen_of.get(sid)
+            if sid not in degenerate:
+                if given is not None:
+                    fail("%s is not degenerate but has a degen field" % sid, ln)
+                continue
+            j, base = x.witness[(n, sid)]
+            if given is None:
+                fail("degenerate simplex %s has no degen field" % sid, ln)
+            if given != ["degen", str(j), base]:
+                fail("degen of %s must be '%d %s', its least degeneracy" % (sid, j, base), ln)
     return x
 
 
@@ -479,7 +500,7 @@ def parse_site_presheaf(text, base):
             else:
                 raise StructureError("line %d: unknown presheaf row %r" % (ln, words[0]))
     site = FiniteSite(base, objects, covers)
-    with _refused_row(seen):
+    with _refused_row(lambda key: seen.get(" ".join(key))):
         return Presheaf(site, sections, restrictions)
 
 
@@ -526,7 +547,7 @@ def parse_map(text):
     target = complex_of("target")
     cap = min(source.dim_cap, target.dim_cap)
     level_map = {}
-    lines = {}  # "n source" -> line number of its row
+    lines = {}  # (n, source) -> line number of its row
     for ln, line in map_rows:
         dim_s, _, body = line.partition(":")
         src, _, dst = body.partition(">")
@@ -537,8 +558,8 @@ def parse_map(text):
         if src in level:
             raise StructureError("line %d: repeated map row for %s in dimension %d" % (ln, src, n))
         level[src] = dst.strip()
-        lines["%d %s" % (n, src)] = ln
-    with _refused_row(lines):
+        lines[(n, src)] = ln
+    with _refused_row(lines.get):
         return SimplicialMap(source, target, level_map)
 
 

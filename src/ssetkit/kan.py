@@ -211,11 +211,9 @@ def check_extra_degeneracy(x, extra):
     if len(connected_components(x)) != 1:
         raise ParameterError("extra-degeneracy check needs a connected complex")
     cap = x.dim_cap
-    e = []  # e[n][p]: the position in X_{n+1} of s_{-1} of the p-th n-simplex
-    for n in range(cap):
-        table = _tabulate(_entry, extra.maps, n, x.simplices[n], x._index[n + 1], "s_{-1}")
-        e.append(list(map(x._index[n + 1].__getitem__, table.values())))
-    d, s = x._position_tables(cap)
+    # e[n][p]: the position in X_{n+1} of s_{-1} of the p-th n-simplex
+    e = [_tabulate(_entry, n, extra.maps, x.simplices[n], x._index[n + 1], "s_{-1}")[1] for n in range(cap)]
+    d, s = x._dpos, x._spos
     for n in range(cap):
         sides = [((0, 0, "d_0 s_{-1} = id"), _compose(d[(n + 1, 0)], e[n]), list(range(len(e[n]))))]
         for i in range(n + 1):

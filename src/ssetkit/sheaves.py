@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .simplicial import _UnionFind
+from .simplicial import _UnionFind, _refusal
 
 
 class FiniteSite:
@@ -139,17 +139,13 @@ class Presheaf:
         self.site = site
         for name in sections:
             if name not in site.objects:
-                exc = StructureError("sections of %r, which is not an object of the site" % (name,))
-                exc.offending = ("sections", name)
-                raise exc
+                raise _refusal("sections of %r, which is not an object of the site" % (name,), ("sections", name))
         self.sections = {name: tuple(sections[name]) for name in site.names() if name in sections}
         self.res = {}
         arrows = set(site.arrows())
         for (u, v), table in restrictions.items():
             if (u, v) not in arrows:
-                exc = StructureError("restriction %r -> %r is not an arrow of the site" % (u, v))
-                exc.offending = ("restrict", u, v)
-                raise exc
+                raise _refusal("restriction %r -> %r is not an arrow of the site" % (u, v), ("restrict", u, v))
             self.res[(u, v)] = dict(table)
         self._validate()
 

@@ -39,7 +39,14 @@ class SimplicialSet:
     This is the one place the tables are made and checked: a duplicate
     identifier, a map value that is not a listed simplex of the adjacent
     dimension, or a map that raises KeyError or IndexError on a listed
-    simplex (a partial table passed as a lookup) is a StructureError here.
+    simplex (a partial table passed as a lookup) is a StructureError here,
+    with offending = (n, x) for the n-simplex x it refused (for a duplicate,
+    an identifier listed twice).
+
+    The check finds the stored position of every value, and the tables are
+    kept as those positions too: _dpos[(n, i)][p] is the position in X_{n-1}
+    of d_i of the p-th n-simplex, _spos[(n, i)][p] that in X_{n+1} of s_i of
+    it. The identity scan, map checks and extra degeneracies read them.
 
     degenerate and witness are derived from the deg tables: x is degenerate
     iff x = s_i(y) for some listed y, and its witness is (i, y) for the
@@ -56,18 +63,20 @@ class SimplicialSet:
             raise ParameterError("dim_cap must be >= 0")
         self.dim_cap = int(dim_cap)
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(dim_cap + 1)}
-        self._index = {
-            n: {x: i for i, x in enumerate(self.simplices[n])}
-            for n in range(dim_cap + 1)
-        }
+        self._index = {n: dict(zip(xs, range(len(xs)))) for n, xs in self.simplices.items()}
         for n, idx in self._index.items():
             if len(idx) != len(self.simplices[n]):
-                raise StructureError("duplicate identifier in dimension %d" % n)
+                # idx keeps the last position of each identifier
+                repeated = next(x for p, x in enumerate(self.simplices[n]) if idx[x] != p)
+                raise _refusal("duplicate identifier in dimension %d" % n, (n, repeated))
         xs, index = self.simplices, self._index
-        self.face = {(n, i): _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
-                     for n in range(1, dim_cap + 1) for i in range(n + 1)}
-        self.deg = {(n, i): _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
-                    for n in range(dim_cap) for i in range(n + 1)}
+        self.face, self._dpos, self.deg, self._spos = {}, {}, {}, {}
+        for n in range(1, dim_cap + 1):
+            for i in range(n + 1):
+                self.face[(n, i)], self._dpos[(n, i)] = _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
+        for n in range(dim_cap):
+            for i in range(n + 1):
+                self.deg[(n, i)], self._spos[(n, i)] = _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
         self.degenerate = {0: frozenset()}
         self.witness = {}
         for n in range(1, self.dim_cap + 1):
@@ -78,8 +87,8 @@ class SimplicialSet:
             self.degenerate[n] = frozenset(level)
             self.witness.update(((n, x), w) for x, w in level.items())
         self._nondegenerate = {
-            n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
-            for n in range(dim_cap + 1)
+            n: tuple(itertools.filterfalse(self.degenerate[n].__contains__, xs))
+            for n, xs in self.simplices.items()
         }
         self._violations = None
         self._matching = {}
@@ -169,29 +178,13 @@ class SimplicialSet:
             self._violations = self._scan_identities()
         return list(self._violations)
 
-    def _position_tables(self, cap):
-        """The face and degeneracy tables up to dimension cap as lists of
-        stored positions: d[(n, i)][p] is the position in X_{n-1} of d_i of
-        the p-th n-simplex, s[(n, i)][p] that in X_{n+1} of s_i of it."""
-        d = {
-            (n, i): list(map(self._index[n - 1].__getitem__, self.face[(n, i)].values()))
-            for n in range(1, cap + 1)
-            for i in range(n + 1)
-        }
-        s = {
-            (n, i): list(map(self._index[n + 1].__getitem__, self.deg[(n, i)].values()))
-            for n in range(cap)
-            for i in range(n + 1)
-        }
-        return d, s
-
     def _scan_identities(self):
         """Each identity at each (n, i, j) is checked over all of X_n at once:
         both sides are composed as whole position tables and compared as
         lists, and only a mismatch is walked for its simplices. Violations
         come in the order of identity family, n, stored position of x, j, i."""
         cap = self.dim_cap
-        d, s = self._position_tables(cap)
+        d, s = self._dpos, self._spos
         bad = []
 
         def level(n, sides):
@@ -268,23 +261,40 @@ def _group(keys, ys):
     return {key: tuple(group) for key, group in table.items()}
 
 
-def _tabulate(f, a, b, xs, known, name):
-    """{x: f(a, b, x)} over the listed simplices xs in stored order, each value
-    checked to be a key of known; f (a structure map f(n, i, x) or _entry,
-    called directly) raising KeyError or IndexError is "<name> undefined on x"."""
+def _refusal(message, offending):
+    """A StructureError whose offending attribute is the key of what it
+    refused, such as (n, x) for a simplex x of dimension n; a reader maps
+    the key back to the row it read."""
+    exc = StructureError(message)
+    exc.offending = offending
+    return exc
+
+
+def _tabulate(f, n, b, xs, known, name):
+    """{x: f(n, b, x)} over the listed n-simplices xs in stored order, and the
+    list of the positions of its values in known: the lookups that check the
+    values. The first x in stored order whose value is not a key of known,
+    or on which f (a structure map f(n, i, x) or _entry, called directly)
+    raises KeyError or IndexError ("<name> undefined on x"), is refused with
+    offending = (n, x)."""
     table = {}
     try:
         for x in xs:
-            y = f(a, b, x)
-            if y not in known:
-                raise StructureError("%s of %r hits unknown identifier %r" % (name, x, y))
-            table[x] = y
+            table[x] = f(n, b, x)
     except (KeyError, IndexError):
-        raise StructureError("%s undefined on %r" % (name, x)) from None
-    return table
+        pass
+    try:
+        positions = list(map(known.__getitem__, table.values()))
+    except KeyError:
+        x = next(x for x, y in table.items() if y not in known)
+        raise _refusal("%s of %r hits unknown identifier %r" % (name, x, table[x]), (n, x)) from None
+    if len(table) < len(xs):
+        x = xs[len(table)]
+        raise _refusal("%s undefined on %r" % (name, x), (n, x))
+    return table, positions
 
 
-def _entry(tables, n, x):
+def _entry(n, tables, x):
     """tables[n][x], a table of tables read as a levelwise map."""
     return tables[n][x]
 
@@ -720,9 +730,10 @@ class SimplicialMap:
 
     The constructor is the one place the table is made and checked: a key up
     to the cap (at any dimension) that is not a source simplex of its
-    dimension, with offending = (n, key) on the error, an undefined source
-    simplex and an image off the target are StructureErrors; levels above
-    the cap are ignored. level_map[n] lists X_n in stored order."""
+    dimension, an undefined source simplex and an image off the target are
+    StructureErrors, with offending = (n, key) or (n, source simplex) on the
+    error; levels above the cap are ignored. level_map[n] lists X_n in
+    stored order, and _image[n] the positions of its images in Y_n."""
 
     def __init__(self, source, target, level_map):
         self.source = source
@@ -731,13 +742,12 @@ class SimplicialMap:
         for n in sorted(k for k in level_map if k <= cap):
             for x in level_map[n]:
                 if not source.has(n, x):
-                    exc = StructureError("%s is not a source simplex of dimension %d" % (x, n))
-                    exc.offending = (n, x)
-                    raise exc
-        self.level_map = {
-            n: _tabulate(_entry, level_map, n, source.simplices[n], target._index[n], "map f_%d" % n)
-            for n in range(cap + 1)
-        }
+                    raise _refusal("%s is not a source simplex of dimension %d" % (x, n), (n, x))
+        self.level_map, self._image = {}, []
+        for n in range(cap + 1):
+            self.level_map[n], image = _tabulate(
+                _entry, n, level_map, source.simplices[n], target._index[n], "map f_%d" % n)
+            self._image.append(image)
         self._violations = None
 
     def __call__(self, n, x):
@@ -748,14 +758,11 @@ class SimplicialMap:
         then ("degeneracy", n, i, x), each in (n, stored position of x, i)
         order; one pass per (n, i) over X_n as stored positions, kept."""
         if self._violations is None:
-            cap = self.dim_cap
-            image = [list(map(self.target._index[n].__getitem__, self.level_map[n].values())) for n in range(cap + 1)]
-            source_d, source_s = self.source._position_tables(cap)
-            target_d, target_s = self.target._position_tables(cap)
+            cap, image = self.dim_cap, self._image
             bad = []
             for kind, dims, step, source, target in (
-                ("face", range(1, cap + 1), -1, source_d, target_d),
-                ("degeneracy", range(cap), 1, source_s, target_s),
+                ("face", range(1, cap + 1), -1, self.source._dpos, self.target._dpos),
+                ("degeneracy", range(cap), 1, self.source._spos, self.target._spos),
             ):
                 for n in dims:
                     sides = (((i,), _compose(image[n + step], source[(n, i)]), _compose(target[(n, i)], image[n]))

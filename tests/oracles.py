@@ -30,6 +30,9 @@ horn by the vertex transposition (0 k), the reference for the retraction
 kernel of ssetkit.connections. sympy_from_raw substitutes the barycentric
 relation for t_0 and dt_0 symbolically, the reference for PolyForm.from_raw,
 which pulls raw terms back along a face map through the pullback kernel.
+reference_complex is the element-wise 'sset 1' reader, with (dimension,
+identifier) keys and stripped fields, which checks identifiers with
+render_id itself, the reference for the one-pass reader of ssetkit.io_text.
 scan_site reads a finite site's order, arrows, meets and saturated covers
 element-wise off its objects as given, scanning every object for each meet
 and checking that each restricted cover covers its subobject;
@@ -53,9 +56,11 @@ from ssetkit.derham import DeRhamReport
 from ssetkit.errors import CompatibilityError, ParameterError, StructureError
 from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
+from ssetkit.io_text import _int_token, _RowReader, render_id
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
 from ssetkit.sheaves import FiniteSite, Presheaf, check_status
+from ssetkit.simplicial import SimplicialSet
 
 
 def snf_diagonal(rows, nrows, ncols):
@@ -254,6 +259,94 @@ def scan_identities(x):
                     if x.s(n + 1, i, x.s(n, j, s)) != x.s(n + 1, j + 1, x.s(n, i, s)):
                         bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, s, (i, j)))
     return bad
+
+
+def reference_complex(text):
+    """parse_complex(text), one field and one (dimension, identifier) key at a
+    time. A 'dim' row with more than a dimension, a row whose identifier
+    render_id refuses (after the checks of its fields), a negative cap and a
+    constructor refusal of the simplex of some row are refused naming their
+    line."""
+    (cap,), rows = _RowReader(text).rows("sset 1", "cap N")
+
+    def fail(msg, ln):
+        raise StructureError("line %d: %s" % (ln, msg))
+
+    simplices = {}
+    faces = {}
+    degs = {}
+    lines_of = {}  # (dim, id) -> line number of its row
+    degen = {}  # (dim, id) -> words after 'degen'
+    current = None
+    for ln, line in rows:
+        if line.startswith("dim "):
+            current = _int_token(line.split(), 1, ln)
+            if current > cap:
+                fail("dimension above the cap", ln)
+            if current < 0:
+                fail("negative dimension", ln)
+            if len(line.split()) != 2:
+                fail("expected 'dim N'", ln)
+            continue
+        if current is None:
+            fail("simplex row before any 'dim' header", ln)
+        fields = [f.strip() for f in line.split("|")]
+        sid = fields[0]
+        if not sid:
+            fail("empty identifier", ln)
+        simplices.setdefault(current, []).append(sid)
+        lines_of[(current, sid)] = ln
+        for field in fields[1:]:
+            if not field:
+                continue
+            words = field.split()
+            if words[0] == "faces":
+                if len(words) != current + 2:
+                    fail("need %d faces" % (current + 1), ln)
+                faces[(current, sid)] = tuple(words[1:])
+            elif words[0] == "deg":
+                if len(words) != current + 2:
+                    fail("need %d degeneracies" % (current + 1), ln)
+                degs[(current, sid)] = tuple(words[1:])
+            elif words[0] == "degen":
+                degen[(current, sid)] = words[1:]
+            else:
+                fail("unknown field %r" % (words[0],), ln)
+        if current >= 1 and (current, sid) not in faces:
+            fail("simplex %s of dimension %d has no faces field" % (sid, current), ln)
+        if current < cap and (current, sid) not in degs:
+            fail("simplex %s of dimension %d has no deg field" % (sid, current), ln)
+        try:
+            render_id(sid)
+        except ParameterError:
+            fail("identifier %r cannot be serialized" % sid, ln)
+    gap = 0
+    while gap in simplices:
+        gap += 1
+    if gap <= cap:
+        fail("cap %d but no simplex of dimension %d" % (cap, gap), 2)
+    if cap < 0:
+        fail("negative cap", 2)
+    try:
+        x = SimplicialSet(
+            cap,
+            simplices,
+            lambda n, i, sid: faces[(n, sid)][i],
+            lambda n, i, sid: degs[(n, sid)][i],
+        )
+    except StructureError as exc:
+        fail(exc, lines_of[exc.offending])
+    for (n, sid), ln in lines_of.items():
+        given = degen.get((n, sid))
+        derived = x.witness.get((n, sid))
+        if derived is None:
+            if given is not None:
+                fail("%s is not degenerate but has a degen field" % sid, ln)
+        elif given is None:
+            fail("degenerate simplex %s has no degen field" % sid, ln)
+        elif given != [str(derived[0]), derived[1]]:
+            fail("degen of %s must be '%d %s', its least degeneracy" % (sid, derived[0], derived[1]), ln)
+    return x
 
 
 def scan_map_violations(source, target, level_map):

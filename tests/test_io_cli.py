@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import re
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -28,6 +29,7 @@ from ssetkit.io_text import (
     parse_u1,
     relabel_as_strings,
     render_form,
+    render_id,
     serialize_chain,
     serialize_complex,
     serialize_cover,
@@ -42,12 +44,14 @@ from ssetkit.randomsuite import random_affine_simplex
 from ssetkit.simplicial import SimplicialMap
 from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
 
+import oracles
 from conftest import (
     BASES,
     FIXTURES,
     fixture_path,
     fixture_text,
     forms,
+    kan_sets,
     matrices,
     simplicial_sets,
     swapped_delta2,
@@ -171,6 +175,105 @@ def test_sset_serialization_is_a_fixed_point(x):
     assert serialize_complex(parse_complex(text)) == text
 
 
+@st.composite
+def corrupted_sset_texts(draw):
+    """serialize_complex of a set from simplicial_sets or kan_sets with up to
+    three corruptions: the rows of a dimension shuffled; a row dropped or
+    duplicated; a face or degeneracy replaced by an unknown or another listed
+    identifier; a row identifier replaced by one the writer refuses; a field
+    dropped, reordered, repeated or left empty; a degen field changed,
+    dropped or added."""
+    x = draw(st.one_of(simplicial_sets(), kan_sets()))
+    names = {n: [render_id(s) for s in x.simplices[n]] for n in x.dims()}
+    lines = serialize_complex(x).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        dims, n = [], None  # the dimension of each line, None above the first 'dim'
+        for line in lines:
+            n = int(line.split()[1]) if line.startswith("dim ") else n
+            dims.append(n)
+        rows = [k for k in range(2, len(lines)) if not lines[k].startswith("dim ")]
+        if not rows:
+            break
+        kind = draw(st.sampled_from(["shuffle", "drop", "duplicate", "entry", "field", "degen", "identifier"]))
+        k = draw(st.sampled_from(rows))
+        n, fields = dims[k], lines[k].split(" | ")
+        tables = [f for f in range(1, len(fields)) if fields[f].split()[:1] in (["faces"], ["deg"])]
+        if kind == "entry" and not tables:
+            kind = "field"
+        if kind == "shuffle":
+            block = [j for j in rows if dims[j] == n]
+            for j, line in zip(block, draw(st.permutations([lines[j] for j in block]))):
+                lines[j] = line
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(draw(st.sampled_from([j for j in rows if dims[j] == n])), lines[k])
+        elif kind == "entry":
+            f = draw(st.sampled_from(tables))
+            words = fields[f].split()
+            step = -1 if words[0] == "faces" else 1
+            words[draw(st.integers(1, len(words) - 1))] = draw(st.sampled_from(["zz"] + names[n + step]))
+            fields[f] = " ".join(words)
+        elif kind == "identifier":
+            fields[0] = draw(st.sampled_from(["x y", "u:v", "u;v"]))
+        elif kind == "field":
+            f = draw(st.integers(1, len(fields)))
+            change = draw(st.sampled_from(["drop", "reorder", "repeat", "empty"]))
+            if change == "drop" and f < len(fields):
+                del fields[f]
+            elif change == "reorder":
+                fields[1:] = draw(st.permutations(fields[1:]))
+            elif change == "repeat" and f < len(fields):
+                fields.append(fields[f])
+            else:
+                fields.insert(f, "")
+        else:
+            degen = [f for f in range(1, len(fields)) if fields[f].startswith("degen")]
+            below = names.get(n - 1) or ["zz"]
+            if not degen:
+                fields.append("degen %d %s" % (draw(st.integers(0, 2)), draw(st.sampled_from(below))))
+            else:
+                f = degen[0]
+                _, j, base = fields[f].split()
+                change = draw(st.sampled_from(["drop", "index", "base"]))
+                if change == "drop":
+                    del fields[f]
+                elif change == "index":
+                    fields[f] = "degen %d %s" % (int(j) + draw(st.sampled_from([-1, 1])), base)
+                else:
+                    fields[f] = "degen %s %s" % (j, draw(st.sampled_from(["zz"] + below)))
+        if kind in ("entry", "identifier", "field", "degen"):
+            lines[k] = " | ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def set_tables(x):
+    """Every table of x in its stored order."""
+    return (
+        x.dim_cap,
+        x.simplices,
+        [(key, list(table.items())) for key, table in x.face.items()],
+        [(key, list(table.items())) for key, table in x.deg.items()],
+        list(x.witness.items()),
+    )
+
+
+@settings(max_examples=200)
+@given(corrupted_sset_texts())
+def test_reader_matches_the_element_wise_reference(text):
+    try:
+        expected = oracles.reference_complex(text)
+    except StructureError as exc:
+        with pytest.raises(StructureError) as err:
+            parse_complex(text)
+        assert str(err.value) == str(exc)
+        return
+    x = parse_complex(text)
+    assert set_tables(x) == set_tables(expected)
+    # what the reader accepts, the writer writes back
+    assert set_tables(parse_complex(serialize_complex(x))) == set_tables(x)
+
+
 @settings(max_examples=15)
 @given(matrices())
 def test_matrix_serialization_is_a_fixed_point(drawn):
@@ -272,7 +375,47 @@ def test_unknown_identifier_names_the_simplex():
     text = fixture_text("delta2.sset").replace("(0,2) | faces (2) (0)", "(0,2) | faces (2) (9)")
     with pytest.raises(StructureError) as err:
         parse_complex(text)
-    assert str(err.value) == "face d_1 of '(0,2)' hits unknown identifier '(9)'"
+    assert str(err.value) == "line 10: face d_1 of '(0,2)' hits unknown identifier '(9)'"
+
+
+# Edits of delta2.sset that the constructor refuses: (old row, new rows,
+# the message, which names the line of the row refused).
+REFUSED_ROWS = {
+    "unknown degeneracy": (
+        "(0) | deg (0,0)\n", "(0) | deg (0,9)\n", "line 4: degeneracy s_0 of '(0)' hits unknown identifier '(0,9)'"),
+    "duplicate identifier": (
+        "(1,2) | faces (2) (1) | deg (1,1,2) (1,2,2)\n",
+        "(1,2) | faces (2) (1) | deg (1,1,2) (1,2,2)\n# again\n(1,2) | faces (2) (1) | deg (1,1,2) (1,2,2)\n",
+        "line 14: duplicate identifier in dimension 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ROWS))
+def test_constructor_refusals_name_their_line(case, tmp_path):
+    old, new, message = REFUSED_ROWS[case]
+    text = fixture_text("delta2.sset")
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    with pytest.raises(StructureError) as err:
+        parse_complex(text)
+    assert str(err.value) == message
+    path = tmp_path / "refused.sset"
+    path.write_text(text)
+    code, out = run_cli("homology", str(path))
+    assert code == 2
+    assert "record error exact : %s\n" % message in out
+
+
+@pytest.mark.parametrize("sid", ["x y", "u:v", "u;v", "(0)\t(1)"])
+def test_identifiers_the_writer_refuses_are_refused_with_their_line(sid, tmp_path):
+    with pytest.raises(ParameterError):
+        render_id(sid)
+    text = "sset 1\ncap 0\ndim 0\n(0)\n%s\n" % sid
+    with pytest.raises(StructureError, match="^%s$" % re.escape("line 5: identifier %r cannot be serialized" % sid)):
+        parse_complex(text)
+    path = tmp_path / "identifier.sset"
+    path.write_text(text)
+    assert run_cli("homology", str(path))[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -285,6 +428,8 @@ def test_unknown_identifier_names_the_simplex():
         ("sset 1\ncap 1\ndim\n(0) | deg (0,0)\n", 3),
         ("sset 1\ncap 1\ndim -1\n", 3),
         ("sset 1\ncap 0 0\ndim 0\n(0)\n", 2),
+        ("sset 1\ncap 0\ndim 0 x\n(0)\n", 3),
+        ("sset 1\ncap -1\n", 2),
     ],
 )
 def test_malformed_sset_header_names_its_line(text, line):
@@ -362,6 +507,25 @@ def test_smap_map_rows_off_the_source_name_their_line(row, message, tmp_path):
     with pytest.raises(StructureError, match="^line %d: %s$" % (line, message)):
         parse_map(text)
     path = tmp_path / "off_source.smap"
+    path.write_text(text)
+    code, out = run_cli("fibration", str(path))
+    assert code == 2
+    assert "status error" in out
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0 : (0) > zz", "line 52: map f_0 of '\\(0\\)' hits unknown identifier 'zz'"),
+    ("", "map f_0 undefined on '\\(0\\)'"),
+])
+def test_smap_image_refusals_name_the_line_of_their_row(row, message, tmp_path):
+    # a source simplex without a row has no line to name
+    lines = fixture_text("incl_bd2.smap").splitlines()
+    assert lines[51] == "0 : (0) > (0)"
+    lines[51] = row
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(StructureError, match="^%s$" % message):
+        parse_map(text)
+    path = tmp_path / "image.smap"
     path.write_text(text)
     code, out = run_cli("fibration", str(path))
     assert code == 2

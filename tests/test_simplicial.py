@@ -7,11 +7,14 @@ from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from ssetkit import simplicial
 from ssetkit.cli import main
 from ssetkit.errors import CapExceededError, ParameterError, StructureError
 from ssetkit.io_text import serialize_complex
+from ssetkit.kan import cone_extra_degeneracy
 from ssetkit.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -32,10 +35,20 @@ from ssetkit.simplicial import (
     standard_delta,
     standard_horn,
     truncate,
+    _entry,
     _surjective_tuples,
+    _tabulate,
 )
 
-from conftest import corrupted_maps, corrupted_sets, fixture_path, swapped_delta2, with_replaced_entries
+from conftest import (
+    corrupted_maps,
+    corrupted_sets,
+    fixture_path,
+    kan_maps,
+    kan_sets,
+    swapped_delta2,
+    with_replaced_entries,
+)
 from oracles import strict_chain_count
 
 
@@ -104,10 +117,19 @@ def test_constructor_refuses_dangling_references():
     def partial_deg(n, i, t):
         return partial[t]
 
+    def dangling_then_partial(n, i, t):
+        return (7, 7) if t == (0,) else {}[t]
+
+    def partial_then_dangling(n, i, t):
+        return (7, 7) if t == (1,) else {}[t]
+
+    # the first simplex in stored order that is refused is named, either way
     cases = (
         (dangling_face, d1.s, "face d_0 of (0, 1) hits unknown identifier (7,)"),
         (d1.d, dangling_deg, "degeneracy s_0 of (0,) hits unknown identifier (7, 7)"),
         (d1.d, partial_deg, "degeneracy s_0 undefined on (0,)"),
+        (d1.d, dangling_then_partial, "degeneracy s_0 of (0,) hits unknown identifier (7, 7)"),
+        (d1.d, partial_then_dangling, "degeneracy s_0 undefined on (0,)"),
     )
     for face, deg, message in cases:
         with pytest.raises(StructureError) as err:
@@ -213,7 +235,8 @@ def test_map_validate_is_scanned_once_and_copied(monkeypatch):
     p = SimplicialMap(d1, d1, {0: {s: s for s in d1.simplices[0]}, 1: {s: (0, 0) for s in d1.simplices[1]}})
     bad = p.validate()
     assert bad == [("face", 1, 0, (0, 1)), ("face", 1, 0, (1, 1)), ("face", 1, 1, (1, 1)), ("degeneracy", 0, 0, (1,))]
-    monkeypatch.setattr(SimplicialSet, "_position_tables", None)
+    # a second scan would compose position tables again
+    monkeypatch.setattr(simplicial, "_compose", None)
     again = p.validate()
     assert again == bad and again is not bad
 
@@ -340,6 +363,25 @@ def _outcome(check):
 @given(corrupted_maps())
 def test_map_check_matches_the_element_wise_oracle(raw):
     assert _outcome(lambda: SimplicialMap(*raw).validate()) == _outcome(lambda: oracles.scan_map_violations(*raw))
+
+
+@settings(max_examples=40)
+@given(st.one_of(corrupted_sets(), kan_sets()), kan_maps(), st.integers(0, 3), st.integers(1, 3))
+def test_kept_positions_are_the_element_wise_index_lookups(x, p, n, cap):
+    def lookups(y, m, values):
+        return [y._index[m][v] for v in values]
+
+    for m, i in x.face:
+        assert x._dpos[(m, i)] == lookups(x, m - 1, [x.d(m, i, s) for s in x.simplices[m]])
+    for m, i in x.deg:
+        assert x._spos[(m, i)] == lookups(x, m + 1, [x.s(m, i, s) for s in x.simplices[m]])
+    for m in range(p.dim_cap + 1):
+        assert p._image[m] == lookups(p.target, m, [p(m, s) for s in p.source.simplices[m]])
+    delta = standard_delta(n, cap)
+    extra = cone_extra_degeneracy(delta)
+    for m in range(cap):
+        positions = _tabulate(_entry, m, extra.maps, delta.simplices[m], delta._index[m + 1], "s_{-1}")[1]
+        assert positions == lookups(delta, m + 1, [extra(m, s) for s in delta.simplices[m]])
 
 
 # -- derived degeneracies ------------------------------------------------------
