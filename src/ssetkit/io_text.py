@@ -151,23 +151,27 @@ def _complex(reader, start=0, stop=None):
     def fail(msg, ln):
         raise StructureError("line %d: %s" % (ln, msg))
 
-    simplices = {n: [] for n in range(cap + 1)}
-    # per dimension, keyed by identifier: the line of its row, and the words
-    # of its faces, deg and degen fields
-    lines, faces, degs, degen = ({n: {} for n in range(cap + 1)} for _ in range(4))
+    # per dimension whose 'dim' header was read, keyed by identifier: the line
+    # of its row, and the words of its faces, deg and degen fields
+    simplices, lines, faces, degs, degen = {}, {}, {}, {}, {}
     current = None
+    in_order = True  # the 'dim' headers came in strictly increasing order
     for ln, line in rows:
         if line.startswith("dim "):
             words = line.split()
-            current = _int_token(words, 1, ln)
-            if current > cap:
+            n = _int_token(words, 1, ln)
+            if n > cap:
                 fail("dimension above the cap", ln)
-            if current < 0:
+            if n < 0:
                 fail("negative dimension", ln)
             if len(words) > 2:
                 fail("expected 'dim N'", ln)
+            if current is not None and n <= current:
+                in_order = False
+            current = n
             ids, row_of, faces_of, degs_of, degen_of = (
-                simplices[current], lines[current], faces[current], degs[current], degen[current])
+                simplices.setdefault(n, []), lines.setdefault(n, {}), faces.setdefault(n, {}),
+                degs.setdefault(n, {}), degen.setdefault(n, {}))
             continue
         if current is None:
             fail("simplex row before any 'dim' header", ln)
@@ -203,13 +207,13 @@ def _complex(reader, start=0, stop=None):
     # degeneracies of a vertex), so a gap is refused here, in time linear in
     # the rows: the tables take work quadratic in the cap.
     gap = 0
-    while gap <= cap and simplices[gap]:
+    while simplices.get(gap):
         gap += 1
     if gap <= cap:
         fail("cap %d but no simplex of dimension %d" % (cap, gap), start + 2)
     if cap < 0:
         fail("negative cap", start + 2)
-    with _refused_row(lambda key: lines[key[0]].get(key[1])):
+    with _refused_row(lambda key: lines.get(key[0], {}).get(key[1])):
         x = SimplicialSet(
             cap,
             simplices,
@@ -217,20 +221,22 @@ def _complex(reader, start=0, stop=None):
             lambda n, i, sid: degs[n][sid][i + 1],
         )
     # the degen fields must name the witnesses the deg tables give, checked
-    # one dimension at a time, its rows in order
-    for n in range(cap + 1):
-        degenerate, degen_of = x.degenerate[n], degen[n]
-        for sid, ln in lines[n].items():
-            given = degen_of.get(sid)
-            if sid not in degenerate:
-                if given is not None:
-                    fail("%s is not degenerate but has a degen field" % sid, ln)
-                continue
-            j, base = x.witness[(n, sid)]
-            if given is None:
-                fail("degenerate simplex %s has no degen field" % sid, ln)
-            if given != ["degen", str(j), base]:
-                fail("degen of %s must be '%d %s', its least degeneracy" % (sid, j, base), ln)
+    # in line order: one dimension at a time when the 'dim' headers increase
+    # (the constructor refused a repeated identifier, so a row is one line)
+    order = ((n, sid, ln) for n in lines for sid, ln in lines[n].items())
+    if not in_order:
+        order = sorted(order, key=lambda row: row[2])
+    for n, sid, ln in order:
+        given = degen[n].get(sid)
+        if sid not in x.degenerate[n]:
+            if given is not None:
+                fail("%s is not degenerate but has a degen field" % sid, ln)
+            continue
+        j, base = x.witness[(n, sid)]
+        if given is None:
+            fail("degenerate simplex %s has no degen field" % sid, ln)
+        if given != ["degen", str(j), base]:
+            fail("degen of %s must be '%d %s', its least degeneracy" % (sid, j, base), ln)
     return x
 
 

@@ -63,7 +63,10 @@ class SimplicialSet:
             raise ParameterError("dim_cap must be >= 0")
         self.dim_cap = int(dim_cap)
         self.simplices = {n: tuple(simplices.get(n, ())) for n in range(dim_cap + 1)}
-        self._index = {n: dict(zip(xs, range(len(xs)))) for n, xs in self.simplices.items()}
+        self._index = {
+            n: {x: i for i, x in enumerate(self.simplices[n])}
+            for n in range(dim_cap + 1)
+        }
         for n, idx in self._index.items():
             if len(idx) != len(self.simplices[n]):
                 # idx keeps the last position of each identifier
@@ -87,8 +90,8 @@ class SimplicialSet:
             self.degenerate[n] = frozenset(level)
             self.witness.update(((n, x), w) for x, w in level.items())
         self._nondegenerate = {
-            n: tuple(itertools.filterfalse(self.degenerate[n].__contains__, xs))
-            for n, xs in self.simplices.items()
+            n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
+            for n in range(dim_cap + 1)
         }
         self._violations = None
         self._matching = {}

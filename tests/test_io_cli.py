@@ -182,7 +182,8 @@ def corrupted_sset_texts(draw):
     duplicated; a face or degeneracy replaced by an unknown or another listed
     identifier; a row identifier replaced by one the writer refuses; a field
     dropped, reordered, repeated or left empty; a degen field changed,
-    dropped or added."""
+    dropped or added; a 'dim' block moved before another, or a row moved to
+    a repeated 'dim' header at the end."""
     x = draw(st.one_of(simplicial_sets(), kan_sets()))
     names = {n: [render_id(s) for s in x.simplices[n]] for n in x.dims()}
     lines = serialize_complex(x).splitlines()
@@ -194,7 +195,8 @@ def corrupted_sset_texts(draw):
         rows = [k for k in range(2, len(lines)) if not lines[k].startswith("dim ")]
         if not rows:
             break
-        kind = draw(st.sampled_from(["shuffle", "drop", "duplicate", "entry", "field", "degen", "identifier"]))
+        kind = draw(st.sampled_from(
+            ["shuffle", "drop", "duplicate", "entry", "field", "degen", "identifier", "move", "split"]))
         k = draw(st.sampled_from(rows))
         n, fields = dims[k], lines[k].split(" | ")
         tables = [f for f in range(1, len(fields)) if fields[f].split()[:1] in (["faces"], ["deg"])]
@@ -204,6 +206,16 @@ def corrupted_sset_texts(draw):
             block = [j for j in rows if dims[j] == n]
             for j, line in zip(block, draw(st.permutations([lines[j] for j in block]))):
                 lines[j] = line
+        elif kind == "move":
+            heads = [j for j in range(2, len(lines)) if lines[j].startswith("dim ")] + [len(lines)]
+            h = draw(st.integers(0, len(heads) - 2))
+            block = lines[heads[h]:heads[h + 1]]
+            del lines[heads[h]:heads[h + 1]]
+            at = draw(st.sampled_from([j for j in heads[:h]] or [2]))
+            lines[at:at] = block
+        elif kind == "split":
+            lines.append("dim %d" % n)
+            lines.append(lines.pop(k))
         elif kind == "drop":
             del lines[k]
         elif kind == "duplicate":
@@ -378,6 +390,33 @@ def test_unknown_identifier_names_the_simplex():
     assert str(err.value) == "line 10: face d_1 of '(0,2)' hits unknown identifier '(9)'"
 
 
+# point.sset with two degen refusals, its 'dim' blocks moved or repeated: the
+# one on the earlier line is reported, whatever the dimensions' order.
+POINT_BAD_DEGEN = {
+    "blocks moved": (
+        "sset 1\ncap 2\n"
+        "dim 2\n(0,0,0) | faces (0,0) (0,0) (0,0) | degen 1 (0,0)\n"
+        "dim 0\n(0) | deg (0,0) | degen 0 (0)\n"
+        "dim 1\n(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)\n",
+        "line 4: degen of (0,0,0) must be '0 (0,0)', its least degeneracy"),
+    "header repeated": (
+        "sset 1\ncap 2\n"
+        "dim 1\n(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)\n"
+        "dim 2\n(0,0,0) | faces (0,0) (0,0) (0,0) | degen 1 (0,0)\n"
+        "dim 0\n(0) | deg (0,0) | degen 0 (0)\n",
+        "line 6: degen of (0,0,0) must be '0 (0,0)', its least degeneracy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_BAD_DEGEN))
+def test_degen_refusals_come_in_line_order(case):
+    text, message = POINT_BAD_DEGEN[case]
+    for read in (parse_complex, oracles.reference_complex):
+        with pytest.raises(StructureError) as err:
+            read(text)
+        assert str(err.value) == message
+
+
 # Edits of delta2.sset that the constructor refuses: (old row, new rows,
 # the message, which names the line of the row refused).
 REFUSED_ROWS = {
@@ -458,8 +497,12 @@ def test_dimension_gap_below_the_cap_names_the_cap_line(text, tmp_path):
 
 def test_large_cap_without_rows_is_refused_at_once():
     started = time.process_time()
-    with pytest.raises(StructureError, match="^line 2: cap 2000 but no simplex of dimension 0"):
-        parse_complex("sset 1\ncap 2000\n")
+    for cap in (2000, 10**9):
+        with pytest.raises(StructureError, match="^line 2: cap %d but no simplex of dimension 0" % cap):
+            parse_complex("sset 1\ncap %d\n" % cap)
+        # the source section's 'cap' row is line 4 of the file
+        with pytest.raises(StructureError, match="^line 4: cap %d but no simplex of dimension 0" % cap):
+            parse_map("smap 1\nsource\nsset 1\ncap %d\ntarget\nsset 1\ncap 0\n" % cap)
     assert time.process_time() - started < 1.0
 
 
