@@ -113,7 +113,7 @@ def _load_sset(report, args):
 
 def cmd_homology(report, args):
     x = _load_sset(report, args)
-    summary = homology(chain_complex(x, ring=args.ring))
+    summary = homology(chain_complex(x))
     report.add("betti", summary.betti)
     if args.ring == "int":
         for n in sorted(summary.torsion):

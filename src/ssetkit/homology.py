@@ -17,13 +17,10 @@ from .simplicial import restrict, sub_intersection
 
 
 class ChainComplex:
-    """Graded free module with integer boundary matrices, over int or rat;
-    index[n] maps each degree-n basis element to its position."""
+    """Graded free module with integer boundary matrices, for integer and
+    rational coefficients alike; index[n] maps each basis element to its position."""
 
-    def __init__(self, ring, basis, boundary):
-        if ring not in ("int", "rat"):
-            raise ParameterError("ring must be 'int' or 'rat'")
-        self.ring = ring
+    def __init__(self, basis, boundary):
         self.basis = {n: tuple(b) for n, b in basis.items()}
         self.index = {n: {s: i for i, s in enumerate(b)} for n, b in self.basis.items()}
         self.top = max(self.basis) if self.basis else 0
@@ -62,7 +59,7 @@ class ChainComplex:
         return sum((-1) ** n * self.dim(n) for n in range(self.top + 1))
 
 
-def chain_complex(x, ring="int"):
+def chain_complex(x):
     """Normalized chain complex of a simplicial set: the basis is the
     nondegenerate simplices, the boundary is the alternating face sum, and
     faces landing on degenerate simplices are dropped.
@@ -86,7 +83,7 @@ def chain_complex(x, ring="int"):
                 else:
                     del row[j]
         boundary[n] = Matrix.sparse([rows.get(f, {}) for f in basis[n - 1]], len(basis[n]))
-    return ChainComplex(ring, basis, boundary)
+    return ChainComplex(basis, boundary)
 
 
 @dataclass
@@ -109,23 +106,36 @@ def homology(complex_):
     for n in range(complex_.top + 1):
         incoming = complex_.boundary_factors(n + 1)
         betti.append(complex_.dim(n) - len(incoming) - len(complex_.boundary_factors(n)))
-        if complex_.ring == "int":
-            torsion[n] = tuple(d for d in incoming if d > 1)
+        torsion[n] = tuple(d for d in incoming if d > 1)
     return HomologySummary(tuple(betti), torsion)
 
 
 # -- rational cohomology ------------------------------------------------
 
 
+def read_at(vec, positions):
+    """A cochain vector's entries at basis positions, 0 at None."""
+    zero = Fraction(0)
+    return tuple(zero if i is None else vec[i] for i in positions)
+
+
 class CochainSpaces:
-    """Per-degree cocycle/coboundary data of a simplicial set over Q."""
+    """Per-degree cocycle/coboundary data of a simplicial set over Q, on
+    cochain vectors over the basis of its one (integer) chain complex."""
 
     def __init__(self, x):
         self.x = x
-        self.complex = chain_complex(x, ring="rat")
+        self.complex = chain_complex(x)
         self.basis = self.complex.basis
         self._delta = {}
         self._classes = {}
+        self._faces = {}
+
+    def positions(self, p, simplices):
+        """The basis position of each p-simplex, None for a degenerate one
+        (or one not in the set): read_at reads a cochain there."""
+        index = self.complex.index[p]
+        return [index.get(s) for s in simplices]
 
     def delta(self, p):
         """Coboundary matrix C^p -> C^{p+1} (transpose of boundary)."""
@@ -167,38 +177,33 @@ class CochainSpaces:
         return all(v == 0 for v in self.delta(p).matvec(vec))
 
     def express(self, p, vec):
-        """Coordinates of a cocycle's class in the canonical representative basis."""
-        if not self.is_cocycle(p, vec):
-            raise ParameterError("vector is not a cocycle in degree %d" % p)
+        """Coordinates of a cocycle's class in the canonical representative
+        basis. The coboundaries and the representatives together span exactly
+        the cocycles, so a remainder means vec is not a cocycle."""
         _, rep_basis, rep_pivots, coboundaries, cob_pivots = self._class_bases(p)
         # Representatives vanish at the coboundary pivots, so removing the
         # coboundary part first leaves the class coordinates at the
         # representatives' own pivots.
-        row = {j: v for j, v in enumerate(vec) if v}
+        (row,) = Matrix([vec], self.complex.dim(p)).rows  # ValueError on a wrong length
         _, rest = coordinates(row, coboundaries, cob_pivots)
         coords, rest = coordinates(rest, rep_basis, rep_pivots)
         if rest:
-            raise StructureError("cocycle not in span of class representatives")
+            raise ParameterError("vector is not a cocycle in degree %d" % p)
         return coords
-
-    def value_at(self, p, vec, simplex):
-        """Value of a degree-p cochain vector on any simplex (0 on degenerates)."""
-        if self.x.is_degenerate(p, simplex):
-            return Fraction(0)
-        return vec[self.complex.index[p][simplex]]
 
     def cup(self, p, avec, q, bvec):
         """Alexander-Whitney cup product of cochain vectors, front face times back face."""
         n = p + q
         if n > self.x.dim_cap:
             raise ParameterError("cup product degree exceeds the cap")
-        out = []
-        front_vertices, back_vertices = range(p + 1), range(p, n + 1)
-        for s in self.basis[n]:
-            front = self.x.face_on(n, s, front_vertices)
-            back = self.x.face_on(n, s, back_vertices)
-            out.append(self.value_at(p, avec, front) * self.value_at(q, bvec, back))
-        return tuple(out)
+        if (p, q) not in self._faces:  # the front and back faces of basis[n]
+            x, basis = self.x, self.basis[n]
+            self._faces[(p, q)] = (
+                self.positions(p, [x.face_on(n, s, range(p + 1)) for s in basis]),
+                self.positions(q, [x.face_on(n, s, range(p, n + 1)) for s in basis]),
+            )
+        front, back = self._faces[(p, q)]
+        return tuple(a * b for a, b in zip(read_at(avec, front), read_at(bvec, back)))
 
 
 @dataclass
@@ -245,15 +250,9 @@ def induced_map(f, p, target_spaces=None, source_spaces=None):
     """Matrix of f^*: H^p(target) -> H^p(source) in the canonical bases."""
     ts = target_spaces if target_spaces is not None else CochainSpaces(f.target)
     ss = source_spaces if source_spaces is not None else CochainSpaces(f.source)
-    rows = []
-    for rep in ts.reps(p):
-        pulled = []
-        for s in ss.basis[p]:
-            img = f(p, s)
-            pulled.append(ts.value_at(p, rep, img))
-        rows.append(ss.express(p, tuple(pulled)))
-    m = Matrix(list(rows), len(ss.reps(p))) if rows else Matrix([], len(ss.reps(p)))
-    return m.transpose()  # columns indexed by target classes
+    images = ts.positions(p, [f(p, s) for s in ss.basis[p]])
+    rows = [ss.express(p, read_at(rep, images)) for rep in ts.reps(p)]
+    return Matrix(rows, len(ss.reps(p))).transpose()  # columns indexed by target classes
 
 
 # -- Mayer-Vietoris ------------------------------------------------------
@@ -295,10 +294,7 @@ def mayer_vietoris(x, sub_a, sub_b):
     cap = x.dim_cap
 
     def restrict_vec(sp_from, sp_to, p, vec):
-        return tuple(
-            sp_from.value_at(p, vec, s) if s in sp_from.complex.index[p] else Fraction(0)
-            for s in sp_to.basis[p]
-        )
+        return read_at(vec, sp_from.positions(p, sp_to.basis[p]))
 
     alpha = {}
     beta = {}

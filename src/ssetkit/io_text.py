@@ -24,16 +24,18 @@ from .simplicial import SimplicialMap, SimplicialSet
 from .subdivision import AffineChain, AffineSimplex
 
 
-# The characters no identifier may hold: the writer refuses them, and so does
-# the 'sset 1' reader.
-_UNWRITABLE = frozenset(" |;:\t\n")
+# No identifier may hold a field separator or a str.isspace() character, as the
+# reader splits rows into lines and words and strips them: the writer and the
+# 'sset 1' reader refuse them. A leading '#' (a comment row) is refused on write.
+_UNWRITABLE = frozenset("|;: \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000").union(
+    map(chr, range(0x2000, 0x200B)))
 
 
 def render_id(value):
     if isinstance(value, tuple):
         return "(" + ",".join(render_id(v) for v in value) + ")"
     text = str(value)
-    if not text or not _UNWRITABLE.isdisjoint(text):
+    if not text or text[0] == "#" or not _UNWRITABLE.isdisjoint(text):
         raise ParameterError("identifier %r cannot be serialized" % (value,))
     return text
 

@@ -4,7 +4,10 @@ These deliberately avoid the package's own algorithms: Smith normal form
 and ranks come from sympy, integrals from scipy quadrature or sympy
 symbolic integration, and counting problems from direct dynamic programs.
 unnormalized_betti is the unnormalized chain complex that the normalized
-one in ssetkit.homology must agree with below the cap.
+one in ssetkit.homology must agree with below the cap. reference_cup walks
+the front and back face of each basis simplex and reads each cochain there
+by identifier, the reference for the face position tables of
+CochainSpaces.cup.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg.
 scan_identities and scan_map_violations check the simplicial identities and
@@ -106,6 +109,24 @@ def unnormalized_betti(x):
                 entries[key] = entries.get(key, 0) + (-1) ** i
         boundaries[n] = (entries, dims[n - 1], dims[n])
     return betti_from_matrices(dims, boundaries)
+
+
+def reference_cup(spaces, p, avec, q, bvec):
+    """Alexander-Whitney cup product of two cochain vectors of a
+    CochainSpaces, one degree-(p+q) basis simplex at a time: its front p-face
+    and back q-face come from face_on, and each cochain is read on its face
+    by identifier, 0 on a degenerate face."""
+    x, n = spaces.x, p + q
+
+    def value_at(m, vec, simplex):
+        if x.is_degenerate(m, simplex):
+            return Fraction(0)
+        return vec[spaces.basis[m].index(simplex)]
+
+    return tuple(
+        value_at(p, avec, x.face_on(n, s, range(p + 1))) * value_at(q, bvec, x.face_on(n, s, range(p, n + 1)))
+        for s in spaces.basis[n]
+    )
 
 
 def dense_rref(rows, ncols):

@@ -1,11 +1,13 @@
 """Chain complexes, homology with torsion, cup products, Mayer-Vietoris."""
 
 import io
+import math
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssetkit.cli import main
 from ssetkit.derham import derham_cohomology
@@ -33,8 +35,8 @@ from ssetkit.simplicial import (
     standard_delta,
 )
 
-from conftest import simplicial_sets, swapped_delta2
-from oracles import betti_from_matrices, snf_diagonal, unnormalized_betti
+from conftest import RATIONALS, fixture_path, simplicial_sets, swapped_delta2
+from oracles import betti_from_matrices, dense_rank, reference_cup, snf_diagonal, unnormalized_betti
 
 RP2_FACETS = [
     [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
@@ -123,9 +125,18 @@ def test_euler_characteristic_is_the_alternating_betti_sum(x):
     assert chi == sum((-1) ** n * b for n, b in enumerate(homology(chain_complex(x)).betti))
 
 
-def test_rational_homology_is_rank_part():
-    for x in (simplicial_complex(RP2_FACETS, 3), standard_boundary(3)):
-        assert homology(chain_complex(x, ring="rat")).betti == homology(chain_complex(x)).betti
+@pytest.mark.parametrize("name", ["rp2.sset", "torus.sset", "nerve_z3.sset"])
+def test_rational_homology_report_is_the_integer_one_without_torsion(name):
+    records = {}
+    for ring in ("int", "rat"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["homology", "--ring", ring, fixture_path(name)]) == 0
+        records[ring] = [ln for ln in out.getvalue().splitlines() if ln.startswith("record ")]
+    expected = [ln for ln in records["int"] if not ln.startswith("record torsion.")]
+    assert len(expected) < len(records["int"])
+    assert [ln.split()[1] for ln in expected] == ["betti", "euler"]
+    assert records["rat"] == expected
 
 
 def test_invalid_input_rejected(tmp_path):
@@ -141,6 +152,75 @@ def test_invalid_input_rejected(tmp_path):
 
 
 # -- cohomology ring ---------------------------------------------------------
+
+
+def cochains(data, spaces, p):
+    """A random rational degree-p cochain vector of spaces."""
+    size = len(spaces.basis[p])
+    return tuple(data.draw(st.lists(RATIONALS, min_size=size, max_size=size)))
+
+
+@settings(max_examples=40)
+@given(simplicial_sets(), st.data())
+def test_cup_matches_the_identifier_walk(x, data):
+    spaces = CochainSpaces(x)
+    p = data.draw(st.integers(0, x.dim_cap))
+    q = data.draw(st.integers(0, x.dim_cap - p))
+    # the second pair reads the face positions kept from the first
+    for _ in range(2):
+        a, b = cochains(data, spaces, p), cochains(data, spaces, q)
+        assert spaces.cup(p, a, q, b) == reference_cup(spaces, p, a, q, b)
+
+
+@settings(max_examples=40)
+@given(simplicial_sets(), st.data())
+def test_express_refuses_exactly_the_non_cocycles(x, data):
+    """Random class combinations plus a random coboundary, and half the time
+    a random cochain on top; the coordinates must give back the class."""
+    spaces = CochainSpaces(x)
+    p = data.draw(st.integers(0, x.dim_cap))
+    reps, size = spaces.reps(p), len(spaces.basis[p])
+    coeffs = [data.draw(RATIONALS) for _ in reps]
+    vec = [sum(c * r[j] for c, r in zip(coeffs, reps)) for j in range(size)]
+    if p >= 1:
+        u = cochains(data, spaces, p - 1)
+        vec = [v + w for v, w in zip(vec, spaces.delta(p - 1).matvec(u))]
+    if data.draw(st.booleans()):
+        vec = [v + w for v, w in zip(vec, cochains(data, spaces, p))]
+    vec = tuple(vec)
+    if not spaces.is_cocycle(p, vec):
+        with pytest.raises(ParameterError, match="not a cocycle in degree %d" % p):
+            spaces.express(p, vec)
+        return
+    coords = spaces.express(p, vec)
+    rest = [v - sum(c * r[j] for c, r in zip(coords, reps)) for j, v in enumerate(vec)]
+    coboundaries = [[row.get(j, 0) for j in range(size)] for row in spaces.coboundary_rows(p).rows]
+    assert dense_rank(coboundaries + [rest], size) == dense_rank(coboundaries, size)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_torus_ring_is_the_exterior_algebra(k):
+    """T^k = (S^1)^k: betti numbers k choose p, degree-1 generators that
+    anticommute and square to zero, independent products of two, and the
+    product of all k spanning the top class."""
+    s1 = sphere_quotient(1, k)
+    t = s1
+    for _ in range(k - 1):
+        t = product(t, s1)
+    ring = cohomology_ring(t)
+    assert ring.betti() == tuple(math.comb(k, p) for p in range(k + 1))
+    zero = (Fraction(0),) * math.comb(k, 2)
+    for i in range(k):
+        assert ring.product(1, i, 1, i) == zero
+        for j in range(k):
+            assert ring.product(1, i, 1, j) == tuple(-v for v in ring.product(1, j, 1, i))
+    pairs = [ring.product(1, i, 1, j) for i in range(k) for j in range(i + 1, k)]
+    assert dense_rank(pairs, math.comb(k, 2)) == math.comb(k, 2)
+    spaces, gens = ring.spaces, ring.reps[1]
+    top = gens[0]
+    for p, g in enumerate(gens[1:], start=1):
+        top = spaces.cup(p, top, 1, g)
+    assert spaces.express(k, top) != (Fraction(0),)
 
 
 def test_boundary_delta3_ring():

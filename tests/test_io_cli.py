@@ -4,6 +4,7 @@ import io
 import os
 import random
 import re
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -17,6 +18,7 @@ from ssetkit.cli import main
 from ssetkit.errors import ParameterError, StructureError
 from ssetkit.forms import Cochain, FormField, PolyForm, QTau, whitney
 from ssetkit.io_text import (
+    _UNWRITABLE,
     parse_chain,
     parse_complex,
     parse_cover,
@@ -41,7 +43,7 @@ from ssetkit.io_text import (
 )
 from ssetkit.linalg import Matrix
 from ssetkit.randomsuite import random_affine_simplex
-from ssetkit.simplicial import SimplicialMap
+from ssetkit.simplicial import SimplicialMap, from_generators
 from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
 
 import oracles
@@ -445,7 +447,7 @@ def test_constructor_refusals_name_their_line(case, tmp_path):
     assert "record error exact : %s\n" % message in out
 
 
-@pytest.mark.parametrize("sid", ["x y", "u:v", "u;v", "(0)\t(1)"])
+@pytest.mark.parametrize("sid", ["x y", "u:v", "u;v", "(0)\t(1)", "a\xa0b"])
 def test_identifiers_the_writer_refuses_are_refused_with_their_line(sid, tmp_path):
     with pytest.raises(ParameterError):
         render_id(sid)
@@ -455,6 +457,22 @@ def test_identifiers_the_writer_refuses_are_refused_with_their_line(sid, tmp_pat
     path = tmp_path / "identifier.sset"
     path.write_text(text)
     assert run_cli("homology", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("sid", ["#p", "\xa0p", "a\xa0b", "a\x0bb", "a\rb"])
+def test_identifiers_the_reader_cannot_read_back_are_refused_at_write_time(sid):
+    """A leading '#' makes a comment row, and the reader splits and strips
+    rows on every whitespace character."""
+    with pytest.raises(ParameterError, match="cannot be serialized"):
+        render_id(sid)
+    x = from_generators(1, {0: [(sid, ()), ("q", ())], 1: [("e", ("q", sid))]})
+    with pytest.raises(ParameterError, match="cannot be serialized"):
+        serialize_complex(x)
+
+
+def test_unwritable_characters_are_the_separators_and_every_whitespace_character():
+    whitespace = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert _UNWRITABLE == whitespace | set("|;:")
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,6 @@ def test_invariant_factors_of_torsion_diagonal():
 
 def test_chain_complex_square_zero_check_is_sparse():
     basis = {0: ("v",), 1: ("a", "b"), 2: ("t",)}
-    ChainComplex("int", basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [-1]])})
+    ChainComplex(basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [-1]])})
     with pytest.raises(StructureError):
-        ChainComplex("int", basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [0]])})
+        ChainComplex(basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [0]])})
