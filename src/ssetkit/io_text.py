@@ -433,7 +433,13 @@ def parse_field(text, x):
 
 
 def serialize_site_presheaf(presheaf):
+    """The 'site 1' text of presheaf. A section label that the reader cannot
+    read back, one that is empty or holds whitespace or '>', is refused."""
     site = presheaf.site
+    for name in site.names():
+        for s in map(str, presheaf.sections[name]):
+            if s.split() != [s] or ">" in s:
+                raise ParameterError("section %r of %r cannot be serialized" % (s, name))
     lines = ["site 1"]
     for name in site.names():
         chunks = []

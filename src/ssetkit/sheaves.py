@@ -3,13 +3,16 @@ sheafification, and unions/intersections of subpresheaves of a sheaf.
 
 The site is a finite poset of subcomplexes of a fixed base, ordered by
 inclusion, with declared covering families whose union is the covered
-object. The sheaf condition is tested against the declared covers only.
-For the quotient and sheafification constructions the declared covers are
-saturated with the trivial covers and with restrictions to subobjects,
-which is what makes restriction of a local datum another local datum, so
-sheafify can change a presheaf that check_status calls a sheaf;
-equivalence of sections and of local data is taken as the transitive
-closure of the pairwise agreement relation.
+object. A sieve on U is a down-set of the objects below U. The declared
+covers generate one Grothendieck topology J: the least set of sieves that
+holds the maximal sieves and the sieves generated by the declared covers
+and is closed under pullback and transitivity. J(U) is closed under finite
+intersection, so it has a least sieve S(U), and J(U) is exactly the sieves
+that contain S(U). The site computes S(U) once, and every construction here
+reads it: the sheaf condition, the plus construction P+(U) (the compatible
+families on the generators of S(U)), the separated quotient (the image of
+the unit P -> P+) and sheafification (P++; Mac Lane and Moerdijk, Sheaves in
+Geometry and Logic, III.2 and III.5).
 
 Section sets are finite and enumerable throughout; every check here is an
 exhaustive search.
@@ -18,10 +21,11 @@ exhaustive search.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .simplicial import _UnionFind, _refusal
+from .simplicial import _refusal
 
 
 class FiniteSite:
@@ -31,8 +35,8 @@ class FiniteSite:
              stored over every dimension of the base
     covers:  dict name -> list of tuples of member names
 
-    The names (in name order), the order, the arrows and the meets are
-    computed once, here.
+    The names (in name order), the order, the arrows, the meets and the
+    least covering sieve of each object are computed once, here.
     """
 
     def __init__(self, base, objects, covers):
@@ -73,7 +77,27 @@ class FiniteSite:
                 union = {n: frozenset().union(*(self.objects[m][n] for m in fam)) for n in base.dims()}
                 if union != self.objects[name]:
                     raise StructureError("cover of %r does not exhaust it" % (name,))
-        self._saturated = None
+        # S(U) starts as the down-set of U cut by the sieve of each declared
+        # cover, then shrinks to the fixpoint of pullback, S(U) within S(W)
+        # for U <= W, and transitivity, S(U) within the union of S(V) over
+        # the V in S(U).
+        below = {u: frozenset(v for v in self._names if self._leq[(v, u)]) for u in self._names}
+        sieve = {
+            u: below[u].intersection(*(frozenset().union(*(below[m] for m in fam)) for fam in self.covers.get(u, ())))
+            for u in self._names
+        }
+        changed = True
+        while changed:
+            changed = False
+            for u in self._names:
+                s = sieve[u].intersection(*(sieve[w] for w in self._names if u in below[w]))
+                s = s & frozenset().union(*(sieve[v] for v in s))
+                changed = changed or s != sieve[u]
+                sieve[u] = s
+        self._least = {
+            u: tuple(m for m in self._names if m in s and not any(m in below[n] and n not in below[m] for n in s))
+            for u, s in sieve.items()
+        }
 
     def leq(self, a, b):
         return self._leq[(a, b)]
@@ -92,40 +116,11 @@ class FiniteSite:
     def names(self):
         return self._names
 
-    def _restrict_cover(self, cover, below):
-        """The nonempty meets of the members of cover with below, in name
-        order, each with the positions in cover of the members it meets."""
-        positions = {}
-        for i, m in enumerate(cover):
-            meet = self._meet[(m, below)]
-            if meet is not None and any(self.objects[meet].values()):
-                positions.setdefault(meet, []).append(i)
-        return tuple((meet, tuple(positions[meet])) for meet in sorted(positions, key=str))
-
-    def saturated_covers(self):
-        """Declared covers plus trivial covers plus restrictions to subobjects.
-
-        The meets of a cover of U with a subobject V cover V, so every
-        restriction to a nonempty V is again a cover. On an empty V it is the
-        empty family, which is not taken as a cover: an empty object is an
-        object like any other, covered only by its declared covers."""
-        if self._saturated is not None:
-            return self._saturated
-        sat = {name: {(name,)} for name in self._names}
-        for name, fams in self.covers.items():
-            for fam in fams:
-                sat[name].add(tuple(sorted(set(fam), key=str)))
-        changed = True
-        while changed:
-            changed = False
-            for name, below in self._arrows:
-                for fam in list(sat[name]):
-                    restricted = tuple(meet for meet, _ in self._restrict_cover(fam, below))
-                    if restricted and restricted not in sat[below]:
-                        sat[below].add(restricted)
-                        changed = True
-        self._saturated = {name: sorted(fams) for name, fams in sat.items()}
-        return self._saturated
+    def least_sieve(self, name):
+        """The generators of S(name), the least covering sieve of name: its
+        maximal members, in name order. The covering sieves of name are the
+        sieves that contain these objects."""
+        return self._least[name]
 
 
 class Presheaf:
@@ -184,7 +179,7 @@ class Presheaf:
 class SheafStatus:
     separated: bool
     sheaf: bool
-    witness: object = None  # (object, cover, family, number of gluings)
+    witness: object = None  # (object, generators of its least sieve, family, number of gluings)
 
 
 def _compatible_families(presheaf, cover):
@@ -213,176 +208,91 @@ def _extend_family(presheaf, members, chosen, out):
             chosen.pop()
 
 
+def _unit(presheaf, name):
+    """{section of name: its restrictions to the generators of S(name)},
+    the unit P -> P+ at name."""
+    gens = presheaf.site.least_sieve(name)
+    return {s: tuple(presheaf.restrict(name, m, s) for m in gens) for s in presheaf.sections[name]}
+
+
 def check_status(presheaf):
-    """Test existence and uniqueness of gluings for every declared cover, not
-    the saturated covers that sheafify glues over."""
-    return _gluing_status(presheaf, presheaf.site.covers)
-
-
-def _gluing_status(presheaf, covers):
-    """check_status over covers, a dict name -> list of covers."""
+    """The sheaf condition for J: on each object U, every family compatible
+    on the generators of S(U) has exactly one gluing. A sieve of J(U)
+    contains S(U), so this is the condition for every covering sieve. The
+    witness is (U, generators, family, gluings) for the first family that
+    fails, objects in name order; the presheaf is separated when no family
+    has two gluings or more."""
     site = presheaf.site
     separated = True
     sheaf = True
     witness = None
     for name in site.names():
-        for cover in covers.get(name, []):
-            for family in _compatible_families(presheaf, cover):
-                gluings = sum(
-                    all(presheaf.restrict(name, m, s) == v for m, v in zip(cover, family))
-                    for s in presheaf.sections[name]
-                )
-                if gluings != 1:
-                    sheaf = False
-                    separated = separated and gluings == 0
-                    if witness is None:
-                        witness = (name, cover, family, gluings)
+        gluings = Counter(_unit(presheaf, name).values())
+        for family in _compatible_families(presheaf, site.least_sieve(name)):
+            if gluings[family] != 1:
+                sheaf = False
+                separated = separated and gluings[family] == 0
+                if witness is None:
+                    witness = (name, site.least_sieve(name), family, gluings[family])
     return SheafStatus(separated, sheaf, witness)
 
 
-def separated_quotient(presheaf):
-    """The separated reflection: sections modulo agreement on some cover.
+def _plus(presheaf):
+    """(P+, unit P -> P+): P+(U) is the compatible families on the
+    generators of S(U), labeled c0, c1, ... in the order they are
+    enumerated, which is lexicographic in the section order of each
+    generator. Restriction to V reads each generator of S(V) off a
+    generator of S(U) above it, as S(V) lies in S(U)."""
+    site = presheaf.site
+    families = {name: _compatible_families(presheaf, site.least_sieve(name)) for name in site.names()}
+    label = {name: {fam: "c%d" % i for i, fam in enumerate(fams)} for name, fams in families.items()}
+    restrictions = {}
+    for a, b in site.arrows():
+        gens = site.least_sieve(a)
+        above = [(next(i for i, m in enumerate(gens) if site.leq(h, m)), h) for h in site.least_sieve(b)]
+        restrictions[(a, b)] = {
+            label[a][fam]: label[b][tuple(presheaf.restrict(gens[i], h, fam[i]) for i, h in above)]
+            for fam in families[a]
+        }
+    sections = {name: tuple(label[name].values()) for name in site.names()}
+    unit = {name: {s: label[name][fam] for s, fam in _unit(presheaf, name).items()} for name in site.names()}
+    return Presheaf(site, sections, restrictions), unit
 
-    The agreement relation is closed transitively, and the quotient is
-    repeated until the result tests separated; on sites whose covers restrict
-    well a single pass suffices.
+
+def separated_quotient(presheaf):
+    """The separated reflection, the image of the unit P -> P+: two sections
+    are identified when they agree on the generators of S(U), and each class
+    is labeled by its first section.
 
     Returns (quotient presheaf, unit maps per object).
     """
-    current = presheaf
-    unit = {name: {s: s for s in presheaf.sections[name]} for name in presheaf.site.names()}
-    for _ in range(sum(len(s) for s in presheaf.sections.values()) + 1):
-        current, step = _separate_once(current)
-        unit = compose_maps(presheaf.site, unit, step)
-        if check_status(current).separated:
-            return current, unit
-    raise StructureError("separated quotient failed to stabilize")
-
-
-def _separate_once(presheaf):
     site = presheaf.site
-    sat = site.saturated_covers()
     classes = {}
     for name in site.names():
-        uf = _UnionFind(presheaf.sections[name])
-        for cover in sat[name]:
-            if cover == (name,):
-                continue
-            agreeing = {}  # restrictions to the cover -> first section with them
-            for s in presheaf.sections[name]:
-                uf.union(s, agreeing.setdefault(tuple(presheaf.restrict(name, m, s) for m in cover), s))
-        # each class is labeled by the least rendering of its members
-        classes[name] = {s: min(map(str, g)) for g in uf.groups().values() for s in g}
-    sections = {name: tuple(sorted(set(classes[name].values()))) for name in site.names()}
+        first = {}
+        classes[name] = {s: first.setdefault(fam, s) for s, fam in _unit(presheaf, name).items()}
+    sections = {name: tuple(dict.fromkeys(classes[name].values())) for name in site.names()}
     restrictions = {
-        (a, b): {classes[a][s]: classes[b][presheaf.restrict(a, b, s)] for s in presheaf.sections[a]}
+        (a, b): {s: classes[b][presheaf.restrict(a, b, s)] for s in sections[a]}
         for a, b in site.arrows()
     }
     return Presheaf(site, sections, restrictions), classes
 
 
 def sheafify(presheaf):
-    """Sheafification via equivalence classes of local data.
+    """Sheafification as the plus construction applied twice, P -> P+ -> P++.
 
-    A step separates its input first when needed (for the input itself this
-    is recorded in the returned record), then takes the classes of local
-    data: compatible families over the saturated covers, two equivalent when
-    they agree on the pairwise meets of their members, closed transitively.
-    Saturated covers need not compose, so the step is repeated until the
-    result glues uniquely on every saturated cover; on such an input one
-    step is a bijection. check_status tests only the declared covers, so a
-    presheaf it calls a sheaf can still gain sections here.
-
-    A site with an arrow into an empty object is refused: a local datum
-    restricts there to the empty family, which is not a cover.
+    P+ is separated and P++ is a sheaf for J; the unit is the composite of
+    the two units, and it is a bijection exactly when the presheaf is a
+    sheaf. was_separated_first is True when the presheaf is not separated,
+    that is, when the first unit identifies sections.
 
     Returns (sheaf presheaf, unit maps, was_separated_first).
     """
-    site = presheaf.site
-    for a, b in site.arrows():
-        if not any(site.objects[b].values()):
-            raise StructureError("sheafify is undefined on a site with the empty object %r below %r" % (b, a))
-    result, unit, separated_first = _sheafify_step(presheaf)
-    for _ in range(len(site.names())):
-        if _gluing_status(result, site.saturated_covers()).sheaf:
-            return result, unit, separated_first
-        result, step, _ = _sheafify_step(result)
-        unit = compose_maps(site, unit, step)
-    raise StructureError("sheafification failed to stabilize")
-
-
-def _sheafify_step(presheaf):
-    """One step of sheafify: (result, unit maps, was_separated_first)."""
-    status = check_status(presheaf)
-    separated_first = not status.separated
-    unit0 = {name: {s: s for s in presheaf.sections[name]} for name in presheaf.site.names()}
-    base = presheaf
-    if separated_first:
-        base, unit0 = separated_quotient(presheaf)
-    site = base.site
-    sat = site.saturated_covers()
-
-    data = {
-        name: [(cover, family) for cover in sat[name] for family in _compatible_families(base, cover)]
-        for name in site.names()
-    }
-
-    def agree(d1, d2):
-        """Whether two local data agree on the pairwise meets of their members."""
-        for m1, v1 in zip(*d1):
-            for m2, v2 in zip(*d2):
-                meet = site.meet(m1, m2)
-                if meet is not None and base.restrict(m1, meet, v1) != base.restrict(m2, meet, v2):
-                    return False
-        return True
-
-    label_of = {}  # name -> local datum (cover, family) -> label of its class
-    sections = {}
-    for name in site.names():
-        items = data[name]
-        uf = _UnionFind(range(len(items)))
-        for i, j in itertools.combinations(range(len(items)), 2):
-            if agree(items[i], items[j]):
-                uf.union(i, j)
-        # deterministic labels ordered by the representative datum
-        groups = sorted(uf.groups().values(), key=lambda g: _datum_key(items[min(g)]))
-        label = {i: "c%d" % pos for pos, g in enumerate(groups) for i in g}
-        sections[name] = tuple("c%d" % pos for pos in range(len(groups)))
-        label_of[name] = {datum: label[i] for i, datum in enumerate(items)}
-
-    def datum_class(name, datum):
-        label = label_of[name].get(datum)
-        if label is None:
-            raise StructureError("datum not enumerated on %r" % (name,))
-        return label
-
-    restrictions = {}
-    for a, b in site.arrows():
-        table = {}
-        for cover, family in data[a]:
-            cls = label_of[a][(cover, family)]
-            if cls in table:
-                continue
-            cover_b, fam_b = [], []
-            for meet, positions in site._restrict_cover(cover, b):
-                values = {base.restrict(cover[i], meet, family[i]) for i in positions}
-                if len(values) > 1:
-                    raise StructureError("restricted datum disagrees with itself")
-                cover_b.append(meet)
-                fam_b.extend(values)
-            table[cls] = datum_class(b, (tuple(cover_b), tuple(fam_b)))
-        restrictions[(a, b)] = table
-    result = Presheaf(site, sections, restrictions)
-    unit = {
-        name: {s0: datum_class(name, ((name,), (unit0[name][s0],))) for s0 in unit0[name]}
-        for name in site.names()
-    }
-    return result, unit, separated_first
-
-
-def _datum_key(item):
-    cover, family = item
-    return (tuple(str(m) for m in cover), tuple(str(v) for v in family))
+    plus, unit = _plus(presheaf)
+    sheaf, unit2 = _plus(plus)
+    separated_first = any(len(set(unit[name].values())) < len(unit[name]) for name in presheaf.site.names())
+    return sheaf, compose_maps(presheaf.site, unit, unit2), separated_first
 
 
 # -- maps of presheaves ----------------------------------------------------
@@ -474,7 +384,9 @@ def _check_subpresheaf(ambient, sub_sections):
 
 def union_intersection(ambient, g_sections, h_sections):
     """Union (sheafified inside the ambient sheaf) and objectwise intersection
-    of two subpresheaves; both are returned as section dictionaries."""
+    of two subpresheaves; both are returned as section dictionaries. A
+    section belongs to the union when its restrictions to the generators of
+    S(U) lie in G or H."""
     _check_subpresheaf(ambient, g_sections)
     _check_subpresheaf(ambient, h_sections)
     site = ambient.site
@@ -482,19 +394,14 @@ def union_intersection(ambient, g_sections, h_sections):
         name: tuple(s for s in ambient.sections[name] if s in set(g_sections[name]) & set(h_sections[name]))
         for name in site.names()
     }
-    sat = site.saturated_covers()
-    union = {}
-    for name in site.names():
-        keep = []
-        for s in ambient.sections[name]:
-            for cover in sat[name]:
-                if all(
-                    ambient.restrict(name, m, s) in (set(g_sections[m]) | set(h_sections[m]))
-                    for m in cover
-                ):
-                    keep.append(s)
-                    break
-        union[name] = tuple(keep)
+    either = {name: set(g_sections[name]) | set(h_sections[name]) for name in site.names()}
+    union = {
+        name: tuple(
+            s for s, fam in _unit(ambient, name).items()
+            if all(v in either[m] for m, v in zip(site.least_sieve(name), fam))
+        )
+        for name in site.names()
+    }
     _check_subpresheaf(ambient, union)
     _check_subpresheaf(ambient, inter)
     return union, inter

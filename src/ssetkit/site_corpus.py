@@ -26,7 +26,9 @@ def _vertices(site, name):
 
 
 def _label(assignment):
-    return "|".join("%s=%s" % (v, val) for v, val in assignment)
+    """The assignment as 'v=val' pairs joined by '|'; the empty assignment,
+    the one section on an object without vertices, is '{}'."""
+    return "|".join("%s=%s" % (v, val) for v, val in assignment) or "{}"
 
 
 def _vertex_presheaf(site, sections, table):

@@ -277,8 +277,9 @@ def finite_sites(draw):
     the empty one kept only at times;
     some values get a second name, and some objects leave out dimensions
     in which they are empty or list an empty one above the cap. Each union
-    is covered by its generators, and other covers are drawn from the
-    objects below."""
+    is covered by its generators, or at times, for three or more, by the
+    first and the union of the rest, itself covered by the rest, so that
+    covers compose; other covers are drawn from the objects below."""
     facets = draw(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4))
     base = simplicial_complex(facets, draw(st.integers(1, 2)))
     simplex = st.sampled_from([(n, s) for n in base.dims() for s in base.simplices[n]])
@@ -306,8 +307,13 @@ def finite_sites(draw):
     if disjoint and draw(st.booleans()):
         groups.append(draw(st.sampled_from(disjoint)))
     for group in groups:
-        members = sorted(group)
-        unions.append((union(generators[i] for i in members), members))
+        members = [generators[i] for i in sorted(group)]
+        if len(members) > 2 and draw(st.booleans()):
+            rest = union(members[1:])
+            unions.append((rest, members[1:]))
+            values.append(rest)
+            members = [members[0], rest]
+        unions.append((union(members), members))
         values.append(unions[-1][0])
     closed = False
     while not closed:
@@ -336,7 +342,7 @@ def finite_sites(draw):
     covers = {}
     for v, members in unions:
         if v in first:
-            covers.setdefault(first[v], []).append(tuple(first[generators[i]] for i in members))
+            covers.setdefault(first[v], []).append(tuple(first[m] for m in members))
     for name, v in draw(st.lists(st.sampled_from(named), max_size=3)):
         below = [m for m, w in named if all(x <= y for x, y in zip(w, v))]
         fam = draw(st.lists(st.sampled_from(below), min_size=1, max_size=3))

@@ -36,13 +36,14 @@ which pulls raw terms back along a face map through the pullback kernel.
 reference_complex is the element-wise 'sset 1' reader, with (dimension,
 identifier) keys and stripped fields, which checks identifiers with
 render_id itself, the reference for the one-pass reader of ssetkit.io_text.
-scan_site reads a finite site's order, arrows, meets and saturated covers
-element-wise off its objects as given, scanning every object for each meet
-and checking that each restricted cover covers its subobject;
-pairwise_separated_quotient and reference_sheafify rebuild the separated
-quotient and sheafification on it, comparing sections pair by pair and
-restricting covers member by member, the reference for the tables
-ssetkit.sheaves.FiniteSite computes once.
+scan_site reads a finite site's order, arrows and meets element-wise off
+its objects as given, scanning every object for each meet, and its
+Grothendieck topology as the literal closure over every down-set of each
+object, the reference for the tables and least covering sieves
+ssetkit.sheaves.FiniteSite computes once; scan_sheaf_condition tests the
+sheaf condition on every matching family of every covering sieve, and
+reference_plus builds P+ as the colimit of the matching families over all
+covering sieves, the references for check_status and the plus construction.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from ssetkit.homology import CochainSpaces
 from ssetkit.io_text import _int_token, _RowReader, render_id
 from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
-from ssetkit.sheaves import FiniteSite, Presheaf, check_status
 from ssetkit.simplicial import SimplicialSet
 
 
@@ -1065,11 +1065,15 @@ def _scan_sub_empty(sub):
 
 
 def scan_site(objects, covers):
-    """The names, order, arrows, meets and saturated covers of the site on
-    objects (dict name -> dict dim -> set, an absent dimension empty) with
-    covers, each meet found by scanning every object. A restricted cover is
-    added only when it is not empty and its members cover the subobject;
-    the nonempty ones that do not are listed under "uncovered"."""
+    """The names, order, arrows, meets and Grothendieck topology of the site
+    on objects (dict name -> dict dim -> set, an absent dimension empty)
+    with covers, each meet found by scanning every object. Every down-set
+    of the objects below U is listed, and ref["J"][U] is the set of those
+    that cover U: the closure, element by element, of the maximal
+    sieves and the sieves generated by the declared covers under pullback
+    (R in J(U), V <= U gives R cut down to V in J(V)) and transitivity (a
+    sieve T on U is in J(U) when some R in J(U) has T cut down to each V in
+    R in J(V))."""
     names = sorted(objects, key=str)
     leq = {(a, b): scan_sub_leq(objects[a], objects[b]) for a in names for b in names}
     arrows = tuple((a, b) for a in names for b in names if a != b and leq[(b, a)])
@@ -1078,40 +1082,112 @@ def scan_site(objects, covers):
         for b in names:
             inter = {n: _level(objects[a], n) & _level(objects[b], n) for n in set(objects[a]) | set(objects[b])}
             meet[(a, b)] = next((c for c in names if scan_sub_eq(objects[c], inter)), None)
-    ref = {"objects": objects, "names": names, "leq": leq, "arrows": arrows, "meet": meet, "uncovered": []}
-    sat = {name: {(name,)} for name in names}
-    for name, fams in covers.items():
+    below = {u: [v for v in names if leq[(v, u)]] for u in names}
+    sieves = {
+        u: [
+            frozenset(c)
+            for k in range(len(below[u]) + 1)
+            for c in itertools.combinations(below[u], k)
+            if all(w in c for v in c for w in below[v])
+        ]
+        for u in names
+    }
+
+    def cut(sieve, v):
+        return frozenset(w for w in sieve if leq[(w, v)])
+
+    J = {u: {frozenset(below[u])} for u in names}
+    for u, fams in covers.items():
         for fam in fams:
-            sat[name].add(tuple(sorted(set(fam), key=str)))
+            J[u].add(frozenset(v for v in below[u] if any(leq[(v, m)] for m in fam)))
     changed = True
     while changed:
         changed = False
-        for name in names:
-            for fam in list(sat[name]):
-                for below in names:
-                    if below == name or not leq[(below, name)]:
-                        continue
-                    restricted = tuple(sorted({m for m, _ in _scan_restrict(ref, fam, below)}, key=str))
-                    if not restricted or restricted in sat[below]:
-                        continue
-                    if scan_sub_eq(scan_sub_union(objects[m] for m in restricted), objects[below]):
-                        sat[below].add(restricted)
+        for u in names:
+            for r in list(J[u]):
+                for v in below[u]:
+                    if cut(r, v) not in J[v]:
+                        J[v].add(cut(r, v))
                         changed = True
-                    else:
-                        ref["uncovered"].append((below, restricted))
-    ref["sat"] = {name: sorted(fams) for name, fams in sat.items()}
-    return ref
+            for t in sieves[u]:
+                if t in J[u]:
+                    continue
+                local = {v for v in below[u] if cut(t, v) in J[v]}
+                if any(r <= local for r in J[u]):
+                    J[u].add(t)
+                    changed = True
+    return {"objects": objects, "names": names, "leq": leq, "arrows": arrows, "meet": meet, "below": below, "J": J}
 
 
-def _scan_restrict(ref, cover, below):
-    """(meet, position in cover) for each member of cover whose meet with
-    below is a nonempty object, in cover order."""
+def scan_matching_families(presheaf, ref, sieve):
+    """Every matching family on sieve: a section x_V of each member V with
+    x_V restricting to x_W for each member W <= V. Each is a tuple of
+    (member, section) pairs in name order, built member by member, larger
+    objects first."""
+    leq, res = ref["leq"], presheaf.res
+    order = sorted(sieve, key=lambda v: (-sum(len(m) for m in ref["objects"][v].values()), str(v)))
     out = []
-    for i, m in enumerate(cover):
-        meet = ref["meet"][(m, below)]
-        if meet is not None and not _scan_sub_empty(ref["objects"][meet]):
-            out.append((meet, i))
+
+    def extend(i, family):
+        if i == len(order):
+            out.append(tuple(sorted(family.items(), key=lambda item: str(item[0]))))
+            return
+        v = order[i]
+        for s in presheaf.sections[v]:
+            if all(res[(w, v)][x] == s for w, x in family.items() if leq[(v, w)]) and all(
+                res[(v, w)][s] == x for w, x in family.items() if leq[(w, v)]
+            ):
+                family[v] = s
+                extend(i + 1, family)
+                del family[v]
+
+    extend(0, {})
     return out
+
+
+def reference_plus(presheaf, ref):
+    """P+ as the colimit over the covering sieves: for each object U, the
+    classes of the data (R, family) for every R in ref["J"][U] and every
+    matching family on R, two data equivalent when the sieve of the members
+    of both on which they agree is in ref["J"][U], closed transitively.
+    Returns {U: list of classes, each a list of data}."""
+    out = {}
+    for u in ref["names"]:
+        data = [(r, fam) for r in ref["J"][u] for fam in scan_matching_families(presheaf, ref, r)]
+
+        def agree(d1, d2, u=u):
+            values = dict(d2[1])
+            return frozenset(v for v, x in d1[1] if v in values and values[v] == x) in ref["J"][u]
+
+        out[u] = list({id(cls): cls for cls in _classes(data, agree).values()}.values())
+    return out
+
+
+def reference_plus_restrict(ref, datum, v):
+    """The datum (R, family) pulled back along v <= U: R and family cut
+    down to the members below v."""
+    r, family = datum
+    return frozenset(w for w in r if ref["leq"][(w, v)]), tuple((w, x) for w, x in family if ref["leq"][(w, v)])
+
+
+def reference_plus_unit(presheaf, ref, u, s):
+    """The unit P -> P+ at u: s as the family of its restrictions on the
+    maximal sieve of u."""
+    below = ref["below"][u]
+    return frozenset(below), tuple(sorted(((v, presheaf.res[(u, v)][s]) for v in below), key=lambda i: str(i[0])))
+
+
+def scan_sheaf_condition(presheaf, ref):
+    """(separated, sheaf) tested on every matching family of every sieve in
+    ref["J"]: each has at most one gluing when separated, exactly one when a
+    sheaf."""
+    counts = [
+        sum(all(presheaf.res[(u, v)][s] == x for v, x in fam) for s in presheaf.sections[u])
+        for u in ref["names"]
+        for r in ref["J"][u]
+        for fam in scan_matching_families(presheaf, ref, r)
+    ]
+    return all(c <= 1 for c in counts), all(c == 1 for c in counts)
 
 
 def _classes(items, agree):
@@ -1123,104 +1199,3 @@ def _classes(items, agree):
         classes = [cls for cls in classes if cls not in joined]
         classes.append([x for cls in joined for x in cls] + [item])
     return {x: cls for cls in classes for x in cls}
-
-
-def pairwise_separated_quotient(presheaf, ref):
-    """separated_quotient of presheaf, each object's sections compared pair
-    by pair on every nontrivial saturated cover of ref."""
-    current = presheaf
-    names = ref["names"]
-    unit = {name: {s: s for s in presheaf.sections[name]} for name in names}
-    for _ in range(sum(len(s) for s in presheaf.sections.values()) + 1):
-        label = {}
-        for name in names:
-            def agree(a, b, name=name):
-                return any(
-                    all(current.res[(name, m)][a] == current.res[(name, m)][b] for m in cover)
-                    for cover in ref["sat"][name]
-                    if cover != (name,)
-                )
-            classes = _classes(current.sections[name], agree)
-            label[name] = {s: min(str(m) for m in cls) for s, cls in classes.items()}
-        sections = {name: tuple(sorted(set(label[name].values()))) for name in names}
-        restrictions = {
-            (a, b): {label[a][s]: label[b][current.res[(a, b)][s]] for s in current.sections[a]}
-            for a, b in ref["arrows"]
-        }
-        unit = {name: {s: label[name][unit[name][s]] for s in unit[name]} for name in names}
-        current = Presheaf(presheaf.site, sections, restrictions)
-        if check_status(current).separated:
-            return current, unit
-    raise StructureError("separated quotient failed to stabilize")
-
-
-def reference_sheafify(presheaf, ref):
-    """sheafify of presheaf as (sections, restrictions without identities,
-    unit, separated_first): steps of _reference_sheafify_step until the
-    result is a sheaf on a copy of the site that declares every saturated
-    cover."""
-    site = presheaf.site
-    saturated = FiniteSite(site.base, ref["objects"], ref["sat"])
-    sections, restrictions, unit, separated_first = _reference_sheafify_step(presheaf, ref)
-    while not check_status(Presheaf(saturated, sections, restrictions)).sheaf:
-        step = _reference_sheafify_step(Presheaf(site, sections, restrictions), ref)
-        sections, restrictions = step[0], step[1]
-        unit = {name: {s: step[2][name][unit[name][s]] for s in unit[name]} for name in unit}
-    return sections, restrictions, unit, separated_first
-
-
-def _reference_sheafify_step(presheaf, ref):
-    """One step of sheafify, local data enumerated over every product of
-    sections, and each datum restricted member by member."""
-    separated_first = not check_status(presheaf).separated
-    names, meet = ref["names"], ref["meet"]
-    base = presheaf
-    unit0 = {name: {s: s for s in presheaf.sections[name]} for name in names}
-    if separated_first:
-        base, unit0 = pairwise_separated_quotient(presheaf, ref)
-
-    def agree(c1, f1, c2, f2):
-        return all(
-            meet[(m1, m2)] is None
-            or base.res[(m1, meet[(m1, m2)])][v1] == base.res[(m2, meet[(m1, m2)])][v2]
-            for m1, v1 in zip(c1, f1)
-            for m2, v2 in zip(c2, f2)
-        )
-
-    label_of, sections = {}, {}
-    for name in names:
-        items = [
-            (cover, family)
-            for cover in ref["sat"][name]
-            for family in itertools.product(*(base.sections[m] for m in cover))
-            if agree(cover, family, cover, family)
-        ]
-        classes = _classes(range(len(items)), lambda i, j: agree(*items[i], *items[j]))
-        groups = sorted(
-            {min(cls) for cls in classes.values()},
-            key=lambda i: (tuple(map(str, items[i][0])), tuple(map(str, items[i][1]))),
-        )
-        position = {first: pos for pos, first in enumerate(groups)}
-        sections[name] = tuple("c%d" % pos for pos in range(len(groups)))
-        label_of[name] = {}
-        for i, datum in enumerate(items):
-            label_of[name].setdefault(datum, "c%d" % position[min(classes[i])])
-    restrictions = {}
-    for a, b in ref["arrows"]:
-        table = {}
-        for (cover, family), cls in label_of[a].items():
-            if cls in table:
-                continue
-            values = {}
-            for m, i in _scan_restrict(ref, cover, b):
-                value = base.res[(cover[i], m)][family[i]]
-                if values.setdefault(m, value) != value:
-                    raise StructureError("restricted datum disagrees with itself")
-            cover_b = tuple(sorted(values, key=str))
-            table[cls] = label_of[b][(cover_b, tuple(values[m] for m in cover_b))]
-        restrictions[(a, b)] = table
-    unit = {
-        name: {s0: label_of[name][((name,), (unit0[name][s0],))] for s0 in unit0[name]}
-        for name in names
-    }
-    return sections, restrictions, unit, separated_first

@@ -43,19 +43,23 @@ from ssetkit.io_text import (
 )
 from ssetkit.linalg import Matrix
 from ssetkit.randomsuite import random_affine_simplex
+from ssetkit.sheaves import FiniteSite
 from ssetkit.simplicial import SimplicialMap, from_generators
+from ssetkit.site_corpus import constant_presheaf
 from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
 
 import oracles
 from conftest import (
     BASES,
     FIXTURES,
+    finite_sites,
     fixture_path,
     fixture_text,
     forms,
     kan_sets,
     matrices,
     simplicial_sets,
+    site_presheaves,
     swapped_delta2,
 )
 
@@ -319,6 +323,36 @@ def fields(draw):
 def test_field_serialization_is_a_fixed_point(field):
     text = serialize_field(field)
     assert serialize_field(parse_field(text, field.x)) == text
+
+
+@st.composite
+def string_site_presheaves(draw):
+    """A presheaf drawn by site_presheaves on a finite site whose base and
+    objects carry string identifiers, as the 'site 1' reader gives them."""
+    base, objects, covers = draw(finite_sites())
+    objects = {name: {n: {render_id(s) for s in sub[n]} for n in sub} for name, sub in objects.items()}
+    return draw(site_presheaves(FiniteSite(relabel_as_strings(base), objects, covers)))
+
+
+@settings(max_examples=60)
+@given(string_site_presheaves())
+def test_site_serialization_is_a_fixed_point(presheaf):
+    """Vertex functions and maps to Delta^1 on an object without vertices
+    have one section, the empty assignment, which is written and read back
+    like any other."""
+    text = serialize_site_presheaf(presheaf)
+    parsed = parse_site_presheaf(text, presheaf.site.base)
+    assert serialize_site_presheaf(parsed) == text
+    assert (parsed.site.objects, parsed.site.covers) == (presheaf.site.objects, presheaf.site.covers)
+    assert (parsed.sections, parsed.res) == (presheaf.sections, presheaf.res)
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a>b", ">"])
+def test_site_writer_refuses_section_labels_it_cannot_read_back(label):
+    site = parse_site_presheaf(fixture_text("site_two_points_constant.site"),
+                               parse_complex(fixture_text("two_points.sset"))).site
+    with pytest.raises(ParameterError, match="cannot be serialized"):
+        serialize_site_presheaf(constant_presheaf(site, ("a", label)))
 
 
 def test_parse_boundary_counts():

@@ -12,6 +12,8 @@ from ssetkit.homology import mayer_vietoris
 from ssetkit.sheaves import (
     FiniteSite,
     Presheaf,
+    _compatible_families,
+    _plus,
     check_status,
     compose_maps,
     is_natural,
@@ -159,11 +161,11 @@ def test_sheafify_gains_mismatched_sections():
     assert is_natural(f, sheafed, unit)
 
 
-def test_sheafify_repeats_its_step_until_composite_covers_glue():
+def composite_cover_site():
     """X has the three components {1, 2}, {0} and {3}. The declared cover
-    (A, P3, B) of X restricts to the cover (P0, P1) of B, whose sheaf
-    sections are families on a cover that no saturated cover of X has, so
-    one step leaves X with 4 sections and no gluing for the rest."""
+    (A, P3, B) of X composes with the cover (P0, P1) of B, which is the
+    pullback of the declared cover (A, P0) of AP0, so the least covering
+    sieve of X is generated by A, P0 and P3."""
     x = simplicial_complex([[1, 2], [0], [3]], 1)
 
     def sub(*verts, edge=()):
@@ -180,7 +182,13 @@ def test_sheafify_repeats_its_step_until_composite_covers_glue():
         "P3": sub(3),
     }
     covers = {"X": [("A", "P3", "B")], "AP3": [("A", "P3")], "AP0": [("A", "P0")]}
-    site = FiniteSite(x, objs, covers)
+    return FiniteSite(x, objs, covers)
+
+
+def test_sheafify_glues_over_composite_covers():
+    site = composite_cover_site()
+    assert site.least_sieve("B") == ("P0", "P1")
+    assert site.least_sieve("X") == ("A", "P0", "P3")
     f = constant_presheaf(site, ("a", "b"))
     sheafed, unit, _ = sheafify(f)
     assert check_status(sheafed).sheaf
@@ -190,11 +198,12 @@ def test_sheafify_repeats_its_step_until_composite_covers_glue():
     assert is_natural(f, sheafed, unit)
 
 
-def test_check_status_tests_declared_covers_and_sheafify_saturated_ones():
-    """On three points with one declared cover (A, B) of X, the constant
-    presheaf glues on it, so check_status calls it a sheaf; saturation
-    restricts (A, B) to the cover (P1, P2) of C = {1, 2}, on which sheafify
-    glues, so C gets a section for each of the 4 families."""
+def test_check_status_and_sheafify_use_the_same_composed_covers():
+    """On three points with one declared cover (A, B) of X, the pullback of
+    (A, B) to C = {1, 2} is generated by P1 and P2, so the least covering
+    sieve of C is generated by them. The constant presheaf does not glue
+    there, so it is not a sheaf, and sheafify gives C a section for each of
+    the 4 families."""
     three = simplicial_complex([[0], [1], [2]], 1)
 
     def sub(*verts):
@@ -205,31 +214,35 @@ def test_check_status_tests_declared_covers_and_sheafify_saturated_ones():
         "P0": sub(0), "P1": sub(1), "P2": sub(2),
     }
     site = FiniteSite(three, objs, {"X": [("A", "B")]})
-    assert ("P1", "P2") in site.saturated_covers()["C"]
+    assert site.least_sieve("C") == ("P1", "P2")
     f = constant_presheaf(site, ("a", "b"))
-    assert check_status(f).sheaf
+    status = check_status(f)
+    assert status.separated and not status.sheaf
+    assert status.witness == ("C", ("P1", "P2"), ("a", "b"), 0)
     sheafed, unit, _ = sheafify(f)
     assert len(sheafed.sections["C"]) == 4
     assert check_status(sheafed).sheaf
     assert len(set(unit["C"].values())) == 2
 
 
-def test_empty_object_is_an_object_and_sheafify_refuses_it():
+def test_empty_object_is_an_object_and_sheafify_keeps_it():
     """With the empty subcomplex E as the meet of U0 and U1, families on
-    (U0, U1) must agree on E, so the constant presheaf is a sheaf on the
-    declared cover; E keeps both sections in the separated quotient, since
-    the empty family is not a cover, and sheafify refuses the site."""
+    (U0, U1) must agree on E, so the constant presheaf is a sheaf; E is
+    covered by its maximal sieve only, and sheafify returns the same
+    section counts with a bijective unit."""
     two, site = two_point_site()
     objs = dict(site.objects, E={})
     site = FiniteSite(two, objs, site.covers)
     assert site.meet("U0", "U1") == "E"
-    assert site.saturated_covers()["E"] == [("E",)]
+    assert site.least_sieve("E") == ("E",)
     f = constant_presheaf(site, ("a", "b"))
     assert check_status(f).sheaf
     quotient, _ = separated_quotient(f)
     assert quotient.sections == f.sections
-    with pytest.raises(StructureError, match="empty object 'E' below"):
-        sheafify(f)
+    sheafed, unit, separated_first = sheafify(f)
+    assert not separated_first
+    for name in site.names():
+        assert len(unit[name]) == 2 and sorted(unit[name].values()) == sorted(sheafed.sections[name])
 
 
 def test_sheafify_lands_in_sheaves_for_all_corpus_presheaves():
@@ -310,6 +323,22 @@ def test_union_members_stay_subpresheaves():
     sub_to_presheaf(f, i)
 
 
+def test_union_closes_over_composite_covers():
+    """On the composite-cover site, G (value 0 at vertex 0) and H (value 0
+    at vertex 1) together hold every function on A, P0, P1 and P3, the
+    generators of the least covering sieve of X, so every function on X
+    lies in the union, the 4 that are 1 at vertices 0 and 1 included,
+    though their restrictions to the member B of the declared cover lie in
+    neither."""
+    site = composite_cover_site()
+    f = vertex_functions(site)
+    g = {n: tuple(s for s in f.sections[n] if "(0,)=1" not in s) for n in site.names()}
+    h = {n: tuple(s for s in f.sections[n] if "(1,)=1" not in s) for n in site.names()}
+    u, i = union_intersection(f, g, h)
+    assert u == {n: f.sections[n] for n in site.names()}
+    assert len(set(g["B"]) | set(h["B"])) == 3 and len(i["X"]) == 4
+
+
 def test_site_cover_mv_agrees_with_classical():
     path, site = path_site()
     mv = mayer_vietoris(path, site.objects["A"], site.objects["B"])
@@ -322,13 +351,18 @@ def test_site_cover_mv_agrees_with_classical():
 @settings(max_examples=100)
 @given(finite_sites(), st.data())
 def test_site_tables_match_the_element_wise_oracle(drawn, data):
-    """Order, arrows, meets and saturated covers read off the normalized
-    objects once, and the separated quotient and sheafification built on
-    them, equal the element-wise scans; every saturated cover covers its
-    object. The theorems hold as well: the separated quotient is separated,
-    sheafification gives a sheaf for every saturated cover, and its unit is
-    a bijection exactly when the presheaf is such a sheaf already. A site
-    with an arrow into an empty object is refused by sheafify."""
+    """Order, arrows and meets read off the normalized objects once equal
+    the element-wise scans. The least covering sieve of each object is the
+    intersection of the literal closure J(U) of the declared covers and
+    lies in J(U), and every sieve of J(U) covers U. check_status is the
+    sheaf condition tested on every sieve of J, and P+ is the colimit of
+    the matching families over all of J(U), through the restriction of
+    each datum to the generators of the least sieve: a bijection on classes
+    that commutes with restrictions and units, for the presheaf and for its
+    P+. The separated quotient identifies the sections whose units are
+    equivalent. The theorems hold as well: the quotient is separated,
+    sheafification gives a sheaf, and its unit is a bijection exactly when
+    the presheaf is a sheaf."""
     base, objects, covers = drawn
     site = FiniteSite(base, objects, covers)
     ref = oracles.scan_site(objects, covers)
@@ -338,29 +372,44 @@ def test_site_tables_match_the_element_wise_oracle(drawn, data):
             assert site.leq(a, b) == ref["leq"][(a, b)]
             assert site.meet(a, b) == ref["meet"][(a, b)]
     assert site.arrows() == ref["arrows"]
-    assert site.saturated_covers() == ref["sat"]
-    assert ref["uncovered"] == []
-    for name, fams in site.saturated_covers().items():
-        for fam in fams:
-            assert oracles.scan_sub_eq(oracles.scan_sub_union(objects[m] for m in fam), objects[name])
+    for name in site.names():
+        least = frozenset.intersection(*ref["J"][name])
+        assert least in ref["J"][name]
+        maximal = [v for v in least if not any(ref["leq"][(v, w)] and not ref["leq"][(w, v)] for w in least)]
+        assert site.least_sieve(name) == tuple(sorted(maximal, key=str))
+        for sieve in ref["J"][name]:
+            assert oracles.scan_sub_eq(oracles.scan_sub_union(objects[m] for m in sieve), objects[name])
     presheaf = data.draw(site_presheaves(site))
-    quotient, unit = separated_quotient(presheaf)
-    expected, expected_unit = oracles.pairwise_separated_quotient(presheaf, ref)
-    assert (quotient.sections, quotient.res, unit) == (expected.sections, expected.res, expected_unit)
-    assert check_status(quotient).separated
-    if any(not any(site.objects[b].values()) for _, b in site.arrows()):
-        with pytest.raises(StructureError, match="empty object"):
-            sheafify(presheaf)
-        return
-    sheafed, unit, separated_first = sheafify(presheaf)
-    restrictions = {arrow: sheafed.res[arrow] for arrow in site.arrows()}
-    assert (sheafed.sections, restrictions, unit, separated_first) == oracles.reference_sheafify(presheaf, ref)
-    # the same objects with every saturated cover declared
-    saturated = FiniteSite(base, objects, site.saturated_covers())
+    status = check_status(presheaf)
+    assert (status.separated, status.sheaf) == oracles.scan_sheaf_condition(presheaf, ref)
+    plus, unit = _plus(presheaf)
+    for p, (p_plus, p_unit) in ((presheaf, (plus, unit)), (plus, _plus(plus))):
+        classes = oracles.reference_plus(p, ref)
+        label = {}  # name -> family on the generators of the least sieve -> its section of P+
+        for name in site.names():
+            families = _compatible_families(p, site.least_sieve(name))
+            label[name] = {fam: p_plus.sections[name][i] for i, fam in enumerate(families)}
 
-    def sheaf_on_saturated(p):
-        return check_status(Presheaf(saturated, p.sections, {arrow: p.res[arrow] for arrow in site.arrows()})).sheaf
+        def image(name, datum):
+            return label[name][tuple(dict(datum[1])[m] for m in site.least_sieve(name))]
 
-    assert check_status(sheafed).sheaf and sheaf_on_saturated(sheafed)
-    bijective = all(sorted(unit[name].values()) == sorted(sheafed.sections[name]) for name in site.names())
-    assert bijective == sheaf_on_saturated(presheaf)
+        for name in site.names():
+            assert sorted(image(name, cls[0]) for cls in classes[name]) == sorted(p_plus.sections[name])
+            assert all(image(name, d) == image(name, cls[0]) for cls in classes[name] for d in cls)
+            for s in p.sections[name]:
+                assert image(name, oracles.reference_plus_unit(p, ref, name, s)) == p_unit[name][s]
+        for a, b in site.arrows():
+            for cls in classes[a]:
+                restricted = oracles.reference_plus_restrict(ref, cls[0], b)
+                assert image(b, restricted) == p_plus.res[(a, b)][image(a, cls[0])]
+    quotient, quotient_unit = separated_quotient(presheaf)
+    for name in site.names():
+        for s in presheaf.sections[name]:
+            for t in presheaf.sections[name]:
+                assert (quotient_unit[name][s] == quotient_unit[name][t]) == (unit[name][s] == unit[name][t])
+    assert check_status(quotient).separated and is_natural(presheaf, quotient, quotient_unit)
+    sheafed, sheaf_unit, separated_first = sheafify(presheaf)
+    assert check_status(plus).separated and check_status(sheafed).sheaf
+    assert separated_first == (not status.separated)
+    bijective = all(sorted(sheaf_unit[name].values()) == sorted(sheafed.sections[name]) for name in site.names())
+    assert bijective == status.sheaf
