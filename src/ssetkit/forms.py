@@ -20,12 +20,6 @@ and each vertex map's affine images are computed once. PolyForm.pullback
 scales the results by its coefficients and ssetkit.derham tabulates them on
 its local bases, through the same cache.
 
-The kernels write canonical keys, so their output becomes a form through
-one private summing routine that adds like keys, drops zeros and checks
-nothing. The public constructor PolyForm(n, p, terms) checks each key's
-arity and index order, where terms enter from outside, and then sums
-through the same routine.
-
 The elimination of t_0 and dt_0 is that kernel too. The face delta_0 :
 Delta^n -> Delta^(n+1), vertex map (1, ..., n+1), pulls the coordinates
 u_1, ..., u_(n+1) of Delta^(n+1) back to t_0, ..., t_n, and the kernel
@@ -43,9 +37,22 @@ the sign (-1)^i of the boundary operator, which is exactly what makes the
 Stokes identity (and hence the integration comparison map) hold with no
 correction factors.
 
-Coefficients are Fraction by default; the QTau scalar (q + m*tau, tau a
-formal unit standing for 2*pi) is accepted everywhere the operations stay
-linear in the coefficient, which is all this module needs.
+A coefficient is an int, a Fraction or a QTau (q + m*tau, tau a formal
+unit standing for 2*pi), which the operations accept wherever they stay
+linear in it; anything else, a float included, is a ParameterError. Every
+form is summed by one private collector from parts (c, ((key, v), ...)):
+a coefficient c and the int outputs v of a kernel, or c and one pair
+(key, +-1). The keys must be canonical; it checks only the kind of c. The
+collector writes each c over the common denominator of the parts, a QTau
+as its q and m parts, and adds c * v as int numerators, so a Fraction is
+built once per output term. A key's coefficient is a QTau exactly when a
+QTau contributed to it, so 2+0*tau stays a QTau; every other coefficient
+is a Fraction. pullback, d, from_raw, scale, + and -, wedge and whitney
+build their forms through it, and so does the public constructor
+PolyForm(n, p, terms), after it has checked each key's arity and index
+order where terms enter from outside. integrate sums the coefficients
+times the monomial integrals the same way, over the common denominator
+of the products.
 """
 
 from __future__ import annotations
@@ -128,6 +135,10 @@ def _as_qtau(value):
 
 TAU = QTau(0, 1)
 
+# The coefficients a form accepts: ints and Fractions, and QTau.
+_RATIONALS = (int, Fraction)
+_SCALARS = _RATIONALS + (QTau,)
+
 # Entries kept by each memoized kernel below. A Stokes suite meets about
 # 1300 distinct monomial pullbacks however many trials it runs; the de Rham
 # tables keep their own rows, so a large truncation only cycles through.
@@ -151,9 +162,11 @@ class PolyForm:
         len(exps) == n and idx strictly increasing in 1..n, with len(idx) == p."""
         self.n = int(n)
         self.p = int(p)
-        checked = []
+        parts = []
         for (exps, idx), coeff in (terms.items() if isinstance(terms, dict) else terms):
-            if coeff == 0:
+            # a zero is skipped with its key unchecked; any other kind of
+            # coefficient goes on to _collect, which refuses it
+            if isinstance(coeff, _SCALARS) and coeff == 0:
                 continue
             key = (tuple(exps), tuple(idx))
             if len(key[0]) != self.n or len(key[1]) != self.p:
@@ -162,8 +175,8 @@ class PolyForm:
                 not 1 <= i <= self.n for i in key[1]
             ):
                 raise ParameterError("wedge indices must be strictly increasing in 1..n")
-            checked.append((key, coeff))
-        self.terms = _summed(checked)
+            parts.append((coeff, ((key, 1),)))
+        self.terms = _collect(self.n, self.p, parts).terms
 
     # -- constructors ---------------------------------------------------
 
@@ -188,13 +201,13 @@ class PolyForm:
         An index outside 0..n is a ParameterError.
         """
         n, p = int(n), int(p)
-        return _form(n, p, cls._raw_terms(n, p, raw_terms))
+        return _collect(n, p, cls._raw_parts(n, p, raw_terms))
 
     @staticmethod
-    def _raw_terms(n, p, raw_terms):
-        """The canonical terms of from_raw, a key possibly repeated: each
-        raw term, checked, read on Delta^(n+1) with its indices shifted up
-        by one, and pulled back along delta_0."""
+    def _raw_parts(n, p, raw_terms):
+        """The parts of from_raw for _collect, one per raw term: the term,
+        checked, read on Delta^(n+1) with its indices shifted up by one, and
+        pulled back along delta_0."""
         if p > n:
             return []
         phi = tuple(range(1, n + 2))
@@ -208,7 +221,7 @@ class PolyForm:
             idx = tuple(int(i) + 1 for i in indices)
             if any(not 1 <= i <= n + 1 for i in idx):
                 raise ParameterError("raw wedge indices must lie in 0..n")
-            out.extend((key, coeff * c) for key, c in _pull_monomial(exps, idx, phi))
+            out.append((coeff, _pull_monomial(exps, idx, phi)))
         return out
 
     @classmethod
@@ -246,15 +259,20 @@ class PolyForm:
         return "PolyForm(n=%d, p=%d, %d terms)" % (self.n, self.p, len(self.terms))
 
     def __add__(self, other):
-        if (self.n, self.p) != (other.n, other.p):
-            raise ParameterError("cannot add forms of different type")
-        return _form(self.n, self.p, itertools.chain(self.terms.items(), other.terms.items()))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        if (self.n, self.p) != (other.n, other.p):
+            raise ParameterError("cannot add forms of different type")
+        parts = [(v, ((k, 1),)) for k, v in self.terms.items()]
+        parts += [(v, ((k, sign),)) for k, v in other.terms.items()]
+        return _collect(self.n, self.p, parts)
 
     def scale(self, c):
-        return _form(self.n, self.p, [(k, v * c) for k, v in self.terms.items()])
+        return _collect(self.n, self.p, [(v * c, ((k, 1),)) for k, v in self.terms.items()])
 
     def __neg__(self):
         return self.scale(-1)
@@ -263,15 +281,13 @@ class PolyForm:
 
     def d(self):
         """Exterior derivative, termwise product rule on the monomials."""
-        out = []
-        for (exps, idx), coeff in self.terms.items():
-            out.extend((key, coeff * c) for key, c in _d_monomial(exps, idx).items())
-        return _form(self.n, self.p + 1, out)
+        parts = [(coeff, _d_monomial(exps, idx).items()) for (exps, idx), coeff in self.terms.items()]
+        return _collect(self.n, self.p + 1, parts)
 
     def wedge(self, other):
         if self.n != other.n:
             raise ParameterError("wedge needs forms on the same simplex")
-        out = []
+        parts = []
         for (e1, i1), c1 in self.terms.items():
             for (e2, i2), c2 in other.terms.items():
                 if set(i1) & set(i2):
@@ -280,17 +296,22 @@ class PolyForm:
                 sign = -1 if inversions % 2 else 1
                 exps = tuple(x + y for x, y in zip(e1, e2))
                 idx = tuple(sorted(i1 + i2))
-                out.append(((exps, idx), (c1 * c2) * sign))
-        return _form(self.n, self.p + other.p, out)
+                parts.append((c1 * c2, (((exps, idx), sign),)))
+        return _collect(self.n, self.p + other.p, parts)
 
     def integrate(self):
-        """Exact integral over the standard simplex; requires top degree."""
+        """Exact integral over the standard simplex; requires top degree. It
+        is a QTau exactly when a coefficient is."""
         if self.p != self.n:
             raise ParameterError("integration needs degree p equal to the dimension n")
-        total = _ZERO
+        q, m = [], []
         for (exps, _idx), coeff in self.terms.items():
-            total = total + coeff * _monomial_integral(exps)
-        return total
+            w = _monomial_integral(exps)
+            if isinstance(coeff, QTau):
+                m.append((coeff.m, w))
+                coeff = coeff.q
+            q.append((coeff, w))
+        return QTau(_dot(q), _dot(m)) if m else _dot(q)
 
     def coefficients_at(self, point):
         """Evaluate coefficient polynomials at a point in canonical coordinates.
@@ -317,30 +338,66 @@ class PolyForm:
         phi = tuple(phi)
         if not phi or any(type(v) is not int or not 0 <= v <= self.n for v in phi):
             raise ParameterError("a vertex map needs at least one entry, each an int in 0..%d" % self.n)
-        out = []
-        for (exps, idx), coeff in self.terms.items():
-            out.extend((key, coeff * c) for key, c in _pull_monomial(exps, idx, phi))
-        return _form(len(phi) - 1, self.p, out)
+        parts = [(coeff, _pull_monomial(exps, idx, phi)) for (exps, idx), coeff in self.terms.items()]
+        return _collect(len(phi) - 1, self.p, parts)
 
 
-def _summed(terms):
-    """Sum (key, coeff) pairs into a terms dict: like keys add, zeros drop.
-    The keys must already be canonical; nothing is checked."""
+def _collect(n, p, parts):
+    """The PolyForm of type (n, p) summing c * v * key over the parts
+    (c, ((key, v), ...)), each c an int, Fraction or QTau and each v an int;
+    the keys must already be canonical, and they are not checked. Like keys
+    add as int numerators over the common denominator of the c, a QTau as
+    its q and m parts, and zeros drop; a Fraction is built once per output
+    coefficient. A key's coefficient is a QTau exactly when a QTau
+    contributed to it. Any other c is a ParameterError."""
+    dens = set()
+    for c, _ in parts:
+        if isinstance(c, QTau):
+            dens.add(c.q.denominator)
+            dens.add(c.m.denominator)
+        elif isinstance(c, _RATIONALS):
+            dens.add(c.denominator)
+        else:
+            raise ParameterError("a coefficient must be an int, a Fraction or a QTau, not %r" % (c,))
+    den = math.lcm(*dens)
     acc = {}
-    for key, coeff in terms:
-        prev = acc.get(key)
-        acc[key] = coeff if prev is None else prev + coeff
-    return {k: c for k, c in acc.items() if c != 0}
-
-
-def _form(n, p, terms):
-    """The PolyForm of type (n, p) with canonical (key, coeff) terms, built
-    without the checks of PolyForm(n, p, terms): the kernels' way in."""
+    tau = {}  # the m numerators of the keys a QTau contributed to
+    for c, pairs in parts:
+        if isinstance(c, QTau):
+            q = c.q.numerator * (den // c.q.denominator)
+            m = c.m.numerator * (den // c.m.denominator)
+            for key, v in pairs:
+                acc[key] = acc.get(key, 0) + q * v
+                tau[key] = tau.get(key, 0) + m * v
+        else:
+            q = c.numerator * (den // c.denominator)
+            for key, v in pairs:
+                acc[key] = acc.get(key, 0) + q * v
+    terms = {}
+    coeffs = {}
+    for key, v in acc.items():
+        m = tau.get(key)
+        if m is None:
+            if v:
+                c = coeffs.get(v)
+                if c is None:
+                    c = coeffs[v] = Fraction(v, den)
+                terms[key] = c
+        elif v or m:
+            terms[key] = QTau(Fraction(v, den), Fraction(m, den))
     form = object.__new__(PolyForm)
     form.n = n
     form.p = p
-    form.terms = _summed(terms)
+    form.terms = terms
     return form
+
+
+def _dot(pairs):
+    """The sum of a * b over the pairs (a, b) of rationals, in int numerators
+    over the common denominator of the products."""
+    den = math.lcm(*(a.denominator * b.denominator for a, b in pairs))
+    return Fraction(sum(a.numerator * b.numerator * (den // (a.denominator * b.denominator))
+                        for a, b in pairs), den)
 
 
 def _d_monomial(exps, idx):
@@ -576,7 +633,7 @@ def elementary_whitney(m, subset):
 
 @lru_cache(maxsize=None)
 def _whitney_terms(m, J):
-    """Canonical terms of elementary_whitney(m, J), as (key, coeff) pairs.
+    """Canonical terms of elementary_whitney(m, J), as (key, int) pairs.
     Like the ssetkit.derham tables it is kept for the process and calls no
     public method, so filling it does not change which public calls a run makes."""
     p = len(J) - 1
@@ -586,8 +643,9 @@ def _whitney_terms(m, J):
         exps = [0] * (m + 1)
         exps[J[k]] = 1
         idx = J[:k] + J[k + 1:]
-        raw.append((Fraction(fact * (-1) ** k), tuple(exps), idx))
-    return tuple(_summed(PolyForm._raw_terms(m, p, raw)).items())
+        raw.append((fact * (-1) ** k, tuple(exps), idx))
+    # every coefficient is an integer, over the denominator 1
+    return tuple((key, c.numerator) for key, c in _collect(m, p, PolyForm._raw_parts(m, p, raw)).terms.items())
 
 
 def whitney(cochain):
@@ -604,13 +662,13 @@ def whitney(cochain):
         for s in x.nondegenerate(m):
             if m < p:
                 continue
-            terms = []
+            parts = []
             for J in itertools.combinations(range(m + 1), p + 1):
                 face = x.face_on(m, s, J)
                 if x.is_degenerate(p, face):
                     continue
                 v = cochain.value(face)
                 if v != 0:
-                    terms.extend((key, c * v) for key, c in _whitney_terms(m, J))
-            forms[(m, s)] = _form(m, p, terms)
+                    parts.append((v, _whitney_terms(m, J)))
+            forms[(m, s)] = _collect(m, p, parts)
     return FormField(x, p, forms)

@@ -21,6 +21,18 @@ class ChainComplex:
     rational coefficients alike; index[n] maps each basis element to its position."""
 
     def __init__(self, basis, boundary):
+        self._store(basis, boundary)
+        self._check_square_zero()
+
+    @classmethod
+    def _of_simplicial_set(cls, basis, boundary):
+        """The complex of a validated simplicial set: d^2 = 0 holds by the
+        simplicial identities, so it is not multiplied out."""
+        complex_ = cls.__new__(cls)
+        complex_._store(basis, boundary)
+        return complex_
+
+    def _store(self, basis, boundary):
         self.basis = {n: tuple(b) for n, b in basis.items()}
         self.index = {n: {s: i for i, s in enumerate(b)} for n, b in self.basis.items()}
         self.top = max(self.basis) if self.basis else 0
@@ -30,7 +42,6 @@ class ChainComplex:
             expected = (len(self.basis.get(n - 1, ())), len(self.basis.get(n, ())))
             if m is None or (m.nrows, m.ncols) != expected:
                 raise StructureError("boundary matrix missing or misshaped in degree %d" % n)
-        self._check_square_zero()
         self._factors = {}
 
     def _check_square_zero(self):
@@ -83,7 +94,7 @@ def chain_complex(x):
                 else:
                     del row[j]
         boundary[n] = Matrix.sparse([rows.get(f, {}) for f in basis[n - 1]], len(basis[n]))
-    return ChainComplex(basis, boundary)
+    return ChainComplex._of_simplicial_set(basis, boundary)
 
 
 @dataclass

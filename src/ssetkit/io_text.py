@@ -433,10 +433,14 @@ def parse_field(text, x):
 
 
 def serialize_site_presheaf(presheaf):
-    """The 'site 1' text of presheaf. A section label that the reader cannot
-    read back, one that is empty or holds whitespace or '>', is refused."""
+    """The 'site 1' text of presheaf. An object name or a section label that
+    the reader cannot read back is refused: a name that is empty or holds
+    whitespace, '=' or ':', a label that is empty or holds whitespace or '>'."""
     site = presheaf.site
     for name in site.names():
+        text = str(name)
+        if text.split() != [text] or "=" in text or ":" in text:
+            raise ParameterError("object name %r cannot be serialized" % (name,))
         for s in map(str, presheaf.sections[name]):
             if s.split() != [s] or ">" in s:
                 raise ParameterError("section %r of %r cannot be serialized" % (s, name))

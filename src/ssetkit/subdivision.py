@@ -12,10 +12,16 @@ T is normalized so that boundary T + T boundary = S - id exactly.
 A simplex is stored as its key, a tuple of integer points: the point with
 coordinates a_1/d, ..., a_k/d (d > 0, gcd(d, a_1, ..., a_k) = 1) is the tuple
 (d, a_1, ..., a_k). Equal points have equal keys, so simplices hash and
-compare as int tuples. Every coefficient of S(sigma), T(sigma) and of a
-boundary is an integer, so the operators run on keys with int coefficients
-and scale by the input chain's Fraction coefficients once, over their common
-denominator.
+compare as int tuples.
+
+A chain is kept the same way: an int numerator on each simplex key over one
+positive denominator, the numerators and denominator with gcd 1, so equal
+chains are equal dicts with equal denominators. Every coefficient of
+S(sigma), T(sigma) and of a boundary is an integer, so +, -, scale,
+boundary, cone, subdivide and homotopy all add like terms in int arithmetic
+over one denominator, through one private collector; no AffineSimplex or
+Fraction is built for an intermediate chain. AffineChain.terms, the chain
+as {AffineSimplex: Fraction}, is derived on its first read and kept.
 """
 
 from __future__ import annotations
@@ -114,42 +120,43 @@ class AffineChain:
     """Formal rational combination of equal-dimension affine simplices.
 
     Coefficients are converted to Fraction, like terms are combined and zero
-    terms dropped on construction.
+    terms dropped on construction. The chain is kept as int numerators on
+    point keys over one positive denominator, with gcd 1, so equal chains
+    have equal numerators and denominators; terms, {AffineSimplex: Fraction},
+    is derived on first read and kept.
     """
 
-    __slots__ = ("terms", "dimension")
+    __slots__ = ("_num", "_den", "dimension", "_terms")
 
     def __init__(self, terms=(), dimension=None):
-        acc = {}
-        for simplex, coeff in (terms.items() if isinstance(terms, dict) else terms):
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            prev = acc.get(simplex)
-            acc[simplex] = coeff if prev is None else prev + coeff
-        self.terms = {s: c for s, c in acc.items() if c != 0}
-        dims = {s.dimension for s in self.terms}
-        if len(dims) > 1:
+        terms = [(s, Fraction(c)) for s, c in (terms.items() if isinstance(terms, dict) else terms)]
+        den = lcm(*(c.denominator for _, c in terms))
+        chain = _collect(den, ((s.key, c.numerator * (den // c.denominator)) for s, c in terms), dimension)
+        if len({len(key) for key in chain._num}) > 1:
             raise ParameterError("mixed dimensions in one chain")
-        if dims:
-            self.dimension = dims.pop()
-        else:
-            self.dimension = dimension
-
-    @classmethod
-    def _of_terms(cls, terms, dimension):
-        # terms: nonzero Fraction coefficients on simplices of one dimension
-        obj = cls.__new__(cls)
-        obj.terms = terms
-        obj.dimension = next(iter(terms)).dimension if terms else dimension
-        return obj
+        self._num, self._den, self.dimension, self._terms = chain._num, chain._den, chain.dimension, None
 
     @classmethod
     def of(cls, simplex, coeff=1):
         return cls([(simplex, coeff)])
 
+    @property
+    def terms(self):
+        if self._terms is None:
+            # the coefficients take few values (S and T give +-1), and building
+            # a Fraction costs more than looking one up
+            coeffs = {}
+            terms = {}
+            for key, v in self._num.items():
+                c = coeffs.get(v)
+                if c is None:
+                    c = coeffs[v] = Fraction(v, self._den)
+                terms[AffineSimplex._of_key(key)] = c
+            self._terms = terms
+        return self._terms
+
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -159,45 +166,44 @@ class AffineChain:
 
     def _plus(self, other, sign):
         dim = self.dimension if self.dimension is not None else other.dimension
-        if self.terms and other.terms and self.dimension != other.dimension:
+        if self._num and other._num and self.dimension != other.dimension:
             raise ParameterError("mixed dimensions in one chain")
-        parts = [(c, ((s.key, 1),)) for s, c in self.terms.items()]
-        parts += [(c, ((s.key, sign),)) for s, c in other.terms.items()]
-        return _collect(parts, dim)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        pairs = [(key, v * a) for key, v in self._num.items()]
+        pairs += [(key, v * b) for key, v in other._num.items()]
+        return _collect(den, pairs, dim)
 
     def scale(self, c):
         c = Fraction(c)
-        terms = {s: v * c for s, v in self.terms.items()} if c else {}
-        return AffineChain._of_terms(terms, self.dimension)
+        return _collect(self._den * c.denominator,
+                        ((key, v * c.numerator) for key, v in self._num.items()), self.dimension)
 
     def __eq__(self, other):
-        return isinstance(other, AffineChain) and self.terms == other.terms
+        return isinstance(other, AffineChain) and self._num == other._num and self._den == other._den
 
     def __repr__(self):
-        return "AffineChain(%d terms, dim %s)" % (len(self.terms), self.dimension)
+        return "AffineChain(%d terms, dim %s)" % (len(self._num), self.dimension)
 
 
-def _collect(parts, dimension):
-    """The chain sum of c * v * t over parts (c, ((t, v), ...)), with Fraction c,
-    int v and keys t; like terms add in int arithmetic over the common
-    denominator of the c."""
-    den = lcm(*(c.denominator for c, _ in parts))
+def _collect(den, pairs, dimension):
+    """The chain sum of v/den * t over the pairs (t, v), with int v and point
+    keys t: like terms add in int arithmetic, zeros drop, and the numerators
+    and den are divided by their gcd. The dimension is the terms', or the
+    given one for the zero chain."""
     acc = {}
-    for c, pairs in parts:
-        m = c.numerator * (den // c.denominator)
-        for t, v in pairs:
-            acc[t] = acc.get(t, 0) + m * v
-    # the coefficients take few values (S and T give +-1), and building a
-    # Fraction costs more than looking one up
-    coeffs = {}
-    terms = {}
-    for t, v in acc.items():
-        if v:
-            c = coeffs.get(v)
-            if c is None:
-                c = coeffs[v] = Fraction(v, den)
-            terms[AffineSimplex._of_key(t)] = c
-    return AffineChain._of_terms(terms, dimension)
+    for t, v in pairs:
+        acc[t] = acc.get(t, 0) + v
+    num = {t: v for t, v in acc.items() if v}
+    g = gcd(den, *num.values())
+    if g > 1:
+        num = {t: v // g for t, v in num.items()}
+    chain = AffineChain.__new__(AffineChain)
+    chain._num = num
+    chain._den = den // g
+    chain.dimension = len(next(iter(num))) - 1 if num else dimension
+    chain._terms = None
+    return chain
 
 
 def _faces(key):
@@ -206,28 +212,27 @@ def _faces(key):
 
 def boundary(chain):
     """Alternating sum of vertex deletions, extended linearly."""
-    parts = [(c, _faces(s.key)) for s, c in chain.terms.items() if s.dimension]
+    pairs = ((f, v * sign) for key, v in chain._num.items() if len(key) > 1 for f, sign in _faces(key))
     dim = chain.dimension - 1 if chain.dimension not in (None, 0) else None
-    return _collect(parts, dim)
+    return _collect(chain._den, pairs, dim)
 
 
 def cone(vertex, chain):
     """Prepend the cone vertex to each simplex, extended linearly."""
     head = (_point_key(vertex),)
-    for s in chain.terms:
-        if len(s.key[0]) != len(head[0]):
+    for key in chain._num:
+        if len(key[0]) != len(head[0]):
             raise ParameterError("cone vertex and chain live in different ambient spaces")
-    return AffineChain._of_terms(
-        {AffineSimplex._of_key(head + s.key): c for s, c in chain.terms.items()},
-        None if chain.dimension is None else chain.dimension + 1,
-    )
+    return _collect(chain._den, ((head + key, v) for key, v in chain._num.items()),
+                    None if chain.dimension is None else chain.dimension + 1)
 
 
 def subdivide(chain):
     """Barycentric subdivision: S = id in dimension 0, else the cone recursion
     S(sigma) = cone_b(S(boundary sigma)) over the barycenter b."""
     memo = {}
-    return _collect([(c, _subdivide_key(s.key, memo).items()) for s, c in chain.terms.items()], None)
+    return _collect(chain._den, ((t, v * c) for key, v in chain._num.items()
+                                 for t, c in _subdivide_key(key, memo).items()), None)
 
 
 def _subdivide_key(key, memo):
@@ -253,7 +258,8 @@ def homotopy(chain):
     identity come out as S - id rather than id - S.
     """
     memo = {}
-    return _collect([(c, _homotopy_key(s.key, memo).items()) for s, c in chain.terms.items()], None)
+    return _collect(chain._den, ((t, v * c) for key, v in chain._num.items()
+                                 for t, c in _homotopy_key(key, memo).items()), None)
 
 
 def _homotopy_key(key, memo):

@@ -271,18 +271,23 @@ def corrupted_maps(draw):
 @st.composite
 def finite_sites(draw):
     """(base, objects, covers) of a random finite site on a small ordered
-    complex. The objects are two to four generated subcomplexes, unions of
+    complex. The objects are two to four generated subcomplexes, each
+    reaching a simplex outside the ones before while any is left, unions of
     some of them (at times of two disjoint ones, so that the empty
     subcomplex is the meet of two covering members) and every intersection,
     the empty one kept only at times;
     some values get a second name, and some objects leave out dimensions
     in which they are empty or list an empty one above the cap. Each union
     is covered by its generators, or at times, for three or more, by the
-    first and the union of the rest, itself covered by the rest, so that
-    covers compose; other covers are drawn from the objects below."""
+    first and the union of the rest, itself covered by the rest, and most
+    sites also get a tower: the union of the first k + 1 generators covered
+    by the union of the first k and generator k + 1. So covers compose; other
+    covers are drawn from the objects below. The derandomized draw favours
+    the first choice of sampled_from, so the likelier counts and branches
+    are listed first."""
     facets = draw(st.lists(st.sets(st.integers(0, 4), min_size=1, max_size=3), min_size=1, max_size=4))
     base = simplicial_complex(facets, draw(st.integers(1, 2)))
-    simplex = st.sampled_from([(n, s) for n in base.dims() for s in base.simplices[n]])
+    simplices = [(n, s) for n in base.dims() for s in base.simplices[n]]
 
     def value(sub):
         return tuple(sub[n] for n in base.dims())
@@ -291,9 +296,11 @@ def finite_sites(draw):
         return tuple(frozenset().union(*levels) for levels in zip(*vs))
 
     generators = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.sampled_from([3, 2, 4]))):
+        seen = union(generators) if generators else None
+        fresh = [(n, s) for n, s in simplices if seen is None or s not in seen[n]]
         seeds = {}
-        for n, s in draw(st.lists(simplex, min_size=1, max_size=2)):
+        for n, s in draw(st.lists(st.sampled_from(fresh or simplices), min_size=1, max_size=2)):
             seeds.setdefault(n, []).append(s)
         generators.append(value(close_subcomplex(base, seeds)))
     values = list(dict.fromkeys(generators))
@@ -315,6 +322,14 @@ def finite_sites(draw):
             members = [members[0], rest]
         unions.append((union(members), members))
         values.append(unions[-1][0])
+    if draw(st.sampled_from([True, True, False])):
+        tower = generators[0]
+        for b in generators[1:]:
+            up = union([tower, b])
+            if up not in (tower, b):
+                unions.append((up, [tower, b]))
+                values.append(up)
+            tower = up
     closed = False
     while not closed:
         meets = [tuple(x & y for x, y in zip(a, b)) for a in values for b in values]

@@ -33,6 +33,9 @@ horn by the vertex transposition (0 k), the reference for the retraction
 kernel of ssetkit.connections. sympy_from_raw substitutes the barycentric
 relation for t_0 and dt_0 symbolically, the reference for PolyForm.from_raw,
 which pulls raw terms back along a face map through the pullback kernel.
+reference_summed adds like terms one Fraction or QTau product at a time and
+reference_integral integrates by a running sum, the references for the int
+numerators over one common denominator that ssetkit.forms sums.
 reference_complex is the element-wise 'sset 1' reader, with (dimension,
 identifier) keys and stripped fields, which checks identifiers with
 render_id itself, the reference for the one-pass reader of ssetkit.io_text.
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy
 from sympy.combinatorics import Permutation
@@ -196,6 +200,7 @@ def dense_quotient_reps(space_rows, sub_rows, ncols):
     return [tuple(r) for r in dense_row_space(reduced, ncols)]
 
 
+@lru_cache(maxsize=None)
 def simplex_monomial_integral_symbolic(exps):
     """Exact integral of t_1^a_1 ... t_n^a_n over the standard simplex, by
     iterated symbolic integration."""
@@ -510,6 +515,32 @@ def scan_is_fibration(p):
                     if not any(p(n, z) == b for z in scan_fill_horn(x, h)):
                         return FibrationCertificate(cap, False, problems, witness=(h, b))
     return FibrationCertificate(cap, True, problems)
+
+
+# -- form coefficients summed one Fraction or QTau at a time -----------------------
+# The reference for the int summation of ssetkit.forms: the summation the package
+# ran before it added like terms as int numerators over one common denominator.
+
+
+def reference_summed(parts):
+    """The terms dict of the sum of c * v * key over the parts
+    (c, ((key, v), ...)): each product formed and added in the coefficients'
+    own arithmetic, zeros dropped, keys in the order they first appear."""
+    acc = {}
+    for c, pairs in parts:
+        for key, v in pairs:
+            coeff = c * v
+            prev = acc.get(key)
+            acc[key] = coeff if prev is None else prev + coeff
+    return {k: c for k, c in acc.items() if c != 0}
+
+
+def reference_integral(form):
+    """PolyForm.integrate as a running sum of coefficient times monomial integral."""
+    total = Fraction(0)
+    for (exps, _idx), coeff in form.terms.items():
+        total = total + coeff * simplex_monomial_integral_symbolic(exps)
+    return total
 
 
 # -- raw forms: sympy substitution of the barycentric relation -------------------

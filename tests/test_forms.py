@@ -16,12 +16,16 @@ from ssetkit.forms import (
     FormField,
     PolyForm,
     QTau,
+    _collect,
+    _d_monomial,
     _pull_monomial,
+    _whitney_terms,
     derham_map,
     elementary_whitney,
     whitney,
 )
 from ssetkit.homology import CochainSpaces, cohomology_ring
+from ssetkit.io_text import render_form
 from ssetkit.randomsuite import random_polyform, stokes_suite
 from ssetkit.simplicial import (
     circle_two_edges,
@@ -36,6 +40,8 @@ from ssetkit.simplicial import (
 from conftest import face_map, forms
 from oracles import (
     matrix_pullback,
+    reference_integral,
+    reference_summed,
     simplex_monomial_integral_symbolic,
     sympy_from_raw,
     triangle_quadrature,
@@ -315,6 +321,132 @@ def test_kernel_built_forms_pass_the_checked_constructor(data):
              form.wedge(other), form + form, form.scale(Fraction(-1, 2))]
     for f in built:
         assert PolyForm(f.n, f.p, f.terms) == f
+
+
+# -- like terms summed in ints against the Fraction reference -------------------------
+
+SUM_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# QTau(q, 0) is drawn on its own: it equals a rational but keeps the QTau type.
+SUM_SCALARS = st.one_of(
+    st.integers(-4, 4),
+    SUM_FRACTIONS,
+    st.builds(QTau, SUM_FRACTIONS, SUM_FRACTIONS),
+    st.builds(QTau, SUM_FRACTIONS),
+)
+
+
+@st.composite
+def summing_parts(draw):
+    """Parts (c, ((key, v), ...)) over a few keys, so like terms meet; at
+    times a part is followed by its negation, so that keys cancel to zero."""
+    keys = [((e,), ()) for e in range(4)]
+    pair = st.tuples(st.sampled_from(keys), st.integers(-3, 3))
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(SUM_SCALARS)
+        pairs = tuple(draw(st.lists(pair, max_size=4)))
+        parts.append((c, pairs))
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                parts.append((-c, pairs))
+            else:
+                parts.append((c, tuple((k, -v) for k, v in pairs)))
+    return draw(st.permutations(parts))
+
+
+def assert_summed_like_reference(terms, parts):
+    """Same keys in the same order, equal values, and the type rule: QTau
+    exactly where a QTau contributed, Fraction elsewhere."""
+    ref = reference_summed(parts)
+    assert list(terms) == list(ref)
+    assert terms == ref
+    tau = {key for c, pairs in parts if isinstance(c, QTau) for key, _ in pairs}
+    for key, c in terms.items():
+        assert type(c) is (QTau if key in tau else Fraction)
+        assert isinstance(ref[key], QTau) == (key in tau)
+
+
+@settings(max_examples=60)
+@given(summing_parts())
+def test_collector_matches_fraction_summation(parts):
+    assert_summed_like_reference(_collect(1, 0, parts).terms, parts)
+
+
+def test_qtau_with_zero_tau_part_keeps_its_type_and_rendering():
+    key = ((0,), ())
+    two = PolyForm(1, 0, [(key, QTau(2, 0))])
+    assert two.terms[key] == 2 and type(two.terms[key]) is QTau
+    assert render_form(two) == "form 1 0 : 2+0*tau | 0 | "
+    mixed = PolyForm(1, 0, [(key, 1), (key, QTau(Fraction(1, 2), 0))])
+    assert render_form(mixed) == "form 1 0 : 3/2+0*tau | 0 | "
+    assert type(PolyForm(1, 0, [(key, 3)]).terms[key]) is Fraction
+    assert PolyForm(1, 0, [(key, QTau(1, 1)), (key, QTau(-1, -1))]).is_zero()
+    assert (two - PolyForm.constant(1, 2)).is_zero()
+    top = PolyForm(1, 1, [(((0,), (1,)), QTau(2, 0))]).scale(3)
+    assert top.integrate() == 6 and type(top.integrate()) is QTau
+
+
+@pytest.mark.parametrize("coeff", [0.5, 0.0, 1j, "1", None, float("nan")])
+def test_constructor_refuses_coefficients_outside_the_scalar_ring(coeff):
+    with pytest.raises(ParameterError, match="coefficient"):
+        PolyForm(1, 0, [(((0,), ()), coeff)])
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_form_operations_match_fraction_summation(data):
+    """Each operation's coefficients are the reference sum of its parts: the
+    kernels' int outputs scaled by the coefficients, or the coefficients
+    themselves."""
+    a = data.draw(forms())
+    b = data.draw(forms(a.n, a.p))
+    rational = data.draw(forms(a.n, data.draw(st.integers(0, a.n - a.p)), tau=False))
+    phi = data.draw(vertex_maps(a.n))
+    q = data.draw(SUM_SCALARS)
+    if isinstance(q, QTau) and any(isinstance(c, QTau) and c.m for c in a.terms.values()):
+        q = q.q
+    items = a.terms.items()
+    cases = [
+        (a.pullback(phi), [(c, _pull_monomial(e, i, phi)) for (e, i), c in items]),
+        (a.d(), [(c, _d_monomial(e, i).items()) for (e, i), c in items]),
+        (a + b, [(c, ((k, 1),)) for k, c in itertools.chain(items, b.terms.items())]),
+        (a - b, [(c, ((k, 1),)) for k, c in items] + [(c, ((k, -1),)) for k, c in b.terms.items()]),
+        (a.scale(q), [(c * q, ((k, 1),)) for k, c in items]),
+        (PolyForm(a.n, a.p, list(items) + list(b.terms.items())),
+         [(c, ((k, 1),)) for k, c in itertools.chain(items, b.terms.items())]),
+    ]
+    wedge = []
+    for (e1, i1), c1 in items:
+        for (e2, i2), c2 in rational.terms.items():
+            if not set(i1) & set(i2):
+                sign = -1 if sum(1 for x in i1 for y in i2 if x > y) % 2 else 1
+                key = (tuple(x + y for x, y in zip(e1, e2)), tuple(sorted(i1 + i2)))
+                wedge.append((c1 * c2, ((key, sign),)))
+    cases.append((a.wedge(rational), wedge))
+    for got, parts in cases:
+        assert_summed_like_reference(got.terms, parts)
+    top = PolyForm(a.n, a.n, [((e, tuple(range(1, a.n + 1))), c) for (e, _), c in items])
+    assert top.integrate() == reference_integral(top)
+    assert isinstance(top.integrate(), QTau) == isinstance(reference_integral(top), QTau)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_whitney_sums_cochain_values_like_the_reference(data):
+    x = standard_boundary(3)
+    p = data.draw(st.integers(0, 2))
+    size = len(x.nondegenerate(p))
+    values = data.draw(st.lists(SUM_FRACTIONS, min_size=size, max_size=size))
+    cochain = Cochain(x, p, zip(x.nondegenerate(p), values))
+    field = whitney(cochain)
+    for (m, s), form in field.forms.items():
+        parts = []
+        for J in itertools.combinations(range(m + 1), p + 1):
+            face = x.face_on(m, s, J)
+            if not x.is_degenerate(p, face) and cochain.value(face):
+                parts.append((cochain.value(face), _whitney_terms(m, J)))
+        assert_summed_like_reference(form.terms, parts)
+        assert all(type(v) is int for _, pairs in parts for _, v in pairs)
 
 
 # -- integration --------------------------------------------------------------------

@@ -120,6 +120,17 @@ def test_euler_characteristic_matches_betti_sum():
 
 @settings(max_examples=50)
 @given(simplicial_sets())
+def test_chain_complex_boundary_squares_to_zero(x):
+    """chain_complex does not multiply out d^2: the simplicial identities,
+    which it has just validated, make every product of consecutive
+    boundaries zero."""
+    c = chain_complex(x)
+    for n in range(2, c.top + 1):
+        assert (c.boundary[n - 1] @ c.boundary[n]).is_zero()
+
+
+@settings(max_examples=50)
+@given(simplicial_sets())
 def test_euler_characteristic_is_the_alternating_betti_sum(x):
     chi = sum((-1) ** n * len(x.nondegenerate(n)) for n in x.dims())
     assert chi == sum((-1) ** n * b for n, b in enumerate(homology(chain_complex(x)).betti))

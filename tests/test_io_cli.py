@@ -347,6 +347,26 @@ def test_site_serialization_is_a_fixed_point(presheaf):
     assert (parsed.sections, parsed.res) == (presheaf.sections, presheaf.res)
 
 
+@pytest.mark.parametrize("name", ["", "U 0", "U\t0", "U=0", "=", "U:0", ":"])
+def test_site_writer_refuses_object_names_it_cannot_read_back(name):
+    """An object named 'U 0' was written as 'object U 0 = ...', which reads
+    back as an object 'U' and a cover member '0'."""
+    base = parse_complex(fixture_text("two_points.sset"))
+    site = FiniteSite(base, {name: {0: {"(0)"}}, "V": {0: {"(1)"}}}, {})
+    with pytest.raises(ParameterError, match="object name .* cannot be serialized"):
+        serialize_site_presheaf(constant_presheaf(site, ("a",)))
+
+
+@pytest.mark.parametrize("name", ["U>0", "U;0", "U,0", "(0)", "#U"])
+def test_site_object_names_the_reader_splits_on_nothing_round_trip(name):
+    base = parse_complex(fixture_text("two_points.sset"))
+    site = FiniteSite(base, {name: {0: {"(0)", "(1)"}}, "V": {0: {"(1)"}}}, {name: [("V", name)]})
+    text = serialize_site_presheaf(constant_presheaf(site, ("a", "b")))
+    parsed = parse_site_presheaf(text, base)
+    assert parsed.site.names() == site.names() and parsed.site.covers == site.covers
+    assert serialize_site_presheaf(parsed) == text
+
+
 @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a>b", ">"])
 def test_site_writer_refuses_section_labels_it_cannot_read_back(label):
     site = parse_site_presheaf(fixture_text("site_two_points_constant.site"),

@@ -273,3 +273,33 @@ def test_equal_points_give_equal_simplices(data):
     assert a.points == b.points
     assert AffineChain.of(a, Fraction(1, 3)) == AffineChain.of(b, Fraction(2, 6))
     assert subdivide(AffineChain.of(a)) == subdivide(AffineChain.of(b))
+
+
+# -- int numerators over one denominator -------------------------------------------
+
+
+def assert_lowest_terms(chain):
+    """One positive denominator, coprime to the numerators, and the derived
+    terms equal to numerator over denominator."""
+    den, num = chain._den, chain._num
+    assert den > 0 and gcd(den, *num.values()) == 1 and all(num.values())
+    assert {s.key: c for s, c in chain.terms.items()} == {k: Fraction(v, den) for k, v in num.items()}
+
+
+@settings(max_examples=30)
+@given(chains(), chains(), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+def test_equal_chains_built_different_ways_compare_equal(a, b, q):
+    if b.dimension != a.dimension:
+        b = AffineChain()
+    for got in (a + b, a - b, a.scale(q), boundary(a), subdivide(a), homotopy(a)):
+        assert_lowest_terms(got)
+    assert (a + b) - b == a
+    assert a.scale(q) + a.scale(1 - q) == a
+    assert (a - a).is_zero() and a - a == AffineChain() == a.scale(0)
+    assert AffineChain(list(a.terms.items()) + list(b.terms.items())) == a + b
+    assert AffineChain([(s, c * 2) for s, c in a.terms.items()]) == a + a
+    if q:
+        assert a.scale(q).scale(1 / q) == a
+    ref = reference_chain(a)
+    assert AffineChain([(AffineSimplex(points), c) for points, c in ref.items()]) == a
+    assert reference_chain(boundary(a + b)) == reference_chain(boundary(a) + boundary(b))
