@@ -9,20 +9,31 @@ Horn search asks one question of the simplicial set, SimplicialSet.matching:
 the simplices whose faces at given positions are given simplices, one lookup
 in an index kept on the set for those positions. Enumeration places the
 faces x_j (j != k) in increasing j, and the candidates for x_j are the
-matches of d_i x_j = d_{j-1} x_i over every placed i; filling a horn and
-lifting a horn through a map are the matches of its faces at every position
-but k. Matches keep stored order, so horns, fillers and certificates are
-those of an exhaustive scan. The backtracking is a module-level recursion,
-so a search leaves no reference cycle for the collector.
+matches of d_i x_j = d_{j-1} x_i over every placed i; filling a horn is the
+matches of its faces at every position but k. Matches keep stored order, so
+horns and fillers are those of an exhaustive scan. The backtracking is a
+module-level recursion, so a search leaves no reference cycle for the
+collector.
+
+The certificates do not fill horn by horn. Per (n, k) they read every
+n-simplex z once, as its restriction: the tuple (d_i z)_i with None at k,
+which is the faces tuple of the horn z fills. is_fibrant counts the
+restrictions and looks each enumerated horn up in the count (0 is a
+witness, 1 a unique filler); is_fibration groups the images p(z) by
+restriction and checks each lifting problem's base simplices against them.
+Each horn is looked up, so the answer is exact even on tables that break an
+identity.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ParameterError, StructureError
 from .homology import chain_complex, homology
-from .simplicial import _UnionFind, _compose, _entry, _mismatches, _tabulate
+from .simplicial import _UnionFind, _compose, _entry, _group, _mismatches, _tabulate
 
 
 @dataclass(frozen=True)
@@ -89,10 +100,20 @@ def _without(seq, k):
     return tuple(seq[:k]) + tuple(seq[k + 1 :])
 
 
+def _restrictions(x, n, k):
+    """The tuples (d_i z)_i with None at position k, over the n-simplices z
+    in stored order: the faces tuple of the (n, k)-horn each z fills."""
+    columns = [x.face[(n, i)].values() for i in range(n + 1)]
+    columns[k] = itertools.repeat(None)
+    return zip(*columns)
+
+
 @dataclass
 class KanCertificate:
-    """Horn-filling record up to the cap. fibrant is None when a dimension
-    above the cap would be needed to decide."""
+    """Horn-filling record up to the cap: every (n, k)-horn with 1 <= n <=
+    dim_cap is checked, so fibrant is always True or False and says nothing
+    about horns above the cap. counts holds each (n, k) finished before the
+    witness, the first horn without a filler."""
 
     dim_cap: int
     fibrant: bool
@@ -113,19 +134,17 @@ class KanCertificate:
 
 
 def is_fibrant(x):
-    """Exhaustive horn check in dimensions 1..dim_cap."""
+    """Exhaustive horn check in dimensions 1..dim_cap: each enumerated horn
+    is looked up once in the count of the restrictions of X_n."""
     counts = {}
     for n in range(1, x.dim_cap + 1):
         for k in range(n + 1):
             horns = enumerate_horns(x, n, k)
-            unique = 0
-            for h in horns:
-                fillers = fill_horn(x, h)
-                if not fillers:
-                    return KanCertificate(x.dim_cap, False, counts, witness=h)
-                if len(fillers) == 1:
-                    unique += 1
-            counts[(n, k)] = (len(horns), unique)
+            fillers = Counter(_restrictions(x, n, k))
+            found = [fillers[h.faces] for h in horns]
+            if 0 in found:
+                return KanCertificate(x.dim_cap, False, counts, witness=horns[found.index(0)])
+            counts[(n, k)] = (len(horns), found.count(1))
     return KanCertificate(x.dim_cap, True, counts)
 
 
@@ -150,14 +169,15 @@ def is_fibration(p):
         below, level = p.level_map[n - 1], p.level_map[n]
         for k in range(n + 1):
             given = _without(range(n + 1), k)
+            lifts = _group(_restrictions(x, n, k), level.values())
             for h in enumerate_horns(x, n, k):
                 down = y.matching(n, given, tuple(below[f] for f in _without(h.faces, k)))
                 if not down:
                     continue
-                lifts = {level[z] for z in fill_horn(x, h)}
+                images = lifts.get(h.faces, ())
                 for b in down:
                     problems += 1
-                    if b not in lifts:
+                    if b not in images:
                         return FibrationCertificate(cap, False, problems, witness=(h, b))
     return FibrationCertificate(cap, True, problems)
 

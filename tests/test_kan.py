@@ -3,14 +3,17 @@ extra-degeneracy contractibility."""
 
 import gc
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ssetkit import kan
 from ssetkit.errors import ParameterError, StructureError
 from ssetkit.homology import chain_complex, homology
+from ssetkit.io_text import parse_map
 from ssetkit.kan import (
     ExtraDegeneracy,
     Horn,
@@ -38,7 +41,7 @@ from ssetkit.simplicial import (
 )
 from ssetkit.site_corpus import constant_presheaf, representable_to_delta1
 
-from conftest import homomorphism, inclusion, kan_maps, kan_sets, swapped_delta2
+from conftest import fixture_text, homomorphism, inclusion, kan_maps, kan_sets, swapped_delta2
 
 
 def test_horn_enumeration_on_delta1():
@@ -331,34 +334,66 @@ def test_horn_fillers_are_the_stored_simplices_with_those_faces():
             x.matching(n, slots, (None,) * len(slots))
 
 
-def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
-    """Exact work count. The scan over every n-simplex per horn made 764048
-    SimplicialSet.d calls; the coface search that followed made 69492, then
-    none, with 3212 coface lookups and one horn-index lookup per horn. Now
-    every step is one SimplicialSet.matching lookup: one per node of the horn
-    search (the 3212 nodes below a first face, plus one root per (n, k)) and
-    one per horn filled. The indexes kept are one per prefix of the face
-    positions each search places, and one per (n, k) that is filled."""
-    x = nerve(cyclic_table(4), 4)
-    calls = {"d": 0, "matching": 0}
-    for name in calls:
+def _count_calls(monkeypatch, names):
+    """Count the calls of the named SimplicialSet methods, per receiving set."""
+    calls = {name: Counter() for name in names}
+    for name in names:
         method = getattr(SimplicialSet, name)
 
         def counted(self, *args, _name=name, _method=method):
-            calls[_name] += 1
+            calls[_name][id(self)] += 1
             return _method(self, *args)
 
         monkeypatch.setattr(SimplicialSet, name, counted)
+    return calls
+
+
+def _no_fill_horn(monkeypatch):
+    def refused(x, horn):
+        raise AssertionError("a certificate filled a horn one at a time")
+
+    monkeypatch.setattr(kan, "fill_horn", refused)
+
+
+def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
+    """Exact work count. The scan over every n-simplex per horn made 764048
+    SimplicialSet.d calls; the coface search that followed made 69492, then
+    none; filling each horn by one lookup in a face-tuple index made 3212 +
+    14 + 1586 SimplicialSet.matching calls and kept 25 indexes. Now the
+    certificate counts the restrictions of X_n from the face tables, so the
+    only matching lookups are the nodes of the horn search (the 3212 nodes
+    below a first face, plus one root per (n, k)), none per horn, and the
+    only indexes kept are one per prefix of the face positions each search
+    places."""
+    x = nerve(cyclic_table(4), 4)
+    calls = _count_calls(monkeypatch, ("d", "matching"))
+    _no_fill_horn(monkeypatch)
     cert = is_fibrant(x)
     assert cert.fibrant
-    horns = sum(h for h, _ in cert.counts.values())
-    assert horns == 1586
+    assert sum(h for h, _ in cert.counts.values()) == 1586
     pairs = [(n, k) for n in range(1, 5) for k in range(n + 1)]
-    assert calls == {"d": 0, "matching": 3212 + len(pairs) + horns}
+    assert calls == {"d": {}, "matching": {id(x): 3212 + len(pairs)}}
     searched = {(n - 1, _slots(n, k)[:r]) for n, k in pairs for r in range(n)}
-    filled = {(n, _slots(n, k)) for n, k in pairs}
-    assert set(x._matching) == searched | filled
-    assert len(x._matching) == 25
+    assert set(x._matching) == searched
+    assert len(x._matching) == 20
+
+
+def test_work_of_fibration_check_on_projection(monkeypatch):
+    """Exact work count on Delta^1 x N(Z/2) -> Delta^1, cap 2: the horn
+    search in the source (one lookup per node), one lookup of the base
+    simplices in the target per horn, and no horn filled one at a time."""
+    p = parse_map(fixture_text("proj_d1_nz2.smap"))
+    x, y = p.source, p.target
+    calls = _count_calls(monkeypatch, ("d", "matching"))
+    _no_fill_horn(monkeypatch)
+    cert = is_fibration(p)
+    work = {name: dict(counter) for name, counter in calls.items()}
+    assert cert.fibration and cert.problems == 54
+    horns = sum(len(enumerate_horns(x, n, k)) for n in range(1, 3) for k in range(n + 1))
+    assert horns == 60
+    assert work == {"d": {}, "matching": {id(x): 23, id(y): horns}}
+    assert set(x._matching) == {(n - 1, _slots(n, k)[:r]) for n in (1, 2) for k in range(n + 1) for r in range(n)}
+    assert set(y._matching) == {(n, _slots(n, k)) for n in (1, 2) for k in range(n + 1)}
 
 
 def _permutation_table(m):
@@ -381,6 +416,40 @@ def test_nerves_of_small_groups_unique_fillers():
             for n in range(1, 4)
             for k in range(n + 1)
         }
+
+
+@st.composite
+def group_tables(draw):
+    """The multiplication table of Z/m (m <= 6) with its elements relabelled
+    at random, of Z/2 x Z/2 (xor on 0..3) or of S3 (composition of
+    permutation tuples)."""
+    kind = draw(st.sampled_from(["cyclic", "klein", "s3"]))
+    if kind == "klein":
+        return {(a, b): a ^ b for a in range(4) for b in range(4)}
+    if kind == "s3":
+        return _permutation_table(3)
+    m = draw(st.integers(1, 6))
+    label = draw(st.permutations(range(m)))
+    return {(label[a], label[b]): label[(a + b) % m] for a in range(m) for b in range(m)}
+
+
+@settings(max_examples=50)
+@given(group_tables(), st.integers(2, 3))
+def test_nerves_of_random_finite_groups_have_unique_fillers(table, cap):
+    """N(G) is fibrant with |G|^n horns of each kind in dimension n >= 2, each
+    with one filler; a (1, k)-horn is the one vertex, filled uniquely only by
+    the trivial group. The scan oracle agrees where |G|^cap <= 64."""
+    order = len({a for a, _ in table})
+    x = nerve(table, cap)
+    cert = is_fibrant(x)
+    assert cert.fibrant
+    assert cert.counts == {
+        (n, k): (order**n, order**n) if n >= 2 else (1, int(order == 1))
+        for n in range(1, cap + 1)
+        for k in range(n + 1)
+    }
+    if order**cap <= 64:
+        assert cert == oracles.scan_is_fibrant(x)
 
 
 def test_backtracking_leaves_no_reference_cycles():
@@ -433,8 +502,17 @@ def test_non_fibrant_witness_matches_scanning_oracle(name):
                 assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
 
 
+def _horn_beside_delta2():
+    """Delta^2 and a separate horn Lambda^2_1 on the vertices 3, 4, 5, both
+    sent onto Delta^2 (3, 4, 5 -> 0, 1, 2): the horn's lifting problem has a
+    base simplex in the image, but not the image of a filler of that horn."""
+    x = simplicial_complex([[0, 1, 2], [3, 4], [4, 5]], 2)
+    return SimplicialMap(x, standard_delta(2), {n: {s: tuple(v % 3 for v in s) for s in x.simplices[n]} for n in x.dims()})
+
+
 NO_LIFT_MAPS = {
     "boundary2 in delta2": lambda: inclusion(standard_boundary(2, 2), standard_delta(2)),
+    "delta2 and horn21 onto delta2": _horn_beside_delta2,
     "horn21 in delta2": lambda: inclusion(standard_horn(2, 1, 2), standard_delta(2)),
     "N(Z/2) to N(Z/4)": lambda: homomorphism(2, 4, 2, 2),
 }
