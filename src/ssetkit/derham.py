@@ -249,13 +249,14 @@ class _Truncation:
         Whitney field of each class representative of spaces is compatible,
         closed and integrates back to it; otherwise raise StructureError."""
         _, where, _ = self.columns(p)
+        basis = spaces.basis[p]
         for rep in spaces.reps(p):
-            w = whitney(Cochain(self.x, p, zip(spaces.basis[p], rep)))
+            w = whitney(Cochain(self.x, p, ((basis[i], v) for i, v in rep.items())))
             row = {where[(n, s)][_local_basis(n, p, self.cap)[1][key]]: v
                    for (n, s), form in w.forms.items() for key, v in form.terms.items()}
             coords, rest = coordinates(row, *self.kernel(p))
             if rest or any(self.d_matrix(p).matvec(coords)) or any(
-                w.forms[(p, s)].integrate() != v for s, v in zip(spaces.basis[p], rep)
+                w.forms[(p, s)].integrate() != rep.get(i, 0) for i, s in enumerate(basis)
             ):
                 raise StructureError("the Whitney field of a degree-%d class fails the comparison" % p)
 

@@ -3,13 +3,13 @@ and the Mayer-Vietoris long exact sequence with mechanical exactness checks.
 
 Chains are normalized: degenerate simplices are quotiented away. One
 integer Smith normal form per boundary gives both its rank (over Z and
-over Q) and the torsion.
+over Q) and the torsion. Rational cochains are the rows linalg eliminates:
+{basis position: nonzero value} over the basis of the same integer complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ParameterError, StructureError
 from .linalg import Matrix, coordinates, invariant_factors, nullspace, quotient_reps, rank, rref
@@ -124,86 +124,84 @@ def homology(complex_):
 # -- rational cohomology ------------------------------------------------
 
 
-def read_at(vec, positions):
-    """A cochain vector's entries at basis positions, 0 at None."""
-    zero = Fraction(0)
-    return tuple(zero if i is None else vec[i] for i in positions)
+def read_at(row, positions):
+    """A cochain row read at basis positions: entry k is its value at
+    positions[k], absent where that position is None or off the row."""
+    return {k: row[i] for k, i in enumerate(positions) if i in row}
 
 
 class CochainSpaces:
-    """Per-degree cocycle/coboundary data of a simplicial set over Q, on
-    cochain vectors over the basis of its one (integer) chain complex."""
+    """Per-degree cocycle/coboundary data of a simplicial set over Q. A
+    degree-p cochain is a sparse row {basis position: nonzero value} over
+    basis[p] of its one (integer) chain complex, the row type of linalg; a
+    degenerate simplex has no position, so every cochain is 0 there."""
 
     def __init__(self, x):
         self.x = x
         self.complex = chain_complex(x)
         self.basis = self.complex.basis
-        self._delta = {}
         self._classes = {}
         self._faces = {}
 
     def positions(self, p, simplices):
         """The basis position of each p-simplex, None for a degenerate one
-        (or one not in the set): read_at reads a cochain there."""
+        (or one not in the set): read_at reads a cochain row there."""
         index = self.complex.index[p]
         return [index.get(s) for s in simplices]
 
-    def delta(self, p):
-        """Coboundary matrix C^p -> C^{p+1} (transpose of boundary)."""
-        if p not in self._delta:
-            self._delta[p] = self.complex.boundary_or_zero(p + 1).transpose()
-        return self._delta[p]
-
     def cocycle_rows(self, p):
-        return nullspace(self.delta(p))
+        """The kernel of the coboundary, the transpose of the boundary."""
+        return nullspace(self.complex.boundary_or_zero(p + 1).transpose())
 
     def coboundary_rows(self, p):
         """Coboundaries of the basis (p-1)-cochains, one per row."""
         return self.complex.boundary_or_zero(p)
+
+    def coboundary(self, p, row):
+        """The coboundary of a degree-p cochain row: the row times boundary(p+1)."""
+        (out,) = (Matrix.sparse([row], self.complex.dim(p)) @ self.complex.boundary_or_zero(p + 1)).rows
+        return out
 
     def _class_bases(self, p):
         """Degree-p class representatives, then the reduced bases express()
         works with: representatives and their pivots, RREF coboundaries and
         their pivots."""
         if p not in self._classes:
-            dim = self.complex.dim(p)
-            if p > self.x.dim_cap or dim == 0:
-                self._classes[p] = ([], Matrix.zeros(0, dim), (), Matrix.zeros(0, dim), ())
-            else:
-                coboundaries, cob_pivots = rref(self.coboundary_rows(p))
-                reps = quotient_reps(self.cocycle_rows(p), coboundaries)
-                rep_basis = Matrix(reps, dim)
-                rep_pivots = [min(row) for row in rep_basis.rows]
-                self._classes[p] = (reps, rep_basis, rep_pivots, coboundaries, cob_pivots)
+            coboundaries, cob_pivots = rref(self.coboundary_rows(p))
+            reps = quotient_reps(self.cocycle_rows(p), coboundaries)
+            rep_basis = Matrix.sparse(reps, self.complex.dim(p))
+            self._classes[p] = (reps, rep_basis, [min(row) for row in reps], coboundaries, cob_pivots)
         return self._classes[p]
 
     def reps(self, p):
-        """Canonical cohomology class representatives (RREF, reduced mod coboundaries)."""
+        """Canonical cohomology class representatives (RREF rows, reduced mod coboundaries)."""
         return self._class_bases(p)[0]
 
     def betti(self, p):
         return len(self.reps(p))
 
-    def is_cocycle(self, p, vec):
-        return all(v == 0 for v in self.delta(p).matvec(vec))
+    def is_cocycle(self, p, row):
+        """Whether a row has no key off basis[p] and zero coboundary."""
+        return set(row) <= set(range(self.complex.dim(p))) and not self.coboundary(p, row)
 
-    def express(self, p, vec):
+    def express(self, p, row):
         """Coordinates of a cocycle's class in the canonical representative
         basis. The coboundaries and the representatives together span exactly
-        the cocycles, so a remainder means vec is not a cocycle."""
+        the cocycles, so a remainder means row is not a cocycle; a key off
+        the basis is no pivot of either and stays in the remainder."""
         _, rep_basis, rep_pivots, coboundaries, cob_pivots = self._class_bases(p)
         # Representatives vanish at the coboundary pivots, so removing the
         # coboundary part first leaves the class coordinates at the
         # representatives' own pivots.
-        (row,) = Matrix([vec], self.complex.dim(p)).rows  # ValueError on a wrong length
-        _, rest = coordinates(row, coboundaries, cob_pivots)
+        _, rest = coordinates({j: v for j, v in row.items() if v}, coboundaries, cob_pivots)
         coords, rest = coordinates(rest, rep_basis, rep_pivots)
         if rest:
             raise ParameterError("vector is not a cocycle in degree %d" % p)
         return coords
 
-    def cup(self, p, avec, q, bvec):
-        """Alexander-Whitney cup product of cochain vectors, front face times back face."""
+    def cup(self, p, arow, q, brow):
+        """Alexander-Whitney cup product of cochain rows, front face times
+        back face, on the basis simplices where both factors are nonzero."""
         n = p + q
         if n > self.x.dim_cap:
             raise ParameterError("cup product degree exceeds the cap")
@@ -214,7 +212,7 @@ class CochainSpaces:
                 self.positions(q, [x.face_on(n, s, range(p, n + 1)) for s in basis]),
             )
         front, back = self._faces[(p, q)]
-        return tuple(a * b for a, b in zip(read_at(avec, front), read_at(bvec, back)))
+        return {k: arow[i] * brow[j] for k, (i, j) in enumerate(zip(front, back)) if arow.get(i) and brow.get(j)}
 
 
 @dataclass
@@ -253,14 +251,18 @@ def cohomology_ring(x):
 
 def unit_class_coords(ring):
     """Coordinates of the constant-1 cocycle in degree 0."""
-    ones = tuple(Fraction(1) for _ in ring.spaces.basis[0])
-    return ring.spaces.express(0, ones)
+    return ring.spaces.express(0, dict.fromkeys(range(len(ring.spaces.basis[0])), 1))
 
 
 def induced_map(f, p, target_spaces=None, source_spaces=None):
     """Matrix of f^*: H^p(target) -> H^p(source) in the canonical bases."""
+    bad = f.validate()
+    if bad:
+        raise StructureError("map fails to commute with %d structure maps" % len(bad))
     ts = target_spaces if target_spaces is not None else CochainSpaces(f.target)
     ss = source_spaces if source_spaces is not None else CochainSpaces(f.source)
+    if ts.x is not f.target or ss.x is not f.source:
+        raise ParameterError("cochain spaces not built on the map's target and source")
     images = ts.positions(p, [f(p, s) for s in ss.basis[p]])
     rows = [ss.express(p, read_at(rep, images)) for rep in ts.reps(p)]
     return Matrix(rows, len(ss.reps(p))).transpose()  # columns indexed by target classes
@@ -304,8 +306,8 @@ def mayer_vietoris(x, sub_a, sub_b):
     sp_ab = CochainSpaces(xab)
     cap = x.dim_cap
 
-    def restrict_vec(sp_from, sp_to, p, vec):
-        return read_at(vec, sp_from.positions(p, sp_to.basis[p]))
+    def restrict_vec(sp_from, sp_to, p, row):
+        return read_at(row, sp_from.positions(p, sp_to.basis[p]))
 
     alpha = {}
     beta = {}
@@ -329,8 +331,8 @@ def mayer_vietoris(x, sub_a, sub_b):
         cols = []
         for rep in sp_ab.reps(p):
             # lift to A by zero-extension, take its coboundary, glue with 0 on B
-            du = sp_a.delta(p).matvec(restrict_vec(sp_ab, sp_a, p, rep))
-            if any(restrict_vec(sp_a, sp_ab, p + 1, du)):
+            du = sp_a.coboundary(p, restrict_vec(sp_ab, sp_a, p, rep))
+            if restrict_vec(sp_a, sp_ab, p + 1, du):
                 raise StructureError("connecting cochain fails to vanish on the intersection")
             cols.append(sp_x.express(p + 1, restrict_vec(sp_a, sp_x, p + 1, du)))
         connecting[p] = Matrix.from_columns(cols, sp_x.betti(p + 1))

@@ -129,14 +129,6 @@ class Matrix:
         return tuple(row.get(j, 0) for row in self.rows)
 
 
-def _dense(row, n):
-    """A dict row as a dense tuple of Fractions."""
-    vec = [_ZERO] * n
-    for j, v in row.items():
-        vec[j] = Fraction(v)
-    return tuple(vec)
-
-
 def _subtract(target, f, source):
     """target -= f * source, in place, dropping entries that cancel."""
     for j, x in source.items():
@@ -255,7 +247,7 @@ def quotient_reps(space_rows, sub_rows):
 
     Both arguments are matrices whose rows span the spaces. Representatives
     are the RREF rows of the reductions of the RREF rows of space modulo the
-    RREF basis of sub, as dense tuples of Fractions, so they are
+    RREF basis of sub, as dict rows (column -> nonzero value), so they are
     deterministic. They span a complement of sub in space + sub, so their
     number is dim(space + sub) - dim(sub) even when sub is not contained in
     space.
@@ -266,7 +258,7 @@ def quotient_reps(space_rows, sub_rows):
         _, rest = _reduce(row, sub)
         if rest:
             reduced.append(rest)
-    return [_dense(row, space_rows.ncols) for _, row in _echelon(reduced)]
+    return [row for _, row in _echelon(reduced)]
 
 
 def coordinates(row, basis, pivots):

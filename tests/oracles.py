@@ -115,22 +115,24 @@ def unnormalized_betti(x):
     return betti_from_matrices(dims, boundaries)
 
 
-def reference_cup(spaces, p, avec, q, bvec):
-    """Alexander-Whitney cup product of two cochain vectors of a
-    CochainSpaces, one degree-(p+q) basis simplex at a time: its front p-face
-    and back q-face come from face_on, and each cochain is read on its face
-    by identifier, 0 on a degenerate face."""
+def reference_cup(spaces, p, arow, q, brow):
+    """Alexander-Whitney cup product of two cochain rows of a CochainSpaces,
+    one degree-(p+q) basis simplex at a time: its front p-face and back
+    q-face come from face_on, and each cochain is read on its face by
+    identifier, 0 on a degenerate face. The product is a row without zero
+    entries."""
     x, n = spaces.x, p + q
 
-    def value_at(m, vec, simplex):
+    def value_at(m, row, simplex):
         if x.is_degenerate(m, simplex):
             return Fraction(0)
-        return vec[spaces.basis[m].index(simplex)]
+        return row.get(spaces.basis[m].index(simplex), Fraction(0))
 
-    return tuple(
-        value_at(p, avec, x.face_on(n, s, range(p + 1))) * value_at(q, bvec, x.face_on(n, s, range(p, n + 1)))
+    products = (
+        value_at(p, arow, x.face_on(n, s, range(p + 1))) * value_at(q, brow, x.face_on(n, s, range(p, n + 1)))
         for s in spaces.basis[n]
     )
+    return {k: v for k, v in enumerate(products) if v}
 
 
 def dense_rref(rows, ncols):
@@ -808,9 +810,9 @@ class _ReferenceTruncation:
 
     def rep_to_ambient(self, p, rep):
         vec = {}
-        for coef, base in zip(rep, self.kernel(p)[0].rows):
+        for k, coef in rep.items():
             if coef:
-                for c, v in base.items():
+                for c, v in self.kernel(p)[0].rows[k].items():
                     vec[c] = vec.get(c, 0) + coef * v
         return {c: v for c, v in vec.items() if v}
 
@@ -858,9 +860,9 @@ def derham_reference(x, degree_cap):
         cols = []
         for rep in reps:
             forms = coarse.forms_from_vector(p, coarse.rep_to_ambient(p, rep))
-            values = tuple(
-                forms.get((p, s), PolyForm.zero(p, p)).integrate() for s in spaces.basis[p]
-            )
+            values = {
+                k: forms.get((p, s), PolyForm.zero(p, p)).integrate() for k, s in enumerate(spaces.basis[p])
+            }
             cols.append(spaces.express(p, values))
         r = rank(Matrix.from_columns(cols, spaces.betti(p)))
         ranks.append(r)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ssetkit.cli import main
 from ssetkit.derham import derham_cohomology
 from ssetkit.errors import ParameterError, StructureError
+from ssetkit.forms import Cochain
 from ssetkit.homology import (
     CochainSpaces,
     chain_complex,
@@ -166,9 +167,16 @@ def test_invalid_input_rejected(tmp_path):
 
 
 def cochains(data, spaces, p):
-    """A random rational degree-p cochain vector of spaces."""
-    size = len(spaces.basis[p])
-    return tuple(data.draw(st.lists(RATIONALS, min_size=size, max_size=size)))
+    """A random rational degree-p cochain row of spaces: any positions of its
+    basis, none at all included, with values that may be explicit zeros."""
+    positions = range(len(spaces.basis[p]))
+    if not positions:
+        return {}
+    return data.draw(st.dictionaries(st.sampled_from(positions), RATIONALS))
+
+
+def dense(row, size):
+    return [row.get(j, 0) for j in range(size)]
 
 
 @settings(max_examples=40)
@@ -177,7 +185,8 @@ def test_cup_matches_the_identifier_walk(x, data):
     spaces = CochainSpaces(x)
     p = data.draw(st.integers(0, x.dim_cap))
     q = data.draw(st.integers(0, x.dim_cap - p))
-    # the second pair reads the face positions kept from the first
+    # the second pair reads the face positions kept from the first; the rows
+    # are sparse, and empty ones are drawn too
     for _ in range(2):
         a, b = cochains(data, spaces, p), cochains(data, spaces, q)
         assert spaces.cup(p, a, q, b) == reference_cup(spaces, p, a, q, b)
@@ -185,26 +194,53 @@ def test_cup_matches_the_identifier_walk(x, data):
 
 @settings(max_examples=40)
 @given(simplicial_sets(), st.data())
+def test_coboundary_matches_the_elementwise_cochain(x, data):
+    """CochainSpaces.coboundary against forms.Cochain.coboundary, which sums
+    over the faces of each simplex by identifier, read at basis positions;
+    is_cocycle says whether it is zero, and holds on every representative."""
+    spaces = CochainSpaces(x)
+    p = data.draw(st.integers(0, x.dim_cap))
+    row = cochains(data, spaces, p)
+    element_wise = Cochain(x, p, [(spaces.basis[p][i], v) for i, v in row.items()]).coboundary()
+    values = [element_wise.value(s) for s in spaces.basis.get(p + 1, ())]
+    expected = {k: v for k, v in enumerate(values) if v}
+    assert spaces.coboundary(p, row) == expected
+    assert spaces.is_cocycle(p, row) == (not expected)
+    assert all(spaces.is_cocycle(p, rep) for rep in spaces.reps(p))
+
+
+@settings(max_examples=40)
+@given(simplicial_sets(), st.data())
 def test_express_refuses_exactly_the_non_cocycles(x, data):
     """Random class combinations plus a random coboundary, and half the time
-    a random cochain on top; the coordinates must give back the class."""
+    a random cochain on top; the coordinates must give back the class. The
+    row keeps some explicit zeros, which are ignored, and sometimes has a
+    nonzero key off the basis, which makes it no cocycle."""
     spaces = CochainSpaces(x)
     p = data.draw(st.integers(0, x.dim_cap))
     reps, size = spaces.reps(p), len(spaces.basis[p])
     coeffs = [data.draw(RATIONALS) for _ in reps]
-    vec = [sum(c * r[j] for c, r in zip(coeffs, reps)) for j in range(size)]
+    vec = [sum(c * r.get(j, 0) for c, r in zip(coeffs, reps)) for j in range(size)]
     if p >= 1:
+        # the coboundary of u is its combination of the coboundary rows
         u = cochains(data, spaces, p - 1)
-        vec = [v + w for v, w in zip(vec, spaces.delta(p - 1).matvec(u))]
+        rows = spaces.coboundary_rows(p).rows
+        vec = [v + sum(c * rows[i].get(j, 0) for i, c in u.items()) for j, v in enumerate(vec)]
     if data.draw(st.booleans()):
-        vec = [v + w for v, w in zip(vec, cochains(data, spaces, p))]
-    vec = tuple(vec)
-    if not spaces.is_cocycle(p, vec):
+        vec = [v + w for v, w in zip(vec, dense(cochains(data, spaces, p), size))]
+    zeros = data.draw(st.sets(st.sampled_from(range(size)))) if size else set()
+    row = {j: v for j, v in enumerate(vec) if v or j in zeros}
+    off_basis = data.draw(st.booleans())
+    if off_basis:
+        row[size + data.draw(st.integers(0, 2))] = data.draw(RATIONALS.filter(bool))
+    cocycle = spaces.is_cocycle(p, row)
+    assert not (off_basis and cocycle)
+    if not cocycle:
         with pytest.raises(ParameterError, match="not a cocycle in degree %d" % p):
-            spaces.express(p, vec)
+            spaces.express(p, row)
         return
-    coords = spaces.express(p, vec)
-    rest = [v - sum(c * r[j] for c, r in zip(coords, reps)) for j, v in enumerate(vec)]
+    coords = spaces.express(p, row)
+    rest = [v - sum(c * r.get(j, 0) for c, r in zip(coords, reps)) for j, v in enumerate(vec)]
     coboundaries = [[row.get(j, 0) for j in range(size)] for row in spaces.coboundary_rows(p).rows]
     assert dense_rank(coboundaries + [rest], size) == dense_rank(coboundaries, size)
 
@@ -264,7 +300,7 @@ def test_ring_unit_and_associativity_on_basis():
     x = torus()
     ring = cohomology_ring(x)
     spaces = ring.spaces
-    unit = tuple(Fraction(1) for _ in spaces.basis[0])
+    unit = dict.fromkeys(range(len(spaces.basis[0])), Fraction(1))
     for p in x.dims():
         for i, rep in enumerate(ring.reps[p]):
             left = spaces.cup(0, unit, p, rep)
@@ -323,11 +359,11 @@ def test_induced_maps_are_ring_homomorphisms_and_contravariant():
             fb = mats[q].column(j)
             va = [Fraction(0)] * len(st.basis[p])
             for k, c in enumerate(fa):
-                va = [a + c * b for a, b in zip(va, rt.reps[p][k])]
+                va = [a + c * b for a, b in zip(va, dense(rt.reps[p][k], len(va)))]
             vb = [Fraction(0)] * len(st.basis[q])
             for k, c in enumerate(fb):
-                vb = [a + c * b for a, b in zip(vb, rt.reps[q][k])]
-            rhs = st.express(p + q, st.cup(p, tuple(va), q, tuple(vb)))
+                vb = [a + c * b for a, b in zip(vb, dense(rt.reps[q][k], len(vb)))]
+            rhs = st.express(p + q, st.cup(p, dict(enumerate(va)), q, dict(enumerate(vb))))
             assert tuple(lhs) == tuple(rhs)
     # contravariance (g f)* = f* g* on a composable pair
     diag = SimplicialMap(x, t, {n: {s: (s, s) for s in x.simplices[n]} for n in x.dims()})
@@ -338,6 +374,29 @@ def test_induced_maps_are_ring_homomorphisms_and_contravariant():
         mid = induced_map(proj1, p, target_spaces=sx, source_spaces=st)
         outer = induced_map(diag, p, target_spaces=st, source_spaces=sx)
         assert lhs == outer @ mid
+
+
+def test_induced_map_refuses_bad_maps_and_foreign_spaces():
+    c = circle_two_edges(2)
+    d1 = standard_delta(1)
+    degenerate_p = c.s(0, 0, "p")
+    # both vertices to p and the edge to a, whose face d_0 is q
+    bad = SimplicialMap(d1, c, {0: {(0,): "p", (1,): "p"},
+                                1: {(0, 0): degenerate_p, (0, 1): "a", (1, 1): degenerate_p}})
+    assert bad.validate()
+    for p in (0, 1):
+        with pytest.raises(StructureError, match="fails to commute"):
+            induced_map(bad, p)
+    good = SimplicialMap(d1, c, {0: {(0,): "q", (1,): "p"},
+                                 1: {(0, 0): c.s(0, 0, "q"), (0, 1): "b", (1, 1): degenerate_p}})
+    assert good.validate() == []
+    assert induced_map(good, 0).nrows == 1
+    # spaces of an equal set built separately are not spaces of the map's ends
+    for spaces in ({"target_spaces": CochainSpaces(circle_two_edges(2))},
+                   {"source_spaces": CochainSpaces(standard_delta(1))},
+                   {"target_spaces": CochainSpaces(d1), "source_spaces": CochainSpaces(c)}):
+        with pytest.raises(ParameterError, match="not built on the map's target and source"):
+            induced_map(good, 1, **spaces)
 
 
 def test_homotopy_invariance_endpoint_inclusions():

@@ -1,5 +1,6 @@
 """Text formats, the command line, exit codes, and report determinism."""
 
+import hashlib
 import io
 import os
 import random
@@ -1187,6 +1188,44 @@ def test_cli_determinism(command, fixture):
     _, first = run_cli(command, fixture_path(fixture))
     _, second = run_cli(command, fixture_path(fixture))
     assert strip_timing(first) == strip_timing(second)
+
+
+# SHA-256 of the ring report of every fixture set and the mv report of both
+# covers, without the timing, command and input lines, recorded while
+# cochains were still dense tuples of Fractions.
+GOLDEN_REPORTS = {
+    ("ring", "bd_delta3.sset"): "1ff68fe66b8525e17e45075098d4396200208bcf061b08d1b3701500efdd13cd",
+    ("ring", "circle2.sset"): "300ad80df788b5d0194951f8f408c9ccbc086210d4fb586d6ce692ff8304bfff",
+    ("ring", "corrupt_dangling.sset"): "49b4bfabb10e3cff4884b89c9b0b92c5ccc4c58394cc06450c16a9ae1a50f4b9",
+    ("ring", "delta1.sset"): "d43d962b813f1e92dcb7615fabf5ed4f201de52c497650b62b94131f113c3aa5",
+    ("ring", "delta2.sset"): "d43d962b813f1e92dcb7615fabf5ed4f201de52c497650b62b94131f113c3aa5",
+    ("ring", "nerve_z2.sset"): "287e73a5f64f9bd33048b31a47120fc52cbcefda4067e04a1f733f65848eb30d",
+    ("ring", "nerve_z3.sset"): "cfd475678b6063a4308b14187d29484e2bc6c10a50cafed87eafe41c349af7bf",
+    ("ring", "path.sset"): "fc5ed6df351340c420c6868f4692045b97e281325b2560370839a97bbd248c63",
+    ("ring", "point.sset"): "d43d962b813f1e92dcb7615fabf5ed4f201de52c497650b62b94131f113c3aa5",
+    ("ring", "rp2.sset"): "82ac9d78cbf4a6258ec08cbf4aec7acabc435b279ee64b1c0c375a0ae60dcc38",
+    ("ring", "sphere2.sset"): "1ff68fe66b8525e17e45075098d4396200208bcf061b08d1b3701500efdd13cd",
+    ("ring", "torus.sset"): "8f6dbfc46cd04569c379e0bb66f5b10b3aa86a038f95aa04251a1e0471b89903",
+    ("ring", "two_points.sset"): "1eb0954e237bfe18121c9371cd0a3c6f75db7c8094dca6d645774e6b0d365b3f",
+    ("mv", "bd_delta3.sset", "bd_delta3_star.cover"):
+        "a062d4891ca257e4713f9df53d0c2442a15df3208d9588f2cab8a677deddfffd",
+    ("mv", "circle2.sset", "circle2.cover"):
+        "5fcec670f4cf37b3ac8e7bae524947563b78df1585ca41c2d2218726ca8f59eb",
+}
+
+
+def test_golden_reports_cover_every_fixture_set():
+    assert sorted(run[1] for run in GOLDEN_REPORTS if run[0] == "ring") == sorted(
+        name for name in os.listdir(FIXTURES) if name.endswith(".sset")
+    )
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_REPORTS))
+def test_ring_and_mv_reports_keep_their_digests(run):
+    command, *files = run
+    _, out = run_cli(command, *(fixture_path(name) for name in files))
+    kept = [ln for ln in out.splitlines() if not ln.startswith(("timing-ms", "command:", "input "))]
+    assert hashlib.sha256("\n".join(kept).encode()).hexdigest() == GOLDEN_REPORTS[run]
 
 
 @settings(max_examples=40)

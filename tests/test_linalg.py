@@ -79,7 +79,8 @@ def test_quotient_reps_match_dense(case, data):
     space = Matrix(rows, ncols)
     for sub in (contained, arbitrary):
         reps = quotient_reps(space, Matrix(sub, ncols))
-        assert reps == oracles.dense_quotient_reps(rows, sub, ncols)
+        assert [tuple(r) for r in dense(Matrix.sparse(reps, ncols))] == oracles.dense_quotient_reps(rows, sub, ncols)
+        assert all(all(row.values()) for row in reps)
         # dim(space + sub) - dim(sub), whether or not sub lies in space
         assert len(reps) == oracles.dense_rank(rows + sub, ncols) - oracles.dense_rank(sub, ncols)
 
