@@ -50,7 +50,7 @@ from .subdivision import (
     iterated_diameter,
     subdivide,
 )
-from .forms import Cochain, FormField, PolyForm, QTau, TAU, derham_map, whitney
+from .forms import FormField, PolyForm, QTau, TAU, derham_map, whitney
 from .derham import derham_cohomology
 from .kan import (
     ExtraDegeneracy,

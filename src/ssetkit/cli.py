@@ -128,8 +128,7 @@ def cmd_ring(report, args):
     report.add("betti", ring.betti())
     report.add("unit", unit_class_coords(ring))
     for (p, i, q, j), coords in sorted(ring.table.items()):
-        if p <= q:
-            report.add("cup.H%d[%d].H%d[%d]" % (p, i, q, j), coords)
+        report.add("cup.H%d[%d].H%d[%d]" % (p, i, q, j), coords)
     return True
 
 

@@ -38,12 +38,13 @@ comparison is an isomorphism when the surviving classes number as many.
 The local operators are pure functions of their shape: restriction to face
 i of the monomial basis on Delta^n, pullback along the collapse of a
 degenerate simplex onto its base (SimplicialSet.collapse), and the exterior
-derivative. Face and collapse maps are simplicial, so their tables come from
-the int substitution kernel of forms.PolyForm.pullback, called once per
-basis element on the vertex map, and the derivative's from its kernel.
-Each operator is tabulated once per process, as sparse rows of ints, and
-the face constraints and the derivative are assembled from the tables
-block by block.
+derivative. Face and collapse maps are simplicial, so one table serves
+both: the pullback along a vertex map, from the int substitution kernel of
+forms.PolyForm.pullback called once per basis element (a nondegenerate face
+collapses along the identity, whose table is unit rows); the derivative's
+table comes from its kernel. Each table is built once per process, as
+sparse rows of ints, and the face constraints and the derivative are
+assembled from the tables block by block.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParameterError, StructureError
-from .forms import Cochain, _d_monomial, _pull_monomial, whitney
+from .forms import _d_monomial, _pull_monomial, whitney
 from .homology import CochainSpaces
 from .linalg import Matrix, coordinates, nullspace
 
@@ -74,11 +75,15 @@ def _local_basis(m, p, degree_cap):
     return tuple(basis), {b: k for k, b in enumerate(basis)}
 
 
+@lru_cache(maxsize=None)
 def _pullback_rows(n, p, phi, degree_cap):
     """Pullback of the basis of degree-p forms on Delta^n along the simplicial
     map from Delta^m with vertex map phi (m = len(phi) - 1), as int rows: row
     r, a basis element on Delta^m, maps each basis index on Delta^n to its
-    coefficient."""
+    coefficient. A face i has the coface vertex map (0, ..., i-1, i+1, ..., n);
+    the collapse of a degenerate simplex onto its base has the weakly
+    increasing surjection eta of SimplicialSet.collapse, whose identity on a
+    nondegenerate simplex gives unit rows."""
     _, index = _local_basis(len(phi) - 1, p, degree_cap)
     rows = [{} for _ in index]
     for col, (exps, idx) in enumerate(_local_basis(n, p, degree_cap)[0]):
@@ -88,23 +93,6 @@ def _pullback_rows(n, p, phi, degree_cap):
                 raise StructureError("form leaves the truncated basis")
             rows[r][col] = c
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _face_rows(n, p, i, degree_cap):
-    """Restriction to face i: row r (a basis element on Delta^{n-1}) maps each
-    basis index on Delta^n to its coefficient."""
-    return _pullback_rows(n, p, tuple(v for v in range(n + 1) if v != i), degree_cap)
-
-
-@lru_cache(maxsize=None)
-def _collapse_rows(p, eta, degree_cap):
-    """Pullback along the collapse of a degenerate simplex onto its base, the
-    weakly increasing surjection with vertex map eta onto Delta^{eta[-1]}
-    (see SimplicialSet.collapse). Row r (a basis element on the degenerate
-    simplex) maps each basis index on the base to its coefficient.
-    """
-    return _pullback_rows(eta[-1], p, eta, degree_cap)
 
 
 @lru_cache(maxsize=None)
@@ -165,23 +153,18 @@ class _Truncation:
         cols, where, _ = self.columns(p)
         rows = []
         for n, s in self.simplex_list:
-            if n == 0:
+            if n <= p:  # faces of dimension n-1 < p carry no p-form
                 continue
-            here = where.get((n, s))
+            here = where[(n, s)]
             for i in range(n + 1):
-                face = _face_rows(n, p, i, self.cap)
-                if not face:
-                    continue
                 bdim, base, eta = self.x.collapse(n - 1, self.x.d(n, i, s))
                 there = where.get((bdim, base), ())
-                other = _collapse_rows(p, eta, self.cap) if bdim < n - 1 else None
-                for r, frow in enumerate(face):
+                face = _pullback_rows(n, p, tuple(v for v in range(n + 1) if v != i), self.cap)
+                other = _pullback_rows(bdim, p, eta, self.cap)
+                for frow, orow in zip(face, other):
                     row = {here[k]: c for k, c in frow.items()}
-                    if other is None:
-                        row[there[r]] = -1
-                    else:
-                        for k, c in other[r].items():
-                            row[there[k]] = -c
+                    for k, c in orow.items():
+                        row[there[k]] = -c
                     rows.append(row)
         basis = nullspace(Matrix.sparse(rows, len(cols)))
         # Each nullspace vector's free column is its last entry.
@@ -249,14 +232,13 @@ class _Truncation:
         Whitney field of each class representative of spaces is compatible,
         closed and integrates back to it; otherwise raise StructureError."""
         _, where, _ = self.columns(p)
-        basis = spaces.basis[p]
         for rep in spaces.reps(p):
-            w = whitney(Cochain(self.x, p, ((basis[i], v) for i, v in rep.items())))
+            w = whitney(self.x, p, rep)
             row = {where[(n, s)][_local_basis(n, p, self.cap)[1][key]]: v
                    for (n, s), form in w.forms.items() for key, v in form.terms.items()}
             coords, rest = coordinates(row, *self.kernel(p))
             if rest or any(self.d_matrix(p).matvec(coords)) or any(
-                w.forms[(p, s)].integrate() != rep.get(i, 0) for i, s in enumerate(basis)
+                w.forms[(p, s)].integrate() != rep.get(i, 0) for i, s in enumerate(spaces.basis[p])
             ):
                 raise StructureError("the Whitney field of a degree-%d class fails the comparison" % p)
 

@@ -53,6 +53,12 @@ PolyForm(n, p, terms), after it has checked each key's arity and index
 order where terms enter from outside. integrate sums the coefficients
 times the monomial integrals the same way, over the common denominator
 of the products.
+
+Integration over the p-simplices (derham_map) and the Whitney forms
+(whitney) go between form fields and cochains. A cochain is the one row
+type of ssetkit.homology, {position in x.nondegenerate(p): value}, whose
+positions are the basis of the chain complex; a degenerate simplex has no
+position, so a cochain is 0 there.
 """
 
 from __future__ import annotations
@@ -64,8 +70,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CompatibilityError, ParameterError
-
-_ZERO = Fraction(0)
 
 
 class QTau:
@@ -475,59 +479,6 @@ def _pull_monomial(exps, idx, phi):
     return tuple(((e, w), pc * wc) for e, pc in poly.items() for w, wc in wedge.items())
 
 
-# -- cochains --------------------------------------------------------------
-
-
-class Cochain:
-    """Rational value on each nondegenerate p-simplex; 0 on degenerates."""
-
-    __slots__ = ("x", "p", "values")
-
-    def __init__(self, x, p, values=()):
-        self.x = x
-        self.p = int(p)
-        base = {s: _ZERO for s in x.nondegenerate(p)} if p <= x.dim_cap else {}
-        for s, v in (values.items() if isinstance(values, dict) else values):
-            if s not in base:
-                raise ParameterError("value on unknown or degenerate simplex %r" % (s,))
-            base[s] = base[s] + v
-        self.values = base
-
-    def value(self, simplex):
-        return self.values.get(simplex, _ZERO)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.p == other.p
-            and self.values == other.values
-        )
-
-    def __add__(self, other):
-        return Cochain(self.x, self.p, [(s, self.values[s] + other.values[s]) for s in self.values])
-
-    def __sub__(self, other):
-        return Cochain(self.x, self.p, [(s, self.values[s] - other.values[s]) for s in self.values])
-
-    def coboundary(self):
-        """Simplicial coboundary: alternating sum over faces, 0 on degenerate faces."""
-        out = []
-        p = self.p
-        for s in self.x.nondegenerate(p + 1):
-            total = _ZERO
-            for i in range(p + 2):
-                f = self.x.d(p + 1, i, s)
-                if not self.x.is_degenerate(p, f):
-                    v = self.values.get(f, _ZERO)
-                    total = total + (-v if i % 2 else v)
-            out.append((s, total))
-        return Cochain(self.x, p + 1, out)
-
-    @classmethod
-    def elementary(cls, x, p, simplex, value=Fraction(1)):
-        return cls(x, p, [(simplex, value)])
-
-
 # -- form fields ------------------------------------------------------------
 
 
@@ -606,7 +557,9 @@ class FormField:
 
 
 def derham_map(field):
-    """Integrate a degree-p field over the p-simplices: the comparison cochain.
+    """Integrate a degree-p field over the p-simplices: the comparison cochain,
+    as a row {position in x.nondegenerate(p): nonzero integral}, the basis
+    order of homology.chain_complex.
 
     This is a cochain map: derham_map(d omega) equals the simplicial
     coboundary of derham_map(omega), which is the Stokes identity.
@@ -614,14 +567,12 @@ def derham_map(field):
     bad = field.validate()
     if bad:
         raise CompatibilityError("field is not face-compatible", witness=bad[0])
-    x = field.x
-    if field.p > x.dim_cap:
+    x, p = field.x, field.p
+    if p > x.dim_cap:
         raise ParameterError("degree above the cap")
-    return Cochain(
-        x,
-        field.p,
-        [(s, field.forms[(field.p, s)].integrate()) for s in x.nondegenerate(field.p)],
-    )
+    # A QTau has no truth value of its own, so zeros are compared away.
+    integrals = (field.forms[(p, s)].integrate() for s in x.nondegenerate(p))
+    return {k: v for k, v in enumerate(integrals) if v != 0}
 
 
 def elementary_whitney(m, subset):
@@ -648,26 +599,26 @@ def _whitney_terms(m, J):
     return tuple((key, c.numerator) for key, c in _collect(m, p, PolyForm._raw_parts(m, p, raw)).terms.items())
 
 
-def whitney(cochain):
-    """Elementary-form right inverse of the comparison map.
+def whitney(x, p, row):
+    """Elementary-form right inverse of the comparison map, on a cochain row
+    {position in x.nondegenerate(p): value}; a key off those positions is a
+    ParameterError.
 
-    On each nondegenerate m-simplex the field is the cochain-weighted sum of
+    On each nondegenerate m-simplex the field is the row-weighted sum of
     elementary Whitney forms over all (p+1)-vertex subsets; the weight is the
-    cochain value on the corresponding iterated face (0 when degenerate).
+    row's value on the corresponding iterated face (0 when degenerate, which
+    has no position).
     """
-    x = cochain.x
-    p = cochain.p
+    index = {s: k for k, s in enumerate(x.nondegenerate(p))}
+    for k in row:
+        if not (isinstance(k, int) and 0 <= k < len(index)):
+            raise ParameterError("cochain key %r is off the degree-%d basis" % (k, p))
     forms = {}
-    for m in x.dims():
+    for m in range(p, x.dim_cap + 1):
         for s in x.nondegenerate(m):
-            if m < p:
-                continue
             parts = []
             for J in itertools.combinations(range(m + 1), p + 1):
-                face = x.face_on(m, s, J)
-                if x.is_degenerate(p, face):
-                    continue
-                v = cochain.value(face)
+                v = row.get(index.get(x.face_on(m, s, J)), 0)
                 if v != 0:
                     parts.append((v, _whitney_terms(m, J)))
             forms[(m, s)] = _collect(m, p, parts)

@@ -217,7 +217,8 @@ class CochainSpaces:
 
 @dataclass
 class CohomologyRing:
-    """Cohomology basis per degree plus the cup product table on basis classes."""
+    """Cohomology basis per degree plus the cup product table on basis
+    classes, kept for degrees p <= q (product gives the rest)."""
 
     x: object
     spaces: CochainSpaces
@@ -228,21 +229,25 @@ class CohomologyRing:
         return tuple(len(self.reps.get(p, [])) for p in self.x.dims())
 
     def product(self, p, i, q, j):
-        """Class coordinates of reps[p][i] cup reps[q][j] in degree p+q."""
-        return self.table[(p, i, q, j)]
+        """Class coordinates of reps[p][i] cup reps[q][j] in degree p+q; for
+        p > q, graded commutativity gives them as (-1)^(pq) times the
+        (q, j, p, i) entry."""
+        if p <= q:
+            return self.table[(p, i, q, j)]
+        coords = self.table[(q, j, p, i)]
+        return tuple(-v for v in coords) if p * q % 2 else coords
 
 
 def cohomology_ring(x):
-    """Rational cohomology with the full multiplication table of basis classes."""
+    """Rational cohomology with the multiplication table of basis classes,
+    one entry per pair of degrees p <= q (see CohomologyRing.product)."""
     spaces = CochainSpaces(x)
     reps = {p: spaces.reps(p) for p in x.dims()}
     ring = CohomologyRing(x, spaces, reps)
     cap = x.dim_cap
     for p in x.dims():
         for i, a in enumerate(reps[p]):
-            for q in x.dims():
-                if p + q > cap:
-                    continue
+            for q in range(p, cap - p + 1):
                 for j, b in enumerate(reps[q]):
                     prod = spaces.cup(p, a, q, b)
                     ring.table[(p, i, q, j)] = spaces.express(p + q, prod)

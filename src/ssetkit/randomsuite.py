@@ -44,7 +44,13 @@ def random_polyform(rng, n, p, poly_degree=4, terms=4):
     return PolyForm.from_raw(n, p, raw)
 
 
-def subdivision_suite(rng, trials=100, dims=(1, 2, 3, 4), diameter_dims=(1, 2, 3)):
+# The simplex dimensions the suites draw from.
+SUBDIVISION_DIMS = (1, 2, 3, 4)
+DIAMETER_DIMS = (1, 2, 3)
+STOKES_MAX_DIM = 3
+
+
+def subdivision_suite(rng, trials=100):
     """The subdivision identities on random rational simplices.
 
     Returns a list of (name, passed, details) rows; every check is exact.
@@ -52,7 +58,7 @@ def subdivision_suite(rng, trials=100, dims=(1, 2, 3, 4), diameter_dims=(1, 2, 3
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     rows = []
-    for n in dims:
+    for n in SUBDIVISION_DIMS:
         chain_map_ok = True
         homotopy_ok = True
         for _ in range(trials):
@@ -65,7 +71,7 @@ def subdivision_suite(rng, trials=100, dims=(1, 2, 3, 4), diameter_dims=(1, 2, 3
                 homotopy_ok = False
         rows.append(("subdivision.chain_map.dim%d" % n, chain_map_ok, "%d trials" % trials))
         rows.append(("subdivision.homotopy.dim%d" % n, homotopy_ok, "%d trials" % trials))
-    for n in diameter_dims:
+    for n in DIAMETER_DIMS:
         s = standard_affine_simplex(n)
         bound = Fraction(n, n + 1) ** 2 * s.diameter_squared()
         rows.append(
@@ -78,13 +84,13 @@ def subdivision_suite(rng, trials=100, dims=(1, 2, 3, 4), diameter_dims=(1, 2, 3
     return rows
 
 
-def stokes_suite(rng, trials=200, max_dim=3):
+def stokes_suite(rng, trials=200):
     """Exact Stokes identity on random (form, simplex) pairs."""
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     failures = 0
     for _ in range(trials):
-        n = rng.randint(1, max_dim)
+        n = rng.randint(1, STOKES_MAX_DIM)
         eta = random_polyform(rng, n, n - 1)
         lhs = eta.d().integrate()
         rhs = Fraction(0)

@@ -7,7 +7,8 @@ unnormalized_betti is the unnormalized chain complex that the normalized
 one in ssetkit.homology must agree with below the cap. reference_cup walks
 the front and back face of each basis simplex and reads each cochain there
 by identifier, the reference for the face position tables of
-CochainSpaces.cup.
+CochainSpaces.cup; elementwise_coboundary sums a cochain kept by identifier
+over the faces of each simplex, the reference for CochainSpaces.coboundary.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg.
 scan_identities and scan_map_violations check the simplicial identities and
@@ -133,6 +134,24 @@ def reference_cup(spaces, p, arow, q, brow):
         for s in spaces.basis[n]
     )
     return {k: v for k, v in enumerate(products) if v}
+
+
+def elementwise_coboundary(x, p, values):
+    """Simplicial coboundary of a degree-p cochain kept by identifier,
+    {nondegenerate p-simplex: value}: on each nondegenerate (p+1)-simplex,
+    the alternating sum over its faces, 0 on a degenerate face. The result
+    is kept by identifier too, without zero values."""
+    out = {}
+    for s in x.nondegenerate(p + 1):
+        total = Fraction(0)
+        for i in range(p + 2):
+            f = x.d(p + 1, i, s)
+            if not x.is_degenerate(p, f):
+                v = values.get(f, Fraction(0))
+                total += -v if i % 2 else v
+        if total:
+            out[s] = total
+    return out
 
 
 def dense_rref(rows, ncols):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ssetkit import cli
 from ssetkit.cli import main
 from ssetkit.errors import ParameterError, StructureError
-from ssetkit.forms import Cochain, FormField, PolyForm, QTau, whitney
+from ssetkit.forms import FormField, PolyForm, QTau, whitney
 from ssetkit.io_text import (
     _UNWRITABLE,
     parse_chain,
@@ -96,9 +96,7 @@ def fixture_format(name):
 
 
 BD_DELTA3 = parse_complex(fixture_text("bd_delta3.sset"))
-WHITNEY_FIELD = whitney(
-    Cochain(BD_DELTA3, 1, [(s, Fraction(k % 5 - 2)) for k, s in enumerate(BD_DELTA3.nondegenerate(1))])
-)
+WHITNEY_FIELD = whitney(BD_DELTA3, 1, {k: Fraction(k % 5 - 2) for k in range(len(BD_DELTA3.nondegenerate(1)))})
 # The readers without a fixture, each as (read, write, serialized text).
 SERIALIZED = {
     "matrix": (parse_matrix_triples, lambda triples: triples, serialize_matrix(Matrix([[1, 0, -3], [0, 2, 5]]))),
@@ -1192,8 +1190,36 @@ def test_cli_determinism(command, fixture):
 
 # SHA-256 of the ring report of every fixture set and the mv report of both
 # covers, without the timing, command and input lines, recorded while
-# cochains were still dense tuples of Fractions.
+# cochains were still dense tuples of Fractions; and of the derham report of
+# every fixture set at poly degree 1 and 2, recorded while the Whitney forms
+# still took a cochain keyed by simplex identifier.
 GOLDEN_REPORTS = {
+    ("derham", "bd_delta3.sset", 1): "232806c3b92b8fa28e8fbe6ddf65b05b20eb55ef4d174b3550e53e8084b34978",
+    ("derham", "bd_delta3.sset", 2): "db2de326aa479790fc7f9570ea72926b6727aff940a6dd7ceb27a3c258bd1f0c",
+    ("derham", "circle2.sset", 1): "d5a5263b2ae89b44cd7c1f785896b454ff5de4e947f3874632361935e24d48b1",
+    ("derham", "circle2.sset", 2): "fa8e8d8386aabecd6c5d1a0e3d5b1aac218ffadb715d7d63aa676d4d70499862",
+    ("derham", "corrupt_dangling.sset", 1): "49b4bfabb10e3cff4884b89c9b0b92c5ccc4c58394cc06450c16a9ae1a50f4b9",
+    ("derham", "corrupt_dangling.sset", 2): "49b4bfabb10e3cff4884b89c9b0b92c5ccc4c58394cc06450c16a9ae1a50f4b9",
+    ("derham", "delta1.sset", 1): "0bde41ff7d0064c4830ccc811be4fb8d0e7cd07c3613afb5d61f19d76a693f66",
+    ("derham", "delta1.sset", 2): "90813807560bfd1beb15cd63c4de92020db61fb2cf591f07b32cb45b4badd812",
+    ("derham", "delta2.sset", 1): "41af4c50110ce964f7eccb699b3c5e9d3bb4714859d38916c6ab8325baaf78b2",
+    ("derham", "delta2.sset", 2): "7e9a16f5f78c2555b5739ffa6aa7bec8e6bb6142d15bdfa45111c3e45c8f1952",
+    ("derham", "nerve_z2.sset", 1): "7b46c707484469ef445c4cd8beabfcf94bd4fef63b721e93d2e4b1670d0dff7b",
+    ("derham", "nerve_z2.sset", 2): "bd5be1f27474b5d5d0a162076a73752f61c2ded8488814f9c9ef3d24db8418ba",
+    ("derham", "nerve_z3.sset", 1): "73f46643e08cd7fb7fb696a40ef4705a5d2875df5e483a9527750334e894017d",
+    ("derham", "nerve_z3.sset", 2): "010d6281623f6a7220379fefbc88440eb7f2d1380047bd5d2302f85a87b879b3",
+    ("derham", "path.sset", 1): "db7a469c6d718eca91630599a2421d92d2761ecfb8c6b5c8a995c30da329eedf",
+    ("derham", "path.sset", 2): "d6669419b0303351aa3b3acfac363897302f61fc80e7e0fabe4ea551476fb33f",
+    ("derham", "point.sset", 1): "38a2b4c7486d562ddc6b7c78f533dbdd58e2c8b4cb7651fe246877b96642843a",
+    ("derham", "point.sset", 2): "1f4f8afd6c8a964e887b3a9b926e498a4855a6f69c39f0d9e54160383d41d81b",
+    ("derham", "rp2.sset", 1): "5885149f0c5fe4f66a299032fde18299069e98d41408bd34cd1c97b9f1e7ec0e",
+    ("derham", "rp2.sset", 2): "88fe89957f05581cf895b0bb8c731b26991af73089d209ce60e60247536c73b8",
+    ("derham", "sphere2.sset", 1): "cc03eca6b263185aa607fa0e4913cb07579d5308bc7ad6093705ecca2838691c",
+    ("derham", "sphere2.sset", 2): "4d1934b6f84285c85929b2aee43cfbbc561a4df31a5b83fad6db6e85ac7128b8",
+    ("derham", "torus.sset", 1): "c9b9cacd4f70b9e11bc8c1778fb0fde50ff68fb86a0830ee1eacc2c99296b7dc",
+    ("derham", "torus.sset", 2): "120df8fa4b13b2c8e072f902dd91e9e58dc9e1167a199b2887c4ee3e918abf7a",
+    ("derham", "two_points.sset", 1): "3d50fe9facb2af7eebb3fdae258d7c9069ab1ffb992a9cf5a1c85b0bbbbab5e4",
+    ("derham", "two_points.sset", 2): "17e4675bd93b9c29566530199ad9644dfae3d168308226fc20a097d53944e0fb",
     ("ring", "bd_delta3.sset"): "1ff68fe66b8525e17e45075098d4396200208bcf061b08d1b3701500efdd13cd",
     ("ring", "circle2.sset"): "300ad80df788b5d0194951f8f408c9ccbc086210d4fb586d6ce692ff8304bfff",
     ("ring", "corrupt_dangling.sset"): "49b4bfabb10e3cff4884b89c9b0b92c5ccc4c58394cc06450c16a9ae1a50f4b9",
@@ -1215,15 +1241,20 @@ GOLDEN_REPORTS = {
 
 
 def test_golden_reports_cover_every_fixture_set():
-    assert sorted(run[1] for run in GOLDEN_REPORTS if run[0] == "ring") == sorted(
-        name for name in os.listdir(FIXTURES) if name.endswith(".sset")
-    )
+    sets = sorted(name for name in os.listdir(FIXTURES) if name.endswith(".sset"))
+    assert sorted(run[1] for run in GOLDEN_REPORTS if run[0] == "ring") == sets
+    for degree in (1, 2):
+        assert sorted(run[1] for run in GOLDEN_REPORTS if run[0] == "derham" and run[2] == degree) == sets
 
 
 @pytest.mark.parametrize("run", sorted(GOLDEN_REPORTS))
 def test_ring_and_mv_reports_keep_their_digests(run):
     command, *files = run
-    _, out = run_cli(command, *(fixture_path(name) for name in files))
+    if command == "derham":
+        name, degree = files
+        _, out = run_cli(command, fixture_path(name), "--poly-degree", str(degree))
+    else:
+        _, out = run_cli(command, *(fixture_path(name) for name in files))
     kept = [ln for ln in out.splitlines() if not ln.startswith(("timing-ms", "command:", "input "))]
     assert hashlib.sha256("\n".join(kept).encode()).hexdigest() == GOLDEN_REPORTS[run]
 
@@ -1252,8 +1283,7 @@ def test_golden_subdivision_chains():
 def test_field_round_trip():
     rng = random.Random(2)
     x = parse_complex(fixture_text("bd_delta3.sset"))
-    cochain = Cochain(x, 1, [(s, Fraction(rng.randint(-2, 2))) for s in x.nondegenerate(1)])
-    field = whitney(cochain)
+    field = whitney(x, 1, {k: Fraction(rng.randint(-2, 2)) for k in range(len(x.nondegenerate(1)))})
     text = serialize_field(field)
     assert parse_field(text, x) == field
 
