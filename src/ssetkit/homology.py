@@ -81,19 +81,23 @@ def chain_complex(x):
     basis = {n: x.nondegenerate(n) for n in x.dims()}
     boundary = {}
     for n in range(1, x.dim_cap + 1):
-        rows = {}  # face -> its row of the boundary matrix
+        # the row of each nondegenerate (n-1)-simplex, by its stored position
+        row_at = {x._index[n - 1][f]: r for r, f in enumerate(basis[n - 1])}
+        faces = [x._dpos[(n, i)] for i in range(n + 1)]
+        rows = [{} for _ in basis[n - 1]]
         for j, s in enumerate(basis[n]):
-            for i in range(n + 1):
-                f = x.d(n, i, s)
-                if x.is_degenerate(n - 1, f):
+            p = x._index[n][s]
+            for i, face in enumerate(faces):
+                r = row_at.get(face[p])
+                if r is None:  # a degenerate face
                     continue
-                row = rows.setdefault(f, {})
+                row = rows[r]
                 v = row.get(j, 0) + (-1) ** i
                 if v:
                     row[j] = v
                 else:
                     del row[j]
-        boundary[n] = Matrix.sparse([rows.get(f, {}) for f in basis[n - 1]], len(basis[n]))
+        boundary[n] = Matrix.sparse(rows, len(basis[n]))
     return ChainComplex._of_simplicial_set(basis, boundary)
 
 

@@ -121,21 +121,23 @@ def _row(ln, line):
 
 def serialize_complex(x):
     # every face, degeneracy and witness is a listed simplex of the adjacent
-    # dimension, so each identifier is rendered once
-    names = {n: {s: render_id(s) for s in x.simplices[n]} for n in x.dims()}
+    # dimension, so each identifier is rendered once, kept by stored position
+    names = {n: [render_id(s) for s in x.simplices[n]] for n in x.dims()}
     lines = ["sset 1", "cap %d" % x.dim_cap]
     for n in x.dims():
         lines.append("dim %d" % n)
         below, above = names.get(n - 1), names.get(n + 1)
-        for s in x.simplices[n]:
-            fields = [names[n][s]]
-            if n >= 1:
-                fields.append("faces " + " ".join(below[x.d(n, i, s)] for i in range(n + 1)))
-            if n < x.dim_cap:
-                fields.append("deg " + " ".join(above[x.s(n, i, s)] for i in range(n + 1)))
+        faces = [x._dpos[(n, i)] for i in range(n + 1) if n >= 1]
+        degs = [x._spos[(n, i)] for i in range(n + 1) if n < x.dim_cap]
+        for p, s in enumerate(x.simplices[n]):
+            fields = [names[n][p]]
+            if faces:
+                fields.append("faces " + " ".join([below[face[p]] for face in faces]))
+            if degs:
+                fields.append("deg " + " ".join([above[deg[p]] for deg in degs]))
             if x.is_degenerate(n, s):
                 j, base = x.witness[(n, s)]
-                fields.append("degen %d %s" % (j, below[base]))
+                fields.append("degen %d %s" % (j, below[x._index[n - 1][base]]))
             lines.append(" | ".join(fields))
     return "\n".join(lines) + "\n"
 
@@ -531,9 +533,10 @@ def serialize_map(smap):
     lines.append("target")
     lines.append(serialize_complex(smap.target).rstrip("\n"))
     lines.append("map")
-    for n in sorted(smap.level_map):
-        for s in smap.source.simplices[n]:
-            lines.append("%d : %s > %s" % (n, render_id(s), render_id(smap.level_map[n][s])))
+    for n, image in smap._image.items():
+        ys = smap.target.simplices[n]
+        for s, q in zip(smap.source.simplices[n], image):
+            lines.append("%d : %s > %s" % (n, render_id(s), render_id(ys[q])))
     return "\n".join(lines) + "\n"
 
 

@@ -5,15 +5,15 @@ Every verdict here is exhaustive over the stored tables and therefore only
 means "up to the dimension cap"; the certificates say so explicitly: a
 positive certificate enumerates every horn, a negative one carries a witness.
 
-Horn search asks one question of the simplicial set, SimplicialSet.matching:
-the simplices whose faces at given positions are given simplices, one lookup
-in an index kept on the set for those positions. Enumeration places the
-faces x_j (j != k) in increasing j, and the candidates for x_j are the
-matches of d_i x_j = d_{j-1} x_i over every placed i; filling a horn is the
-matches of its faces at every position but k. Matches keep stored order, so
-horns and fillers are those of an exhaustive scan. The backtracking is a
-module-level recursion, so a search leaves no reference cycle for the
-collector.
+Horn search reads the face tables as the stored positions the set keeps,
+and the face-tuple indexes kept on it: for given face positions, every tuple
+of faces to the simplices that have it, in stored order (what
+SimplicialSet.matching answers by identifier). Enumeration extends every
+partial horn by one slot x_j (j != k) per step, in increasing j: the
+candidates are the y with d_i y = d_{j-1} x_i for every placed i, one lookup
+in the index of the placed slots. Candidates keep stored order, so horns come
+out lexicographic in stored order, as an exhaustive scan finds them. Filling
+a horn is one lookup of its faces at every position but k.
 
 The certificates do not fill horn by horn. Per (n, k) they read every
 n-simplex z once, as its restriction: the tuple (d_i z)_i with None at k,
@@ -50,7 +50,8 @@ class Horn:
 
 
 def enumerate_horns(x, n, k):
-    """All (n, k)-horns of x, by backtracking over face positions.
+    """All (n, k)-horns of x, extended one face slot at a time, in
+    lexicographic stored order.
 
     A horn is data in dimension n-1, so n may exceed the cap by one; only
     filling it would need dimension n."""
@@ -59,26 +60,19 @@ def enumerate_horns(x, n, k):
     if not 0 <= k <= n:
         raise ParameterError("horn index out of range")
     slots = [j for j in range(n + 1) if j != k]
-    # x_j is an (n-1)-simplex with d_i x_j = d_{j-1} x_i for every slot i < j
-    steps = [(j, tuple(slots[:r]), x.face[(n - 1, j - 1)] if r else None) for r, j in enumerate(slots)]
-    out = []
-    _place(x, n, k, steps, 0, [None] * (n + 1), out)
-    return out
-
-
-def _place(x, n, k, steps, r, faces, out):
-    """Append to out every horn that extends the faces placed at the slots
-    before steps[r], each slot's candidates one lookup in x.matching."""
-    j, placed, down = steps[r]
-    matches = x.matching(n - 1, placed, tuple([down[faces[i]] for i in placed]))
-    if r + 1 == len(steps):
-        for y in matches:
-            faces[j] = y
-            out.append(Horn(n, k, tuple(faces)))
-        return
-    for y in matches:
-        faces[j] = y
-        _place(x, n, k, steps, r + 1, faces, out)
+    partial = [()]  # the positions in X_{n-1} of the faces at the slots placed so far
+    for r, j in enumerate(slots):
+        # x_j is an (n-1)-simplex with d_i x_j = d_{j-1} x_i for every slot i < j
+        index = x._face_index(n - 1, tuple(slots[:r]))
+        down = x._dpos[(n - 1, j - 1)] if r else ()
+        partial = [h + (y,) for h in partial for y in index.get(tuple([down[i] for i in h]), ())]
+    level = x.simplices[n - 1]
+    horns = []
+    for h in partial:
+        faces = [level[p] for p in h]
+        faces.insert(k, None)
+        horns.append(Horn(n, k, tuple(faces)))
+    return horns
 
 
 def fill_horn(x, horn):
@@ -100,12 +94,18 @@ def _without(seq, k):
     return tuple(seq[:k]) + tuple(seq[k + 1 :])
 
 
-def _restrictions(x, n, k):
+def _faces(x, n):
+    """The faces (d_i z) over the n-simplices z in stored order, one list of
+    identifiers per i."""
+    level = x.simplices[n - 1]
+    return [list(map(level.__getitem__, x._dpos[(n, i)])) for i in range(n + 1)]
+
+
+def _restrictions(faces, k):
     """The tuples (d_i z)_i with None at position k, over the n-simplices z
-    in stored order: the faces tuple of the (n, k)-horn each z fills."""
-    columns = [x.face[(n, i)].values() for i in range(n + 1)]
-    columns[k] = itertools.repeat(None)
-    return zip(*columns)
+    whose faces are read in step from the lists faces: the faces tuple of
+    the (n, k)-horn each z fills."""
+    return zip(*faces[:k], itertools.repeat(None), *faces[k + 1:])
 
 
 @dataclass
@@ -138,9 +138,10 @@ def is_fibrant(x):
     is looked up once in the count of the restrictions of X_n."""
     counts = {}
     for n in range(1, x.dim_cap + 1):
+        faces = _faces(x, n)
         for k in range(n + 1):
             horns = enumerate_horns(x, n, k)
-            fillers = Counter(_restrictions(x, n, k))
+            fillers = Counter(_restrictions(faces, k))
             found = [fillers[h.faces] for h in horns]
             if 0 in found:
                 return KanCertificate(x.dim_cap, False, counts, witness=horns[found.index(0)])
@@ -166,19 +167,20 @@ def is_fibration(p):
     cap = p.dim_cap
     problems = 0
     for n in range(1, cap + 1):
-        below, level = p.level_map[n - 1], p.level_map[n]
+        below, level = p._image[n - 1], p._image[n]
+        index, targets, faces = x._index[n - 1], y.simplices[n], _faces(x, n)
         for k in range(n + 1):
-            given = _without(range(n + 1), k)
-            lifts = _group(_restrictions(x, n, k), level.values())
+            lifts = _group(_restrictions(faces, k), level)
+            bases = y._face_index(n, _without(range(n + 1), k))
             for h in enumerate_horns(x, n, k):
-                down = y.matching(n, given, tuple(below[f] for f in _without(h.faces, k)))
+                down = bases.get(tuple([below[index[f]] for f in _without(h.faces, k)]), ())
                 if not down:
                     continue
                 images = lifts.get(h.faces, ())
                 for b in down:
                     problems += 1
                     if b not in images:
-                        return FibrationCertificate(cap, False, problems, witness=(h, b))
+                        return FibrationCertificate(cap, False, problems, witness=(h, targets[b]))
     return FibrationCertificate(cap, True, problems)
 
 
@@ -206,8 +208,9 @@ def connected_components(x):
     """Vertex partition generated by the edges."""
     components = _UnionFind(x.simplices[0])
     if x.dim_cap >= 1:
-        for e in x.simplices[1]:
-            components.union(x.d(1, 0, e), x.d(1, 1, e))
+        vertices = x.simplices[0]
+        for a, b in zip(x._dpos[(1, 0)], x._dpos[(1, 1)]):
+            components.union(vertices[a], vertices[b])
     return list(components.groups().values())
 
 
@@ -232,7 +235,7 @@ def check_extra_degeneracy(x, extra):
         raise ParameterError("extra-degeneracy check needs a connected complex")
     cap = x.dim_cap
     # e[n][p]: the position in X_{n+1} of s_{-1} of the p-th n-simplex
-    e = [_tabulate(_entry, n, extra.maps, x.simplices[n], x._index[n + 1], "s_{-1}")[1] for n in range(cap)]
+    e = [_tabulate(_entry, n, extra.maps, x.simplices[n], x._index[n + 1], "s_{-1}") for n in range(cap)]
     d, s = x._dpos, x._spos
     for n in range(cap):
         sides = [((0, 0, "d_0 s_{-1} = id"), _compose(d[(n + 1, 0)], e[n]), list(range(len(e[n]))))]

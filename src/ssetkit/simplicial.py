@@ -28,13 +28,17 @@ class SimplicialSet:
 
     The constructor takes the structure maps as functions face(n, i, x) and
     deg(n, i, x) and tabulates them, calling each once per listed simplex
-    and per (n, i):
+    and per (n, i). Each structure map is kept once, as stored positions:
 
     simplices[n]   ordered tuple of identifiers, 0 <= n <= dim_cap
-    face[(n, i)]   dict id -> id, for 1 <= n <= dim_cap, 0 <= i <= n
-    deg[(n, i)]    dict id -> id, for 0 <= n < dim_cap, 0 <= i <= n
+    _dpos[(n, i)]  [p] is the position in X_{n-1} of d_i of the p-th
+                   n-simplex, for 1 <= n <= dim_cap, 0 <= i <= n
+    _spos[(n, i)]  the same for s_i, into X_{n+1}, for 0 <= n < dim_cap
     degenerate[n]  frozenset of degenerate identifiers
     witness[(n, x)] = (i, y) with x = s_i(y), for each degenerate x
+
+    d and s read one entry through _index; readers that walk a whole level
+    read the position lists.
 
     This is the one place the tables are made and checked: a duplicate
     identifier, a map value that is not a listed simplex of the adjacent
@@ -43,14 +47,11 @@ class SimplicialSet:
     with offending = (n, x) for the n-simplex x it refused (for a duplicate,
     an identifier listed twice).
 
-    The check finds the stored position of every value, and the tables are
-    kept as those positions too: _dpos[(n, i)][p] is the position in X_{n-1}
-    of d_i of the p-th n-simplex, _spos[(n, i)][p] that in X_{n+1} of s_i of
-    it. The identity scan, map checks and extra degeneracies read them.
-
-    degenerate and witness are derived from the deg tables: x is degenerate
-    iff x = s_i(y) for some listed y, and its witness is (i, y) for the
-    least such i.
+    degenerate and witness are derived from the degeneracy tables: x is
+    degenerate iff x = s_i(y) for some listed y, and its witness is (i, y)
+    for the least such i, then the first such y in stored order; witness
+    lists the degenerate simplices in the order they are first reached that
+    way.
 
     Nothing changes the tables after construction, so derived structure
     (the index, the nondegenerate simplices, the identity scan behind
@@ -73,22 +74,19 @@ class SimplicialSet:
                 repeated = next(x for p, x in enumerate(self.simplices[n]) if idx[x] != p)
                 raise _refusal("duplicate identifier in dimension %d" % n, (n, repeated))
         xs, index = self.simplices, self._index
-        self.face, self._dpos, self.deg, self._spos = {}, {}, {}, {}
-        for n in range(1, dim_cap + 1):
-            for i in range(n + 1):
-                self.face[(n, i)], self._dpos[(n, i)] = _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
-        for n in range(dim_cap):
-            for i in range(n + 1):
-                self.deg[(n, i)], self._spos[(n, i)] = _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
+        self._dpos = {(n, i): _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
+                      for n in range(1, dim_cap + 1) for i in range(n + 1)}
+        self._spos = {(n, i): _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
+                      for n in range(dim_cap) for i in range(n + 1)}
         self.degenerate = {0: frozenset()}
         self.witness = {}
         for n in range(1, self.dim_cap + 1):
-            level = {}
+            level = {}  # position in X_n -> witness
             for i in range(n):
-                for y, x in self.deg[(n - 1, i)].items():
-                    level.setdefault(x, (i, y))
-            self.degenerate[n] = frozenset(level)
-            self.witness.update(((n, x), w) for x, w in level.items())
+                for y, p in zip(xs[n - 1], self._spos[(n - 1, i)]):
+                    level.setdefault(p, (i, y))
+            self.degenerate[n] = frozenset(xs[n][p] for p in level)
+            self.witness.update(((n, xs[n][p]), w) for p, w in level.items())
         self._nondegenerate = {
             n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
             for n in range(dim_cap + 1)
@@ -105,10 +103,10 @@ class SimplicialSet:
         return 0 <= n <= self.dim_cap and x in self._index.get(n, {})
 
     def d(self, n, i, x):
-        return self.face[(n, i)][x]
+        return self.simplices[n - 1][self._dpos[(n, i)][self._index[n][x]]]
 
     def s(self, n, i, x):
-        return self.deg[(n, i)][x]
+        return self.simplices[n + 1][self._spos[(n, i)][self._index[n][x]]]
 
     def is_degenerate(self, n, x):
         return x in self.degenerate[n]
@@ -136,20 +134,23 @@ class SimplicialSet:
 
     def matching(self, n, positions, faces):
         """The n-simplices y with d_i y = faces[r] for the r-th i of the
-        tuple positions, in stored order (every n-simplex when it is ()).
+        tuple positions, in stored order (every n-simplex when it is ())."""
+        table, below = self._face_index(n, positions), self._index.get(n - 1, {})
+        key = tuple([below.get(f, -1) for f in faces])  # -1: no simplex has that face
+        return tuple(map(self.simplices[n].__getitem__, table.get(key, ())))
 
-        The index for (n, positions), from every tuple of faces at those
-        positions to the simplices that have it, is built in one pass over
-        X_n on its first call and kept.
-        """
+    def _face_index(self, n, positions):
+        """{tuple of the positions of (d_i y) for i in positions: the
+        positions of the y in X_n with those faces, in stored order}, built
+        in one pass over X_n on the first call for (n, positions) and kept."""
         table = self._matching.get((n, positions))
         if table is None:
-            if not (0 <= n <= self.dim_cap and all((n, i) in self.face for i in positions)):
+            if not (0 <= n <= self.dim_cap and all((n, i) in self._dpos for i in positions)):
                 raise ParameterError("no faces %r of %d-simplices below the cap %d" % (positions, n, self.dim_cap))
-            columns = [self.face[(n, i)].values() for i in positions]
-            table = _group(zip(*columns) if columns else itertools.repeat(()), self.simplices[n])
+            columns = [self._dpos[(n, i)] for i in positions]
+            table = _group(zip(*columns) if columns else itertools.repeat(()), range(len(self.simplices[n])))
             self._matching[(n, positions)] = table
-        return table.get(faces, ())
+        return table
 
     def counts(self):
         return tuple(len(self._nondegenerate[n]) for n in self.dims())
@@ -158,11 +159,12 @@ class SimplicialSet:
         """The face of the n-simplex x spanned by the vertex positions in
         `vertices` (a subset of 0..n): every other position is deleted, from
         the top down, so the lower positions keep their numbers."""
+        p = self._index[n][x]
         for i in range(n, -1, -1):
             if i not in vertices:
-                x = self.d(n, i, x)
+                p = self._dpos[(n, i)][p]
                 n -= 1
-        return x
+        return self.simplices[n][p]
 
     def vertices_of(self, n, x):
         """Images of the n+1 vertex inclusions, in order."""
@@ -274,27 +276,23 @@ def _refusal(message, offending):
 
 
 def _tabulate(f, n, b, xs, known, name):
-    """{x: f(n, b, x)} over the listed n-simplices xs in stored order, and the
-    list of the positions of its values in known: the lookups that check the
-    values. The first x in stored order whose value is not a key of known,
-    or on which f (a structure map f(n, i, x) or _entry, called directly)
-    raises KeyError or IndexError ("<name> undefined on x"), is refused with
+    """The positions in known of f(n, b, x) over the listed n-simplices xs,
+    in stored order, in one pass: the lookups that check the values. The
+    first x in stored order on which f (a structure map f(n, i, x) or
+    _entry, called directly) raises KeyError or IndexError ("<name>
+    undefined on x"), or whose value is not a key of known, is refused with
     offending = (n, x)."""
-    table = {}
-    try:
-        for x in xs:
-            table[x] = f(n, b, x)
-    except (KeyError, IndexError):
-        pass
-    try:
-        positions = list(map(known.__getitem__, table.values()))
-    except KeyError:
-        x = next(x for x, y in table.items() if y not in known)
-        raise _refusal("%s of %r hits unknown identifier %r" % (name, x, table[x]), (n, x)) from None
-    if len(table) < len(xs):
-        x = xs[len(table)]
-        raise _refusal("%s undefined on %r" % (name, x), (n, x))
-    return table, positions
+    positions = []
+    for x in xs:
+        try:
+            y = f(n, b, x)
+        except (KeyError, IndexError):
+            raise _refusal("%s undefined on %r" % (name, x), (n, x)) from None
+        try:
+            positions.append(known[y])
+        except KeyError:
+            raise _refusal("%s of %r hits unknown identifier %r" % (name, x, y), (n, x)) from None
+    return positions
 
 
 def _entry(n, tables, x):
@@ -506,48 +504,38 @@ def product(x, y, dim_cap=None):
 
 
 def close_subcomplex(x, seeds):
-    """Smallest sub-simplicial-set of x containing the seed simplices."""
-    sets = {n: set(seeds.get(n, ())) for n in x.dims()}
-    for n in x.dims():
-        for s in sets[n]:
+    """Smallest sub-simplicial-set of x containing the seed simplices; a seed
+    that is not a simplex of its dimension, one off 0..cap included, is
+    refused."""
+    for n in sorted(seeds):
+        for s in seeds[n]:
             if not x.has(n, s):
                 raise StructureError("seed %r is not a simplex of dimension %d" % (s, n))
-    changed = True
-    while changed:
-        changed = False
-        for n in range(x.dim_cap, 0, -1):
-            for s in list(sets[n]):
-                for i in range(n + 1):
-                    f = x.d(n, i, s)
-                    if f not in sets[n - 1]:
-                        sets[n - 1].add(f)
-                        changed = True
-        for n in range(x.dim_cap):
-            for s in list(sets[n]):
-                for i in range(n + 1):
-                    t = x.s(n, i, s)
-                    if t not in sets[n + 1]:
-                        sets[n + 1].add(t)
-                        changed = True
+    sets = {n: set() for n in x.dims()}
+    todo = [(n, s) for n in seeds for s in seeds[n]]
+    while todo:
+        n, s = todo.pop()
+        if s not in sets[n]:
+            sets[n].add(s)
+            todo += [(n - 1, x.d(n, i, s)) for i in range(n + 1) if n >= 1]
+            todo += [(n + 1, x.s(n, i, s)) for i in range(n + 1) if n < x.dim_cap]
     return {n: frozenset(v) for n, v in sets.items()}
 
 
 def is_subcomplex(x, sub):
-    """Closure check; returns None when closed, else an offending (kind, n, simplex)."""
-    for n in x.dims():
-        for s in sub.get(n, ()):
+    """Closure check; returns None when closed, else an offending (kind, n,
+    simplex): ("unknown", n, s) for a member that is not a simplex of its
+    dimension, one off 0..cap included."""
+    for n in sorted(sub):
+        for s in sub[n]:
             if not x.has(n, s):
                 return ("unknown", n, s)
-    for n in range(1, x.dim_cap + 1):
-        for s in sub.get(n, ()):
-            for i in range(n + 1):
-                if x.d(n, i, s) not in sub.get(n - 1, ()):
-                    return ("face", n, s)
-    for n in range(x.dim_cap):
-        for s in sub.get(n, ()):
-            for i in range(n + 1):
-                if x.s(n, i, s) not in sub.get(n + 1, ()):
-                    return ("degeneracy", n, s)
+    cap = x.dim_cap
+    for kind, dims, step, f in (("face", range(1, cap + 1), -1, x.d), ("degeneracy", range(cap), 1, x.s)):
+        for n in dims:
+            for s in sub.get(n, ()):
+                if any(f(n, i, s) not in sub.get(n + step, ()) for i in range(n + 1)):
+                    return (kind, n, s)
     return None
 
 
@@ -731,12 +719,14 @@ def circle_two_edges(dim_cap=2):
 class SimplicialMap:
     """Levelwise map of simplicial sets, up to the lesser cap of its ends.
 
-    The constructor is the one place the table is made and checked: a key up
-    to the cap (at any dimension) that is not a source simplex of its
-    dimension, an undefined source simplex and an image off the target are
-    StructureErrors, with offending = (n, key) or (n, source simplex) on the
-    error; levels above the cap are ignored. level_map[n] lists X_n in
-    stored order, and _image[n] the positions of its images in Y_n."""
+    The constructor takes level_map[n] as {source simplex: image} and is the
+    one place the table is made and checked: a key up to the cap (at any
+    dimension) that is not a source simplex of its dimension, an undefined
+    source simplex and an image off the target are StructureErrors, with
+    offending = (n, key) or (n, source simplex) on the error; levels above
+    the cap are ignored. The map is kept once, as positions: _image[n][p] is
+    the position in Y_n of the image of the p-th n-simplex of X, for
+    0 <= n <= dim_cap; calling the map and every check read it."""
 
     def __init__(self, source, target, level_map):
         self.source = source
@@ -746,15 +736,14 @@ class SimplicialMap:
             for x in level_map[n]:
                 if not source.has(n, x):
                     raise _refusal("%s is not a source simplex of dimension %d" % (x, n), (n, x))
-        self.level_map, self._image = {}, []
-        for n in range(cap + 1):
-            self.level_map[n], image = _tabulate(
-                _entry, n, level_map, source.simplices[n], target._index[n], "map f_%d" % n)
-            self._image.append(image)
+        self._image = {
+            n: _tabulate(_entry, n, level_map, source.simplices[n], target._index[n], "map f_%d" % n)
+            for n in range(cap + 1)
+        }
         self._violations = None
 
     def __call__(self, n, x):
-        return self.level_map[n][x]
+        return self.target.simplices[n][self._image[n][self.source._index[n][x]]]
 
     def validate(self):
         """The structure maps the map fails to commute with: ("face", n, i, x),
@@ -780,8 +769,8 @@ class SimplicialMap:
         if self.source.dim_cap != self.target.dim_cap or self.validate():
             return False
         return all(
-            len(set(level.values())) == len(self.source.simplices[n]) == len(self.target.simplices[n])
-            for n, level in self.level_map.items()
+            len(set(image)) == len(self.source.simplices[n]) == len(self.target.simplices[n])
+            for n, image in self._image.items()
         )
 
     @classmethod

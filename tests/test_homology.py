@@ -33,6 +33,7 @@ from ssetkit.simplicial import (
     sphere_quotient,
     standard_boundary,
     standard_delta,
+    truncate,
 )
 
 from conftest import RATIONALS, fixture_path, simplicial_sets, swapped_delta2
@@ -141,6 +142,17 @@ def test_chain_complex_boundary_squares_to_zero(x):
 def test_euler_characteristic_is_the_alternating_betti_sum(x):
     chi = sum((-1) ** n * len(x.nondegenerate(n)) for n in x.dims())
     assert chi == sum((-1) ** n * b for n, b in enumerate(homology(chain_complex(x)).betti))
+
+
+@settings(max_examples=25)
+@given(simplicial_sets(), simplicial_sets())
+def test_kunneth_over_q_for_products(x, y):
+    """Rational betti numbers of X x Y are the convolution of the factors'
+    in every degree below the cap, where the truncation leaves them exact."""
+    cap = min(x.dim_cap, y.dim_cap)
+    bx, by, bxy = (homology(chain_complex(z)).betti for z in (truncate(x, cap), truncate(y, cap), product(x, y, cap)))
+    for p in range(cap):
+        assert bxy[p] == sum(bx[i] * by[p - i] for i in range(p + 1))
 
 
 @pytest.mark.parametrize("name", ["rp2.sset", "torus.sset", "nerve_z3.sset"])

@@ -57,6 +57,7 @@ from conftest import (
     fixture_path,
     fixture_text,
     forms,
+    kan_maps,
     kan_sets,
     matrices,
     simplicial_sets,
@@ -265,12 +266,13 @@ def corrupted_sset_texts(draw):
 
 
 def set_tables(x):
-    """Every table of x in its stored order."""
+    """Every table of x in its stored order; the face and degeneracy tables
+    are stored positions, read against the simplices listed before them."""
     return (
         x.dim_cap,
         x.simplices,
-        [(key, list(table.items())) for key, table in x.face.items()],
-        [(key, list(table.items())) for key, table in x.deg.items()],
+        list(x._dpos.items()),
+        list(x._spos.items()),
         list(x.witness.items()),
     )
 
@@ -599,6 +601,22 @@ def test_smap_repeated_section_header_names_its_line():
     lines.insert(line, "target")
     with pytest.raises(StructureError, match="^line %d: repeated section header" % (line + 1)):
         parse_map("\n".join(lines) + "\n")
+
+
+@settings(max_examples=40)
+@given(kan_maps())
+def test_map_round_trip_keeps_every_image(p):
+    """parse_map after serialize_map is the identity on maps, up to the
+    rendering of identifiers: both ends read back with the same simplices in
+    the same order, and every level sends each source simplex to the image
+    p gives it."""
+    q = parse_map(serialize_map(p))
+    assert q.dim_cap == p.dim_cap
+    for old, new in ((p.source, q.source), (p.target, q.target)):
+        assert new.simplices == {n: tuple(map(render_id, old.simplices[n])) for n in old.dims()}
+    for n in range(p.dim_cap + 1):
+        xs = p.source.simplices[n]
+        assert [q(n, render_id(s)) for s in xs] == [render_id(p(n, s)) for s in xs]
 
 
 def test_smap_skips_blank_and_comment_lines_before_the_first_section():
@@ -993,6 +1011,19 @@ def test_cli_mv_circle():
     code, out = run_cli("mv", fixture_path("circle2.sset"), fixture_path("circle2.cover"))
     assert code == 0
     assert "record connecting.rank.deg0 exact : 1" in out
+
+
+def test_cli_mv_refuses_cover_members_off_the_cap(tmp_path):
+    """Members in dimensions outside 0..cap are no simplices of the set, so
+    the cover is refused with exit 2, as a member unknown at dimension 1 is."""
+    for extra, named in (("A 7 : nonsense\nB -1 : junk\n", "('unknown', 7, 'nonsense')"),
+                         ("B -1 : junk\n", "('unknown', -1, 'junk')"),
+                         ("A 1 : zz\n", "('unknown', 1, 'zz')")):
+        path = tmp_path / "bad.cover"
+        path.write_text(fixture_text("circle2.cover") + extra)
+        code, out = run_cli("mv", fixture_path("circle2.sset"), str(path))
+        assert code == 2
+        assert "status error" in out and named in out
 
 
 def test_cli_sheaf_negative_then_sheafify():

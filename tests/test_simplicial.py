@@ -223,7 +223,7 @@ def test_map_checks_keys_up_to_its_cap_only():
     with pytest.raises(StructureError, match=r"^\(0,\) is not a source simplex of dimension -1$"):
         SimplicialMap(d1, d1, {**level, -1: {(0,): (0,)}})
     p = SimplicialMap(d1, truncate(d1, 1), {**level, 5: {"zz": "zz"}})
-    assert p.dim_cap == 1 and sorted(p.level_map) == [0, 1]
+    assert p.dim_cap == 1 and sorted(p._image) == [0, 1]
     with pytest.raises(StructureError, match=r"^map f_1 undefined on \(0, 1\)$"):
         SimplicialMap(d1, d1, {**level, 1: {(0, 0): (0, 0), (1, 1): (1, 1)}})
     with pytest.raises(StructureError, match=r"^map f_0 of \(1,\) hits unknown identifier \(2,\)$"):
@@ -280,6 +280,23 @@ def test_closure_and_subcomplex_check():
     assert is_subcomplex(b3, star) is None
     assert (0, 1) in star[1]
     assert star[0] >= {(0,), (1,), (2,)}
+
+
+def test_members_off_the_cap_are_refused():
+    """A member or seed in a dimension outside 0..cap is no simplex of x: the
+    check names it and the closure refuses it, as for an unknown member
+    inside the range."""
+    b3 = standard_boundary(3)
+    star = close_subcomplex(b3, {2: [(0, 1, 2)]})
+    assert is_subcomplex(b3, {**star, 7: frozenset({"nonsense"})}) == ("unknown", 7, "nonsense")
+    assert is_subcomplex(b3, {**star, -1: frozenset({"junk"})}) == ("unknown", -1, "junk")
+    assert is_subcomplex(b3, {**star, 1: star[1] | {"zz"}}) == ("unknown", 1, "zz")
+    assert is_subcomplex(b3, {**star, 7: frozenset()}) is None
+    for n, s in ((7, "nonsense"), (-1, "junk"), (3, (0, 1, 2, 3)), (1, "zz")):
+        with pytest.raises(StructureError, match="is not a simplex of dimension %d$" % n):
+            close_subcomplex(b3, {2: [(0, 1, 2)], n: [s]})
+    with pytest.raises(StructureError, match="unknown"):
+        restrict(b3, {**star, 7: frozenset({"nonsense"})})
 
 
 def test_generated_circle_validates():
@@ -367,20 +384,29 @@ def test_map_check_matches_the_element_wise_oracle(raw):
 
 @settings(max_examples=40)
 @given(st.one_of(corrupted_sets(), kan_sets()), kan_maps(), st.integers(0, 3), st.integers(1, 3))
-def test_kept_positions_are_the_element_wise_index_lookups(x, p, n, cap):
-    def lookups(y, m, values):
-        return [y._index[m][v] for v in values]
+def test_kept_positions_are_the_element_wise_index_lookups(y, q, n, cap):
+    """Each kept table against the functions its object was built from: a
+    set built from the structure maps of a drawn set, a map from a level
+    map read off a drawn map."""
+    def lookups(z, m, values):
+        return [z._index[m][v] for v in values]
 
-    for m, i in x.face:
-        assert x._dpos[(m, i)] == lookups(x, m - 1, [x.d(m, i, s) for s in x.simplices[m]])
-    for m, i in x.deg:
-        assert x._spos[(m, i)] == lookups(x, m + 1, [x.s(m, i, s) for s in x.simplices[m]])
+    x = SimplicialSet(y.dim_cap, y.simplices, y.d, y.s)
+    assert set(x._dpos) == {(m, i) for m in range(1, x.dim_cap + 1) for i in range(m + 1)}
+    assert set(x._spos) == {(m, i) for m in range(x.dim_cap) for i in range(m + 1)}
+    for m, i in x._dpos:
+        assert x._dpos[(m, i)] == lookups(x, m - 1, [y.d(m, i, s) for s in x.simplices[m]])
+    for m, i in x._spos:
+        assert x._spos[(m, i)] == lookups(x, m + 1, [y.s(m, i, s) for s in x.simplices[m]])
+    level = {m: {s: q(m, s) for s in q.source.simplices[m]} for m in range(q.dim_cap + 1)}
+    p = SimplicialMap(q.source, q.target, level)
+    assert sorted(p._image) == list(range(p.dim_cap + 1))
     for m in range(p.dim_cap + 1):
-        assert p._image[m] == lookups(p.target, m, [p(m, s) for s in p.source.simplices[m]])
+        assert p._image[m] == lookups(p.target, m, [level[m][s] for s in p.source.simplices[m]])
     delta = standard_delta(n, cap)
     extra = cone_extra_degeneracy(delta)
     for m in range(cap):
-        positions = _tabulate(_entry, m, extra.maps, delta.simplices[m], delta._index[m + 1], "s_{-1}")[1]
+        positions = _tabulate(_entry, m, extra.maps, delta.simplices[m], delta._index[m + 1], "s_{-1}")
         assert positions == lookups(delta, m + 1, [extra(m, s) for s in delta.simplices[m]])
 
 
@@ -395,6 +421,21 @@ def derived(x):
             out[(n, s)] = x.witness.get((n, s))
             assert (out[(n, s)] is not None) == x.is_degenerate(n, s)
     return out
+
+
+@settings(max_examples=40)
+@given(st.one_of(corrupted_sets(), kan_sets()))
+def test_witnesses_are_listed_in_the_order_first_reached(y):
+    """witness lists each degenerate simplex with its least (i, y), in the
+    order the scan over n, then i, then y in stored order first reaches it,
+    read off the degeneracy maps the set was built from."""
+    x = SimplicialSet(y.dim_cap, y.simplices, y.d, y.s)
+    expected = {}
+    for n in range(1, x.dim_cap + 1):
+        for i in range(n):
+            for base in x.simplices[n - 1]:
+                expected.setdefault((n, y.s(n - 1, i, base)), (i, base))
+    assert list(x.witness.items()) == list(expected.items())
 
 
 def tuple_witness(t):
@@ -518,12 +559,12 @@ def test_restrict_and_truncate_agree_with_the_ambient_set():
 
 def test_stray_degeneracy_entry_marks_nothing():
     d1 = standard_delta(1)
-    deg = {k: dict(v) for k, v in d1.deg.items()}
+    deg = {(0, 0): {t: d1.s(0, 0, t) for t in d1.simplices[0]}}
     deg[(0, 0)][(9,)] = (0, 1)  # (9,) is not a listed vertex
     x = SimplicialSet(d1.dim_cap, d1.simplices, d1.d, lambda n, i, t: deg[(n, i)][t])
     assert not x.is_degenerate(1, (0, 1))
     assert x.witness == d1.witness
-    assert x.deg == d1.deg
+    assert x._spos == d1._spos
 
 
 # -- golden tables -------------------------------------------------------------
