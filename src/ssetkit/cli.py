@@ -20,7 +20,6 @@ from .derham import derham_cohomology
 from .errors import CompatibilityError, ParameterError, SsetError, StructureError
 from .homology import chain_complex, cohomology_ring, homology, mayer_vietoris, unit_class_coords
 from .kan import is_fibrant, is_fibration
-from .linalg import rank
 from .randomsuite import stokes_suite, subdivision_suite
 from .reporting import Report
 from .sheaves import check_status, sheafify
@@ -104,7 +103,10 @@ def _check_identities(x):
 
 
 def _load_sset(report, args):
-    x = io_text.parse_complex(_read(report, args.sset))
+    return _lower_cap(io_text.parse_complex(_read(report, args.sset)), args)
+
+
+def _lower_cap(x, args):
     if getattr(args, "cap", None) is not None:
         x = truncate(x, args.cap)
     _check_identities(x)
@@ -133,15 +135,22 @@ def cmd_ring(report, args):
 
 
 def cmd_mv(report, args):
-    x = _load_sset(report, args)
-    sub_a, sub_b = io_text.parse_cover(_read(report, args.cover))
+    full = io_text.parse_complex(_read(report, args.sset))
+    x = _lower_cap(full, args)
+    # A cover is written at the file's cap: members above a lowered cap are dropped,
+    # and a member that is no simplex of the file's set stays, for restrict to refuse.
+    sub_a, sub_b = (
+        {n: m if n <= x.dim_cap else {s for s in m if not full.has(n, s)} for n, m in sub.items()}
+        for sub in io_text.parse_cover(_read(report, args.cover))
+    )
     mv = mayer_vietoris(x, sub_a, sub_b)
     report.add("betti.X", mv.betti_x)
     report.add("betti.A", mv.betti_a)
     report.add("betti.B", mv.betti_b)
     report.add("betti.AB", mv.betti_ab)
-    for p in sorted(mv.connecting):
-        report.add("connecting.rank.deg%d" % p, rank(mv.connecting[p]))
+    for label, p, _, r_in, _, _ in mv.nodes:
+        if label == "H(X)" and p:  # its rank-in is the rank of the connecting map from degree p - 1
+            report.add("connecting.rank.deg%d" % (p - 1), r_in)
     for label, p, zero, r_in, nullity, ok in mv.nodes:
         report.add(
             "exact.%s.deg%d" % (label.replace(" ", ""), p),

@@ -113,12 +113,6 @@ class LieValuedForm:
                     raise ParameterError("entry of the wrong form type")
 
     @classmethod
-    def zero(cls, algebra, n, p):
-        d = algebra.size
-        z = PolyForm.zero(n, p)
-        return cls(algebra, n, p, [[z] * d for _ in range(d)])
-
-    @classmethod
     def from_basis(cls, algebra, n, p, coefficients):
         """Sum of basis matrices weighted by PolyForm coefficients."""
         d = algebra.size

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError, StructureError
 from .linalg import Matrix, coordinates, invariant_factors, nullspace, quotient_reps, rank, rref
-from .simplicial import restrict, sub_intersection
+from .simplicial import restrict
 
 
 class ChainComplex:
@@ -263,8 +263,17 @@ def unit_class_coords(ring):
     return ring.spaces.express(0, dict.fromkeys(range(len(ring.spaces.basis[0])), 1))
 
 
+def _class_map(ts, ss, p, positions):
+    """Matrix of H^p(T) -> H^p(S) in the canonical bases, T and S given by
+    their cochain spaces: each class representative of T is read at
+    positions, one per basis p-simplex of S, and expressed in the classes of
+    S. Its columns are T's classes."""
+    return Matrix.from_columns([ss.express(p, read_at(rep, positions)) for rep in ts.reps(p)], ss.betti(p))
+
+
 def induced_map(f, p, target_spaces=None, source_spaces=None):
-    """Matrix of f^*: H^p(target) -> H^p(source) in the canonical bases."""
+    """Matrix of f^*: H^p(target) -> H^p(source) in the canonical bases, the
+    class map at the positions of the images f(s) of the source's basis."""
     bad = f.validate()
     if bad:
         raise StructureError("map fails to commute with %d structure maps" % len(bad))
@@ -272,9 +281,7 @@ def induced_map(f, p, target_spaces=None, source_spaces=None):
     ss = source_spaces if source_spaces is not None else CochainSpaces(f.source)
     if ts.x is not f.target or ss.x is not f.source:
         raise ParameterError("cochain spaces not built on the map's target and source")
-    images = ts.positions(p, [f(p, s) for s in ss.basis[p]])
-    rows = [ss.express(p, read_at(rep, images)) for rep in ts.reps(p)]
-    return Matrix(rows, len(ss.reps(p))).transpose()  # columns indexed by target classes
+    return _class_map(ts, ss, p, ts.positions(p, [f(p, s) for s in ss.basis[p]]))
 
 
 # -- Mayer-Vietoris ------------------------------------------------------
@@ -283,7 +290,9 @@ def induced_map(f, p, target_spaces=None, source_spaces=None):
 @dataclass
 class MayerVietoris:
     """All groups and maps of the cohomology Mayer-Vietoris sequence, plus
-    an exactness certificate computed by exact rank bookkeeping."""
+    an exactness certificate computed by exact rank bookkeeping: one node
+    per group, in sequence order, whose rank-in is the rank of the map
+    before it."""
 
     betti_x: tuple
     betti_a: tuple
@@ -299,68 +308,58 @@ class MayerVietoris:
 
 
 def mayer_vietoris(x, sub_a, sub_b):
-    """Mayer-Vietoris sequence for a cover of x by two closed subcomplexes."""
+    """Mayer-Vietoris sequence for a cover of x by two closed subcomplexes.
+    alpha and beta are class maps (beta negates the B columns); each
+    position list is built once per degree, and the certificate walks the
+    maps in sequence order, passing each to rank once."""
     for n in x.dims():
         for s in x.nondegenerate(n):
             if s not in sub_a.get(n, ()) and s not in sub_b.get(n, ()):
                 raise ParameterError(
                     "cover condition fails: simplex %r of dimension %d in neither part" % (s, n)
                 )
-    xa = restrict(x, sub_a)
-    xb = restrict(x, sub_b)
-    xab = restrict(x, sub_intersection(sub_a, sub_b))
-    sp_x = CochainSpaces(x)
-    sp_a = CochainSpaces(xa)
-    sp_b = CochainSpaces(xb)
-    sp_ab = CochainSpaces(xab)
+    sub_ab = {n: sub_a.get(n, frozenset()) & sub_b.get(n, frozenset()) for n in set(sub_a) | set(sub_b)}
+    sp_x, sp_a, sp_b, sp_ab = (
+        CochainSpaces(s) for s in (x, restrict(x, sub_a), restrict(x, sub_b), restrict(x, sub_ab))
+    )
     cap = x.dim_cap
-
-    def restrict_vec(sp_from, sp_to, p, row):
-        return read_at(row, sp_from.positions(p, sp_to.basis[p]))
 
     alpha = {}
     beta = {}
-    connecting = {}
     for p in range(cap + 1):
-        cols = []
-        for rep in sp_x.reps(p):
-            ca = sp_a.express(p, restrict_vec(sp_x, sp_a, p, rep))
-            cb = sp_b.express(p, restrict_vec(sp_x, sp_b, p, rep))
-            cols.append(tuple(ca) + tuple(cb))
-        alpha[p] = Matrix.from_columns(cols, sp_a.betti(p) + sp_b.betti(p))
+        to_a, to_b = (_class_map(sp_x, sp, p, sp_x.positions(p, sp.basis[p])) for sp in (sp_a, sp_b))
+        alpha[p] = Matrix.sparse(to_a.rows + to_b.rows, to_a.ncols)
+        from_a, from_b = (_class_map(sp, sp_ab, p, sp.positions(p, sp_ab.basis[p])) for sp in (sp_a, sp_b))
+        shift = from_a.ncols
+        rows = [{**ra, **{shift + j: -v for j, v in rb.items()}} for ra, rb in zip(from_a.rows, from_b.rows)]
+        beta[p] = Matrix.sparse(rows, shift + from_b.ncols)
 
-        cols = []
-        for rep in sp_a.reps(p):
-            cols.append(sp_ab.express(p, restrict_vec(sp_a, sp_ab, p, rep)))
-        for rep in sp_b.reps(p):
-            cols.append(tuple(-v for v in sp_ab.express(p, restrict_vec(sp_b, sp_ab, p, rep))))
-        beta[p] = Matrix.from_columns(cols, sp_ab.betti(p))
-
+    connecting = {}
     for p in range(cap):
+        lift = sp_ab.positions(p, sp_a.basis[p])
+        on_ab = sp_a.positions(p + 1, sp_ab.basis[p + 1])
+        glue = sp_a.positions(p + 1, sp_x.basis[p + 1])
         cols = []
         for rep in sp_ab.reps(p):
             # lift to A by zero-extension, take its coboundary, glue with 0 on B
-            du = sp_a.coboundary(p, restrict_vec(sp_ab, sp_a, p, rep))
-            if restrict_vec(sp_a, sp_ab, p + 1, du):
+            du = sp_a.coboundary(p, read_at(rep, lift))
+            if read_at(du, on_ab):
                 raise StructureError("connecting cochain fails to vanish on the intersection")
-            cols.append(sp_x.express(p + 1, restrict_vec(sp_a, sp_x, p + 1, du)))
+            cols.append(sp_x.express(p + 1, read_at(du, glue)))
         connecting[p] = Matrix.from_columns(cols, sp_x.betti(p + 1))
 
-    nodes = []
-
-    def check(label, p, incoming, outgoing):
-        composite = outgoing @ incoming
-        zero = composite.is_zero()
-        r_in = rank(incoming)
-        nullity = outgoing.ncols - rank(outgoing)
-        nodes.append((label, p, zero, r_in, nullity, zero and r_in == nullity))
-
+    # 0 -> H^0(X) -> ... -> H^cap(A cap B) -> 0, one node between each pair of maps
+    sequence = [Matrix.zeros(sp_x.betti(0), 0)]
     for p in range(cap + 1):
-        incoming = connecting[p - 1] if p >= 1 else Matrix.zeros(sp_x.betti(0), 0)
-        check("H(X)", p, incoming, alpha[p])
-        check("H(A)+H(B)", p, alpha[p], beta[p])
-        outgoing = connecting[p] if p < cap else Matrix.zeros(0, sp_ab.betti(cap))
-        check("H(AnB)", p, beta[p], outgoing)
+        sequence += [alpha[p], beta[p], connecting[p] if p < cap else Matrix.zeros(0, sp_ab.betti(cap))]
+    nodes = []
+    r_in = 0
+    for i, (incoming, outgoing) in enumerate(zip(sequence, sequence[1:])):
+        zero = (outgoing @ incoming).is_zero()
+        r_out = rank(outgoing)
+        nullity = outgoing.ncols - r_out
+        nodes.append((("H(X)", "H(A)+H(B)", "H(AnB)")[i % 3], i // 3, zero, r_in, nullity, zero and r_in == nullity))
+        r_in = r_out
 
     betti = lambda sp: tuple(sp.betti(p) for p in range(cap + 1))
     return MayerVietoris(

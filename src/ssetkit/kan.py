@@ -30,16 +30,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParameterError, StructureError
 from .homology import chain_complex, homology
 from .simplicial import _UnionFind, _compose, _entry, _group, _mismatches, _tabulate
 
 
-@dataclass(frozen=True)
-class Horn:
+class Horn(NamedTuple):
     """Faces x_i (i != k) of a would-be n-simplex, satisfying the horn identities
-    d_i x_j = d_{j-1} x_i for i < j, both distinct from k."""
+    d_i x_j = d_{j-1} x_i for i < j, both distinct from k. A named tuple, so
+    a horn equals the plain tuple (n, k, faces)."""
 
     n: int
     k: int

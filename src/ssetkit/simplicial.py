@@ -539,11 +539,6 @@ def is_subcomplex(x, sub):
     return None
 
 
-def sub_intersection(a, b):
-    keys = set(a) | set(b)
-    return {n: frozenset(a.get(n, frozenset()) & b.get(n, frozenset())) for n in keys}
-
-
 def full_subcomplex(x):
     return {n: frozenset(x.simplices[n]) for n in x.dims()}
 

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ssetkit.cli import main
@@ -22,13 +22,14 @@ from ssetkit.homology import (
     unit_class_coords,
 )
 from ssetkit.io_text import parse_matrix_triples, serialize_complex, serialize_matrix
-from ssetkit.linalg import rank
+from ssetkit.linalg import Matrix, rank
 from ssetkit.simplicial import (
     SimplicialMap,
     circle_two_edges,
     close_subcomplex,
     full_subcomplex,
     product,
+    restrict,
     simplicial_complex,
     sphere_quotient,
     standard_boundary,
@@ -486,6 +487,63 @@ def test_mv_degenerate_cover_splits():
     mv = mayer_vietoris(c, full, full)
     assert all(m.is_zero() for m in mv.connecting.values())
     assert mv.exact()
+
+
+@st.composite
+def two_part_covers(draw):
+    """A set from simplicial_sets() with each nondegenerate simplex put in A,
+    in B or in both, each part closed; both parts are nonempty."""
+    x = draw(simplicial_sets())
+    simplices = [(n, s) for n in x.dims() for s in x.nondegenerate(n)]
+    sides = draw(st.lists(st.sampled_from(("A", "B", "AB")), min_size=len(simplices), max_size=len(simplices)))
+    seeds = {"A": {}, "B": {}}
+    for (n, s), side in zip(simplices, sides):
+        for part in side:
+            seeds[part].setdefault(n, []).append(s)
+    assume(seeds["A"] and seeds["B"])
+    return x, close_subcomplex(x, seeds["A"]), close_subcomplex(x, seeds["B"])
+
+
+@settings(max_examples=30)
+@given(two_part_covers())
+def test_mv_is_exact_on_random_two_part_covers(cover):
+    """The betti numbers agree with the Smith normal form path, and at every
+    node of 0 -> H^0(X) -> ... -> H^cap(A cap B) -> 0 the composite of the
+    two maps is zero and rank in + rank out is the dimension of the group,
+    from ranks taken here; the certificate's nodes carry these values."""
+    x, a, b = cover
+    ab = {n: a[n] & b[n] for n in x.dims()}
+    mv = mayer_vietoris(x, a, b)
+    bx, ba, bb, bab = (homology(chain_complex(z)).betti for z in (x, restrict(x, a), restrict(x, b), restrict(x, ab)))
+    assert (mv.betti_x, mv.betti_a, mv.betti_b, mv.betti_ab) == (bx, ba, bb, bab)
+    cap = x.dim_cap
+    groups, maps = [], [Matrix.zeros(bx[0], 0)]
+    for p in range(cap + 1):
+        groups += [("H(X)", p, bx[p]), ("H(A)+H(B)", p, ba[p] + bb[p]), ("H(AnB)", p, bab[p])]
+        maps += [mv.alpha[p], mv.beta[p], mv.connecting[p] if p < cap else Matrix.zeros(0, bab[cap])]
+    expected = []
+    for (label, p, dim), incoming, outgoing in zip(groups, maps, maps[1:]):
+        assert incoming.nrows == dim == outgoing.ncols
+        assert (outgoing @ incoming).is_zero()
+        r_in, r_out = rank(incoming), rank(outgoing)
+        assert r_in + r_out == dim
+        expected.append((label, p, True, r_in, dim - r_out, True))
+    assert mv.nodes == expected
+
+
+def test_mv_passes_each_map_of_the_sequence_to_rank_once(monkeypatch):
+    """One rank per map: in mayer_vietoris, and none more in the mv command."""
+    seen = []
+    monkeypatch.setitem(mayer_vietoris.__globals__, "rank", lambda m: seen.append(m) or rank(m))
+    c = circle_two_edges(2)
+    mv = mayer_vietoris(c, close_subcomplex(c, {1: ["a"]}), close_subcomplex(c, {1: ["b"]}))
+    maps = [*mv.alpha.values(), *mv.beta.values(), *mv.connecting.values()]
+    assert len(seen) == len(mv.nodes) == len(maps) + 1
+    assert all(sum(m is r for r in seen) == 1 for m in maps)
+    seen.clear()
+    with redirect_stdout(io.StringIO()):
+        assert main(["mv", fixture_path("circle2.sset"), fixture_path("circle2.cover")]) == 0
+    assert len(seen) == len(mv.nodes)
 
 
 def test_mv_cover_condition_names_missing_simplex():

@@ -1026,6 +1026,41 @@ def test_cli_mv_refuses_cover_members_off_the_cap(tmp_path):
         assert "status error" in out and named in out
 
 
+# The records of mv below each cover's own cap, as the reports gave them
+# before members off the cap were refused: a cover is written at its set's
+# cap, and its members above a lowered cap are simplices the lowered set
+# no longer has.
+MV_LOWERED_CAPS = {
+    ("circle2.sset", "circle2.cover", 0): ["betti.X exact : (2)", "betti.A exact : (2)",
+                                            "betti.B exact : (2)", "betti.AB exact : (2)"],
+    ("circle2.sset", "circle2.cover", 1): ["betti.X exact : (1, 1)", "betti.A exact : (1, 0)",
+                                            "betti.B exact : (1, 0)", "betti.AB exact : (2, 0)",
+                                            "connecting.rank.deg0 exact : 1"],
+    ("bd_delta3.sset", "bd_delta3_star.cover", 0): ["betti.X exact : (4)", "betti.A exact : (4)",
+                                                     "betti.B exact : (3)", "betti.AB exact : (3)"],
+    ("bd_delta3.sset", "bd_delta3_star.cover", 1): ["betti.X exact : (1, 3)", "betti.A exact : (1, 3)",
+                                                     "betti.B exact : (1, 1)", "betti.AB exact : (1, 1)",
+                                                     "connecting.rank.deg0 exact : 0"],
+}
+
+
+@pytest.mark.parametrize("sset,cover,cap", sorted(MV_LOWERED_CAPS))
+def test_cli_mv_lowers_the_cover_with_the_cap(sset, cover, cap):
+    code, out = run_cli("mv", fixture_path(sset), fixture_path(cover), "--cap", str(cap))
+    records = [ln[len("record "):] for ln in out.splitlines() if ln.startswith("record ")]
+    exact = ["exact.%s.deg%d exact : ok" % (label, p) for p in range(cap + 1) for label in ("H(X)", "H(A)+H(B)", "H(AnB)")]
+    assert code == 0
+    assert records == MV_LOWERED_CAPS[(sset, cover, cap)] + exact
+
+
+def test_cli_mv_still_refuses_unknown_members_under_a_lowered_cap(tmp_path):
+    path = tmp_path / "bad.cover"
+    path.write_text(fixture_text("circle2.cover") + "A 7 : nonsense\n")
+    code, out = run_cli("mv", fixture_path("circle2.sset"), str(path), "--cap", "1")
+    assert code == 2
+    assert "status error" in out and "('unknown', 7, 'nonsense')" in out
+
+
 def test_cli_sheaf_negative_then_sheafify():
     code, out = run_cli(
         "sheaf", fixture_path("two_points.sset"), fixture_path("site_two_points_constant.site")
