@@ -73,6 +73,12 @@ def main():
         "corrupt_dangling.sset",
         "sset 1\ncap 1\ndim 0\nv0 | deg e00\ndim 1\ne00 | faces v0 v1\n",
     )
+    # deliberately broken: the standard 2-simplex with d_0 and d_1 of (0,1,2)
+    # swapped, complete tables that break d_i d_j = d_{j-1} d_i
+    delta2 = serialize_complex(standard_delta(2))
+    row = "(0,1,2) | faces (1,2) (0,2) (0,1)\n"
+    assert row in delta2
+    write("corrupt_identity.sset", delta2.replace(row, "(0,1,2) | faces (0,2) (1,2) (0,1)\n"))
 
     # Mayer-Vietoris covers, in the string identifiers of the fixture files
     b3 = relabel_as_strings(standard_boundary(3))

@@ -134,13 +134,15 @@ class Presheaf:
         self.site = site
         for name in sections:
             if name not in site.objects:
-                raise _refusal("sections of %r, which is not an object of the site" % (name,), ("sections", name))
+                raise _refusal("sections of %r, which is not an object of the site" % (name,),
+                               offending=("sections", name))
         self.sections = {name: tuple(sections[name]) for name in site.names() if name in sections}
         self.res = {}
         arrows = set(site.arrows())
         for (u, v), table in restrictions.items():
             if (u, v) not in arrows:
-                raise _refusal("restriction %r -> %r is not an arrow of the site" % (u, v), ("restrict", u, v))
+                raise _refusal("restriction %r -> %r is not an arrow of the site" % (u, v),
+                               offending=("restrict", u, v))
             self.res[(u, v)] = dict(table)
         self._validate()
 

@@ -7,6 +7,12 @@ hashable values, unique within each dimension; the standard constructions
 use canonical tuple identifiers (vertex tuples for simplices of standard
 objects, pairs for products).
 
+A SimplicialSet or SimplicialMap that exists is valid: its constructor
+tabulates the structure maps, checks the identities below (for a map,
+commutation with every face and degeneracy) and refuses a violation. Every
+construction here builds through that constructor, so no reader checks
+them again.
+
 Conventions for the identities, with d below s in the usual order:
 
     d_i d_j = d_{j-1} d_i            (i < j)
@@ -40,12 +46,15 @@ class SimplicialSet:
     d and s read one entry through _index; readers that walk a whole level
     read the position lists.
 
-    This is the one place the tables are made and checked: a duplicate
-    identifier, a map value that is not a listed simplex of the adjacent
-    dimension, or a map that raises KeyError or IndexError on a listed
-    simplex (a partial table passed as a lookup) is a StructureError here,
-    with offending = (n, x) for the n-simplex x it refused (for a duplicate,
-    an identifier listed twice).
+    This is the one place the tables are made and checked, so a set that
+    exists satisfies the simplicial identities: a duplicate identifier, a
+    map value that is not a listed simplex of the adjacent dimension, or a
+    map that raises KeyError or IndexError on a listed simplex (a partial
+    table passed as a lookup) is a StructureError here, with offending =
+    (n, x) for the n-simplex x it refused (for a duplicate, an identifier
+    listed twice). Complete tables that break an identity are then refused
+    with violations = every violation, in the order of identity family, n,
+    stored position of x, j, i.
 
     degenerate and witness are derived from the degeneracy tables: x is
     degenerate iff x = s_i(y) for some listed y, and its witness is (i, y)
@@ -54,9 +63,8 @@ class SimplicialSet:
     way.
 
     Nothing changes the tables after construction, so derived structure
-    (the index, the nondegenerate simplices, the identity scan behind
-    validate, the face-tuple indexes behind matching) is computed once and
-    kept on the object.
+    (the index, the nondegenerate simplices, the face-tuple indexes behind
+    matching) is computed once and kept on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg):
@@ -72,12 +80,15 @@ class SimplicialSet:
             if len(idx) != len(self.simplices[n]):
                 # idx keeps the last position of each identifier
                 repeated = next(x for p, x in enumerate(self.simplices[n]) if idx[x] != p)
-                raise _refusal("duplicate identifier in dimension %d" % n, (n, repeated))
+                raise _refusal("duplicate identifier in dimension %d" % n, offending=(n, repeated))
         xs, index = self.simplices, self._index
         self._dpos = {(n, i): _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
                       for n in range(1, dim_cap + 1) for i in range(n + 1)}
         self._spos = {(n, i): _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
                       for n in range(dim_cap) for i in range(n + 1)}
+        bad = self._scan_identities()
+        if bad:
+            raise _refusal("simplicial identities fail: " + "; ".join(str(b) for b in bad[:3]), violations=bad)
         self.degenerate = {0: frozenset()}
         self.witness = {}
         for n in range(1, self.dim_cap + 1):
@@ -91,7 +102,6 @@ class SimplicialSet:
             n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
             for n in range(dim_cap + 1)
         }
-        self._violations = None
         self._matching = {}
 
     # -- basic access -------------------------------------------------
@@ -170,18 +180,7 @@ class SimplicialSet:
         """Images of the n+1 vertex inclusions, in order."""
         return tuple(self.face_on(n, x, (j,)) for j in range(n + 1))
 
-    # -- validation ---------------------------------------------------
-
-    def validate(self):
-        """The violations of the simplicial identities, as a list.
-
-        The tables were checked when the object was built, so this reports
-        identity violations only and raises nothing; the scan runs once and
-        is kept.
-        """
-        if self._violations is None:
-            self._violations = self._scan_identities()
-        return list(self._violations)
+    # -- the identity scan of the constructor --------------------------
 
     def _scan_identities(self):
         """Each identity at each (n, i, j) is checked over all of X_n at once:
@@ -266,12 +265,14 @@ def _group(keys, ys):
     return {key: tuple(group) for key, group in table.items()}
 
 
-def _refusal(message, offending):
-    """A StructureError whose offending attribute is the key of what it
-    refused, such as (n, x) for a simplex x of dimension n; a reader maps
-    the key back to the row it read."""
+def _refusal(message, **attributes):
+    """A StructureError with attributes naming what it refused: offending,
+    the key of one refused entry, such as (n, x) for a simplex x of
+    dimension n, which a reader maps back to the row it read; or violations,
+    the ordered list of every identity or commutation failure of complete
+    tables."""
     exc = StructureError(message)
-    exc.offending = offending
+    vars(exc).update(attributes)
     return exc
 
 
@@ -287,11 +288,11 @@ def _tabulate(f, n, b, xs, known, name):
         try:
             y = f(n, b, x)
         except (KeyError, IndexError):
-            raise _refusal("%s undefined on %r" % (name, x), (n, x)) from None
+            raise _refusal("%s undefined on %r" % (name, x), offending=(n, x)) from None
         try:
             positions.append(known[y])
         except KeyError:
-            raise _refusal("%s of %r hits unknown identifier %r" % (name, x, y), (n, x)) from None
+            raise _refusal("%s of %r hits unknown identifier %r" % (name, x, y), offending=(n, x)) from None
     return positions
 
 
@@ -715,13 +716,17 @@ class SimplicialMap:
     """Levelwise map of simplicial sets, up to the lesser cap of its ends.
 
     The constructor takes level_map[n] as {source simplex: image} and is the
-    one place the table is made and checked: a key up to the cap (at any
-    dimension) that is not a source simplex of its dimension, an undefined
-    source simplex and an image off the target are StructureErrors, with
-    offending = (n, key) or (n, source simplex) on the error; levels above
-    the cap are ignored. The map is kept once, as positions: _image[n][p] is
-    the position in Y_n of the image of the p-th n-simplex of X, for
-    0 <= n <= dim_cap; calling the map and every check read it."""
+    one place the table is made and checked, so a map that exists commutes
+    with every face and degeneracy: a key up to the cap (at any dimension)
+    that is not a source simplex of its dimension, an undefined source
+    simplex and an image off the target are StructureErrors, with offending
+    = (n, key) or (n, source simplex) on the error; levels above the cap are
+    ignored. A complete table that fails to commute is then refused with
+    violations = ("face", n, i, x), then ("degeneracy", n, i, x), each in
+    (n, stored position of x, i) order, one pass per (n, i) over X_n. The
+    map is kept once, as positions: _image[n][p] is the position in Y_n of
+    the image of the p-th n-simplex of X, for 0 <= n <= dim_cap; calling the
+    map reads it."""
 
     def __init__(self, source, target, level_map):
         self.source = source
@@ -730,40 +735,30 @@ class SimplicialMap:
         for n in sorted(k for k in level_map if k <= cap):
             for x in level_map[n]:
                 if not source.has(n, x):
-                    raise _refusal("%s is not a source simplex of dimension %d" % (x, n), (n, x))
-        self._image = {
+                    raise _refusal("%s is not a source simplex of dimension %d" % (x, n), offending=(n, x))
+        image = self._image = {
             n: _tabulate(_entry, n, level_map, source.simplices[n], target._index[n], "map f_%d" % n)
             for n in range(cap + 1)
         }
-        self._violations = None
+        bad = []
+        for kind, dims, step, down, up in (
+            ("face", range(1, cap + 1), -1, source._dpos, target._dpos),
+            ("degeneracy", range(cap), 1, source._spos, target._spos),
+        ):
+            for n in dims:
+                sides = (((i,), _compose(image[n + step], down[(n, i)]), _compose(up[(n, i)], image[n]))
+                         for i in range(n + 1))
+                bad.extend((kind, n, i, source.simplices[n][p]) for p, i in _mismatches(sides))
+        if bad:
+            raise _refusal("map fails to commute with %d structure maps" % len(bad), violations=bad)
 
     def __call__(self, n, x):
         return self.target.simplices[n][self._image[n][self.source._index[n][x]]]
 
-    def validate(self):
-        """The structure maps the map fails to commute with: ("face", n, i, x),
-        then ("degeneracy", n, i, x), each in (n, stored position of x, i)
-        order; one pass per (n, i) over X_n as stored positions, kept."""
-        if self._violations is None:
-            cap, image = self.dim_cap, self._image
-            bad = []
-            for kind, dims, step, source, target in (
-                ("face", range(1, cap + 1), -1, self.source._dpos, self.target._dpos),
-                ("degeneracy", range(cap), 1, self.source._spos, self.target._spos),
-            ):
-                for n in dims:
-                    sides = (((i,), _compose(image[n + step], source[(n, i)]), _compose(target[(n, i)], image[n]))
-                             for i in range(n + 1))
-                    bad.extend((kind, n, i, self.source.simplices[n][p]) for p, i in _mismatches(sides))
-            self._violations = bad
-        return list(self._violations)
-
     def is_isomorphism(self):
-        """Equal caps, commuting, and in every dimension as many distinct images
-        as X_n and Y_n have simplices (the checked tables are total, into Y_n)."""
-        if self.source.dim_cap != self.target.dim_cap or self.validate():
-            return False
-        return all(
+        """Equal caps and in every dimension as many distinct images as X_n
+        and Y_n have simplices (the checked tables are total, into Y_n)."""
+        return self.source.dim_cap == self.target.dim_cap and all(
             len(set(image)) == len(self.source.simplices[n]) == len(self.target.simplices[n])
             for n, image in self._image.items()
         )

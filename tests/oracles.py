@@ -11,9 +11,10 @@ CochainSpaces.cup; elementwise_coboundary sums a cochain kept by identifier
 over the faces of each simplex, the reference for CochainSpaces.coboundary.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg.
-scan_identities and scan_map_violations check the simplicial identities and
-a map's commutation one simplex and one index pair at a time, the reference
-for the whole-table passes of ssetkit.simplicial; scan_extra_degeneracy does
+scan_identities and scan_map_violations check the simplicial identities of
+raw tables and a map's commutation one simplex and one index pair at a time,
+the reference for the whole-table passes of the ssetkit.simplicial
+constructors; scan_extra_degeneracy does
 the same for the extra-degeneracy identities of ssetkit.kan. The other scan_*
 functions find horns, fillers and lifts by scanning a whole dimension of the
 face tables, the reference for the coface and horn-index search in
@@ -265,46 +266,47 @@ def strict_chain_count(p, q, length):
     return count
 
 
-def scan_identities(x):
-    """The simplicial identity violations of x, one simplex and one index
-    pair at a time through the d/s accessors: the order of the report is
-    identity family, n, stored position of x, then j, then i."""
+def scan_identities(cap, simplices, d, s):
+    """The simplicial identity violations of the raw tables (cap, simplices,
+    face, deg) the SimplicialSet constructor takes, one simplex and one index
+    pair at a time through d(n, i, x) and s(n, i, x): the order of the report
+    is identity family, n, stored position of x, then j, then i."""
     bad = []
-    for n in range(2, x.dim_cap + 1):
-        for s in x.simplices[n]:
+    for n in range(2, cap + 1):
+        for x in simplices[n]:
             for j in range(n + 1):
                 for i in range(j):
-                    if x.d(n - 1, i, x.d(n, j, s)) != x.d(n - 1, j - 1, x.d(n, i, s)):
-                        bad.append(("d_i d_j = d_{j-1} d_i", n, s, (i, j)))
-    for n in range(x.dim_cap):
-        for s in x.simplices[n]:
+                    if d(n - 1, i, d(n, j, x)) != d(n - 1, j - 1, d(n, i, x)):
+                        bad.append(("d_i d_j = d_{j-1} d_i", n, x, (i, j)))
+    for n in range(cap):
+        for x in simplices[n]:
             for j in range(n + 1):
-                ss = x.s(n, j, s)
-                if x.d(n + 1, j, ss) != s:
-                    bad.append(("d_j s_j = id", n, s, (j, j)))
-                if x.d(n + 1, j + 1, ss) != s:
-                    bad.append(("d_{j+1} s_j = id", n, s, (j + 1, j)))
-    for n in range(1, x.dim_cap):
-        for s in x.simplices[n]:
+                ss = s(n, j, x)
+                if d(n + 1, j, ss) != x:
+                    bad.append(("d_j s_j = id", n, x, (j, j)))
+                if d(n + 1, j + 1, ss) != x:
+                    bad.append(("d_{j+1} s_j = id", n, x, (j + 1, j)))
+    for n in range(1, cap):
+        for x in simplices[n]:
             for j in range(n + 1):
-                ss = x.s(n, j, s)
+                ss = s(n, j, x)
                 for i in range(n + 2):
                     if i == j or i == j + 1:
                         continue
                     if i < j:
-                        rhs = x.s(n - 1, j - 1, x.d(n, i, s))
+                        rhs = s(n - 1, j - 1, d(n, i, x))
                         name = "d_i s_j = s_{j-1} d_i (i<j)"
                     else:
-                        rhs = x.s(n - 1, j, x.d(n, i - 1, s))
+                        rhs = s(n - 1, j, d(n, i - 1, x))
                         name = "d_i s_j = s_j d_{i-1} (i>j+1)"
-                    if x.d(n + 1, i, ss) != rhs:
-                        bad.append((name, n, s, (i, j)))
-    for n in range(x.dim_cap - 1):
-        for s in x.simplices[n]:
+                    if d(n + 1, i, ss) != rhs:
+                        bad.append((name, n, x, (i, j)))
+    for n in range(cap - 1):
+        for x in simplices[n]:
             for j in range(n + 1):
                 for i in range(j + 1):
-                    if x.s(n + 1, i, x.s(n, j, s)) != x.s(n + 1, j + 1, x.s(n, i, s)):
-                        bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, s, (i, j)))
+                    if s(n + 1, i, s(n, j, x)) != s(n + 1, j + 1, s(n, i, x)):
+                        bad.append(("s_i s_j = s_{j+1} s_i (i<=j)", n, x, (i, j)))
     return bad
 
 
@@ -313,7 +315,8 @@ def reference_complex(text):
     time. A 'dim' row with more than a dimension, a row whose identifier
     render_id refuses (after the checks of its fields), a negative cap and a
     constructor refusal of the simplex of some row are refused naming their
-    line."""
+    line; complete tables that break an identity are then refused with the
+    constructor's text, from scan_identities on the rows as read."""
     (cap,), rows = _RowReader(text).rows("sset 1", "cap N")
 
     def fail(msg, ln):
@@ -374,15 +377,22 @@ def reference_complex(text):
         fail("cap %d but no simplex of dimension %d" % (cap, gap), 2)
     if cap < 0:
         fail("negative cap", 2)
+    def face(n, i, sid):
+        return faces[(n, sid)][i]
+
+    def deg(n, i, sid):
+        return degs[(n, sid)][i]
+
     try:
-        x = SimplicialSet(
-            cap,
-            simplices,
-            lambda n, i, sid: faces[(n, sid)][i],
-            lambda n, i, sid: degs[(n, sid)][i],
-        )
+        x = SimplicialSet(cap, simplices, face, deg)
     except StructureError as exc:
-        fail(exc, lines_of[exc.offending])
+        if hasattr(exc, "offending"):
+            fail(exc, lines_of[exc.offending])
+        x = None  # complete tables, refused for an identity: scanned below
+    bad = scan_identities(cap, simplices, face, deg)
+    if bad:
+        raise StructureError("simplicial identities fail: " + "; ".join(str(b) for b in bad[:3]))
+    assert x is not None, "tables that satisfy the identities were refused"
     for (n, sid), ln in lines_of.items():
         given = degen.get((n, sid))
         derived = x.witness.get((n, sid))
@@ -397,13 +407,13 @@ def reference_complex(text):
 
 
 def scan_map_violations(source, target, level_map):
-    """SimplicialMap(source, target, level_map) and its validate() one
-    simplex at a time, on the raw tables: a StructureError for the first key
-    in dimension order, at a dimension up to the cap, that is not a source
-    simplex of that dimension; then for the first simplex, in (n, stored)
-    order, that the map leaves undefined or sends to an unknown identifier;
-    else the face, then the degeneracy violations in (n, stored position, i)
-    order."""
+    """SimplicialMap(source, target, level_map) one simplex at a time, on the
+    raw tables: a StructureError for the first key in dimension order, at a
+    dimension up to the cap, that is not a source simplex of that dimension;
+    then for the first simplex, in (n, stored) order, that the map leaves
+    undefined or sends to an unknown identifier; else the face, then the
+    degeneracy violations in (n, stored position, i) order, the list the
+    constructor refuses with ([] when it builds)."""
     cap = min(source.dim_cap, target.dim_cap)
     for n in sorted(k for k in level_map if k <= cap):
         for s in level_map[n]:

@@ -6,11 +6,10 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssetkit.cli import main
-from ssetkit.derham import derham_cohomology
 from ssetkit.errors import ParameterError, StructureError
 from ssetkit.homology import (
     CochainSpaces,
@@ -21,13 +20,15 @@ from ssetkit.homology import (
     mayer_vietoris,
     unit_class_coords,
 )
-from ssetkit.io_text import parse_matrix_triples, serialize_complex, serialize_matrix
+from ssetkit.io_text import parse_complex, parse_matrix_triples, serialize_matrix
 from ssetkit.linalg import Matrix, rank
 from ssetkit.simplicial import (
     SimplicialMap,
     circle_two_edges,
     close_subcomplex,
+    cyclic_table,
     full_subcomplex,
+    nerve,
     product,
     restrict,
     simplicial_complex,
@@ -37,12 +38,13 @@ from ssetkit.simplicial import (
     truncate,
 )
 
-from conftest import RATIONALS, fixture_path, simplicial_sets, swapped_delta2
+from conftest import RATIONALS, fixture_path, fixture_text, map_tables, simplicial_sets, two_part_covers
 from oracles import (
     betti_from_matrices,
     dense_rank,
     elementwise_coboundary,
     reference_cup,
+    scan_map_violations,
     snf_diagonal,
     unnormalized_betti,
 )
@@ -110,6 +112,26 @@ def test_homology_examples_against_serialized_snf_oracle():
             assert tuple(divisors) == summary.torsion.get(n, ())
 
 
+@settings(max_examples=100)
+@given(st.one_of(simplicial_sets(), st.builds(lambda m, cap: nerve(cyclic_table(m), cap),
+                                              st.integers(2, 4), st.integers(1, 3))))
+def test_homology_matches_sympy_smith_normal_form_on_random_sets(x):
+    """In every degree n, the betti number is dim C_n less the ranks of d_n
+    and d_{n+1}, and the torsion is the invariant factors of d_{n+1} above
+    1, each read off sympy's Smith normal form of the boundary matrices
+    (the nerves of Z/2 to Z/4 give torsion in H_1)."""
+    c = chain_complex(x)
+    summary = homology(c)
+    diagonals = []
+    for n in range(c.top + 2):
+        nrows, ncols, entries = parse_matrix_triples(serialize_matrix(c.boundary_or_zero(n)))
+        diagonals.append(snf_diagonal(entries, nrows, ncols))
+    assert len(summary.betti) == len(summary.torsion) == c.top + 1
+    for n in range(c.top + 1):
+        assert summary.betti[n] == c.dim(n) - len(diagonals[n]) - len(diagonals[n + 1])
+        assert summary.torsion[n] == tuple(d for d in diagonals[n + 1] if d > 1)
+
+
 def test_unnormalized_complex_agrees_below_cap():
     x = torus()
     norm = homology(chain_complex(x)).betti
@@ -131,7 +153,7 @@ def test_euler_characteristic_matches_betti_sum():
 @given(simplicial_sets())
 def test_chain_complex_boundary_squares_to_zero(x):
     """chain_complex does not multiply out d^2: the simplicial identities,
-    which it has just validated, make every product of consecutive
+    which the set's constructor checked, make every product of consecutive
     boundaries zero."""
     c = chain_complex(x)
     for n in range(2, c.top + 1):
@@ -170,16 +192,15 @@ def test_rational_homology_report_is_the_integer_one_without_torsion(name):
     assert records["rat"] == expected
 
 
-def test_invalid_input_rejected(tmp_path):
-    broken = swapped_delta2()
-    assert broken.validate()
-    for build in (chain_complex, CochainSpaces, lambda x: derham_cohomology(x, 1)):
-        with pytest.raises(StructureError, match="fails .* identities"):
-            build(broken)
-    path = tmp_path / "broken.sset"
-    path.write_text(serialize_complex(broken))
-    with redirect_stdout(io.StringIO()):
-        assert main(["derham", str(path)]) == 2
+def test_invalid_input_rejected():
+    """Tables that break an identity never become a set, so no chain
+    complex, cochain space or de Rham report is computed on them."""
+    with pytest.raises(StructureError, match="^simplicial identities fail: ") as err:
+        parse_complex(fixture_text("corrupt_identity.sset"))
+    assert {name for name, *_ in err.value.violations} == {"d_i d_j = d_{j-1} d_i"}
+    for argv in (["homology"], ["ring"], ["derham"], ["derham", "--poly-degree", "1"], ["kan"]):
+        with redirect_stdout(io.StringIO()):
+            assert main(argv + [fixture_path("corrupt_identity.sset")]) == 2
 
 
 # -- cohomology ring ---------------------------------------------------------
@@ -374,7 +395,7 @@ def test_induced_maps_are_ring_homomorphisms_and_contravariant():
     t = product(x, x)
     proj1 = SimplicialMap(t, x, {n: {s: s[0] for s in t.simplices[n]} for n in t.dims()})
     proj2 = SimplicialMap(t, x, {n: {s: s[1] for s in t.simplices[n]} for n in t.dims()})
-    assert proj1.validate() == []
+    assert scan_map_violations(*map_tables(proj1)) == scan_map_violations(*map_tables(proj2)) == []
     sx = CochainSpaces(x)
     st = CochainSpaces(t)
     rx = cohomology_ring(x)
@@ -402,7 +423,7 @@ def test_induced_maps_are_ring_homomorphisms_and_contravariant():
             assert tuple(lhs) == tuple(rhs)
     # contravariance (g f)* = f* g* on a composable pair
     diag = SimplicialMap(x, t, {n: {s: (s, s) for s in x.simplices[n]} for n in x.dims()})
-    assert diag.validate() == []
+    assert scan_map_violations(*map_tables(diag)) == []
     comp = proj1.compose(diag)
     for p in (0, 1):
         lhs = induced_map(comp, p, target_spaces=sx, source_spaces=sx)
@@ -415,16 +436,15 @@ def test_induced_map_refuses_bad_maps_and_foreign_spaces():
     c = circle_two_edges(2)
     d1 = standard_delta(1)
     degenerate_p = c.s(0, 0, "p")
-    # both vertices to p and the edge to a, whose face d_0 is q
-    bad = SimplicialMap(d1, c, {0: {(0,): "p", (1,): "p"},
-                                1: {(0, 0): degenerate_p, (0, 1): "a", (1, 1): degenerate_p}})
-    assert bad.validate()
-    for p in (0, 1):
-        with pytest.raises(StructureError, match="fails to commute"):
-            induced_map(bad, p)
+    # both vertices to p and the edge to a, whose face d_0 is q: no map, so
+    # induced_map never sees it
+    bad = {0: {(0,): "p", (1,): "p"}, 1: {(0, 0): degenerate_p, (0, 1): "a", (1, 1): degenerate_p}}
+    with pytest.raises(StructureError, match="^map fails to commute with 1 structure maps$") as err:
+        SimplicialMap(d1, c, bad)
+    assert err.value.violations == scan_map_violations(d1, c, bad) == [("face", 1, 0, (0, 1))]
     good = SimplicialMap(d1, c, {0: {(0,): "q", (1,): "p"},
                                  1: {(0, 0): c.s(0, 0, "q"), (0, 1): "b", (1, 1): degenerate_p}})
-    assert good.validate() == []
+    assert scan_map_violations(*map_tables(good)) == []
     assert induced_map(good, 0).nrows == 1
     # spaces of an equal set built separately are not spaces of the map's ends
     for spaces in ({"target_spaces": CochainSpaces(circle_two_edges(2))},
@@ -444,7 +464,7 @@ def test_homotopy_invariance_endpoint_inclusions():
         incl[v] = SimplicialMap(
             x, cyl, {n: {s: (s, towers[n][v]) for s in x.simplices[n]} for n in x.dims()}
         )
-        assert incl[v].validate() == []
+        assert scan_map_violations(*map_tables(incl[v])) == []
     sx = CochainSpaces(x)
     sc = CochainSpaces(cyl)
     for p in (0, 1):
@@ -487,21 +507,6 @@ def test_mv_degenerate_cover_splits():
     mv = mayer_vietoris(c, full, full)
     assert all(m.is_zero() for m in mv.connecting.values())
     assert mv.exact()
-
-
-@st.composite
-def two_part_covers(draw):
-    """A set from simplicial_sets() with each nondegenerate simplex put in A,
-    in B or in both, each part closed; both parts are nonempty."""
-    x = draw(simplicial_sets())
-    simplices = [(n, s) for n in x.dims() for s in x.nondegenerate(n)]
-    sides = draw(st.lists(st.sampled_from(("A", "B", "AB")), min_size=len(simplices), max_size=len(simplices)))
-    seeds = {"A": {}, "B": {}}
-    for (n, s), side in zip(simplices, sides):
-        for part in side:
-            seeds[part].setdefault(n, []).append(s)
-    assume(seeds["A"] and seeds["B"])
-    return x, close_subcomplex(x, seeds["A"]), close_subcomplex(x, seeds["B"])
 
 
 @settings(max_examples=30)

@@ -41,7 +41,7 @@ from ssetkit.simplicial import (
 )
 from ssetkit.site_corpus import constant_presheaf, representable_to_delta1
 
-from conftest import fixture_text, homomorphism, inclusion, kan_maps, kan_sets, swapped_delta2
+from conftest import fixture_text, homomorphism, inclusion, kan_maps, kan_sets
 
 
 def test_horn_enumeration_on_delta1():
@@ -488,7 +488,6 @@ NEGATIVE_SETS = {
     "boundary2": standard_boundary(2, 2),
     "horn21": standard_horn(2, 1, 2),
     "sphere2": sphere_quotient(2, 3),
-    "broken": swapped_delta2(3),
 }
 
 

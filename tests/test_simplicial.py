@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ssetkit import simplicial
 from ssetkit.cli import main
 from ssetkit.errors import CapExceededError, ParameterError, StructureError
 from ssetkit.io_text import serialize_complex
@@ -47,6 +46,7 @@ from conftest import (
     kan_maps,
     kan_sets,
     swapped_delta2,
+    tables,
     with_replaced_entries,
 )
 from oracles import strict_chain_count
@@ -57,7 +57,7 @@ def test_standard_delta_counts():
     assert d1.counts() == (2, 1)
     d2 = standard_delta(2)
     assert d2.counts() == (3, 3, 1)
-    assert d2.validate() == []
+    assert oracles.scan_identities(*tables(d2)) == []
 
 
 def test_horn_counts_and_range():
@@ -71,15 +71,18 @@ def test_horn_counts_and_range():
 def test_sphere_quotient_counts():
     s2 = sphere_quotient(2)
     assert s2.counts() == (1, 0, 1)
-    assert s2.validate() == []
+    assert oracles.scan_identities(*tables(s2)) == []
 
 
-def test_validate_reports_deliberate_corruption():
-    broken = swapped_delta2()
-    bad = broken.validate()
-    assert any(name.startswith("d_i d_j") for name, *_ in bad)
-    again = broken.validate()
-    assert again == bad and again is not bad
+def test_constructor_refuses_deliberate_corruption():
+    with pytest.raises(StructureError) as err:
+        SimplicialSet(*swapped_delta2())
+    bad = err.value.violations
+    assert bad == oracles.scan_identities(*swapped_delta2())
+    assert {name for name, *_ in bad} == {"d_i d_j = d_{j-1} d_i"}
+    assert str(err.value) == "simplicial identities fail: " + "; ".join(str(b) for b in bad[:3])
+    # no row to name: a reader passes the error on unchanged
+    assert not hasattr(err.value, "offending")
 
 
 def test_identities_scanned_once_per_object(monkeypatch):
@@ -139,10 +142,10 @@ def test_constructor_refuses_dangling_references():
 
 def test_nerve_is_valid_and_counts():
     nz2 = nerve(cyclic_table(2), 3)
-    assert nz2.validate() == []
+    assert oracles.scan_identities(*tables(nz2)) == []
     assert nz2.counts() == (1, 1, 1, 1)
     nz3 = nerve(cyclic_table(3), 3)
-    assert nz3.validate() == []
+    assert oracles.scan_identities(*tables(nz3)) == []
     # n-simplices are n-tuples of group elements
     assert len(nz3.simplices[2]) == 9
 
@@ -161,7 +164,7 @@ def test_product_counts_match_shuffles():
     assert p.counts() == (4, 5, 2)
     q = product(standard_delta(1, 3), standard_delta(2, 3))
     assert q.counts()[3] == 3  # C(3,1) shuffles
-    assert q.validate() == []
+    assert oracles.scan_identities(*tables(q)) == []
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
@@ -213,7 +216,7 @@ def test_map_refuses_a_key_that_is_not_a_source_simplex():
 def test_non_injective_map_of_equal_caps_is_not_an_isomorphism():
     two, level = _constant_on_two_points()
     p = SimplicialMap(two, two, level)
-    assert p.validate() == []
+    assert oracles.scan_map_violations(two, two, level) == []
     assert not p.is_isomorphism()
 
 
@@ -230,15 +233,14 @@ def test_map_checks_keys_up_to_its_cap_only():
         SimplicialMap(d1, d1, {**level, 0: {(0,): (0,), (1,): (2,)}})
 
 
-def test_map_validate_is_scanned_once_and_copied(monkeypatch):
+def test_map_constructor_refuses_a_table_that_fails_to_commute():
     d1 = standard_delta(1)
-    p = SimplicialMap(d1, d1, {0: {s: s for s in d1.simplices[0]}, 1: {s: (0, 0) for s in d1.simplices[1]}})
-    bad = p.validate()
-    assert bad == [("face", 1, 0, (0, 1)), ("face", 1, 0, (1, 1)), ("face", 1, 1, (1, 1)), ("degeneracy", 0, 0, (1,))]
-    # a second scan would compose position tables again
-    monkeypatch.setattr(simplicial, "_compose", None)
-    again = p.validate()
-    assert again == bad and again is not bad
+    level = {0: {s: s for s in d1.simplices[0]}, 1: {s: (0, 0) for s in d1.simplices[1]}}
+    with pytest.raises(StructureError, match="^map fails to commute with 4 structure maps$") as err:
+        SimplicialMap(d1, d1, level)
+    bad = [("face", 1, 0, (0, 1)), ("face", 1, 0, (1, 1)), ("face", 1, 1, (1, 1)), ("degeneracy", 0, 0, (1,))]
+    assert err.value.violations == bad == oracles.scan_map_violations(d1, d1, level)
+    assert not hasattr(err.value, "offending")
 
 
 def test_compose_through_a_lower_middle_cap_is_refused():
@@ -259,7 +261,7 @@ def test_quotient_examples():
     }
     q = quotient(d2, bdy)
     assert q.counts() == (1, 0, 1)
-    assert q.validate() == []
+    assert oracles.scan_identities(*tables(q)) == []
     total = quotient(d2, full_subcomplex(d2))
     assert total.counts() == (1, 0, 0)
     d1 = standard_delta(1, 2)
@@ -301,7 +303,7 @@ def test_members_off_the_cap_are_refused():
 
 def test_generated_circle_validates():
     c = circle_two_edges(3)
-    assert c.validate() == []
+    assert oracles.scan_identities(*tables(c)) == []
     assert c.counts() == (2, 2, 0, 0)
 
 
@@ -312,13 +314,13 @@ def test_simplicial_complex_rp2_counts():
         3,
     )
     assert rp2.counts() == (6, 15, 10, 0)
-    assert rp2.validate() == []
+    assert oracles.scan_identities(*tables(rp2)) == []
 
 
 def test_truncate_refuses_raise():
     d2 = standard_delta(2)
     t = truncate(d2, 1)
-    assert t.dim_cap == 1 and t.validate() == []
+    assert t.dim_cap == 1 and oracles.scan_identities(*tables(t)) == []
     with pytest.raises(CapExceededError):
         truncate(t, 2)
 
@@ -334,7 +336,7 @@ def test_every_generated_object_validates():
         circle_two_edges(2),
     ]
     for x in objects:
-        assert x.validate() == []
+        assert oracles.scan_identities(*tables(x)) == []
 
 
 # -- whole-table scans against the element-wise oracles -------------------------
@@ -342,23 +344,33 @@ def test_every_generated_object_validates():
 SCAN_SETTINGS = settings(max_examples=80)
 
 
+def _refusal(build):
+    """What the constructor refused build's tables for: its violations, or
+    ("StructureError", text) for a refusal without them; [] when it built."""
+    try:
+        build()
+    except StructureError as exc:
+        return exc.violations if hasattr(exc, "violations") else ("StructureError", str(exc))
+    return []
+
+
 @SCAN_SETTINGS
 @given(corrupted_sets())
-def test_identity_scan_matches_the_element_wise_oracle(x):
-    assert x.validate() == oracles.scan_identities(x)
+def test_identity_scan_matches_the_element_wise_oracle(raw):
+    assert _refusal(lambda: SimplicialSet(*raw)) == oracles.scan_identities(*raw)
 
 
 def test_identity_scan_reports_every_family_in_order():
     """Three corrupted entries of Delta^2 that break every identity, several
     of them on more than one simplex of a dimension."""
     d2 = standard_delta(2, 3)
-    x = with_replaced_entries(d2, {
+    raw = with_replaced_entries(d2, {
         ("d", 2, 0, (0, 1, 2)): (0, 1),
         ("s", 1, 0, (0, 2)): (0, 1, 2),
         ("s", 1, 1, (0, 2)): (0, 1, 2),
     })
-    bad = x.validate()
-    assert bad == oracles.scan_identities(x)
+    bad = _refusal(lambda: SimplicialSet(*raw))
+    assert bad == oracles.scan_identities(*raw)
     assert {name for name, *_ in bad} == {
         "d_i d_j = d_{j-1} d_i",
         "d_j s_j = id",
@@ -379,11 +391,11 @@ def _outcome(check):
 @SCAN_SETTINGS
 @given(corrupted_maps())
 def test_map_check_matches_the_element_wise_oracle(raw):
-    assert _outcome(lambda: SimplicialMap(*raw).validate()) == _outcome(lambda: oracles.scan_map_violations(*raw))
+    assert _refusal(lambda: SimplicialMap(*raw)) == _outcome(lambda: oracles.scan_map_violations(*raw))
 
 
 @settings(max_examples=40)
-@given(st.one_of(corrupted_sets(), kan_sets()), kan_maps(), st.integers(0, 3), st.integers(1, 3))
+@given(kan_sets(), kan_maps(), st.integers(0, 3), st.integers(1, 3))
 def test_kept_positions_are_the_element_wise_index_lookups(y, q, n, cap):
     """Each kept table against the functions its object was built from: a
     set built from the structure maps of a drawn set, a map from a level
@@ -424,7 +436,7 @@ def derived(x):
 
 
 @settings(max_examples=40)
-@given(st.one_of(corrupted_sets(), kan_sets()))
+@given(kan_sets())
 def test_witnesses_are_listed_in_the_order_first_reached(y):
     """witness lists each degenerate simplex with its least (i, y), in the
     order the scan over n, then i, then y in stored order first reaches it,
@@ -471,7 +483,7 @@ def test_nerve_degenerate_iff_an_entry_is_the_identity():
 def test_from_generators_degenerate_iff_eta_not_injective():
     sphere = from_generators(3, {0: [("v", ())], 2: [("S", [((0, 0), "v")] * 3)]})
     for x in (circle_two_edges(3), sphere):
-        assert x.validate() == []
+        assert oracles.scan_identities(*tables(x)) == []
         for (n, s), w in derived(x).items():
             if not isinstance(s, tuple):  # a generator: eta is the identity
                 assert w is None
@@ -684,5 +696,5 @@ GOLDEN_TABLES = {
 def test_constructions_keep_their_golden_tables(name):
     build, digest = GOLDEN_TABLES[name]
     x = build()
-    assert x.validate() == []
+    assert oracles.scan_identities(*tables(x)) == []
     assert hashlib.sha256(serialize_complex(x).encode()).hexdigest() == digest
