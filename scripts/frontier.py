@@ -1,0 +1,162 @@
+"""Frontier rungs: the subdivision ladder, timed and checked against closed forms.
+
+Run from the repository root:
+
+    python scripts/frontier.py --label NAME   # writes BENCH_frontier_NAME.json
+    python scripts/frontier.py --quick        # each rung once, checks only
+
+Each rung is one computation whose answer has a closed form:
+- the subdivision suite in dimensions 1-4 at 30 trials: every identity row
+  passes (S is a chain map, boundary T + T boundary = S - id, and the
+  (n/(n+1))^2 diameter rows);
+- S and T of the standard n-simplex, n = 1..4: |S| = (n+1)! terms, each
+  coefficient +-1, and |T| = 1, 4, 17, 86 terms;
+- iterated_diameter of the standard n-simplex, n = 1..3, at m = 1 and 2:
+  at most (n/(n+1))^(2m) times the simplex's own squared diameter.
+
+A rung runs once untimed, then REPEATS times, each run bracketed by
+perfbench's reference chunk (run.reference_chunk, imported from
+perfbench/run.py and used as it is). A run's time in chunks is its wall time
+over the mean of the two chunks around it, so the host's drifting speed
+cancels; the JSON file gives each rung's median and quartiles in chunks and
+in ms. The exit status is 1 when any answer is wrong, and nothing is written.
+"""
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from math import factorial
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import run  # noqa: E402  (perfbench/run.py, for its reference chunk)
+from ssetkit.randomsuite import DIAMETER_DIMS, SUBDIVISION_DIMS, subdivision_suite  # noqa: E402
+from ssetkit.subdivision import (  # noqa: E402
+    AffineChain,
+    homotopy,
+    iterated_diameter,
+    standard_affine_simplex,
+    subdivide,
+)
+
+REPEATS = 15
+SUITE_TRIALS = 30
+SUITE_SEED = 0
+T_TERMS = {1: 1, 2: 4, 3: 17, 4: 86}
+
+
+def suite_rung():
+    rows = subdivision_suite(random.Random(SUITE_SEED), trials=SUITE_TRIALS)
+    names = ["subdivision.%s.dim%d" % (kind, n) for n in SUBDIVISION_DIMS for kind in ("chain_map", "homotopy")]
+    names += ["subdivision.diameter.dim%d" % n for n in DIAMETER_DIMS]
+    return [name for name, _, _ in rows] == names and all(passed for _, passed, _ in rows)
+
+
+def s_rung():
+    ok = True
+    for n in SUBDIVISION_DIMS:
+        terms = subdivide(AffineChain.of(standard_affine_simplex(n))).terms
+        ok = ok and len(terms) == factorial(n + 1) and all(abs(c) == 1 for c in terms.values())
+    return ok
+
+
+def t_rung():
+    return all(len(homotopy(AffineChain.of(standard_affine_simplex(n))).terms) == T_TERMS[n]
+               for n in SUBDIVISION_DIMS)
+
+
+def diameter_rung(m):
+    def rung():
+        ok = True
+        for n in DIAMETER_DIMS:
+            s = standard_affine_simplex(n)
+            ok = ok and iterated_diameter(s, m) <= Fraction(n, n + 1) ** (2 * m) * s.diameter_squared()
+        return ok
+    return rung
+
+
+RUNGS = [
+    ("subdivision_suite dims 1-4, %d trials" % SUITE_TRIALS, suite_rung),
+    ("S of the standard n-simplex, n = 1..4", s_rung),
+    ("T of the standard n-simplex, n = 1..4", t_rung),
+    ("iterated_diameter m = 1, n = 1..3", diameter_rung(1)),
+    ("iterated_diameter m = 2, n = 1..3", diameter_rung(2)),
+]
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
+
+
+def quartiles(xs):
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return {"q1": q1, "median": q2, "q3": q3}
+
+
+def measure(fn, repeats):
+    """The rung's answer (from an untimed run and every timed one) and its
+    runs in chunks and ms."""
+    correct = fn()
+    chunks, ms = [], []
+    before, _ = timed(run.reference_chunk)
+    for _ in range(repeats):
+        seconds, result = timed(fn)
+        after, _ = timed(run.reference_chunk)
+        correct = correct and result
+        chunks.append(seconds * 2 / (before + after))
+        ms.append(seconds * 1000)
+        before = after
+    return correct, chunks, ms
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", help="write BENCH_frontier_LABEL.json in the repository root")
+    parser.add_argument("--quick", action="store_true", help="run each rung once and check it; write nothing")
+    args = parser.parse_args(argv)
+    if not args.quick and not args.label:
+        parser.error("give --label, or --quick")
+    repeats = 0 if args.quick else REPEATS
+    chunk_ms = [timed(run.reference_chunk)[0] * 1000 for _ in range(5)]
+    rungs, all_correct = [], True
+    for name, fn in RUNGS:
+        t0 = time.perf_counter()
+        correct, chunks, ms = measure(fn, repeats)
+        all_correct = all_correct and correct
+        print("%-40s %s  %.1f ms" % (name, "correct" if correct else "WRONG", (time.perf_counter() - t0) * 1000))
+        if repeats:
+            rungs.append({"name": name, "correct": correct, "chunks": quartiles(chunks), "ms": quartiles(ms),
+                          "runs_chunks": [round(c, 4) for c in chunks]})
+    if not all_correct:
+        return 1
+    if repeats:
+        chunk_ms += [timed(run.reference_chunk)[0] * 1000 for _ in range(5)]
+        out = {
+            "label": args.label,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "repeats": repeats,
+            "reference_chunk_ms": statistics.median(chunk_ms),
+            "rungs": rungs,
+        }
+        path = os.path.join(ROOT, "BENCH_frontier_%s.json" % args.label)
+        with open(path, "w") as fh:
+            json.dump(out, fh, indent=1)
+            fh.write("\n")
+        print("wrote", path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,9 +45,10 @@ a coefficient c and the int outputs v of a kernel, or c and one pair
 (key, +-1). The keys must be canonical; it checks only the kind of c. The
 collector writes each c over the common denominator of the parts, a QTau
 as its q and m parts, and adds c * v as int numerators, so a Fraction is
-built once per output term. A key's coefficient is a QTau exactly when a
-QTau contributed to it, so 2+0*tau stays a QTau; every other coefficient
-is a Fraction. pullback, d, from_raw, scale, + and -, wedge and whitney
+built at most once per output term, and not at all where a part's own
+Fraction has the value (a merge or a scale). A key's coefficient is a
+QTau exactly when a QTau contributed to it, so 2+0*tau stays a QTau; every
+other coefficient is a Fraction. pullback, d, from_raw, scale, + and -, wedge and whitney
 build their forms through it, and so does the public constructor
 PolyForm(n, p, terms), after it has checked each key's arity and index
 order where terms enter from outside. integrate sums the coefficients
@@ -352,8 +353,9 @@ def _collect(n, p, parts):
     the keys must already be canonical, and they are not checked. Like keys
     add as int numerators over the common denominator of the c, a QTau as
     its q and m parts, and zeros drop; a Fraction is built once per output
-    coefficient. A key's coefficient is a QTau exactly when a QTau
-    contributed to it. Any other c is a ParameterError."""
+    value, unless a part's own Fraction equals it. A key's coefficient is a
+    QTau exactly when a QTau contributed to it. Any other c is a
+    ParameterError."""
     dens = set()
     for c, _ in parts:
         if isinstance(c, QTau):
@@ -366,6 +368,10 @@ def _collect(n, p, parts):
     den = math.lcm(*dens)
     acc = {}
     tau = {}  # the m numerators of the keys a QTau contributed to
+    # numerator over den -> an equal Fraction: seeded with the parts' own
+    # Fraction coefficients, so a key that sums to one of them (a merge, a
+    # scale) keeps it instead of building a new one
+    coeffs = {}
     for c, pairs in parts:
         if isinstance(c, QTau):
             q = c.q.numerator * (den // c.q.denominator)
@@ -375,10 +381,11 @@ def _collect(n, p, parts):
                 tau[key] = tau.get(key, 0) + m * v
         else:
             q = c.numerator * (den // c.denominator)
+            if type(c) is Fraction:
+                coeffs[q] = c
             for key, v in pairs:
                 acc[key] = acc.get(key, 0) + q * v
     terms = {}
-    coeffs = {}
     for key, v in acc.items():
         m = tau.get(key)
         if m is None:

@@ -246,6 +246,9 @@ def test_simplex_geometry_matches_reference(points):
     assert type(s.diameter_squared()) is Fraction
     for p in s.key:
         assert p[0] > 0 and gcd(*p) == 1
+    # the table of S(s) holds the points of s and the barycenters of its faces
+    for p in subdivide(AffineChain.of(s))._table.points:
+        assert p[0] > 0 and gcd(*p) == 1
 
 
 @DIFFERENTIAL_SETTINGS
@@ -279,11 +282,16 @@ def test_equal_points_give_equal_simplices(data):
 
 
 def assert_lowest_terms(chain):
-    """One positive denominator, coprime to the numerators, and the derived
-    terms equal to numerator over denominator."""
-    den, num = chain._den, chain._num
+    """One positive denominator, coprime to the numerators; every point of
+    the vertex table in lowest terms with a positive denominator, under the
+    id the index gives it; and the derived terms equal to numerator over
+    denominator on the table's points."""
+    den, num, points = chain._den, chain._num, chain._table.points
     assert den > 0 and gcd(den, *num.values()) == 1 and all(num.values())
-    assert {s.key: c for s, c in chain.terms.items()} == {k: Fraction(v, den) for k, v in num.items()}
+    assert all(p[0] > 0 and gcd(*p) == 1 for p in points)
+    assert chain._table.ids == {p: i for i, p in enumerate(points)}
+    want = {tuple(points[i] for i in ids): Fraction(v, den) for ids, v in num.items()}
+    assert {s.key: c for s, c in chain.terms.items()} == want
 
 
 @settings(max_examples=30)
@@ -303,3 +311,74 @@ def test_equal_chains_built_different_ways_compare_equal(a, b, q):
     ref = reference_chain(a)
     assert AffineChain([(AffineSimplex(points), c) for points, c in ref.items()]) == a
     assert reference_chain(boundary(a + b)) == reference_chain(boundary(a) + boundary(b))
+
+
+def test_zero_results_keep_their_degree():
+    vertex = AffineChain.of(AffineSimplex([(0,)]))
+    assert homotopy(vertex).is_zero() and homotopy(vertex).dimension == 1
+    for k in (1, 2):
+        zero = AffineChain([], dimension=k)
+        assert subdivide(zero).dimension == k
+        assert homotopy(zero).dimension == k + 1
+        assert boundary(zero).dimension == k - 1
+        assert cone((Fraction(1, 2),), zero).dimension == k + 1
+        assert all(op(zero).is_zero() for op in (subdivide, homotopy, boundary))
+
+
+# -- the shared vertex table -----------------------------------------------------
+
+
+def rebuilt(chain):
+    """chain built again from its terms, on a fresh vertex table."""
+    return AffineChain(list(chain.terms.items()), dimension=chain.dimension)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_chains_on_different_tables_agree(data):
+    n = data.draw(st.integers(0, 3))
+    ambient = data.draw(st.integers(0, n + 1))
+    a, b = data.draw(chains(n, ambient)), data.draw(chains(n, ambient))
+    fresh = rebuilt(a)
+    assert fresh._table is not a._table and fresh == a and a == fresh
+    assert (a - fresh).is_zero() and (fresh - a).is_zero()
+    for got, sign in ((a + b, 1), (a - b, -1)):
+        assert got._table is a._table
+        assert_lowest_terms(got)
+        want = reference_chain(a)
+        for points, c in reference_chain(b).items():
+            want[points] = want.get(points, 0) + sign * c
+        assert reference_chain(got) == {p: c for p, c in want.items() if c}
+    assert (a - b) + b == a and b + (a - b) == a
+    assert (a == b) == (b == a) == (reference_chain(a) == reference_chain(b))
+    terms = list(a.terms.items())
+    if terms:
+        # the last term scaled by 2: equal in all but one term
+        other = AffineChain(terms[:-1] + [(terms[-1][0], 2 * terms[-1][1])])
+        assert other != a and a != other
+
+
+@settings(max_examples=40)
+@given(chains(), chains())
+def test_operators_ignore_what_the_table_already_holds(a, b):
+    ops = ((subdivide, reference_subdivide), (homotopy, reference_homotopy), (boundary, reference_boundary))
+    for op, reference in ops:
+        want = reference(reference_chain(b))
+        fresh = op(rebuilt(b))
+        for op_first in (False, True):
+            # b's terms on the table of a copy of a, which already holds the
+            # copy's points, barycenters and S and T memos
+            host = rebuilt(a)
+            subdivide(host), homotopy(host)
+            shared = (host - host) + b
+            assert shared._table is host._table and shared == b
+            if op_first:
+                got = op(shared)
+                other = op(host)
+            else:
+                other = op(host)
+                got = op(shared)
+            assert_lowest_terms(got)
+            assert got == fresh and fresh == got
+            assert reference_chain(got) == want
+            assert reference_chain(other) == reference(reference_chain(a))
