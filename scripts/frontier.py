@@ -1,4 +1,5 @@
-"""Frontier rungs: the subdivision ladder, timed and checked against closed forms.
+"""Frontier rungs: subdivision, nerve and torus homology and Kan fibrancy,
+timed and checked against closed forms.
 
 Run from the repository root:
 
@@ -12,7 +13,16 @@ Each rung is one computation whose answer has a closed form:
 - S and T of the standard n-simplex, n = 1..4: |S| = (n+1)! terms, each
   coefficient +-1, and |T| = 1, 4, 17, 86 terms;
 - iterated_diameter of the standard n-simplex, n = 1..3, at m = 1 and 2:
-  at most (n/(n+1))^(2m) times the simplex's own squared diameter.
+  at most (n/(n+1))^(2m) times the simplex's own squared diameter;
+- integer homology of the nerve N(Z/m), m = 5 and 6, at cap 5: in every
+  degree n below the cap, Z for n = 0, Z/m for odd n and 0 for even n > 0
+  (the nerve is built before the rung, untimed);
+- the 5-torus T^5 as the product of five circles at cap 5: building it
+  gives Euler characteristic 0, and its homology has betti numbers
+  C(5, n) and no torsion (built untimed for the homology rung);
+- is_fibrant on N(Z/5) at cap 5, the nerve built inside the rung, because
+  the certificate keeps its face indexes on the set: fibrant, and for
+  2 <= n <= cap each (n, k) has |G|^n horns, each with a unique filler.
 
 A rung runs once untimed, then REPEATS times, each run bracketed by
 perfbench's reference chunk (run.reference_chunk, imported from
@@ -23,6 +33,7 @@ in ms. The exit status is 1 when any answer is wrong, and nothing is written.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -31,13 +42,15 @@ import statistics
 import sys
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py, for its reference chunk)
+from ssetkit.homology import chain_complex, homology  # noqa: E402
+from ssetkit.kan import is_fibrant  # noqa: E402
 from ssetkit.randomsuite import DIAMETER_DIMS, SUBDIVISION_DIMS, subdivision_suite  # noqa: E402
 from ssetkit.subdivision import (  # noqa: E402
     AffineChain,
@@ -46,6 +59,7 @@ from ssetkit.subdivision import (  # noqa: E402
     standard_affine_simplex,
     subdivide,
 )
+from ssetkit.simplicial import cyclic_table, nerve, product, sphere_quotient  # noqa: E402
 
 REPEATS = 15
 SUITE_TRIALS = 30
@@ -83,12 +97,60 @@ def diameter_rung(m):
     return rung
 
 
+NERVE_CAP = 5
+TORUS_RANK = 5
+
+
+def nerve_homology_rung(m, x):
+    summary = homology(chain_complex(x))
+    return all(
+        summary.betti[n] == (1 if n == 0 else 0) and summary.torsion[n] == ((m,) if n % 2 else ())
+        for n in range(NERVE_CAP)
+    )
+
+
+def torus(k):
+    circle = sphere_quotient(1, k)
+    x = circle
+    for _ in range(k - 1):
+        x = product(x, circle)
+    return x
+
+
+def torus_build_rung():
+    x = torus(TORUS_RANK)
+    return sum((-1) ** n * len(x.nondegenerate(n)) for n in x.dims()) == 0
+
+
+def torus_homology_rung(x):
+    summary = homology(chain_complex(x))
+    return summary.betti == tuple(comb(TORUS_RANK, n) for n in x.dims()) and not any(summary.torsion.values())
+
+
+def fibrant_rung(m):
+    def rung():
+        cert = is_fibrant(nerve(cyclic_table(m), NERVE_CAP))
+        return cert.fibrant and all(
+            cert.counts[(n, k)] == (m ** n, m ** n) for n in range(2, NERVE_CAP + 1) for k in range(n + 1)
+        )
+    return rung
+
+
+# Each rung: (name, the timed function, and the untimed setup whose result
+# it takes, or None).
 RUNGS = [
-    ("subdivision_suite dims 1-4, %d trials" % SUITE_TRIALS, suite_rung),
-    ("S of the standard n-simplex, n = 1..4", s_rung),
-    ("T of the standard n-simplex, n = 1..4", t_rung),
-    ("iterated_diameter m = 1, n = 1..3", diameter_rung(1)),
-    ("iterated_diameter m = 2, n = 1..3", diameter_rung(2)),
+    ("subdivision_suite dims 1-4, %d trials" % SUITE_TRIALS, suite_rung, None),
+    ("S of the standard n-simplex, n = 1..4", s_rung, None),
+    ("T of the standard n-simplex, n = 1..4", t_rung, None),
+    ("iterated_diameter m = 1, n = 1..3", diameter_rung(1), None),
+    ("iterated_diameter m = 2, n = 1..3", diameter_rung(2), None),
+    ("homology N(Z/5) cap %d" % NERVE_CAP, functools.partial(nerve_homology_rung, 5),
+     lambda: nerve(cyclic_table(5), NERVE_CAP)),
+    ("homology N(Z/6) cap %d" % NERVE_CAP, functools.partial(nerve_homology_rung, 6),
+     lambda: nerve(cyclic_table(6), NERVE_CAP)),
+    ("T^%d build" % TORUS_RANK, torus_build_rung, None),
+    ("T^%d homology" % TORUS_RANK, torus_homology_rung, lambda: torus(TORUS_RANK)),
+    ("is_fibrant N(Z/5) cap %d, build included" % NERVE_CAP, fibrant_rung(5), None),
 ]
 
 
@@ -129,7 +191,9 @@ def main(argv=None):
     repeats = 0 if args.quick else REPEATS
     chunk_ms = [timed(run.reference_chunk)[0] * 1000 for _ in range(5)]
     rungs, all_correct = [], True
-    for name, fn in RUNGS:
+    for name, fn, setup in RUNGS:
+        if setup is not None:
+            fn = functools.partial(fn, setup())
         t0 = time.perf_counter()
         correct, chunks, ms = measure(fn, repeats)
         all_correct = all_correct and correct

@@ -15,7 +15,6 @@ from ssetkit.forms import PolyForm, TAU, elementary_whitney
 from ssetkit.io_text import (
     relabel_as_strings,
     render_form,
-    serialize_chain,
     serialize_complex,
     serialize_cover,
     serialize_map,
@@ -36,7 +35,6 @@ from ssetkit.simplicial import (
 )
 from ssetkit.sheaves import FiniteSite
 from ssetkit.site_corpus import constant_presheaf, representable_to_delta1
-from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -205,10 +203,6 @@ def main():
         "extend 1\nn 2\nface 1 entry 0 0 : %s\nface 2 entry 0 0 : %s\n"
         % (render_form(PolyForm.constant(1, TAU)), render_form(tau_f1)),
     )
-
-    # subdivision S and homotopy T of the standard 2-simplex, one chain each
-    triangle = AffineChain.of(standard_affine_simplex(2))
-    write("sd_triangle.chain", serialize_chain(subdivide(triangle)) + serialize_chain(homotopy(triangle)))
 
 
 if __name__ == "__main__":

@@ -56,7 +56,6 @@ from .kan import (
     ExtraDegeneracy,
     check_extra_degeneracy,
     enumerate_horns,
-    fill_horn,
     is_fibrant,
     is_fibration,
 )

@@ -112,18 +112,6 @@ class LieValuedForm:
                 if (f.n, f.p) != (self.n, self.p):
                     raise ParameterError("entry of the wrong form type")
 
-    @classmethod
-    def from_basis(cls, algebra, n, p, coefficients):
-        """Sum of basis matrices weighted by PolyForm coefficients."""
-        d = algebra.size
-        rows = [[PolyForm.zero(n, p) for _ in range(d)] for _ in range(d)]
-        for form, mat in zip(coefficients, algebra.basis):
-            for i in range(d):
-                for j in range(d):
-                    if mat[i][j]:
-                        rows[i][j] = rows[i][j] + form.scale(mat[i][j])
-        return cls(algebra, n, p, rows)
-
     def entrywise(self, fn, p=None, n=None):
         return LieValuedForm(
             self.algebra,
@@ -204,12 +192,6 @@ def curvature(connection):
     if connection.p != 1:
         raise ParameterError("a connection is a Lie-valued 1-form")
     return connection.d() + connection.wedge(connection)
-
-
-def bianchi_defect(connection, f=None):
-    """dF - (F ^ A - A ^ F); identically zero for a curvature."""
-    f = curvature(connection) if f is None else f
-    return f.d() - (f.wedge(connection) - connection.wedge(f))
 
 
 def chern_weil_form(f, k):
@@ -377,14 +359,6 @@ class U1BundleData:
                 return False
         return True
 
-    def reversed_orientation(self):
-        return U1BundleData(
-            self.triangles,
-            {t: -o for t, o in self.orientations.items()},
-            self.forms,
-            self.gluings,
-        )
-
 
 def _edge_jump_form(g):
     """d of the transition lift: dp + winding * tau * dt_1 on the edge."""
@@ -474,18 +448,6 @@ def u1_chern_number(bundle):
 # -- the numeric extra degeneracy ---------------------------------------------
 
 
-def collapse_projection(point):
-    """The projection of the lower half simplex onto the base:
-    (t_0, ..., t_{n+1}) -> (t_1, ..., t_{n+1}) / (1 - t_0).
-
-    point is given in canonical coordinates (t_1, ..., t_{n+1}); undefined
-    at the apex t_0 = 1."""
-    t0 = 1.0 - math.fsum(point)
-    if t0 >= 1.0:
-        raise DomainError("projection undefined at the apex t_0 = 1")
-    return tuple(t / (1.0 - t0) for t in point)
-
-
 def bump_factor(t0):
     """The smooth cutoff e^4 * e^{-(1/2 - t_0)^{-2}} on t_0 < 1/2, 0 beyond."""
     if t0 >= 0.5:
@@ -525,16 +487,3 @@ def extra_degeneracy_value(w_eval, n, point):
         base = w[i - 2] / denom if i >= 2 else 0.0
         coeffs.append(scale * (base - correction))
     return tuple(coeffs)
-
-
-def polyform_evaluator(form):
-    """Adapter: a degree-1 PolyForm on Delta^n as a float coefficient callable."""
-    if form.p != 1:
-        raise ParameterError("expected a 1-form")
-    n = form.n
-
-    def evaluate(u):
-        vals = form.coefficients_at(tuple(float(t) for t in u))
-        return tuple(float(vals.get((j,), 0.0)) for j in range(1, n + 1))
-
-    return evaluate

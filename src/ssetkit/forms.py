@@ -236,11 +236,6 @@ class PolyForm:
         exps[i] = 1
         return cls.from_raw(n, 0, [(Fraction(1), tuple(exps), ())])
 
-    @classmethod
-    def dcoordinate(cls, n, i):
-        """The 1-form dt_i."""
-        return cls.from_raw(n, 1, [(Fraction(1), (0,) * (n + 1), (i,))])
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self):

@@ -67,9 +67,6 @@ class ChainComplex:
             self._factors[n] = invariant_factors(self.boundary_or_zero(n))
         return self._factors[n]
 
-    def euler_characteristic(self):
-        return sum((-1) ** n * self.dim(n) for n in range(self.top + 1))
-
 
 def chain_complex(x):
     """Normalized chain complex of a simplicial set: the basis is the
@@ -181,10 +178,6 @@ class CochainSpaces:
 
     def betti(self, p):
         return len(self.reps(p))
-
-    def is_cocycle(self, p, row):
-        """Whether a row has no key off basis[p] and zero coboundary."""
-        return set(row) <= set(range(self.complex.dim(p))) and not self.coboundary(p, row)
 
     def express(self, p, row):
         """Coordinates of a cocycle's class in the canonical representative

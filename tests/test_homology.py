@@ -20,14 +20,13 @@ from ssetkit.homology import (
     mayer_vietoris,
     unit_class_coords,
 )
-from ssetkit.io_text import parse_complex, parse_matrix_triples, serialize_matrix
+from ssetkit.io_text import parse_complex
 from ssetkit.linalg import Matrix, rank
 from ssetkit.simplicial import (
     SimplicialMap,
     circle_two_edges,
     close_subcomplex,
     cyclic_table,
-    full_subcomplex,
     nerve,
     product,
     restrict,
@@ -43,8 +42,10 @@ from oracles import (
     betti_from_matrices,
     dense_rank,
     elementwise_coboundary,
+    parse_matrix_triples,
     reference_cup,
     scan_map_violations,
+    serialize_matrix,
     snf_diagonal,
     unnormalized_betti,
 )
@@ -144,7 +145,7 @@ def test_euler_characteristic_matches_betti_sum():
     for x in (standard_boundary(3), simplicial_complex(RP2_FACETS, 3), torus()):
         c = chain_complex(x)
         chi = sum((-1) ** n * len(x.nondegenerate(n)) for n in x.dims())
-        assert chi == c.euler_characteristic()
+        assert chi == sum((-1) ** n * c.dim(n) for n in range(c.top + 1))
         betti = homology(c).betti
         assert chi == sum((-1) ** n * b for n, b in enumerate(betti))
 
@@ -237,8 +238,7 @@ def test_cup_matches_the_identifier_walk(x, data):
 def test_coboundary_matches_the_elementwise_cochain(x, data):
     """CochainSpaces.coboundary against oracles.elementwise_coboundary, which
     sums over the faces of each simplex by identifier, read at basis
-    positions; is_cocycle says whether it is zero, and holds on every
-    representative."""
+    positions; it is zero on every representative."""
     spaces = CochainSpaces(x)
     p = data.draw(st.integers(0, x.dim_cap))
     row = cochains(data, spaces, p)
@@ -246,8 +246,7 @@ def test_coboundary_matches_the_elementwise_cochain(x, data):
     values = [element_wise.get(s, 0) for s in spaces.basis.get(p + 1, ())]
     expected = {k: v for k, v in enumerate(values) if v}
     assert spaces.coboundary(p, row) == expected
-    assert spaces.is_cocycle(p, row) == (not expected)
-    assert all(spaces.is_cocycle(p, rep) for rep in spaces.reps(p))
+    assert not any(spaces.coboundary(p, rep) for rep in spaces.reps(p))
 
 
 @settings(max_examples=40)
@@ -274,8 +273,7 @@ def test_express_refuses_exactly_the_non_cocycles(x, data):
     off_basis = data.draw(st.booleans())
     if off_basis:
         row[size + data.draw(st.integers(0, 2))] = data.draw(RATIONALS.filter(bool))
-    cocycle = spaces.is_cocycle(p, row)
-    assert not (off_basis and cocycle)
+    cocycle = not off_basis and not spaces.coboundary(p, row)
     if not cocycle:
         with pytest.raises(ParameterError, match="not a cocycle in degree %d" % p):
             spaces.express(p, row)
@@ -503,7 +501,7 @@ def test_mv_boundary_delta3_star_cover():
 
 def test_mv_degenerate_cover_splits():
     c = circle_two_edges(2)
-    full = full_subcomplex(c)
+    full = {n: frozenset(c.simplices[n]) for n in c.dims()}
     mv = mayer_vietoris(c, full, full)
     assert all(m.is_zero() for m in mv.connecting.values())
     assert mv.exact()

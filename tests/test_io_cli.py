@@ -16,29 +16,27 @@ from hypothesis import strategies as st
 
 from ssetkit import cli
 from ssetkit.cli import main
+from ssetkit.connections import EdgeGluing, U1BundleData
 from ssetkit.errors import ParameterError, StructureError
 from ssetkit.forms import FormField, PolyForm, QTau, whitney
 from ssetkit.io_text import (
     _UNWRITABLE,
-    parse_chain,
+    _once,
+    _row,
+    _RowReader,
     parse_complex,
     parse_cover,
     parse_extend,
-    parse_field,
     parse_form,
     parse_map,
-    parse_matrix_triples,
     parse_site_presheaf,
     parse_u1,
     relabel_as_strings,
     render_form,
     render_id,
-    serialize_chain,
     serialize_complex,
     serialize_cover,
-    serialize_field,
     serialize_map,
-    serialize_matrix,
     serialize_site_presheaf,
     serialize_u1,
 )
@@ -47,9 +45,10 @@ from ssetkit.randomsuite import random_affine_simplex
 from ssetkit.sheaves import FiniteSite
 from ssetkit.simplicial import SimplicialMap, from_generators
 from ssetkit.site_corpus import constant_presheaf
-from ssetkit.subdivision import AffineChain, homotopy, standard_affine_simplex, subdivide
+from ssetkit.subdivision import AffineChain, AffineSimplex, homotopy, standard_affine_simplex, subdivide
 
 import oracles
+from oracles import parse_matrix_triples, serialize_matrix
 from conftest import (
     BASES,
     FIXTURES,
@@ -66,6 +65,78 @@ from conftest import (
     tables,
     two_part_covers,
 )
+
+
+# -- 'chain 1' and 'field 1': formats no command reads, kept with their tests -----
+#
+# They are built on the row reader of ssetkit.io_text, so their tests check
+# the reader's header places, comment rule and line numbers on a format with
+# a 'degree p' header line and on one whose rows hold Fraction points.
+
+
+def serialize_chain(chain):
+    """AffineChain as one line per term: coefficient, then vertex tuples."""
+    lines = ["chain 1"]
+    terms = sorted(chain.terms.items(), key=lambda kv: kv[0].points)
+    for simplex, coeff in terms:
+        points = " ".join(
+            "(" + ",".join(str(c) for c in p) + ")" for p in simplex.points
+        )
+        lines.append("%s : %s" % (coeff, points))
+    return "\n".join(lines) + "\n"
+
+
+def parse_chain(text):
+    _, rows = _RowReader(text).rows("chain 1")
+    terms = []
+    for ln, line in rows:
+        coeff_s, _, body = line.partition(":")
+        points = []
+        with _row(ln, line):
+            for chunk in body.split():
+                if not (chunk.startswith("(") and chunk.endswith(")")):
+                    raise StructureError("line %d: malformed point %r" % (ln, chunk))
+                inner = chunk[1:-1]  # "()" is the point of R^0
+                points.append(tuple(Fraction(v) for v in inner.split(",")) if inner else ())
+            coeff = Fraction(coeff_s.strip())
+        try:
+            simplex = AffineSimplex(points)
+        except ParameterError as exc:
+            raise StructureError("line %d: %s" % (ln, exc)) from None
+        if terms and simplex.dimension != terms[0][0].dimension:
+            raise StructureError("line %d: a %d-simplex in a chain of dimension %d"
+                                 % (ln, simplex.dimension, terms[0][0].dimension))
+        terms.append((simplex, coeff))
+    return AffineChain(terms)
+
+
+def serialize_field(field):
+    """FormField as per-simplex form lines keyed by simplex identifier."""
+    lines = ["field 1", "degree %d" % field.p]
+    for (n, s) in sorted(field.forms, key=lambda k: (k[0], str(k[1]))):
+        form = field.forms[(n, s)]
+        if form.is_zero():
+            continue
+        lines.append("on %d %s : %s" % (n, render_id(s), render_form(form)))
+    return "\n".join(lines) + "\n"
+
+
+def parse_field(text, x):
+    """Parse a 'field 1' text over x; a second 'on' row for the same simplex
+    is an error naming its line."""
+    (degree,), rows = _RowReader(text).rows("field 1", "degree p")
+    forms = {}
+    seen = {}
+    for ln, line in rows:
+        if not line.startswith("on "):
+            raise StructureError("line %d: expected 'on dim id : form ...'" % ln)
+        head, _, body = line.partition(":")
+        words = head.split()
+        with _row(ln, line):
+            key = (int(words[1]), words[2])
+        _once(seen, "on %d %s" % key, ln)
+        forms[key] = parse_form(body, ln)
+    return FormField(x, degree, forms)
 
 
 # -- the formats: round trips, header places and the comment rule ---------------
@@ -106,7 +177,7 @@ SERIALIZED = {
     "field": (over(BD_DELTA3, parse_field), serialize_field, serialize_field(WHITNEY_FIELD)),
     "chain": (parse_chain, serialize_chain, serialize_chain(subdivide(AffineChain.of(standard_affine_simplex(2))))),
 }
-# Every fixture a reader accepts; sd_triangle.chain holds two chains.
+# Every fixture a reader accepts.
 FIXTURE_NAMES = sorted(
     f for f in os.listdir(FIXTURES)
     if f.endswith((".sset", ".cover", ".smap", ".u1", ".site", ".ext"))
@@ -337,6 +408,32 @@ def string_site_presheaves(draw):
     base, objects, covers = draw(finite_sites())
     objects = {name: {n: {render_id(s) for s in sub[n]} for n in sub} for name, sub in objects.items()}
     return draw(site_presheaves(FiniteSite(relabel_as_strings(base), objects, covers)))
+
+
+@st.composite
+def u1_bundles(draw):
+    """A bundle on the surface of a .u1 fixture: its triangles and glued
+    sides kept, the orientation signs, flips and windings drawn, and the
+    forms drawn by forms(), 1-forms on Delta^2 and 0-forms on the edges."""
+    surface = parse_u1(fixture_text(draw(st.sampled_from(["u1_trivial.u1", "u1_unit.u1"]))))
+    gluings = [
+        EdgeGluing(g.plus, g.minus, draw(st.booleans()), draw(forms(1, 0)), draw(st.integers(-3, 3)))
+        for g in surface.gluings
+    ]
+    orientations = {t: draw(st.sampled_from((1, -1))) for t in surface.triangles}
+    return U1BundleData(surface.triangles, orientations, {t: draw(forms(2, 1)) for t in surface.triangles}, gluings)
+
+
+@settings(max_examples=20)
+@given(u1_bundles())
+def test_u1_round_trip_on_random_bundles(bundle):
+    text = serialize_u1(bundle)
+    parsed = parse_u1(text)
+    assert parsed.triangles == bundle.triangles
+    assert parsed.orientations == bundle.orientations
+    assert parsed.forms == bundle.forms
+    assert parsed.gluings == bundle.gluings
+    assert serialize_u1(parsed) == text
 
 
 @settings(max_examples=60)
@@ -1396,7 +1493,8 @@ def test_chain_round_trip(seed, n, use_homotopy):
 def test_golden_subdivision_chains():
     # S and T of the standard 2-simplex, terms sorted by their Fraction points
     triangle = AffineChain.of(standard_affine_simplex(2))
-    text = fixture_text("sd_triangle.chain")
+    with open(os.path.join(os.path.dirname(__file__), "sd_triangle.chain")) as fh:
+        text = fh.read()
     s_text, t_text = ["chain 1" + part for part in text.split("chain 1")[1:]]
     assert parse_chain(s_text) == subdivide(triangle)
     assert parse_chain(t_text) == homotopy(triangle)

@@ -1,5 +1,5 @@
-"""Horn enumeration and filling, fibrancy and fibration certificates,
-extra-degeneracy contractibility."""
+"""Horn enumeration, fibrancy and fibration certificates, extra-degeneracy
+contractibility."""
 
 import gc
 import itertools
@@ -10,22 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ssetkit import kan
 from ssetkit.errors import ParameterError, StructureError
 from ssetkit.homology import chain_complex, homology
 from ssetkit.io_text import parse_map
 from ssetkit.kan import (
     ExtraDegeneracy,
-    Horn,
     check_extra_degeneracy,
-    cone_extra_degeneracy,
     connected_components,
     enumerate_horns,
-    fill_horn,
     is_fibrant,
     is_fibration,
 )
-from ssetkit.sheaves import FiniteSite, check_status, natural_maps
+from ssetkit.sheaves import FiniteSite, check_status
 from ssetkit.simplicial import (
     SimplicialMap,
     SimplicialSet,
@@ -75,38 +71,18 @@ def test_boundary_delta2_admits_boundary_tuples():
         assert any(h.faces == expected for h in horns)
 
 
-def test_fill_horn_unique_in_delta2():
-    d2 = standard_delta(2)
-    horn = Horn(2, 1, ((1, 2), None, (0, 1)))
-    assert fill_horn(d2, horn) == [(0, 1, 2)]
-
-
-def test_fill_horn_empty_in_boundary():
-    b2 = standard_boundary(2, 2)
-    horn = Horn(2, 1, ((1, 2), None, (0, 1)))
-    assert fill_horn(b2, horn) == []
-
-
-def test_fill_horn_above_cap_refused():
-    b2 = standard_boundary(2)  # cap 1
-    with pytest.raises(ParameterError):
-        fill_horn(b2, Horn(2, 1, ((1, 2), None, (0, 1))))
-    with pytest.raises(ParameterError):
-        fill_horn(b2, Horn(0, 0, (None,)))
-
-
 def test_nerve_fillers_unique_via_division():
     nz2 = nerve(cyclic_table(2), 3)
     for k in range(3):
         for h in enumerate_horns(nz2, 2, k):
-            assert len(fill_horn(nz2, h)) == 1
+            assert len(oracles.scan_fill_horn(nz2, h)) == 1
 
 
 def test_fibrancy_certificates():
     for order in (2, 3):
         cert = is_fibrant(nerve(cyclic_table(order), 3))
         assert cert.fibrant
-        assert cert.all_unique(min_n=2)
+        assert all(horns == unique for (n, _), (horns, unique) in cert.counts.items() if n >= 2)
     cert = is_fibrant(standard_delta(1, 2))
     assert not cert.fibrant
     assert cert.witness.n == 2
@@ -140,7 +116,7 @@ def test_inclusion_is_not_fibration():
 
 def test_extra_degeneracy_cone_on_delta1():
     d1 = standard_delta(1, 3)
-    report = check_extra_degeneracy(d1, cone_extra_degeneracy(d1))
+    report = check_extra_degeneracy(d1, oracles.cone_extra_degeneracy(d1))
     assert report.valid
     assert report.reduced_homology_trivial
     assert homology(chain_complex(d1)).betti[0] == 1
@@ -148,12 +124,12 @@ def test_extra_degeneracy_cone_on_delta1():
 
 def test_extra_degeneracy_point_tower():
     pt = standard_delta(0, 2)
-    assert check_extra_degeneracy(pt, cone_extra_degeneracy(pt)).valid
+    assert check_extra_degeneracy(pt, oracles.cone_extra_degeneracy(pt)).valid
 
 
 def test_extra_degeneracy_corruption_witnessed():
     d1 = standard_delta(1, 3)
-    extra = cone_extra_degeneracy(d1)
+    extra = oracles.cone_extra_degeneracy(d1)
     bad_maps = {n: dict(extra.maps[n]) for n in extra.maps}
     bad_maps[1][(0, 1)] = d1.s(1, 1, (0, 1))  # (0,1,1) instead of (0,0,1)
     report = check_extra_degeneracy(d1, ExtraDegeneracy(d1, bad_maps, (0,)))
@@ -166,7 +142,7 @@ def test_extra_degeneracy_witness_is_the_first_in_stored_order():
     """(1, 2) comes before (2, 3) in X_1, so its d_1 violation is the
     witness, though d_0 s_{-1} = id is checked first at each simplex."""
     d3 = standard_delta(3, 2)
-    maps = {n: dict(table) for n, table in cone_extra_degeneracy(d3).maps.items()}
+    maps = {n: dict(table) for n, table in oracles.cone_extra_degeneracy(d3).maps.items()}
     maps[1][(1, 2)] = (1, 1, 2)
     maps[1][(2, 3)] = (0, 1, 2)
     report = check_extra_degeneracy(d3, ExtraDegeneracy(d3, maps, (0,)))
@@ -177,7 +153,7 @@ def test_extra_degeneracy_table_undefined_one_level_up_is_refused():
     """The s_{-1} table of dimension 1 misses (0, 0), which the identity
     s_1 s_{-1} = s_{-1} s_0 at the vertex (0,) reads."""
     d2 = standard_delta(2, 3)
-    extra = cone_extra_degeneracy(d2)
+    extra = oracles.cone_extra_degeneracy(d2)
     del extra.maps[1][(0, 0)]
     with pytest.raises(StructureError, match=r"^s_\{-1\} undefined on \(0, 0\)$"):
         check_extra_degeneracy(d2, extra)
@@ -188,7 +164,7 @@ def test_extra_degeneracy_needs_connected():
 
     two = simplicial_complex([[0], [1]], 2)
     with pytest.raises(ParameterError):
-        check_extra_degeneracy(two, cone_extra_degeneracy(two))
+        check_extra_degeneracy(two, oracles.cone_extra_degeneracy(two))
 
 
 def test_connected_components_in_first_vertex_order():
@@ -200,7 +176,7 @@ def test_connected_components_in_first_vertex_order():
 
 def test_extra_degeneracy_implies_trivial_reduced_homology():
     for x in (standard_delta(1, 3), standard_delta(2, 3)):
-        report = check_extra_degeneracy(x, cone_extra_degeneracy(x))
+        report = check_extra_degeneracy(x, oracles.cone_extra_degeneracy(x))
         assert report.valid
         assert report.reduced_homology_trivial
 
@@ -214,7 +190,7 @@ def corrupted_extra_degeneracies(draw):
     vertex, so s_{-1}(base) = s_0(base) fails off the apex."""
     n = draw(st.integers(0, 3))
     x = standard_delta(n, draw(st.integers(1, 3)))
-    maps = {m: dict(table) for m, table in cone_extra_degeneracy(x).maps.items()}
+    maps = {m: dict(table) for m, table in oracles.cone_extra_degeneracy(x).maps.items()}
     for _ in range(draw(st.integers(0, 2))):
         m = x.dim_cap - 1 - draw(st.integers(0, x.dim_cap - 1))  # the top level first
         y = draw(st.sampled_from(x.simplices[m + 1]))
@@ -253,22 +229,11 @@ SETTINGS = settings(max_examples=60)
 
 
 @SETTINGS
-@given(kan_sets(), st.data())
-def test_horns_and_fillers_match_scanning_oracle(x, data):
+@given(kan_sets())
+def test_horns_and_fillers_match_scanning_oracle(x):
     for n in range(1, x.dim_cap + 2):
         for k in range(n + 1):
-            horns = enumerate_horns(x, n, k)
-            assert horns == oracles.scan_enumerate_horns(x, n, k)
-            if n > x.dim_cap:
-                continue
-            for h in horns:
-                assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
-            # face tuples that need not satisfy the horn identities
-            level = st.sampled_from(x.simplices[n - 1])
-            faces = data.draw(st.lists(level, min_size=n + 1, max_size=n + 1))
-            faces[k] = None
-            h = Horn(n, k, tuple(faces))
-            assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
+            assert enumerate_horns(x, n, k) == oracles.scan_enumerate_horns(x, n, k)
 
 
 @SETTINGS
@@ -283,6 +248,13 @@ def test_fibration_certificate_matches_scanning_oracle(p):
     assert is_fibration(p) == oracles.scan_is_fibration(p)
 
 
+def _indexed(x, n, positions, faces):
+    """The n-simplices that the face-tuple index of (n, positions) lists for
+    the given faces at those positions, identifiers in and out."""
+    key = tuple(x._index[n - 1][f] for f in faces)
+    return tuple(x.simplices[n][q] for q in x._face_index(n, positions).get(key, ()))
+
+
 @SETTINGS
 @given(kan_sets(), st.data())
 def test_matching_is_the_stored_simplices_with_those_faces(x, data):
@@ -293,13 +265,12 @@ def test_matching_is_the_stored_simplices_with_those_faces(x, data):
             faces = tuple(x.d(n, i, y) for i in positions)
         else:
             faces = tuple(data.draw(st.sampled_from(x.simplices[n - 1])) for _ in positions)
-        assert x.matching(n, positions, faces) == tuple(
+        assert _indexed(x, n, positions, faces) == tuple(
             y for y in x.simplices[n] if all(x.d(n, i, y) == f for i, f in zip(positions, faces))
         )
-        assert x.matching(n, positions, ("not a face",) * len(positions)) == (() if positions else x.simplices[n])
     for n, positions in ((-1, ()), (0, (0,)), (x.dim_cap + 1, ()), (1, (2,)), (1, (0, -1))):
         with pytest.raises(ParameterError):
-            x.matching(n, positions, (None,) * len(positions))
+            x._face_index(n, positions)
 
 
 def _slots(n, k):
@@ -311,11 +282,10 @@ def test_cofaces_are_the_stored_simplices_with_that_face():
     for n in range(1, 4):
         for i in range(n + 1):
             for f in x.simplices[n - 1]:
-                assert x.matching(n, (i,), (f,)) == tuple(y for y in x.simplices[n] if x.d(n, i, y) == f)
-    assert x.matching(2, (0,), ("not a simplex",)) == ()
+                assert _indexed(x, n, (i,), (f,)) == tuple(y for y in x.simplices[n] if x.d(n, i, y) == f)
     for n, i in ((0, 0), (4, 0), (2, 3)):
         with pytest.raises(ParameterError):
-            x.matching(n, (i,), ((0,),))
+            x._face_index(n, (i,))
 
 
 def test_horn_fillers_are_the_stored_simplices_with_those_faces():
@@ -325,13 +295,12 @@ def test_horn_fillers_are_the_stored_simplices_with_those_faces():
             slots = _slots(n, k)
             for y in x.simplices[n]:
                 given = tuple(x.d(n, i, y) for i in slots)
-                assert x.matching(n, slots, given) == tuple(
+                assert _indexed(x, n, slots, given) == tuple(
                     z for z in x.simplices[n] if all(x.d(n, i, z) == x.d(n, i, y) for i in slots)
                 )
-    assert x.matching(2, (0, 2), ("not", "faces")) == ()
     for n, slots in ((0, (1,)), (4, _slots(4, 0)), (2, (0, 1, 3))):
         with pytest.raises(ParameterError):
-            x.matching(n, slots, (None,) * len(slots))
+            x._face_index(n, slots)
 
 
 def _count_calls(monkeypatch, names):
@@ -348,32 +317,21 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-def _no_fill_horn(monkeypatch):
-    def refused(x, horn):
-        raise AssertionError("a certificate filled a horn one at a time")
-
-    monkeypatch.setattr(kan, "fill_horn", refused)
-
-
 def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
     """Exact work count. The scan over every n-simplex per horn made 764048
     SimplicialSet.d calls; the coface search that followed made 69492, then
-    none; filling each horn by one lookup in a face-tuple index made 3212 +
-    14 + 1586 SimplicialSet.matching calls and kept 25 indexes; a horn
-    search that called matching once per search node made 3212 + 14. Now
-    the certificate counts the restrictions of X_n from the face tables and
-    the horn search extends every partial horn by one slot per step, reading
-    the kept face indexes directly, so it makes no d or matching call, and
+    none. The certificate counts the restrictions of X_n from the face
+    tables and the horn search extends every partial horn by one slot per
+    step, reading the kept face indexes directly, so it makes no d call, and
     the only indexes kept are one per prefix of the face positions each
     search places."""
     x = nerve(cyclic_table(4), 4)
-    calls = _count_calls(monkeypatch, ("d", "matching"))
-    _no_fill_horn(monkeypatch)
+    calls = _count_calls(monkeypatch, ("d",))
     cert = is_fibrant(x)
     assert cert.fibrant
     assert sum(h for h, _ in cert.counts.values()) == 1586
     pairs = [(n, k) for n in range(1, 5) for k in range(n + 1)]
-    assert calls == {"d": {}, "matching": {}}
+    assert calls == {"d": {}}
     searched = {(n - 1, _slots(n, k)[:r]) for n, k in pairs for r in range(n)}
     assert set(x._matching) == searched
     assert len(x._matching) == 20
@@ -382,19 +340,16 @@ def test_work_of_fibrancy_check_on_nerve_z4(monkeypatch):
 def test_work_of_fibration_check_on_projection(monkeypatch):
     """Exact work count on Delta^1 x N(Z/2) -> Delta^1, cap 2: the horn
     search in the source and one lookup of the base simplices per horn in a
-    face index kept on the target, each read directly (the search made 23
-    matching calls and the base lookups 60 before), and no horn filled one
-    at a time."""
+    face index kept on the target, each read directly, and no d call."""
     p = parse_map(fixture_text("proj_d1_nz2.smap"))
     x, y = p.source, p.target
-    calls = _count_calls(monkeypatch, ("d", "matching"))
-    _no_fill_horn(monkeypatch)
+    calls = _count_calls(monkeypatch, ("d",))
     cert = is_fibration(p)
     work = {name: dict(counter) for name, counter in calls.items()}
     assert cert.fibration and cert.problems == 54
     horns = sum(len(enumerate_horns(x, n, k)) for n in range(1, 3) for k in range(n + 1))
     assert horns == 60
-    assert work == {"d": {}, "matching": {}}
+    assert work == {"d": {}}
     assert set(x._matching) == {(n - 1, _slots(n, k)[:r]) for n in (1, 2) for k in range(n + 1) for r in range(n)}
     assert set(y._matching) == {(n, _slots(n, k)) for n in (1, 2) for k in range(n + 1)}
 
@@ -477,7 +432,7 @@ def test_backtracking_leaves_no_reference_cycles():
         assert len(enumerate_horns(x, 3, 1)) == 27
         assert is_fibration(p).fibration
         assert check_status(f).sheaf
-        assert natural_maps(f, g)
+        assert oracles.natural_maps(f, g)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -497,11 +452,7 @@ def test_non_fibrant_witness_matches_scanning_oracle(name):
     cert = is_fibrant(x)
     assert not cert.fibrant
     assert cert == oracles.scan_is_fibrant(x)
-    assert fill_horn(x, cert.witness) == []
-    for n in range(1, x.dim_cap + 1):
-        for k in range(n + 1):
-            for h in enumerate_horns(x, n, k):
-                assert fill_horn(x, h) == oracles.scan_fill_horn(x, h)
+    assert oracles.scan_fill_horn(x, cert.witness) == []
 
 
 def _horn_beside_delta2():
@@ -529,4 +480,4 @@ def test_missing_lift_witness_matches_scanning_oracle(name):
     horn, base = cert.witness
     n = horn.n
     assert [p.target.d(n, i, base) for i, _ in horn.given()] == [p(n - 1, f) for _, f in horn.given()]
-    assert base not in {p(n, z) for z in fill_horn(p.source, horn)}
+    assert base not in {p(n, z) for z in oracles.scan_fill_horn(p.source, horn)}

@@ -16,11 +16,8 @@ from ssetkit.sheaves import (
     _plus,
     check_status,
     compose_maps,
-    is_natural,
-    natural_maps,
     separated_quotient,
     sheafify,
-    sub_to_presheaf,
     union_intersection,
 )
 from ssetkit.simplicial import close_subcomplex, simplicial_complex
@@ -138,7 +135,7 @@ def test_quotient_unit_is_natural():
         {("X", "U0"): {"a": "c", "b": "c"}, ("X", "U1"): {"a": "c", "b": "c"}},
     )
     q, unit = separated_quotient(f)
-    assert is_natural(f, q, unit)
+    assert oracles.is_natural(f, q, unit)
 
 
 def test_sheafify_iso_on_sheaf():
@@ -158,7 +155,7 @@ def test_sheafify_gains_mismatched_sections():
     assert len(sheafed.sections["X"]) == 4
     assert len(sheafed.sections["U0"]) == 2
     assert check_status(sheafed).sheaf
-    assert is_natural(f, sheafed, unit)
+    assert oracles.is_natural(f, sheafed, unit)
 
 
 def composite_cover_site():
@@ -195,7 +192,7 @@ def test_sheafify_glues_over_composite_covers():
     assert {name: len(sheafed.sections[name]) for name in ("X", "AP3", "AP0", "B")} == {
         "X": 8, "AP3": 4, "AP0": 4, "B": 4
     }
-    assert is_natural(f, sheafed, unit)
+    assert oracles.is_natural(f, sheafed, unit)
 
 
 def test_check_status_and_sheafify_use_the_same_composed_covers():
@@ -272,10 +269,10 @@ def test_universal_property_exhaustive():
         for fname, f, _ in items:
             sheafed, unit, _ = sheafify(f)
             for g in sheaves:
-                for phi in natural_maps(f, g):
+                for phi in oracles.natural_maps(f, g):
                     factorizations = [
                         psi
-                        for psi in natural_maps(sheafed, g)
+                        for psi in oracles.natural_maps(sheafed, g)
                         if compose_maps(site, unit, psi) == phi
                     ]
                     assert len(factorizations) == 1, fname
@@ -319,8 +316,8 @@ def test_union_members_stay_subpresheaves():
     g = {n: tuple(s for s in f.sections[n] if "(0,)=1" not in s) for n in site.names()}
     h = {n: tuple(s for s in f.sections[n] if "(2,)=1" not in s) for n in site.names()}
     u, i = union_intersection(f, g, h)
-    sub_to_presheaf(f, u)
-    sub_to_presheaf(f, i)
+    oracles.sub_to_presheaf(f, u)
+    oracles.sub_to_presheaf(f, i)
 
 
 def test_union_closes_over_composite_covers():
@@ -407,7 +404,7 @@ def test_site_tables_match_the_element_wise_oracle(drawn, data):
         for s in presheaf.sections[name]:
             for t in presheaf.sections[name]:
                 assert (quotient_unit[name][s] == quotient_unit[name][t]) == (unit[name][s] == unit[name][t])
-    assert check_status(quotient).separated and is_natural(presheaf, quotient, quotient_unit)
+    assert check_status(quotient).separated and oracles.is_natural(presheaf, quotient, quotient_unit)
     sheafed, sheaf_unit, separated_first = sheafify(presheaf)
     assert check_status(plus).separated and check_status(sheafed).sheaf
     assert separated_first == (not status.separated)
