@@ -29,7 +29,6 @@ from .simplicial import (
     quotient,
     simplicial_complex,
     sphere_quotient,
-    standard,
     standard_boundary,
     standard_delta,
     standard_horn,

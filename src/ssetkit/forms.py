@@ -241,10 +241,6 @@ class PolyForm:
     def is_zero(self):
         return not self.terms
 
-    def poly_degree(self):
-        """Largest total coefficient degree among the terms (0 for the zero form)."""
-        return max((sum(e) for (e, _) in self.terms), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyForm)

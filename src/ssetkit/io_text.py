@@ -53,18 +53,16 @@ class _RowReader:
 
     def rows(self, header, *fixed, start=0, stop=None):
         """Check in place the header lines of the format on line indices
-        start to stop - 1: header first (unless None), then one line per
-        fixed pattern, a keyword and integers such as 'cap N'. A missing,
-        blank, comment or malformed header line is an error naming it.
-        Returns those integers and the (line number, row) pairs of the rows
-        after them, blank and '#' rows skipped."""
+        start to stop - 1: header first, then one line per fixed pattern, a
+        keyword and integers such as 'cap N'. A missing, blank, comment or
+        malformed header line is an error naming it. Returns those integers
+        and the (line number, row) pairs of the rows after them, blank and
+        '#' rows skipped."""
         lines = self.lines
         stop = len(lines) if stop is None else stop
-        at = start
-        if header is not None:
-            if (lines[at] if at < stop else "") != header:
-                raise StructureError("line %d: expected header %r" % (at + 1, header))
-            at += 1
+        if (lines[start] if start < stop else "") != header:
+            raise StructureError("line %d: expected header %r" % (start + 1, header))
+        at = start + 1
         values = []
         for pattern in fixed:
             words, keyword = (lines[at].split() if at < stop else []), pattern.split()
@@ -159,8 +157,8 @@ def _complex(reader, start=0, stop=None):
     # per dimension whose 'dim' header was read, keyed by identifier: the line
     # of its row, and the words of its faces, deg and degen fields
     simplices, lines, faces, degs, degen = {}, {}, {}, {}, {}
+    order = []  # (n, identifier, line) of every simplex row, in line order
     current = None
-    in_order = True  # the 'dim' headers came in strictly increasing order
     for ln, line in rows:
         if line.startswith("dim "):
             words = line.split()
@@ -171,8 +169,6 @@ def _complex(reader, start=0, stop=None):
                 fail("negative dimension", ln)
             if len(words) > 2:
                 fail("expected 'dim N'", ln)
-            if current is not None and n <= current:
-                in_order = False
             current = n
             ids, row_of, faces_of, degs_of, degen_of = (
                 simplices.setdefault(n, []), lines.setdefault(n, {}), faces.setdefault(n, {}),
@@ -186,6 +182,7 @@ def _complex(reader, start=0, stop=None):
             fail("empty identifier", ln)
         ids.append(sid)
         row_of[sid] = ln
+        order.append((current, sid, ln))
         for field in fields:
             words = field.split()
             if not words:
@@ -226,11 +223,8 @@ def _complex(reader, start=0, stop=None):
             lambda n, i, sid: degs[n][sid][i + 1],
         )
     # the degen fields must name the witnesses the deg tables give, checked
-    # in line order: one dimension at a time when the 'dim' headers increase
-    # (the constructor refused a repeated identifier, so a row is one line)
-    order = ((n, sid, ln) for n in lines for sid, ln in lines[n].items())
-    if not in_order:
-        order = sorted(order, key=lambda row: row[2])
+    # in line order (the constructor refused a repeated identifier, so a row
+    # is one line)
     for n, sid, ln in order:
         given = degen[n].get(sid)
         if sid not in x.degenerate[n]:

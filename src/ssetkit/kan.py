@@ -45,9 +45,6 @@ class Horn(NamedTuple):
     k: int
     faces: tuple  # length n+1, None at position k
 
-    def given(self):
-        return [(i, f) for i, f in enumerate(self.faces) if i != self.k]
-
 
 def enumerate_horns(x, n, k):
     """All (n, k)-horns of x, extended one face slot at a time, in

@@ -125,9 +125,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(v * vec[j] for j, v in row.items() if vec[j]) for row in self.rows)
 
-    def column(self, j):
-        return tuple(row.get(j, 0) for row in self.rows)
-
 
 def _subtract(target, f, source):
     """target -= f * source, in place, dropping entries that cancel."""

@@ -2,8 +2,6 @@
 
 A report renders identically for identical inputs; the timing line is the
 only nondeterministic field and is excluded from the comparison digest.
-Every record carries an exact/numeric flag; numeric records state their
-tolerance.
 """
 
 from __future__ import annotations
@@ -14,13 +12,13 @@ from dataclasses import dataclass, field
 
 
 FORMAT_HEADER = "ssetkit-report 1"
+_FLAG = "exact"  # the flag of every record
 
 
 @dataclass
 class Record:
     name: str
     value: str
-    mode: str = "exact"  # "exact" or "numeric:<tolerance>"
 
 
 @dataclass
@@ -31,8 +29,8 @@ class Report:
     status: str = "ok"                            # ok | negative | error
     timing_ms: int = 0
 
-    def add(self, name, value, mode="exact"):
-        self.records.append(Record(name, _render_value(value), mode))
+    def add(self, name, value):
+        self.records.append(Record(name, _render_value(value)))
 
     def add_input(self, name, data):
         digest = hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
@@ -43,7 +41,7 @@ class Report:
         for name, digest in self.inputs:
             lines.append("input %s sha256 %s" % (name, digest))
         for r in self.records:
-            lines.append("record %s %s : %s" % (r.name, r.mode, r.value))
+            lines.append("record %s %s : %s" % (r.name, _FLAG, r.value))
         lines.append("status %s" % self.status)
         if with_timing:
             lines.append("timing-ms %d" % self.timing_ms)
@@ -55,7 +53,7 @@ class Report:
             "command": self.command,
             "inputs": [{"name": n, "sha256": d} for n, d in self.inputs],
             "records": [
-                {"name": r.name, "mode": r.mode, "value": r.value} for r in self.records
+                {"name": r.name, "mode": _FLAG, "value": r.value} for r in self.records
             ],
             "status": self.status,
         }

@@ -155,9 +155,6 @@ class SimplicialSet:
             self._matching[(n, positions)] = table
         return table
 
-    def counts(self):
-        return tuple(len(self._nondegenerate[n]) for n in self.dims())
-
     def face_on(self, n, x, vertices):
         """The face of the n-simplex x spanned by the vertex positions in
         `vertices` (a subset of 0..n): every other position is deleted, from
@@ -590,27 +587,6 @@ def truncate(x, dim_cap):
     return SimplicialSet(dim_cap, simplices, x.d, x.s)
 
 
-def standard(kind, dim_cap=None, **params):
-    """Dispatcher for the named standard constructions."""
-    if kind == "delta":
-        return standard_delta(params["n"], dim_cap)
-    if kind == "boundary":
-        return standard_boundary(params["n"], dim_cap)
-    if kind == "horn":
-        return standard_horn(params["n"], params["k"], dim_cap)
-    if kind == "sphere_quotient":
-        return sphere_quotient(params["n"], dim_cap)
-    if kind == "nerve":
-        if "order" in params:
-            table = cyclic_table(params["order"])
-        else:
-            table = params["table"]
-        if dim_cap is None:
-            raise ParameterError("nerve needs an explicit dim_cap")
-        return nerve(table, dim_cap)
-    raise ParameterError("unknown standard construction %r" % (kind,))
-
-
 # -- generators --------------------------------------------------------
 
 
@@ -743,10 +719,6 @@ class SimplicialMap:
 
     def __call__(self, n, x):
         return self.target.simplices[n][self._image[n][self.source._index[n][x]]]
-
-    @classmethod
-    def identity(cls, x):
-        return cls(x, x, {n: {s: s for s in x.simplices[n]} for n in x.dims()})
 
     def compose(self, other):
         """self after other. A middle set of lower cap than both ends would

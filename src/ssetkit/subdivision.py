@@ -114,9 +114,6 @@ class AffineSimplex:
     def barycenter(self):
         return _point(_barycenter_key(self.key))
 
-    def face(self, i):
-        return AffineSimplex._of_key(self.key[:i] + self.key[i + 1:])
-
     def diameter_squared(self):
         return _diameter_squared(combinations(self.key, 2))
 

@@ -50,10 +50,12 @@ sheaf condition on every matching family of every covering sieve, and
 reference_plus builds P+ as the colimit of the matching families over all
 covering sieves, the references for check_status and the plus construction.
 
+triples reads a Matrix's rows as the (entries, nrows, ncols) the sympy
+oracles take; counts and given read the nondegenerate simplex counts of a
+set and the given faces of a horn.
+
 The last sections hold reference constructions that the package itself
-does not need. serialize_matrix and parse_matrix_triples write and read
-the sparse 'matrix R C' text through which the sympy oracles read the
-boundary matrices. natural_maps enumerates every natural transformation of
+does not need. natural_maps enumerates every natural transformation of
 presheaves by backtracking, is_natural and sub_to_presheaf check and build
 maps and subpresheaves; they are the witnesses for the universal property
 of sheafification. is_isomorphism decides whether a simplicial map is an
@@ -76,11 +78,27 @@ from ssetkit.derham import DeRhamReport
 from ssetkit.errors import CompatibilityError, ParameterError, StructureError
 from ssetkit.forms import PolyForm
 from ssetkit.homology import CochainSpaces
-from ssetkit.io_text import _int_token, _row, _RowReader, render_id
+from ssetkit.io_text import _int_token, _RowReader, render_id
 from ssetkit.kan import ExtraDegeneracy, FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
 from ssetkit.sheaves import Presheaf
 from ssetkit.simplicial import SimplicialSet
+
+
+def triples(matrix):
+    """(entries {(i, j): value}, nrows, ncols) of a Matrix, read off its rows."""
+    entries = {(i, j): v for i, row in enumerate(matrix.rows) for j, v in row.items()}
+    return entries, matrix.nrows, matrix.ncols
+
+
+def counts(x):
+    """The number of nondegenerate simplices of x in each dimension."""
+    return tuple(len(x.nondegenerate(n)) for n in x.dims())
+
+
+def given(horn):
+    """The (i, face) pairs of a horn, i != k."""
+    return [(i, f) for i, f in enumerate(horn.faces) if i != horn.k]
 
 
 def snf_diagonal(rows, nrows, ncols):
@@ -520,7 +538,7 @@ def scan_fill_horn(x, horn):
     return [
         y
         for y in x.simplices[n]
-        if all(x.d(n, i, y) == f for i, f in horn.given())
+        if all(x.d(n, i, y) == f for i, f in given(horn))
     ]
 
 
@@ -550,7 +568,7 @@ def scan_is_fibration(p):
                 down = [
                     b
                     for b in y.simplices[n]
-                    if all(y.d(n, i, b) == p(n - 1, f) for i, f in h.given())
+                    if all(y.d(n, i, b) == p(n - 1, f) for i, f in given(h))
                 ]
                 for b in down:
                     problems += 1
@@ -1133,10 +1151,6 @@ def scan_sub_union(subs):
     return out
 
 
-def _scan_sub_empty(sub):
-    return all(not members for members in sub.values())
-
-
 def scan_site(objects, covers):
     """The names, order, arrows, meets and Grothendieck topology of the site
     on objects (dict name -> dict dim -> set, an absent dimension empty)
@@ -1272,33 +1286,6 @@ def _classes(items, agree):
         classes = [cls for cls in classes if cls not in joined]
         classes.append([x for cls in joined for x in cls] + [item])
     return {x: cls for cls in classes for x in cls}
-
-
-# -- the 'matrix R C' text of a sparse matrix ----------------------------------------
-
-
-def serialize_matrix(matrix):
-    lines = ["matrix %d %d" % (matrix.nrows, matrix.ncols)]
-    for i, row in enumerate(matrix.rows):
-        for j in sorted(row):
-            lines.append("%d %d %s" % (i, j, row[j]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_triples(text):
-    """Sparse triplet text as (nrows, ncols, {(i, j): Fraction})."""
-    (nrows, ncols), rows = _RowReader(text).rows(None, "matrix R C")
-    entries = {}
-    for ln, line in rows:
-        with _row(ln, line):
-            i, j, v = line.split()
-            i, j, v = int(i), int(j), Fraction(v)
-        if not (0 <= i < nrows and 0 <= j < ncols):
-            raise StructureError(
-                "line %d: entry (%d, %d) outside a %d x %d matrix" % (ln, i, j, nrows, ncols)
-            )
-        entries[(i, j)] = v
-    return nrows, ncols, entries
 
 
 # -- maps of presheaves ------------------------------------------------------------

@@ -54,7 +54,7 @@ from ssetkit.simplicial import (
 )
 
 from conftest import face_map, fixture_path
-from oracles import betti_from_matrices, natural_maps, parse_matrix_triples, serialize_matrix, snf_diagonal
+from oracles import betti_from_matrices, natural_maps, snf_diagonal, triples
 from test_connections import polyform_evaluator, rnd_connection, tetra_bundle
 from test_sheaves import path_site, small_corpus, two_point_site
 
@@ -72,10 +72,7 @@ def report(number, label, elapsed, budget):
 def homology_with_oracle(x):
     c = chain_complex(x)
     summary = homology(c)
-    boundaries = {}
-    for n in range(c.top + 2):
-        nrows, ncols, entries = parse_matrix_triples(serialize_matrix(c.boundary_or_zero(n)))
-        boundaries[n] = (entries, nrows, ncols)
+    boundaries = {n: triples(c.boundary_or_zero(n)) for n in range(c.top + 2)}
     dims = [c.dim(n) for n in range(c.top + 1)]
     assert betti_from_matrices(dims, boundaries) == summary.betti
     for n in range(c.top + 1):

@@ -37,7 +37,7 @@ from ssetkit.simplicial import (
 )
 from ssetkit.site_corpus import constant_presheaf, representable_to_delta1
 
-from conftest import fixture_text, homomorphism, inclusion, kan_maps, kan_sets
+from conftest import fixture_text, homomorphism, identity_map, inclusion, kan_maps, kan_sets
 
 
 def test_horn_enumeration_on_delta1():
@@ -50,7 +50,7 @@ def test_horn_enumeration_on_delta1():
     ]
     assert len(horns) == len(composable) == 4
     nondeg = [
-        h for h in horns if any(not d1.is_degenerate(1, f) for _, f in h.given())
+        h for h in horns if any(not d1.is_degenerate(1, f) for _, f in oracles.given(h))
     ]
     assert len(nondeg) == 2
 
@@ -91,7 +91,7 @@ def test_fibrancy_certificates():
 
 def test_identity_is_fibration():
     nz2 = nerve(cyclic_table(2), 3)
-    assert is_fibration(SimplicialMap.identity(nz2)).fibration
+    assert is_fibration(identity_map(nz2)).fibration
 
 
 def test_projection_is_fibration():
@@ -415,7 +415,7 @@ def test_backtracking_leaves_no_reference_cycles():
     build by reference counting: with the collector off, a collection
     afterwards finds nothing."""
     x = nerve(cyclic_table(3), 3)
-    p = SimplicialMap.identity(nerve(cyclic_table(2), 2))
+    p = identity_map(nerve(cyclic_table(2), 2))
     path = simplicial_complex([[0, 1], [1, 2]], 1)
     objects = {
         "X": close_subcomplex(path, {1: [(0, 1), (1, 2)]}),
@@ -479,5 +479,5 @@ def test_missing_lift_witness_matches_scanning_oracle(name):
     assert cert == oracles.scan_is_fibration(p)
     horn, base = cert.witness
     n = horn.n
-    assert [p.target.d(n, i, base) for i, _ in horn.given()] == [p(n - 1, f) for _, f in horn.given()]
+    assert [p.target.d(n, i, base) for i, _ in oracles.given(horn)] == [p(n - 1, f) for _, f in oracles.given(horn)]
     assert base not in {p(n, z) for z in oracles.scan_fill_horn(p.source, horn)}
