@@ -22,7 +22,10 @@ Each rung is one computation whose answer has a closed form:
   C(5, n) and no torsion (built untimed for the homology rung);
 - is_fibrant on N(Z/5) at cap 5, the nerve built inside the rung, because
   the certificate keeps its face indexes on the set: fibrant, and for
-  2 <= n <= cap each (n, k) has |G|^n horns, each with a unique filler.
+  2 <= n <= cap each (n, k) has |G|^n horns, each with a unique filler;
+- reading the 'sset 1' text of N(Z/5) at cap 5 (serialized before the rung,
+  untimed): the set read has 5^n simplices in dimension n, and writing it
+  gives the text back byte for byte (checked after the timed read).
 
 A rung runs once untimed, then REPEATS times, each run bracketed by
 perfbench's reference chunk (run.reference_chunk, imported from
@@ -50,6 +53,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py, for its reference chunk)
 from ssetkit.homology import chain_complex, homology  # noqa: E402
+from ssetkit.io_text import parse_complex, serialize_complex  # noqa: E402
 from ssetkit.kan import is_fibrant  # noqa: E402
 from ssetkit.randomsuite import DIAMETER_DIMS, SUBDIVISION_DIMS, subdivision_suite  # noqa: E402
 from ssetkit.subdivision import (  # noqa: E402
@@ -136,21 +140,31 @@ def fibrant_rung(m):
     return rung
 
 
-# Each rung: (name, the timed function, and the untimed setup whose result
-# it takes, or None).
+def nerve_text_check(text, x):
+    return serialize_complex(x) == text and all(len(x.simplices[n]) == 5 ** n for n in x.dims())
+
+
+def nerve_text():
+    return serialize_complex(nerve(cyclic_table(5), NERVE_CAP))
+
+
+# Each rung: (name, the timed function, the untimed setup whose result it
+# takes, or None, and the untimed check of the setup's result and the
+# function's, or None when the function returns the verdict).
 RUNGS = [
-    ("subdivision_suite dims 1-4, %d trials" % SUITE_TRIALS, suite_rung, None),
-    ("S of the standard n-simplex, n = 1..4", s_rung, None),
-    ("T of the standard n-simplex, n = 1..4", t_rung, None),
-    ("iterated_diameter m = 1, n = 1..3", diameter_rung(1), None),
-    ("iterated_diameter m = 2, n = 1..3", diameter_rung(2), None),
+    ("subdivision_suite dims 1-4, %d trials" % SUITE_TRIALS, suite_rung, None, None),
+    ("S of the standard n-simplex, n = 1..4", s_rung, None, None),
+    ("T of the standard n-simplex, n = 1..4", t_rung, None, None),
+    ("iterated_diameter m = 1, n = 1..3", diameter_rung(1), None, None),
+    ("iterated_diameter m = 2, n = 1..3", diameter_rung(2), None, None),
     ("homology N(Z/5) cap %d" % NERVE_CAP, functools.partial(nerve_homology_rung, 5),
-     lambda: nerve(cyclic_table(5), NERVE_CAP)),
+     lambda: nerve(cyclic_table(5), NERVE_CAP), None),
     ("homology N(Z/6) cap %d" % NERVE_CAP, functools.partial(nerve_homology_rung, 6),
-     lambda: nerve(cyclic_table(6), NERVE_CAP)),
-    ("T^%d build" % TORUS_RANK, torus_build_rung, None),
-    ("T^%d homology" % TORUS_RANK, torus_homology_rung, lambda: torus(TORUS_RANK)),
-    ("is_fibrant N(Z/5) cap %d, build included" % NERVE_CAP, fibrant_rung(5), None),
+     lambda: nerve(cyclic_table(6), NERVE_CAP), None),
+    ("T^%d build" % TORUS_RANK, torus_build_rung, None, None),
+    ("T^%d homology" % TORUS_RANK, torus_homology_rung, lambda: torus(TORUS_RANK), None),
+    ("is_fibrant N(Z/5) cap %d, build included" % NERVE_CAP, fibrant_rung(5), None, None),
+    ("read sset 1 N(Z/5) cap %d" % NERVE_CAP, parse_complex, nerve_text, nerve_text_check),
 ]
 
 
@@ -165,16 +179,16 @@ def quartiles(xs):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def measure(fn, repeats):
-    """The rung's answer (from an untimed run and every timed one) and its
-    runs in chunks and ms."""
-    correct = fn()
+def measure(fn, repeats, check=bool):
+    """The rung's answer (check of the result of an untimed run and of every
+    timed one) and its runs in chunks and ms."""
+    correct = check(fn())
     chunks, ms = [], []
     before, _ = timed(run.reference_chunk)
     for _ in range(repeats):
         seconds, result = timed(fn)
         after, _ = timed(run.reference_chunk)
-        correct = correct and result
+        correct = correct and check(result)
         chunks.append(seconds * 2 / (before + after))
         ms.append(seconds * 1000)
         before = after
@@ -191,11 +205,15 @@ def main(argv=None):
     repeats = 0 if args.quick else REPEATS
     chunk_ms = [timed(run.reference_chunk)[0] * 1000 for _ in range(5)]
     rungs, all_correct = [], True
-    for name, fn, setup in RUNGS:
+    for name, fn, setup, check in RUNGS:
+        verdict = bool
         if setup is not None:
-            fn = functools.partial(fn, setup())
+            given = setup()
+            fn = functools.partial(fn, given)
+            if check is not None:
+                verdict = functools.partial(check, given)
         t0 = time.perf_counter()
-        correct, chunks, ms = measure(fn, repeats)
+        correct, chunks, ms = measure(fn, repeats, verdict)
         all_correct = all_correct and correct
         print("%-40s %s  %.1f ms" % (name, "correct" if correct else "WRONG", (time.perf_counter() - t0) * 1000))
         if repeats:

@@ -11,6 +11,11 @@ identifiers throughout.
 Every reader takes its rows from one _RowReader: a format's header is its
 line 1, its fixed header lines (the 'cap N' of 'sset 1') follow at once, and
 after them blank and '#' rows are skipped. Errors name their file line.
+
+The 'sset 1' reader keeps, per dimension, the identifiers, their lines and
+the word lists of their faces and deg fields in row order, and hands each
+face and degeneracy map to the SimplicialSet constructor as one column of
+those lists; it checks the degen fields of all rows with one set comparison.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ class _RowReader:
     an 'smap 1' file are read as slices of the file's reader."""
 
     def __init__(self, text):
-        self.lines = [line.strip() for line in text.splitlines()]
+        self.lines = list(map(str.strip, text.splitlines()))
 
     def rows(self, header, *fixed, start=0, stop=None):
         """Check in place the header lines of the format on line indices
@@ -71,7 +76,7 @@ class _RowReader:
             values.extend(_int_token(words, k, at + 1) for k in range(1, len(keyword)))
             at += 1
         rows = enumerate(lines[at:stop], start=at + 1)
-        return values, [(ln, line) for ln, line in rows if line and not line.startswith("#")]
+        return values, [(ln, line) for ln, line in rows if line and line[0] != "#"]
 
 
 def _once(seen, key, ln):
@@ -147,17 +152,17 @@ def parse_complex(text):
 
 def _complex(reader, start=0, stop=None):
     """The 'sset 1' text of reader that starts at line index start and ends
-    before stop. Each row is split once; its fields are kept per dimension,
-    keyed by identifier, as the word lists read. A refusal names its line."""
+    before stop, each row split once. A field given twice in a row is
+    refused. A refusal names its line."""
     (cap,), rows = reader.rows("sset 1", "cap N", start=start, stop=stop)
 
     def fail(msg, ln):
         raise StructureError("line %d: %s" % (ln, msg))
 
-    # per dimension whose 'dim' header was read, keyed by identifier: the line
-    # of its row, and the words of its faces, deg and degen fields
-    simplices, lines, faces, degs, degen = {}, {}, {}, {}, {}
-    order = []  # (n, identifier, line) of every simplex row, in line order
+    # per dimension whose 'dim' header was read, in row order: the
+    # identifiers, their lines, and the words of their faces and deg fields
+    simplices, lines, faces, degs = {}, {}, {}, {}
+    degen = []  # (n, identifier, *words) of every degen field
     current = None
     for ln, line in rows:
         if line.startswith("dim "):
@@ -169,10 +174,9 @@ def _complex(reader, start=0, stop=None):
                 fail("negative dimension", ln)
             if len(words) > 2:
                 fail("expected 'dim N'", ln)
-            current = n
-            ids, row_of, faces_of, degs_of, degen_of = (
-                simplices.setdefault(n, []), lines.setdefault(n, {}), faces.setdefault(n, {}),
-                degs.setdefault(n, {}), degen.setdefault(n, {}))
+            current, arity = n, n + 2
+            ids, lns, faces_of, degs_of = (
+                simplices.setdefault(n, []), lines.setdefault(n, []), faces.setdefault(n, []), degs.setdefault(n, []))
             continue
         if current is None:
             fail("simplex row before any 'dim' header", ln)
@@ -181,27 +185,31 @@ def _complex(reader, start=0, stop=None):
         if not sid:
             fail("empty identifier", ln)
         ids.append(sid)
-        row_of[sid] = ln
-        order.append((current, sid, ln))
+        lns.append(ln)
+        seen = []
         for field in fields:
             words = field.split()
             if not words:
                 continue
-            if words[0] == "faces":
-                if len(words) != current + 2:
+            key = words[0]
+            if key in seen:
+                fail("repeated '%s' field" % key, ln)
+            seen.append(key)
+            if key == "faces":
+                if len(words) != arity:
                     fail("need %d faces" % (current + 1), ln)
-                faces_of[sid] = words
-            elif words[0] == "deg":
-                if len(words) != current + 2:
+                faces_of.append(words)
+            elif key == "deg":
+                if len(words) != arity:
                     fail("need %d degeneracies" % (current + 1), ln)
-                degs_of[sid] = words
-            elif words[0] == "degen":
-                degen_of[sid] = words
+                degs_of.append(words)
+            elif key == "degen":
+                degen.append((current, sid, *words))
             else:
-                fail("unknown field %r" % (words[0],), ln)
-        if current >= 1 and sid not in faces_of:
+                fail("unknown field %r" % (key,), ln)
+        if current >= 1 and "faces" not in seen:
             fail("simplex %s of dimension %d has no faces field" % (sid, current), ln)
-        if current < cap and sid not in degs_of:
+        if current < cap and "deg" not in seen:
             fail("simplex %s of dimension %d has no deg field" % (sid, current), ln)
         if not _UNWRITABLE.isdisjoint(sid):
             fail("identifier %r cannot be serialized" % sid, ln)
@@ -215,27 +223,34 @@ def _complex(reader, start=0, stop=None):
         fail("cap %d but no simplex of dimension %d" % (cap, gap), start + 2)
     if cap < 0:
         fail("negative cap", start + 2)
-    with _refused_row(lambda key: lines.get(key[0], {}).get(key[1])):
-        x = SimplicialSet(
-            cap,
-            simplices,
-            lambda n, i, sid: faces[n][sid][i + 1],
-            lambda n, i, sid: degs[n][sid][i + 1],
-        )
-    # the degen fields must name the witnesses the deg tables give, checked
-    # in line order (the constructor refused a repeated identifier, so a row
-    # is one line)
-    for n, sid, ln in order:
-        given = degen[n].get(sid)
-        if sid not in x.degenerate[n]:
-            if given is not None:
-                fail("%s is not degenerate but has a degen field" % sid, ln)
-            continue
-        j, base = x.witness[(n, sid)]
-        if given is None:
-            fail("degenerate simplex %s has no degen field" % sid, ln)
-        if given != ["degen", str(j), base]:
-            fail("degen of %s must be '%d %s', its least degeneracy" % (sid, j, base), ln)
+    # every row of dimension n >= 1 has one faces field, and below the cap
+    # one deg field, so word 1 + i of the rows' word lists is the column of
+    # d_i (s_i)
+    def columns(table, dims):
+        return {(n, i): column for n in dims for i, column in enumerate(list(zip(*table[n]))[1:])}
+
+    def line_of(key):
+        n, sid = key
+        return dict(zip(simplices.get(n, ()), lines.get(n, ()))).get(sid)
+
+    with _refused_row(line_of):
+        x = SimplicialSet(cap, simplices, columns(faces, range(1, cap + 1)), columns(degs, range(cap)))
+    # the degen fields must name the witnesses the deg tables give: all at
+    # once, and on a mismatch row by row in line order (the constructor
+    # refused a repeated identifier, so a row is one line)
+    if set(degen) != {(n, sid, "degen", str(j), base) for (n, sid), (j, base) in x.witness.items()}:
+        given = {(n, sid): words for n, sid, *words in degen}
+        for ln, n, sid in sorted((ln, n, sid) for n in simplices for sid, ln in zip(simplices[n], lines[n])):
+            words = given.get((n, sid))
+            if (n, sid) not in x.witness:
+                if words is not None:
+                    fail("%s is not degenerate but has a degen field" % sid, ln)
+                continue
+            j, base = x.witness[(n, sid)]
+            if words is None:
+                fail("degenerate simplex %s has no degen field" % sid, ln)
+            if words != ["degen", str(j), base]:
+                fail("degen of %s must be '%d %s', its least degeneracy" % (sid, j, base), ln)
     return x
 
 

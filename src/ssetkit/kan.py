@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import ParameterError, StructureError
 from .homology import chain_complex, homology
-from .simplicial import _UnionFind, _compose, _entry, _group, _mismatches, _tabulate
+from .simplicial import _UnionFind, _column, _group, _lookup, _mismatches, _tabulate
 
 
 class Horn(NamedTuple):
@@ -78,10 +78,10 @@ def _without(seq, k):
 
 
 def _faces(x, n):
-    """The faces (d_i z) over the n-simplices z in stored order, one list of
-    identifiers per i."""
+    """The faces (d_i z) over the n-simplices z in stored order, one tuple
+    of identifiers per i."""
     level = x.simplices[n - 1]
-    return [list(map(level.__getitem__, x._dpos[(n, i)])) for i in range(n + 1)]
+    return [_lookup(level, x._dpos[(n, i)]) for i in range(n + 1)]
 
 
 def _restrictions(faces, k):
@@ -203,17 +203,18 @@ def check_extra_degeneracy(x, extra):
         raise ParameterError("extra-degeneracy check needs a connected complex")
     cap = x.dim_cap
     # e[n][p]: the position in X_{n+1} of s_{-1} of the p-th n-simplex
-    e = [_tabulate(_entry, n, extra.maps, x.simplices[n], x._index[n + 1], "s_{-1}") for n in range(cap)]
+    e = [_tabulate(_column(extra.maps[n], x.simplices[n]), n, x.simplices[n], x._index[n + 1], "s_{-1}")
+         for n in range(cap)]
     d, s = x._dpos, x._spos
     for n in range(cap):
-        sides = [((0, 0, "d_0 s_{-1} = id"), _compose(d[(n + 1, 0)], e[n]), list(range(len(e[n]))))]
+        sides = [((0, 0, "d_0 s_{-1} = id"), _lookup(d[(n + 1, 0)], e[n]), tuple(range(len(e[n]))))]
         for i in range(n + 1):
             if n >= 1:
                 sides.append(((i + 1, 0, "d_{i+1} s_{-1} = s_{-1} d_i"),
-                              _compose(d[(n + 1, i + 1)], e[n]), _compose(e[n - 1], d[(n, i)])))
+                              _lookup(d[(n + 1, i + 1)], e[n]), _lookup(e[n - 1], d[(n, i)])))
             if n + 1 < cap:
                 sides.append(((i + 1, 1, "s_{i+1} s_{-1} = s_{-1} s_i"),
-                              _compose(s[(n + 1, i + 1)], e[n]), _compose(e[n + 1], s[(n, i)])))
+                              _lookup(s[(n + 1, i + 1)], e[n]), _lookup(e[n + 1], s[(n, i)])))
         found = _mismatches(sides)
         if found:
             p, _, _, name = found[0]

@@ -7,6 +7,12 @@ hashable values, unique within each dimension; the standard constructions
 use canonical tuple identifiers (vertex tuples for simplices of standard
 objects, pairs for products).
 
+Every structure map is given as a column: the list of its values over the
+simplices of one dimension, in stored order (faces[(n, i)] is d_i over
+simplices[n]). A constructor turns each column into stored positions with one
+lookup over the index, and a construction derives its columns from the
+stored positions of the sets it starts from.
+
 A SimplicialSet or SimplicialMap that exists is valid: its constructor
 tabulates the structure maps, checks the identities below (for a map,
 commutation with every face and degeneracy) and refuses a violation. Every
@@ -25,6 +31,7 @@ Conventions for the identities, with d below s in the usual order:
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .errors import CapExceededError, ParameterError, StructureError
 
@@ -32,29 +39,30 @@ from .errors import CapExceededError, ParameterError, StructureError
 class SimplicialSet:
     """Dimension-capped simplicial set with total face/degeneracy tables.
 
-    The constructor takes the structure maps as functions face(n, i, x) and
-    deg(n, i, x) and tabulates them, calling each once per listed simplex
-    and per (n, i). Each structure map is kept once, as stored positions:
+    The constructor takes the structure maps as columns: faces[(n, i)] is
+    the sequence of the identifiers d_i x over x in simplices[n], in stored
+    order, for 1 <= n <= dim_cap, and degs[(n, i)] the same for s_i, for
+    0 <= n < dim_cap. Each structure map is kept once, as stored positions:
 
     simplices[n]   ordered tuple of identifiers, 0 <= n <= dim_cap
     _dpos[(n, i)]  [p] is the position in X_{n-1} of d_i of the p-th
-                   n-simplex, for 1 <= n <= dim_cap, 0 <= i <= n
-    _spos[(n, i)]  the same for s_i, into X_{n+1}, for 0 <= n < dim_cap
+                   n-simplex, a tuple
+    _spos[(n, i)]  the same for s_i, into X_{n+1}
     degenerate[n]  frozenset of degenerate identifiers
     witness[(n, x)] = (i, y) with x = s_i(y), for each degenerate x
 
     d and s read one entry through _index; readers that walk a whole level
-    read the position lists.
+    read the position tuples.
 
     This is the one place the tables are made and checked, so a set that
     exists satisfies the simplicial identities: a duplicate identifier, a
-    map value that is not a listed simplex of the adjacent dimension, or a
-    map that raises KeyError or IndexError on a listed simplex (a partial
-    table passed as a lookup) is a StructureError here, with offending =
-    (n, x) for the n-simplex x it refused (for a duplicate, an identifier
-    listed twice). Complete tables that break an identity are then refused
-    with violations = every violation, in the order of identity family, n,
-    stored position of x, j, i.
+    column (a missing one included) whose length is not the number of
+    simplices it runs over, or a column value that is not a listed simplex
+    of the adjacent dimension is a StructureError here, with offending =
+    (n, x) for the n-simplex x whose value it refused (for a duplicate, an
+    identifier listed twice). Complete tables that break an identity are
+    then refused with violations = every violation, in the order of
+    identity family, n, stored position of x, j, i.
 
     degenerate and witness are derived from the degeneracy tables: x is
     degenerate iff x = s_i(y) for some listed y, and its witness is (i, y)
@@ -67,24 +75,20 @@ class SimplicialSet:
     horn search) is computed once and kept on the object.
     """
 
-    def __init__(self, dim_cap, simplices, face, deg):
+    def __init__(self, dim_cap, simplices, faces, degs):
         if dim_cap < 0:
             raise ParameterError("dim_cap must be >= 0")
         self.dim_cap = int(dim_cap)
-        self.simplices = {n: tuple(simplices.get(n, ())) for n in range(dim_cap + 1)}
-        self._index = {
-            n: {x: i for i, x in enumerate(self.simplices[n])}
-            for n in range(dim_cap + 1)
-        }
-        for n, idx in self._index.items():
-            if len(idx) != len(self.simplices[n]):
+        xs = self.simplices = {n: tuple(simplices.get(n, ())) for n in range(dim_cap + 1)}
+        index = self._index = {n: dict(zip(xs[n], range(len(xs[n])))) for n in range(dim_cap + 1)}
+        for n, idx in index.items():
+            if len(idx) != len(xs[n]):
                 # idx keeps the last position of each identifier
-                repeated = next(x for p, x in enumerate(self.simplices[n]) if idx[x] != p)
+                repeated = next(x for p, x in enumerate(xs[n]) if idx[x] != p)
                 raise _refusal("duplicate identifier in dimension %d" % n, offending=(n, repeated))
-        xs, index = self.simplices, self._index
-        self._dpos = {(n, i): _tabulate(face, n, i, xs[n], index[n - 1], "face d_%d" % i)
+        self._dpos = {(n, i): _tabulate(faces.get((n, i), ()), n, xs[n], index[n - 1], "face d_%d" % i)
                       for n in range(1, dim_cap + 1) for i in range(n + 1)}
-        self._spos = {(n, i): _tabulate(deg, n, i, xs[n], index[n + 1], "degeneracy s_%d" % i)
+        self._spos = {(n, i): _tabulate(degs.get((n, i), ()), n, xs[n], index[n + 1], "degeneracy s_%d" % i)
                       for n in range(dim_cap) for i in range(n + 1)}
         bad = self._scan_identities()
         if bad:
@@ -92,14 +96,19 @@ class SimplicialSet:
         self.degenerate = {0: frozenset()}
         self.witness = {}
         for n in range(1, self.dim_cap + 1):
-            level = {}  # position in X_n -> witness
-            for i in range(n):
-                for y, p in zip(xs[n - 1], self._spos[(n - 1, i)]):
-                    level.setdefault(p, (i, y))
-            self.degenerate[n] = frozenset(xs[n][p] for p in level)
-            self.witness.update(((n, xs[n][p]), w) for p, w in level.items())
+            # position in X_n -> witness, keyed in the order s_0, s_1, ...
+            # over X_{n-1} first reach each position; d_i s_i = id holds, so
+            # each s_i is injective and the updates from the top i down leave
+            # each position with its least i
+            ups = [self._spos[(n - 1, i)] for i in range(n)]
+            level = dict.fromkeys(itertools.chain.from_iterable(ups))
+            for i in range(n - 1, -1, -1):
+                level.update(zip(ups[i], zip(itertools.repeat(i), xs[n - 1])))
+            degenerate = _lookup(xs[n], tuple(level))
+            self.degenerate[n] = frozenset(degenerate)
+            self.witness.update(zip(zip(itertools.repeat(n), degenerate), level.values()))
         self._nondegenerate = {
-            n: tuple(x for x in self.simplices[n] if x not in self.degenerate[n])
+            n: tuple(itertools.filterfalse(self.degenerate[n].__contains__, xs[n]))
             for n in range(dim_cap + 1)
         }
         self._matching = {}
@@ -190,14 +199,14 @@ class SimplicialSet:
         for n in range(2, cap + 1):
             level(n, (
                 ((j, i, "d_i d_j = d_{j-1} d_i"),
-                 _compose(d[(n - 1, i)], d[(n, j)]), _compose(d[(n - 1, j - 1)], d[(n, i)]))
+                 _lookup(d[(n - 1, i)], d[(n, j)]), _lookup(d[(n - 1, j - 1)], d[(n, i)]))
                 for j in range(n + 1)
                 for i in range(j)
             ))
         for n in range(cap):
-            same = list(range(len(self.simplices[n])))
+            same = tuple(range(len(self.simplices[n])))
             level(n, (
-                ((j, i, name), _compose(d[(n + 1, i)], s[(n, j)]), same)
+                ((j, i, name), _lookup(d[(n + 1, i)], s[(n, j)]), same)
                 for j in range(n + 1)
                 for i, name in ((j, "d_j s_j = id"), (j + 1, "d_{j+1} s_j = id"))
             ))
@@ -208,13 +217,13 @@ class SimplicialSet:
             mixed += [("d_i s_j = s_j d_{i-1} (i>j+1)", i, j, j, i - 1)
                       for j in range(n + 1) for i in range(j + 2, n + 2)]
             level(n, (
-                ((j, i, name), _compose(d[(n + 1, i)], s[(n, j)]), _compose(s[(n - 1, b)], d[(n, a)]))
+                ((j, i, name), _lookup(d[(n + 1, i)], s[(n, j)]), _lookup(s[(n - 1, b)], d[(n, a)]))
                 for name, i, j, b, a in mixed
             ))
         for n in range(cap - 1):
             level(n, (
                 ((j, i, "s_i s_j = s_{j+1} s_i (i<=j)"),
-                 _compose(s[(n + 1, i)], s[(n, j)]), _compose(s[(n + 1, j + 1)], s[(n, i)]))
+                 _lookup(s[(n + 1, i)], s[(n, j)]), _lookup(s[(n + 1, j + 1)], s[(n, i)]))
                 for j in range(n + 1)
                 for i in range(j + 1)
             ))
@@ -266,34 +275,41 @@ def _refusal(message, **attributes):
     return exc
 
 
-def _tabulate(f, n, b, xs, known, name):
-    """The positions in known of f(n, b, x) over the listed n-simplices xs,
-    in stored order, in one pass: the lookups that check the values. The
-    first x in stored order on which f (a structure map f(n, i, x) or
-    _entry, called directly) raises KeyError or IndexError ("<name>
-    undefined on x"), or whose value is not a key of known, is refused with
-    offending = (n, x)."""
-    positions = []
-    for x in xs:
-        try:
-            y = f(n, b, x)
-        except (KeyError, IndexError):
-            raise _refusal("%s undefined on %r" % (name, x), offending=(n, x)) from None
-        try:
-            positions.append(known[y])
-        except KeyError:
-            raise _refusal("%s of %r hits unknown identifier %r" % (name, x, y), offending=(n, x)) from None
-    return positions
+_UNDEFINED = object()  # the value of a level map at a simplex it has no entry for
 
 
-def _entry(n, tables, x):
-    """tables[n][x], a table of tables read as a levelwise map."""
-    return tables[n][x]
+def _column(level, xs):
+    """The values of the dict level over xs, in order, as a column:
+    _UNDEFINED where level has no entry."""
+    return tuple(map(level.get, xs, itertools.repeat(_UNDEFINED)))
 
 
-def _compose(outer, inner):
-    """outer after inner, for maps stored as position lists."""
-    return list(map(outer.__getitem__, inner))
+def _tabulate(column, n, xs, known, name):
+    """The positions in known of the values of column, a structure map's
+    values over the listed n-simplices xs in stored order, looked up in one
+    pass. A column of another length than xs is refused; so is a value that
+    is not a key of known, at the first such x in stored order, with
+    offending = (n, x): "<name> undefined on x" for _UNDEFINED, else
+    "<name> of x hits unknown identifier"."""
+    if len(column) != len(xs):
+        raise _refusal("%s has %d values for the %d simplices of dimension %d" % (name, len(column), len(xs), n))
+    try:
+        return _lookup(known, column)
+    except KeyError:
+        pass
+    x, y = next((x, y) for x, y in zip(xs, column) if y not in known)
+    if y is _UNDEFINED:
+        raise _refusal("%s undefined on %r" % (name, x), offending=(n, x))
+    raise _refusal("%s of %r hits unknown identifier %r" % (name, x, y), offending=(n, x))
+
+
+def _lookup(table, keys):
+    """The tuple of table[k] over the sequence keys, by one itemgetter (which
+    takes no empty key list and gives a bare value for one key). For stored
+    positions, the composite of table after keys."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(table)
+    return tuple(table[k] for k in keys)
 
 
 def _mismatches(sides):
@@ -309,26 +325,13 @@ def _mismatches(sides):
 # -- canonical tuple machinery ----------------------------------------
 
 
-def _delete(t, i):
-    return t[:i] + t[i + 1:]
-
-
-def _duplicate(t, i):
-    return t[: i + 1] + t[i:]
-
-
 def _tuple_sset(dim_cap, allowed):
     """Simplicial set whose n-simplices are the weakly increasing tuples
     accepted by the predicate `allowed`, with delete/duplicate structure maps."""
-    simplices = {}
-    for n in range(dim_cap + 1):
-        simplices[n] = tuple(sorted(t for t in _all_tuples(n, allowed)))
-    return SimplicialSet(
-        dim_cap,
-        simplices,
-        lambda n, i, t: _delete(t, i),
-        lambda n, i, t: _duplicate(t, i),
-    )
+    simplices = {n: tuple(sorted(_all_tuples(n, allowed))) for n in range(dim_cap + 1)}
+    faces = {(n, i): [t[:i] + t[i + 1:] for t in simplices[n]] for n in range(1, dim_cap + 1) for i in range(n + 1)}
+    degs = {(n, i): [t[: i + 1] + t[i:] for t in simplices[n]] for n in range(dim_cap) for i in range(n + 1)}
+    return SimplicialSet(dim_cap, simplices, faces, degs)
 
 
 def _all_tuples(n, allowed):
@@ -421,17 +424,16 @@ def nerve(table, dim_cap):
     elements, identity = _check_group(table)
     simplices = {n: tuple(sorted(itertools.product(elements, repeat=n))) for n in range(dim_cap + 1)}
 
-    def face(n, i, g):
+    def face_column(n, i):
         if i == 0:
-            return g[1:]
+            return [g[1:] for g in simplices[n]]
         if i == n:
-            return g[:-1]
-        return g[: i - 1] + (table[(g[i - 1], g[i])],) + g[i + 1:]
+            return [g[:-1] for g in simplices[n]]
+        return [g[: i - 1] + (table[(g[i - 1], g[i])],) + g[i + 1:] for g in simplices[n]]
 
-    def deg(n, i, g):
-        return g[:i] + (identity,) + g[i:]
-
-    return SimplicialSet(dim_cap, simplices, face, deg)
+    faces = {(n, i): face_column(n, i) for n in range(1, dim_cap + 1) for i in range(n + 1)}
+    degs = {(n, i): [g[:i] + (identity,) + g[i:] for g in simplices[n]] for n in range(dim_cap) for i in range(n + 1)}
+    return SimplicialSet(dim_cap, simplices, faces, degs)
 
 
 def cyclic_table(m):
@@ -483,12 +485,16 @@ def product(x, y, dim_cap=None):
         n: tuple(itertools.product(x.simplices[n], y.simplices[n]))
         for n in range(cap + 1)
     }
-    return SimplicialSet(
-        cap,
-        simplices,
-        lambda n, i, ab: (x.d(n, i, ab[0]), y.d(n, i, ab[1])),
-        lambda n, i, ab: (x.s(n, i, ab[0]), y.s(n, i, ab[1])),
-    )
+
+    def column(n, i, step, x_table, y_table):
+        # the pairs (a, b) are listed with a outer, as itertools.product
+        # lists the pairs of the factors' columns
+        return list(itertools.product(_lookup(x.simplices[n + step], x_table[(n, i)]),
+                                      _lookup(y.simplices[n + step], y_table[(n, i)])))
+
+    faces = {(n, i): column(n, i, -1, x._dpos, y._dpos) for n in range(1, cap + 1) for i in range(n + 1)}
+    degs = {(n, i): column(n, i, 1, x._spos, y._spos) for n in range(cap) for i in range(n + 1)}
+    return SimplicialSet(cap, simplices, faces, degs)
 
 
 # -- subcomplexes and quotients ----------------------------------------
@@ -516,18 +522,41 @@ def close_subcomplex(x, seeds):
 def is_subcomplex(x, sub):
     """Closure check; returns None when closed, else an offending (kind, n,
     simplex): ("unknown", n, s) for a member that is not a simplex of its
-    dimension, one off 0..cap included."""
+    dimension, one off 0..cap included, then ("face", n, s) by n, then
+    ("degeneracy", n, s) by n, each for the first s in the iteration order
+    of sub[n] with a face (degeneracy) outside sub. Each (n, i) is read as
+    the stored positions of the members."""
     for n in sorted(sub):
         for s in sub[n]:
             if not x.has(n, s):
                 return ("unknown", n, s)
     cap = x.dim_cap
-    for kind, dims, step, f in (("face", range(1, cap + 1), -1, x.d), ("degeneracy", range(cap), 1, x.s)):
+    members = {n: tuple(sub.get(n, ())) for n in x.dims()}
+    at = {n: _lookup(x._index[n], members[n]) for n in x.dims()}
+    for kind, dims, step, tables in (("face", range(1, cap + 1), -1, x._dpos), ("degeneracy", range(cap), 1, x._spos)):
         for n in dims:
-            for s in sub.get(n, ()):
-                if any(f(n, i, s) not in sub.get(n + step, ()) for i in range(n + 1)):
-                    return (kind, n, s)
+            inside = set(at[n + step])
+            first = len(at[n])
+            for i in range(n + 1):
+                hits = _lookup(tables[(n, i)], at[n])
+                if not inside.issuperset(hits):
+                    first = min(first, next(k for k, p in enumerate(hits) if p not in inside))
+            if first < len(at[n]):
+                return (kind, n, members[n][first])
     return None
+
+
+def _kept(x, keep):
+    """The simplices and the face and degeneracy columns of the simplices of
+    x at the stored positions keep[n], for n = 0..max(keep), as the
+    SimplicialSet constructor takes them."""
+    cap, xs = max(keep), x.simplices
+    simplices = {n: _lookup(xs[n], keep[n]) for n in keep}
+    faces = {(n, i): _lookup(xs[n - 1], _lookup(x._dpos[(n, i)], keep[n]))
+             for n in range(1, cap + 1) for i in range(n + 1)}
+    degs = {(n, i): _lookup(xs[n + 1], _lookup(x._spos[(n, i)], keep[n]))
+            for n in range(cap) for i in range(n + 1)}
+    return simplices, faces, degs
 
 
 def restrict(x, sub):
@@ -535,8 +564,8 @@ def restrict(x, sub):
     offending = is_subcomplex(x, sub)
     if offending is not None:
         raise StructureError("not closed under structure maps: %r" % (offending,))
-    simplices = {n: tuple(s for s in x.simplices[n] if s in sub.get(n, ())) for n in x.dims()}
-    return SimplicialSet(x.dim_cap, simplices, x.d, x.s)
+    keep = {n: sorted(set(_lookup(x._index[n], tuple(sub.get(n, ()))))) for n in x.dims()}
+    return SimplicialSet(x.dim_cap, *_kept(x, keep))
 
 
 def quotient(x, sub):
@@ -550,20 +579,17 @@ def quotient(x, sub):
     while any(base in x.simplices[n] for n in x.dims()):
         base = base + "'"
 
-    def wrap(n, s):
-        return base if s in sub.get(n, ()) else s
+    keep = {n: [p for p, s in enumerate(x.simplices[n]) if s not in sub.get(n, ())] for n in x.dims()}
+    simplices, faces, degs = _kept(x, keep)
 
-    def face(n, i, s):
-        return base if s == base else wrap(n - 1, x.d(n, i, s))
+    def wrap(columns, step):
+        # a value in sub becomes the base point, and the base point's own
+        # entry, last, is the base point
+        return {(n, i): [base if s in sub.get(n + step, ()) else s for s in column] + [base]
+                for (n, i), column in columns.items()}
 
-    def deg(n, i, s):
-        return base if s == base else wrap(n + 1, x.s(n, i, s))
-
-    simplices = {}
-    for n in x.dims():
-        kept = [s for s in x.simplices[n] if s not in sub.get(n, ())]
-        simplices[n] = tuple(kept) + (base,)
-    return SimplicialSet(x.dim_cap, simplices, face, deg)
+    simplices = {n: kept + (base,) for n, kept in simplices.items()}
+    return SimplicialSet(x.dim_cap, simplices, wrap(faces, -1), wrap(degs, 1))
 
 
 def sphere_quotient(n, dim_cap=None):
@@ -583,8 +609,8 @@ def truncate(x, dim_cap):
         raise CapExceededError(
             "cannot raise the cap from %d to %d" % (x.dim_cap, dim_cap)
         )
-    simplices = {n: x.simplices[n] for n in range(dim_cap + 1)}
-    return SimplicialSet(dim_cap, simplices, x.d, x.s)
+    keep = {n: range(len(x.simplices[n])) for n in range(dim_cap + 1)}
+    return SimplicialSet(dim_cap, *_kept(x, keep))
 
 
 # -- generators --------------------------------------------------------
@@ -631,7 +657,7 @@ def from_generators(dim_cap, generators):
                 raise StructureError("face arity mismatch on generator %r" % (gid,))
 
     def face_of_pair(eta, gid, i):
-        dropped = _delete(eta, i)
+        dropped = eta[:i] + eta[i + 1:]
         image = set(eta)
         if set(dropped) == image:
             return dropped, gid
@@ -640,27 +666,18 @@ def from_generators(dim_cap, generators):
         theta, g2 = gen_faces[gid][v]
         return tuple(theta[x] for x in shifted), g2
 
-    simplices = {}
-    pair_of = {}  # (n, id) -> (eta, generator)
-    for n in range(dim_cap + 1):
-        ids = []
-        for m in range(n + 1):
-            for gid, _ in gens[m]:
-                for eta in _surjective_tuples(tuple(range(m + 1)), n + 1):
-                    sid = _pair_id(eta, gid)
-                    pair_of[(n, sid)] = (eta, gid)
-                    ids.append(sid)
-        simplices[n] = tuple(ids)
-
-    def face(n, i, s):
-        eta, gid = pair_of[(n, s)]
-        return _pair_id(*face_of_pair(eta, gid, i))
-
-    def deg(n, i, s):
-        eta, gid = pair_of[(n, s)]
-        return _pair_id(_duplicate(eta, i), gid)
-
-    return SimplicialSet(dim_cap, simplices, face, deg)
+    # the (eta, generator) pair of every n-simplex, in stored order
+    pairs = {
+        n: [(eta, gid) for m in range(n + 1) for gid, _ in gens[m]
+            for eta in _surjective_tuples(tuple(range(m + 1)), n + 1)]
+        for n in range(dim_cap + 1)
+    }
+    simplices = {n: tuple(_pair_id(eta, gid) for eta, gid in pairs[n]) for n in pairs}
+    faces = {(n, i): [_pair_id(*face_of_pair(eta, gid, i)) for eta, gid in pairs[n]]
+             for n in range(1, dim_cap + 1) for i in range(n + 1)}
+    degs = {(n, i): [_pair_id(eta[: i + 1] + eta[i:], gid) for eta, gid in pairs[n]]
+            for n in range(dim_cap) for i in range(n + 1)}
+    return SimplicialSet(dim_cap, simplices, faces, degs)
 
 
 def circle_two_edges(dim_cap=2):
@@ -680,13 +697,14 @@ def circle_two_edges(dim_cap=2):
 class SimplicialMap:
     """Levelwise map of simplicial sets, up to the lesser cap of its ends.
 
-    The constructor takes level_map[n] as {source simplex: image} and is the
-    one place the table is made and checked, so a map that exists commutes
-    with every face and degeneracy: a key up to the cap (at any dimension)
-    that is not a source simplex of its dimension, an undefined source
-    simplex and an image off the target are StructureErrors, with offending
-    = (n, key) or (n, source simplex) on the error; levels above the cap are
-    ignored. A complete table that fails to commute is then refused with
+    The constructor takes level_map[n] as {source simplex: image}, reads it
+    as the column of its values over the source simplices (a simplex with no
+    entry reads as undefined), and is the one place the table is made and
+    checked, so a map that exists commutes with every face and degeneracy: a
+    key up to the cap (at any dimension) that is not a source simplex of its
+    dimension, an undefined source simplex and an image off the target are
+    StructureErrors, with offending = (n, key) or (n, source simplex) on the
+    error; levels above the cap are ignored. A complete table that fails to commute is then refused with
     violations = ("face", n, i, x), then ("degeneracy", n, i, x), each in
     (n, stored position of x, i) order, one pass per (n, i) over X_n. The
     map is kept once, as positions: _image[n][p] is the position in Y_n of
@@ -702,7 +720,8 @@ class SimplicialMap:
                 if not source.has(n, x):
                     raise _refusal("%s is not a source simplex of dimension %d" % (x, n), offending=(n, x))
         image = self._image = {
-            n: _tabulate(_entry, n, level_map, source.simplices[n], target._index[n], "map f_%d" % n)
+            n: _tabulate(_column(level_map.get(n, {}), source.simplices[n]), n, source.simplices[n],
+                         target._index[n], "map f_%d" % n)
             for n in range(cap + 1)
         }
         bad = []
@@ -711,7 +730,7 @@ class SimplicialMap:
             ("degeneracy", range(cap), 1, source._spos, target._spos),
         ):
             for n in dims:
-                sides = (((i,), _compose(image[n + step], down[(n, i)]), _compose(up[(n, i)], image[n]))
+                sides = (((i,), _lookup(image[n + step], down[(n, i)]), _lookup(up[(n, i)], image[n]))
                          for i in range(n + 1))
                 bad.extend((kind, n, i, source.simplices[n][p]) for p, i in _mismatches(sides))
         if bad:
@@ -729,7 +748,8 @@ class SimplicialMap:
         if self.source.dim_cap < cap:
             raise ParameterError("composite of cap %d through a middle set of cap %d" % (cap, self.source.dim_cap))
         lm = {
-            n: {x: self(n, other(n, x)) for x in other.source.simplices[n]}
+            n: dict(zip(other.source.simplices[n],
+                        _lookup(self.target.simplices[n], _lookup(self._image[n], other._image[n]))))
             for n in range(cap + 1)
         }
         return SimplicialMap(other.source, self.target, lm)

@@ -58,10 +58,24 @@ BASES = {
 }
 
 
+def columns(cap, simplices, face, deg):
+    """The raw tables (cap, simplices, faces, degs) the SimplicialSet
+    constructor takes, each column read off the function face(n, i, x) or
+    deg(n, i, x) one listed simplex at a time."""
+    def column(f, n, i):
+        return [f(n, i, x) for x in simplices.get(n, ())]
+
+    return (
+        cap,
+        simplices,
+        {(n, i): column(face, n, i) for n in range(1, cap + 1) for i in range(n + 1)},
+        {(n, i): column(deg, n, i) for n in range(cap) for i in range(n + 1)},
+    )
+
+
 def tables(x):
-    """The raw tables (cap, simplices, face, deg) of a set, as the
-    SimplicialSet constructor takes them."""
-    return x.dim_cap, x.simplices, x.d, x.s
+    """The raw tables of a set, read through its d and s."""
+    return columns(x.dim_cap, x.simplices, x.d, x.s)
 
 
 def map_tables(f):
@@ -80,13 +94,13 @@ def swapped_delta2(dim_cap=2):
             i = 1 - i
         return d2.d(n, i, t)
 
-    return d2.dim_cap, d2.simplices, face, d2.s
+    return columns(d2.dim_cap, d2.simplices, face, d2.s)
 
 
 def with_replaced_entries(x, changes):
     """The raw tables of x with some entries replaced: changes maps ("d" or
     "s", n, i, simplex) to another listed simplex of the adjacent dimension."""
-    return (
+    return columns(
         x.dim_cap,
         x.simplices,
         lambda n, i, s: changes.get(("d", n, i, s), x.d(n, i, s)),

@@ -14,7 +14,9 @@ lists of lists, the reference for the sparse engine in ssetkit.linalg.
 scan_identities and scan_map_violations check the simplicial identities of
 raw tables and a map's commutation one simplex and one index pair at a time,
 the reference for the whole-table passes of the ssetkit.simplicial
-constructors; scan_extra_degeneracy does
+constructors; scan_is_subcomplex checks closure one member and one index at
+a time, the reference for the position reads of is_subcomplex;
+scan_extra_degeneracy does
 the same for the extra-degeneracy identities of ssetkit.kan. The other scan_*
 functions find horns, fillers and lifts by scanning a whole dimension of the
 face tables, the reference for the coface and horn-index search in
@@ -295,11 +297,21 @@ def strict_chain_count(p, q, length):
     return count
 
 
-def scan_identities(cap, simplices, d, s):
+def scan_identities(cap, simplices, faces, degs):
     """The simplicial identity violations of the raw tables (cap, simplices,
-    face, deg) the SimplicialSet constructor takes, one simplex and one index
-    pair at a time through d(n, i, x) and s(n, i, x): the order of the report
-    is identity family, n, stored position of x, then j, then i."""
+    faces, degs) the SimplicialSet constructor takes, one simplex and one
+    index pair at a time through d(n, i, x) and s(n, i, x), each a lookup in
+    a dict keyed by identifier: the order of the report is identity family,
+    n, stored position of x, then j, then i."""
+    by_id = {(kind, n, i): dict(zip(simplices[n], column))
+             for kind, table in (("d", faces), ("s", degs)) for (n, i), column in table.items()}
+
+    def d(n, i, x):
+        return by_id[("d", n, i)][x]
+
+    def s(n, i, x):
+        return by_id[("s", n, i)][x]
+
     bad = []
     for n in range(2, cap + 1):
         for x in simplices[n]:
@@ -341,7 +353,8 @@ def scan_identities(cap, simplices, d, s):
 
 def reference_complex(text):
     """parse_complex(text), one field and one (dimension, identifier) key at a
-    time. A 'dim' row with more than a dimension, a row whose identifier
+    time. A 'dim' row with more than a dimension, a field given twice in a
+    row, a row whose identifier
     render_id refuses (after the checks of its fields), a negative cap and a
     constructor refusal of the simplex of some row are refused naming their
     line; complete tables that break an identity are then refused with the
@@ -375,10 +388,14 @@ def reference_complex(text):
             fail("empty identifier", ln)
         simplices.setdefault(current, []).append(sid)
         lines_of[(current, sid)] = ln
+        keys = []
         for field in fields[1:]:
             if not field:
                 continue
             words = field.split()
+            if words[0] in keys:
+                fail("repeated '%s' field" % words[0], ln)
+            keys.append(words[0])
             if words[0] == "faces":
                 if len(words) != current + 2:
                     fail("need %d faces" % (current + 1), ln)
@@ -406,19 +423,16 @@ def reference_complex(text):
         fail("cap %d but no simplex of dimension %d" % (cap, gap), 2)
     if cap < 0:
         fail("negative cap", 2)
-    def face(n, i, sid):
-        return faces[(n, sid)][i]
-
-    def deg(n, i, sid):
-        return degs[(n, sid)][i]
-
+    face_columns = {(n, i): [faces[(n, sid)][i] for sid in simplices[n]]
+                    for n in range(1, cap + 1) for i in range(n + 1)}
+    deg_columns = {(n, i): [degs[(n, sid)][i] for sid in simplices[n]] for n in range(cap) for i in range(n + 1)}
     try:
-        x = SimplicialSet(cap, simplices, face, deg)
+        x = SimplicialSet(cap, simplices, face_columns, deg_columns)
     except StructureError as exc:
         if hasattr(exc, "offending"):
             fail(exc, lines_of[exc.offending])
         x = None  # complete tables, refused for an identity: scanned below
-    bad = scan_identities(cap, simplices, face, deg)
+    bad = scan_identities(cap, simplices, face_columns, deg_columns)
     if bad:
         raise StructureError("simplicial identities fail: " + "; ".join(str(b) for b in bad[:3]))
     assert x is not None, "tables that satisfy the identities were refused"
@@ -433,6 +447,24 @@ def reference_complex(text):
         elif given != [str(derived[0]), derived[1]]:
             fail("degen of %s must be '%d %s', its least degeneracy" % (sid, derived[0], derived[1]), ln)
     return x
+
+
+def scan_is_subcomplex(x, sub):
+    """is_subcomplex(x, sub) one member and one index at a time through x.d
+    and x.s: the first member that is not a simplex of its dimension, then
+    the first member, by n and in the iteration order of sub[n], with a face
+    outside sub, then the same for degeneracies; None when sub is closed."""
+    for n in sorted(sub):
+        for s in sub[n]:
+            if not x.has(n, s):
+                return ("unknown", n, s)
+    cap = x.dim_cap
+    for kind, dims, step, f in (("face", range(1, cap + 1), -1, x.d), ("degeneracy", range(cap), 1, x.s)):
+        for n in dims:
+            for s in sub.get(n, ()):
+                if any(f(n, i, s) not in sub.get(n + step, ()) for i in range(n + 1)):
+                    return (kind, n, s)
+    return None
 
 
 def scan_map_violations(source, target, level_map):

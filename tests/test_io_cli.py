@@ -665,8 +665,17 @@ def test_smap_repeated_map_row_names_its_line(tmp_path):
     assert "status error" in out
 
 
+def delta1_with_repeat(row, field):
+    """delta1.sset with the field appended to the row (a line of the file,
+    which names it once)."""
+    text = fixture_text("delta1.sset")
+    assert text.count(row + "\n") == 1
+    return text.replace(row + "\n", row + " | " + field + "\n")
+
+
 # Short rows, non-integer tokens and bad scalars in the .u1 and .ext readers
-# and in the forms they carry: (command, text, line of the error).
+# and in the forms they carry, and fields given twice in an 'sset 1' row:
+# (command, text, line of the error).
 MALFORMED_ROWS = {
     "u1 short triangle": ("chern", "u1 1\ntriangle 012\n", 2),
     "u1 orientation": ("chern", "u1 1\ntriangle 012 or x\n", 2),
@@ -700,6 +709,12 @@ MALFORMED_ROWS = {
     "ext repeated missing": ("extend", "extend 1\nmissing 0\nn 2\nmissing 1\n", 4),
     "u1 A without triangle": (
         "chern", "u1 1\ntriangle 012 or 1\nA 012 : form 2 1 : \nA zz : form 2 1 : 1 | 0 0 | 1\n", 4),
+    "sset repeated faces": (
+        "homology", delta1_with_repeat("(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)", "faces (1) (0)"), 8),
+    "sset repeated deg": (
+        "homology", delta1_with_repeat("(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)", "deg (0,0,1) (0,1,1)"), 8),
+    "sset repeated degen": (
+        "homology", delta1_with_repeat("(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)", "degen 0 (0)"), 7),
 }
 # The single-valued rows among them, refused at their second row: (key,
 # line of the first row).
@@ -710,15 +725,18 @@ REPEATED_ROWS = {
     "ext repeated n": ("n", 2),
     "ext repeated missing": ("missing", 2),
 }
+# The repeated fields among them: the field's keyword.
+REPEATED_FIELDS = {"sset repeated faces": "faces", "sset repeated deg": "deg", "sset repeated degen": "degen"}
+READERS = {"chern": (parse_u1, "u1"), "extend": (parse_extend, "ext"), "homology": (parse_complex, "sset")}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
 def test_malformed_rows_name_their_line(case, tmp_path):
     command, text, line = MALFORMED_ROWS[case]
-    parse = parse_u1 if command == "chern" else parse_extend
+    parse, suffix = READERS[command]
     with pytest.raises(StructureError, match="^line %d: " % line):
         parse(text)
-    path = tmp_path / ("malformed." + ("u1" if command == "chern" else "ext"))
+    path = tmp_path / ("malformed." + suffix)
     path.write_text(text)
     code, out = run_cli(command, str(path))
     assert code == 2
@@ -726,6 +744,8 @@ def test_malformed_rows_name_their_line(case, tmp_path):
     if case in REPEATED_ROWS:
         message = "line %d: repeated '%s' row (first on line %d)" % ((line,) + REPEATED_ROWS[case])
         assert "record error exact : %s\n" % message in out
+    if case in REPEATED_FIELDS:
+        assert "record error exact : line %d: repeated '%s' field\n" % (line, REPEATED_FIELDS[case]) in out
 
 
 # Short rows and non-integer tokens in the .site reader: (text, line of the error).

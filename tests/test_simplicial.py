@@ -31,12 +31,13 @@ from ssetkit.simplicial import (
     standard_delta,
     standard_horn,
     truncate,
-    _entry,
+    _column,
     _surjective_tuples,
     _tabulate,
 )
 
 from conftest import (
+    columns,
     corrupted_maps,
     corrupted_sets,
     fixture_path,
@@ -112,29 +113,38 @@ def test_constructor_refuses_dangling_references():
     def dangling_deg(n, i, t):
         return (7, 7) if t == (0,) else d1.s(n, i, t)
 
-    partial = {t: d1.s(0, 0, t) for t in d1.simplices[0][1:]}
+    def late_dangling_deg(n, i, t):
+        return (7, 7) if t == (1,) else d1.s(n, i, t)
 
-    def partial_deg(n, i, t):
-        return partial[t]
+    def two_dangling_degs(n, i, t):
+        return (t[0] + 7,) * 2
 
-    def dangling_then_partial(n, i, t):
-        return (7, 7) if t == (0,) else {}[t]
-
-    def partial_then_dangling(n, i, t):
-        return (7, 7) if t == (1,) else {}[t]
-
-    # the first simplex in stored order that is refused is named, either way
+    # the first simplex in stored order that is refused is named
     cases = (
         (dangling_face, d1.s, "face d_0 of (0, 1) hits unknown identifier (7,)"),
         (d1.d, dangling_deg, "degeneracy s_0 of (0,) hits unknown identifier (7, 7)"),
-        (d1.d, partial_deg, "degeneracy s_0 undefined on (0,)"),
-        (d1.d, dangling_then_partial, "degeneracy s_0 of (0,) hits unknown identifier (7, 7)"),
-        (d1.d, partial_then_dangling, "degeneracy s_0 undefined on (0,)"),
+        (d1.d, late_dangling_deg, "degeneracy s_0 of (1,) hits unknown identifier (7, 7)"),
+        (d1.d, two_dangling_degs, "degeneracy s_0 of (0,) hits unknown identifier (7, 7)"),
     )
     for face, deg, message in cases:
         with pytest.raises(StructureError) as err:
-            SimplicialSet(d1.dim_cap, d1.simplices, face, deg)
+            SimplicialSet(*columns(d1.dim_cap, d1.simplices, face, deg))
         assert str(err.value) == message
+
+
+def test_constructor_refuses_columns_of_the_wrong_length():
+    """A column is the whole level: a short, a long and a missing column are
+    refused, naming no simplex."""
+    cap, simplices, faces, degs = tables(standard_delta(1))
+    for changed, message in (
+        ({**faces, (1, 0): faces[(1, 0)][:0]}, "face d_0 has 0 values for the 3 simplices of dimension 1"),
+        ({**faces, (1, 1): faces[(1, 1)] * 2}, "face d_1 has 6 values for the 3 simplices of dimension 1"),
+        ({(1, 0): faces[(1, 0)]}, "face d_1 has 0 values for the 3 simplices of dimension 1"),
+    ):
+        with pytest.raises(StructureError) as err:
+            SimplicialSet(cap, simplices, changed, degs)
+        assert str(err.value) == message
+        assert not hasattr(err.value, "offending")
 
 
 def test_nerve_is_valid_and_counts():
@@ -272,6 +282,39 @@ def test_closure_and_subcomplex_check():
     assert star[0] >= {(0,), (1,), (2,)}
 
 
+@st.composite
+def families(draw):
+    """A drawn set and a family of its simplices: the closure of drawn
+    seeds, at times with one member dropped, or drawn members of each
+    dimension; at times with a member off the cap or one that is not a
+    listed simplex."""
+    x = draw(kan_sets())
+    if draw(st.booleans()):
+        seeds = {}
+        for n, s in draw(st.lists(st.sampled_from([(n, s) for n in x.dims() for s in x.simplices[n]]),
+                                  min_size=1, max_size=3)):
+            seeds.setdefault(n, []).append(s)
+        sub = {n: set(members) for n, members in close_subcomplex(x, seeds).items()}
+        if draw(st.booleans()):
+            n = draw(st.sampled_from([n for n in x.dims() if sub[n]]))
+            sub[n].discard(draw(st.sampled_from([s for s in x.simplices[n] if s in sub[n]])))
+    else:
+        sub = {n: set(draw(st.lists(st.sampled_from(x.simplices[n]), max_size=4))) for n in x.dims()}
+    stray = draw(st.sampled_from([None, None, "off the cap", "unknown"]))
+    if stray == "off the cap":
+        sub[draw(st.sampled_from([-1, x.dim_cap + 1]))] = {x.simplices[0][0]}
+    elif stray == "unknown":
+        sub[draw(st.sampled_from(list(x.dims())))].add("not a simplex")
+    return x, {n: frozenset(members) for n, members in sub.items()}
+
+
+@settings(max_examples=80)
+@given(families())
+def test_closure_check_matches_the_element_wise_oracle(family):
+    x, sub = family
+    assert is_subcomplex(x, sub) == oracles.scan_is_subcomplex(x, sub)
+
+
 def test_members_off_the_cap_are_refused():
     """A member or seed in a dimension outside 0..cap is no simplex of x: the
     check names it and the closure refuses it, as for an unknown member
@@ -383,21 +426,39 @@ def test_map_check_matches_the_element_wise_oracle(raw):
 
 
 @settings(max_examples=40)
-@given(kan_sets(), kan_maps(), st.integers(0, 3), st.integers(1, 3))
-def test_kept_positions_are_the_element_wise_index_lookups(y, q, n, cap):
+@given(kan_sets(), kan_maps(), st.integers(0, 3), st.integers(1, 3), st.data())
+def test_kept_positions_are_the_element_wise_index_lookups(y, q, n, cap, data):
     """Each kept table against the functions its object was built from: a
     set built from the structure maps of a drawn set, a map from a level
-    map read off a drawn map."""
+    map read off a drawn map, and the restriction of the drawn set to the
+    closure of some of its simplices, its truncation and its product with
+    the drawn map's target, read through the d and s of the parent and
+    factors."""
     def lookups(z, m, values):
-        return [z._index[m][v] for v in values]
+        return tuple(z._index[m][v] for v in values)
 
-    x = SimplicialSet(y.dim_cap, y.simplices, y.d, y.s)
-    assert set(x._dpos) == {(m, i) for m in range(1, x.dim_cap + 1) for i in range(m + 1)}
-    assert set(x._spos) == {(m, i) for m in range(x.dim_cap) for i in range(m + 1)}
-    for m, i in x._dpos:
-        assert x._dpos[(m, i)] == lookups(x, m - 1, [y.d(m, i, s) for s in x.simplices[m]])
-    for m, i in x._spos:
-        assert x._spos[(m, i)] == lookups(x, m + 1, [y.s(m, i, s) for s in x.simplices[m]])
+    def check(x, d, s):
+        assert set(x._dpos) == {(m, i) for m in range(1, x.dim_cap + 1) for i in range(m + 1)}
+        assert set(x._spos) == {(m, i) for m in range(x.dim_cap) for i in range(m + 1)}
+        for m, i in x._dpos:
+            assert x._dpos[(m, i)] == lookups(x, m - 1, [d(m, i, t) for t in x.simplices[m]])
+        for m, i in x._spos:
+            assert x._spos[(m, i)] == lookups(x, m + 1, [s(m, i, t) for t in x.simplices[m]])
+
+    check(SimplicialSet(*tables(y)), y.d, y.s)
+    seeds = {}
+    for m, t in data.draw(st.lists(st.sampled_from([(m, t) for m in y.dims() for t in y.simplices[m]]),
+                                   min_size=1, max_size=2)):
+        seeds.setdefault(m, []).append(t)
+    family = close_subcomplex(y, seeds)
+    sub = restrict(y, family)
+    check(sub, y.d, y.s)
+    assert all(sub.simplices[m] == tuple(t for t in y.simplices[m] if t in family[m]) for m in y.dims())
+    check(truncate(y, min(n, y.dim_cap)), y.d, y.s)
+    z = q.target
+    yz = product(y, z, min(y.dim_cap, z.dim_cap, 2))
+    check(yz, lambda m, i, ab: (y.d(m, i, ab[0]), z.d(m, i, ab[1])),
+          lambda m, i, ab: (y.s(m, i, ab[0]), z.s(m, i, ab[1])))
     level = {m: {s: q(m, s) for s in q.source.simplices[m]} for m in range(q.dim_cap + 1)}
     p = SimplicialMap(q.source, q.target, level)
     assert sorted(p._image) == list(range(p.dim_cap + 1))
@@ -406,7 +467,8 @@ def test_kept_positions_are_the_element_wise_index_lookups(y, q, n, cap):
     delta = standard_delta(n, cap)
     extra = oracles.cone_extra_degeneracy(delta)
     for m in range(cap):
-        positions = _tabulate(_entry, m, extra.maps, delta.simplices[m], delta._index[m + 1], "s_{-1}")
+        column = _column(extra.maps[m], delta.simplices[m])
+        positions = _tabulate(column, m, delta.simplices[m], delta._index[m + 1], "s_{-1}")
         assert positions == lookups(delta, m + 1, [extra(m, s) for s in delta.simplices[m]])
 
 
@@ -429,7 +491,7 @@ def test_witnesses_are_listed_in_the_order_first_reached(y):
     """witness lists each degenerate simplex with its least (i, y), in the
     order the scan over n, then i, then y in stored order first reaches it,
     read off the degeneracy maps the set was built from."""
-    x = SimplicialSet(y.dim_cap, y.simplices, y.d, y.s)
+    x = SimplicialSet(*tables(y))
     expected = {}
     for n in range(1, x.dim_cap + 1):
         for i in range(n):
@@ -561,7 +623,7 @@ def test_stray_degeneracy_entry_marks_nothing():
     d1 = standard_delta(1)
     deg = {(0, 0): {t: d1.s(0, 0, t) for t in d1.simplices[0]}}
     deg[(0, 0)][(9,)] = (0, 1)  # (9,) is not a listed vertex
-    x = SimplicialSet(d1.dim_cap, d1.simplices, d1.d, lambda n, i, t: deg[(n, i)][t])
+    x = SimplicialSet(*columns(d1.dim_cap, d1.simplices, d1.d, lambda n, i, t: deg[(n, i)][t]))
     assert not x.is_degenerate(1, (0, 1))
     assert x.witness == d1.witness
     assert x._spos == d1._spos
