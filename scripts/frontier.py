@@ -1,5 +1,5 @@
-"""Frontier rungs: subdivision, nerve and torus homology and Kan fibrancy,
-timed and checked against closed forms.
+"""Frontier rungs: subdivision, nerve and torus homology, the torus ring,
+de Rham on nerves and Kan fibrancy, timed and checked against closed forms.
 
 Run from the repository root:
 
@@ -20,6 +20,13 @@ Each rung is one computation whose answer has a closed form:
 - the 5-torus T^5 as the product of five circles at cap 5: building it
   gives Euler characteristic 0, and its homology has betti numbers
   C(5, n) and no torsion (built untimed for the homology rung);
+- the rational cohomology ring of T^5 (built untimed): betti numbers
+  C(5, n), x_i x_i = 0 for every degree-1 class x_i, and the ten products
+  x_i x_j (i < j) of rank 10 in H^2;
+- polynomial de Rham at D = 3 on N(Z/3) at cap 3 and on N(Z/2) at cap 4
+  (the nerves built untimed): betti 1 in degree 0 and 0 in degrees 1 to
+  cap - 1, with the comparison an isomorphism and the count stable in
+  every degree;
 - is_fibrant on N(Z/5) at cap 5, the nerve built inside the rung, because
   the certificate keeps its face indexes on the set: fibrant, and for
   2 <= n <= cap each (n, k) has |G|^n horns, each with a unique filler;
@@ -52,9 +59,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import run  # noqa: E402  (perfbench/run.py, for its reference chunk)
-from ssetkit.homology import chain_complex, homology  # noqa: E402
+from ssetkit.derham import derham_cohomology  # noqa: E402
+from ssetkit.homology import chain_complex, cohomology_ring, homology  # noqa: E402
 from ssetkit.io_text import parse_complex, serialize_complex  # noqa: E402
 from ssetkit.kan import is_fibrant  # noqa: E402
+from ssetkit.linalg import Matrix, rank  # noqa: E402
 from ssetkit.randomsuite import DIAMETER_DIMS, SUBDIVISION_DIMS, subdivision_suite  # noqa: E402
 from ssetkit.subdivision import (  # noqa: E402
     AffineChain,
@@ -131,6 +140,29 @@ def torus_homology_rung(x):
     return summary.betti == tuple(comb(TORUS_RANK, n) for n in x.dims()) and not any(summary.torsion.values())
 
 
+def torus_ring_rung(x):
+    ring = cohomology_ring(x)
+    k = TORUS_RANK
+    pairs = [ring.product(1, i, 1, j) for i in range(k) for j in range(i + 1, k)]
+    return (
+        ring.betti() == tuple(comb(k, n) for n in x.dims())
+        and not any(v for i in range(k) for v in ring.product(1, i, 1, i))
+        and rank(Matrix(pairs, comb(k, 2))) == comb(k, 2)
+    )
+
+
+DERHAM_DEGREE = 3
+
+
+def nerve_derham_rung(x):
+    report = derham_cohomology(x, DERHAM_DEGREE)
+    return (
+        report.betti[: x.dim_cap] == (1,) + (0,) * (x.dim_cap - 1)
+        and all(report.isomorphism)
+        and all(report.stable)
+    )
+
+
 def fibrant_rung(m):
     def rung():
         cert = is_fibrant(nerve(cyclic_table(m), NERVE_CAP))
@@ -163,6 +195,9 @@ RUNGS = [
      lambda: nerve(cyclic_table(6), NERVE_CAP), None),
     ("T^%d build" % TORUS_RANK, torus_build_rung, None, None),
     ("T^%d homology" % TORUS_RANK, torus_homology_rung, lambda: torus(TORUS_RANK), None),
+    ("T^%d ring" % TORUS_RANK, torus_ring_rung, lambda: torus(TORUS_RANK), None),
+    ("derham N(Z/3) cap 3, D = %d" % DERHAM_DEGREE, nerve_derham_rung, lambda: nerve(cyclic_table(3), 3), None),
+    ("derham N(Z/2) cap 4, D = %d" % DERHAM_DEGREE, nerve_derham_rung, lambda: nerve(cyclic_table(2), 4), None),
     ("is_fibrant N(Z/5) cap %d, build included" % NERVE_CAP, fibrant_rung(5), None, None),
     ("read sset 1 N(Z/5) cap %d" % NERVE_CAP, parse_complex, nerve_text, nerve_text_check),
 ]

@@ -68,7 +68,7 @@ class MatrixLieAlgebra:
     def contains(self, matrix):
         """Membership of a rational matrix in the span of the basis."""
         flat = {k: v for k, v in enumerate(x for row in matrix for x in row) if v}
-        return not coordinates(flat, *self._span)[1]
+        return not coordinates(flat, self._span)[1]
 
 
 def abelian_line():

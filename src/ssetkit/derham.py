@@ -25,7 +25,9 @@ rows are a basis of stage D', and the leading block of the top stage's
 exterior derivative is stage D''s. One nullspace of that derivative per
 degree then gives every count in the report: its rows with free column in
 the stage-D' prefix are the closed forms of stage D', and the rank of a
-column prefix is its width minus the free columns in it.
+column prefix is its width minus the free columns in it. linalg returns
+each nullspace row with its free column, so every count is a bisection of
+those columns at a prefix width.
 
 The comparison is certified by Whitney forms (Whitney 1957; Dupont 1976):
 the Whitney field W(c) of each simplicial class representative c has
@@ -53,10 +55,11 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ParameterError, StructureError
 from .forms import _d_monomial, _pull_monomial, whitney
-from .homology import CochainSpaces
+from .homology import chain_complex
 from .linalg import Matrix, coordinates, nullspace
 
 
@@ -140,13 +143,10 @@ class _Truncation:
         return self._columns[p]
 
     def kernel(self, p):
-        """Basis of face-compatible fields in degree p, as the rows of a Matrix
-        over the ambient coordinates, with the column at which each row is 1
-        and every other row is 0.
-
-        The rows are the nullspace basis of the face constraints, one per
-        free column in column order; with no constraint they are the unit
-        vectors.
+        """Basis of face-compatible fields in degree p over the ambient
+        coordinates, as the (free column, row) pairs of the nullspace of the
+        face constraints: each row is 1 at its free column and every other
+        row is 0 there. With no constraint the rows are the unit vectors.
         """
         if p in self._kernel:
             return self._kernel[p]
@@ -166,15 +166,13 @@ class _Truncation:
                     for k, c in orow.items():
                         row[there[k]] = -c
                     rows.append(row)
-        basis = nullspace(Matrix.sparse(rows, len(cols)))
-        # Each nullspace vector's free column is its last entry.
-        self._kernel[p] = (basis, [max(row) for row in basis.rows])
+        self._kernel[p] = nullspace(Matrix.sparse(rows, len(cols)))
         return self._kernel[p]
 
     def dim(self, p, degree_cap):
         """Dimension of the compatible fields of degree p at a cap <= this one."""
         _, _, widths = self.columns(p)
-        return bisect.bisect_left(self.kernel(p)[1], widths[degree_cap])
+        return bisect.bisect_left(self.kernel(p), widths[degree_cap], key=itemgetter(0))
 
     def d_matrix(self, p):
         """Exterior derivative in kernel coordinates, degree p to p+1.
@@ -185,9 +183,9 @@ class _Truncation:
         if p not in self._dmat:
             cols, _, _ = self.columns(p)
             _, where, _ = self.columns(p + 1)
-            free = {c: j for j, c in enumerate(self.kernel(p + 1)[1])}
+            free = {c: j for j, (c, _) in enumerate(self.kernel(p + 1))}
             out = [{} for _ in free]
-            for i, vec in enumerate(self.kernel(p)[0].rows):
+            for i, (_, vec) in enumerate(self.kernel(p)):
                 image = {}
                 for c, value in vec.items():
                     n, s, k = cols[c]
@@ -198,7 +196,7 @@ class _Truncation:
                 for j, v in image.items():
                     if v:
                         out[j][i] = v
-            self._dmat[p] = Matrix.sparse(out, len(self.kernel(p)[1]))
+            self._dmat[p] = Matrix.sparse(out, len(self.kernel(p)))
         return self._dmat[p]
 
     def closed(self, p):
@@ -208,7 +206,7 @@ class _Truncation:
         nullspace row lives on its free column and the pivot columns left
         of it."""
         if p not in self._closed:
-            self._closed[p] = [max(row) for row in nullspace(self.d_matrix(p)).rows]
+            self._closed[p] = [c for c, _ in nullspace(self.d_matrix(p))]
         return self._closed[p]
 
     def closed_dim(self, p, degree_cap):
@@ -227,18 +225,19 @@ class _Truncation:
         modulo the exact forms of stage D'+1 (which d puts in stage D')."""
         return self.closed_dim(p, degree_cap) - self.exact_dim(p, degree_cap + 1)
 
-    def check_whitney(self, spaces, p):
+    def check_whitney(self, complex_, p):
         """Certify the comparison in degree p (see the module docstring): the
-        Whitney field of each class representative of spaces is compatible,
-        closed and integrates back to it; otherwise raise StructureError."""
+        Whitney field of each class representative of the chain complex is
+        compatible, closed and integrates back to it; otherwise raise
+        StructureError."""
         _, where, _ = self.columns(p)
-        for rep in spaces.reps(p):
+        for rep in complex_.reps(p):
             w = whitney(self.x, p, rep)
             row = {where[(n, s)][_local_basis(n, p, self.cap)[1][key]]: v
                    for (n, s), form in w.forms.items() for key, v in form.terms.items()}
-            coords, rest = coordinates(row, *self.kernel(p))
+            coords, rest = coordinates(row, self.kernel(p))
             if rest or any(self.d_matrix(p).matvec(coords)) or any(
-                w.forms[(p, s)].integrate() != rep.get(i, 0) for i, s in enumerate(spaces.basis[p])
+                w.forms[(p, s)].integrate() != rep.get(i, 0) for i, s in enumerate(complex_.basis[p])
             ):
                 raise StructureError("the Whitney field of a degree-%d class fails the comparison" % p)
 
@@ -260,7 +259,7 @@ def derham_cohomology(x, degree_cap):
     integration comparison map to simplicial cohomology, and stabilization."""
     if degree_cap < 1:
         raise ParameterError("degree cap must be >= 1")
-    spaces = CochainSpaces(x)
+    complex_ = chain_complex(x)
     top = _Truncation(x, degree_cap + 2)
     dims, raw, betti, ranks, iso, stable = [], [], [], [], [], []
     for p in x.dims():
@@ -268,16 +267,16 @@ def derham_cohomology(x, degree_cap):
         raw.append(top.closed_dim(p, degree_cap) - top.exact_dim(p, degree_cap))
         surv = top.survivors(p, degree_cap)
         betti.append(surv)
-        top.check_whitney(spaces, p)
-        ranks.append(spaces.betti(p))
-        iso.append(surv == spaces.betti(p))
+        top.check_whitney(complex_, p)
+        ranks.append(complex_.betti(p))
+        iso.append(surv == complex_.betti(p))
         stable.append(top.survivors(p, degree_cap + 1) == surv)
     return DeRhamReport(
         degree_cap,
         tuple(dims),
         tuple(raw),
         tuple(betti),
-        tuple(spaces.betti(p) for p in x.dims()),
+        tuple(complex_.betti(p) for p in x.dims()),
         tuple(ranks),
         tuple(iso),
         tuple(stable),

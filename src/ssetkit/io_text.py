@@ -152,8 +152,9 @@ def parse_complex(text):
 
 def _complex(reader, start=0, stop=None):
     """The 'sset 1' text of reader that starts at line index start and ends
-    before stop, each row split once. A field given twice in a row is
-    refused. A refusal names its line."""
+    before stop, each row split once. A field given twice in a row, a faces
+    field on a vertex and a deg field at the cap are refused. A refusal
+    names its line."""
     (cap,), rows = reader.rows("sset 1", "cap N", start=start, stop=stop)
 
     def fail(msg, ln):
@@ -198,10 +199,14 @@ def _complex(reader, start=0, stop=None):
             if key == "faces":
                 if len(words) != arity:
                     fail("need %d faces" % (current + 1), ln)
+                if current == 0:
+                    fail("simplex %s of dimension 0 has a faces field" % sid, ln)
                 faces_of.append(words)
             elif key == "deg":
                 if len(words) != arity:
                     fail("need %d degeneracies" % (current + 1), ln)
+                if current == cap:
+                    fail("simplex %s of dimension %d, the cap, has a deg field" % (sid, current), ln)
                 degs_of.append(words)
             elif key == "degen":
                 degen.append((current, sid, *words))

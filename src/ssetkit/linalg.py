@@ -11,7 +11,11 @@ shortest candidate row as pivot. The reduced row echelon form is unique, so
 the pivot choice changes the cost but not the result: rank, nullspace,
 coordinates, canonical row spaces and quotient representatives are the same
 as textbook dense elimination gives. Integer entries stay Python ints until a
-non-unit pivot forces a Fraction.
+non-unit pivot forces a Fraction. Every reduced basis the engine returns is a
+list of (pivot column, row) pairs, the list elimination builds: an RREF with
+its pivots, a nullspace with its free columns, quotient representatives with
+their pivots. coordinates reads a row off any of them, so this module alone
+decides pivots and free columns.
 
 Integer Smith normal form works on the same sparse rows throughout. It first
 removes unit (+-1) pivots, cheapest fill-in first (the reduction-pair step of
@@ -27,7 +31,6 @@ from fractions import Fraction
 from math import gcd
 
 _ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 class Matrix:
@@ -212,10 +215,8 @@ def _reduce(row, basis):
 
 
 def rref(matrix):
-    """Reduced row echelon form. Returns (Matrix, pivot column tuple)."""
-    basis = _echelon(matrix.rows)
-    rows = [row for _, row in basis] + [{} for _ in range(matrix.nrows - len(basis))]
-    return Matrix.sparse(rows, matrix.ncols), tuple(c for c, _ in basis)
+    """Reduced row echelon form: the nonzero rows as (pivot column, row) pairs."""
+    return _echelon(matrix.rows)
 
 
 def rank(matrix):
@@ -223,11 +224,10 @@ def rank(matrix):
 
 
 def nullspace(matrix):
-    """Basis of the right kernel as the rows of a Matrix.
+    """Basis of the right kernel as (free column, row) pairs, in column order.
 
-    One vector per free column, in column order: 1 at its free column, 0 at
-    every other free column, and its other entries at pivot columns to the
-    left of its free column.
+    Each row is 1 at its free column, 0 at every other free column, and its
+    other entries sit at pivot columns to the left of its free column.
     """
     basis = _echelon(matrix.rows)
     pivots = {c for c, _ in basis}
@@ -236,39 +236,39 @@ def nullspace(matrix):
         for j, v in row.items():
             if j != c:
                 vectors[j][c] = -v
-    return Matrix.sparse(vectors.values(), matrix.ncols)
+    return list(vectors.items())
 
 
-def quotient_reps(space_rows, sub_rows):
-    """Canonical representatives of rowspace(space) / rowspace(sub).
+def quotient_reps(space_rows, sub):
+    """Canonical representatives of rowspace(space) / span(sub).
 
-    Both arguments are matrices whose rows span the spaces. Representatives
-    are the RREF rows of the reductions of the RREF rows of space modulo the
-    RREF basis of sub, as dict rows (column -> nonzero value), so they are
-    deterministic. They span a complement of sub in space + sub, so their
-    number is dim(space + sub) - dim(sub) even when sub is not contained in
-    space.
+    space_rows are dict rows spanning the space; sub is a reduced basis, as
+    rref returns it. Representatives are the RREF, as (pivot column, row)
+    pairs, of the reductions of the RREF rows of space modulo sub, so they
+    are deterministic and vanish at the pivots of sub. They span a complement
+    of sub in space + sub, so their number is dim(space + sub) - dim(sub) even
+    when sub is not contained in space.
     """
-    sub = _echelon(sub_rows.rows)
     reduced = []
-    for _, row in _echelon(space_rows.rows):
+    for _, row in _echelon(space_rows):
         _, rest = _reduce(row, sub)
         if rest:
             reduced.append(rest)
-    return [row for _, row in _echelon(reduced)]
+    return _echelon(reduced)
 
 
-def coordinates(row, basis, pivots):
-    """Coefficients of a dict row in the rows of a reduced basis, and the remainder.
+def coordinates(row, basis):
+    """Coefficients of a dict row in a reduced basis, and the remainder.
 
-    Row k of basis has 1 at column pivots[k] and 0 at every other pivot
-    column: the rows and pivots of an RREF, or a nullspace with its free
-    columns. Returns (tuple of Fraction coefficients, one per basis row;
-    remainder as a dict row). The remainder is empty exactly when the row
-    lies in the span of the basis.
+    basis is a list of (pivot column, row) pairs, each row 1 at its pivot and
+    0 at the pivots of the rows before it: an RREF, a nullspace, or a basis
+    followed by representatives that vanish at its pivots. Returns (tuple of
+    coefficients, one per basis row, each an int or a Fraction; remainder as
+    a dict row). The remainder is empty exactly when the row lies in the
+    span of the basis.
     """
-    coeffs, rest = _reduce(row, zip(pivots, basis.rows))
-    return tuple(Fraction(c) if c else _ZERO for c in coeffs), rest
+    coeffs, rest = _reduce(row, basis)
+    return tuple(coeffs), rest
 
 
 def _integer(v):

@@ -365,22 +365,15 @@ def standard_delta(n, dim_cap=None):
     """The standard n-simplex, truncated at dim_cap (default n)."""
     if n < 0:
         raise ParameterError("delta needs n >= 0")
-    cap = n if dim_cap is None else dim_cap
-    supports = [tuple(c) for k in range(n + 1) for c in itertools.combinations(range(n + 1), k + 1)]
-    return _tuple_sset(cap, supports)
+    return simplicial_complex([range(n + 1)], n if dim_cap is None else dim_cap)
 
 
 def standard_boundary(n, dim_cap=None):
     """The boundary of the standard n-simplex: every proper face."""
     if n < 1:
         raise ParameterError("boundary needs n >= 1")
-    cap = (n - 1) if dim_cap is None else dim_cap
-    supports = [
-        tuple(c)
-        for k in range(n)
-        for c in itertools.combinations(range(n + 1), k + 1)
-    ]
-    return _tuple_sset(cap, supports)
+    faces = [[v for v in range(n + 1) if v != i] for i in range(n + 1)]
+    return simplicial_complex(faces, (n - 1) if dim_cap is None else dim_cap)
 
 
 def standard_horn(n, k, dim_cap=None):
@@ -389,15 +382,8 @@ def standard_horn(n, k, dim_cap=None):
         raise ParameterError("horn needs n >= 1")
     if not 0 <= k <= n:
         raise ParameterError("horn index k=%d out of range for n=%d" % (k, n))
-    cap = (n - 1) if dim_cap is None else dim_cap
-    full = set(range(n + 1))
-    supports = [
-        tuple(c)
-        for size in range(1, n + 1)
-        for c in itertools.combinations(range(n + 1), size)
-        if full - set(c) != {k} and set(c) != full
-    ]
-    return _tuple_sset(cap, supports)
+    faces = [[v for v in range(n + 1) if v != i] for i in range(n + 1) if i != k]
+    return simplicial_complex(faces, (n - 1) if dim_cap is None else dim_cap)
 
 
 def simplicial_complex(facets, dim_cap):

@@ -7,8 +7,8 @@ unnormalized_betti is the unnormalized chain complex that the normalized
 one in ssetkit.homology must agree with below the cap. reference_cup walks
 the front and back face of each basis simplex and reads each cochain there
 by identifier, the reference for the face position tables of
-CochainSpaces.cup; elementwise_coboundary sums a cochain kept by identifier
-over the faces of each simplex, the reference for CochainSpaces.coboundary.
+ChainComplex.cup; elementwise_coboundary sums a cochain kept by identifier
+over the faces of each simplex, the reference for ChainComplex.coboundary.
 The dense_* functions are textbook dense Gaussian elimination over Fraction
 lists of lists, the reference for the sparse engine in ssetkit.linalg.
 scan_identities and scan_map_violations check the simplicial identities of
@@ -79,10 +79,10 @@ from ssetkit.connections import LieValuedForm
 from ssetkit.derham import DeRhamReport
 from ssetkit.errors import CompatibilityError, ParameterError, StructureError
 from ssetkit.forms import PolyForm
-from ssetkit.homology import CochainSpaces
+from ssetkit.homology import chain_complex
 from ssetkit.io_text import _int_token, _RowReader, render_id
 from ssetkit.kan import ExtraDegeneracy, FibrationCertificate, Horn, KanCertificate
-from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank
+from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank, rref
 from ssetkit.sheaves import Presheaf
 from ssetkit.simplicial import SimplicialSet
 
@@ -148,22 +148,22 @@ def unnormalized_betti(x):
     return betti_from_matrices(dims, boundaries)
 
 
-def reference_cup(spaces, p, arow, q, brow):
-    """Alexander-Whitney cup product of two cochain rows of a CochainSpaces,
+def reference_cup(cx, p, arow, q, brow):
+    """Alexander-Whitney cup product of two cochain rows of a ChainComplex,
     one degree-(p+q) basis simplex at a time: its front p-face and back
     q-face come from face_on, and each cochain is read on its face by
     identifier, 0 on a degenerate face. The product is a row without zero
     entries."""
-    x, n = spaces.x, p + q
+    x, n = cx.x, p + q
 
     def value_at(m, row, simplex):
         if x.is_degenerate(m, simplex):
             return Fraction(0)
-        return row.get(spaces.basis[m].index(simplex), Fraction(0))
+        return row.get(cx.basis[m].index(simplex), Fraction(0))
 
     products = (
         value_at(p, arow, x.face_on(n, s, range(p + 1))) * value_at(q, brow, x.face_on(n, s, range(p, n + 1)))
-        for s in spaces.basis[n]
+        for s in cx.basis[n]
     )
     return {k: v for k, v in enumerate(products) if v}
 
@@ -354,11 +354,12 @@ def scan_identities(cap, simplices, faces, degs):
 def reference_complex(text):
     """parse_complex(text), one field and one (dimension, identifier) key at a
     time. A 'dim' row with more than a dimension, a field given twice in a
-    row, a row whose identifier
-    render_id refuses (after the checks of its fields), a negative cap and a
-    constructor refusal of the simplex of some row are refused naming their
-    line; complete tables that break an identity are then refused with the
-    constructor's text, from scan_identities on the rows as read."""
+    row, a faces field on a vertex, a deg field at the cap, a row whose
+    identifier render_id refuses (after the checks of its fields), a negative
+    cap and a constructor refusal of the simplex of some row are refused
+    naming their line; complete tables that break an identity are then
+    refused with the constructor's text, from scan_identities on the rows as
+    read."""
     (cap,), rows = _RowReader(text).rows("sset 1", "cap N")
 
     def fail(msg, ln):
@@ -399,10 +400,14 @@ def reference_complex(text):
             if words[0] == "faces":
                 if len(words) != current + 2:
                     fail("need %d faces" % (current + 1), ln)
+                if current == 0:
+                    fail("simplex %s of dimension 0 has a faces field" % sid, ln)
                 faces[(current, sid)] = tuple(words[1:])
             elif words[0] == "deg":
                 if len(words) != current + 2:
                     fail("need %d degeneracies" % (current + 1), ln)
+                if current == cap:
+                    fail("simplex %s of dimension %d, the cap, has a deg field" % (sid, current), ln)
                 degs[(current, sid)] = tuple(words[1:])
             elif words[0] == "degen":
                 degen[(current, sid)] = words[1:]
@@ -852,12 +857,11 @@ class _ReferenceTruncation:
                         acc[k][c] = acc[k].get(c, Fraction(0)) - 1
                 for r in sorted(acc):
                     rows.append({c: v for c, v in acc[r].items() if v})
-        basis = nullspace(Matrix.sparse(rows, len(cols)))
-        self._kernel[p] = (basis, [max(row) for row in basis.rows])
+        self._kernel[p] = nullspace(Matrix.sparse(rows, len(cols)))
         return self._kernel[p]
 
     def dim(self, p):
-        return self.kernel(p)[0].nrows
+        return len(self.kernel(p))
 
     def forms_from_vector(self, p, vec):
         cols, _ = self.columns(p)
@@ -883,10 +887,9 @@ class _ReferenceTruncation:
 
     def d_matrix(self, p):
         if p not in self._dmat:
-            basis, pivots = self.kernel(p + 1)
             coords = []
-            for vec in self.kernel(p)[0].rows:
-                coeffs, rest = coordinates(self.apply_d(p, vec), basis, pivots)
+            for _, vec in self.kernel(p):
+                coeffs, rest = coordinates(self.apply_d(p, vec), self.kernel(p + 1))
                 if rest:
                     raise StructureError("vector outside the compatible subspace")
                 coords.append(coeffs)
@@ -894,15 +897,15 @@ class _ReferenceTruncation:
         return self._dmat[p]
 
     def cohomology_reps(self, p):
-        z_rows = nullspace(self.d_matrix(p))
-        b_rows = Matrix.zeros(0, self.dim(0)) if p == 0 else self.d_matrix(p - 1).transpose()
-        return quotient_reps(z_rows, b_rows)
+        z_rows = [row for _, row in nullspace(self.d_matrix(p))]
+        b_basis = [] if p == 0 else rref(self.d_matrix(p - 1).transpose())
+        return [row for _, row in quotient_reps(z_rows, b_basis)]
 
     def rep_to_ambient(self, p, rep):
         vec = {}
         for k, coef in rep.items():
             if coef:
-                for c, v in self.kernel(p)[0].rows[k].items():
+                for c, v in self.kernel(p)[k][1].items():
                     vec[c] = vec.get(c, 0) + coef * v
         return {c: v for c, v in vec.items() if v}
 
@@ -921,14 +924,9 @@ def _reference_survivor_rank(coarse, fine, p, reps):
     if not reps:
         return 0
     width = len(fine.columns(p)[0])
-    ambient = Matrix.sparse(
-        [coarse.embed_ambient(p, coarse.rep_to_ambient(p, r), fine) for r in reps], width
-    )
-    if p == 0:
-        exact = Matrix.zeros(0, width)
-    else:
-        exact = Matrix.sparse([fine.apply_d(p - 1, k) for k in fine.kernel(p - 1)[0].rows], width)
-    return len(quotient_reps(ambient, exact))
+    ambient = [coarse.embed_ambient(p, coarse.rep_to_ambient(p, r), fine) for r in reps]
+    exact = [] if p == 0 else [fine.apply_d(p - 1, k) for _, k in fine.kernel(p - 1)]
+    return len(quotient_reps(ambient, rref(Matrix.sparse(exact, width))))
 
 
 def derham_reference(x, degree_cap):
@@ -937,7 +935,7 @@ def derham_reference(x, degree_cap):
     modulo the exact forms there, and the same one stage up."""
     if degree_cap < 1:
         raise ParameterError("degree cap must be >= 1")
-    spaces = CochainSpaces(x)
+    cx = chain_complex(x)
     stage = {d: _ReferenceTruncation(x, d) for d in (degree_cap, degree_cap + 1, degree_cap + 2)}
     coarse = stage[degree_cap]
     dims, raw, betti, ranks, iso, stable = [], [], [], [], [], []
@@ -951,19 +949,19 @@ def derham_reference(x, degree_cap):
         for rep in reps:
             forms = coarse.forms_from_vector(p, coarse.rep_to_ambient(p, rep))
             values = {
-                k: forms.get((p, s), PolyForm.zero(p, p)).integrate() for k, s in enumerate(spaces.basis[p])
+                k: forms.get((p, s), PolyForm.zero(p, p)).integrate() for k, s in enumerate(cx.basis[p])
             }
-            cols.append(spaces.express(p, values))
-        r = rank(Matrix.from_columns(cols, spaces.betti(p)))
+            cols.append(cx.express(p, values))
+        r = rank(Matrix.from_columns(cols, cx.betti(p)))
         ranks.append(r)
-        iso.append(r == surv == spaces.betti(p))
+        iso.append(r == surv == cx.betti(p))
         next_reps = stage[degree_cap + 1].cohomology_reps(p)
         stable.append(
             _reference_survivor_rank(stage[degree_cap + 1], stage[degree_cap + 2], p, next_reps) == surv
         )
     return DeRhamReport(
         degree_cap, tuple(dims), tuple(raw), tuple(betti),
-        tuple(spaces.betti(p) for p in x.dims()), tuple(ranks), tuple(iso), tuple(stable),
+        tuple(cx.betti(p) for p in x.dims()), tuple(ranks), tuple(iso), tuple(stable),
     )
 
 

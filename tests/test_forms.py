@@ -24,7 +24,7 @@ from ssetkit.forms import (
     elementary_whitney,
     whitney,
 )
-from ssetkit.homology import CochainSpaces, cohomology_ring
+from ssetkit.homology import chain_complex, cohomology_ring
 from ssetkit.io_text import render_form
 from ssetkit.randomsuite import random_polyform, stokes_suite
 from ssetkit.simplicial import (
@@ -503,27 +503,27 @@ def test_fundamental_theorem_on_edge():
     )
     assert field.validate() == []
     image = derham_map(field)
-    assert derham_map(field.d()) == CochainSpaces(d1).coboundary(0, image)
+    assert derham_map(field.d()) == chain_complex(d1).coboundary(0, image)
     assert derham_map(field.d())[d1.nondegenerate(1).index((0, 1))] == 1
 
 
 def test_derham_map_is_cochain_map_on_fields():
     x = standard_boundary(3)
     rng = random.Random(8)
-    spaces = CochainSpaces(x)
+    cx = chain_complex(x)
     # build a compatible field by pushing a cochain through Whitney forms
     for p in (0, 1):
         values = {k: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for k in range(len(x.nondegenerate(p)))}
         field = whitney(x, p, values)
         assert field.validate() == []
-        assert derham_map(field.d()) == spaces.coboundary(p, derham_map(field))
+        assert derham_map(field.d()) == cx.coboundary(p, derham_map(field))
 
 
 def test_closed_field_gives_cocycle():
     x = standard_boundary(3)
     field = whitney(x, 2, dict.fromkeys(range(len(x.nondegenerate(2))), Fraction(1)))
     if field.d().p <= x.dim_cap:
-        assert not CochainSpaces(x).coboundary(2, derham_map(field))
+        assert not chain_complex(x).coboundary(2, derham_map(field))
 
 
 def test_whitney_examples():
@@ -614,14 +614,14 @@ def test_wedge_compatible_with_cup_through_comparison():
     """R(Wa ^ Wb) equals half of (a cup b - b cup a) in H^2 of the torus;
     the antisymmetrization is the documented normalization for degree (1,1)."""
     x = torus()
-    spaces = CochainSpaces(x)
     ring = cohomology_ring(x)
+    cx = ring.complex
     a_row, b_row = ring.reps[1]
     wa, wb = whitney(x, 1, a_row), whitney(x, 1, b_row)
     wedge_field = wa.wedge(wb)
-    wedge_class = spaces.express(2, derham_map(wedge_field))
-    ab = spaces.express(2, spaces.cup(1, a_row, 1, b_row))
-    ba = spaces.express(2, spaces.cup(1, b_row, 1, a_row))
+    wedge_class = cx.express(2, derham_map(wedge_field))
+    ab = cx.express(2, cx.cup(1, a_row, 1, b_row))
+    ba = cx.express(2, cx.cup(1, b_row, 1, a_row))
     expected = tuple((u - v) / 2 for u, v in zip(ab, ba))
     assert wedge_class == expected
     assert wedge_class != tuple(0 for _ in wedge_class)

@@ -665,7 +665,7 @@ def test_smap_repeated_map_row_names_its_line(tmp_path):
     assert "status error" in out
 
 
-def delta1_with_repeat(row, field):
+def delta1_with_field(row, field):
     """delta1.sset with the field appended to the row (a line of the file,
     which names it once)."""
     text = fixture_text("delta1.sset")
@@ -674,8 +674,8 @@ def delta1_with_repeat(row, field):
 
 
 # Short rows, non-integer tokens and bad scalars in the .u1 and .ext readers
-# and in the forms they carry, and fields given twice in an 'sset 1' row:
-# (command, text, line of the error).
+# and in the forms they carry, and fields given twice or out of place in an
+# 'sset 1' row: (command, text, line of the error).
 MALFORMED_ROWS = {
     "u1 short triangle": ("chern", "u1 1\ntriangle 012\n", 2),
     "u1 orientation": ("chern", "u1 1\ntriangle 012 or x\n", 2),
@@ -710,11 +710,14 @@ MALFORMED_ROWS = {
     "u1 A without triangle": (
         "chern", "u1 1\ntriangle 012 or 1\nA 012 : form 2 1 : \nA zz : form 2 1 : 1 | 0 0 | 1\n", 4),
     "sset repeated faces": (
-        "homology", delta1_with_repeat("(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)", "faces (1) (0)"), 8),
+        "homology", delta1_with_field("(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)", "faces (1) (0)"), 8),
     "sset repeated deg": (
-        "homology", delta1_with_repeat("(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)", "deg (0,0,1) (0,1,1)"), 8),
+        "homology", delta1_with_field("(0,1) | faces (1) (0) | deg (0,0,1) (0,1,1)", "deg (0,0,1) (0,1,1)"), 8),
     "sset repeated degen": (
-        "homology", delta1_with_repeat("(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)", "degen 0 (0)"), 7),
+        "homology", delta1_with_field("(0,0) | faces (0) (0) | deg (0,0,0) (0,0,0) | degen 0 (0)", "degen 0 (0)"), 7),
+    "sset faces on a vertex": ("homology", delta1_with_field("(0) | deg (0,0)", "faces nowhere"), 4),
+    "sset deg at the cap": (
+        "homology", delta1_with_field("(1,1,1) | faces (1,1) (1,1) (1,1) | degen 0 (1,1)", "deg a b c"), 14),
 }
 # The single-valued rows among them, refused at their second row: (key,
 # line of the first row).
@@ -727,6 +730,12 @@ REPEATED_ROWS = {
 }
 # The repeated fields among them: the field's keyword.
 REPEATED_FIELDS = {"sset repeated faces": "faces", "sset repeated deg": "deg", "sset repeated degen": "degen"}
+# The fields out of place among them: the refusal, which the element-wise
+# reference gives too.
+MISPLACED_FIELDS = {
+    "sset faces on a vertex": "simplex (0) of dimension 0 has a faces field",
+    "sset deg at the cap": "simplex (1,1,1) of dimension 2, the cap, has a deg field",
+}
 READERS = {"chern": (parse_u1, "u1"), "extend": (parse_extend, "ext"), "homology": (parse_complex, "sset")}
 
 
@@ -746,6 +755,12 @@ def test_malformed_rows_name_their_line(case, tmp_path):
         assert "record error exact : %s\n" % message in out
     if case in REPEATED_FIELDS:
         assert "record error exact : line %d: repeated '%s' field\n" % (line, REPEATED_FIELDS[case]) in out
+    if case in MISPLACED_FIELDS:
+        message = "line %d: %s" % (line, MISPLACED_FIELDS[case])
+        assert "record error exact : %s\n" % message in out
+        with pytest.raises(StructureError) as err:
+            oracles.reference_complex(text)
+        assert str(err.value) == message
 
 
 # Short rows and non-integer tokens in the .site reader: (text, line of the error).

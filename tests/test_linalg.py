@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import INTEGERS, RATIONALS, matrices
-from ssetkit.errors import StructureError
-from ssetkit.homology import ChainComplex
 from ssetkit.linalg import (
     Matrix,
     coordinates,
@@ -30,8 +28,8 @@ from ssetkit.linalg import (
 
 SETTINGS = settings(max_examples=100)
 
-def dense(m):
-    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+def dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 def combine(coeffs, rows, ncols):
@@ -44,13 +42,14 @@ def combine(coeffs, rows, ncols):
 @example(([[], []], 0))
 @example(([[0, 0, 0], [2, 4, 6], [0, 0, 0]], 3))
 def test_rref_rank_row_space_match_dense(case):
+    """The pairs rref returns carry the pivots of the dense RREF, in order,
+    with its nonzero rows."""
     rows, ncols = case
     m = Matrix(rows, ncols)
     ref_rows, ref_pivots = oracles.dense_rref(rows, ncols)
-    red, pivots = rref(m)
-    assert pivots == ref_pivots
-    assert (red.nrows, red.ncols) == (len(rows), ncols)
-    assert dense(red) == ref_rows
+    basis = rref(m)
+    assert tuple(c for c, _ in basis) == ref_pivots
+    assert dense([row for _, row in basis], ncols) == ref_rows[: len(ref_pivots)]
     assert rank(m) == len(ref_pivots)
 
 
@@ -59,13 +58,14 @@ def test_rref_rank_row_space_match_dense(case):
 @example(([], 4))
 @example(([[0, 0], [0, 0]], 2))
 def test_nullspace_matches_dense(case):
+    """The pairs nullspace returns carry the free columns of the dense RREF,
+    the columns that are not its pivots, in order, each row 1 there."""
     rows, ncols = case
     kernel = nullspace(Matrix(rows, ncols))
-    assert kernel.ncols == ncols
-    assert [tuple(r) for r in dense(kernel)] == oracles.dense_nullspace(rows, ncols)
-    # The free column of each kernel vector is its last entry, where it is 1.
-    for row in kernel.rows:
-        assert row[max(row)] == 1
+    _, ref_pivots = oracles.dense_rref(rows, ncols)
+    assert [c for c, _ in kernel] == [c for c in range(ncols) if c not in ref_pivots]
+    assert [tuple(r) for r in dense([row for _, row in kernel], ncols)] == oracles.dense_nullspace(rows, ncols)
+    assert all(row[c] == 1 for c, row in kernel)
 
 
 @SETTINGS
@@ -78,9 +78,14 @@ def test_quotient_reps_match_dense(case, data):
     arbitrary = data.draw(matrices(max_rows=3, ncols=ncols))[0]
     space = Matrix(rows, ncols)
     for sub in (contained, arbitrary):
-        reps = quotient_reps(space, Matrix(sub, ncols))
-        assert [tuple(r) for r in dense(Matrix.sparse(reps, ncols))] == oracles.dense_quotient_reps(rows, sub, ncols)
-        assert all(all(row.values()) for row in reps)
+        sub_basis = rref(Matrix(sub, ncols))
+        reps = quotient_reps(space.rows, sub_basis)
+        expected = oracles.dense_quotient_reps(rows, sub, ncols)
+        assert [tuple(r) for r in dense([row for _, row in reps], ncols)] == expected
+        assert tuple(c for c, _ in reps) == oracles.dense_rref(expected, ncols)[1]
+        assert all(all(row.values()) for _, row in reps)
+        # representatives vanish at the pivots of sub
+        assert not any(row.get(c) for _, row in reps for c, _ in sub_basis)
         # dim(space + sub) - dim(sub), whether or not sub lies in space
         assert len(reps) == oracles.dense_rank(rows + sub, ncols) - oracles.dense_rank(sub, ncols)
 
@@ -90,16 +95,16 @@ def test_quotient_reps_match_dense(case, data):
 def test_coordinates_in_reduced_bases(case, data):
     rows, ncols = case
     m = Matrix(rows, ncols)
-    kernel = nullspace(m)
-    red, pivots = rref(m)
-    for basis, piv in ((red, pivots), (kernel, [max(r) for r in kernel.rows])):
-        coeffs = data.draw(st.lists(RATIONALS, min_size=len(piv), max_size=len(piv)))
-        vec = combine(coeffs, dense(basis), ncols)
-        got, rest = coordinates({j: v for j, v in enumerate(vec) if v}, basis, piv)
+    red = rref(m)
+    for basis in (red, nullspace(m)):
+        coeffs = data.draw(st.lists(RATIONALS, min_size=len(basis), max_size=len(basis)))
+        vec = combine(coeffs, dense([row for _, row in basis], ncols), ncols)
+        got, rest = coordinates({j: v for j, v in enumerate(vec) if v}, basis)
         assert got == tuple(coeffs) and not rest
+    pivots = {c for c, _ in red}
     if len(pivots) < ncols:
         free = next(c for c in range(ncols) if c not in pivots)
-        _, rest = coordinates({free: 1}, red, pivots)
+        _, rest = coordinates({free: 1}, red)
         assert rest
 
 
@@ -112,9 +117,9 @@ def test_products_match_dense(case, data):
     other = Matrix(other_rows, width)
     product = [[sum((r[k] * other_rows[k][j] for k in range(ncols)), Fraction(0)) for j in range(width)]
                for r in rows]
-    assert dense(m @ other) == product
+    assert dense((m @ other).rows, width) == product
     assert (m @ other).is_zero() == all(v == 0 for r in product for v in r)
-    assert dense(m.transpose()) == [[r[j] for r in rows] for j in range(ncols)]
+    assert dense(m.transpose().rows, len(rows)) == [[r[j] for r in rows] for j in range(ncols)]
     x = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
     assert list(m.matvec(x)) == [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
 
@@ -161,10 +166,3 @@ def test_invariant_factors_of_torsion_diagonal():
     assert invariant_factors(Matrix([[Fraction(4), 0], [0, Fraction(6)]])) == [2, 12]
     with pytest.raises(ValueError):
         invariant_factors(Matrix([[Fraction(1, 2)]]))
-
-
-def test_chain_complex_square_zero_check_is_sparse():
-    basis = {0: ("v",), 1: ("a", "b"), 2: ("t",)}
-    ChainComplex(basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [-1]])})
-    with pytest.raises(StructureError):
-        ChainComplex(basis, {1: Matrix([[1, 1]]), 2: Matrix([[1], [0]])})

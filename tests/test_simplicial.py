@@ -619,16 +619,6 @@ def test_restrict_and_truncate_agree_with_the_ambient_set():
     assert derived(low) == {k: w for k, w in ambient.items() if k[0] <= 2}
 
 
-def test_stray_degeneracy_entry_marks_nothing():
-    d1 = standard_delta(1)
-    deg = {(0, 0): {t: d1.s(0, 0, t) for t in d1.simplices[0]}}
-    deg[(0, 0)][(9,)] = (0, 1)  # (9,) is not a listed vertex
-    x = SimplicialSet(*columns(d1.dim_cap, d1.simplices, d1.d, lambda n, i, t: deg[(n, i)][t]))
-    assert not x.is_degenerate(1, (0, 1))
-    assert x.witness == d1.witness
-    assert x._spos == d1._spos
-
-
 # -- golden tables -------------------------------------------------------------
 
 
