@@ -1,5 +1,6 @@
 """Frontier rungs: subdivision, nerve and torus homology, the torus ring,
-de Rham on nerves and Kan fibrancy, timed and checked against closed forms.
+de Rham on nerves, Kan fibrancy and a Kan fibration, timed and checked against
+closed forms.
 
 Run from the repository root:
 
@@ -30,6 +31,14 @@ Each rung is one computation whose answer has a closed form:
 - is_fibrant on N(Z/5) at cap 5, the nerve built inside the rung, because
   the certificate keeps its face indexes on the set: fibrant, and for
   2 <= n <= cap each (n, k) has |G|^n horns, each with a unique filler;
+- is_fibrant on N(Z/4) at cap 6, the nerve built untimed, so the face
+  indexes the untimed first run keeps on it are read, not built, by the
+  timed runs, which time the horn search and the restriction counts: the
+  same closed form;
+- is_fibration of the projection Delta^1 x N(Z/3) -> Delta^1 at cap 4, the
+  map built untimed (its face indexes kept as above): a fibration with
+  sum (n+2) h(n, k) = 3084 lifting problems, h(n, k) the (n, k)-horns of the
+  nerve (perfbench/references.py, projection_lifting_problems);
 - reading the 'sset 1' text of N(Z/5) at cap 5 (serialized before the rung,
   untimed): the set read has 5^n simplices in dimension n, and writing it
   gives the text back byte for byte (checked after the timed read).
@@ -58,11 +67,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import references  # noqa: E402  (perfbench/references.py, for the lifting-problem count)
 import run  # noqa: E402  (perfbench/run.py, for its reference chunk)
 from ssetkit.derham import derham_cohomology  # noqa: E402
 from ssetkit.homology import chain_complex, cohomology_ring, homology  # noqa: E402
 from ssetkit.io_text import parse_complex, serialize_complex  # noqa: E402
-from ssetkit.kan import is_fibrant  # noqa: E402
+from ssetkit.kan import is_fibrant, is_fibration  # noqa: E402
 from ssetkit.linalg import Matrix, rank  # noqa: E402
 from ssetkit.randomsuite import DIAMETER_DIMS, SUBDIVISION_DIMS, subdivision_suite  # noqa: E402
 from ssetkit.subdivision import (  # noqa: E402
@@ -72,7 +82,14 @@ from ssetkit.subdivision import (  # noqa: E402
     standard_affine_simplex,
     subdivide,
 )
-from ssetkit.simplicial import cyclic_table, nerve, product, sphere_quotient  # noqa: E402
+from ssetkit.simplicial import (  # noqa: E402
+    SimplicialMap,
+    cyclic_table,
+    nerve,
+    product,
+    sphere_quotient,
+    standard_delta,
+)
 
 REPEATS = 15
 SUITE_TRIALS = 30
@@ -163,13 +180,31 @@ def nerve_derham_rung(x):
     )
 
 
+def fibrant_verdict(m, cap, cert):
+    return cert.fibrant and all(
+        cert.counts[(n, k)] == (m ** n, m ** n) for n in range(2, cap + 1) for k in range(n + 1)
+    )
+
+
 def fibrant_rung(m):
     def rung():
-        cert = is_fibrant(nerve(cyclic_table(m), NERVE_CAP))
-        return cert.fibrant and all(
-            cert.counts[(n, k)] == (m ** n, m ** n) for n in range(2, NERVE_CAP + 1) for k in range(n + 1)
-        )
+        return fibrant_verdict(m, NERVE_CAP, is_fibrant(nerve(cyclic_table(m), NERVE_CAP)))
     return rung
+
+
+FIBRANT_BUILT = (4, 6)  # N(Z/4) at cap 6, built untimed
+FIBRATION = (3, 4)  # Delta^1 x N(Z/3) -> Delta^1 at cap 4
+
+
+def projection(m, cap):
+    base = standard_delta(1, cap)
+    total = product(base, nerve(cyclic_table(m), cap))
+    return SimplicialMap(total, base, {n: {s: s[0] for s in total.simplices[n]} for n in total.dims()})
+
+
+def fibration_rung(p):
+    cert = is_fibration(p)
+    return cert.fibration and cert.problems == references.projection_lifting_problems(*FIBRATION)
 
 
 def nerve_text_check(text, x):
@@ -199,6 +234,10 @@ RUNGS = [
     ("derham N(Z/3) cap 3, D = %d" % DERHAM_DEGREE, nerve_derham_rung, lambda: nerve(cyclic_table(3), 3), None),
     ("derham N(Z/2) cap 4, D = %d" % DERHAM_DEGREE, nerve_derham_rung, lambda: nerve(cyclic_table(2), 4), None),
     ("is_fibrant N(Z/5) cap %d, build included" % NERVE_CAP, fibrant_rung(5), None, None),
+    ("is_fibrant N(Z/%d) cap %d" % FIBRANT_BUILT, is_fibrant,
+     lambda: nerve(cyclic_table(FIBRANT_BUILT[0]), FIBRANT_BUILT[1]),
+     lambda _x, cert: fibrant_verdict(*FIBRANT_BUILT, cert)),
+    ("is_fibration D1 x N(Z/%d) -> D1 cap %d" % FIBRATION, fibration_rung, lambda: projection(*FIBRATION), None),
     ("read sset 1 N(Z/5) cap %d" % NERVE_CAP, parse_complex, nerve_text, nerve_text_check),
 ]
 

@@ -55,6 +55,7 @@ from .kan import (
     ExtraDegeneracy,
     check_extra_degeneracy,
     enumerate_horns,
+    horn_at,
     is_fibrant,
     is_fibration,
 )

@@ -11,22 +11,23 @@ of faces to the simplices that have it, in stored order. Enumeration extends
 every partial horn by one slot x_j (j != k) per step, in increasing j: the
 candidates are the y with d_i y = d_{j-1} x_i for every placed i, one lookup
 in the index of the placed slots. Candidates keep stored order, so horns come
-out lexicographic in stored order, as an exhaustive scan finds them.
+out lexicographic in stored order, as an exhaustive scan finds them. A horn
+is the tuple of the stored positions of its faces at the slots j != k;
+horn_at names one as a Horn of identifiers, which only a witness needs.
 
 The certificates do not fill horn by horn. Per (n, k) they read every
-n-simplex z once, as its restriction: the tuple (d_i z)_i with None at k,
-which is the faces tuple of the horn z fills. is_fibrant counts the
-restrictions and looks each enumerated horn up in the count (0 is a
-witness, 1 a unique filler); is_fibration groups the images p(z) by
-restriction and checks each lifting problem's base simplices against them.
-A set or map that exists already satisfies the simplicial identities and
-commutes (its constructor refused anything else), so nothing here checks
+n-simplex z once, as its restriction: the stored positions of (d_i z)_{i != k},
+which is the horn z fills. is_fibrant counts the restrictions and looks each
+enumerated horn up in the count (0 is a witness, 1 a unique filler);
+is_fibration groups the images p(z) by restriction and checks each lifting
+problem's base simplices against them, keyed by the positions of the horn's
+image. A set or map that exists already satisfies the simplicial identities
+and commutes (its constructor refused anything else), so nothing here checks
 them.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -38,8 +39,9 @@ from .simplicial import _UnionFind, _column, _group, _lookup, _mismatches, _tabu
 
 class Horn(NamedTuple):
     """Faces x_i (i != k) of a would-be n-simplex, satisfying the horn identities
-    d_i x_j = d_{j-1} x_i for i < j, both distinct from k. A named tuple, so
-    a horn equals the plain tuple (n, k, faces)."""
+    d_i x_j = d_{j-1} x_i for i < j, both distinct from k: a horn named by
+    identifiers, as horn_at gives a witness. A named tuple, so a horn equals
+    the plain tuple (n, k, faces)."""
 
     n: int
     k: int
@@ -48,7 +50,9 @@ class Horn(NamedTuple):
 
 def enumerate_horns(x, n, k):
     """All (n, k)-horns of x, extended one face slot at a time, in
-    lexicographic stored order.
+    lexicographic stored order. A horn is the tuple of the stored positions
+    in X_{n-1} of its faces at the slots j != k, in slot order; horn_at names
+    one.
 
     A horn is data in dimension n-1, so n may exceed the cap by one; only
     filling it would need dimension n."""
@@ -63,32 +67,20 @@ def enumerate_horns(x, n, k):
         index = x._face_index(n - 1, tuple(slots[:r]))
         down = x._dpos[(n - 1, j - 1)] if r else ()
         partial = [h + (y,) for h in partial for y in index.get(tuple([down[i] for i in h]), ())]
-    level = x.simplices[n - 1]
-    horns = []
-    for h in partial:
-        faces = [level[p] for p in h]
-        faces.insert(k, None)
-        horns.append(Horn(n, k, tuple(faces)))
-    return horns
+    return partial
+
+
+def horn_at(x, n, k, positions):
+    """The Horn whose faces at the slots j != k are the (n-1)-simplices at
+    the stored positions given in slot order, as enumerate_horns lists them."""
+    faces = list(_lookup(x.simplices[n - 1], positions))
+    faces.insert(k, None)
+    return Horn(n, k, tuple(faces))
 
 
 def _without(seq, k):
     """The entries of seq other than entry k, as a tuple."""
     return tuple(seq[:k]) + tuple(seq[k + 1 :])
-
-
-def _faces(x, n):
-    """The faces (d_i z) over the n-simplices z in stored order, one tuple
-    of identifiers per i."""
-    level = x.simplices[n - 1]
-    return [_lookup(level, x._dpos[(n, i)]) for i in range(n + 1)]
-
-
-def _restrictions(faces, k):
-    """The tuples (d_i z)_i with None at position k, over the n-simplices z
-    whose faces are read in step from the lists faces: the faces tuple of
-    the (n, k)-horn each z fills."""
-    return zip(*faces[:k], itertools.repeat(None), *faces[k + 1:])
 
 
 @dataclass
@@ -109,13 +101,13 @@ def is_fibrant(x):
     is looked up once in the count of the restrictions of X_n."""
     counts = {}
     for n in range(1, x.dim_cap + 1):
-        faces = _faces(x, n)
+        faces = [x._dpos[(n, i)] for i in range(n + 1)]
         for k in range(n + 1):
             horns = enumerate_horns(x, n, k)
-            fillers = Counter(_restrictions(faces, k))
-            found = [fillers[h.faces] for h in horns]
+            fillers = Counter(zip(*_without(faces, k)))
+            found = [fillers[h] for h in horns]
             if 0 in found:
-                return KanCertificate(x.dim_cap, False, counts, witness=horns[found.index(0)])
+                return KanCertificate(x.dim_cap, False, counts, witness=horn_at(x, n, k, horns[found.index(0)]))
             counts[(n, k)] = (len(horns), found.count(1))
     return KanCertificate(x.dim_cap, True, counts)
 
@@ -136,19 +128,20 @@ def is_fibration(p):
     problems = 0
     for n in range(1, cap + 1):
         below, level = p._image[n - 1], p._image[n]
-        index, targets, faces = x._index[n - 1], y.simplices[n], _faces(x, n)
+        faces = [x._dpos[(n, i)] for i in range(n + 1)]
         for k in range(n + 1):
-            lifts = _group(_restrictions(faces, k), level)
+            lifts = _group(zip(*_without(faces, k)), level)
             bases = y._face_index(n, _without(range(n + 1), k))
             for h in enumerate_horns(x, n, k):
-                down = bases.get(tuple([below[index[f]] for f in _without(h.faces, k)]), ())
+                down = bases.get(tuple([below[f] for f in h]), ())
                 if not down:
                     continue
-                images = lifts.get(h.faces, ())
+                images = lifts.get(h, ())
                 for b in down:
                     problems += 1
                     if b not in images:
-                        return FibrationCertificate(cap, False, problems, witness=(h, targets[b]))
+                        witness = (horn_at(x, n, k, h), y.simplices[n][b])
+                        return FibrationCertificate(cap, False, problems, witness=witness)
     return FibrationCertificate(cap, True, problems)
 
 

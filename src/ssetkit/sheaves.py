@@ -36,7 +36,9 @@ class FiniteSite:
     covers:  dict name -> list of tuples of member names
 
     The names (in name order), the order, the arrows, the meets and the
-    least covering sieve of each object are computed once, here.
+    least covering sieve of each object are computed once, here. An object
+    with a member that is no simplex of the base is refused, naming the
+    object's least such member (by dimension, then in str order).
     """
 
     def __init__(self, base, objects, covers):
@@ -44,9 +46,10 @@ class FiniteSite:
         self.objects = {}
         for name, sub in objects.items():
             sub = {n: frozenset(v) for n, v in sub.items()}
-            unknown = [s for n, members in sub.items() for s in members if not base.has(n, s)]
-            if unknown:
-                raise StructureError("object %r contains unknown simplex %r" % (name, unknown[0]))
+            for n in sorted(sub):
+                unknown = [s for s in sub[n] if not base.has(n, s)]
+                if unknown:
+                    raise StructureError("object %r contains unknown simplex %r" % (name, min(unknown, key=str)))
             self.objects[name] = {n: sub.get(n, frozenset()) for n in base.dims()}
         self.covers = {name: [tuple(fam) for fam in fams] for name, fams in covers.items()}
         self._names = tuple(sorted(self.objects, key=str))

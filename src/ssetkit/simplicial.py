@@ -508,17 +508,16 @@ def close_subcomplex(x, seeds):
 def is_subcomplex(x, sub):
     """Closure check; returns None when closed, else an offending (kind, n,
     simplex): ("unknown", n, s) for a member that is not a simplex of its
-    dimension, one off 0..cap included, then ("face", n, s) by n, then
-    ("degeneracy", n, s) by n, each for the first s in the iteration order
-    of sub[n] with a face (degeneracy) outside sub. Each (n, i) is read as
-    the stored positions of the members."""
+    dimension, one off 0..cap included, by n and the least such s in str
+    order; then ("face", n, s) by n, then ("degeneracy", n, s) by n, each for
+    the first member in stored order with a face (degeneracy) outside sub.
+    Each (n, i) is read as the stored positions of the members."""
     for n in sorted(sub):
-        for s in sub[n]:
-            if not x.has(n, s):
-                return ("unknown", n, s)
+        unknown = [s for s in sub[n] if not x.has(n, s)]
+        if unknown:
+            return ("unknown", n, min(unknown, key=str))
     cap = x.dim_cap
-    members = {n: tuple(sub.get(n, ())) for n in x.dims()}
-    at = {n: _lookup(x._index[n], members[n]) for n in x.dims()}
+    at = {n: sorted(_lookup(x._index[n], tuple(sub.get(n, ())))) for n in x.dims()}
     for kind, dims, step, tables in (("face", range(1, cap + 1), -1, x._dpos), ("degeneracy", range(cap), 1, x._spos)):
         for n in dims:
             inside = set(at[n + step])
@@ -528,7 +527,7 @@ def is_subcomplex(x, sub):
                 if not inside.issuperset(hits):
                     first = min(first, next(k for k, p in enumerate(hits) if p not in inside))
             if first < len(at[n]):
-                return (kind, n, members[n][first])
+                return (kind, n, x.simplices[n][at[n][first]])
     return None
 
 

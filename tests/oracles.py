@@ -456,17 +456,18 @@ def reference_complex(text):
 
 def scan_is_subcomplex(x, sub):
     """is_subcomplex(x, sub) one member and one index at a time through x.d
-    and x.s: the first member that is not a simplex of its dimension, then
-    the first member, by n and in the iteration order of sub[n], with a face
-    outside sub, then the same for degeneracies; None when sub is closed."""
+    and x.s: the least member in str order, by n, that is not a simplex of
+    its dimension, then the first member, by n and in the stored order of
+    X_n, with a face outside sub, then the same for degeneracies; None when
+    sub is closed."""
     for n in sorted(sub):
-        for s in sub[n]:
+        for s in sorted(sub[n], key=str):
             if not x.has(n, s):
                 return ("unknown", n, s)
     cap = x.dim_cap
     for kind, dims, step, f in (("face", range(1, cap + 1), -1, x.d), ("degeneracy", range(cap), 1, x.s)):
         for n in dims:
-            for s in sub.get(n, ()):
+            for s in (s for s in x.simplices[n] if s in sub.get(n, ())):
                 if any(f(n, i, s) not in sub.get(n + step, ()) for i in range(n + 1)):
                     return (kind, n, s)
     return None

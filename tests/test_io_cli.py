@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
@@ -1241,6 +1242,32 @@ def test_cli_determinism(command, fixture):
     _, first = run_cli(command, fixture_path(fixture))
     _, second = run_cli(command, fixture_path(fixture))
     assert strip_timing(first) == strip_timing(second)
+
+
+HASH_SEED_REFUSALS = [
+    (("mv", "delta1.sset", "bd_delta3_star.cover"), "not closed under structure maps: ('unknown', 0, '(2)')"),
+    (("sheaf", "circle2.sset", "site_path_representable.site"), "object 'A' contains unknown simplex '(0)'"),
+]
+
+
+@pytest.mark.parametrize("argv,refusal", HASH_SEED_REFUSALS, ids=["mv", "sheaf"])
+def test_refusals_do_not_depend_on_the_hash_seed(argv, refusal):
+    """A cover or site member that is no simplex of the set is named the same
+    way in every interpreter: each report comes from a fresh process under
+    its own PYTHONHASHSEED, which orders the string sets the members are
+    read into. Seeds 0 and 4 iterate the unknown mv members in different
+    orders, and 0 and 1 the unknown sheaf members."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    command = [sys.executable, "-c", "import sys; from ssetkit.cli import main; sys.exit(main())", argv[0]]
+    command += [fixture_path(name) for name in argv[1:]]
+    reports = set()
+    for seed in ("0", "1", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        reports.add(strip_timing(done.stdout))
+    assert len(reports) == 1
+    assert "record error exact : %s\n" % refusal in reports.pop()
 
 
 # SHA-256 of the ring report of every fixture set and the mv report of both

@@ -18,6 +18,7 @@ from ssetkit.kan import (
     check_extra_degeneracy,
     connected_components,
     enumerate_horns,
+    horn_at,
     is_fibrant,
     is_fibration,
 )
@@ -42,7 +43,7 @@ from conftest import fixture_text, homomorphism, identity_map, inclusion, kan_ma
 
 def test_horn_enumeration_on_delta1():
     d1 = standard_delta(1, 2)
-    horns = enumerate_horns(d1, 2, 1)
+    horns = [horn_at(d1, 2, 1, h) for h in enumerate_horns(d1, 2, 1)]
     # horns correspond to composable edge pairs; brute force over all pairs
     edges = d1.simplices[1]
     composable = [
@@ -65,7 +66,7 @@ def test_horn_enumeration_point():
 def test_boundary_delta2_admits_boundary_tuples():
     b2 = standard_boundary(2)
     for k in range(3):
-        horns = enumerate_horns(b2, 2, k)
+        horns = [horn_at(b2, 2, k, h) for h in enumerate_horns(b2, 2, k)]
         faces = [(1, 2), (0, 2), (0, 1)]
         expected = tuple(f if i != k else None for i, f in enumerate(faces))
         assert any(h.faces == expected for h in horns)
@@ -75,7 +76,7 @@ def test_nerve_fillers_unique_via_division():
     nz2 = nerve(cyclic_table(2), 3)
     for k in range(3):
         for h in enumerate_horns(nz2, 2, k):
-            assert len(oracles.scan_fill_horn(nz2, h)) == 1
+            assert len(oracles.scan_fill_horn(nz2, horn_at(nz2, 2, k, h))) == 1
 
 
 def test_fibrancy_certificates():
@@ -233,7 +234,23 @@ SETTINGS = settings(max_examples=60)
 def test_horns_and_fillers_match_scanning_oracle(x):
     for n in range(1, x.dim_cap + 2):
         for k in range(n + 1):
-            assert enumerate_horns(x, n, k) == oracles.scan_enumerate_horns(x, n, k)
+            horns = [horn_at(x, n, k, h) for h in enumerate_horns(x, n, k)]
+            assert horns == oracles.scan_enumerate_horns(x, n, k)
+
+
+@SETTINGS
+@given(kan_sets())
+def test_horns_are_stored_positions_satisfying_the_horn_identities(x):
+    """Each horn lists the stored positions of its faces at the slots j != k,
+    in slot order, and the face tables of X_{n-1} satisfy d_i x_j = d_{j-1}
+    x_i on them for every pair of slots i < j."""
+    for n in range(1, x.dim_cap + 2):
+        for k in range(n + 1):
+            slots = _slots(n, k)
+            for h in enumerate_horns(x, n, k):
+                assert len(h) == n and all(0 <= p < len(x.simplices[n - 1]) for p in h)
+                for (a, i), (b, j) in itertools.combinations(enumerate(slots), 2):
+                    assert x._dpos[(n - 1, i)][h[b]] == x._dpos[(n - 1, j - 1)][h[a]]
 
 
 @SETTINGS
