@@ -1,6 +1,6 @@
 """Frontier rungs: subdivision, nerve and torus homology, the torus ring,
-de Rham on nerves, Kan fibrancy and a Kan fibration, timed and checked against
-closed forms.
+de Rham on nerves, Kan fibrancy, a Kan fibration and Mayer-Vietoris on a
+sphere, timed and checked against closed forms.
 
 Run from the repository root:
 
@@ -39,6 +39,12 @@ Each rung is one computation whose answer has a closed form:
   map built untimed (its face indexes kept as above): a fibration with
   sum (n+2) h(n, k) = 3084 lifting problems, h(n, k) the (n, k)-horns of the
   nerve (perfbench/references.py, projection_lifting_problems);
+- the Mayer-Vietoris sequence of the boundary of Delta^7 at cap 6 for the
+  cover A = the closure of the facets that contain vertex 0, B = the closure
+  of the facet opposite it (the cover built untimed): betti numbers
+  (1,0,0,0,0,0,1) for X, (1,0,...,0) for A and B, and (1,0,0,0,0,1,0) for
+  A cap B, the boundary of Delta^6; exact at every node, and the connecting
+  map of rank 1 in degree 5 and 0 in the others;
 - reading the 'sset 1' text of N(Z/5) at cap 5 (serialized before the rung,
   untimed): the set read has 5^n simplices in dimension n, and writing it
   gives the text back byte for byte (checked after the timed read).
@@ -70,7 +76,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import references  # noqa: E402  (perfbench/references.py, for the lifting-problem count)
 import run  # noqa: E402  (perfbench/run.py, for its reference chunk)
 from ssetkit.derham import derham_cohomology  # noqa: E402
-from ssetkit.homology import chain_complex, cohomology_ring, homology  # noqa: E402
+from ssetkit.homology import chain_complex, cohomology_ring, homology, mayer_vietoris  # noqa: E402
 from ssetkit.io_text import parse_complex, serialize_complex  # noqa: E402
 from ssetkit.kan import is_fibrant, is_fibration  # noqa: E402
 from ssetkit.linalg import Matrix, rank  # noqa: E402
@@ -84,10 +90,12 @@ from ssetkit.subdivision import (  # noqa: E402
 )
 from ssetkit.simplicial import (  # noqa: E402
     SimplicialMap,
+    close_subcomplex,
     cyclic_table,
     nerve,
     product,
     sphere_quotient,
+    standard_boundary,
     standard_delta,
 )
 
@@ -207,6 +215,31 @@ def fibration_rung(p):
     return cert.fibration and cert.problems == references.projection_lifting_problems(*FIBRATION)
 
 
+MV_SPHERE = (7, 6)  # the boundary of Delta^7 at cap 6
+
+
+def sphere_cover(n, cap):
+    """The boundary of Delta^n with A the closure of the facets that contain
+    vertex 0 and B the closure of the facet opposite it."""
+    x = standard_boundary(n, cap)
+    facets = [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)]
+    a = close_subcomplex(x, {n - 1: [f for f in facets if 0 in f]})
+    b = close_subcomplex(x, {n - 1: [f for f in facets if 0 not in f]})
+    return x, a, b
+
+
+def sphere_mv_check(_cover, mv):
+    n, cap = MV_SPHERE
+    point = (1,) + (0,) * cap
+    return (
+        mv.betti_x == (1,) + (0,) * (cap - 1) + (1,)
+        and mv.betti_a == mv.betti_b == point
+        and mv.betti_ab == tuple(int(p in (0, n - 2)) for p in range(cap + 1))
+        and mv.exact()
+        and [rank(mv.connecting[p]) for p in range(cap)] == [int(p == n - 2) for p in range(cap)]
+    )
+
+
 def nerve_text_check(text, x):
     return serialize_complex(x) == text and all(len(x.simplices[n]) == 5 ** n for n in x.dims())
 
@@ -238,6 +271,8 @@ RUNGS = [
      lambda: nerve(cyclic_table(FIBRANT_BUILT[0]), FIBRANT_BUILT[1]),
      lambda _x, cert: fibrant_verdict(*FIBRANT_BUILT, cert)),
     ("is_fibration D1 x N(Z/%d) -> D1 cap %d" % FIBRATION, fibration_rung, lambda: projection(*FIBRATION), None),
+    ("mayer_vietoris bd(D%d) cap %d" % MV_SPHERE, lambda cover: mayer_vietoris(*cover),
+     lambda: sphere_cover(*MV_SPHERE), sphere_mv_check),
     ("read sset 1 N(Z/5) cap %d" % NERVE_CAP, parse_complex, nerve_text, nerve_text_check),
 ]
 

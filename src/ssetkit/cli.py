@@ -127,7 +127,7 @@ def cmd_mv(report, args):
     full = io_text.parse_complex(_read(report, args.sset))
     x = _lower_cap(full, args)
     # A cover is written at the file's cap: members above a lowered cap are dropped,
-    # and a member that is no simplex of the file's set stays, for restrict to refuse.
+    # and a member that is no simplex of the file's set stays, for mayer_vietoris to refuse.
     sub_a, sub_b = (
         {n: m if n <= x.dim_cap else {s for s in m if not full.has(n, s)} for n, m in sub.items()}
         for sub in io_text.parse_cover(_read(report, args.cover))

@@ -96,9 +96,6 @@ class QTau:
         other = _as_qtau(other)
         return QTau(self.q - other.q, self.m - other.m)
 
-    def __rsub__(self, other):
-        return _as_qtau(other) - self
-
     def __neg__(self):
         return QTau(-self.q, -self.m)
 
@@ -110,13 +107,6 @@ class QTau:
         return QTau(self.q * other, self.m * other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, QTau):
-            if other.m != 0:
-                raise ArithmeticError("division by a tau-carrying scalar")
-            other = other.q
-        return QTau(self.q / other, self.m / other)
 
     def __eq__(self, other):
         if not isinstance(other, (QTau, numbers.Real)):
@@ -269,9 +259,6 @@ class PolyForm:
 
     def scale(self, c):
         return _collect(self.n, self.p, [(v * c, ((k, 1),)) for k, v in self.terms.items()])
-
-    def __neg__(self):
-        return self.scale(-1)
 
     # -- calculus ---------------------------------------------------------
 
@@ -534,23 +521,6 @@ class FormField:
             self.x,
             self.p + other.p,
             {k: f.wedge(other.forms[k]) for k, f in self.forms.items()},
-        )
-
-    def __add__(self, other):
-        return FormField(self.x, self.p, {k: f + other.forms[k] for k, f in self.forms.items()})
-
-    def __sub__(self, other):
-        return FormField(self.x, self.p, {k: f - other.forms[k] for k, f in self.forms.items()})
-
-    def scale(self, c):
-        return FormField(self.x, self.p, {k: f.scale(c) for k, f in self.forms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormField)
-            and self.x is other.x
-            and self.p == other.p
-            and self.forms == other.forms
         )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParameterError, StructureError
 from .linalg import Matrix, coordinates, invariant_factors, nullspace, quotient_reps, rank, rref
-from .simplicial import restrict
+from .simplicial import is_subcomplex
 
 
 class ChainComplex:
@@ -116,14 +116,27 @@ class ChainComplex:
         return {k: arow[i] * brow[j] for k, (i, j) in enumerate(zip(front, back)) if arow.get(i) and brow.get(j)}
 
 
-def chain_complex(x):
+def chain_complex(x, sub=None):
     """Normalized chain complex of a simplicial set: the basis is the
     nondegenerate simplices, the boundary is the alternating face sum, and
     faces landing on degenerate simplices are dropped. The set's
     constructor refused any table that breaks a simplicial identity, so
     d^2 = 0 holds and is not multiplied out.
+
+    Given sub, a family of simplices per dimension that is closed under the
+    structure maps, it is the chain complex of that subcomplex, read off x:
+    the basis is the nondegenerate simplices of x in sub, in x's order. If
+    x = s_i y lies in sub, so does y = d_i x, so a member is degenerate in
+    sub exactly when it is in x, and every face of a member is a member or
+    degenerate. An open family, or one with a member that is no simplex of
+    x, is refused.
     """
     basis = {n: x.nondegenerate(n) for n in x.dims()}
+    if sub is not None:
+        offending = is_subcomplex(x, sub)
+        if offending is not None:
+            raise StructureError("not closed under structure maps: %r" % (offending,))
+        basis = {n: tuple(filter(frozenset(sub.get(n, ())).__contains__, b)) for n, b in basis.items()}
     boundary = {}
     for n in range(1, x.dim_cap + 1):
         # the row of each nondegenerate (n-1)-simplex, by its stored position
@@ -150,13 +163,6 @@ def chain_complex(x):
 class HomologySummary:
     betti: tuple
     torsion: dict
-
-    def __str__(self):
-        parts = ["betti %s" % (self.betti,)]
-        for n in sorted(self.torsion):
-            if self.torsion[n]:
-                parts.append("H_%d torsion %s" % (n, self.torsion[n]))
-        return "; ".join(parts)
 
 
 def homology(complex_):
@@ -263,7 +269,9 @@ class MayerVietoris:
 
 def mayer_vietoris(x, sub_a, sub_b):
     """Mayer-Vietoris sequence for a cover of x by two closed subcomplexes.
-    alpha and beta are class maps (beta negates the B columns); each
+    The chain complexes of A, B and A cap B are read off x (chain_complex
+    with sub), so no set is built for a part and x's identities are scanned
+    once. alpha and beta are class maps (beta negates the B columns); each
     position list is built once per degree, and the certificate walks the
     maps in sequence order, passing each to rank once."""
     for n in x.dims():
@@ -273,9 +281,7 @@ def mayer_vietoris(x, sub_a, sub_b):
                     "cover condition fails: simplex %r of dimension %d in neither part" % (s, n)
                 )
     sub_ab = {n: sub_a.get(n, frozenset()) & sub_b.get(n, frozenset()) for n in set(sub_a) | set(sub_b)}
-    c_x, c_a, c_b, c_ab = (
-        chain_complex(s) for s in (x, restrict(x, sub_a), restrict(x, sub_b), restrict(x, sub_ab))
-    )
+    c_x, c_a, c_b, c_ab = (chain_complex(x, s) for s in (None, sub_a, sub_b, sub_ab))
     cap = x.dim_cap
 
     alpha = {}

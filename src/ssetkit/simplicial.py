@@ -544,15 +544,6 @@ def _kept(x, keep):
     return simplices, faces, degs
 
 
-def restrict(x, sub):
-    """The sub-simplicial-set on a closed family of simplices, as its own object."""
-    offending = is_subcomplex(x, sub)
-    if offending is not None:
-        raise StructureError("not closed under structure maps: %r" % (offending,))
-    keep = {n: sorted(set(_lookup(x._index[n], tuple(sub.get(n, ()))))) for n in x.dims()}
-    return SimplicialSet(x.dim_cap, *_kept(x, keep))
-
-
 def quotient(x, sub):
     """Collapse a closed subcomplex to the degeneracy tower of one base point."""
     offending = is_subcomplex(x, sub)

@@ -107,10 +107,6 @@ class AffineSimplex:
     def points(self):
         return tuple(_point(p) for p in self.key)
 
-    @property
-    def dimension(self):
-        return len(self.key) - 1
-
     def barycenter(self):
         return _point(_barycenter_key(self.key))
 

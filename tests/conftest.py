@@ -17,7 +17,6 @@ from ssetkit.simplicial import (  # noqa: E402
     nerve,
     product,
     quotient,
-    restrict,
     simplicial_complex,
     sphere_quotient,
     standard_boundary,
@@ -27,6 +26,7 @@ from ssetkit.simplicial import (  # noqa: E402
 )
 from ssetkit.sheaves import Presheaf  # noqa: E402
 from ssetkit.site_corpus import constant_presheaf, representable_to_delta1, vertex_functions  # noqa: E402
+from oracles import restrict  # noqa: E402
 
 # Every property test is derandomized and keeps no example database, so a
 # run depends on the code alone; each module sets its own max_examples.

@@ -60,7 +60,10 @@ The last sections hold reference constructions that the package itself
 does not need. natural_maps enumerates every natural transformation of
 presheaves by backtracking, is_natural and sub_to_presheaf check and build
 maps and subpresheaves; they are the witnesses for the universal property
-of sheafification. is_isomorphism decides whether a simplicial map is an
+of sheafification. restrict builds the sub-simplicial-set on a closed
+family of simplices as its own object, through the constructor, the
+reference for chain_complex(x, sub), which reads the chain complex of that
+family off x. is_isomorphism decides whether a simplicial map is an
 isomorphism; cone_extra_degeneracy is the extra degeneracy of a standard
 simplex, coning onto its least vertex.
 """
@@ -84,7 +87,7 @@ from ssetkit.io_text import _int_token, _RowReader, render_id
 from ssetkit.kan import ExtraDegeneracy, FibrationCertificate, Horn, KanCertificate
 from ssetkit.linalg import Matrix, coordinates, nullspace, quotient_reps, rank, rref
 from ssetkit.sheaves import Presheaf
-from ssetkit.simplicial import SimplicialSet
+from ssetkit.simplicial import SimplicialSet, _kept, _lookup, is_subcomplex
 
 
 def triples(matrix):
@@ -1395,7 +1398,18 @@ def sub_to_presheaf(ambient, sub_sections):
     return Presheaf(site, sub_sections, restrictions)
 
 
-# -- simplicial maps and extra degeneracies ------------------------------------------
+# -- subcomplexes, simplicial maps and extra degeneracies ----------------------------
+
+
+def restrict(x, sub):
+    """The sub-simplicial-set on a closed family of simplices, as its own
+    object: the simplices of x in sub, in x's stored order, and their
+    tables, built (and scanned) by the SimplicialSet constructor."""
+    offending = is_subcomplex(x, sub)
+    if offending is not None:
+        raise StructureError("not closed under structure maps: %r" % (offending,))
+    keep = {n: sorted(set(_lookup(x._index[n], tuple(sub.get(n, ()))))) for n in x.dims()}
+    return SimplicialSet(x.dim_cap, *_kept(x, keep))
 
 
 def is_isomorphism(f):

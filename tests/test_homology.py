@@ -29,7 +29,6 @@ from ssetkit.simplicial import (
     cyclic_table,
     nerve,
     product,
-    restrict,
     simplicial_complex,
     sphere_quotient,
     standard_boundary,
@@ -43,6 +42,7 @@ from oracles import (
     dense_rank,
     elementwise_coboundary,
     reference_cup,
+    restrict,
     scan_map_violations,
     snf_diagonal,
     triples,
@@ -516,14 +516,23 @@ def test_mv_degenerate_cover_splits():
 @settings(max_examples=30)
 @given(two_part_covers())
 def test_mv_is_exact_on_random_two_part_covers(cover):
-    """The betti numbers agree with the Smith normal form path, and at every
-    node of 0 -> H^0(X) -> ... -> H^cap(A cap B) -> 0 the composite of the
-    two maps is zero and rank in + rank out is the dimension of the group,
-    from ranks taken here; the certificate's nodes carry these values."""
+    """Each part's chain complex read off X has the basis and the boundary
+    rows of the chain complex of the part built as its own set; the betti
+    numbers agree with the Smith normal form path on those sets, and at
+    every node of 0 -> H^0(X) -> ... -> H^cap(A cap B) -> 0 the composite of
+    the two maps is zero and rank in + rank out is the dimension of the
+    group, from ranks taken here; the certificate's nodes carry these
+    values."""
     x, a, b = cover
     ab = {n: a[n] & b[n] for n in x.dims()}
     mv = mayer_vietoris(x, a, b)
-    bx, ba, bb, bab = (homology(chain_complex(z)).betti for z in (x, restrict(x, a), restrict(x, b), restrict(x, ab)))
+    parts = [restrict(x, sub) for sub in (a, b, ab)]
+    for sub, part in zip((a, b, ab), parts):
+        read, built = chain_complex(x, sub), chain_complex(part)
+        assert read.basis == built.basis
+        for n in range(1, x.dim_cap + 1):
+            assert (read.boundary[n].rows, read.boundary[n].ncols) == (built.boundary[n].rows, built.boundary[n].ncols)
+    bx, ba, bb, bab = (homology(chain_complex(z)).betti for z in (x, *parts))
     assert (mv.betti_x, mv.betti_a, mv.betti_b, mv.betti_ab) == (bx, ba, bb, bab)
     cap = x.dim_cap
     groups, maps = [], [Matrix.zeros(bx[0], 0)]
@@ -538,6 +547,29 @@ def test_mv_is_exact_on_random_two_part_covers(cover):
         assert r_in + r_out == dim
         expected.append((label, p, True, r_in, dim - r_out, True))
     assert mv.nodes == expected
+
+
+def test_part_chain_complexes_refuse_open_and_unknown_families_as_restrict_does():
+    """An open family and one with a member that is no simplex of X, inside
+    or above the cap, are refused by chain_complex(x, sub), and so by
+    mayer_vietoris, with the text the part built as its own set is refused
+    with."""
+    b3 = standard_boundary(3)
+    star = close_subcomplex(b3, {2: [(0, 1, 2)]})
+    full = {n: frozenset(b3.simplices[n]) for n in b3.dims()}
+    families = (
+        ({**star, 1: star[1] - {(0, 1)}}, "face"),
+        ({**star, 1: star[1] | {"zz"}}, "unknown"),
+        ({**star, 7: frozenset({"nonsense"})}, "unknown"),
+    )
+    for family, kind in families:
+        with pytest.raises(StructureError) as built:
+            restrict(b3, family)
+        assert str(built.value).startswith("not closed under structure maps: (%r, " % kind)
+        for read in (lambda: chain_complex(b3, family), lambda: mayer_vietoris(b3, family, full)):
+            with pytest.raises(StructureError) as err:
+                read()
+            assert str(err.value) == str(built.value)
 
 
 def test_mv_passes_each_map_of_the_sequence_to_rank_once(monkeypatch):

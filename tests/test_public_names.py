@@ -5,7 +5,9 @@ paper's constructions listed below. A name only tests call belongs beside
 those tests, and a test helper that no test reads goes.
 
 Uses are found with ast. A module-level function or class is used when its
-name is read as a variable, an attribute or an import; the re-exports of
+name is read as a bare name, imported, or read as an attribute of an
+ssetkit module (io_text.parse_complex), so an attribute of another object
+with the same name does not pass for it; the re-exports of
 ssetkit/__init__.py are not uses. A method is used only when it is called
 as .name(...), and a property when .name is read, so a method whose name
 matches some other attribute (an argparse option, a field) does not pass
@@ -20,6 +22,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ssetkit"
 TESTS = ROOT / "tests"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 HELPERS = ("oracles.py", "conftest.py")
 
 # Public names that no command, certificate, script or benchmark job calls,
@@ -74,15 +77,44 @@ def read_names(tree):
     return names
 
 
+def module_level_uses(tree):
+    """Every name tree reads as a bare name, imports, or reads as an
+    attribute of an ssetkit module: the package or a module of it bound by
+    an import (import ssetkit, from . import m, from ssetkit import m), or
+    such a module's module attribute (ssetkit.m)."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "ssetkit" for alias in node.names if alias.name.split(".")[0] == "ssetkit"}
+        elif isinstance(node, ast.ImportFrom) and (node.level and not node.module or node.module == "ssetkit"):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name in MODULES}
+
+    def is_module(node):
+        if isinstance(node, ast.Name):
+            return node.id in modules
+        return isinstance(node, ast.Attribute) and node.attr in MODULES and is_module(node.value)
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and is_module(node.value):
+            names.add(node.attr)
+    return names
+
+
 def used_names():
     """{"name", "method", "property"} to the names of that kind used outside
-    the tests: names read, methods called as .name(...), attributes read."""
+    the tests: module-level names used (module_level_uses), methods called
+    as .name(...), attributes read."""
     paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     paths += list((ROOT / "scripts").glob("*.py")) + list((ROOT / "perfbench").rglob("*.py"))
     used = {"name": set(), "method": set(), "property": set()}
     for path in paths:
         tree = ast.parse(path.read_text())
-        used["name"] |= read_names(tree)
+        used["name"] |= module_level_uses(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used["property"].add(node.attr)
