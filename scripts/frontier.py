@@ -1,6 +1,7 @@
 """Frontier rungs: subdivision, nerve and torus homology, the torus ring,
-de Rham on nerves, Kan fibrancy, a Kan fibration and Mayer-Vietoris on a
-sphere, timed and checked against closed forms.
+de Rham on nerves, Kan fibrancy, a Kan fibration, Mayer-Vietoris on a
+sphere and the command line's cold start, timed and checked against closed
+forms.
 
 Run from the repository root:
 
@@ -47,14 +48,26 @@ Each rung is one computation whose answer has a closed form:
   map of rank 1 in degree 5 and 0 in the others;
 - reading the 'sset 1' text of N(Z/5) at cap 5 (serialized before the rung,
   untimed): the set read has 5^n simplices in dimension n, and writing it
-  gives the text back byte for byte (checked after the timed read).
+  gives the text back byte for byte (checked after the timed read);
+- cold start: 'ssetkit homology fixtures/torus.sset' in a fresh interpreter,
+  in the console-script form (from ssetkit.cli import main, with src on
+  PYTHONPATH and the rest of the environment inherited, so a bytecode cache
+  is written or not as the environment says): exit 0 and the record
+  'betti exact : (1, 2, 1, 0)'. This is start-up, imports included, plus
+  one small job.
 
 A rung runs once untimed, then REPEATS times, each run bracketed by
 perfbench's reference chunk (run.reference_chunk, imported from
 perfbench/run.py and used as it is). A run's time in chunks is its wall time
 over the mean of the two chunks around it, so the host's drifting speed
 cancels; the JSON file gives each rung's median and quartiles in chunks and
-in ms. The exit status is 1 when any answer is wrong, and nothing is written.
+in ms. The in-process chunk tracks process start poorly, so the cold start
+is bracketed instead by perfbench's reference process, as perfbench times a
+set-up (run.REFERENCE_PROCESS; see the calibration section of
+perfbench/README.md): the JSON file gives its wall time over the mean of the
+two reference processes around it ('reference_processes'), that ratio times
+run.REFERENCE_PROCESS_NOMINAL_S ('calibrated_ms'), and the raw ms. The exit
+status is 1 when any answer is wrong, and nothing is written.
 """
 
 import argparse
@@ -64,6 +77,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -248,9 +262,27 @@ def nerve_text():
     return serialize_complex(nerve(cyclic_table(5), NERVE_CAP))
 
 
+COLD_START = [sys.executable, "-c", "import sys; from ssetkit.cli import main; sys.exit(main())",
+              "homology", os.path.join(ROOT, "fixtures", "torus.sset")]
+
+
+def cold_start():
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    return subprocess.run(COLD_START, env=env, capture_output=True, text=True)
+
+
+def cold_start_check(done):
+    return done.returncode == 0 and "\nrecord betti exact : (1, 2, 1, 0)\n" in done.stdout
+
+
+def reference_process():
+    subprocess.run(run.REFERENCE_PROCESS, check=True, stdout=subprocess.DEVNULL)
+
+
 # Each rung: (name, the timed function, the untimed setup whose result it
-# takes, or None, and the untimed check of the setup's result and the
-# function's, or None when the function returns the verdict).
+# takes, or None, and the untimed check of the function's result, after the
+# setup's result when there is a setup, or None when the function returns
+# the verdict).
 RUNGS = [
     ("subdivision_suite dims 1-4, %d trials" % SUITE_TRIALS, suite_rung, None, None),
     ("S of the standard n-simplex, n = 1..4", s_rung, None, None),
@@ -274,6 +306,7 @@ RUNGS = [
     ("mayer_vietoris bd(D%d) cap %d" % MV_SPHERE, lambda cover: mayer_vietoris(*cover),
      lambda: sphere_cover(*MV_SPHERE), sphere_mv_check),
     ("read sset 1 N(Z/5) cap %d" % NERVE_CAP, parse_complex, nerve_text, nerve_text_check),
+    ("cold start: ssetkit homology torus.sset", cold_start, None, cold_start_check),
 ]
 
 
@@ -288,15 +321,15 @@ def quartiles(xs):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def measure(fn, repeats, check=bool):
+def measure(fn, repeats, check=bool, reference=run.reference_chunk):
     """The rung's answer (check of the result of an untimed run and of every
-    timed one) and its runs in chunks and ms."""
+    timed one) and its runs in units of reference (chunks by default) and ms."""
     correct = check(fn())
     chunks, ms = [], []
-    before, _ = timed(run.reference_chunk)
+    before, _ = timed(reference)
     for _ in range(repeats):
         seconds, result = timed(fn)
-        after, _ = timed(run.reference_chunk)
+        after, _ = timed(reference)
         correct = correct and check(result)
         chunks.append(seconds * 2 / (before + after))
         ms.append(seconds * 1000)
@@ -315,19 +348,24 @@ def main(argv=None):
     chunk_ms = [timed(run.reference_chunk)[0] * 1000 for _ in range(5)]
     rungs, all_correct = [], True
     for name, fn, setup, check in RUNGS:
-        verdict = bool
+        verdict = check or bool
         if setup is not None:
             given = setup()
             fn = functools.partial(fn, given)
             if check is not None:
                 verdict = functools.partial(check, given)
+        reference = reference_process if fn is cold_start else run.reference_chunk
         t0 = time.perf_counter()
-        correct, chunks, ms = measure(fn, repeats, verdict)
+        correct, units, ms = measure(fn, repeats, verdict, reference)
         all_correct = all_correct and correct
         print("%-40s %s  %.1f ms" % (name, "correct" if correct else "WRONG", (time.perf_counter() - t0) * 1000))
-        if repeats:
-            rungs.append({"name": name, "correct": correct, "chunks": quartiles(chunks), "ms": quartiles(ms),
-                          "runs_chunks": [round(c, 4) for c in chunks]})
+        if repeats and fn is cold_start:
+            rungs.append({"name": name, "correct": correct, "reference_processes": quartiles(units),
+                          "calibrated_ms": quartiles([u * run.REFERENCE_PROCESS_NOMINAL_S * 1000 for u in units]),
+                          "ms": quartiles(ms), "runs_reference_processes": [round(u, 4) for u in units]})
+        elif repeats:
+            rungs.append({"name": name, "correct": correct, "chunks": quartiles(units), "ms": quartiles(ms),
+                          "runs_chunks": [round(u, 4) for u in units]})
     if not all_correct:
         return 1
     if repeats:

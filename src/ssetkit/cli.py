@@ -5,24 +5,20 @@ mathematical negative (not fibrant, not a sheaf, incompatible data; the
 report carries the witness), 2 for input or usage errors. Each command
 returns True for an affirmative result and False for a verified negative;
 main alone turns that verdict into the report status and the exit code.
+
+Each command imports the modules it runs when it is dispatched, so a process
+loads only the modules of the command it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 
 from . import io_text
-from .connections import face_extend, horn_connection_fill, u1_chern_number
-from .derham import derham_cohomology
 from .errors import CompatibilityError, ParameterError, SsetError, StructureError
-from .homology import chain_complex, cohomology_ring, homology, mayer_vietoris, unit_class_coords
-from .kan import is_fibrant, is_fibration
-from .randomsuite import stokes_suite, subdivision_suite
 from .reporting import Report
-from .sheaves import check_status, sheafify
 from .simplicial import truncate
 
 
@@ -103,6 +99,7 @@ def _lower_cap(x, args):
 
 
 def cmd_homology(report, args):
+    from .homology import chain_complex, homology
     x = _load_sset(report, args)
     summary = homology(chain_complex(x))
     report.add("betti", summary.betti)
@@ -114,6 +111,7 @@ def cmd_homology(report, args):
 
 
 def cmd_ring(report, args):
+    from .homology import cohomology_ring, unit_class_coords
     x = _load_sset(report, args)
     ring = cohomology_ring(x)
     report.add("betti", ring.betti())
@@ -124,6 +122,7 @@ def cmd_ring(report, args):
 
 
 def cmd_mv(report, args):
+    from .homology import mayer_vietoris
     full = io_text.parse_complex(_read(report, args.sset))
     x = _lower_cap(full, args)
     # A cover is written at the file's cap: members above a lowered cap are dropped,
@@ -158,10 +157,13 @@ def _add_suite(report, rows):
 
 
 def cmd_subdivide_check(report, args):
+    import random
+    from .randomsuite import subdivision_suite
     return _add_suite(report, subdivision_suite(random.Random(args.seed), trials=args.trials))
 
 
 def cmd_sheaf(report, args):
+    from .sheaves import check_status, sheafify
     x = _load_sset(report, args)
     presheaf = io_text.parse_site_presheaf(_read(report, args.site), x)
     status = check_status(presheaf)
@@ -183,9 +185,12 @@ def cmd_sheaf(report, args):
 
 def cmd_derham(report, args):
     if args.check_stokes:
+        import random
+        from .randomsuite import stokes_suite
         return _add_suite(report, stokes_suite(random.Random(args.seed), trials=args.trials))
     if args.sset is None:
         raise ParameterError("derham needs a simplicial set file unless --check-stokes")
+    from .derham import derham_cohomology
     x = _load_sset(report, args)
     result = derham_cohomology(x, args.poly_degree)
     report.add("poly_degree", result.degree_cap)
@@ -200,6 +205,7 @@ def cmd_derham(report, args):
 
 
 def cmd_kan(report, args):
+    from .kan import is_fibrant
     x = _load_sset(report, args)
     cert = is_fibrant(x)
     report.add("fibrant_up_to_cap", cert.fibrant)
@@ -212,6 +218,7 @@ def cmd_kan(report, args):
 
 
 def cmd_fibration(report, args):
+    from .kan import is_fibration
     smap = io_text.parse_map(_read(report, args.smap))
     cert = is_fibration(smap)
     report.add("fibration_up_to_cap", cert.fibration)
@@ -224,6 +231,7 @@ def cmd_fibration(report, args):
 
 
 def cmd_chern(report, args):
+    from .connections import u1_chern_number
     bundle = io_text.parse_u1(_read(report, args.u1))
     result = u1_chern_number(bundle)
     report.add("degree", result.degree)
@@ -238,6 +246,7 @@ def cmd_chern(report, args):
 
 
 def cmd_extend(report, args):
+    from .connections import face_extend, horn_connection_fill
     n, missing, algebra, data = io_text.parse_extend(_read(report, args.problem))
     if missing is None:
         result = face_extend(n, data)

@@ -20,7 +20,7 @@ as the tau-part of the total curvature integral, an exact integer check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CompatibilityError, DomainError, ParameterError, StructureError
@@ -304,20 +304,14 @@ def horn_connection_fill(n, k, data):
 # -- abelian Chern numbers -----------------------------------------------------
 
 
-@dataclass
-class EdgeGluing:
-    """One interior edge of a closed surface.
+EdgeGluing = namedtuple("EdgeGluing", "plus minus flip p winding")
+EdgeGluing.__doc__ = """One interior edge of a closed surface.
 
-    plus/minus name (triangle id, face index) for the two sides; flip says
-    whether the two face parametrizations run oppositely. The transition
-    from the minus frame to the plus frame has additive lift
-    p(t) + winding * tau * t along the plus parametrization."""
-
-    plus: tuple
-    minus: tuple
-    flip: bool
-    p: PolyForm          # 0-form on Delta^1
-    winding: int
+plus/minus name (triangle id, face index) for the two sides; flip says
+whether the two face parametrizations run oppositely. The transition
+from the minus frame to the plus frame has additive lift
+p(t) + winding * tau * t along the plus parametrization, p a 0-form on
+Delta^1."""
 
 
 class U1BundleData:
@@ -393,13 +387,10 @@ def _vertex_classes(bundle):
     return corners.groups()
 
 
-@dataclass
-class ChernReport:
-    degree: Fraction
-    total_integral: QTau
-    edge_sum: QTau
-    vertex_sums: dict       # vertex class representative -> QTau
-    integral_vertex_sums: bool
+ChernReport = namedtuple("ChernReport", "degree total_integral edge_sum vertex_sums integral_vertex_sums")
+ChernReport.__doc__ = """The degree, the QTau total curvature integral and edge sum, vertex_sums
+mapping each vertex class representative to its QTau winding sum, and
+whether those sums are all integral."""
 
 
 def u1_chern_number(bundle):

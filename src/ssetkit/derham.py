@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -242,16 +242,15 @@ class _Truncation:
                 raise StructureError("the Whitney field of a degree-%d class fails the comparison" % p)
 
 
-@dataclass
-class DeRhamReport:
-    degree_cap: int
-    dims: tuple                # compatible-space dimension per degree, at D
-    raw_betti: tuple           # truncated cohomology at D, transient classes included
-    betti: tuple               # classes of stage D surviving into stage D+1
-    simplicial_betti: tuple
-    comparison_rank: tuple     # integration comparison rank: simplicial betti, by Whitney fields
-    isomorphism: tuple         # per-degree: comparison is iso onto simplicial cohomology
-    stable: tuple              # surviving count at D equals the one at D+1
+DeRhamReport = namedtuple(
+    "DeRhamReport", "degree_cap dims raw_betti betti simplicial_betti comparison_rank isomorphism stable")
+DeRhamReport.__doc__ = """Per degree, at the degree cap D: dims, the compatible-space dimension;
+raw_betti, the truncated cohomology at D, transient classes included; betti,
+the classes of stage D surviving into stage D+1; simplicial_betti;
+comparison_rank, the rank of the integration comparison (the simplicial betti
+number, by Whitney fields); isomorphism, whether the comparison is an
+isomorphism onto simplicial cohomology; stable, whether the surviving count
+at D equals the one at D+1."""
 
 
 def derham_cohomology(x, degree_cap):

@@ -12,7 +12,7 @@ pairs, so one coordinates call expresses a cocycle in its class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ParameterError, StructureError
 from .linalg import Matrix, coordinates, invariant_factors, nullspace, quotient_reps, rank, rref
@@ -159,10 +159,8 @@ def chain_complex(x, sub=None):
     return ChainComplex(x, basis, boundary)
 
 
-@dataclass
-class HomologySummary:
-    betti: tuple
-    torsion: dict
+HomologySummary = namedtuple("HomologySummary", "betti torsion")
+HomologySummary.__doc__ = """betti[n] and the torsion coefficients torsion[n] of H_n, n = 0..top."""
 
 
 def homology(complex_):
@@ -185,15 +183,14 @@ def read_at(row, positions):
     return {k: row[i] for k, i in enumerate(positions) if i in row}
 
 
-@dataclass
-class CohomologyRing:
+class CohomologyRing(namedtuple("CohomologyRing", "x complex reps table")):
     """Cohomology basis per degree plus the cup product table on basis
-    classes, kept for degrees p <= q (product gives the rest)."""
+    classes, kept for degrees p <= q (product gives the rest): complex is
+    x's ChainComplex, reps[p] its class representatives in degree p, and
+    table maps (p, i, q, j) to the class coordinates of reps[p][i] cup
+    reps[q][j]."""
 
-    x: object
-    complex: ChainComplex
-    reps: dict
-    table: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def betti(self):
         return tuple(len(self.reps.get(p, [])) for p in self.x.dims())
@@ -213,7 +210,7 @@ def cohomology_ring(x):
     one entry per pair of degrees p <= q (see CohomologyRing.product)."""
     complex_ = chain_complex(x)
     reps = {p: complex_.reps(p) for p in x.dims()}
-    ring = CohomologyRing(x, complex_, reps)
+    ring = CohomologyRing(x, complex_, reps, {})
     cap = x.dim_cap
     for p in x.dims():
         for i, a in enumerate(reps[p]):
@@ -247,21 +244,18 @@ def induced_map(f, p):
 # -- Mayer-Vietoris ------------------------------------------------------
 
 
-@dataclass
-class MayerVietoris:
+class MayerVietoris(namedtuple("MayerVietoris", "betti_x betti_a betti_b betti_ab alpha beta connecting nodes")):
     """All groups and maps of the cohomology Mayer-Vietoris sequence, plus
     an exactness certificate computed by exact rank bookkeeping: one node
     per group, in sequence order, whose rank-in is the rank of the map
-    before it."""
+    before it.
 
-    betti_x: tuple
-    betti_a: tuple
-    betti_b: tuple
-    betti_ab: tuple
-    alpha: dict     # p -> Matrix H^p(X) -> H^p(A) (+) H^p(B)
-    beta: dict      # p -> Matrix H^p(A) (+) H^p(B) -> H^p(A cap B)
-    connecting: dict  # p -> Matrix H^p(A cap B) -> H^{p+1}(X)
-    nodes: list     # (node label, degree, composite_zero, rank_in, nullity_out, exact)
+    alpha[p] is the Matrix of H^p(X) -> H^p(A) (+) H^p(B), beta[p] that of
+    H^p(A) (+) H^p(B) -> H^p(A cap B), and connecting[p] that of
+    H^p(A cap B) -> H^{p+1}(X); each node is (label, degree, composite_zero,
+    rank_in, nullity_out, exact)."""
+
+    __slots__ = ()
 
     def exact(self):
         return all(entry[5] for entry in self.nodes)

@@ -16,6 +16,10 @@ The 'sset 1' reader keeps, per dimension, the identifiers, their lines and
 the word lists of their faces and deg fields in row order, and hands each
 face and degeneracy map to the SimplicialSet constructor as one column of
 those lists; it checks the degen fields of all rows with one set comparison.
+
+The forms, connections and sheaves modules are imported inside the readers
+and writers of the formats that hold their objects, so reading an 'sset 1'
+file loads none of them.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ from __future__ import annotations
 import contextlib
 from fractions import Fraction
 
-from .connections import EdgeGluing, U1BundleData, LieValuedForm, abelian_line, gl, sl2
 from .errors import ParameterError, StructureError
-from .forms import PolyForm, QTau
-from .sheaves import FiniteSite, Presheaf
 from .simplicial import SimplicialMap, SimplicialSet
 
 
@@ -297,6 +298,7 @@ def parse_cover(text):
 
 
 def render_scalar(value):
+    from .forms import QTau
     if isinstance(value, QTau):
         return "%s+%s*tau" % (value.q, value.m)
     return str(Fraction(value))
@@ -305,6 +307,7 @@ def render_scalar(value):
 def parse_scalar(text):
     text = text.strip()
     if "tau" in text:
+        from .forms import QTau
         qpart, mpart = text.split("+")
         if not mpart.endswith("*tau"):
             raise StructureError("malformed tau scalar %r" % text)
@@ -329,6 +332,7 @@ def render_form(form):
 
 def parse_form(text, ln=1):
     """Parse 'form n p : ...'; errors name line ln of the enclosing file."""
+    from .forms import PolyForm
     text = text.strip()
     if not text.startswith("form "):
         raise StructureError("line %d: expected 'form n p : ...'" % ln)
@@ -389,6 +393,7 @@ def parse_site_presheaf(text, base):
     the sources of a restrict row, a sections row for a name that is not an
     object, and a restrict row for a pair that is not an arrow of the site
     are errors naming their line."""
+    from .sheaves import FiniteSite, Presheaf
     _, rows = _RowReader(text).rows("site 1")
     objects = {}
     covers = {}
@@ -527,6 +532,7 @@ def parse_u1(text):
     """Parse a 'u1 1' text; a second 'triangle' or 'A' row for the same
     triangle, and an 'A' row for a triangle with no 'triangle' row, are
     errors naming their line."""
+    from .connections import EdgeGluing, U1BundleData
     _, rows = _RowReader(text).rows("u1 1")
     triangles = []
     orientations = {}
@@ -566,9 +572,6 @@ def parse_u1(text):
 # -- extension problems -------------------------------------------------------------
 
 
-_ALGEBRAS = {"none": None, "abelian-1d": abelian_line, "sl2": sl2, "gl2": lambda: gl(2)}
-
-
 def parse_extend(text):
     """Extension problem: ambient dimension, optional missing horn index,
     algebra name, and per-face (and per-entry) forms.
@@ -581,6 +584,9 @@ def parse_extend(text):
 
     Returns (n, missing_or_None, algebra_or_None, data dict).
     """
+    from .connections import LieValuedForm, abelian_line, gl, sl2
+    from .forms import PolyForm
+    algebras = {"none": None, "abelian-1d": abelian_line, "sl2": sl2, "gl2": lambda: gl(2)}
     _, rows = _RowReader(text).rows("extend 1")
     n = None
     missing = None
@@ -597,9 +603,9 @@ def parse_extend(text):
             elif words[0] == "missing":
                 missing = int(words[1])
             elif words[0] == "algebra":
-                if words[1] not in _ALGEBRAS:
+                if words[1] not in algebras:
                     raise StructureError("line %d: unknown algebra %r" % (ln, words[1]))
-                algebra, name = _ALGEBRAS[words[1]], words[1]
+                algebra, name = algebras[words[1]], words[1]
             elif words[0] == "face":
                 i = int(words[1])
                 r, c = int(words[3]), int(words[4])

@@ -28,24 +28,18 @@ them.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .errors import ParameterError, StructureError
 from .homology import chain_complex, homology
 from .simplicial import _UnionFind, _column, _group, _lookup, _mismatches, _tabulate
 
 
-class Horn(NamedTuple):
-    """Faces x_i (i != k) of a would-be n-simplex, satisfying the horn identities
-    d_i x_j = d_{j-1} x_i for i < j, both distinct from k: a horn named by
-    identifiers, as horn_at gives a witness. A named tuple, so a horn equals
-    the plain tuple (n, k, faces)."""
-
-    n: int
-    k: int
-    faces: tuple  # length n+1, None at position k
+Horn = namedtuple("Horn", "n k faces")
+Horn.__doc__ = """Faces x_i (i != k) of a would-be n-simplex, satisfying the horn identities
+d_i x_j = d_{j-1} x_i for i < j, both distinct from k: a horn named by
+identifiers, as horn_at gives a witness. faces has length n+1, with None at
+position k. A named tuple, so a horn equals the plain tuple (n, k, faces)."""
 
 
 def enumerate_horns(x, n, k):
@@ -83,17 +77,11 @@ def _without(seq, k):
     return tuple(seq[:k]) + tuple(seq[k + 1 :])
 
 
-@dataclass
-class KanCertificate:
-    """Horn-filling record up to the cap: every (n, k)-horn with 1 <= n <=
-    dim_cap is checked, so fibrant is always True or False and says nothing
-    about horns above the cap. counts holds each (n, k) finished before the
-    witness, the first horn without a filler."""
-
-    dim_cap: int
-    fibrant: bool
-    counts: dict = field(default_factory=dict)   # (n, k) -> (horns, unique fillers)
-    witness: object = None
+KanCertificate = namedtuple("KanCertificate", "dim_cap fibrant counts witness", defaults=(None,))
+KanCertificate.__doc__ = """Horn-filling record up to the cap: every (n, k)-horn with 1 <= n <=
+dim_cap is checked, so fibrant is always True or False and says nothing
+about horns above the cap. counts maps each (n, k) finished before the
+witness, the first horn without a filler, to (horns, unique fillers)."""
 
 
 def is_fibrant(x):
@@ -112,12 +100,9 @@ def is_fibrant(x):
     return KanCertificate(x.dim_cap, True, counts)
 
 
-@dataclass
-class FibrationCertificate:
-    dim_cap: int
-    fibration: bool
-    problems: int = 0
-    witness: object = None  # (horn, base simplex) lifting problem with no lift
+FibrationCertificate = namedtuple("FibrationCertificate", "dim_cap fibration problems witness", defaults=(None,))
+FibrationCertificate.__doc__ = """Lifting record up to the cap: problems counts the lifting problems
+checked, and witness is the (horn, base simplex) problem with no lift."""
 
 
 def is_fibration(p):
@@ -175,13 +160,7 @@ def connected_components(x):
     return list(components.groups().values())
 
 
-@dataclass
-class ContractibilityReport:
-    valid: bool
-    witness: object
-    connected: bool
-    reduced_homology_trivial: bool
-    betti: tuple
+ContractibilityReport = namedtuple("ContractibilityReport", "valid witness connected reduced_homology_trivial betti")
 
 
 def check_extra_degeneracy(x, extra):

@@ -7,27 +7,27 @@ only nondeterministic field and is excluded from the comparison digest.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 FORMAT_HEADER = "ssetkit-report 1"
 _FLAG = "exact"  # the flag of every record
 
 
-@dataclass
-class Record:
-    name: str
-    value: str
+Record = namedtuple("Record", "name value")
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: list = field(default_factory=list)   # (name, sha256) pairs
-    records: list = field(default_factory=list)
-    status: str = "ok"                            # ok | negative | error
-    timing_ms: int = 0
+    """The records of one command run: inputs are (name, sha256) pairs,
+    records are Records with rendered values, and status is ok, negative
+    or error."""
+
+    def __init__(self, command, records=None):
+        self.command = command
+        self.inputs = []
+        self.records = [] if records is None else records
+        self.status = "ok"
+        self.timing_ms = 0
 
     def add(self, name, value):
         self.records.append(Record(name, _render_value(value)))
@@ -48,6 +48,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def render_json(self, with_timing=True):
+        import json
         payload = {
             "format": FORMAT_HEADER,
             "command": self.command,

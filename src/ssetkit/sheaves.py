@@ -21,8 +21,7 @@ exhaustive search.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import StructureError
 from .simplicial import _refusal
@@ -180,11 +179,9 @@ class Presheaf:
         return self.res[(u, v)][section]
 
 
-@dataclass
-class SheafStatus:
-    separated: bool
-    sheaf: bool
-    witness: object = None  # (object, generators of its least sieve, family, number of gluings)
+SheafStatus = namedtuple("SheafStatus", "separated sheaf witness")
+SheafStatus.__doc__ = """The sheaf condition's verdicts; witness is None or (object, generators of
+its least sieve, family, number of gluings)."""
 
 
 def _compatible_families(presheaf, cover):

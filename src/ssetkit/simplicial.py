@@ -580,7 +580,10 @@ def sphere_quotient(n, dim_cap=None):
 
 
 def truncate(x, dim_cap):
-    """The same simplicial set with the cap lowered; raising it is refused."""
+    """The same simplicial set with the cap lowered; raising it, or lowering
+    it below 0, is refused."""
+    if dim_cap < 0:
+        raise ParameterError("cannot lower the cap to %d: a cap is at least 0" % dim_cap)
     if dim_cap > x.dim_cap:
         raise CapExceededError(
             "cannot raise the cap from %d to %d" % (x.dim_cap, dim_cap)

@@ -958,6 +958,15 @@ def test_cli_non_utf8_input_exit_2(argv, tmp_path):
     assert "status error" in out
 
 
+@pytest.mark.parametrize("command", ["homology", "ring", "mv", "derham", "kan"])
+def test_cli_negative_cap_exit_2(command):
+    extra = [fixture_path("circle2.cover")] if command == "mv" else []
+    code, out = run_cli(command, fixture_path("circle2.sset"), *extra, "--cap", "-1")
+    assert code == 2
+    assert "record error exact : cannot lower the cap to -1: a cap is at least 0\n" in out
+    assert "status error" in out
+
+
 def test_cli_unknown_command_exit_2():
     code, _ = run_cli("transmogrify", "x")
     assert code == 2

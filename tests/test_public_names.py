@@ -4,14 +4,13 @@ perfbench/ uses it, or it is one of the documented properties of the
 paper's constructions listed below. A name only tests call belongs beside
 those tests, and a test helper that no test reads goes.
 
-Uses are found with ast. A module-level function or class is used when its
-name is read as a bare name, imported, or read as an attribute of an
-ssetkit module (io_text.parse_complex), so an attribute of another object
-with the same name does not pass for it; the re-exports of
-ssetkit/__init__.py are not uses. A method is used only when it is called
-as .name(...), and a property when .name is read, so a method whose name
-matches some other attribute (an argparse option, a field) does not pass
-for it. Every top-level function of tests/oracles.py and tests/conftest.py
+Uses are found with ast. A module-level function, class or namedtuple
+record is used when its name is read as a bare name, imported, or read as
+an attribute of an ssetkit module (io_text.parse_complex), so an attribute
+of another object with the same name does not pass for it. A method is used only when it is
+called as .name(...), and a property when .name is read, so a method whose
+name matches some other attribute (an argparse option, a field) does not
+pass for it. Every top-level function of tests/oracles.py and tests/conftest.py
 is read by another test module or by another function or class of its own
 module.
 """
@@ -49,12 +48,21 @@ def _is_property(node):
     return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
 
 
+def _is_record(node):
+    """A module-level Name = namedtuple(...) statement."""
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "namedtuple")
+
+
 def public_definitions():
     """(module.name or module.Class.method, bare name, kind) of every public
-    module-level function and class of the package and every public method
-    of those classes; kind is "name", "method" or "property"."""
+    module-level function, class and namedtuple record of the package and
+    every public method of those classes; kind is "name", "method" or
+    "property"."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
+            if _is_record(node) and not node.targets[0].id.startswith("_"):
+                yield "%s.%s" % (path.stem, node.targets[0].id), node.targets[0].id, "name"
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield "%s.%s" % (path.stem, node.name), node.name, "name"
                 if isinstance(node, ast.ClassDef):

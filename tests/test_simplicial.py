@@ -355,6 +355,12 @@ def test_truncate_refuses_raise():
         truncate(t, 2)
 
 
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_truncate_refuses_a_negative_cap(cap):
+    with pytest.raises(ParameterError, match="^cannot lower the cap to %d: a cap is at least 0$" % cap):
+        truncate(standard_delta(2), cap)
+
+
 def test_every_generated_object_validates():
     objects = [
         standard_delta(3),
